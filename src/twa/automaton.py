@@ -12,6 +12,8 @@ operations build new ones.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import AlphabetError, DimensionError, TagMismatchError, TwaError
 from .semiring import MAX_PLUS, MIN_PLUS, Semiring, semiring_for
 from .spectral import TropicalMatrix, mat_add, vec_mat
@@ -253,8 +255,67 @@ def negate_series(aut: WeightedAutomaton) -> WeightedAutomaton:
     return aut.negate()
 
 
-def _combined_label(a: WeightedAutomaton, p: int, b: WeightedAutomaton, q: int) -> str:
-    return f"({a.state_label(p)},{b.state_label(q)})"
+def _accessible_product(
+    a: WeightedAutomaton, b: WeightedAutomaton, semiring: Semiring, combine
+) -> WeightedAutomaton:
+    """The part of the product a x b reachable from its initial pairs.
+
+    A pair (p, q) is initial when both initial weights are finite, and a
+    joint arc (p, q) -x-> (r, s) exists when both p -x-> r and q -x-> s do;
+    arrows and arcs weigh ``combine(wa, wb)``.  Only reached pairs are built.
+    They are numbered in (p, q) order, so the result is the full grid with its
+    unreachable pairs deleted, and trimming either gives the same automaton.
+    """
+    bn = b.n
+    letters = [(a.mu[ch].rows, b.mu[ch].rows) for ch in a.alphabet]
+    seen = {
+        p * bn + q
+        for p, wa in enumerate(a.alpha) if wa is not None
+        for q, wb in enumerate(b.alpha) if wb is not None
+    }
+    stack = list(seen)
+    built = {}  # pair key p * bn + q -> its rows, one per letter, keyed by pair key
+    while stack:
+        key = stack.pop()
+        p, q = divmod(key, bn)
+        built[key] = rows = []
+        for arows, brows in letters:
+            row = {}
+            brow = brows[q]
+            if brow:
+                for r, w1 in arows[p].items():
+                    base = r * bn
+                    for s, w2 in brow.items():
+                        row[base + s] = combine(w1, w2)
+                for t in row:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            rows.append(row)
+    keys = sorted(seen)
+    n = len(keys)
+    if n < a.n * bn:  # with every pair reached, key k already is state k
+        index = {key: i for i, key in enumerate(keys)}
+        for rows in built.values():
+            rows[:] = [{index[t]: w for t, w in row.items()} for row in rows]
+    pairs = [divmod(key, bn) for key in keys]
+
+    def arrows(va, vb):
+        return [
+            None if va[p] is None or vb[q] is None else combine(va[p], vb[q])
+            for p, q in pairs
+        ]
+
+    mu = {
+        ch: TropicalMatrix(semiring, n, [built[key][i] for key in keys])
+        for i, ch in enumerate(a.alphabet)
+    }
+    la = [a.state_label(p) for p in range(a.n)]
+    lb = [b.state_label(q) for q in range(bn)]
+    labels = [f"({la[p]},{lb[q]})" for p, q in pairs]
+    return WeightedAutomaton(
+        semiring, a.alphabet, n, arrows(a.alpha, b.alpha), arrows(a.beta, b.beta), mu, labels
+    )
 
 
 def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
@@ -262,7 +323,9 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
 
     For every word w: eval(result, w) = eval(a, w) (x) eval(b, w).  Both
     automata must carry the same scalar tag (max-plus or min-plus) and the
-    same alphabet.
+    same alphabet.  Only the pairs (p, q) reachable from an initial pair are
+    built, numbered in (p, q) order, so the result has at most a.n * b.n
+    states.
     """
     if a.semiring.tag != b.semiring.tag:
         raise TagMismatchError(f"mixed tags: {a.semiring.tag} vs {b.semiring.tag}")
@@ -270,42 +333,7 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
         raise TagMismatchError(f"hadamard is not defined for tag {a.semiring.tag!r}")
     if a.alphabet != b.alphabet:
         raise AlphabetError("hadamard requires identical alphabets")
-    sr = a.semiring
-    bn = b.n
-    n = a.n * bn
-    alpha = [None] * n
-    beta = [None] * n
-    for p, wa in enumerate(a.alpha):
-        if wa is None:
-            continue
-        for q, wb in enumerate(b.alpha):
-            if wb is not None:
-                alpha[p * bn + q] = sr.times(wa, wb)
-    for p, wa in enumerate(a.beta):
-        if wa is None:
-            continue
-        for q, wb in enumerate(b.beta):
-            if wb is not None:
-                beta[p * bn + q] = sr.times(wa, wb)
-    mu = {}
-    for ch in a.alphabet:
-        rows = [dict() for _ in range(n)]
-        brows = b.mu[ch].rows
-        for p, arow in enumerate(a.mu[ch].rows):
-            for q in range(bn):
-                brow = brows[q]
-                if not brow:
-                    continue
-                src = rows[p * bn + q]
-                for r, w1 in arow.items():
-                    base = r * bn
-                    for s, w2 in brow.items():
-                        src[base + s] = sr.times(w1, w2)
-        mu[ch] = TropicalMatrix(sr, n, rows)
-    labels = tuple(
-        _combined_label(a, p, b, q) for p in range(a.n) for q in range(bn)
-    )
-    return WeightedAutomaton(sr, a.alphabet, n, alpha, beta, mu, labels)
+    return _accessible_product(a, b, a.semiring, operator.add)
 
 
 class BooleanAutomaton:

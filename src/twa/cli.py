@@ -171,10 +171,7 @@ def cmd_onevalued(args) -> int:
     amax, bmin = _load_pair(args)
     try:
         result = extract_one_valued(amax, bmin, check=not args.no_check)
-    except NotEqualError as exc:
-        print(f"NOT-EQUAL witness={_show_word(exc.witness)}")
-        return 1
-    except NotNonpositiveError as exc:
+    except (NotEqualError, NotNonpositiveError) as exc:
         print(f"NOT-EQUAL witness={_show_word(exc.witness)}")
         return 1
     _write(result, args)
@@ -193,10 +190,7 @@ def cmd_pipeline(args) -> int:
         result = unambiguous_from_pair(
             amax, bmin, check=not args.no_check, subset_cap=args.subset_cap
         )
-    except NotEqualError as exc:
-        print(f"NOT-EQUAL witness={_show_word(exc.witness)}")
-        return 1
-    except NotNonpositiveError as exc:
+    except (NotEqualError, NotNonpositiveError) as exc:
         print(f"NOT-EQUAL witness={_show_word(exc.witness)}")
         return 1
     _write(result, args)

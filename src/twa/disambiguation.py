@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automaton import BooleanAutomaton, WeightedAutomaton
+from .automaton import BooleanAutomaton, WeightedAutomaton, _accessible_product
 from .decisions import (
     _fatou_trimmed,
     _nonpositive_trimmed,
@@ -40,49 +40,14 @@ def pair_product(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomato
     and w' is b's; arrows combine the same way.  Arcs exist only when both
     sides are finite, so the first coordinate evaluates to a's series and the
     second to the pointwise product of both series, on the intersection of
-    the supports.
+    the supports.  Only the pairs reachable from an initial pair are built,
+    numbered in (p, q) order, so the result has at most a.n * b.n states.
     """
     if a.semiring.tag != "max-plus" or b.semiring.tag != "max-plus":
         raise TagMismatchError("pair_product requires two max-plus automata")
     if a.alphabet != b.alphabet:
         raise AlphabetError("pair_product requires identical alphabets")
-    bn = b.n
-    n = a.n * bn
-    alpha = [None] * n
-    beta = [None] * n
-    for p, wa in enumerate(a.alpha):
-        if wa is None:
-            continue
-        for q, wb in enumerate(b.alpha):
-            if wb is not None:
-                alpha[p * bn + q] = (wa, wa + wb)
-    for p, wa in enumerate(a.beta):
-        if wa is None:
-            continue
-        for q, wb in enumerate(b.beta):
-            if wb is not None:
-                beta[p * bn + q] = (wa, wa + wb)
-    mu = {}
-    for ch in a.alphabet:
-        rows = [dict() for _ in range(n)]
-        brows = b.mu[ch].rows
-        for p, arow in enumerate(a.mu[ch].rows):
-            for q in range(bn):
-                brow = brows[q]
-                if not brow:
-                    continue
-                src = rows[p * bn + q]
-                for r, w1 in arow.items():
-                    base = r * bn
-                    for s, w2 in brow.items():
-                        src[base + s] = (w1, w1 + w2)
-        mu[ch] = TropicalMatrix(MAX_PLUS_PAIR, n, rows)
-    labels = tuple(
-        f"({a.state_label(p)},{b.state_label(q)})"
-        for p in range(a.n)
-        for q in range(bn)
-    )
-    return WeightedAutomaton(MAX_PLUS_PAIR, a.alphabet, n, alpha, beta, mu, labels)
+    return _accessible_product(a, b, MAX_PLUS_PAIR, lambda w1, w2: (w1, w1 + w2))
 
 
 def _second_coordinate(pair: WeightedAutomaton) -> WeightedAutomaton:
@@ -105,7 +70,8 @@ def extract_one_valued(
 ) -> WeightedAutomaton:
     """A 1-valued max-plus automaton recognizing the common series of the pair.
 
-    Pipeline: negate the min-plus side, build the pair product, trim,
+    Pipeline: negate the min-plus side, build the pair product (only the
+    pairs reachable from an initial pair, numbered in (p, q) order), trim,
     renormalize the second coordinate (the first is left untouched), keep
     only arcs whose second coordinate is exactly 0, carry the first
     coordinate as the weight, trim again.  The result has at most

@@ -114,14 +114,13 @@ def prime_period_pair(p: int = 2, q: int = 3, r: int = 5, s: int = 7):
 
     The series is the pointwise sum of "best divisor among {p,q}" and
     "cheapest divisor among {r,s}" (zero when either factor has none), built
-    as tensor products.  Dimensions are (p+q)*r*s for the max-plus automaton
-    and p*q*(r+s) for the min-plus one; the value sequence is periodic with
-    period p*q*r*s.
+    as tensor products.  Dimensions are at most (p+q)*r*s for the max-plus
+    automaton and p*q*(r+s) for the min-plus one, with equality when every
+    period on one side is coprime to every period on the other; the value
+    sequence is periodic with period p*q*r*s.
     """
     tmax = hadamard(divisor_max_series(p, q, MAX_PLUS), divisor_min_series(r, s, MAX_PLUS))
     tmin = hadamard(divisor_max_series(p, q, MIN_PLUS), divisor_min_series(r, s, MIN_PLUS))
-    assert tmax.n == (p + q) * r * s
-    assert tmin.n == p * q * (r + s)
     return tmax, tmin
 
 

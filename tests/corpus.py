@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from twa import MAX_PLUS, MIN_PLUS, TropicalMatrix, WeightedAutomaton
 
 
@@ -114,3 +116,29 @@ def random_trim_nonpositive(rng, decide, max_states=4, alphabet="ab", tries=2000
         if decide(aut).holds:
             return aut
     raise AssertionError("rejection sampling failed to find a nonpositive automaton")
+
+
+@st.composite
+def automata(draw, tag, max_states=6, alphabet="ab"):
+    """Hypothesis strategy: an automaton with 0..max_states states and integer weights.
+
+    Not necessarily trim; every arrow and arc is drawn independently.
+    """
+    n = draw(st.integers(0, max_states))
+    weight = st.integers(-5, 5)
+    alpha = draw(st.lists(st.none() | weight, min_size=n, max_size=n))
+    beta = draw(st.lists(st.none() | weight, min_size=n, max_size=n))
+    arcs = {}
+    if n:
+        state = st.integers(0, n - 1)
+        arcs = draw(st.dictionaries(
+            st.tuples(state, st.sampled_from(alphabet), state), weight, max_size=3 * n
+        ))
+    return WeightedAutomaton.from_arcs(
+        tag,
+        alphabet,
+        n,
+        initial=[(i, w) for i, w in enumerate(alpha) if w is not None],
+        final=[(i, w) for i, w in enumerate(beta) if w is not None],
+        arcs=[(src, ch, dst, w) for (src, ch, dst), w in arcs.items()],
+    )

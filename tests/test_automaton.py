@@ -4,16 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from corpus import random_automaton
+from corpus import automata, random_automaton
 from twa import (
     MAX_PLUS,
+    MAX_PLUS_PAIR,
     MIN_PLUS,
     AlphabetError,
     TagMismatchError,
+    TropicalMatrix,
     WeightedAutomaton,
     hadamard,
     negate_series,
+    pair_product,
     zoo,
 )
 from twa.oracle import eval_bruteforce, words_upto
@@ -153,6 +158,86 @@ def test_hadamard_rejects_mismatches(pair):
         hadamard(amax, other)
 
 
+# -- products build only reachable pairs ------------------------------------
+
+
+def grid_product(a, b, semiring, combine):
+    """Reference: the full a.n * b.n grid, pair (p, q) at index p * b.n + q."""
+    bn = b.n
+    grid = [(p, q) for p in range(a.n) for q in range(bn)]
+
+    def arrows(va, vb):
+        return [
+            None if va[p] is None or vb[q] is None else combine(va[p], vb[q])
+            for p, q in grid
+        ]
+
+    mu = {
+        ch: TropicalMatrix(semiring, len(grid), [
+            {
+                r * bn + s: combine(w1, w2)
+                for r, w1 in a.mu[ch].rows[p].items()
+                for s, w2 in b.mu[ch].rows[q].items()
+            }
+            for p, q in grid
+        ])
+        for ch in a.alphabet
+    }
+    labels = [f"({a.state_label(p)},{b.state_label(q)})" for p, q in grid]
+    alpha, beta = arrows(a.alpha, b.alpha), arrows(a.beta, b.beta)
+    return WeightedAutomaton(semiring, a.alphabet, len(grid), alpha, beta, mu, labels)
+
+
+def reachable(aut):
+    """The states reachable from an initial arrow."""
+    seen = {i for i, w in enumerate(aut.alpha) if w is not None}
+    stack = list(seen)
+    while stack:
+        i = stack.pop()
+        for mat in aut.mu.values():
+            for j in mat.rows[i].keys() - seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def assert_accessible_part_of_grid(product, grid):
+    assert product.n <= grid.n
+    assert reachable(product) == set(range(product.n))
+    trimmed, expected = product.trim(), grid.trim()
+    # == compares n, tag, alphabet, alpha, beta and every row
+    assert trimmed == expected
+    assert trimmed.state_labels == expected.state_labels
+
+
+@given(st.sampled_from([MAX_PLUS, MIN_PLUS]).flatmap(
+    lambda tag: st.tuples(automata(tag), automata(tag))
+))
+def test_hadamard_is_the_accessible_part_of_the_grid(ab):
+    a, b = ab
+    assert_accessible_part_of_grid(
+        hadamard(a, b), grid_product(a, b, a.semiring, lambda x, y: x + y)
+    )
+
+
+@given(automata(MAX_PLUS), automata(MAX_PLUS))
+def test_pair_product_is_the_accessible_part_of_the_grid(a, b):
+    assert_accessible_part_of_grid(
+        pair_product(a, b), grid_product(a, b, MAX_PLUS_PAIR, lambda x, y: (x, x + y))
+    )
+
+
+@pytest.mark.parametrize("product", [hadamard, pair_product])
+def test_products_skip_unreachable_pairs(product):
+    # from (0,0), a 2-cycle and a 4-cycle in lockstep reach 4 of the 8 pairs
+    a = zoo.divisibility_series(2, 1, MAX_PLUS)
+    b = zoo.divisibility_series(4, 2, MAX_PLUS)
+    result = product(a, b)
+    assert result.n < a.n * b.n
+    assert reachable(result) == set(range(result.n))
+    assert result.state_labels == ("(0,0)", "(0,2)", "(1,1)", "(1,3)")
+
+
 def test_negate_is_an_involution(pair):
     _, bmin = pair
     assert negate_series(negate_series(bmin)) == bmin
@@ -197,8 +282,6 @@ def test_letter_sum():
 
 
 def test_letter_sum_rejects_pair_tag(pair):
-    from twa import pair_product
-
     amax, bmin = pair
     p = pair_product(amax, bmin.negate())
     with pytest.raises(TagMismatchError):

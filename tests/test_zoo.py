@@ -1,5 +1,7 @@
 """The ready-made constructions evaluate to their closed forms."""
 
+import pytest
+
 from twa import MAX_PLUS, MIN_PLUS, decide_series_equal, zoo
 from twa.oracle import equal_upto, words_upto
 
@@ -53,6 +55,18 @@ def test_prime_period_pair_small_instance():
     assert (tmax.n, tmin.n) == (175, 72)
     for n in range(60):
         expected = zoo.prime_period_value(n)
+        assert tmax.eval("a" * n) == expected
+        assert tmin.eval("a" * n) == expected
+
+
+@pytest.mark.parametrize("pqrs", [(2, 3, 5, 4), (2, 3, 4, 5)])
+def test_prime_period_pair_with_shared_factors_across_sides(pqrs):
+    # 2 | 4 makes some product pairs unreachable; the series is unchanged
+    tmax, tmin = zoo.prime_period_pair(*pqrs)
+    assert (tmax.n, tmin.n) == (80, 42)
+    p, q, r, s = pqrs
+    for n in range(2 * p * q * r * s + 1):
+        expected = zoo.prime_period_value(n, *pqrs)
         assert tmax.eval("a" * n) == expected
         assert tmin.eval("a" * n) == expected
 
