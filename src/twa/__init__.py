@@ -15,9 +15,7 @@ results deterministic.
 from .automaton import (
     BooleanAutomaton,
     WeightedAutomaton,
-    boolean_support,
     hadamard,
-    negate_series,
 )
 from .decisions import (
     DEFAULT_MONOID_CAP,
@@ -108,7 +106,6 @@ __all__ = [
     "WeightedAutomaton",
     "boolean_monoid_closure",
     "boolean_projection",
-    "boolean_support",
     "covering",
     "decide_equal_const",
     "decide_equal_const_on_support",
@@ -128,7 +125,6 @@ __all__ = [
     "mat_mul",
     "mat_star",
     "max_mean_cycle",
-    "negate_series",
     "negate_weight",
     "nfa_equivalence",
     "nfa_inclusion",

@@ -67,6 +67,26 @@ class WeightedAutomaton:
         self.state_labels = state_labels
 
     @classmethod
+    def _adopt(cls, semiring: Semiring, alphabet: tuple, n: int, alpha, beta, mu, state_labels):
+        """Wrap parts the library built itself, without copying or re-checking.
+
+        The caller guarantees what __init__ checks: ``alphabet`` is a tuple of
+        distinct valid symbols, ``alpha`` and ``beta`` are lists of n weights
+        of ``semiring``, ``mu`` maps the letters, in alphabet order, to n x n
+        matrices of ``semiring``, and ``state_labels`` is None or a tuple of n
+        strings.  The caller keeps no reference it later mutates.
+        """
+        aut = cls.__new__(cls)
+        aut.semiring = semiring
+        aut.alphabet = alphabet
+        aut.n = n
+        aut.alpha = alpha
+        aut.beta = beta
+        aut.mu = mu
+        aut.state_labels = state_labels
+        return aut
+
+    @classmethod
     def from_arcs(cls, tag, alphabet, n, *, initial=(), final=(), arcs=(), labels=None):
         """Convenience constructor from (state, weight) and (src, letter, dst, weight) lists."""
         sr = semiring_for(tag)
@@ -205,9 +225,9 @@ class WeightedAutomaton:
                 {index[j]: w for j, w in mat.rows[old].items() if j in index}
                 for old in keep
             ]
-            mu[ch] = TropicalMatrix(self.semiring, n, rows)
+            mu[ch] = TropicalMatrix._adopt(self.semiring, n, rows)
         labels = tuple(self.state_labels[old] for old in keep) if self.state_labels else None
-        return WeightedAutomaton(self.semiring, self.alphabet, n, alpha, beta, mu, labels)
+        return WeightedAutomaton._adopt(self.semiring, self.alphabet, n, alpha, beta, mu, labels)
 
     def support(self) -> "BooleanAutomaton":
         """The Boolean automaton accepting exactly the words with nonzero coefficient."""
@@ -235,10 +255,14 @@ class WeightedAutomaton:
         alpha = [None if w is None else -w for w in self.alpha]
         beta = [None if w is None else -w for w in self.beta]
         mu = {
-            ch: TropicalMatrix(sr, self.n, [{j: -w for j, w in row.items()} for row in mat.rows])
+            ch: TropicalMatrix._adopt(
+                sr, self.n, [{j: -w for j, w in row.items()} for row in mat.rows]
+            )
             for ch, mat in self.mu.items()
         }
-        return WeightedAutomaton(sr, self.alphabet, self.n, alpha, beta, mu, self.state_labels)
+        return WeightedAutomaton._adopt(
+            sr, self.alphabet, self.n, alpha, beta, mu, self.state_labels
+        )
 
     def letter_sum(self) -> TropicalMatrix:
         """The entrywise semiring sum of all letter matrices."""
@@ -248,11 +272,6 @@ class WeightedAutomaton:
         for ch in self.alphabet:
             acc = mat_add(acc, self.mu[ch])
         return acc
-
-
-def negate_series(aut: WeightedAutomaton) -> WeightedAutomaton:
-    """Function form of WeightedAutomaton.negate."""
-    return aut.negate()
 
 
 def _accessible_product(
@@ -307,13 +326,13 @@ def _accessible_product(
         ]
 
     mu = {
-        ch: TropicalMatrix(semiring, n, [built[key][i] for key in keys])
+        ch: TropicalMatrix._adopt(semiring, n, [built[key][i] for key in keys])
         for i, ch in enumerate(a.alphabet)
     }
     la = [a.state_label(p) for p in range(a.n)]
     lb = [b.state_label(q) for q in range(bn)]
-    labels = [f"({la[p]},{lb[q]})" for p, q in pairs]
-    return WeightedAutomaton(
+    labels = tuple(f"({la[p]},{lb[q]})" for p, q in pairs)
+    return WeightedAutomaton._adopt(
         semiring, a.alphabet, n, arrows(a.alpha, b.alpha), arrows(a.beta, b.beta), mu, labels
     )
 
@@ -413,15 +432,8 @@ class BooleanAutomaton:
         )
 
 
-def boolean_support(aut: WeightedAutomaton) -> BooleanAutomaton:
-    """Function form of WeightedAutomaton.support (kept for symmetry)."""
-    return aut.support()
-
-
 __all__ = [
     "WeightedAutomaton",
     "BooleanAutomaton",
     "hadamard",
-    "negate_series",
-    "boolean_support",
 ]

@@ -140,8 +140,10 @@ def cmd_equal_const(args) -> int:
     if aut.semiring.tag == "min-plus":
         aut = aut.negate()
         const = -const
-    decide = decide_equal_const_on_support if args.on_support else decide_equal_const
-    verdict = decide(aut, const, args.monoid_cap)
+    if args.on_support:
+        verdict = decide_equal_const_on_support(aut, const)
+    else:
+        verdict = decide_equal_const(aut, const, args.monoid_cap)
     if verdict.holds:
         print("YES")
         return 0

@@ -5,6 +5,12 @@ negative verdict comes with a witness word that fails the property exactly;
 witnesses are deterministic (first in length-lex order where the search is
 breadth-first, argmax backtracking otherwise).
 
+Nonpositivity, on which Fatou renormalization, the constant tests and the
+series comparisons rest, is decided by one early-exit Bellman-Ford relaxation
+of the potential u = M*beta, and a positive verdict hands u on to the
+renormalization.  The scan of alpha M^k beta and Karp's maximum mean cycle
+run only to build the witness of a negative verdict.
+
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
 max-plus input.
@@ -20,10 +26,11 @@ from .errors import (
     AlphabetError,
     CapExceededError,
     NotNonpositiveError,
+    PositiveCycleError,
     TagMismatchError,
 )
 from .semiring import is_rational
-from .spectral import TropicalMatrix, max_mean_cycle, star_vector, vec_mat
+from .spectral import TropicalMatrix, _star_rounds, max_mean_cycle, star_vector, vec_mat
 
 DEFAULT_MONOID_CAP = 1_000_000
 
@@ -58,20 +65,67 @@ def _shift_final(aut: WeightedAutomaton, delta) -> WeightedAutomaton:
 def decide_nonpositive(aut: WeightedAutomaton) -> Decision:
     """Decide whether every coefficient of the series is <= 0.
 
-    Criterion on the trimmed automaton with M the letter sum: the maximum
-    cycle mean of M must be <= 0 and alpha M^k beta <= 0 for every k < n.
-    Polynomial; the returned witness word has a value > 0 (exactly).
+    Criterion on the trimmed automaton with M the letter sum: u = M*beta
+    exists (no cycle has positive weight) and alpha_i + u_i <= 0 for every
+    state i.  Decided by one early-exit Bellman-Ford relaxation.  The
+    returned witness word has a value > 0 (exactly): the shortest offending
+    word from the scan of alpha M^k beta for k < n when there is one,
+    otherwise a pumped maximum-mean (positive) cycle.
     """
     _require_max_plus(aut, "decide_nonpositive")
-    return _nonpositive_trimmed(aut.trim())
+    return _nonpositive_trimmed(aut.trim())[0]
 
 
-def _nonpositive_trimmed(trim: WeightedAutomaton) -> Decision:
-    if trim.n == 0:
-        return Decision(True, None)
+def _nonpositive_trimmed(trim: WeightedAutomaton) -> tuple[Decision, Optional[list]]:
+    """The nonpositivity verdict of a trim automaton, with u = M*beta when it holds.
+
+    The potential is None with a negative verdict, which carries the witness.
+    """
     m = trim.letter_sum()
-    # scan alpha M^k beta for k < n first: when it fails, the witness is a
-    # shortest offending word; the cycle test only matters beyond that range
+    u = _nonpositive_potential(trim, m)
+    if u is not None:
+        return Decision(True, None), u
+    return Decision(False, _positive_word(trim, m)), None
+
+
+def _nonpositive_potential(trim: WeightedAutomaton, m: TropicalMatrix) -> Optional[list]:
+    """u = M*beta if the series of ``trim`` is nonpositive, else None.
+
+    Relaxes u from beta toward M*beta.  Every finite u_i is the weight of a
+    real path from i to a final arrow, so alpha_i + u_i > 0 at any time
+    (tested before the first round, which covers the empty word, and after
+    each round on the states it improved) exhibits a positive word.  A
+    positive cycle stops the relaxation; it pumps, because every cycle of a
+    trim automaton lies on a successful path.  At the fixpoint alpha + u <= 0
+    is exactly nonpositivity.
+    """
+    alpha = trim.alpha
+    u = list(trim.beta)
+
+    def positive(states) -> bool:
+        return any(
+            alpha[i] is not None and u[i] is not None and alpha[i] + u[i] > 0
+            for i in states
+        )
+
+    if positive(range(trim.n)):
+        return None
+    try:
+        for improved in _star_rounds(m, u):
+            if positive(improved):
+                return None
+    except PositiveCycleError:
+        return None
+    return u
+
+
+def _positive_word(trim: WeightedAutomaton, m: TropicalMatrix) -> str:
+    """A word with positive value, for a trim automaton whose series is not <= 0.
+
+    Scans alpha M^k beta for k < n first: when it fails, the witness is a
+    shortest offending word; otherwise a positive cycle exists, and the
+    witness pumps a maximum-mean one.
+    """
     profiles = [{i: w for i, w in enumerate(trim.alpha) if w is not None}]
     for k in range(trim.n):
         x = profiles[k]
@@ -84,13 +138,12 @@ def _nonpositive_trimmed(trim: WeightedAutomaton) -> Decision:
             if best is None or v > best:
                 best, best_state = v, i
         if best is not None and best > 0:
-            return Decision(False, _backtrack_word(trim, profiles, k, best_state))
+            return _backtrack_word(trim, profiles, k, best_state)
         if k + 1 < trim.n:
             profiles.append(vec_mat(x, m))
     rho = max_mean_cycle(m)
-    if rho is not None and rho > 0:
-        return Decision(False, _pumped_witness(trim, m, rho))
-    return Decision(True, None)
+    assert rho is not None and rho > 0, "positive series without a positive word or cycle"
+    return _pumped_witness(trim, m, rho)
 
 
 def _backtrack_word(aut: WeightedAutomaton, profiles, k: int, end_state: int) -> str:
@@ -260,10 +313,10 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
     """
     _require_max_plus(aut, "fatou_normalize")
     trim = aut.trim()
-    verdict = _nonpositive_trimmed(trim)
+    verdict, u = _nonpositive_trimmed(trim)
     if not verdict.holds:
         raise NotNonpositiveError(verdict.witness)
-    return _fatou_trimmed(trim)
+    return _fatou_trimmed(trim, u)
 
 
 def fatou_potential(trim: WeightedAutomaton) -> list:
@@ -273,10 +326,14 @@ def fatou_potential(trim: WeightedAutomaton) -> list:
     return u
 
 
-def _fatou_trimmed(trim: WeightedAutomaton) -> WeightedAutomaton:
+def _fatou_trimmed(trim: WeightedAutomaton, u: list) -> WeightedAutomaton:
+    """Conjugate a trim nonpositive automaton by its potential ``u`` = M*beta.
+
+    ``u`` is the potential that _nonpositive_trimmed returns with a positive
+    verdict, so the decision and the renormalization share one relaxation.
+    """
     if trim.n == 0:
         return trim
-    u = fatou_potential(trim)
     alpha = [None if w is None else w + u[i] for i, w in enumerate(trim.alpha)]
     beta = [None if w is None else w - u[i] for i, w in enumerate(trim.beta)]
     mu = {}
@@ -285,8 +342,8 @@ def _fatou_trimmed(trim: WeightedAutomaton) -> WeightedAutomaton:
             {j: w - u[i] + u[j] for j, w in mat.rows[i].items()}
             for i in range(trim.n)
         ]
-        mu[ch] = TropicalMatrix(trim.semiring, trim.n, rows)
-    return WeightedAutomaton(
+        mu[ch] = TropicalMatrix._adopt(trim.semiring, trim.n, rows)
+    return WeightedAutomaton._adopt(
         trim.semiring, trim.alphabet, trim.n, alpha, beta, mu, trim.state_labels
     )
 
@@ -380,10 +437,10 @@ def decide_equal_const(
     if not is_rational(const):
         raise TypeError(f"constant must be an exact rational, got {const!r}")
     trim = _shift_final(aut, -const).trim()
-    verdict = _nonpositive_trimmed(trim)
+    verdict, u = _nonpositive_trimmed(trim)
     if not verdict.holds:
-        return Decision(False, verdict.witness)
-    filtered = _zero_filter(_fatou_trimmed(trim))
+        return verdict
+    filtered = _zero_filter(_fatou_trimmed(trim, u))
     final_mask = sum(1 << j for j in filtered.final)
     initial = sorted(filtered.initial)
     for mat, word in boolean_monoid_closure(filtered, monoid_cap).items():
@@ -392,25 +449,22 @@ def decide_equal_const(
     return Decision(True, None)
 
 
-def decide_equal_const_on_support(
-    aut: WeightedAutomaton, const, monoid_cap: int = DEFAULT_MONOID_CAP
-) -> Decision:
+def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
     """Decide whether every word *of the support* has coefficient ``const``.
 
     Same pipeline as decide_equal_const, but the final check compares the
     support NFA with the weight-0 filtered NFA for language equality, so
-    words outside the support are unconstrained.  (The monoid cap is unused
-    here; kept for signature symmetry.)
+    words outside the support are unconstrained.
     """
     _require_max_plus(aut, "decide_equal_const_on_support")
     if not is_rational(const):
         raise TypeError(f"constant must be an exact rational, got {const!r}")
     trim = aut.trim()
     shifted = _shift_final(trim, -const)
-    verdict = _nonpositive_trimmed(shifted)
+    verdict, u = _nonpositive_trimmed(shifted)
     if not verdict.holds:
-        return Decision(False, verdict.witness)
-    filtered = _zero_filter(_fatou_trimmed(shifted))
+        return verdict
+    filtered = _zero_filter(_fatou_trimmed(shifted, u))
     return nfa_equivalence(trim.support(), filtered)
 
 

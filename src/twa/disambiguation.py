@@ -55,14 +55,16 @@ def _second_coordinate(pair: WeightedAutomaton) -> WeightedAutomaton:
     alpha = [None if w is None else w[1] for w in pair.alpha]
     beta = [None if w is None else w[1] for w in pair.beta]
     mu = {
-        ch: TropicalMatrix(
+        ch: TropicalMatrix._adopt(
             MAX_PLUS,
             pair.n,
             [{j: w[1] for j, w in row.items()} for row in mat.rows],
         )
         for ch, mat in pair.mu.items()
     }
-    return WeightedAutomaton(MAX_PLUS, pair.alphabet, pair.n, alpha, beta, mu, pair.state_labels)
+    return WeightedAutomaton._adopt(
+        MAX_PLUS, pair.alphabet, pair.n, alpha, beta, mu, pair.state_labels
+    )
 
 
 def extract_one_valued(
@@ -95,10 +97,10 @@ def extract_one_valued(
     if pair.n == 0:
         return WeightedAutomaton(MAX_PLUS, amax.alphabet, 0, [], [], {ch: TropicalMatrix(MAX_PLUS, 0) for ch in amax.alphabet})
     second = _second_coordinate(pair)
-    verdict = _nonpositive_trimmed(second)
+    verdict, u = _nonpositive_trimmed(second)
     if not verdict.holds:
         raise NotNonpositiveError(verdict.witness)
-    normalized = _fatou_trimmed(second)
+    normalized = _fatou_trimmed(second, u)
     # Keep an arrow/arc exactly when its renormalized second coordinate is 0;
     # the surviving weight is the untouched first coordinate.
     alpha = [
@@ -117,8 +119,8 @@ def extract_one_valued(
             {j: prows[i][j][0] for j, w in nrows[i].items() if w == 0}
             for i in range(pair.n)
         ]
-        mu[ch] = TropicalMatrix(MAX_PLUS, pair.n, rows)
-    filtered = WeightedAutomaton(
+        mu[ch] = TropicalMatrix._adopt(MAX_PLUS, pair.n, rows)
+    filtered = WeightedAutomaton._adopt(
         MAX_PLUS, pair.alphabet, pair.n, alpha, beta, mu, pair.state_labels
     )
     return filtered.trim()
@@ -236,8 +238,8 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
     rows = {ch: [dict() for _ in range(n)] for ch in aut.alphabet}
     for src, ch, dst, w in arcs:
         rows[ch][src][dst] = w
-    mu = {ch: TropicalMatrix(aut.semiring, n, rows[ch]) for ch in aut.alphabet}
-    cover = WeightedAutomaton(aut.semiring, aut.alphabet, n, alpha, beta, mu, labels)
+    mu = {ch: TropicalMatrix._adopt(aut.semiring, n, rows[ch]) for ch in aut.alphabet}
+    cover = WeightedAutomaton._adopt(aut.semiring, aut.alphabet, n, alpha, beta, mu, labels)
     return Covering(cover, tuple(provenance), tuple(subsets))
 
 
@@ -277,8 +279,8 @@ def remove_competitions(cover: Covering) -> WeightedAutomaton:
             {j: w for j, w in aut.mu[ch].rows[i].items() if (i, ch, j) in keep_arcs}
             for i in range(aut.n)
         ]
-        mu[ch] = TropicalMatrix(aut.semiring, aut.n, rows)
-    pruned = WeightedAutomaton(
+        mu[ch] = TropicalMatrix._adopt(aut.semiring, aut.n, rows)
+    pruned = WeightedAutomaton._adopt(
         aut.semiring, aut.alphabet, aut.n, aut.alpha, beta, mu, aut.state_labels
     )
     return pruned.trim()

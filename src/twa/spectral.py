@@ -39,6 +39,20 @@ class TropicalMatrix:
                         )
 
     @classmethod
+    def _adopt(cls, semiring: Semiring, n: int, rows: list) -> "TropicalMatrix":
+        """Wrap rows the library built itself, without copying or re-checking.
+
+        The caller hands over ``rows`` (n dicts whose columns lie in range and
+        whose entries are finite weights of ``semiring``) and keeps no
+        reference it later mutates.
+        """
+        mat = cls.__new__(cls)
+        mat.semiring = semiring
+        mat.n = n
+        mat.rows = rows
+        return mat
+
+    @classmethod
     def from_rows(cls, tag, dense_rows) -> "TropicalMatrix":
         """Build from dense lists; None entries denote the semiring zero."""
         n = len(dense_rows)
@@ -258,17 +272,25 @@ def mat_star(m: TropicalMatrix) -> TropicalMatrix:
 
     Equals I + M + M^2 + ... + M^(n-1); only defined when no cycle has
     positive weight, otherwise the sum diverges and PositiveCycleError is
-    raised.  Computed by Floyd-Warshall-style relaxation.
+    raised.  Computed by Floyd-Warshall-style relaxation, which also detects
+    the divergence: a positive simple cycle whose largest state is k shows as
+    a positive diagonal entry (k, k) when k comes up as the pivot.
     """
-    rho = max_mean_cycle(m)
-    if rho is not None and rho > 0:
-        raise PositiveCycleError(f"matrix star diverges: maximum cycle mean is {rho}")
+    if m.semiring.tag != "max-plus":
+        raise TagMismatchError("mat_star requires a max-plus matrix")
     n = m.n
     dist = [dict(row) for row in m.rows]
     for k in range(n):
         dk = dist[k]
         if not dk:
             continue
+        # dk[k] is the weight of a real closed walk through states < k, and
+        # those walks are exact maxima because no smaller pivot diverged
+        loop = dk.get(k)
+        if loop is not None and loop > 0:
+            raise PositiveCycleError(
+                f"matrix star diverges: a cycle through state {k} weighs {loop}"
+            )
         for i in range(n):
             if i == k:
                 # k -> k -> j cannot improve anything: cycles weigh <= 0.
@@ -287,6 +309,39 @@ def mat_star(m: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(m.semiring, n, dist)
 
 
+def _star_rounds(m: TropicalMatrix, u: list):
+    """Relax ``u`` in place toward (star of m) times u, one Bellman-Ford round per step.
+
+    Every finite entry u_i is, at all times, the weight of a real path from i
+    into the support of the starting vector, its final weight included.
+    Yields the states that a round improved, in improvement order (a state
+    may repeat), and returns after the first round that changes nothing, when
+    u is the fixpoint.  A caller may stop after any round.  Raises
+    PositiveCycleError when round n+1 still changes u: a cycle that reaches
+    the support has positive weight.
+    """
+    if m.semiring.tag != "max-plus":
+        raise TagMismatchError("star_vector requires a max-plus matrix")
+    if len(u) != m.n:
+        raise DimensionError("vector length does not match matrix dimension")
+    arcs = list(m.arcs())
+    for rounds in range(m.n + 1):
+        improved = []
+        for i, j, w in arcs:
+            uj = u[j]
+            if uj is None:
+                continue
+            c = w + uj
+            if u[i] is None or c > u[i]:
+                u[i] = c
+                improved.append(i)
+        if not improved:
+            return
+        if rounds == m.n:
+            raise PositiveCycleError("star diverges: positive-weight cycle reached")
+        yield improved
+
+
 def star_vector(m: TropicalMatrix, beta: list) -> list:
     """The product (star of m) times the column vector ``beta``, without forming the star.
 
@@ -295,29 +350,7 @@ def star_vector(m: TropicalMatrix, beta: list) -> list:
     arcs, which is O(n*m) on sparse matrices; requires every cycle weight
     to be nonpositive.
     """
-    if m.semiring.tag != "max-plus":
-        raise TagMismatchError("star_vector requires a max-plus matrix")
-    if len(beta) != m.n:
-        raise DimensionError("vector length does not match matrix dimension")
-    arcs = list(m.arcs())
     u = list(beta)
-
-    def relax_once() -> bool:
-        changed = False
-        for i, j, w in arcs:
-            uj = u[j]
-            if uj is None:
-                continue
-            c = w + uj
-            if u[i] is None or c > u[i]:
-                u[i] = c
-                changed = True
-        return changed
-
-    for _ in range(m.n):
-        if not relax_once():
-            break
-    else:
-        if relax_once():
-            raise PositiveCycleError("star diverges: positive-weight cycle reached")
+    for _ in _star_rounds(m, u):
+        pass
     return u

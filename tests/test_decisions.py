@@ -4,9 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import twa.decisions
 from corpus import (
     as_min_plus_copy,
+    automata,
     random_automaton,
     random_deterministic_automaton,
     random_trim_nonpositive,
@@ -16,8 +20,10 @@ from twa import (
     MIN_PLUS,
     BooleanAutomaton,
     CapExceededError,
+    Decision,
     NotNonpositiveError,
     TagMismatchError,
+    TropicalMatrix,
     WeightedAutomaton,
     boolean_monoid_closure,
     decide_equal_const,
@@ -27,11 +33,22 @@ from twa import (
     decide_series_leq,
     fatou_normalize,
     hadamard,
+    max_mean_cycle,
     nfa_equivalence,
     nfa_inclusion,
+    star_vector,
+    unambiguous_from_pair,
     zoo,
 )
+from twa.decisions import (
+    _backtrack_word,
+    _matrix_accepts,
+    _pumped_witness,
+    _shift_final,
+    _zero_filter,
+)
 from twa.oracle import equal_upto, eval_bruteforce, words_upto
+from twa.spectral import vec_mat
 
 
 def loop_automaton(weight):
@@ -173,6 +190,122 @@ def test_fatou_outputs_nonpositive_weights_and_same_series():
         for mat in result.mu.values():
             assert all(w <= 0 for _, _, w in mat.arcs())
         assert equal_upto(result, aut, 6).holds
+
+
+# -- one potential for the verdict and the renormalization -------------------
+
+
+def _reference_nonpositive(trim):
+    """The scan of alpha M^k beta for k < n, then Karp: the decision that the
+    single Bellman-Ford relaxation replaced, with the same witness builders."""
+    if trim.n == 0:
+        return Decision(True, None)
+    m = trim.letter_sum()
+    profiles = [{i: w for i, w in enumerate(trim.alpha) if w is not None}]
+    for k in range(trim.n):
+        x = profiles[k]
+        best, best_state = None, None
+        for i, xi in sorted(x.items()):
+            b = trim.beta[i]
+            if b is None:
+                continue
+            v = xi + b
+            if best is None or v > best:
+                best, best_state = v, i
+        if best is not None and best > 0:
+            return Decision(False, _backtrack_word(trim, profiles, k, best_state))
+        if k + 1 < trim.n:
+            profiles.append(vec_mat(x, m))
+    rho = max_mean_cycle(m)
+    if rho is not None and rho > 0:
+        return Decision(False, _pumped_witness(trim, m, rho))
+    return Decision(True, None)
+
+
+def _reference_fatou(trim):
+    """Conjugation by a potential computed on its own by star_vector."""
+    if trim.n == 0:
+        return trim
+    u = star_vector(trim.letter_sum(), trim.beta)
+    mu = {
+        ch: TropicalMatrix(
+            MAX_PLUS,
+            trim.n,
+            [{j: w - u[i] + u[j] for j, w in row.items()} for i, row in enumerate(mat.rows)],
+        )
+        for ch, mat in trim.mu.items()
+    }
+    return WeightedAutomaton(
+        MAX_PLUS,
+        trim.alphabet,
+        trim.n,
+        [None if w is None else w + u[i] for i, w in enumerate(trim.alpha)],
+        [None if w is None else w - u[i] for i, w in enumerate(trim.beta)],
+        mu,
+        trim.state_labels,
+    )
+
+
+def _reference_equal_const(aut, const, cap):
+    trim = _shift_final(aut, -const).trim()
+    verdict = _reference_nonpositive(trim)
+    if not verdict.holds:
+        return verdict
+    filtered = _zero_filter(_reference_fatou(trim))
+    final_mask = sum(1 << j for j in filtered.final)
+    initial = sorted(filtered.initial)
+    for mat, word in boolean_monoid_closure(filtered, cap).items():
+        if not _matrix_accepts(mat, initial, final_mask):
+            return Decision(False, word)
+    return Decision(True, None)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CapExceededError:
+        return "cap"
+
+
+@settings(max_examples=300)
+@given(automata(MAX_PLUS), st.integers(-8, 2))
+def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference(aut, shift):
+    # lowering the final arrows by up to 8 makes both verdicts common
+    aut = _shift_final(aut, shift)
+    trim = aut.trim()
+    expected = _reference_nonpositive(trim)
+    assert decide_nonpositive(aut) == expected
+    if expected.holds:
+        result = fatou_normalize(aut)
+        assert result == _reference_fatou(trim)
+        assert result.state_labels == trim.state_labels
+    else:
+        with pytest.raises(NotNonpositiveError) as err:
+            fatou_normalize(aut)
+        assert err.value.witness == expected.witness
+    empty = aut.eval("")
+    for const in {0, -1, 0 if empty is None else empty}:
+        assert _outcome(decide_equal_const, aut, const, 5000) == _outcome(
+            _reference_equal_const, aut, const, 5000
+        )
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("called on a positive verdict")
+
+
+@pytest.mark.parametrize(
+    "pair", [zoo.sample_equivalent_pair, lambda: zoo.prime_period_pair(2, 3, 5, 7)]
+)
+def test_positive_verdicts_skip_karp_and_the_profile_scan(monkeypatch, pair):
+    amax, bmin = pair()
+    monkeypatch.setattr(twa.decisions, "max_mean_cycle", _raise)
+    monkeypatch.setattr(twa.decisions, "vec_mat", _raise)
+    difference = hadamard(amax, bmin.negate())
+    assert decide_nonpositive(difference).holds
+    assert fatou_normalize(difference).n == difference.trim().n
+    assert decide_series_equal(amax, bmin).holds
+    assert unambiguous_from_pair(amax, bmin).n > 0
 
 
 # -- boolean monoid closure ---------------------------------------------------

@@ -110,9 +110,13 @@ def test_mat_star_examples():
 
 def test_mat_star_agrees_with_power_expansion_or_raises():
     rng = random.Random(31337)
+    cases = [random_matrix(rng, nmax=5, lo=-5, hi=2) for _ in range(200)]
+    cases += [
+        M([Z, Z], [Z, 1]),  # positive self-loop on the last state, empty first row
+        M([-1, 2, Z], [Z, -1, 2], [-3, Z, -1]),  # 3-cycle of weight 1, diagonal -1
+    ]
     checked = 0
-    for _ in range(200):
-        a = random_matrix(rng, nmax=5, lo=-5, hi=2)
+    for a in cases:
         rho = max_mean_cycle(a)
         if rho is not None and rho > 0:
             with pytest.raises(PositiveCycleError):
