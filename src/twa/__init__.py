@@ -27,7 +27,6 @@ from .decisions import (
     decide_series_equal,
     decide_series_leq,
     fatou_normalize,
-    fatou_potential,
     nfa_equivalence,
     nfa_inclusion,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "disambiguate",
     "extract_one_valued",
     "fatou_normalize",
-    "fatou_potential",
     "format_finite",
     "format_weight",
     "hadamard",

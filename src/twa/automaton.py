@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import operator
 
-from .errors import AlphabetError, DimensionError, TagMismatchError, TwaError
+from .errors import AlphabetError, CapExceededError, DimensionError, TagMismatchError, TwaError
 from .semiring import MAX_PLUS, MIN_PLUS, Semiring, semiring_for
-from .spectral import TropicalMatrix, mat_add, vec_mat
+from .spectral import TropicalMatrix, vec_mat
 
 
 def _valid_symbol(ch) -> bool:
@@ -177,13 +177,6 @@ class WeightedAutomaton:
 
     # -- structure ----------------------------------------------------------
 
-    def _boolean_adjacency(self):
-        adj = [set() for _ in range(self.n)]
-        for mat in self.mu.values():
-            for i, row in enumerate(mat.rows):
-                adj[i].update(row)
-        return adj
-
     def trim(self) -> "WeightedAutomaton":
         """Restrict to states that lie on some successful path.
 
@@ -191,30 +184,43 @@ class WeightedAutomaton:
         and co-reachable to a nonzero final entry; the recognized series is
         unchanged.  Idempotent; returns self when already trim.
         """
-        adj = self._boolean_adjacency()
-        fwd = {i for i, w in enumerate(self.alpha) if w is not None}
-        queue = list(fwd)
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if v not in fwd:
-                    fwd.add(v)
-                    queue.append(v)
-        radj = [set() for _ in range(self.n)]
-        for u in range(self.n):
-            for v in adj[u]:
-                radj[v].add(u)
-        bwd = {i for i, w in enumerate(self.beta) if w is not None}
-        queue = list(bwd)
-        while queue:
-            u = queue.pop()
-            for v in radj[u]:
-                if v not in bwd:
-                    bwd.add(v)
-                    queue.append(v)
-        keep = sorted(fwd & bwd)
-        if len(keep) == self.n:
-            return self
+        keep = self._useful_states()
+        return self if len(keep) == self.n else self._restrict(keep)
+
+    def _useful_states(self) -> list:
+        """The states on some successful path, in increasing order.
+
+        The backward search runs over the arcs between forward-reached states
+        only: every state of a path from a reached state is reached too.
+        """
+        letters = [mat.rows for mat in self.mu.values()]
+        fwd = [w is not None for w in self.alpha]
+        stack = [i for i, reached in enumerate(fwd) if reached]
+        while stack:
+            i = stack.pop()
+            for rows in letters:
+                for j in rows[i]:
+                    if not fwd[j]:
+                        fwd[j] = True
+                        stack.append(j)
+        into = [[] for _ in range(self.n)]
+        for rows in letters:
+            for i, row in enumerate(rows):
+                if fwd[i]:
+                    for j in row:
+                        into[j].append(i)
+        bwd = [w is not None and fwd[i] for i, w in enumerate(self.beta)]
+        stack = [i for i, reached in enumerate(bwd) if reached]
+        while stack:
+            j = stack.pop()
+            for i in into[j]:
+                if not bwd[i]:
+                    bwd[i] = True
+                    stack.append(i)
+        return [i for i, reached in enumerate(bwd) if reached]
+
+    def _restrict(self, keep: list) -> "WeightedAutomaton":
+        """The automaton on the states ``keep`` (increasing), renumbered in that order."""
         index = {old: new for new, old in enumerate(keep)}
         n = len(keep)
         alpha = [self.alpha[old] for old in keep]
@@ -268,15 +274,30 @@ class WeightedAutomaton:
         """The entrywise semiring sum of all letter matrices."""
         if self.semiring.tag not in ("max-plus", "min-plus"):
             raise TagMismatchError(f"letter_sum is not defined for tag {self.semiring.tag!r}")
-        acc = TropicalMatrix(self.semiring, self.n)
-        for ch in self.alphabet:
-            acc = mat_add(acc, self.mu[ch])
-        return acc
+        plus = self.semiring.plus
+        letters = [self.mu[ch].rows for ch in self.alphabet]
+        rows = []
+        for i in range(self.n):
+            row = {}
+            for mrows in letters:
+                for j, w in mrows[i].items():
+                    old = row.get(j)
+                    row[j] = w if old is None else plus(old, w)
+            rows.append(row)
+        return TropicalMatrix._adopt(self.semiring, self.n, rows)
+
+    def _support_masks(self) -> "_MaskNfa":
+        """The support NFA as bitmasks: bit j of succ[letter][i] is an arc i -> j."""
+        return _MaskNfa(
+            _mask(i for i, w in enumerate(self.alpha) if w is not None),
+            _mask(i for i, w in enumerate(self.beta) if w is not None),
+            {ch: [_mask(row) for row in self.mu[ch].rows] for ch in self.alphabet},
+        )
 
 
 def _accessible_product(
     a: WeightedAutomaton, b: WeightedAutomaton, semiring: Semiring, combine
-) -> WeightedAutomaton:
+) -> tuple[WeightedAutomaton, list]:
     """The part of the product a x b reachable from its initial pairs.
 
     A pair (p, q) is initial when both initial weights are finite, and a
@@ -284,6 +305,7 @@ def _accessible_product(
     arrows and arcs weigh ``combine(wa, wb)``.  Only reached pairs are built.
     They are numbered in (p, q) order, so the result is the full grid with its
     unreachable pairs deleted, and trimming either gives the same automaton.
+    Returns the product and the pair (p, q) of each of its states.
     """
     bn = b.n
     letters = [(a.mu[ch].rows, b.mu[ch].rows) for ch in a.alphabet]
@@ -332,9 +354,10 @@ def _accessible_product(
     la = [a.state_label(p) for p in range(a.n)]
     lb = [b.state_label(q) for q in range(bn)]
     labels = tuple(f"({la[p]},{lb[q]})" for p, q in pairs)
-    return WeightedAutomaton._adopt(
+    product = WeightedAutomaton._adopt(
         semiring, a.alphabet, n, arrows(a.alpha, b.alpha), arrows(a.beta, b.beta), mu, labels
     )
+    return product, pairs
 
 
 def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
@@ -352,7 +375,7 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
         raise TagMismatchError(f"hadamard is not defined for tag {a.semiring.tag!r}")
     if a.alphabet != b.alphabet:
         raise AlphabetError("hadamard requires identical alphabets")
-    return _accessible_product(a, b, a.semiring, operator.add)
+    return _accessible_product(a, b, a.semiring, operator.add)[0]
 
 
 class BooleanAutomaton:
@@ -396,6 +419,13 @@ class BooleanAutomaton:
             out.update(self.delta.get((s, letter), ()))
         return frozenset(out)
 
+    def _masks(self) -> "_MaskNfa":
+        """This NFA as bitmasks: bit j of succ[letter][i] is a move i -> j."""
+        succ = {ch: [0] * self.n for ch in self.alphabet}
+        for (i, ch), targets in self.delta.items():
+            succ[ch][i] = _mask(targets)
+        return _MaskNfa(_mask(self.initial), _mask(self.final), succ)
+
     def accepts(self, word: str) -> bool:
         for ch in word:
             if ch not in self.alphabet:
@@ -430,6 +460,102 @@ class BooleanAutomaton:
             f"<BooleanAutomaton states={self.n} initial={sorted(self.initial)} "
             f"final={sorted(self.final)} arcs={sum(len(t) for t in self.delta.values())}>"
         )
+
+
+# ---------------------------------------------------------------------------
+# Subset exploration over bitmasks.
+# ---------------------------------------------------------------------------
+
+
+class _MaskNfa:
+    """An NFA over states 0..n-1 as Python ints: bit i set means state i is in.
+
+    ``succ`` maps each letter, in alphabet order, to the successor mask of
+    every state.
+    """
+
+    __slots__ = ("initial", "final", "succ")
+
+    def __init__(self, initial: int, final: int, succ: dict):
+        self.initial = initial
+        self.final = final
+        self.succ = succ
+
+
+def _mask(states) -> int:
+    mask = 0
+    for s in states:
+        mask |= 1 << s
+    return mask
+
+
+def _bits(mask: int) -> list:
+    """The states of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _post(mask: int, succ: list) -> int:
+    """The states reached from the states of ``mask`` by one move in ``succ``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= succ[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _explore(start, letters, step, stop=None, cap=None, what="subset exploration"):
+    """Breadth-first search over the nodes reachable from ``start``.
+
+    ``step(node, letter)`` is the successor of a node, or None for no move.
+    Letters are tried in the order given, so the first path to each node
+    spells the length-lex-first word that reaches it.  Returns (nodes,
+    parents, moves, hit): the nodes in discovery order, ``start`` first;
+    parents[i] = (index, letter) of the move that discovered node i (None for
+    the start); moves[i] = {letter: index of the successor}; and hit = the
+    index of the first node for which ``stop`` holds, where the search
+    ended, or None.  Raises CapExceededError when more than ``cap`` nodes
+    appear.
+    """
+    nodes = [start]
+    index = {start: 0}
+    parents: list = [None]
+    moves: list = [{}]
+    cur = 0
+    while cur < len(nodes):
+        node = nodes[cur]
+        if stop is not None and stop(node):
+            return nodes, parents, moves, cur
+        row = moves[cur]
+        for ch in letters:
+            nxt = step(node, ch)
+            if nxt is None:
+                continue
+            target = index.get(nxt)
+            if target is None:
+                if cap is not None and len(nodes) >= cap:
+                    raise CapExceededError(what, cap)
+                target = index[nxt] = len(nodes)
+                nodes.append(nxt)
+                parents.append((cur, ch))
+                moves.append({})
+            row[ch] = target
+        cur += 1
+    return nodes, parents, moves, None
+
+
+def _path_word(parents: list, node: int) -> str:
+    """The word that first reached ``node`` in an exploration."""
+    letters = []
+    while parents[node] is not None:
+        node, ch = parents[node]
+        letters.append(ch)
+    return "".join(reversed(letters))
 
 
 __all__ = [

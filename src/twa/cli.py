@@ -217,6 +217,21 @@ def cmd_oracle_ambiguity(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twa",
@@ -254,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("const", help="rational constant (weight literal)")
     p.add_argument("file")
     p.add_argument("--on-support", action="store_true", help="quantify over the support only")
-    p.add_argument("--monoid-cap", type=int, default=DEFAULT_MONOID_CAP, metavar="N")
+    p.add_argument("--monoid-cap", type=_int_at_least(1), default=DEFAULT_MONOID_CAP, metavar="N")
 
     p = add("equal", cmd_equal, "decide equality of a max-plus and a min-plus series")
     p.add_argument("maxfile")
@@ -272,14 +287,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("disambiguate", cmd_disambiguate, "make a 1-valued automaton unambiguous")
     p.add_argument("file")
-    p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP, metavar="N")
+    p.add_argument("--subset-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP, metavar="N")
     with_output(p)
 
     p = add("pipeline", cmd_pipeline, "equivalent pair -> unambiguous automaton")
     p.add_argument("maxfile")
     p.add_argument("minfile")
     p.add_argument("--no-check", action="store_true", help="skip the equality pre-check")
-    p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP, metavar="N")
+    p.add_argument("--subset-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP, metavar="N")
     with_output(p)
 
     oracle = sub.add_parser("oracle", help="brute-force cross-checks")
@@ -288,11 +303,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle_compare)
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--maxlen", type=int, default=8, metavar="L")
+    p.add_argument("--maxlen", type=_int_at_least(0), default=8, metavar="L")
     p = osub.add_parser("ambiguity", help="largest successful-path count on short words")
     p.set_defaults(func=cmd_oracle_ambiguity)
     p.add_argument("file")
-    p.add_argument("--maxlen", type=int, default=8, metavar="L")
+    p.add_argument("--maxlen", type=_int_at_least(0), default=8, metavar="L")
 
     return parser
 

@@ -8,8 +8,20 @@ breadth-first, argmax backtracking otherwise).
 Nonpositivity, on which Fatou renormalization, the constant tests and the
 series comparisons rest, is decided by one early-exit Bellman-Ford relaxation
 of the potential u = M*beta, and a positive verdict hands u on to the
-renormalization.  The scan of alpha M^k beta and Karp's maximum mean cycle
-run only to build the witness of a negative verdict.
+renormalization.  The relaxation visits the arcs in backward breadth-first
+order from the final arrows, so a round carries the weights along every
+fewest-arc path and few rounds are needed.  The scan of alpha M^k beta and
+Karp's maximum mean cycle run only to build the witness of a negative
+verdict.
+
+The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
+automaton, is read straight off u as bitmasks: an initial arrow is kept iff
+alpha_i + u_i = 0, a final arrow iff beta_i = u_i, an arc i -> j of weight w
+iff w + u_j = u_i.  Languages are compared by one breadth-first exploration
+of subset pairs (``twa.automaton._explore``).  The series comparisons and the
+1-valued extraction of ``twa.disambiguation`` share one kernel, _difference:
+it trims each input once, compares the supports, builds the product of S and
+-T once and relaxes its potential once.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -18,10 +30,20 @@ max-plus input.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import NamedTuple, Optional
 
-from .automaton import BooleanAutomaton, WeightedAutomaton, hadamard
+from .automaton import (
+    BooleanAutomaton,
+    WeightedAutomaton,
+    _accessible_product,
+    _explore,
+    _mask,
+    _MaskNfa,
+    _path_word,
+    _post,
+)
 from .errors import (
     AlphabetError,
     CapExceededError,
@@ -29,8 +51,8 @@ from .errors import (
     PositiveCycleError,
     TagMismatchError,
 )
-from .semiring import is_rational
-from .spectral import TropicalMatrix, _star_rounds, max_mean_cycle, star_vector, vec_mat
+from .semiring import MAX_PLUS, is_rational
+from .spectral import TropicalMatrix, _star_rounds, max_mean_cycle, vec_mat
 
 DEFAULT_MONOID_CAP = 1_000_000
 
@@ -319,13 +341,6 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
     return _fatou_trimmed(trim, u)
 
 
-def fatou_potential(trim: WeightedAutomaton) -> list:
-    """The vector u = M*beta of a trim automaton with nonpositive cycles."""
-    u = star_vector(trim.letter_sum(), trim.beta)
-    assert all(v is not None for v in u), "trim automaton has a state with no exit"
-    return u
-
-
 def _fatou_trimmed(trim: WeightedAutomaton, u: list) -> WeightedAutomaton:
     """Conjugate a trim nonpositive automaton by its potential ``u`` = M*beta.
 
@@ -363,6 +378,31 @@ def _zero_filter(aut: WeightedAutomaton) -> BooleanAutomaton:
             if targets:
                 delta[(i, ch)] = targets
     return BooleanAutomaton(aut.alphabet, aut.n, initial, final, delta)
+
+
+def _zero_masks(trim: WeightedAutomaton, u: list) -> _MaskNfa:
+    """The zero filter of the Fatou form of ``trim``, read straight off u = M*beta.
+
+    The renormalized arrows and arcs are alpha_i + u_i, beta_i - u_i and
+    w - u_i + u_j, so an initial arrow survives iff alpha_i + u_i = 0, a
+    final arrow iff beta_i = u_i, and an arc i -> j of weight w iff
+    w + u_j = u_i.  Same language as _zero_filter(_fatou_trimmed(trim, u)).
+    """
+    alpha, beta = trim.alpha, trim.beta
+    initial = _mask(i for i, w in enumerate(alpha) if w is not None and w + u[i] == 0)
+    final = _mask(i for i, w in enumerate(beta) if w is not None and w == u[i])
+    succ = {}
+    for ch, mat in trim.mu.items():
+        masks = []
+        for i, row in enumerate(mat.rows):
+            ui = u[i]
+            mask = 0
+            for j, w in row.items():
+                if w + u[j] == ui:
+                    mask |= 1 << j
+            masks.append(mask)
+        succ[ch] = masks
+    return _MaskNfa(initial, final, succ)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +499,11 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
     _require_max_plus(aut, "decide_equal_const_on_support")
     if not is_rational(const):
         raise TypeError(f"constant must be an exact rational, got {const!r}")
-    trim = aut.trim()
-    shifted = _shift_final(trim, -const)
+    shifted = _shift_final(aut.trim(), -const)
     verdict, u = _nonpositive_trimmed(shifted)
     if not verdict.holds:
         return verdict
-    filtered = _zero_filter(_fatou_trimmed(shifted, u))
-    return nfa_equivalence(trim.support(), filtered)
+    return _compare(shifted._support_masks(), _zero_masks(shifted, u), inclusion=False)
 
 
 # ---------------------------------------------------------------------------
@@ -473,33 +511,33 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
 # ---------------------------------------------------------------------------
 
 
+def _compare(a: _MaskNfa, b: _MaskNfa, inclusion: bool) -> Decision:
+    """Explore the pairs of subsets that one word reaches in a and in b.
+
+    Breadth-first in alphabet order, so the witness is the length-lex-first
+    word accepted by a and not by b (for inclusion), or by exactly one of
+    them (for equivalence).
+    """
+    afinal, bfinal = a.final, b.final
+
+    def bad(pair) -> bool:
+        acc_a = bool(pair[0] & afinal)
+        acc_b = bool(pair[1] & bfinal)
+        return (acc_a and not acc_b) if inclusion else (acc_a != acc_b)
+
+    def step(pair, ch):
+        return _post(pair[0], a.succ[ch]), _post(pair[1], b.succ[ch])
+
+    _, parents, _, hit = _explore((a.initial, b.initial), list(a.succ), step, stop=bad)
+    if hit is None:
+        return Decision(True, None)
+    return Decision(False, _path_word(parents, hit))
+
+
 def _nfa_compare(a: BooleanAutomaton, b: BooleanAutomaton, inclusion: bool) -> Decision:
     if a.alphabet != b.alphabet:
         raise AlphabetError("NFA comparison requires identical alphabets")
-
-    def bad(pair) -> bool:
-        acc_a = bool(pair[0] & a.final)
-        acc_b = bool(pair[1] & b.final)
-        return (acc_a and not acc_b) if inclusion else (acc_a != acc_b)
-
-    start = (frozenset(a.initial), frozenset(b.initial))
-    parents: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        if bad(pair):
-            letters = []
-            node = pair
-            while parents[node] is not None:
-                node, ch = parents[node]
-                letters.append(ch)
-            return Decision(False, "".join(reversed(letters)))
-        for ch in a.alphabet:
-            nxt = (a.step(pair[0], ch), b.step(pair[1], ch))
-            if nxt not in parents:
-                parents[nxt] = (pair, ch)
-                queue.append(nxt)
-    return Decision(True, None)
+    return _compare(a._masks(), b._masks(), inclusion)
 
 
 def nfa_equivalence(a: BooleanAutomaton, b: BooleanAutomaton) -> Decision:
@@ -526,6 +564,53 @@ def _check_pair(amax: WeightedAutomaton, bmin: WeightedAutomaton, op: str):
         raise AlphabetError(f"{op}: automata must share one alphabet")
 
 
+class _Difference:
+    """What the equality kernel learned about S - T.
+
+    ``product`` is the trimmed accessible product of the trimmed amax ``ta``
+    and the negated trimmed bmin, whose series is S - T on the common
+    support; ``pairs`` holds the (p, q) of each of its states and ``u`` its
+    potential M*beta.  ``product`` and ``pairs`` are None when the supports
+    failed their comparison, ``u`` when S - T is not nonpositive.
+    """
+
+    __slots__ = ("verdict", "ta", "product", "pairs", "u")
+
+    def __init__(self, verdict: Decision, ta: WeightedAutomaton, product, pairs, u):
+        self.verdict = verdict
+        self.ta = ta
+        self.product = product
+        self.pairs = pairs
+        self.u = u
+
+
+def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> _Difference:
+    """The equality kernel: S = T ("equal"), S <= T ("leq"), or only S - T <= 0 ("extract").
+
+    Trims each input once, compares the supports ("equal": equivalence,
+    "leq": inclusion, "extract": skipped), builds the difference product
+    once, relaxes its potential u once, and for "equal" compares the
+    product's support with the zero filter read off u.  Each step runs only
+    when the ones before it held, so a witness is the one that the failing
+    step alone gives.
+    """
+    ta = amax.trim()
+    tb = bmin.trim()
+    if mode != "extract":
+        verdict = _compare(ta._support_masks(), tb._support_masks(), inclusion=mode == "leq")
+        if not verdict.holds:
+            return _Difference(verdict, ta, None, None, None)
+    product, pairs = _accessible_product(ta, tb.negate(), MAX_PLUS, operator.add)
+    keep = product._useful_states()
+    if len(keep) < product.n:
+        product = product._restrict(keep)
+        pairs = [pairs[i] for i in keep]
+    verdict, u = _nonpositive_trimmed(product)
+    if verdict.holds and mode == "equal":
+        verdict = _compare(product._support_masks(), _zero_masks(product, u), inclusion=False)
+    return _Difference(verdict, ta, product, pairs, u)
+
+
 def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decision:
     """Decide S = T for a max-plus S and a min-plus T.
 
@@ -535,23 +620,13 @@ def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Dec
     on its support.
     """
     _check_pair(amax, bmin, "decide_series_equal")
-    ta = amax.trim()
-    tb = bmin.trim()
-    supports = nfa_equivalence(ta.support(), tb.support())
-    if not supports.holds:
-        return supports
-    return decide_equal_const_on_support(hadamard(ta, tb.negate()), 0)
+    return _difference(amax, bmin, "equal").verdict
 
 
 def decide_series_leq(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decision:
     """Decide S <= T: supp S contained in supp T and S(w) <= T(w) on supp S."""
     _check_pair(amax, bmin, "decide_series_leq")
-    ta = amax.trim()
-    tb = bmin.trim()
-    included = nfa_inclusion(ta.support(), tb.support())
-    if not included.holds:
-        return included
-    return decide_nonpositive(hadamard(ta, tb.negate()))
+    return _difference(amax, bmin, "leq").verdict
 
 
 __all__ = [
@@ -559,7 +634,6 @@ __all__ = [
     "DEFAULT_MONOID_CAP",
     "decide_nonpositive",
     "fatou_normalize",
-    "fatou_potential",
     "boolean_monoid_closure",
     "decide_equal_const",
     "decide_equal_const_on_support",

@@ -1,12 +1,14 @@
 """From a max-plus/min-plus pair of equivalent automata to an unambiguous one.
 
-The pipeline has two halves.  First, the pair product over the doubled
-semiring tracks (value, value − other value) along joint paths; after
-renormalizing the second coordinate and keeping only its weight-0 arcs, every
-surviving successful path carries the series value, so the result is
-1-valued.  Second, tensoring a 1-valued automaton with the determinization of
-its own support (the subset covering) and deleting competing arcs leaves at
-most one successful path per word without changing the series.
+The pipeline has two halves.  First, the difference product of S and -T
+(built once, by the equality kernel of ``twa.decisions``) carries S - T along
+joint paths; its potential u = M*beta renormalizes it, and the arcs whose
+renormalized difference is exactly 0 are kept, each with the weight of the
+max-plus arc it came from.  Every surviving successful path then carries the
+series value, so the result is 1-valued.  Second, tensoring a 1-valued
+automaton with the determinization of its own support (the subset covering)
+and deleting competing arcs leaves at most one successful path per word
+without changing the series.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automaton import BooleanAutomaton, WeightedAutomaton, _accessible_product
-from .decisions import (
-    _fatou_trimmed,
-    _nonpositive_trimmed,
-    decide_series_equal,
+from .automaton import (
+    BooleanAutomaton,
+    WeightedAutomaton,
+    _accessible_product,
+    _bits,
+    _explore,
+    _post,
 )
+from .decisions import _check_pair, _difference
 from .errors import (
     AlphabetError,
-    CapExceededError,
     NotEqualError,
     NotNonpositiveError,
     TagMismatchError,
@@ -47,24 +51,7 @@ def pair_product(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomato
         raise TagMismatchError("pair_product requires two max-plus automata")
     if a.alphabet != b.alphabet:
         raise AlphabetError("pair_product requires identical alphabets")
-    return _accessible_product(a, b, MAX_PLUS_PAIR, lambda w1, w2: (w1, w1 + w2))
-
-
-def _second_coordinate(pair: WeightedAutomaton) -> WeightedAutomaton:
-    """The max-plus automaton of the second components (same shape, same support)."""
-    alpha = [None if w is None else w[1] for w in pair.alpha]
-    beta = [None if w is None else w[1] for w in pair.beta]
-    mu = {
-        ch: TropicalMatrix._adopt(
-            MAX_PLUS,
-            pair.n,
-            [{j: w[1] for j, w in row.items()} for row in mat.rows],
-        )
-        for ch, mat in pair.mu.items()
-    }
-    return WeightedAutomaton._adopt(
-        MAX_PLUS, pair.alphabet, pair.n, alpha, beta, mu, pair.state_labels
-    )
+    return _accessible_product(a, b, MAX_PLUS_PAIR, lambda w1, w2: (w1, w1 + w2))[0]
 
 
 def extract_one_valued(
@@ -72,56 +59,53 @@ def extract_one_valued(
 ) -> WeightedAutomaton:
     """A 1-valued max-plus automaton recognizing the common series of the pair.
 
-    Pipeline: negate the min-plus side, build the pair product (only the
-    pairs reachable from an initial pair, numbered in (p, q) order), trim,
-    renormalize the second coordinate (the first is left untouched), keep
-    only arcs whose second coordinate is exactly 0, carry the first
-    coordinate as the weight, trim again.  The result has at most
+    Pipeline: trim both inputs, build the product of amax with the negated
+    bmin (only the pairs reachable from an initial pair, numbered in (p, q)
+    order), trim it, relax its potential u = M*beta, keep only the arrows and
+    arcs whose renormalized weight is exactly 0 (alpha_i + u_i = 0,
+    beta_i = u_i, w + u_j = u_i), give each kept one the weight of the amax
+    arrow or arc at its (p, q) pair, trim again.  The result has at most
     states(amax) * states(bmin) states and all successful paths of a word
     weigh exactly the series value.
 
-    With ``check`` the equivalence of the two inputs is decided first and
-    NotEqualError (with witness) raised if it fails; without it, unequal
-    inputs surface as NotNonpositiveError from the renormalization step.
+    With ``check`` the equivalence of the two inputs is decided on the same
+    product and potential, and NotEqualError (with witness) raised if it
+    fails; without it, unequal inputs surface as NotNonpositiveError from
+    the renormalization step.
     """
     if check:
-        verdict = decide_series_equal(amax, bmin)
-        if not verdict.holds:
-            raise NotEqualError(verdict.witness)
+        _check_pair(amax, bmin, "decide_series_equal")  # errors name the check it runs
     else:
         if amax.semiring.tag != "max-plus" or bmin.semiring.tag != "min-plus":
             raise TagMismatchError("extract_one_valued takes a max-plus and a min-plus automaton")
         if amax.alphabet != bmin.alphabet:
             raise AlphabetError("extract_one_valued requires identical alphabets")
-    pair = pair_product(amax.trim(), bmin.trim().negate()).trim()
-    if pair.n == 0:
-        return WeightedAutomaton(MAX_PLUS, amax.alphabet, 0, [], [], {ch: TropicalMatrix(MAX_PLUS, 0) for ch in amax.alphabet})
-    second = _second_coordinate(pair)
-    verdict, u = _nonpositive_trimmed(second)
-    if not verdict.holds:
-        raise NotNonpositiveError(verdict.witness)
-    normalized = _fatou_trimmed(second, u)
-    # Keep an arrow/arc exactly when its renormalized second coordinate is 0;
-    # the surviving weight is the untouched first coordinate.
+    difference = _difference(amax, bmin, "equal" if check else "extract")
+    if not difference.verdict.holds:
+        raise (NotEqualError if check else NotNonpositiveError)(difference.verdict.witness)
+    ta, product, pairs, u = difference.ta, difference.product, difference.pairs, difference.u
+    if product.n == 0:
+        return WeightedAutomaton(MAX_PLUS, ta.alphabet, 0, [], [], {ch: TropicalMatrix(MAX_PLUS, 0) for ch in ta.alphabet})
+    firsts = [p for p, _ in pairs]  # the amax state of each product state
     alpha = [
-        pair.alpha[i][0] if pair.alpha[i] is not None and normalized.alpha[i] == 0 else None
-        for i in range(pair.n)
+        ta.alpha[p] if w is not None and w + ui == 0 else None
+        for w, ui, p in zip(product.alpha, u, firsts)
     ]
     beta = [
-        pair.beta[i][0] if pair.beta[i] is not None and normalized.beta[i] == 0 else None
-        for i in range(pair.n)
+        ta.beta[p] if w is not None and w == ui else None
+        for w, ui, p in zip(product.beta, u, firsts)
     ]
     mu = {}
-    for ch in pair.alphabet:
-        prows = pair.mu[ch].rows
-        nrows = normalized.mu[ch].rows
-        rows = [
-            {j: prows[i][j][0] for j, w in nrows[i].items() if w == 0}
-            for i in range(pair.n)
-        ]
-        mu[ch] = TropicalMatrix._adopt(MAX_PLUS, pair.n, rows)
+    for ch in product.alphabet:
+        arows = ta.mu[ch].rows
+        rows = []
+        for i, row in enumerate(product.mu[ch].rows):
+            ui = u[i]
+            arow = arows[firsts[i]]
+            rows.append({j: arow[firsts[j]] for j, w in row.items() if w + u[j] == ui})
+        mu[ch] = TropicalMatrix._adopt(MAX_PLUS, product.n, rows)
     filtered = WeightedAutomaton._adopt(
-        MAX_PLUS, pair.alphabet, pair.n, alpha, beta, mu, pair.state_labels
+        MAX_PLUS, product.alphabet, product.n, alpha, beta, mu, product.state_labels
     )
     return filtered.trim()
 
@@ -131,27 +115,17 @@ def extract_one_valued(
 # ---------------------------------------------------------------------------
 
 
-def _determinize_subsets(nfa: BooleanAutomaton, cap: int):
-    """Accessible subset construction; returns (subset list, move table)."""
-    start = frozenset(nfa.initial)
-    subsets = [start]
-    index = {start: 0}
-    moves: list[dict] = [dict()]
-    queue = deque([0])
-    while queue:
-        cur = queue.popleft()
-        for ch in nfa.alphabet:
-            target = nfa.step(subsets[cur], ch)
-            if not target:
-                continue
-            if target not in index:
-                if len(subsets) >= cap:
-                    raise CapExceededError("subset construction", cap)
-                index[target] = len(subsets)
-                subsets.append(target)
-                moves.append(dict())
-                queue.append(index[target])
-            moves[cur][ch] = index[target]
+def _determinize_subsets(nfa, cap: int):
+    """Accessible subset construction on a bitmask NFA.
+
+    Returns (subset masks, move table); the empty subset is not a state.
+    """
+    def step(mask, ch):
+        return _post(mask, nfa.succ[ch]) or None
+
+    subsets, _, moves, _ = _explore(
+        nfa.initial, list(nfa.succ), step, cap=cap, what="subset construction"
+    )
     return subsets, moves
 
 
@@ -161,12 +135,13 @@ def determinize(nfa: BooleanAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Boolean
     The result is partial: a missing transition rejects.  Raises
     CapExceededError when more than ``cap`` subsets appear.
     """
-    subsets, moves = _determinize_subsets(nfa, cap)
+    masks = nfa._masks()
+    subsets, moves = _determinize_subsets(masks, cap)
     delta = {}
     for i, table in enumerate(moves):
         for ch, j in table.items():
             delta[(i, ch)] = frozenset((j,))
-    final = frozenset(i for i, subset in enumerate(subsets) if subset & nfa.final)
+    final = frozenset(i for i, subset in enumerate(subsets) if subset & masks.final)
     return BooleanAutomaton(nfa.alphabet, len(subsets), frozenset((0,)), final, delta)
 
 
@@ -193,7 +168,7 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
     """
     if aut.semiring.tag not in ("max-plus", "min-plus"):
         raise TagMismatchError(f"covering is not defined for tag {aut.semiring.tag!r}")
-    support = aut.support()
+    support = aut._support_masks()
     subsets, moves = _determinize_subsets(support, cap)
     start_subset = 0
     index: dict = {}
@@ -231,8 +206,9 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
             alpha[i] = aut.alpha[p]
         if aut.beta[p] is not None and subsets[s] & support.final:
             beta[i] = aut.beta[p]
+    members = [_bits(mask) for mask in subsets]
     labels = tuple(
-        f"({aut.state_label(p)},{{{','.join(map(str, sorted(subsets[s])))}}})"
+        f"({aut.state_label(p)},{{{','.join(map(str, members[s]))}}})"
         for p, s in provenance
     )
     rows = {ch: [dict() for _ in range(n)] for ch in aut.alphabet}
@@ -240,7 +216,7 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
         rows[ch][src][dst] = w
     mu = {ch: TropicalMatrix._adopt(aut.semiring, n, rows[ch]) for ch in aut.alphabet}
     cover = WeightedAutomaton._adopt(aut.semiring, aut.alphabet, n, alpha, beta, mu, labels)
-    return Covering(cover, tuple(provenance), tuple(subsets))
+    return Covering(cover, tuple(provenance), tuple(frozenset(m) for m in members))
 
 
 def remove_competitions(cover: Covering) -> WeightedAutomaton:
@@ -302,13 +278,12 @@ def unambiguous_from_pair(
     check: bool = True,
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> WeightedAutomaton:
-    """Full pipeline: decide equality, extract the 1-valued automaton, disambiguate."""
-    if check:
-        verdict = decide_series_equal(amax, bmin)
-        if not verdict.holds:
-            raise NotEqualError(verdict.witness)
-    one_valued = extract_one_valued(amax, bmin, check=False)
-    return disambiguate(one_valued, subset_cap)
+    """Full pipeline: decide equality, extract the 1-valued automaton, disambiguate.
+
+    The equality check and the extraction share one product and one
+    relaxation.
+    """
+    return disambiguate(extract_one_valued(amax, bmin, check), subset_cap)
 
 
 __all__ = [

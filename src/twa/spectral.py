@@ -319,19 +319,35 @@ def _star_rounds(m: TropicalMatrix, u: list):
     u is the fixpoint.  A caller may stop after any round.  Raises
     PositiveCycleError when round n+1 still changes u: a cycle that reaches
     the support has positive weight.
+
+    A round relaxes the arcs in backward breadth-first order from the support
+    of u: the arcs into a state come right after those into the states it
+    was discovered from.  So one round carries the best weights back along
+    every path of fewest arcs, and rounds repeat only for better paths with
+    more arcs.  Arcs into states that cannot reach the support never change
+    u and are left out.
     """
     if m.semiring.tag != "max-plus":
         raise TagMismatchError("star_vector requires a max-plus matrix")
     if len(u) != m.n:
         raise DimensionError("vector length does not match matrix dimension")
-    arcs = list(m.arcs())
+    into = [[] for _ in range(m.n)]
+    for i, row in enumerate(m.rows):
+        for j, w in row.items():
+            into[j].append((i, w))
+    order = [j for j, uj in enumerate(u) if uj is not None]
+    seen = set(order)
+    arcs = []
+    for j in order:  # grows while it is walked: a breadth-first queue
+        for i, w in into[j]:
+            arcs.append((i, j, w))
+            if i not in seen:
+                seen.add(i)
+                order.append(i)
     for rounds in range(m.n + 1):
         improved = []
         for i, j, w in arcs:
-            uj = u[j]
-            if uj is None:
-                continue
-            c = w + uj
+            c = w + u[j]  # finite: an arc out of j came earlier in this order
             if u[i] is None or c > u[i]:
                 u[i] = c
                 improved.append(i)

@@ -21,6 +21,7 @@ from twa import (
     zoo,
 )
 from twa.oracle import eval_bruteforce, words_upto
+from twa.spectral import mat_add
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +279,51 @@ def test_letter_sum():
     assert single.letter_sum() == single.mu["a"]
     silent = WeightedAutomaton.from_arcs(MAX_PLUS, "ab", 2, initial=[(0, 0)], final=[(1, 0)])
     assert all(not row for row in silent.letter_sum().rows)
+
+
+@given(st.sampled_from([MAX_PLUS, MIN_PLUS]).flatmap(lambda tag: automata(tag, alphabet="abc")))
+def test_letter_sum_is_the_chain_of_matrix_sums(aut):
+    # same entries in the same order (the first letter's first), and a
+    # matrix that checks out like a validated one
+    expected = TropicalMatrix(aut.semiring, aut.n)
+    for ch in aut.alphabet:
+        expected = mat_add(expected, aut.mu[ch])
+    m = aut.letter_sum()
+    assert [list(row.items()) for row in m.rows] == [list(row.items()) for row in expected.rows]
+    assert TropicalMatrix(m.semiring, m.n, m.rows) == m
+
+
+def reference_trim_states(aut):
+    """States reachable from an initial arrow and co-reachable to a final one."""
+    def closure(seeds, edges):
+        seen = set(seeds)
+        stack = list(seen)
+        while stack:
+            i = stack.pop()
+            for j in edges(i):
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
+
+    arcs = [(i, j) for i, _, j, _ in aut.arcs()]
+    fwd = closure([i for i, w in enumerate(aut.alpha) if w is not None], lambda i: [t for s, t in arcs if s == i])
+    bwd = closure([i for i, w in enumerate(aut.beta) if w is not None], lambda j: [s for s, t in arcs if t == j])
+    return sorted(fwd & bwd)
+
+
+@given(automata(MAX_PLUS, max_states=8))
+def test_trim_keeps_the_useful_states_in_order(aut):
+    keep = reference_trim_states(aut)
+    trimmed = aut.trim()
+    assert trimmed.n == len(keep)
+    assert trimmed.alpha == [aut.alpha[i] for i in keep]
+    assert trimmed.beta == [aut.beta[i] for i in keep]
+    index = {old: new for new, old in enumerate(keep)}
+    assert sorted(trimmed.arcs()) == sorted(
+        (index[s], ch, index[t], w) for s, ch, t, w in aut.arcs() if s in index and t in index
+    )
+    assert (trimmed is aut) == (len(keep) == aut.n)
 
 
 def test_letter_sum_rejects_pair_tag(pair):

@@ -284,3 +284,47 @@ def test_stdout_serialization_matches_library(capsys):
     code, out, _ = run(capsys, "trim", AMAX)
     assert code == 0
     assert out == serialize(load(AMAX).trim())
+
+
+def test_nonpositive_caps_and_negative_lengths_are_usage_errors(capsys, tmp_path):
+    # a constant series: without the check, cap 0 reached the monoid closure
+    # and ended in a ValueError traceback, and negative caps and lengths ran
+    path = tmp_path / "swap.twa"
+    path.write_text(
+        "twa 1\nsemiring max-plus\nalphabet a b\nstates 2\n"
+        "initial 0 0\nfinal 0 0\nfinal 1 0\n"
+        "trans 0 1 a 0\ntrans 1 0 a 0\ntrans 0 0 b 0\ntrans 1 1 b 0\n"
+    )
+    for argv in (
+        ("equal-const", "0", str(path), "--monoid-cap", "0"),
+        ("equal-const", "0", str(path), "--monoid-cap", "-2"),
+        ("equal-const", "0", str(path), "--monoid-cap", "many"),
+        ("pipeline", AMAX, BMIN, "--subset-cap", "0"),
+        ("pipeline", AMAX, BMIN, "--subset-cap", "-5"),
+        ("disambiguate", AMAX, "--subset-cap", "0"),
+        ("oracle", "compare", AMAX, BMIN, "--maxlen", "-1"),
+        ("oracle", "ambiguity", AMAX, "--maxlen", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "at least" in err or "integer" in err, argv
+        assert "Traceback" not in err, argv
+
+
+def test_smallest_caps_and_lengths_are_accepted(capsys):
+    code, out, _ = run(capsys, "oracle", "compare", AMAX, BMIN, "--maxlen", "0")
+    assert (code, out.strip()) == (0, "EQUAL-UPTO 0")
+    code, out, _ = run(capsys, "oracle", "ambiguity", AMAX, "--maxlen", "0")
+    assert (code, out.strip()) == (0, 'max-ambiguity 1 word=""')
+
+
+def test_cap_errors_leave_no_traceback_in_a_subprocess(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "twa.cli", "pipeline", AMAX, BMIN, "--subset-cap", "-5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "--subset-cap" in proc.stderr
