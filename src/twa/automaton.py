@@ -190,8 +190,8 @@ class WeightedAutomaton:
     def _useful_states(self) -> list:
         """The states on some successful path, in increasing order.
 
-        The backward search runs over the arcs between forward-reached states
-        only: every state of a path from a reached state is reached too.
+        Those reachable from an initial arrow (the forward search below)
+        among those that reach a final arrow (_coreachable_states).
         """
         letters = [mat.rows for mat in self.mu.values()]
         fwd = [w is not None for w in self.alpha]
@@ -203,13 +203,20 @@ class WeightedAutomaton:
                     if not fwd[j]:
                         fwd[j] = True
                         stack.append(j)
+        return [i for i in self._coreachable_states() if fwd[i]]
+
+    def _coreachable_states(self) -> list:
+        """The states from which some path reaches a final arrow, in increasing order.
+
+        The backward half of _useful_states.  On an automaton that is
+        accessible by construction, such as a product, it alone trims.
+        """
         into = [[] for _ in range(self.n)]
-        for rows in letters:
-            for i, row in enumerate(rows):
-                if fwd[i]:
-                    for j in row:
-                        into[j].append(i)
-        bwd = [w is not None and fwd[i] for i, w in enumerate(self.beta)]
+        for mat in self.mu.values():
+            for i, row in enumerate(mat.rows):
+                for j in row:
+                    into[j].append(i)
+        bwd = [w is not None for w in self.beta]
         stack = [i for i, reached in enumerate(bwd) if reached]
         while stack:
             j = stack.pop()
@@ -276,14 +283,13 @@ class WeightedAutomaton:
             raise TagMismatchError(f"letter_sum is not defined for tag {self.semiring.tag!r}")
         plus = self.semiring.plus
         letters = [self.mu[ch].rows for ch in self.alphabet]
-        rows = []
-        for i in range(self.n):
-            row = {}
-            for mrows in letters:
-                for j, w in mrows[i].items():
+        # the first letter's rows are copied whole, the others merged in
+        rows = [dict(row) for row in letters[0]] if letters else [{} for _ in range(self.n)]
+        for mrows in letters[1:]:
+            for row, mrow in zip(rows, mrows):
+                for j, w in mrow.items():
                     old = row.get(j)
                     row[j] = w if old is None else plus(old, w)
-            rows.append(row)
         return TropicalMatrix._adopt(self.semiring, self.n, rows)
 
     def _support_masks(self) -> "_MaskNfa":
@@ -306,6 +312,9 @@ def _accessible_product(
     They are numbered in (p, q) order, so the result is the full grid with its
     unreachable pairs deleted, and trimming either gives the same automaton.
     Returns the product and the pair (p, q) of each of its states.
+
+    Two phases: the first discovers the reachable pairs and builds nothing
+    else; the second builds each row once, already in the final numbering.
     """
     bn = b.n
     letters = [(a.mu[ch].rows, b.mu[ch].rows) for ch in a.alphabet]
@@ -315,31 +324,35 @@ def _accessible_product(
         for q, wb in enumerate(b.alpha) if wb is not None
     }
     stack = list(seen)
-    built = {}  # pair key p * bn + q -> its rows, one per letter, keyed by pair key
     while stack:
-        key = stack.pop()
-        p, q = divmod(key, bn)
-        built[key] = rows = []
+        p, q = divmod(stack.pop(), bn)
         for arows, brows in letters:
+            brow = brows[q]
+            if brow:
+                for r in arows[p]:
+                    base = r * bn
+                    for s in brow:
+                        t = base + s
+                        if t not in seen:
+                            seen.add(t)
+                            stack.append(t)
+    keys = sorted(seen)
+    n = len(keys)
+    index = {key: i for i, key in enumerate(keys)}
+    pairs = [divmod(key, bn) for key in keys]
+    mu = {}
+    for ch, (arows, brows) in zip(a.alphabet, letters):
+        rows = []
+        for p, q in pairs:
             row = {}
             brow = brows[q]
             if brow:
                 for r, w1 in arows[p].items():
                     base = r * bn
                     for s, w2 in brow.items():
-                        row[base + s] = combine(w1, w2)
-                for t in row:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
+                        row[index[base + s]] = combine(w1, w2)
             rows.append(row)
-    keys = sorted(seen)
-    n = len(keys)
-    if n < a.n * bn:  # with every pair reached, key k already is state k
-        index = {key: i for i, key in enumerate(keys)}
-        for rows in built.values():
-            rows[:] = [{index[t]: w for t, w in row.items()} for row in rows]
-    pairs = [divmod(key, bn) for key in keys]
+        mu[ch] = TropicalMatrix._adopt(semiring, n, rows)
 
     def arrows(va, vb):
         return [
@@ -347,10 +360,6 @@ def _accessible_product(
             for p, q in pairs
         ]
 
-    mu = {
-        ch: TropicalMatrix._adopt(semiring, n, [built[key][i] for key in keys])
-        for i, ch in enumerate(a.alphabet)
-    }
     la = [a.state_label(p) for p in range(a.n)]
     lb = [b.state_label(q) for q in range(bn)]
     labels = tuple(f"({la[p]},{lb[q]})" for p, q in pairs)

@@ -21,7 +21,11 @@ iff w + u_j = u_i.  Languages are compared by one breadth-first exploration
 of subset pairs (``twa.automaton._explore``).  The series comparisons and the
 1-valued extraction of ``twa.disambiguation`` share one kernel, _difference:
 it trims each input once, compares the supports, builds the product of S and
--T once and relaxes its potential once.
+-T once and relaxes its potential once.  The product subtracts T's weights as
+it builds each row, in its final (p, q) numbering, so no negated copy of T
+exists; it is accessible by construction, so its trim only removes the states
+that reach no final arrow; and with equal supports the zero filter is
+compared with S's support, whose masks the support check already built.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -568,8 +572,9 @@ class _Difference:
     """What the equality kernel learned about S - T.
 
     ``product`` is the trimmed accessible product of the trimmed amax ``ta``
-    and the negated trimmed bmin, whose series is S - T on the common
-    support; ``pairs`` holds the (p, q) of each of its states and ``u`` its
+    and the trimmed bmin, each joint arrow and arc weighing the amax weight
+    minus the bmin weight, so its series is S - T on the common support;
+    ``pairs`` holds the (p, q) of each of its states and ``u`` its
     potential M*beta.  ``product`` and ``pairs`` are None when the supports
     failed their comparison, ``u`` when S - T is not nonpositive.
     """
@@ -589,25 +594,34 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
 
     Trims each input once, compares the supports ("equal": equivalence,
     "leq": inclusion, "extract": skipped), builds the difference product
-    once, relaxes its potential u once, and for "equal" compares the
-    product's support with the zero filter read off u.  Each step runs only
-    when the ones before it held, so a witness is the one that the failing
-    step alone gives.
+    once, relaxes its potential u once, and for "equal" compares the zero
+    filter read off u with the support of ``ta``.  Each step runs only when
+    the ones before it held, so a witness is the one that the failing step
+    alone gives.
+
+    The product subtracts bmin's weights as it combines them, so no negated
+    copy of bmin is built.  It is accessible by construction, so its trim
+    is the backward (co-reachability) half alone.  Once the supports are
+    equal, the product's support language is that of ``ta``, and comparing
+    the zero filter with ``ta``'s support masks, already built for the
+    support check, gives the same verdict and the same length-lex-first
+    witness as comparing it with the product's.
     """
     ta = amax.trim()
     tb = bmin.trim()
     if mode != "extract":
-        verdict = _compare(ta._support_masks(), tb._support_masks(), inclusion=mode == "leq")
+        support = ta._support_masks()
+        verdict = _compare(support, tb._support_masks(), inclusion=mode == "leq")
         if not verdict.holds:
             return _Difference(verdict, ta, None, None, None)
-    product, pairs = _accessible_product(ta, tb.negate(), MAX_PLUS, operator.add)
-    keep = product._useful_states()
+    product, pairs = _accessible_product(ta, tb, MAX_PLUS, operator.sub)
+    keep = product._coreachable_states()
     if len(keep) < product.n:
         product = product._restrict(keep)
         pairs = [pairs[i] for i in keep]
     verdict, u = _nonpositive_trimmed(product)
     if verdict.holds and mode == "equal":
-        verdict = _compare(product._support_masks(), _zero_masks(product, u), inclusion=False)
+        verdict = _compare(support, _zero_masks(product, u), inclusion=False)
     return _Difference(verdict, ta, product, pairs, u)
 
 
@@ -616,8 +630,8 @@ def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Dec
 
     Equality means: equal supports, and equal coefficients on the support.
     Checked as (a) NFA equivalence of the supports and (b) the pointwise
-    difference S - T (a tensor product with the negated T) being constantly 0
-    on its support.
+    difference S - T (a tensor product that subtracts T's weights from S's)
+    being constantly 0 on its support.
     """
     _check_pair(amax, bmin, "decide_series_equal")
     return _difference(amax, bmin, "equal").verdict

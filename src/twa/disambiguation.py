@@ -13,7 +13,6 @@ without changing the series.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .automaton import (
@@ -59,10 +58,12 @@ def extract_one_valued(
 ) -> WeightedAutomaton:
     """A 1-valued max-plus automaton recognizing the common series of the pair.
 
-    Pipeline: trim both inputs, build the product of amax with the negated
-    bmin (only the pairs reachable from an initial pair, numbered in (p, q)
-    order), trim it, relax its potential u = M*beta, keep only the arrows and
-    arcs whose renormalized weight is exactly 0 (alpha_i + u_i = 0,
+    Pipeline: trim both inputs, build the product of amax and bmin whose
+    arrows and arcs weigh amax's weight minus bmin's, that is, the product
+    of amax with the negation of bmin, without building that negation (only
+    the pairs reachable from an initial pair, numbered in (p, q) order),
+    trim it, relax its potential u = M*beta, keep only the arrows and arcs
+    whose renormalized weight is exactly 0 (alpha_i + u_i = 0,
     beta_i = u_i, w + u_j = u_i), give each kept one the weight of the amax
     arrow or arc at its (p, q) pair, trim again.  The result has at most
     states(amax) * states(bmin) states and all successful paths of a word
@@ -164,56 +165,45 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
 
     The subset component evolves deterministically with the input, so it adds
     no weight and no new values: the covering recognizes the same series.
-    Restricted to accessible states.
+    Restricted to accessible states, numbered breadth-first from the initial
+    ones in state order, each state's targets in state order.  Each state is
+    expanded as it is numbered, so every row is built once, and each
+    subset's label text is formatted once.
     """
     if aut.semiring.tag not in ("max-plus", "min-plus"):
         raise TagMismatchError(f"covering is not defined for tag {aut.semiring.tag!r}")
     support = aut._support_masks()
     subsets, moves = _determinize_subsets(support, cap)
     start_subset = 0
-    index: dict = {}
-    provenance: list = []
-    queue = deque()
-    for p in range(aut.n):
-        if aut.alpha[p] is not None:
-            key = (p, start_subset)
-            index[key] = len(provenance)
-            provenance.append(key)
-            queue.append(key)
-    arcs = []
-    while queue:
-        p, s = key = queue.popleft()
-        src = index[key]
-        for ch in aut.alphabet:
-            row = aut.mu[ch].rows[p]
-            if not row:
-                continue
-            target_subset = moves[s].get(ch)
-            if target_subset is None:
-                continue
-            for r in sorted(row):
-                nkey = (r, target_subset)
-                if nkey not in index:
-                    index[nkey] = len(provenance)
-                    provenance.append(nkey)
-                    queue.append(nkey)
-                arcs.append((src, ch, index[nkey], row[r]))
+    provenance = [(p, start_subset) for p, w in enumerate(aut.alpha) if w is not None]
+    index = {key: i for i, key in enumerate(provenance)}
+    rows = {ch: [] for ch in aut.alphabet}
+    letters = [(ch, aut.mu[ch].rows, rows[ch]) for ch in aut.alphabet]
+    src = 0
+    while src < len(provenance):  # breadth-first: states are expanded in index order
+        p, s = provenance[src]
+        table = moves[s]
+        for ch, arows, out in letters:
+            row = arows[p]
+            target_subset = table.get(ch)
+            built = {}
+            if row and target_subset is not None:
+                for r in sorted(row):
+                    nkey = (r, target_subset)
+                    dst = index.get(nkey)
+                    if dst is None:
+                        dst = index[nkey] = len(provenance)
+                        provenance.append(nkey)
+                    built[dst] = row[r]
+            out.append(built)
+        src += 1
     n = len(provenance)
-    alpha = [None] * n
-    beta = [None] * n
-    for i, (p, s) in enumerate(provenance):
-        if s == start_subset and aut.alpha[p] is not None:
-            alpha[i] = aut.alpha[p]
-        if aut.beta[p] is not None and subsets[s] & support.final:
-            beta[i] = aut.beta[p]
+    alpha = [aut.alpha[p] if s == start_subset else None for p, s in provenance]
+    beta = [aut.beta[p] if subsets[s] & support.final else None for p, s in provenance]
     members = [_bits(mask) for mask in subsets]
-    labels = tuple(
-        f"({aut.state_label(p)},{{{','.join(map(str, members[s]))}}})"
-        for p, s in provenance
-    )
-    rows = {ch: [dict() for _ in range(n)] for ch in aut.alphabet}
-    for src, ch, dst, w in arcs:
-        rows[ch][src][dst] = w
+    texts = [",".join(map(str, m)) for m in members]
+    la = [aut.state_label(p) for p in range(aut.n)]
+    labels = tuple(f"({la[p]},{{{texts[s]}}})" for p, s in provenance)
     mu = {ch: TropicalMatrix._adopt(aut.semiring, n, rows[ch]) for ch in aut.alphabet}
     cover = WeightedAutomaton._adopt(aut.semiring, aut.alphabet, n, alpha, beta, mu, labels)
     return Covering(cover, tuple(provenance), tuple(frozenset(m) for m in members))
@@ -225,39 +215,38 @@ def remove_competitions(cover: Covering) -> WeightedAutomaton:
     Two arcs compete when they share the source subset, the letter, and the
     full target state but start from different original states; two final
     arrows compete when they share the subset.  Exactly one member of each
-    group survives (the one with the smallest original state, then smallest
-    state index), which is the minimal number of deletions.  For a 1-valued
-    covered automaton the result is unambiguous and equivalent.
+    group survives (the one with the smallest original state; a subset and
+    an original state determine a covering state), which is the minimal
+    number of deletions.  One pass over the states in (subset, original
+    state) order keeps the first arc of each group and the first final arrow
+    of each subset.  For a 1-valued covered automaton the result is
+    unambiguous and equivalent.
     """
     aut = cover.automaton
     prov = cover.provenance
-    groups: dict = {}
-    for src in range(aut.n):
-        p, s = prov[src]
-        for ch in aut.alphabet:
-            for dst, w in aut.mu[ch].rows[src].items():
-                groups.setdefault((s, ch, dst), []).append((p, src, dst, ch, w))
-    keep_arcs = set()
-    for members in groups.values():
-        members.sort()
-        p, src, dst, ch, _ = members[0]
-        keep_arcs.add((src, ch, dst))
-    final_groups: dict = {}
-    for i, w in enumerate(aut.beta):
-        if w is not None:
-            p, s = prov[i]
-            final_groups.setdefault(s, []).append((p, i))
-    keep_finals = {min(members)[1] for members in final_groups.values()}
-    beta = [w if i in keep_finals else None for i, w in enumerate(aut.beta)]
-    mu = {}
-    for ch in aut.alphabet:
-        rows = [
-            {j: w for j, w in aut.mu[ch].rows[i].items() if (i, ch, j) in keep_arcs}
-            for i in range(aut.n)
-        ]
-        mu[ch] = TropicalMatrix._adopt(aut.semiring, aut.n, rows)
+    n = aut.n
+    final_subsets = set()  # the subsets whose final arrow is kept
+    beta = [None] * n
+    kept = {ch: [None] * n for ch in aut.alphabet}
+    # per letter: the rows, the kept rows, and subset -> the targets of its kept arcs
+    letters = [(aut.mu[ch].rows, kept[ch], {}) for ch in aut.alphabet]
+    for i in sorted(range(n), key=lambda i: (prov[i][1], prov[i][0])):
+        s = prov[i][1]
+        for rows, out, taken in letters:
+            row = {}
+            if rows[i]:
+                targets = taken.setdefault(s, set())
+                for j, w in rows[i].items():
+                    if j not in targets:
+                        targets.add(j)
+                        row[j] = w
+            out[i] = row
+        if aut.beta[i] is not None and s not in final_subsets:
+            final_subsets.add(s)
+            beta[i] = aut.beta[i]
+    mu = {ch: TropicalMatrix._adopt(aut.semiring, n, kept[ch]) for ch in aut.alphabet}
     pruned = WeightedAutomaton._adopt(
-        aut.semiring, aut.alphabet, aut.n, aut.alpha, beta, mu, aut.state_labels
+        aut.semiring, aut.alphabet, n, aut.alpha, beta, mu, aut.state_labels
     )
     return pruned.trim()
 

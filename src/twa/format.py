@@ -23,7 +23,7 @@ only as comments; parsing does not restore them.
 
 from __future__ import annotations
 
-from .automaton import WeightedAutomaton
+from .automaton import WeightedAutomaton, _valid_symbol
 from .errors import FormatError
 from .semiring import format_weight, parse_weight
 
@@ -91,6 +91,9 @@ def parse(text: str) -> WeightedAutomaton:
             if alphabet is not None:
                 fail("duplicate alphabet line", lineno)
             alphabet = tokens[1:]
+            for ch in alphabet:
+                if not _valid_symbol(ch):
+                    fail(f"bad alphabet symbol {ch!r}", lineno)
             if len(set(alphabet)) != len(alphabet):
                 fail("alphabet symbols must be distinct", lineno)
         elif key == "states":

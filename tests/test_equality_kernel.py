@@ -3,8 +3,10 @@
 The series decisions, the 1-valued extraction and the pipeline share one
 difference product, one potential and one bitmask subset exploration.  These
 tests hold them to a reference copy of the separate path they replaced: the
-Hadamard product with a frozenset NFA comparison for the decisions, and the
-doubled-semiring pair product for the extraction.
+Hadamard product with the negated min-plus automaton and a frozenset NFA
+comparison for the decisions, the doubled-semiring pair product for the
+extraction, and the sort of every competing group for the one-pass
+competition removal.
 """
 
 from collections import deque
@@ -41,6 +43,7 @@ from twa import (
     nfa_equivalence,
     nfa_inclusion,
     pair_product,
+    remove_competitions,
     serialize,
     unambiguous_from_pair,
     zoo,
@@ -242,6 +245,51 @@ def ref_extract(amax, bmin, check):
     ).trim()
 
 
+def ref_remove_competitions(cover):
+    """The grouping rule: every competing group sorted, its least (original state, state) kept.
+
+    Returns the kept arcs (src, letter, dst), the kept final states and the
+    trimmed result.
+    """
+    aut, prov = cover.automaton, cover.provenance
+    groups = {}
+    for src in range(aut.n):
+        p, s = prov[src]
+        for ch in aut.alphabet:
+            for dst, w in aut.mu[ch].rows[src].items():
+                groups.setdefault((s, ch, dst), []).append((p, src, dst, ch, w))
+    keep_arcs = set()
+    for members in groups.values():
+        members.sort()
+        _, src, dst, ch, _ = members[0]
+        keep_arcs.add((src, ch, dst))
+    final_groups = {}
+    for i, w in enumerate(aut.beta):
+        if w is not None:
+            final_groups.setdefault(prov[i][1], []).append((prov[i][0], i))
+    keep_finals = {min(members)[1] for members in final_groups.values()}
+    pruned = WeightedAutomaton(
+        aut.semiring,
+        aut.alphabet,
+        aut.n,
+        aut.alpha,
+        [w if i in keep_finals else None for i, w in enumerate(aut.beta)],
+        {
+            ch: TropicalMatrix(
+                aut.semiring,
+                aut.n,
+                [
+                    {j: w for j, w in row.items() if (i, ch, j) in keep_arcs}
+                    for i, row in enumerate(mat.rows)
+                ],
+            )
+            for ch, mat in aut.mu.items()
+        },
+        aut.state_labels,
+    )
+    return keep_arcs, keep_finals, pruned.trim()
+
+
 def outcome(fn, *args, **kwargs):
     """A comparable record: the verdict, the serialized automaton, or the error and its witness."""
     try:
@@ -401,6 +449,47 @@ def test_kernel_matches_the_separate_path():
 # -- one product, one relaxation ----------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "pair", [zoo.sample_equivalent_pair, lambda: zoo.prime_period_pair(2, 3, 5, 7)]
+)
+def test_kernel_builds_no_negated_copy_and_no_product_support(monkeypatch, pair):
+    amax, bmin = pair()
+    ta, tb = amax.trim(), bmin.trim()
+    expected = (
+        ref_series_equal(amax, bmin),
+        ref_series_leq(amax, bmin),
+        serialize(ref_remove_competitions(covering(ref_extract(amax, bmin, True)))[2]),
+    )
+    kernel_calls = []  # per kernel call: the automata whose support masks it built
+    inside = []
+    difference, support_masks = twa.decisions._difference, WeightedAutomaton._support_masks
+
+    def watched_difference(*args):
+        kernel_calls.append([])
+        inside.append(True)
+        try:
+            return difference(*args)
+        finally:
+            inside.pop()
+
+    def watched_support_masks(self):
+        if inside:
+            kernel_calls[-1].append(self)
+        return support_masks(self)
+
+    for module in (twa.decisions, twa.disambiguation):
+        monkeypatch.setattr(module, "_difference", watched_difference)
+    monkeypatch.setattr(WeightedAutomaton, "_support_masks", watched_support_masks)
+    monkeypatch.setattr(WeightedAutomaton, "negate", _raise)
+    assert (
+        decide_series_equal(amax, bmin),
+        decide_series_leq(amax, bmin),
+        serialize(unambiguous_from_pair(amax, bmin)),
+    ) == expected
+    assert kernel_calls == [[ta, tb]] * 3
+
+
+
 def _raise(*args, **kwargs):
     raise AssertionError("the pipeline left the equality kernel")
 
@@ -441,6 +530,47 @@ def test_relaxation_of_the_prime_products_takes_few_rounds(pqrs):
     assert sum(1 for _ in _star_rounds(product.letter_sum(), u)) <= 3
     assert all(w is not None for w in u)
     assert decide_nonpositive(product).holds
+
+
+# -- one-pass competition removal against the grouping rule -------------------
+
+
+def _one_valued(pair):
+    try:
+        return extract_one_valued(*pair, check=False)
+    except NotNonpositiveError:
+        return None
+
+
+coverable = st.one_of(
+    automata(MAX_PLUS),
+    automata(MIN_PLUS),
+    related_pairs().map(_one_valued).filter(lambda aut: aut is not None),
+)
+
+
+def test_one_pass_competition_removal_matches_the_grouping_rule():
+    competitions = set()
+
+    @settings(max_examples=300)
+    @given(coverable)
+    def check(aut):
+        cover = covering(aut)
+        keep_arcs, keep_finals, expected = ref_remove_competitions(cover)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(WeightedAutomaton, "trim", lambda self: self)
+            pruned = remove_competitions(cover)
+        assert {(i, ch, j) for i, ch, j, _ in pruned.arcs()} == keep_arcs
+        assert {i for i, w in enumerate(pruned.beta) if w is not None} == keep_finals
+        assert serialize(remove_competitions(cover)) == serialize(expected)
+        if len(keep_arcs) < sum(1 for _ in cover.automaton.arcs()):
+            competitions.add("arcs")
+        if len(keep_finals) < sum(1 for w in cover.automaton.beta if w is not None):
+            competitions.add("final arrows")
+
+    check()
+    # the drawn coverings hold real competitions of both kinds
+    assert competitions == {"arcs", "final arrows"}
 
 
 # -- the bitmask engine against frozensets -------------------------------------

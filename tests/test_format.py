@@ -95,6 +95,15 @@ def test_missing_magic():
     _expect_error("semiring max-plus\nalphabet a\nstates 1\n", "expected header", line=1)
 
 
+@pytest.mark.parametrize("symbol", ["ab", "\u00e9"], ids=["two-letters", "non-ascii"])
+def test_bad_alphabet_symbol_names_its_line(symbol):
+    _expect_error(
+        f"twa 1\nsemiring max-plus\nalphabet a {symbol}\nstates 1\n",
+        f"bad alphabet symbol {symbol!r}",
+        line=3,
+    )
+
+
 def test_duplicate_arc():
     _expect_error(
         "twa 1\nsemiring max-plus\nalphabet a\nstates 1\n"
