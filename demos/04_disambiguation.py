@@ -7,7 +7,7 @@ from twa import (
     covering,
     disambiguate,
     extract_one_valued,
-    pair_product,
+    hadamard,
     unambiguous_from_pair,
     zoo,
 )
@@ -21,9 +21,9 @@ print("max-plus side: ambiguity on short words:", max_ambiguity_upto(amax, 8)[0]
 print("is it 1-valued?", one_valued_upto(amax, 8))
 print()
 
-print("== step 1: the doubled-weight product ==")
-product = pair_product(amax, bmin.negate())
-print(f"product has {product.n} states; arcs carry (value, value difference):")
+print("== step 1: the difference product ==")
+product = hadamard(amax, bmin.negate())
+print(f"product has {product.n} states; each word weighs its max-plus minus its min-plus value:")
 print(serialize(product))
 
 print("== step 2: keep only difference-0 arcs -> a 1-valued automaton ==")

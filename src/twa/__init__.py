@@ -1,11 +1,14 @@
 """Weighted automata over tropical semirings with exact rational weights.
 
 The package provides linear representations over max-plus/min-plus (plus the
-Boolean and doubled-max-plus semirings), exact spectral primitives (maximum
-cycle mean, matrix star), decision procedures (nonpositivity, constant
-series, equality and inequality of a max-plus and a min-plus series), and the
+Boolean semiring of their supports), exact spectral primitives (maximum cycle
+mean, matrix star), decision procedures (nonpositivity, constant series,
+equality and inequality of a max-plus and a min-plus series), and the
 constructive pipeline that turns an equivalent max-plus/min-plus pair into a
-1-valued and then unambiguous automaton.
+1-valued and then unambiguous automaton.  Every language question (the
+all-words constant test, the NFA comparisons, determinization, the covering)
+runs on one breadth-first subset exploration, bounded by one cap,
+``DEFAULT_SUBSET_CAP``.
 
 Weights are exact rationals (``int`` or ``fractions.Fraction``); the semiring
 zero is ``None`` and never carries a value.  All operations are pure and all
@@ -18,9 +21,7 @@ from .automaton import (
     hadamard,
 )
 from .decisions import (
-    DEFAULT_MONOID_CAP,
     Decision,
-    boolean_monoid_closure,
     decide_equal_const,
     decide_equal_const_on_support,
     decide_nonpositive,
@@ -37,7 +38,6 @@ from .disambiguation import (
     determinize,
     disambiguate,
     extract_one_valued,
-    pair_product,
     remove_competitions,
     unambiguous_from_pair,
 )
@@ -57,16 +57,13 @@ from .format import load, parse, save, serialize
 from .semiring import (
     BOOLEAN,
     MAX_PLUS,
-    MAX_PLUS_PAIR,
     MIN_PLUS,
     boolean_projection,
     format_finite,
-    format_weight,
     negate_weight,
     oplus,
     otimes,
     parse_finite,
-    parse_weight,
     semiring_for,
 )
 from .spectral import (
@@ -84,14 +81,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BOOLEAN",
     "MAX_PLUS",
-    "MAX_PLUS_PAIR",
     "MIN_PLUS",
     "AlphabetError",
     "BooleanAutomaton",
     "CapExceededError",
     "Covering",
     "Decision",
-    "DEFAULT_MONOID_CAP",
     "DEFAULT_SUBSET_CAP",
     "DimensionError",
     "FormatError",
@@ -103,7 +98,6 @@ __all__ = [
     "TropicalMatrix",
     "TwaError",
     "WeightedAutomaton",
-    "boolean_monoid_closure",
     "boolean_projection",
     "covering",
     "decide_equal_const",
@@ -116,7 +110,6 @@ __all__ = [
     "extract_one_valued",
     "fatou_normalize",
     "format_finite",
-    "format_weight",
     "hadamard",
     "load",
     "mat_add",
@@ -129,10 +122,8 @@ __all__ = [
     "oplus",
     "oracle",
     "otimes",
-    "pair_product",
     "parse",
     "parse_finite",
-    "parse_weight",
     "remove_competitions",
     "save",
     "semiring_for",

@@ -25,7 +25,7 @@ def _valid_symbol(ch) -> bool:
 
 
 class WeightedAutomaton:
-    """A linear representation over max-plus, min-plus, boolean, or the pair semiring."""
+    """A linear representation over max-plus, min-plus or the Boolean semiring."""
 
     __slots__ = ("semiring", "alphabet", "n", "alpha", "beta", "mu", "state_labels")
 
@@ -419,9 +419,6 @@ class BooleanAutomaton:
         self.final = final
         self.delta = clean
 
-    def moves(self, state: int, letter: str) -> frozenset:
-        return self.delta.get((state, letter), frozenset())
-
     def step(self, states, letter: str) -> frozenset:
         out = set()
         for s in states:
@@ -474,6 +471,8 @@ class BooleanAutomaton:
 # ---------------------------------------------------------------------------
 # Subset exploration over bitmasks.
 # ---------------------------------------------------------------------------
+
+DEFAULT_SUBSET_CAP = 1_000_000
 
 
 class _MaskNfa:
@@ -529,8 +528,10 @@ def _explore(start, letters, step, stop=None, cap=None, what="subset exploration
     the start); moves[i] = {letter: index of the successor}; and hit = the
     index of the first node for which ``stop`` holds, where the search
     ended, or None.  Raises CapExceededError when more than ``cap`` nodes
-    appear.
+    appear, and ValueError for a ``cap`` below 1.
     """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be at least 1")
     nodes = [start]
     index = {start: 0}
     parents: list = [None]

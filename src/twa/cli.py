@@ -17,9 +17,8 @@ import argparse
 import sys
 
 from . import format as twa_format
-from .automaton import WeightedAutomaton
+from .automaton import DEFAULT_SUBSET_CAP, WeightedAutomaton
 from .decisions import (
-    DEFAULT_MONOID_CAP,
     decide_equal_const,
     decide_equal_const_on_support,
     decide_nonpositive,
@@ -28,7 +27,6 @@ from .decisions import (
     fatou_normalize,
 )
 from .disambiguation import (
-    DEFAULT_SUBSET_CAP,
     disambiguate,
     extract_one_valued,
     unambiguous_from_pair,
@@ -41,18 +39,14 @@ from .errors import (
     TwaError,
 )
 from .oracle import equal_upto, max_ambiguity_upto
-from .semiring import format_weight, parse_finite
+from .semiring import format_finite, parse_finite
 from .spectral import max_mean_cycle
 
 
 def _show_weight(value, tag: str) -> str:
     if value is not None:
-        return format_weight(value, tag)
-    if tag == "min-plus":
-        return "+inf"
-    if tag == "max-plus-pair":
-        return "-inf,-inf"
-    return "-inf"
+        return format_finite(value)
+    return "+inf" if tag == "min-plus" else "-inf"
 
 
 def _show_word(word: str) -> str:
@@ -269,7 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("const", help="rational constant (weight literal)")
     p.add_argument("file")
     p.add_argument("--on-support", action="store_true", help="quantify over the support only")
-    p.add_argument("--monoid-cap", type=_int_at_least(1), default=DEFAULT_MONOID_CAP, metavar="N")
+    p.add_argument(
+        "--monoid-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP, metavar="N",
+        help="cap on the subsets explored by the all-words test",
+    )
 
     p = add("equal", cmd_equal, "decide equality of a max-plus and a min-plus series")
     p.add_argument("maxfile")

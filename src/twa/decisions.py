@@ -17,9 +17,11 @@ verdict.
 The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
 automaton, is read straight off u as bitmasks: an initial arrow is kept iff
 alpha_i + u_i = 0, a final arrow iff beta_i = u_i, an arc i -> j of weight w
-iff w + u_j = u_i.  Languages are compared by one breadth-first exploration
-of subset pairs (``twa.automaton._explore``).  The series comparisons and the
-1-valued extraction of ``twa.disambiguation`` share one kernel, _difference:
+iff w + u_j = u_i.  One breadth-first subset exploration
+(``twa.automaton._explore``) answers every language question: the all-words
+constant test walks the subsets of the zero filter until one holds no final
+state, and the comparisons walk pairs of subsets.  The series comparisons and
+the 1-valued extraction of ``twa.disambiguation`` share one kernel, _difference:
 it trims each input once, compares the supports, builds the product of S and
 -T once and relaxes its potential once.  The product subtracts T's weights as
 it builds each row, in its final (p, q) numbering, so no negated copy of T
@@ -39,6 +41,7 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from .automaton import (
+    DEFAULT_SUBSET_CAP,
     BooleanAutomaton,
     WeightedAutomaton,
     _accessible_product,
@@ -50,15 +53,12 @@ from .automaton import (
 )
 from .errors import (
     AlphabetError,
-    CapExceededError,
     NotNonpositiveError,
     PositiveCycleError,
     TagMismatchError,
 )
 from .semiring import MAX_PLUS, is_rational
 from .spectral import TropicalMatrix, _star_rounds, max_mean_cycle, vec_mat
-
-DEFAULT_MONOID_CAP = 1_000_000
 
 
 class Decision(NamedTuple):
@@ -367,30 +367,14 @@ def _fatou_trimmed(trim: WeightedAutomaton, u: list) -> WeightedAutomaton:
     )
 
 
-def _zero_filter(aut: WeightedAutomaton) -> BooleanAutomaton:
-    """Keep exactly the weight-0 arrows/arcs of a nonpositively-weighted automaton.
-
-    On a Fatou-normalized automaton the resulting NFA accepts exactly the
-    words with coefficient 0.
-    """
-    initial = frozenset(i for i, w in enumerate(aut.alpha) if w == 0)
-    final = frozenset(i for i, w in enumerate(aut.beta) if w == 0)
-    delta = {}
-    for ch, mat in aut.mu.items():
-        for i, row in enumerate(mat.rows):
-            targets = frozenset(j for j, w in row.items() if w == 0)
-            if targets:
-                delta[(i, ch)] = targets
-    return BooleanAutomaton(aut.alphabet, aut.n, initial, final, delta)
-
-
 def _zero_masks(trim: WeightedAutomaton, u: list) -> _MaskNfa:
     """The zero filter of the Fatou form of ``trim``, read straight off u = M*beta.
 
     The renormalized arrows and arcs are alpha_i + u_i, beta_i - u_i and
     w - u_i + u_j, so an initial arrow survives iff alpha_i + u_i = 0, a
     final arrow iff beta_i = u_i, and an arc i -> j of weight w iff
-    w + u_j = u_i.  Same language as _zero_filter(_fatou_trimmed(trim, u)).
+    w + u_j = u_i.  On the Fatou form these are exactly the weight-0 arrows
+    and arcs, so the NFA accepts exactly the words with coefficient 0.
     """
     alpha, beta = trim.alpha, trim.beta
     initial = _mask(i for i, w in enumerate(alpha) if w is not None and w + u[i] == 0)
@@ -410,72 +394,21 @@ def _zero_masks(trim: WeightedAutomaton, u: list) -> _MaskNfa:
 
 
 # ---------------------------------------------------------------------------
-# Boolean transition monoid.
-# ---------------------------------------------------------------------------
-
-
-def _bool_matrix(nfa: BooleanAutomaton, ch: str) -> tuple:
-    return tuple(
-        sum(1 << j for j in nfa.moves(i, ch)) for i in range(nfa.n)
-    )
-
-
-def _bool_mul(a: tuple, b: tuple) -> tuple:
-    out = []
-    for bits in a:
-        acc = 0
-        while bits:
-            low = bits & -bits
-            acc |= b[low.bit_length() - 1]
-            bits ^= low
-        out.append(acc)
-    return tuple(out)
-
-
-def boolean_monoid_closure(nfa: BooleanAutomaton, cap: int = DEFAULT_MONOID_CAP) -> dict:
-    """The transition monoid {matrix of w : w word}, identity included.
-
-    Matrices are tuples of row bitmasks.  Returns a dict matrix -> shortest
-    witness word, in breadth-first (length-lex) discovery order.  Raises
-    CapExceededError when more than ``cap`` distinct matrices appear; the
-    monoid can hold up to 2^(n^2) elements.
-    """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    generators = [(ch, _bool_matrix(nfa, ch)) for ch in nfa.alphabet]
-    identity = tuple(1 << i for i in range(nfa.n))
-    closure = {identity: ""}
-    queue = deque([identity])
-    while queue:
-        mat = queue.popleft()
-        word = closure[mat]
-        for ch, gen in generators:
-            product = _bool_mul(mat, gen)
-            if product not in closure:
-                if len(closure) >= cap:
-                    raise CapExceededError("boolean monoid closure", cap)
-                closure[product] = word + ch
-                queue.append(product)
-    return closure
-
-
-def _matrix_accepts(mat: tuple, initial, final_mask: int) -> bool:
-    return any(mat[i] & final_mask for i in initial)
-
-
-# ---------------------------------------------------------------------------
 # Constant-series tests.
 # ---------------------------------------------------------------------------
 
 
 def decide_equal_const(
-    aut: WeightedAutomaton, const, monoid_cap: int = DEFAULT_MONOID_CAP
+    aut: WeightedAutomaton, const, subset_cap: int = DEFAULT_SUBSET_CAP
 ) -> Decision:
     """Decide whether every word (all of Sigma*) has coefficient exactly ``const``.
 
-    Shifts the series by -const, requires nonpositivity, Fatou-normalizes,
-    keeps only weight-0 arrows, and then checks that every matrix of the
-    Boolean transition monoid maps some initial state into a final one.
+    Shifts the series by -const and requires nonpositivity; then every word
+    has value const iff the zero filter read off the potential is universal.
+    The subsets of the filter that the words reach are explored breadth-first
+    in alphabet order until one holds no final state, so the witness is the
+    length-lex-first word of another value (or of no value).  Raises
+    CapExceededError when more than ``subset_cap`` subsets appear.
     """
     _require_max_plus(aut, "decide_equal_const")
     if not is_rational(const):
@@ -484,13 +417,23 @@ def decide_equal_const(
     verdict, u = _nonpositive_trimmed(trim)
     if not verdict.holds:
         return verdict
-    filtered = _zero_filter(_fatou_trimmed(trim, u))
-    final_mask = sum(1 << j for j in filtered.final)
-    initial = sorted(filtered.initial)
-    for mat, word in boolean_monoid_closure(filtered, monoid_cap).items():
-        if not _matrix_accepts(mat, initial, final_mask):
-            return Decision(False, word)
-    return Decision(True, None)
+    zero = _zero_masks(trim, u)
+    final, succ = zero.final, zero.succ
+
+    def step(mask, ch):
+        return _post(mask, succ[ch])
+
+    _, parents, _, hit = _explore(
+        zero.initial,
+        trim.alphabet,
+        step,
+        stop=lambda mask: not mask & final,
+        cap=subset_cap,
+        what="universality check",
+    )
+    if hit is None:
+        return Decision(True, None)
+    return Decision(False, _path_word(parents, hit))
 
 
 def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
@@ -645,10 +588,8 @@ def decide_series_leq(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decis
 
 __all__ = [
     "Decision",
-    "DEFAULT_MONOID_CAP",
     "decide_nonpositive",
     "fatou_normalize",
-    "boolean_monoid_closure",
     "decide_equal_const",
     "decide_equal_const_on_support",
     "nfa_equivalence",

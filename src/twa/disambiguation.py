@@ -9,6 +9,11 @@ series value, so the result is 1-valued.  Second, tensoring a 1-valued
 automaton with the determinization of its own support (the subset covering)
 and deleting competing arcs leaves at most one successful path per word
 without changing the series.
+
+Both halves run on the shared engines of ``twa.automaton``: the accessible
+product and the breadth-first bitmask subset exploration, whose cap
+``DEFAULT_SUBSET_CAP`` bounds the subsets of the covering.  The weights stay
+scalar max-plus throughout; no semiring of weight pairs is involved.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automaton import (
+    DEFAULT_SUBSET_CAP,
     BooleanAutomaton,
     WeightedAutomaton,
-    _accessible_product,
     _bits,
     _explore,
     _post,
@@ -30,27 +35,8 @@ from .errors import (
     NotNonpositiveError,
     TagMismatchError,
 )
-from .semiring import MAX_PLUS, MAX_PLUS_PAIR
+from .semiring import MAX_PLUS
 from .spectral import TropicalMatrix
-
-DEFAULT_SUBSET_CAP = 1_000_000
-
-
-def pair_product(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
-    """Product automaton over the doubled max-plus semiring.
-
-    State (p,q) carries arcs weighted (w, w + w') where w is a's arc weight
-    and w' is b's; arrows combine the same way.  Arcs exist only when both
-    sides are finite, so the first coordinate evaluates to a's series and the
-    second to the pointwise product of both series, on the intersection of
-    the supports.  Only the pairs reachable from an initial pair are built,
-    numbered in (p, q) order, so the result has at most a.n * b.n states.
-    """
-    if a.semiring.tag != "max-plus" or b.semiring.tag != "max-plus":
-        raise TagMismatchError("pair_product requires two max-plus automata")
-    if a.alphabet != b.alphabet:
-        raise AlphabetError("pair_product requires identical alphabets")
-    return _accessible_product(a, b, MAX_PLUS_PAIR, lambda w1, w2: (w1, w1 + w2))[0]
 
 
 def extract_one_valued(
@@ -278,7 +264,6 @@ def unambiguous_from_pair(
 __all__ = [
     "Covering",
     "DEFAULT_SUBSET_CAP",
-    "pair_product",
     "extract_one_valued",
     "determinize",
     "covering",

@@ -44,7 +44,11 @@ class NotEqualError(TwaError):
 
 
 class CapExceededError(TwaError):
-    """A configurable resource cap (monoid closure, subset construction) was hit."""
+    """A configurable resource cap was hit: more subsets appeared than the cap allows.
+
+    Every subset exploration (the all-words constant test, determinization,
+    the covering) takes a cap; ``what`` names the exploration.
+    """
 
     def __init__(self, what: str, cap: int):
         super().__init__(f"{what} exceeded cap of {cap}")

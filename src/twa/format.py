@@ -1,12 +1,12 @@
 """The `.twa` text format for weighted automata.
 
 Line-oriented UTF-8 with `#` comments.  Weights use the shared literal syntax
-(integer, `p/q`, or decimal with at most nine fractional digits; pair weights
-are `w1,w2`).  The semiring zero is never written: an absent arc or arrow is
-the zero.  Example:
+(integer, `p/q`, or decimal with at most nine fractional digits); state
+counts and indices are integers.  Digits are ASCII only.  The semiring zero
+is never written: an absent arc or arrow is the zero.  Example:
 
     twa 1
-    semiring max-plus        # or: min-plus | max-plus-pair
+    semiring max-plus        # or: min-plus
     alphabet a b
     states 2
     initial 0 0
@@ -23,14 +23,17 @@ only as comments; parsing does not restore them.
 
 from __future__ import annotations
 
+import re
+
 from .automaton import WeightedAutomaton, _valid_symbol
 from .errors import FormatError
-from .semiring import format_weight, parse_weight
+from .semiring import format_finite, parse_finite
 
 MAGIC = "twa"
 VERSION = "1"
 
-_FILE_TAGS = ("max-plus", "min-plus", "max-plus-pair")
+_FILE_TAGS = ("max-plus", "min-plus")
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 def parse(text: str) -> WeightedAutomaton:
@@ -47,10 +50,9 @@ def parse(text: str) -> WeightedAutomaton:
         raise FormatError(msg, line=lineno)
 
     def want_int(tok: str, what: str, lineno: int) -> int:
-        try:
-            return int(tok)
-        except ValueError:
+        if not _INT_RE.match(tok):
             fail(f"{what} must be an integer, got {tok!r}", lineno)
+        return int(tok)
 
     def want_state(tok: str, lineno: int) -> int:
         s = want_int(tok, "state", lineno)
@@ -64,7 +66,7 @@ def parse(text: str) -> WeightedAutomaton:
         if semiring is None:
             fail("missing `semiring` header before arc lines", lineno)
         try:
-            return parse_weight(tok, semiring)
+            return parse_finite(tok)
         except FormatError as exc:
             fail(str(exc), lineno)
 
@@ -166,15 +168,15 @@ def serialize(aut: WeightedAutomaton) -> str:
             lines.append(f"# {i}: {label}")
     for i, w in enumerate(aut.alpha):
         if w is not None:
-            lines.append(f"initial {i} {format_weight(w, tag)}")
+            lines.append(f"initial {i} {format_finite(w)}")
     for i, w in enumerate(aut.beta):
         if w is not None:
-            lines.append(f"final {i} {format_weight(w, tag)}")
+            lines.append(f"final {i} {format_finite(w)}")
     for src in range(aut.n):
         for ch in aut.alphabet:
             row: dict = aut.mu[ch].rows[src]
             for dst in sorted(row):
-                lines.append(f"trans {src} {dst} {ch} {format_weight(row[dst], tag)}")
+                lines.append(f"trans {src} {dst} {ch} {format_finite(row[dst])}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,10 @@
 """Exact scalar arithmetic for the tropical semirings.
 
-Finite weights are exact rationals stored as plain ``int`` or
-``fractions.Fraction``; the semiring zero carries no value and is represented
-by ``None`` everywhere (an absent arc *is* the zero weight).  Weights of the
-pair semiring are 2-tuples whose components are both finite, or ``None`` for
-the pair zero; a half-infinite pair is not representable on purpose.
+Three tags exist: max-plus, min-plus and the Boolean semiring (the {zero, 0}
+subsemiring of max-plus).  All are scalar: finite weights are exact rationals
+stored as plain ``int`` or ``fractions.Fraction``; the semiring zero carries
+no value and is represented by ``None`` everywhere (an absent arc *is* the
+zero weight).
 
 No floating point is used anywhere: comparisons against 0 made by the
 decision procedures are boundary-exact and would be corrupted by rounding.
@@ -19,7 +19,6 @@ from .errors import FormatError, TagMismatchError
 
 Rational = int | Fraction
 Weight = Rational | None
-PairWeight = tuple[Rational, Rational] | None
 
 
 def as_value(x: Rational) -> Rational:
@@ -93,40 +92,11 @@ class _Boolean(_MaxPlus):
     tag = "boolean"
 
 
-class _MaxPlusPair(Semiring):
-    tag = "max-plus-pair"
-    one = (0, 0)
-
-    def plus(self, x, y):
-        if x is None:
-            return y
-        if y is None:
-            return x
-        return (
-            x[0] if x[0] >= y[0] else y[0],
-            x[1] if x[1] >= y[1] else y[1],
-        )
-
-    def times(self, x, y):
-        if x is None or y is None:
-            return None
-        return (x[0] + y[0], x[1] + y[1])
-
-    def is_weight(self, x):
-        return x is None or (
-            type(x) is tuple
-            and len(x) == 2
-            and is_rational(x[0])
-            and is_rational(x[1])
-        )
-
-
 MAX_PLUS = _MaxPlus()
 MIN_PLUS = _MinPlus()
 BOOLEAN = _Boolean()
-MAX_PLUS_PAIR = _MaxPlusPair()
 
-SEMIRINGS = {s.tag: s for s in (MAX_PLUS, MIN_PLUS, BOOLEAN, MAX_PLUS_PAIR)}
+SEMIRINGS = {s.tag: s for s in (MAX_PLUS, MIN_PLUS, BOOLEAN)}
 
 
 def semiring_for(tag) -> Semiring:
@@ -139,23 +109,14 @@ def semiring_for(tag) -> Semiring:
         raise TagMismatchError(f"unknown semiring tag {tag!r}") from None
 
 
-_SCALAR_TAGS = ("max-plus", "min-plus", "boolean")
-
-
 def oplus(x: Weight, y: Weight, tag) -> Weight:
     """Semiring addition (max, min, or logical-or) with zero as neutral element."""
-    sr = semiring_for(tag)
-    if sr.tag not in _SCALAR_TAGS:
-        raise TagMismatchError(f"oplus is not defined for tag {sr.tag!r}")
-    return sr.plus(x, y)
+    return semiring_for(tag).plus(x, y)
 
 
 def otimes(x: Weight, y: Weight, tag) -> Weight:
     """Semiring multiplication (rational addition) with zero absorbing."""
-    sr = semiring_for(tag)
-    if sr.tag not in _SCALAR_TAGS:
-        raise TagMismatchError(f"otimes is not defined for tag {sr.tag!r}")
-    return sr.times(x, y)
+    return semiring_for(tag).times(x, y)
 
 
 def negate_weight(x: Weight) -> Weight:
@@ -177,11 +138,11 @@ def boolean_projection(x) -> Weight:
 #
 # Grammar (shared by the .twa file format and the command line): an optional
 # sign followed by an integer, a fraction `p/q`, or a decimal with at most
-# nine fractional digits.  Decimals are converted exactly.  There is no
-# literal for the semiring zero; absence denotes zero.
+# nine fractional digits.  Digits are ASCII only.  Decimals are converted
+# exactly.  There is no literal for the semiring zero; absence denotes zero.
 # ---------------------------------------------------------------------------
 
-_FINITE_RE = re.compile(r"[+-]?(?:\d+/\d+|\d+(?:\.\d{1,9})?)\Z")
+_FINITE_RE = re.compile(r"[+-]?(?:\d+/\d+|\d+(?:\.\d{1,9})?)\Z", re.ASCII)
 
 
 def parse_finite(text: str) -> Rational:
@@ -199,17 +160,6 @@ def parse_finite(text: str) -> Rational:
     return int(text)
 
 
-def parse_weight(text: str, tag) -> Rational | tuple[Rational, Rational]:
-    """Parse a (nonzero) weight literal for the given tag; pairs are `w1,w2`."""
-    sr = semiring_for(tag)
-    if sr.tag == "max-plus-pair":
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"pair weight must be `w1,w2`, got {text!r}")
-        return (parse_finite(parts[0]), parse_finite(parts[1]))
-    return parse_finite(text)
-
-
 def format_finite(value: Rational) -> str:
     """Canonical text for a finite scalar weight: integer or `p/q` in lowest terms."""
     if isinstance(value, Fraction):
@@ -217,11 +167,3 @@ def format_finite(value: Rational) -> str:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     return str(value)
-
-
-def format_weight(value, tag) -> str:
-    """Canonical text for a (nonzero) weight of the given tag."""
-    sr = semiring_for(tag)
-    if sr.tag == "max-plus-pair":
-        return f"{format_finite(value[0])},{format_finite(value[1])}"
-    return format_finite(value)

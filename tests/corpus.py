@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from twa import MAX_PLUS, MIN_PLUS, TropicalMatrix, WeightedAutomaton
+from twa import MAX_PLUS, MIN_PLUS, BooleanAutomaton, TropicalMatrix, WeightedAutomaton
 
 
 def random_weight(rng, lo=-5, hi=5, zero_p=0.4, frac_p=0.0):
@@ -81,6 +81,48 @@ def random_deterministic_automaton(
     )
 
 
+def grid_product(a, b, semiring, combine):
+    """Reference: the full a.n * b.n grid, pair (p, q) at index p * b.n + q."""
+    bn = b.n
+    grid = [(p, q) for p in range(a.n) for q in range(bn)]
+
+    def arrows(va, vb):
+        return [
+            None if va[p] is None or vb[q] is None else combine(va[p], vb[q])
+            for p, q in grid
+        ]
+
+    mu = {
+        ch: TropicalMatrix(semiring, len(grid), [
+            {
+                r * bn + s: combine(w1, w2)
+                for r, w1 in a.mu[ch].rows[p].items()
+                for s, w2 in b.mu[ch].rows[q].items()
+            }
+            for p, q in grid
+        ])
+        for ch in a.alphabet
+    }
+    labels = [f"({a.state_label(p)},{b.state_label(q)})" for p, q in grid]
+    alpha, beta = arrows(a.alpha, b.alpha), arrows(a.beta, b.beta)
+    return WeightedAutomaton(semiring, a.alphabet, len(grid), alpha, beta, mu, labels)
+
+
+def zero_filter(aut):
+    """The NFA of the weight-0 arrows and arcs of a nonpositively weighted automaton."""
+    delta = {}
+    for ch, mat in aut.mu.items():
+        for i, row in enumerate(mat.rows):
+            delta[(i, ch)] = {j for j, w in row.items() if w == 0}
+    return BooleanAutomaton(
+        aut.alphabet,
+        aut.n,
+        {i for i, w in enumerate(aut.alpha) if w == 0},
+        {i for i, w in enumerate(aut.beta) if w == 0},
+        delta,
+    )
+
+
 def as_min_plus_copy(aut):
     """The same data read as a min-plus automaton.
 
@@ -119,13 +161,13 @@ def random_trim_nonpositive(rng, decide, max_states=4, alphabet="ab", tries=2000
 
 
 @st.composite
-def automata(draw, tag, max_states=6, alphabet="ab"):
+def automata(draw, tag, max_states=6, alphabet="ab", weight=st.integers(-5, 5)):
     """Hypothesis strategy: an automaton with 0..max_states states and integer weights.
 
-    Not necessarily trim; every arrow and arc is drawn independently.
+    Not necessarily trim; every arrow and arc is drawn independently, each
+    weight from ``weight``.
     """
     n = draw(st.integers(0, max_states))
-    weight = st.integers(-5, 5)
     alpha = draw(st.lists(st.none() | weight, min_size=n, max_size=n))
     beta = draw(st.lists(st.none() | weight, min_size=n, max_size=n))
     arcs = {}

@@ -1,0 +1,51 @@
+"""The public API: what each module exports, and what was removed from it."""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+
+import pytest
+
+import twa
+
+MODULES = sorted(
+    f"twa.{info.name}" for info in pkgutil.iter_modules(twa.__path__) if not info.name.startswith("_")
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    for export in getattr(module, "__all__", ()):
+        assert hasattr(module, export), f"{name}.__all__ names missing {export!r}"
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse(pathlib.Path(twa.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert len(twa.__all__) == len(set(twa.__all__))
+    assert set(twa.__all__) == imported
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "boolean_monoid_closure",
+        "pair_product",
+        "MAX_PLUS_PAIR",
+        "DEFAULT_MONOID_CAP",
+        "parse_weight",
+        "format_weight",
+    ],
+)
+def test_retired_names_are_gone(name):
+    assert name not in twa.__all__
+    for module in ["twa", *MODULES]:
+        assert not hasattr(importlib.import_module(module), name), module

@@ -1,5 +1,6 @@
 """Automaton operations: evaluation, trim, support, products, negation."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -7,19 +8,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corpus import automata, random_automaton
+from corpus import automata, grid_product, random_automaton
 from twa import (
+    BOOLEAN,
     MAX_PLUS,
-    MAX_PLUS_PAIR,
     MIN_PLUS,
     AlphabetError,
     TagMismatchError,
     TropicalMatrix,
     WeightedAutomaton,
     hadamard,
-    pair_product,
     zoo,
 )
+from twa.automaton import _accessible_product
 from twa.oracle import eval_bruteforce, words_upto
 from twa.spectral import mat_add
 
@@ -161,33 +162,6 @@ def test_hadamard_rejects_mismatches(pair):
 # -- products build only reachable pairs ------------------------------------
 
 
-def grid_product(a, b, semiring, combine):
-    """Reference: the full a.n * b.n grid, pair (p, q) at index p * b.n + q."""
-    bn = b.n
-    grid = [(p, q) for p in range(a.n) for q in range(bn)]
-
-    def arrows(va, vb):
-        return [
-            None if va[p] is None or vb[q] is None else combine(va[p], vb[q])
-            for p, q in grid
-        ]
-
-    mu = {
-        ch: TropicalMatrix(semiring, len(grid), [
-            {
-                r * bn + s: combine(w1, w2)
-                for r, w1 in a.mu[ch].rows[p].items()
-                for s, w2 in b.mu[ch].rows[q].items()
-            }
-            for p, q in grid
-        ])
-        for ch in a.alphabet
-    }
-    labels = [f"({a.state_label(p)},{b.state_label(q)})" for p, q in grid]
-    alpha, beta = arrows(a.alpha, b.alpha), arrows(a.beta, b.beta)
-    return WeightedAutomaton(semiring, a.alphabet, len(grid), alpha, beta, mu, labels)
-
-
 def reachable(aut):
     """The states reachable from an initial arrow."""
     seen = {i for i, w in enumerate(aut.alpha) if w is not None}
@@ -220,14 +194,19 @@ def test_hadamard_is_the_accessible_part_of_the_grid(ab):
     )
 
 
-@given(automata(MAX_PLUS), automata(MAX_PLUS))
-def test_pair_product_is_the_accessible_part_of_the_grid(a, b):
+def difference_product(a, b):
+    """The product of the equality kernel: each weight is a's minus b's."""
+    return _accessible_product(a, b, MAX_PLUS, operator.sub)[0]
+
+
+@given(automata(MAX_PLUS), automata(MIN_PLUS))
+def test_difference_product_is_the_accessible_part_of_the_grid(a, b):
     assert_accessible_part_of_grid(
-        pair_product(a, b), grid_product(a, b, MAX_PLUS_PAIR, lambda x, y: (x, x + y))
+        difference_product(a, b), grid_product(a, b, MAX_PLUS, operator.sub)
     )
 
 
-@pytest.mark.parametrize("product", [hadamard, pair_product])
+@pytest.mark.parametrize("product", [hadamard, difference_product], ids=["hadamard", "difference"])
 def test_products_skip_unreachable_pairs(product):
     # from (0,0), a 2-cycle and a 4-cycle in lockstep reach 4 of the 8 pairs
     a = zoo.divisibility_series(2, 1, MAX_PLUS)
@@ -327,10 +306,15 @@ def test_trim_keeps_the_useful_states_in_order(aut):
 
 
 def test_letter_sum_rejects_pair_tag(pair):
-    amax, bmin = pair
-    p = pair_product(amax, bmin.negate())
+    amax, _ = pair
+    boolean = WeightedAutomaton.from_arcs(
+        BOOLEAN, amax.alphabet, amax.n,
+        initial=[(i, 0) for i, w in enumerate(amax.alpha) if w is not None],
+        final=[(i, 0) for i, w in enumerate(amax.beta) if w is not None],
+        arcs=[(src, ch, dst, 0) for src, ch, dst, _ in amax.arcs()],
+    )
     with pytest.raises(TagMismatchError):
-        p.letter_sum()
+        boolean.letter_sum()
 
 
 def test_constructor_validates():

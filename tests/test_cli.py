@@ -227,7 +227,8 @@ def test_pipeline_subset_cap_exit_code(capsys):
 
 
 def test_monoid_cap_exit_code(capsys, tmp_path):
-    # constant series whose transition monoid is a nontrivial permutation group
+    # a constant series: the all-words test explores the subsets {0} and {1},
+    # more than the cap of 1
     path = tmp_path / "swap.twa"
     path.write_text(
         "twa 1\nsemiring max-plus\nalphabet a b\nstates 2\n"
@@ -261,6 +262,17 @@ def test_missing_file_exit_code(capsys):
     assert "error:" in err
 
 
+def test_non_ascii_digits_are_usage_errors(capsys, tmp_path):
+    path = tmp_path / "wide.twa"
+    path.write_text("twa 1\nsemiring max-plus\nalphabet a\nstates \uff13\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", str(path), "a")
+    assert (code, out) == (2, "")
+    assert "line 4" in err
+    code, out, err = run(capsys, "equal-const", "1.\uff15", AMAX)
+    assert (code, out) == (2, "")
+    assert "bad weight literal" in err
+
+
 def test_bad_format_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.twa"
     path.write_text("twa 1\nsemiring max-plus\nalphabet a\nstates 1\ntrans 0 5 a 1\n")
@@ -287,8 +299,8 @@ def test_stdout_serialization_matches_library(capsys):
 
 
 def test_nonpositive_caps_and_negative_lengths_are_usage_errors(capsys, tmp_path):
-    # a constant series: without the check, cap 0 reached the monoid closure
-    # and ended in a ValueError traceback, and negative caps and lengths ran
+    # a constant series, so its all-words test explores subsets: caps and
+    # lengths out of range are usage errors, not tracebacks or runs
     path = tmp_path / "swap.twa"
     path.write_text(
         "twa 1\nsemiring max-plus\nalphabet a b\nstates 2\n"

@@ -1,6 +1,7 @@
 """Decision procedures: nonpositivity, renormalization, constant tests, equality."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from corpus import (
     random_automaton,
     random_deterministic_automaton,
     random_trim_nonpositive,
+    zero_filter,
 )
 from twa import (
     MAX_PLUS,
@@ -25,7 +27,6 @@ from twa import (
     TagMismatchError,
     TropicalMatrix,
     WeightedAutomaton,
-    boolean_monoid_closure,
     decide_equal_const,
     decide_equal_const_on_support,
     decide_nonpositive,
@@ -40,13 +41,7 @@ from twa import (
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import (
-    _backtrack_word,
-    _matrix_accepts,
-    _pumped_witness,
-    _shift_final,
-    _zero_filter,
-)
+from twa.decisions import _backtrack_word, _pumped_witness, _shift_final
 from twa.oracle import equal_upto, eval_bruteforce, words_upto
 from twa.spectral import vec_mat
 
@@ -246,48 +241,130 @@ def _reference_fatou(trim):
     )
 
 
-def _reference_equal_const(aut, const, cap):
+# -- the reference for the all-words test: the Boolean transition monoid -----
+
+
+def _bool_mul(a, b):
+    out = []
+    for bits in a:
+        acc = 0
+        while bits:
+            low = bits & -bits
+            acc |= b[low.bit_length() - 1]
+            bits ^= low
+        out.append(acc)
+    return tuple(out)
+
+
+def boolean_monoid_closure(nfa, cap=None):
+    """The transition monoid {matrix of w : w word}, identity included.
+
+    Matrices are tuples of row bitmasks.  Returns a dict matrix -> shortest
+    word, in breadth-first (length-lex) discovery order.  Raises
+    CapExceededError when more than ``cap`` distinct matrices appear.
+    """
+    generators = [
+        (ch, tuple(sum(1 << j for j in nfa.delta.get((i, ch), ())) for i in range(nfa.n)))
+        for ch in nfa.alphabet
+    ]
+    identity = tuple(1 << i for i in range(nfa.n))
+    closure = {identity: ""}
+    queue = deque([identity])
+    while queue:
+        mat = queue.popleft()
+        word = closure[mat]
+        for ch, gen in generators:
+            product = _bool_mul(mat, gen)
+            if product not in closure:
+                if cap is not None and len(closure) >= cap:
+                    raise CapExceededError("boolean monoid closure", cap)
+                closure[product] = word + ch
+                queue.append(product)
+    return closure
+
+
+def _reference_equal_const(aut, const):
+    """Every matrix of the zero filter's monoid must map an initial state to a final one.
+
+    An independent check of the subset exploration: the first matrix in
+    discovery order that rejects carries the length-lex-first rejected word.
+    """
     trim = _shift_final(aut, -const).trim()
     verdict = _reference_nonpositive(trim)
     if not verdict.holds:
         return verdict
-    filtered = _zero_filter(_reference_fatou(trim))
+    filtered = zero_filter(_reference_fatou(trim))
     final_mask = sum(1 << j for j in filtered.final)
-    initial = sorted(filtered.initial)
-    for mat, word in boolean_monoid_closure(filtered, cap).items():
-        if not _matrix_accepts(mat, initial, final_mask):
+    for mat, word in boolean_monoid_closure(filtered).items():
+        if not any(mat[i] & final_mask for i in filtered.initial):
             return Decision(False, word)
     return Decision(True, None)
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except CapExceededError:
-        return "cap"
+def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference():
+    kinds = set()
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        # lowering the final arrows by up to 8 makes both verdicts common
+        st.tuples(automata(MAX_PLUS), st.integers(-8, 2)),
+        # with weights in {-1, 0} the universality step decides the constant 0
+        st.tuples(automata(MAX_PLUS, weight=st.integers(-1, 0)), st.just(0)),
+    ))
+    def check(drawn):
+        aut, shift = drawn
+        aut = _shift_final(aut, shift)
+        trim = aut.trim()
+        expected = _reference_nonpositive(trim)
+        assert decide_nonpositive(aut) == expected
+        if expected.holds:
+            result = fatou_normalize(aut)
+            assert result == _reference_fatou(trim)
+            assert result.state_labels == trim.state_labels
+        else:
+            with pytest.raises(NotNonpositiveError) as err:
+                fatou_normalize(aut)
+            assert err.value.witness == expected.witness
+        empty = aut.eval("")
+        for const in {0, -1, 0 if empty is None else empty}:
+            reference = _reference_equal_const(aut, const)
+            assert decide_equal_const(aut, const) == reference
+            if reference.holds:
+                kinds.add("YES")
+            elif _reference_nonpositive(_shift_final(aut, -const).trim()).holds:
+                kinds.add("NO by universality")
+            else:
+                kinds.add("NO by nonpositivity")
+
+    check()
+    assert kinds == {"YES", "NO by nonpositivity", "NO by universality"}
 
 
-@settings(max_examples=300)
-@given(automata(MAX_PLUS), st.integers(-8, 2))
-def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference(aut, shift):
-    # lowering the final arrows by up to 8 makes both verdicts common
-    aut = _shift_final(aut, shift)
-    trim = aut.trim()
-    expected = _reference_nonpositive(trim)
-    assert decide_nonpositive(aut) == expected
-    if expected.holds:
-        result = fatou_normalize(aut)
-        assert result == _reference_fatou(trim)
-        assert result.state_labels == trim.state_labels
-    else:
-        with pytest.raises(NotNonpositiveError) as err:
-            fatou_normalize(aut)
-        assert err.value.witness == expected.witness
-    empty = aut.eval("")
-    for const in {0, -1, 0 if empty is None else empty}:
-        assert _outcome(decide_equal_const, aut, const, 5000) == _outcome(
-            _reference_equal_const, aut, const, 5000
-        )
+def permutation_automaton(k, lowered):
+    """Letters a (the transposition (0 1)) and b (the k-cycle) generate S_k.
+
+    Every word has one weight-0 path from state 0, to a final arrow of weight
+    3; the weight -1 arcs add only cheaper paths.  ``lowered`` drops the final
+    arrow of state 1 to 2.  Its transition monoid has k! elements, but the
+    subsets that words reach from state 0 are the k singletons.
+    """
+    arcs = [(i, "a", (1, 0)[i] if i < 2 else i, 0) for i in range(k)]
+    arcs += [(i, "b", (i + 1) % k, 0) for i in range(k)]
+    arcs += [(i, "b", (i + 2) % k, -1) for i in range(k)]
+    final = [(i, 2 if lowered and i == 1 else 3) for i in range(k)]
+    return WeightedAutomaton.from_arcs(
+        MAX_PLUS, "ab", k, initial=[(0, 0)], final=final, arcs=arcs
+    )
+
+
+def test_all_words_test_on_s10_explores_subsets_not_the_monoid():
+    # the transition monoid has 10! = 3,628,800 elements; the words reach 10 subsets
+    assert decide_equal_const(permutation_automaton(10, False), 3, subset_cap=100).holds
+    lowered = permutation_automaton(10, True)
+    verdict = decide_equal_const(lowered, 3, subset_cap=100)
+    assert not verdict.holds
+    assert lowered.eval(verdict.witness) != 3
+    assert verdict.witness == "a"
 
 
 def _raise(*args, **kwargs):
@@ -308,7 +385,7 @@ def test_positive_verdicts_skip_karp_and_the_profile_scan(monkeypatch, pair):
     assert unambiguous_from_pair(amax, bmin).n > 0
 
 
-# -- boolean monoid closure ---------------------------------------------------
+# -- the reference monoid closure ---------------------------------------------
 
 
 def _nfa(alphabet, n, initial, final, arcs):

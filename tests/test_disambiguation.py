@@ -1,4 +1,4 @@
-"""Pair product, one-valued extraction, covering, competition removal."""
+"""Difference product, one-valued extraction, covering, competition removal."""
 
 import itertools
 import random
@@ -8,18 +8,17 @@ import pytest
 from corpus import as_min_plus_copy, random_automaton, random_deterministic_automaton
 from twa import (
     MAX_PLUS,
-    MAX_PLUS_PAIR,
     BooleanAutomaton,
     CapExceededError,
     NotEqualError,
-    TropicalMatrix,
     WeightedAutomaton,
     covering,
     determinize,
     disambiguate,
     extract_one_valued,
+    fatou_normalize,
+    hadamard,
     nfa_equivalence,
-    pair_product,
     remove_competitions,
     unambiguous_from_pair,
     zoo,
@@ -28,7 +27,6 @@ from twa.oracle import (
     equal_upto,
     max_ambiguity_upto,
     one_valued_upto,
-    words_upto,
 )
 
 
@@ -56,31 +54,32 @@ def automata_isomorphic(a, b):
     return False
 
 
-# The 4-state product of the demo pair and the 1-valued automaton it filters
-# down to, both written out by hand from the construction rules.
-def expected_pair_product():
+# The 4-state difference product S - T of the demo pair and the 1-valued
+# automaton it filters down to, both written out by hand from the
+# construction rules.
+def expected_difference_product():
     return WeightedAutomaton.from_arcs(
-        MAX_PLUS_PAIR,
+        MAX_PLUS,
         "ab",
         4,  # 0=(A,A') 1=(A,B') 2=(B,A') 3=(B,B')
-        initial=[(0, (0, 0))],
-        final=[(0, (0, 0)), (2, (1, 1))],
+        initial=[(0, 0)],
+        final=[(0, 0), (2, 1)],
         arcs=[
-            (0, "a", 2, (1, -1)),
-            (0, "a", 3, (1, 0)),
-            (0, "b", 0, (1, 0)),
-            (1, "a", 2, (1, 0)),
-            (1, "b", 1, (1, -2)),
-            (2, "a", 0, (1, -1)),
-            (2, "a", 1, (1, 0)),
-            (2, "a", 2, (0, -2)),
-            (2, "a", 3, (0, -1)),
-            (2, "b", 0, (2, 1)),
-            (2, "b", 2, (1, 0)),
-            (3, "a", 0, (1, 0)),
-            (3, "a", 2, (0, -1)),
-            (3, "b", 1, (2, -1)),
-            (3, "b", 3, (1, -2)),
+            (0, "a", 2, -1),
+            (0, "a", 3, 0),
+            (0, "b", 0, 0),
+            (1, "a", 2, 0),
+            (1, "b", 1, -2),
+            (2, "a", 0, -1),
+            (2, "a", 1, 0),
+            (2, "a", 2, -2),
+            (2, "a", 3, -1),
+            (2, "b", 0, 1),
+            (2, "b", 2, 0),
+            (3, "a", 0, 0),
+            (3, "a", 2, -1),
+            (3, "b", 1, -1),
+            (3, "b", 3, -2),
         ],
     )
 
@@ -107,77 +106,17 @@ def expected_one_valued():
     )
 
 
-def test_pair_product_matches_hand_transcription(pair):
+def test_difference_product_matches_hand_transcription(pair):
     amax, bmin = pair
-    product = pair_product(amax, bmin.negate())
-    assert product.n == 4
-    expected = expected_pair_product()
+    product = hadamard(amax, bmin.negate())
     # state (p,q) lands at index p*2+q, so this is equality, not just isomorphism
-    assert product == expected
-
-
-def test_pair_product_with_trivial_second_factor(pair):
-    amax, _ = pair
-    one_state = WeightedAutomaton.from_arcs(
-        MAX_PLUS, "ab", 1, initial=[(0, 0)], final=[(0, 0)],
-        arcs=[(0, "a", 0, 0), (0, "b", 0, 0)],
-    )
-    product = pair_product(amax, one_state)
-    assert product.n == amax.n
-    for word in words_upto(amax.alphabet, 5):
-        value = amax.eval(word)
-        expected = None if value is None else (value, value)
-        assert product.eval(word) == expected
-
-
-def test_pair_product_projections_on_randoms():
-    rng = random.Random(5005)
-    for _ in range(25):
-        a = random_automaton(rng, max_states=3)
-        b = random_automaton(rng, max_states=3)
-        product = pair_product(a, b)
-        for word in words_upto(a.alphabet, 4):
-            got = product.eval(word)
-            va, vb = a.eval(word), b.eval(word)
-            if va is None or vb is None:
-                assert got is None
-            else:
-                assert got == (va, va + vb)
-
-
-def test_pair_product_second_coordinate_is_the_hadamard(pair):
-    from twa import hadamard
-
-    amax, bmin = pair
-    product = pair_product(amax, bmin.negate())
-    had = hadamard(amax, bmin.negate())
-    for word in words_upto(amax.alphabet, 6):
-        got = product.eval(word)
-        assert (None if got is None else got[1]) == had.eval(word)
+    assert product == expected_difference_product()
 
 
 def test_second_coordinate_renormalization_matches_hand_figures(pair):
-    # the renormalized second coordinates of the product: potentials are
-    # u = (0, 1, 1, 0), so arc 2->0 on a moves -1 -> -2 and 3->2 on a -1 -> 0
-    from twa import fatou_normalize
-
-    product = expected_pair_product()
-    second = WeightedAutomaton(
-        MAX_PLUS,
-        product.alphabet,
-        product.n,
-        [None if w is None else w[1] for w in product.alpha],
-        [None if w is None else w[1] for w in product.beta],
-        {
-            ch: TropicalMatrix(
-                MAX_PLUS,
-                product.n,
-                [{j: w[1] for j, w in row.items()} for row in mat.rows],
-            )
-            for ch, mat in product.mu.items()
-        },
-    )
-    flat = fatou_normalize(second)
+    # the renormalized difference product: potentials are u = (0, 1, 1, 0),
+    # so arc 2->0 on a moves -1 -> -2 and 3->2 on a -1 -> 0
+    flat = fatou_normalize(expected_difference_product())
     assert flat.mu["a"].entry(2, 0) == -2
     assert flat.mu["a"].entry(3, 2) == 0
     assert flat.beta == [0, None, 0, None]

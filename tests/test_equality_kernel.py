@@ -4,11 +4,12 @@ The series decisions, the 1-valued extraction and the pipeline share one
 difference product, one potential and one bitmask subset exploration.  These
 tests hold them to a reference copy of the separate path they replaced: the
 Hadamard product with the negated min-plus automaton and a frozenset NFA
-comparison for the decisions, the doubled-semiring pair product for the
-extraction, and the sort of every competing group for the one-pass
+comparison for the decisions, two full-grid products (the difference, and
+amax's own weights) for the extraction, and the sort of every competing group for the one-pass
 competition removal.
 """
 
+import operator
 from collections import deque
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import twa.automaton
 import twa.decisions
 import twa.disambiguation
-from corpus import as_min_plus_copy, automata
+from corpus import as_min_plus_copy, automata, grid_product, zero_filter
 from twa import (
     MAX_PLUS,
     MIN_PLUS,
@@ -30,6 +31,7 @@ from twa import (
     TropicalMatrix,
     WeightedAutomaton,
     covering,
+    decide_equal_const,
     decide_equal_const_on_support,
     decide_nonpositive,
     decide_series_equal,
@@ -42,7 +44,6 @@ from twa import (
     max_mean_cycle,
     nfa_equivalence,
     nfa_inclusion,
-    pair_product,
     remove_competitions,
     serialize,
     unambiguous_from_pair,
@@ -154,26 +155,12 @@ def ref_fatou(trim):
     )
 
 
-def ref_zero_filter(aut):
-    delta = {}
-    for ch, mat in aut.mu.items():
-        for i, row in enumerate(mat.rows):
-            delta[(i, ch)] = {j for j, w in row.items() if w == 0}
-    return BooleanAutomaton(
-        aut.alphabet,
-        aut.n,
-        {i for i, w in enumerate(aut.alpha) if w == 0},
-        {i for i, w in enumerate(aut.beta) if w == 0},
-        delta,
-    )
-
-
 def ref_const_on_support(aut):
     trim = aut.trim()
     verdict = ref_nonpositive(trim)
     if not verdict.holds:
         return verdict
-    return ref_nfa_compare(trim.support(), ref_zero_filter(ref_fatou(trim)), False)
+    return ref_nfa_compare(trim.support(), zero_filter(ref_fatou(trim)), False)
 
 
 def ref_series_equal(amax, bmin):
@@ -193,55 +180,50 @@ def ref_series_leq(amax, bmin):
 
 
 def ref_extract(amax, bmin, check):
-    """The pair-product extraction: renormalize the second coordinate, keep its zeros."""
+    """Renormalize the difference on the full grid, keep its zeros with amax's weights.
+
+    The difference S - T and amax's weights come from two full-grid products
+    of the same shape, never from the kernel, so trimming keeps the same
+    states of both.
+    """
     if check:
         verdict = ref_series_equal(amax, bmin)
         if not verdict.holds:
             raise NotEqualError(verdict.witness)
-    pair = pair_product(amax.trim(), bmin.trim().negate()).trim()
-    if pair.n == 0:
+    ta, negated = amax.trim(), bmin.trim().negate()
+    difference = grid_product(ta, negated, MAX_PLUS, operator.add).trim()
+    weights = grid_product(ta, negated, MAX_PLUS, lambda x, y: x).trim()
+    if difference.n == 0:
         return WeightedAutomaton(
             MAX_PLUS, amax.alphabet, 0, [], [], {ch: TropicalMatrix(MAX_PLUS, 0) for ch in amax.alphabet}
         )
-    second = WeightedAutomaton(
-        MAX_PLUS,
-        pair.alphabet,
-        pair.n,
-        [None if w is None else w[1] for w in pair.alpha],
-        [None if w is None else w[1] for w in pair.beta],
-        {
-            ch: TropicalMatrix(MAX_PLUS, pair.n, [{j: w[1] for j, w in row.items()} for row in mat.rows])
-            for ch, mat in pair.mu.items()
-        },
-        pair.state_labels,
-    )
-    verdict = ref_nonpositive(second)
+    verdict = ref_nonpositive(difference)
     if not verdict.holds:
         raise NotNonpositiveError(verdict.witness)
-    flat = ref_fatou(second)
+    flat = ref_fatou(difference)
     mu = {
         ch: TropicalMatrix(
             MAX_PLUS,
-            pair.n,
+            difference.n,
             [
-                {j: pair.mu[ch].rows[i][j][0] for j, w in row.items() if w == 0}
+                {j: weights.mu[ch].rows[i][j] for j, w in row.items() if w == 0}
                 for i, row in enumerate(flat.mu[ch].rows)
             ],
         )
-        for ch in pair.alphabet
+        for ch in difference.alphabet
     }
 
     def keep(vec, flat_vec):
-        return [None if w is None or f != 0 else w[0] for w, f in zip(vec, flat_vec)]
+        return [None if f != 0 else w for w, f in zip(vec, flat_vec)]
 
     return WeightedAutomaton(
         MAX_PLUS,
-        pair.alphabet,
-        pair.n,
-        keep(pair.alpha, flat.alpha),
-        keep(pair.beta, flat.beta),
+        difference.alphabet,
+        difference.n,
+        keep(weights.alpha, flat.alpha),
+        keep(weights.beta, flat.beta),
         mu,
-        pair.state_labels,
+        difference.state_labels,
     ).trim()
 
 
@@ -514,8 +496,6 @@ def test_pipeline_builds_one_product_and_relaxes_once(monkeypatch, pair):
     for module in (twa.automaton, twa.decisions):
         monkeypatch.setattr(module, "_accessible_product", counted_product)
     monkeypatch.setattr(twa.decisions, "_star_rounds", counted_rounds)
-    monkeypatch.setattr(twa.disambiguation, "pair_product", _raise)
-    monkeypatch.setattr(twa.decisions, "_zero_filter", _raise)
     monkeypatch.setattr(twa.decisions, "nfa_equivalence", _raise)
     assert serialize(unambiguous_from_pair(amax, bmin)) == expected
     assert (len(products), len(relaxations)) == (1, 1)
@@ -602,3 +582,29 @@ def test_determinize_and_covering_match_frozenset_subsets(aut, cap):
             determinize(nfa, cap)
     else:
         assert determinize(nfa, cap) == expected
+
+
+def _one_state_loop(tag):
+    return WeightedAutomaton.from_arcs(
+        tag, "ab", 1, initial=[(0, 0)], final=[(0, 0)], arcs=[(0, "a", 0, 0), (0, "b", 0, 0)]
+    )
+
+
+CAPPED = {
+    "decide_equal_const": lambda cap: decide_equal_const(_one_state_loop(MAX_PLUS), 0, cap),
+    "determinize": lambda cap: determinize(_one_state_loop(MAX_PLUS).support(), cap),
+    "covering": lambda cap: covering(_one_state_loop(MAX_PLUS), cap),
+    "disambiguate": lambda cap: disambiguate(_one_state_loop(MAX_PLUS), cap),
+    "unambiguous_from_pair": lambda cap: unambiguous_from_pair(
+        _one_state_loop(MAX_PLUS), _one_state_loop(MIN_PLUS), subset_cap=cap
+    ),
+}
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("entry", sorted(CAPPED))
+def test_caps_below_one_are_rejected_by_every_exploration(entry, cap):
+    # each input reaches one subset, so a cap that is not checked goes unnoticed
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        CAPPED[entry](cap)
+    CAPPED[entry](1)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import random_automaton
-from twa import FormatError, MAX_PLUS_PAIR, WeightedAutomaton, pair_product, zoo
+from twa import FormatError, zoo
 from twa.format import parse, serialize
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -50,18 +50,6 @@ final 0 0
     assert "trans 0 1 a 1/2" in text
     assert "initial 0 1/2" in text
     assert parse(text) == aut
-
-
-def test_pair_weights_roundtrip():
-    amax, bmin = zoo.sample_equivalent_pair()
-    pair = pair_product(amax, bmin.negate())
-    text = serialize(pair)
-    assert "semiring max-plus-pair" in text
-    again = parse(text)
-    assert again.semiring is MAX_PLUS_PAIR
-    assert again == WeightedAutomaton(
-        pair.semiring, pair.alphabet, pair.n, pair.alpha, pair.beta, pair.mu
-    )
 
 
 def test_state_labels_survive_as_comments_only():
@@ -141,12 +129,32 @@ def test_boolean_semiring_has_no_file_form():
     _expect_error("twa 1\nsemiring boolean\nalphabet a\nstates 1\n", "unsupported semiring")
 
 
+def test_pair_semiring_has_no_file_form():
+    _expect_error(
+        "twa 1\nsemiring max-plus-pair\nalphabet a\nstates 1\n", "unsupported semiring", line=2
+    )
+
+
 def test_bad_weight_literal_reports_line():
     _expect_error(
         "twa 1\nsemiring max-plus\nalphabet a\nstates 1\ninitial 0 1.0000000001\n",
         "bad weight literal",
         line=5,
     )
+
+
+@pytest.mark.parametrize(
+    "line, fragment, lineno",
+    [
+        ("states 1_0", "state count must be an integer", 4),
+        ("states \uff13", "state count must be an integer", 4),  # fullwidth three
+        ("states 2\ninitial \u0661 0", "state must be an integer", 5),  # Arabic-Indic one
+        ("states 2\ninitial 0 1.\uff15", "bad weight literal", 5),  # fullwidth five
+    ],
+    ids=["underscore", "fullwidth-count", "arabic-indic-state", "fullwidth-weight"],
+)
+def test_integers_and_weights_take_ascii_digits_only(line, fragment, lineno):
+    _expect_error(f"twa 1\nsemiring max-plus\nalphabet a\n{line}\n", fragment, line=lineno)
 
 
 def test_pair_weight_in_scalar_file_fails():
