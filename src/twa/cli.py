@@ -9,11 +9,15 @@ Decision subcommands insist on the tag that makes the question well-posed;
 too and answer the mirrored question through the negation isomorphism (for a
 min-plus series, `check-nonpositive` decides "every coefficient >= 0", `rho`
 reports the minimal cycle mean).
+
+The argument parser is built on the first ``main`` call, not at import, and
+reused by every later call in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import format as twa_format
@@ -226,7 +230,13 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones.
+
+    Parsing leaves a parser unchanged (each call fills a fresh namespace), so
+    one tree serves every ``main`` call of a process.
+    """
     parser = argparse.ArgumentParser(
         prog="twa",
         description="Weighted automata over tropical semirings with exact rational weights.",

@@ -18,7 +18,10 @@ is never written: an absent arc or arrow is the zero.  Example:
 `serialize` emits a canonical ordering (header, initial/final by state,
 transitions by source state, then letter in alphabet order, then target), so
 serialize(parse(text)) is a canonical form of `text`.  State labels survive
-only as comments; parsing does not restore them.
+only as `# i: label` comments, with the characters `str.splitlines` breaks on
+written as backslash escapes (`\n`, `\x85`, `\u2028`, ...) so that each
+label stays on its line; parsing does not restore them.  `load` reports a
+file that is not UTF-8 as a FormatError, like any other malformed input.
 """
 
 from __future__ import annotations
@@ -27,24 +30,36 @@ import re
 
 from .automaton import WeightedAutomaton, _valid_symbol
 from .errors import FormatError
-from .semiring import format_finite, parse_finite
+from .semiring import format_finite, parse_finite, semiring_for
+from .spectral import TropicalMatrix
 
 MAGIC = "twa"
 VERSION = "1"
 
 _FILE_TAGS = ("max-plus", "min-plus")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+# The characters str.splitlines breaks on, each mapped to its backslash escape.
+_ESCAPE_BREAKS = {
+    ord(c): c.encode("unicode_escape").decode("ascii")
+    for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+}
 
 
 def parse(text: str) -> WeightedAutomaton:
-    """Parse `.twa` text; raises FormatError with a line number on bad input."""
+    """Parse `.twa` text; raises FormatError with a line number on bad input.
+
+    Each distinct state token and weight literal is checked once per call,
+    and each arc goes straight into its row; rows list their targets in
+    increasing order whatever the order of the lines.
+    """
     semiring = None
     alphabet = None
     n = None
     magic_seen = False
-    initial: dict[int, object] = {}
-    final: dict[int, object] = {}
-    arcs: dict[tuple[int, str, int], object] = {}
+    alpha = beta = rows = None
+    unsorted = False
+    states: dict[str, int] = {}  # token -> state index, checked
+    weights: dict[str, object] = {}  # literal -> weight, checked
 
     def fail(msg: str, lineno: int):
         raise FormatError(msg, line=lineno)
@@ -55,33 +70,66 @@ def parse(text: str) -> WeightedAutomaton:
         return int(tok)
 
     def want_state(tok: str, lineno: int) -> int:
-        s = want_int(tok, "state", lineno)
-        if n is None:
-            fail("states line must appear before arc lines", lineno)
-        if not 0 <= s < n:
-            fail(f"state {s} out of range (states {n})", lineno)
+        s = states.get(tok)
+        if s is None:
+            s = want_int(tok, "state", lineno)
+            if n is None:
+                fail("states line must appear before arc lines", lineno)
+            if not 0 <= s < n:
+                fail(f"state {s} out of range (states {n})", lineno)
+            states[tok] = s
         return s
 
     def want_weight(tok: str, lineno: int):
-        if semiring is None:
-            fail("missing `semiring` header before arc lines", lineno)
-        try:
-            return parse_finite(tok)
-        except FormatError as exc:
-            fail(str(exc), lineno)
+        w = weights.get(tok)
+        if w is None:
+            if semiring is None:
+                fail("missing `semiring` header before arc lines", lineno)
+            try:
+                w = weights[tok] = parse_finite(tok)
+            except FormatError as exc:
+                fail(str(exc), lineno)
+        return w
+
+    def grid():
+        if n is None or alphabet is None:
+            return None
+        return {ch: [{} for _ in range(n)] for ch in alphabet}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         key = tokens[0]
         if not magic_seen:
             if key != MAGIC or len(tokens) != 2 or tokens[1] != VERSION:
                 fail(f"expected header `{MAGIC} {VERSION}`", lineno)
             magic_seen = True
-            continue
-        if key == "semiring":
+        elif key == "trans":
+            if len(tokens) != 5:
+                fail("trans line is `trans <src> <dst> <letter> <weight>`", lineno)
+            src = want_state(tokens[1], lineno)
+            dst = want_state(tokens[2], lineno)
+            if rows is None:  # the states line was seen, so the alphabet was not
+                fail("alphabet line must appear before trans lines", lineno)
+            letter = rows.get(tokens[3])
+            if letter is None:
+                fail(f"letter {tokens[3]!r} is not in the alphabet", lineno)
+            row = letter[src]
+            if dst in row:
+                fail(f"duplicate arc {src} -{tokens[3]}-> {dst}", lineno)
+            if row and dst < next(reversed(row)):
+                unsorted = True
+            row[dst] = want_weight(tokens[4], lineno)
+        elif key == "initial" or key == "final":
+            if len(tokens) != 3:
+                fail(f"{key} line is `{key} <state> <weight>`", lineno)
+            s = want_state(tokens[1], lineno)
+            vec = alpha if key == "initial" else beta
+            if vec[s] is not None:
+                fail(f"duplicate {key} weight for state {s}", lineno)
+            vec[s] = want_weight(tokens[2], lineno)
+        elif key == "semiring":
             if len(tokens) != 2:
                 fail("semiring line takes exactly one value", lineno)
             if tokens[1] not in _FILE_TAGS:
@@ -98,6 +146,7 @@ def parse(text: str) -> WeightedAutomaton:
                     fail(f"bad alphabet symbol {ch!r}", lineno)
             if len(set(alphabet)) != len(alphabet):
                 fail("alphabet symbols must be distinct", lineno)
+            rows = grid()
         elif key == "states":
             if n is not None:
                 fail("duplicate states line", lineno)
@@ -107,33 +156,9 @@ def parse(text: str) -> WeightedAutomaton:
             if count < 0:
                 fail("state count must be nonnegative", lineno)
             n = count
-        elif key == "initial":
-            if len(tokens) != 3:
-                fail("initial line is `initial <state> <weight>`", lineno)
-            s = want_state(tokens[1], lineno)
-            if s in initial:
-                fail(f"duplicate initial weight for state {s}", lineno)
-            initial[s] = want_weight(tokens[2], lineno)
-        elif key == "final":
-            if len(tokens) != 3:
-                fail("final line is `final <state> <weight>`", lineno)
-            s = want_state(tokens[1], lineno)
-            if s in final:
-                fail(f"duplicate final weight for state {s}", lineno)
-            final[s] = want_weight(tokens[2], lineno)
-        elif key == "trans":
-            if len(tokens) != 5:
-                fail("trans line is `trans <src> <dst> <letter> <weight>`", lineno)
-            src = want_state(tokens[1], lineno)
-            dst = want_state(tokens[2], lineno)
-            ch = tokens[3]
-            if alphabet is None:
-                fail("alphabet line must appear before trans lines", lineno)
-            if ch not in alphabet:
-                fail(f"letter {ch!r} is not in the alphabet", lineno)
-            if (src, ch, dst) in arcs:
-                fail(f"duplicate arc {src} -{ch}-> {dst}", lineno)
-            arcs[(src, ch, dst)] = want_weight(tokens[4], lineno)
+            alpha = [None] * n
+            beta = [None] * n
+            rows = grid()
         else:
             fail(f"unknown directive {key!r}", lineno)
 
@@ -146,44 +171,62 @@ def parse(text: str) -> WeightedAutomaton:
     if n is None:
         raise FormatError("missing `states` header")
 
-    return WeightedAutomaton.from_arcs(
-        semiring,
-        alphabet,
-        n,
-        initial=sorted(initial.items()),
-        final=sorted(final.items()),
-        arcs=[(src, ch, dst, w) for (src, ch, dst), w in sorted(arcs.items())],
-    )
+    if unsorted:
+        for letter in rows.values():
+            for i, row in enumerate(letter):
+                letter[i] = dict(sorted(row.items()))
+    sr = semiring_for(semiring)
+    mu = {ch: TropicalMatrix._adopt(sr, n, letter) for ch, letter in rows.items()}
+    return WeightedAutomaton._adopt(sr, tuple(alphabet), n, alpha, beta, mu, None)
 
 
 def serialize(aut: WeightedAutomaton) -> str:
-    """Emit canonical `.twa` text for an automaton."""
+    """Emit canonical `.twa` text for an automaton; each distinct weight is formatted once."""
     tag = aut.semiring.tag
     if tag not in _FILE_TAGS:
         raise FormatError(f"semiring {tag!r} has no file representation")
     lines = [f"{MAGIC} {VERSION}", f"semiring {tag}", " ".join(("alphabet",) + aut.alphabet)]
     lines.append(f"states {aut.n}")
-    if aut.state_labels:
-        for i, label in enumerate(aut.state_labels):
+    labels = aut.state_labels
+    if labels:
+        # the labels hold a line break iff, joined and followed by a space,
+        # they split into more than one line
+        if len((" ".join(labels) + " ").splitlines()) > 1:
+            labels = [label.translate(_ESCAPE_BREAKS) for label in labels]
+        for i, label in enumerate(labels):
             lines.append(f"# {i}: {label}")
-    for i, w in enumerate(aut.alpha):
-        if w is not None:
-            lines.append(f"initial {i} {format_finite(w)}")
-    for i, w in enumerate(aut.beta):
-        if w is not None:
-            lines.append(f"final {i} {format_finite(w)}")
+    texts: dict = {}  # weight -> canonical text; equal values share one text
+
+    def show(w) -> str:
+        t = texts.get(w)
+        if t is None:
+            t = texts[w] = format_finite(w)
+        return t
+
+    for key, vec in (("initial", aut.alpha), ("final", aut.beta)):
+        for i, w in enumerate(vec):
+            if w is not None:
+                lines.append(f"{key} {i} {show(w)}")
+    letters = [(ch, aut.mu[ch].rows) for ch in aut.alphabet]
     for src in range(aut.n):
-        for ch in aut.alphabet:
-            row: dict = aut.mu[ch].rows[src]
+        for ch, rows in letters:
+            row = rows[src]
             for dst in sorted(row):
-                lines.append(f"trans {src} {dst} {ch} {format_finite(row[dst])}")
+                lines.append(f"trans {src} {dst} {ch} {show(row[dst])}")
     return "\n".join(lines) + "\n"
 
 
 def load(path) -> WeightedAutomaton:
-    """Read and parse a `.twa` file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+    """Read and parse a `.twa` file; bytes that are not UTF-8 are a FormatError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: not UTF-8 text (byte {data[exc.start]:#04x} at offset {exc.start})"
+        ) from None
+    return parse(text)
 
 
 def save(aut: WeightedAutomaton, path) -> None:

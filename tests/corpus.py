@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from twa import MAX_PLUS, MIN_PLUS, BooleanAutomaton, TropicalMatrix, WeightedAutomaton
+from twa.format import serialize
 
 
 def random_weight(rng, lo=-5, hi=5, zero_p=0.4, frac_p=0.0):
@@ -184,3 +185,83 @@ def automata(draw, tag, max_states=6, alphabet="ab", weight=st.integers(-5, 5)):
         final=[(i, w) for i, w in enumerate(beta) if w is not None],
         arcs=[(src, ch, dst, w) for (src, ch, dst), w in arcs.items()],
     )
+
+
+# Digits that are not ASCII: Arabic-Indic one, fullwidth one, Devanagari one,
+# superscript two.
+_NON_ASCII_DIGITS = "\u0661\uff11\u0967\u00b2"
+_MUTATIONS = (
+    "drop-line", "dup-line", "drop", "dup", "swap", "digit", "state", "letter", "weight",
+)
+
+
+@st.composite
+def twa_texts(draw, tag=None, max_states=4):
+    """Hypothesis strategy: `.twa` text, valid or malformed.
+
+    Serializes an automaton of ``automata`` (of ``tag``, else of either tag;
+    integer or fraction weights), shuffles the lines after the `states` line, then applies up to
+    four mutations: drop or duplicate a line; drop, duplicate or swap tokens
+    of a line; put a non-ASCII digit into a token; put an out-of-range state
+    into an arrow or arc; put an unknown letter into an arc; put a malformed
+    literal in place of a weight.  State counts stay as drawn: the parser
+    does not reject a count too large for memory (it raises OverflowError or
+    MemoryError), and a count near 10**9 would really allocate gigabytes.
+    """
+    if tag is None:
+        tag = draw(st.sampled_from([MAX_PLUS, MIN_PLUS]))
+    weight = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=4)
+    aut = draw(automata(tag, max_states=max_states, weight=weight))
+    lines = serialize(aut).splitlines()
+    lines[4:] = draw(st.permutations(lines[4:]))
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        j = draw(st.integers(0, len(tokens) - 1))
+        kind = draw(st.sampled_from(_MUTATIONS))
+        arc_line = tokens[0] in ("initial", "final", "trans")
+        if kind == "drop-line":
+            del lines[i]
+            continue
+        if kind == "dup-line":
+            lines.insert(i, lines[i])
+            continue
+        if kind == "drop":
+            del tokens[j]
+        elif kind == "dup":
+            tokens.insert(j, tokens[j])
+        elif kind == "swap":
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[j], tokens[k] = tokens[k], tokens[j]
+        elif kind == "digit":
+            digits = [k for k, c in enumerate(tokens[j]) if c.isdigit()]
+            if digits:
+                k = draw(st.sampled_from(digits))
+                tok = tokens[j]
+                tokens[j] = tok[:k] + draw(st.sampled_from(_NON_ASCII_DIGITS)) + tok[k + 1:]
+        elif kind == "state" and arc_line:
+            bad = draw(st.sampled_from([-1, aut.n, aut.n + 1, 10**12]))
+            tokens[draw(st.sampled_from([1, 2] if tokens[0] == "trans" else [1]))] = str(bad)
+        elif kind == "letter" and tokens[0] == "trans" and len(tokens) > 3:
+            tokens[3] = draw(st.sampled_from(["c", "z", "aa", "\u00e9", "#"]))
+        elif kind == "weight" and arc_line:
+            tokens[-1] = draw(st.sampled_from(["1/0", "0.0000000001", "1e3", "+-1", "1,2", "inf"]))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def twa_files(draw, tag=None, max_states=4):
+    """Hypothesis strategy: the bytes of a `.twa` file, sometimes not UTF-8.
+
+    The UTF-8 encoding of ``twa_texts``, with one byte sequence that does not
+    decode inserted at a drawn offset half of the time.
+    """
+    data = draw(twa_texts(tag, max_states)).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data

@@ -1,9 +1,11 @@
 """The `twa` command line: subcommands, output, and the exit-code contract."""
 
+import argparse
 import pathlib
 import subprocess
 import sys
 
+from twa import cli
 from twa.cli import main
 from twa.format import load, parse, serialize
 
@@ -340,3 +342,89 @@ def test_cap_errors_leave_no_traceback_in_a_subprocess(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "--subset-cap" in proc.stderr
+
+
+def test_undecodable_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.twa"
+    path.write_bytes(b"twa 1\nsemiring max-plus\nalphabet a\nstates 1\xff\n")
+    code, out, err = run(capsys, "eval", str(path), "a")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not UTF-8" in err
+    proc = subprocess.run(
+        [sys.executable, "-m", "twa.cli", "eval", str(path), "a"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
+def test_the_argument_parser_is_built_once_per_process(monkeypatch, capsys):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import twa.cli; print(twa.cli._build_parser.cache_info().misses)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "0\n"  # not at import
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    assert main(["eval", AMAX, "a"]) == 0
+    first = len(built)
+    assert first > 10  # the tree: the top parser and one per subcommand
+    assert main(["rho", AMAX]) == 0
+    assert main(["no-such-command"]) == 2
+    assert main(["equal", AMAX, BMIN]) == 0
+    assert len(built) == first
+
+
+SWAP = (
+    "twa 1\nsemiring max-plus\nalphabet a b\nstates 2\n"
+    "initial 0 0\nfinal 0 0\nfinal 1 0\n"
+    "trans 0 1 a 0\ntrans 1 0 a 0\ntrans 0 0 b 0\ntrans 1 1 b 0\n"
+)
+
+
+def test_repeated_calls_match_a_fresh_process_each(monkeypatch, capsys, tmp_path):
+    # one process answers a sequence of calls with different options exactly
+    # as a fresh process answers each call: the shared parser keeps nothing
+    # from one call to the next
+    monkeypatch.setenv("COLUMNS", "80")  # the same help layout in both
+    swap = tmp_path / "swap.twa"
+    swap.write_text(SWAP)
+    out_file = tmp_path / "out.twa"
+    calls = [
+        ("pipeline", AMAX, BMIN, "--no-check", "-o", str(out_file)),
+        ("pipeline", AMAX, BMIN),
+        ("pipeline", AMAX, BMIN, "--subset-cap", "1"),
+        ("pipeline", AMAX, BMIN),
+        ("equal-const", "0", str(swap), "--monoid-cap", "1"),
+        ("equal-const", "0", str(swap)),
+        ("--help",),
+        ("--help",),
+    ]
+
+    def written():
+        if not out_file.exists():
+            return None
+        text = out_file.read_text()
+        out_file.unlink()
+        return text
+
+    cli._build_parser.cache_clear()
+    codes = []
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        in_process = (code, out, err, written())
+        proc = subprocess.run(
+            [sys.executable, "-m", "twa.cli", *argv], capture_output=True, text=True
+        )
+        assert in_process == (proc.returncode, proc.stdout, proc.stderr, written()), argv
+        codes.append(code)
+    assert codes == [0, 0, 3, 0, 3, 0, 0, 0]

@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import random_automaton
-from twa import FormatError, zoo
-from twa.format import parse, serialize
+from corpus import automata, random_automaton
+from twa import MAX_PLUS, FormatError, WeightedAutomaton, zoo
+from twa.format import load, parse, serialize
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -174,3 +176,52 @@ def test_decimals_parse_exactly():
     assert aut.beta[0] == Fraction(-1, 5)
     assert aut.mu["a"].entry(0, 0) == Fraction(1, 4)
     assert "trans 0 0 a 1/4" in serialize(aut)
+
+
+# Every character str.splitlines breaks a line on.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=150)
+@given(
+    automata(MAX_PLUS, max_states=4),
+    st.data(),
+)
+def test_labels_with_line_breaks_round_trip(aut, data):
+    labels = data.draw(st.lists(
+        st.text(st.sampled_from(LINE_BREAKS + "ab #:\\\té"), max_size=6),
+        min_size=aut.n, max_size=aut.n,
+    ))
+    labelled = WeightedAutomaton(
+        aut.semiring, aut.alphabet, aut.n, aut.alpha, aut.beta, aut.mu, labels
+    )
+    text = serialize(labelled)
+    assert parse(text) == aut
+    assert serialize(parse(text)) == serialize(aut)
+    comments = [line for line in text.splitlines() if line.startswith("#")]
+    assert len(comments) == aut.n
+    for i, (line, label) in enumerate(zip(comments, labels)):
+        shown = line[len(f"# {i}: "):]
+        assert not any(ch in shown for ch in LINE_BREAKS)
+        if not any(ch in label for ch in LINE_BREAKS):
+            assert shown == label  # written byte for byte
+
+
+def test_line_breaks_in_labels_are_backslash_escapes():
+    aut = WeightedAutomaton.from_arcs(
+        MAX_PLUS, "a", 3, labels=["x\ny", "\r\n\x85\u2028", "back\\slash\tand #"]
+    )
+    text = serialize(aut)
+    assert "# 0: x\\ny\n" in text
+    assert "# 1: \\r\\n\\x85\\u2028\n" in text
+    assert "# 2: back\\slash\tand #\n" in text
+    assert parse(text) == aut
+
+
+def test_undecodable_file_is_a_format_error(tmp_path):
+    path = tmp_path / "latin1.twa"
+    path.write_bytes(b"twa 1\nsemiring max-plus\nalphabet a\nstates 1\n# caf\xe9\n")
+    with pytest.raises(FormatError) as err:
+        load(path)
+    assert "not UTF-8" in str(err.value)
+    assert "byte 0xe9 at offset 49" in str(err.value)
