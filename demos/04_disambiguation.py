@@ -45,5 +45,16 @@ print("equal to the min-plus input:", equal_upto(unambiguous, bmin, 10))
 print()
 
 print("== the one-call version ==")
+# unambiguous_from_pair first determinizes the 1-valued automaton with its
+# weights; the output is deterministic when that finishes within the
+# 1-valued automaton's size, otherwise it is the covering of step 3.  Here
+# determinizing needs 5 states against 4, so the covering is the output.
 direct = unambiguous_from_pair(amax, bmin)
 print("states:", direct.n, "| ambiguity:", max_ambiguity_upto(direct, 10)[0])
+print("same as step 3:", serialize(direct) == serialize(unambiguous))
+pmax, pmin = zoo.prime_period_pair(2, 3, 5, 7)
+prime = unambiguous_from_pair(pmax, pmin)
+print(
+    f"the prime-period pair (2,3,5,7): {extract_one_valued(pmax, pmin).n} 1-valued states,"
+    f" {prime.n} deterministic ones (the period is 210)"
+)

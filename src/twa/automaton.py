@@ -16,7 +16,7 @@ import operator
 
 from .errors import AlphabetError, CapExceededError, DimensionError, TagMismatchError, TwaError
 from .semiring import MAX_PLUS, MIN_PLUS, Semiring, semiring_for
-from .spectral import TropicalMatrix, vec_mat
+from .spectral import TropicalMatrix, _backward_order, vec_mat
 
 
 def _valid_symbol(ch) -> bool:
@@ -191,7 +191,9 @@ class WeightedAutomaton:
         """The states on some successful path, in increasing order.
 
         Those reachable from an initial arrow (the forward search below)
-        among those that reach a final arrow (_coreachable_states).
+        among those that reach a final arrow (the backward search of
+        ``spectral._backward_order``, which also orders the relaxation of
+        the potential).
         """
         letters = [mat.rows for mat in self.mu.values()]
         fwd = [w is not None for w in self.alpha]
@@ -203,28 +205,12 @@ class WeightedAutomaton:
                     if not fwd[j]:
                         fwd[j] = True
                         stack.append(j)
-        return [i for i in self._coreachable_states() if fwd[i]]
-
-    def _coreachable_states(self) -> list:
-        """The states from which some path reaches a final arrow, in increasing order.
-
-        The backward half of _useful_states.  On an automaton that is
-        accessible by construction, such as a product, it alone trims.
-        """
         into = [[] for _ in range(self.n)]
-        for mat in self.mu.values():
-            for i, row in enumerate(mat.rows):
+        for rows in letters:
+            for i, row in enumerate(rows):
                 for j in row:
                     into[j].append(i)
-        bwd = [w is not None for w in self.beta]
-        stack = [i for i, reached in enumerate(bwd) if reached]
-        while stack:
-            j = stack.pop()
-            for i in into[j]:
-                if not bwd[i]:
-                    bwd[i] = True
-                    stack.append(i)
-        return [i for i, reached in enumerate(bwd) if reached]
+        return [i for i in sorted(_backward_order(into, self.beta)) if fwd[i]]
 
     def _restrict(self, keep: list) -> "WeightedAutomaton":
         """The automaton on the states ``keep`` (increasing), renumbered in that order."""

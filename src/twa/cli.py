@@ -297,11 +297,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP, metavar="N")
     with_output(p)
 
-    p = add("pipeline", cmd_pipeline, "equivalent pair -> unambiguous automaton")
+    p = add(
+        "pipeline",
+        cmd_pipeline,
+        "equivalent pair -> unambiguous automaton: deterministic when the weighted subset"
+        " construction finishes within the 1-valued automaton's size, otherwise the covering",
+    )
     p.add_argument("maxfile")
     p.add_argument("minfile")
     p.add_argument("--no-check", action="store_true", help="skip the equality pre-check")
-    p.add_argument("--subset-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP, metavar="N")
+    p.add_argument(
+        "--subset-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP, metavar="N",
+        help="cap on the subsets of the covering; the weighted subset construction"
+        " stops at the smaller of N and the 1-valued automaton's state count",
+    )
     with_output(p)
 
     oracle = sub.add_parser("oracle", help="brute-force cross-checks")

@@ -26,8 +26,9 @@ it trims each input once, compares the supports, builds the product of S and
 -T once and relaxes its potential once.  The product subtracts T's weights as
 it builds each row, in its final (p, q) numbering, so no negated copy of T
 exists; it is accessible by construction, so its trim only removes the states
-that reach no final arrow; and with equal supports the zero filter is
-compared with S's support, whose masks the support check already built.
+that reach no final arrow, and the one backward search that orders the
+relaxation finds them; and with equal supports the zero filter is compared
+with S's support, whose masks the support check already built.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -58,7 +59,7 @@ from .errors import (
     TagMismatchError,
 )
 from .semiring import MAX_PLUS, is_rational
-from .spectral import TropicalMatrix, _star_rounds, max_mean_cycle, vec_mat
+from .spectral import TropicalMatrix, _backward_search, _relax, max_mean_cycle, vec_mat
 
 
 class Decision(NamedTuple):
@@ -107,42 +108,46 @@ def _nonpositive_trimmed(trim: WeightedAutomaton) -> tuple[Decision, Optional[li
 
     The potential is None with a negative verdict, which carries the witness.
     """
-    m = trim.letter_sum()
-    u = _nonpositive_potential(trim, m)
-    if u is not None:
-        return Decision(True, None), u
-    return Decision(False, _positive_word(trim, m)), None
-
-
-def _nonpositive_potential(trim: WeightedAutomaton, m: TropicalMatrix) -> Optional[list]:
-    """u = M*beta if the series of ``trim`` is nonpositive, else None.
-
-    Relaxes u from beta toward M*beta.  Every finite u_i is the weight of a
-    real path from i to a final arrow, so alpha_i + u_i > 0 at any time
-    (tested before the first round, which covers the empty word, and after
-    each round on the states it improved) exhibits a positive word.  A
-    positive cycle stops the relaxation; it pumps, because every cycle of a
-    trim automaton lies on a successful path.  At the fixpoint alpha + u <= 0
-    is exactly nonpositivity.
-    """
-    alpha = trim.alpha
     u = list(trim.beta)
+    if not _positive(trim.alpha, u, range(trim.n)):  # before the search, which it may spare
+        order, into = _backward_search([mat.rows for mat in trim.mu.values()], u)
+        if _nonpositive_potential(trim, order, into, u):
+            return Decision(True, None), u
+    return Decision(False, _positive_word(trim, trim.letter_sum())), None
 
-    def positive(states) -> bool:
-        return any(
-            alpha[i] is not None and u[i] is not None and alpha[i] + u[i] > 0
-            for i in states
-        )
 
-    if positive(range(trim.n)):
-        return None
+def _positive(alpha: list, u: list, states) -> bool:
+    """Whether alpha_i + u_i > 0 for some i of ``states``, u_i finite."""
+    return any(
+        alpha[i] is not None and u[i] is not None and alpha[i] + u[i] > 0 for i in states
+    )
+
+
+def _nonpositive_potential(aut: WeightedAutomaton, order: list, into: list, u: list) -> bool:
+    """Whether the series of ``aut`` is nonpositive; relaxes ``u`` to M*beta if so.
+
+    ``u`` starts as beta, and ``order`` and ``into`` are what _backward_search
+    returns for it and the letter rows of ``aut``, so the states outside
+    ``order``, which reach no final arrow, keep u_i = None.  Every finite
+    u_i is the weight of a real path from i to a final arrow, so
+    alpha_i + u_i > 0 at any time (tested before the first round, which
+    covers the empty word, and after each round on the states it improved)
+    exhibits a positive word.  A positive cycle that reaches a final arrow
+    stops the relaxation; it pumps, because ``aut`` is accessible (trim, or
+    a product built from its initial pairs), so the cycle lies on a
+    successful path.  At the fixpoint alpha + u <= 0 is exactly
+    nonpositivity.
+    """
+    alpha = aut.alpha
+    if _positive(alpha, u, order):
+        return False
     try:
-        for improved in _star_rounds(m, u):
-            if positive(improved):
-                return None
+        for improved in _relax(order, into, u):
+            if _positive(alpha, u, improved):
+                return False
     except PositiveCycleError:
-        return None
-    return u
+        return False
+    return True
 
 
 def _positive_word(trim: WeightedAutomaton, m: TropicalMatrix) -> str:
@@ -544,11 +549,15 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
 
     The product subtracts bmin's weights as it combines them, so no negated
     copy of bmin is built.  It is accessible by construction, so its trim
-    is the backward (co-reachability) half alone.  Once the supports are
-    equal, the product's support language is that of ``ta``, and comparing
-    the zero filter with ``ta``'s support masks, already built for the
-    support check, gives the same verdict and the same length-lex-first
-    witness as comparing it with the product's.
+    is the backward (co-reachability) half alone, and one backward search
+    from its final arrows serves both the trim and the relaxation: the
+    states it reaches are the ones kept, and its order is the relaxation
+    order, which runs before the renumbering.  The letter sum is built only
+    for a NO witness.  Once the supports are equal, the product's support
+    language is that of ``ta``, and comparing the zero filter with ``ta``'s
+    support masks, already built for the support check, gives the same
+    verdict and the same length-lex-first witness as comparing it with the
+    product's.
     """
     ta = amax.trim()
     tb = bmin.trim()
@@ -558,13 +567,20 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
         if not verdict.holds:
             return _Difference(verdict, ta, None, None, None)
     product, pairs = _accessible_product(ta, tb, MAX_PLUS, operator.sub)
-    keep = product._coreachable_states()
-    if len(keep) < product.n:
+    u = list(product.beta)
+    order, into = _backward_search([mat.rows for mat in product.mu.values()], u)
+    holds = _nonpositive_potential(product, order, into, u)
+    if len(order) < product.n:
+        keep = sorted(order)
         product = product._restrict(keep)
         pairs = [pairs[i] for i in keep]
-    verdict, u = _nonpositive_trimmed(product)
-    if verdict.holds and mode == "equal":
+        u = [u[i] for i in keep]
+    if not holds:
+        verdict, u = Decision(False, _positive_word(product, product.letter_sum())), None
+    elif mode == "equal":
         verdict = _compare(support, _zero_masks(product, u), inclusion=False)
+    else:
+        verdict = Decision(True, None)
     return _Difference(verdict, ta, product, pairs, u)
 
 

@@ -5,13 +5,17 @@ The pipeline has two halves.  First, the difference product of S and -T
 joint paths; its potential u = M*beta renormalizes it, and the arcs whose
 renormalized difference is exactly 0 are kept, each with the weight of the
 max-plus arc it came from.  Every surviving successful path then carries the
-series value, so the result is 1-valued.  Second, tensoring a 1-valued
-automaton with the determinization of its own support (the subset covering)
-and deleting competing arcs leaves at most one successful path per word
-without changing the series.
+series value, so the result is 1-valued.  Second, the 1-valued automaton is
+made unambiguous.  The output is deterministic when the max-plus weighted
+subset construction (Mohri 1997) finishes within the 1-valued automaton's
+size; this is exact whenever it finishes, and it finishes only on a
+sequential series.  Otherwise it is the subset covering: tensoring the
+1-valued automaton with the determinization of its own support and deleting
+competing arcs leaves at most one successful path per word without changing
+the series.
 
 Both halves run on the shared engines of ``twa.automaton``: the accessible
-product and the breadth-first bitmask subset exploration, whose cap
+product and the breadth-first subset exploration, whose cap
 ``DEFAULT_SUBSET_CAP`` bounds the subsets of the covering.  The weights stay
 scalar max-plus throughout; no semiring of weight pairs is involved.
 """
@@ -31,11 +35,12 @@ from .automaton import (
 from .decisions import _check_pair, _difference
 from .errors import (
     AlphabetError,
+    CapExceededError,
     NotEqualError,
     NotNonpositiveError,
     TagMismatchError,
 )
-from .semiring import MAX_PLUS
+from .semiring import MAX_PLUS, format_finite
 from .spectral import TropicalMatrix
 
 
@@ -247,18 +252,110 @@ def disambiguate(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Weigh
     return remove_competitions(covering(aut, cap))
 
 
+def _weighted_subsets(aut: WeightedAutomaton, cap: int) -> WeightedAutomaton:
+    """Max-plus weighted subset construction (Mohri 1997) of a trim automaton.
+
+    A state is the sorted tuple of pairs (q, residual) whose largest
+    residual is 0: after a word, q is in the tuple when some path of the
+    word reaches it, with the best such weight minus the weight already
+    put on the deterministic path.  The initial state holds the states with
+    an initial arrow, which weighs the largest of those arrows; a letter
+    moves every pair along its arcs, keeps the best weight per target and
+    takes out the largest, lambda, as the weight of the arc; a final arrow
+    weighs the largest residual + beta over the pairs.  So every word has
+    at most one path, of weight alpha + mu(word) + beta of ``aut``.  States
+    are explored breadth-first in alphabet order (``_explore``), labelled
+    {label:residual,...} from ``aut``'s labels; each one holds a state of
+    the trim input, so the result is trim.  The result is exact whenever
+    the construction ends, and it ends only on a sequential series: raises
+    CapExceededError when more than ``cap`` states appear.
+    """
+    if aut.n == 0:
+        return aut
+    initial = [(q, w) for q, w in enumerate(aut.alpha) if w is not None]
+    top = max(w for _, w in initial)
+    rows = {ch: aut.mu[ch].rows for ch in aut.alphabet}
+    lambdas = []  # the arc weights, in the order in which _explore records its moves
+
+    def step(node, ch):
+        arows = rows[ch]
+        reach = {}
+        for q, r in node:
+            for t, w in arows[q].items():
+                c = r + w
+                old = reach.get(t)
+                if old is None or c > old:
+                    reach[t] = c
+        if not reach:
+            return None
+        lam = max(reach.values())
+        lambdas.append(lam)
+        return tuple([(t, reach[t] - lam) for t in sorted(reach)])
+
+    start = tuple([(q, w - top) for q, w in initial])
+    nodes, _, moves, _ = _explore(start, aut.alphabet, step, cap=cap, what="weighted determinization")
+    n = len(nodes)
+    mu = {ch: [{} for _ in range(n)] for ch in aut.alphabet}
+    weights = iter(lambdas)
+    for i, table in enumerate(moves):
+        for ch, j in table.items():
+            mu[ch][i][j] = next(weights)
+    beta = aut.beta
+    final = []
+    for node in nodes:
+        best = None
+        for q, r in node:
+            b = beta[q]
+            if b is not None and (best is None or r + b > best):
+                best = r + b
+        final.append(best)
+    la = [aut.state_label(q) for q in range(aut.n)]
+    texts = {}  # residual -> its text, formatted once
+    labels = []
+    for node in nodes:
+        parts = []
+        for q, r in node:
+            text = texts.get(r)
+            if text is None:
+                text = texts[r] = format_finite(r)
+            parts.append(f"{la[q]}:{text}")
+        labels.append("{" + ",".join(parts) + "}")
+    return WeightedAutomaton._adopt(
+        MAX_PLUS,
+        aut.alphabet,
+        n,
+        [top] + [None] * (n - 1),
+        final,
+        {ch: TropicalMatrix._adopt(MAX_PLUS, n, mu[ch]) for ch in aut.alphabet},
+        tuple(labels),
+    )
+
+
 def unambiguous_from_pair(
     amax: WeightedAutomaton,
     bmin: WeightedAutomaton,
     check: bool = True,
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> WeightedAutomaton:
-    """Full pipeline: decide equality, extract the 1-valued automaton, disambiguate.
+    """Full pipeline: decide equality, extract the 1-valued automaton, make it unambiguous.
 
     The equality check and the extraction share one product and one
-    relaxation.
+    relaxation.  The output is deterministic (hence unambiguous) when the
+    weighted determinization of the 1-valued automaton finishes within its
+    size, that is within min(its state count, ``subset_cap``) states;
+    otherwise it is the subset covering with its competitions removed
+    (``disambiguate(one, subset_cap)``).  The choice follows from the input
+    alone.  Both keep the series of the 1-valued automaton, also when
+    ``check`` is off.  Raises ValueError for a ``subset_cap`` below 1 before
+    any work, and CapExceededError when the covering exceeds it.
     """
-    return disambiguate(extract_one_valued(amax, bmin, check), subset_cap)
+    if subset_cap < 1:
+        raise ValueError("cap must be at least 1")
+    one = extract_one_valued(amax, bmin, check)
+    try:
+        return _weighted_subsets(one, min(one.n, subset_cap))
+    except CapExceededError:
+        return disambiguate(one, subset_cap)
 
 
 __all__ = [

@@ -27,6 +27,8 @@ file that is not UTF-8 as a FormatError, like any other malformed input.
 from __future__ import annotations
 
 import re
+import struct
+import sys
 
 from .automaton import WeightedAutomaton, _valid_symbol
 from .errors import FormatError
@@ -38,6 +40,9 @@ VERSION = "1"
 
 _FILE_TAGS = ("max-plus", "min-plus")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+# The longest list this Python can allocate: a larger state count fails
+# before any allocation.
+_MAX_STATES = sys.maxsize // struct.calcsize("P")
 # The characters str.splitlines breaks on, each mapped to its backslash escape.
 _ESCAPE_BREAKS = {
     ord(c): c.encode("unicode_escape").decode("ascii")
@@ -67,7 +72,10 @@ def parse(text: str) -> WeightedAutomaton:
     def want_int(tok: str, what: str, lineno: int) -> int:
         if not _INT_RE.match(tok):
             fail(f"{what} must be an integer, got {tok!r}", lineno)
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            fail(f"{what} has {len(tok)} digits, more than this Python converts", lineno)
 
     def want_state(tok: str, lineno: int) -> int:
         s = states.get(tok)
@@ -155,6 +163,8 @@ def parse(text: str) -> WeightedAutomaton:
             count = want_int(tokens[1], "state count", lineno)
             if count < 0:
                 fail("state count must be nonnegative", lineno)
+            if count > _MAX_STATES:
+                fail(f"state count {count} is larger than the longest list, {_MAX_STATES}", lineno)
             n = count
             alpha = [None] * n
             beta = [None] * n

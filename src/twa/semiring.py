@@ -149,15 +149,20 @@ def parse_finite(text: str) -> Rational:
     """Parse a finite scalar weight literal; raises FormatError on bad syntax."""
     if not _FINITE_RE.match(text):
         raise FormatError(f"bad weight literal {text!r}")
-    if "/" in text:
-        num_text, den_text = text.split("/")
-        den = int(den_text)
-        if den == 0:
-            raise FormatError(f"zero denominator in weight literal {text!r}")
-        return as_value(Fraction(int(num_text), den))
-    if "." in text:
-        return as_value(Fraction(text))
-    return int(text)
+    try:
+        if "/" in text:
+            num_text, den_text = text.split("/")
+            den = int(den_text)
+            if den == 0:
+                raise FormatError(f"zero denominator in weight literal {text!r}")
+            return as_value(Fraction(int(num_text), den))
+        if "." in text:
+            return as_value(Fraction(text))
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise FormatError(
+            f"weight literal of {len(text)} characters has more digits than this Python converts"
+        ) from None
 
 
 def format_finite(value: Rational) -> str:

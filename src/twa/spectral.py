@@ -309,16 +309,55 @@ def mat_star(m: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(m.semiring, n, dist)
 
 
-def _star_rounds(m: TropicalMatrix, u: list):
-    """Relax ``u`` in place toward (star of m) times u, one Bellman-Ford round per step.
+def _backward_order(into: list, u: list) -> list:
+    """Breadth-first search backward from the finite entries of ``u``.
 
-    Every finite entry u_i is, at all times, the weight of a real path from i
-    into the support of the starting vector, its final weight included.
-    Yields the states that a round improved, in improvement order (a state
-    may repeat), and returns after the first round that changes nothing, when
-    u is the fixpoint.  A caller may stop after any round.  Raises
-    PositiveCycleError when round n+1 still changes u: a cycle that reaches
-    the support has positive weight.
+    Iterating ``into[j]`` gives the sources of the arcs into j.  Returns the
+    states from which some arc path reaches a finite entry: those entries
+    first, in increasing order, then the others in discovery order.
+    """
+    order = [j for j, uj in enumerate(u) if uj is not None]
+    seen = [uj is not None for uj in u]
+    for j in order:  # grows while it is walked: a breadth-first queue
+        for i in into[j]:
+            if not seen[i]:
+                seen[i] = True
+                order.append(i)
+    return order
+
+
+def _backward_search(letters: list, u: list) -> tuple[list, list]:
+    """The backward search from the finite entries of ``u``, with the arcs it crossed.
+
+    ``letters`` lists row lists (one per letter, or one matrix's rows), each
+    of len(u) row dicts.  Returns (order, into): the result of
+    _backward_order, and into[j] = {i: w}, the arcs i -> j of the letter sum
+    by increasing source, built without the sum: one pass over the rows in
+    row-major order merges the arcs of one source, one per letter, into
+    their maximum.
+    """
+    into = [{} for _ in u]
+    for i in range(len(u)):
+        for rows in letters:
+            for j, w in rows[i].items():
+                preds = into[j]
+                old = preds.get(i)
+                if old is None or w > old:
+                    preds[i] = w
+    return _backward_order(into, u), into
+
+
+def _relax(order: list, into: list, u: list):
+    """Relax ``u`` in place toward (star of M) times u, one Bellman-Ford round per step.
+
+    ``order`` and ``into`` are what _backward_search returns for u and the
+    rows of M.  Every finite entry u_i is, at all times, the weight of a
+    real path from i into the support of the starting vector, its final
+    weight included.  Yields the states that a round improved, in
+    improvement order (a state may repeat), and returns after the first
+    round that changes nothing, when u is the fixpoint.  A caller may stop
+    after any round.  Raises PositiveCycleError when round len(order) + 1
+    still changes u: a cycle that reaches the support has positive weight.
 
     A round relaxes the arcs in backward breadth-first order from the support
     of u: the arcs into a state come right after those into the states it
@@ -327,24 +366,8 @@ def _star_rounds(m: TropicalMatrix, u: list):
     more arcs.  Arcs into states that cannot reach the support never change
     u and are left out.
     """
-    if m.semiring.tag != "max-plus":
-        raise TagMismatchError("star_vector requires a max-plus matrix")
-    if len(u) != m.n:
-        raise DimensionError("vector length does not match matrix dimension")
-    into = [[] for _ in range(m.n)]
-    for i, row in enumerate(m.rows):
-        for j, w in row.items():
-            into[j].append((i, w))
-    order = [j for j, uj in enumerate(u) if uj is not None]
-    seen = set(order)
-    arcs = []
-    for j in order:  # grows while it is walked: a breadth-first queue
-        for i, w in into[j]:
-            arcs.append((i, j, w))
-            if i not in seen:
-                seen.add(i)
-                order.append(i)
-    for rounds in range(m.n + 1):
+    arcs = [(i, j, w) for j in order for i, w in into[j].items()]
+    for rounds in range(len(order) + 1):
         improved = []
         for i, j, w in arcs:
             c = w + u[j]  # finite: an arc out of j came earlier in this order
@@ -353,9 +376,18 @@ def _star_rounds(m: TropicalMatrix, u: list):
                 improved.append(i)
         if not improved:
             return
-        if rounds == m.n:
+        if rounds == len(order):
             raise PositiveCycleError("star diverges: positive-weight cycle reached")
         yield improved
+
+
+def _star_rounds(m: TropicalMatrix, u: list):
+    """_relax on the rows of ``m``, after checking its tag and dimension."""
+    if m.semiring.tag != "max-plus":
+        raise TagMismatchError("star_vector requires a max-plus matrix")
+    if len(u) != m.n:
+        raise DimensionError("vector length does not match matrix dimension")
+    yield from _relax(*_backward_search([m.rows], u), u)
 
 
 def star_vector(m: TropicalMatrix, beta: list) -> list:

@@ -1,5 +1,7 @@
 """Seeded random generators shared by the test modules."""
 
+import struct
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -144,6 +146,25 @@ def as_min_plus_copy(aut):
     )
 
 
+def nonsequential_pair():
+    """f(a^n b) = n and f(a^n c) = 2n over {a, b, c}: unambiguous, not sequential.
+
+    The max-plus automaton guesses the last letter at the start, so it is
+    unambiguous and its min-plus copy has the same series; after a^n a
+    deterministic automaton would have to remember n, so weighted
+    determinization never ends on it.
+    """
+    amax = WeightedAutomaton.from_arcs(
+        MAX_PLUS,
+        "abc",
+        4,
+        initial=[(0, 0), (1, 0)],
+        final=[(2, 0), (3, 0)],
+        arcs=[(0, "a", 0, 1), (0, "b", 2, 0), (1, "a", 1, 2), (1, "c", 3, 0)],
+    )
+    return amax, as_min_plus_copy(amax)
+
+
 def random_trim_nonpositive(rng, decide, max_states=4, alphabet="ab", tries=2000):
     """Rejection-sample a trim automaton whose series is nonpositive.
 
@@ -191,8 +212,10 @@ def automata(draw, tag, max_states=6, alphabet="ab", weight=st.integers(-5, 5)):
 # superscript two.
 _NON_ASCII_DIGITS = "\u0661\uff11\u0967\u00b2"
 _MUTATIONS = (
-    "drop-line", "dup-line", "drop", "dup", "swap", "digit", "state", "letter", "weight",
+    "drop-line", "dup-line", "drop", "dup", "swap", "digit", "state", "letter", "weight", "count",
 )
+# No list is longer than the address space divided by the size of a pointer.
+LONGEST_LIST = sys.maxsize // struct.calcsize("P")
 
 
 @st.composite
@@ -204,9 +227,10 @@ def twa_texts(draw, tag=None, max_states=4):
     four mutations: drop or duplicate a line; drop, duplicate or swap tokens
     of a line; put a non-ASCII digit into a token; put an out-of-range state
     into an arrow or arc; put an unknown letter into an arc; put a malformed
-    literal in place of a weight.  State counts stay as drawn: the parser
-    does not reject a count too large for memory (it raises OverflowError or
-    MemoryError), and a count near 10**9 would really allocate gigabytes.
+    literal in place of a weight; give the `states` line a count longer
+    than any list.  Such a count must fail before anything is allocated.
+    Counts between the drawn ones and that limit are never drawn: a count
+    near 10**9 would really allocate gigabytes.
     """
     if tag is None:
         tag = draw(st.sampled_from([MAX_PLUS, MIN_PLUS]))
@@ -227,6 +251,11 @@ def twa_texts(draw, tag=None, max_states=4):
             continue
         if kind == "dup-line":
             lines.insert(i, lines[i])
+            continue
+        if kind == "count":
+            at = [k for k, line in enumerate(lines) if line.split(" ")[0] == "states"]
+            for k in at[:1]:
+                lines[k] = f"states {draw(st.integers(LONGEST_LIST + 1, 10**40))}"
             continue
         if kind == "drop":
             del tokens[j]

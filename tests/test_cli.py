@@ -275,6 +275,15 @@ def test_non_ascii_digits_are_usage_errors(capsys, tmp_path):
     assert "bad weight literal" in err
 
 
+def test_state_count_longer_than_any_list_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "huge.twa"
+    path.write_text("twa 1\nsemiring max-plus\nalphabet a\nstates " + "1" + "0" * 30 + "\n")
+    code, out, err = run(capsys, "eval", str(path), "a")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 4: state count")
+    assert err.count("\n") == 1
+
+
 def test_bad_format_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.twa"
     path.write_text("twa 1\nsemiring max-plus\nalphabet a\nstates 1\ntrans 0 5 a 1\n")

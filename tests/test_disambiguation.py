@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from corpus import as_min_plus_copy, random_automaton, random_deterministic_automaton
+from corpus import (
+    as_min_plus_copy,
+    nonsequential_pair,
+    random_automaton,
+    random_deterministic_automaton,
+)
 from twa import (
     MAX_PLUS,
     BooleanAutomaton,
@@ -13,6 +18,7 @@ from twa import (
     NotEqualError,
     WeightedAutomaton,
     covering,
+    decide_series_equal,
     determinize,
     disambiguate,
     extract_one_valued,
@@ -20,6 +26,7 @@ from twa import (
     hadamard,
     nfa_equivalence,
     remove_competitions,
+    serialize,
     unambiguous_from_pair,
     zoo,
 )
@@ -346,3 +353,99 @@ def test_full_pipeline_with_ambiguous_max_side():
         result = unambiguous_from_pair(doubled, as_min_plus_copy(det))
         assert max_ambiguity_upto(result, 8)[0] <= 1
         assert equal_upto(result, det, 8).holds
+
+
+# -- the deterministic output and its fallback --------------------------------
+
+
+def _is_deterministic(aut):
+    return sum(w is not None for w in aut.alpha) <= 1 and all(
+        len(row) <= 1 for mat in aut.mu.values() for row in mat.rows
+    )
+
+
+def _equals_both_inputs(out, amax, bmin):
+    # an unambiguous max-plus automaton read as min-plus has the same series
+    return (
+        decide_series_equal(amax, as_min_plus_copy(out)).holds
+        and decide_series_equal(out, bmin).holds
+    )
+
+
+@pytest.mark.parametrize("pqrs, period", [((2, 3, 5, 7), 210), ((3, 4, 5, 7), 420)])
+def test_pipeline_determinizes_the_prime_pairs_to_their_period(pqrs, period):
+    amax, bmin = zoo.prime_period_pair(*pqrs)
+    one = extract_one_valued(amax, bmin)
+    out = unambiguous_from_pair(amax, bmin)
+    assert (one.n, out.n) == (4 * period, period)
+    assert _is_deterministic(out)
+    assert out.trim() == out
+    assert _equals_both_inputs(out, amax, bmin)
+
+
+def test_pipeline_output_is_deterministic_within_the_one_valued_size():
+    rng = random.Random(1616)
+    branches = set()
+    for _ in range(30):
+        det = random_deterministic_automaton(rng, max_states=4).trim()
+        if det.n == 0:
+            continue
+        amax, bmin = _duplicate_union(det), as_min_plus_copy(det)
+        one = extract_one_valued(amax, bmin)
+        out = unambiguous_from_pair(amax, bmin)
+        assert _equals_both_inputs(out, amax, bmin)
+        if _is_deterministic(out) and out.n <= one.n:
+            branches.add("deterministic")
+        else:
+            assert serialize(out) == serialize(disambiguate(one))
+            branches.add("covering")
+    assert "deterministic" in branches
+
+
+def test_nonsequential_pair_falls_back_to_the_covering():
+    amax, bmin = nonsequential_pair()
+    assert decide_series_equal(amax, bmin).holds
+    assert [amax.eval("a" * n + "b") for n in range(4)] == [0, 1, 2, 3]
+    assert [amax.eval("a" * n + "c") for n in range(4)] == [0, 2, 4, 6]
+    one = extract_one_valued(amax, bmin)
+    out = unambiguous_from_pair(amax, bmin)
+    assert serialize(out) == serialize(disambiguate(one))
+    assert not _is_deterministic(out)
+    assert _equals_both_inputs(out, amax, bmin)
+    assert max_ambiguity_upto(out, 8)[0] <= 1
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_pipeline_rejects_caps_below_one_before_any_work(pair, cap):
+    amax, _ = pair
+    # an unequal pair: any work would raise NotEqualError first
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        unambiguous_from_pair(amax, as_min_plus_copy(amax), subset_cap=cap)
+
+
+def test_unchecked_pipeline_keeps_the_one_valued_series():
+    # with the check off the output has the series of the extracted automaton,
+    # also when the inputs differ: here T is S + 1 on the words that end in
+    # one final state, so the extraction keeps S on the other words only
+    rng = random.Random(1717)
+    unequal = 0
+    for _ in range(12):
+        det = random_deterministic_automaton(rng, max_states=3).trim()
+        if det.n == 0:
+            continue
+        finals = [(i, w) for i, w in enumerate(det.beta) if w is not None]
+        raised = WeightedAutomaton.from_arcs(
+            MAX_PLUS,
+            det.alphabet,
+            det.n,
+            initial=[(i, w) for i, w in enumerate(det.alpha) if w is not None],
+            final=[(i, w + (k == 0)) for k, (i, w) in enumerate(finals)],
+            arcs=list(det.arcs()),
+        )
+        amax, bmin = _duplicate_union(det), as_min_plus_copy(raised)
+        one = extract_one_valued(amax, bmin, check=False)
+        out = unambiguous_from_pair(amax, bmin, check=False)
+        unequal += not decide_series_equal(amax, bmin).holds
+        assert decide_series_equal(out, as_min_plus_copy(one)).holds
+        assert max_ambiguity_upto(out, 8)[0] <= 1
+    assert unequal > 0

@@ -13,14 +13,16 @@ import operator
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twa.automaton
 import twa.decisions
 import twa.disambiguation
-from corpus import as_min_plus_copy, automata, grid_product, zero_filter
+import twa.spectral
+from corpus import as_min_plus_copy, automata, grid_product, nonsequential_pair, zero_filter
 from twa import (
+    DEFAULT_SUBSET_CAP,
     MAX_PLUS,
     MIN_PLUS,
     BooleanAutomaton,
@@ -28,6 +30,7 @@ from twa import (
     Decision,
     NotEqualError,
     NotNonpositiveError,
+    PositiveCycleError,
     TropicalMatrix,
     WeightedAutomaton,
     covering,
@@ -39,6 +42,7 @@ from twa import (
     determinize,
     disambiguate,
     extract_one_valued,
+    format_finite,
     hadamard,
     mat_star,
     max_mean_cycle,
@@ -272,6 +276,63 @@ def ref_remove_competitions(cover):
     return keep_arcs, keep_finals, pruned.trim()
 
 
+def ref_determinize_weighted(aut, cap):
+    """Max-plus weighted subset construction over frozensets of (state, residual).
+
+    Breadth-first in alphabet order, each residual set shifted so that its
+    largest residual is 0.  Returns None when more than ``cap`` sets appear.
+    """
+    if aut.n == 0:
+        return aut
+    alpha = {q: w for q, w in enumerate(aut.alpha) if w is not None}
+    top = max(alpha.values())
+    start = frozenset((q, w - top) for q, w in alpha.items())
+    sets, index, queue, arcs = [start], {start: 0}, deque([start]), []
+    while queue:
+        current = queue.popleft()
+        for ch in aut.alphabet:
+            best = {}
+            for q, r in current:
+                for t in range(aut.n):
+                    w = aut.mu[ch].entry(q, t)
+                    if w is not None and (t not in best or r + w > best[t]):
+                        best[t] = r + w
+            if not best:
+                continue
+            lam = max(best.values())
+            target = frozenset((t, v - lam) for t, v in best.items())
+            if target not in index:
+                if len(sets) >= cap:
+                    return None
+                index[target] = len(sets)
+                sets.append(target)
+                queue.append(target)
+            arcs.append((index[current], ch, index[target], lam))
+    final = []
+    for i, current in enumerate(sets):
+        values = [r + aut.beta[q] for q, r in current if aut.beta[q] is not None]
+        if values:
+            final.append((i, max(values)))
+    labels = [
+        "{" + ",".join(f"{aut.state_label(q)}:{format_finite(r)}" for q, r in sorted(current)) + "}"
+        for current in sets
+    ]
+    return WeightedAutomaton.from_arcs(
+        MAX_PLUS, aut.alphabet, len(sets), initial=[(0, top)], final=final, arcs=arcs, labels=labels
+    )
+
+
+def ref_unambiguous(amax, bmin, check=True, cap=DEFAULT_SUBSET_CAP):
+    """The weighted determinization of ref_extract's automaton if it stays within
+    min(its state count, cap) states, else its covering with the competitions
+    removed by the grouping rule."""
+    one = ref_extract(amax, bmin, check)
+    deterministic = ref_determinize_weighted(one, min(one.n, cap))
+    if deterministic is not None:
+        return deterministic
+    return ref_remove_competitions(covering(one, cap))[2]
+
+
 def outcome(fn, *args, **kwargs):
     """A comparable record: the verdict, the serialized automaton, or the error and its witness."""
     try:
@@ -401,6 +462,8 @@ def test_kernel_matches_the_separate_path():
 
     @settings(max_examples=400)
     @given(pairs)
+    @example(zoo.sample_equivalent_pair())  # the covering: 5 sets, 4 states
+    @example(nonsequential_pair())  # the covering: the sets never end
     def check(pair):
         amax, bmin = pair
         equal = ref_series_equal(amax, bmin)
@@ -412,8 +475,12 @@ def test_kernel_matches_the_separate_path():
             expected = outcome(ref_extract, amax, bmin, check)
             assert outcome(extract_one_valued, amax, bmin, check) == expected
             if isinstance(expected, str):
-                expected = serialize(disambiguate(ref_extract(amax, bmin, check)))
-            assert outcome(unambiguous_from_pair, amax, bmin, check) == expected
+                one = ref_extract(amax, bmin, check)
+                assert serialize(disambiguate(one)) == serialize(ref_remove_competitions(covering(one))[2])
+                seen.add("deterministic" if ref_determinize_weighted(one, one.n) else "covering")
+            assert outcome(unambiguous_from_pair, amax, bmin, check) == outcome(
+                ref_unambiguous, amax, bmin, check
+            )
         ta, tb = amax.trim(), bmin.trim()
         seen.add("equal" if equal.holds else "not equal")
         if not ref_nfa_compare(ta.support(), tb.support(), False).holds:
@@ -425,7 +492,15 @@ def test_kernel_matches_the_separate_path():
 
     check()
     # the drawn pairs reach every branch of the kernel
-    assert seen == {"equal", "not equal", "unequal supports", "empty product", "not nonpositive"}
+    assert seen == {
+        "equal",
+        "not equal",
+        "unequal supports",
+        "empty product",
+        "not nonpositive",
+        "deterministic",
+        "covering",
+    }
 
 
 # -- one product, one relaxation ----------------------------------------------
@@ -437,10 +512,14 @@ def test_kernel_matches_the_separate_path():
 def test_kernel_builds_no_negated_copy_and_no_product_support(monkeypatch, pair):
     amax, bmin = pair()
     ta, tb = amax.trim(), bmin.trim()
+    one = ref_extract(amax, bmin, True)
+    assert serialize(disambiguate(extract_one_valued(amax, bmin))) == serialize(
+        ref_remove_competitions(covering(one))[2]
+    )
     expected = (
         ref_series_equal(amax, bmin),
         ref_series_leq(amax, bmin),
-        serialize(ref_remove_competitions(covering(ref_extract(amax, bmin, True)))[2]),
+        serialize(ref_unambiguous(amax, bmin)),
     )
     kernel_calls = []  # per kernel call: the automata whose support masks it built
     inside = []
@@ -480,31 +559,116 @@ def _raise(*args, **kwargs):
     "pair", [zoo.sample_equivalent_pair, lambda: zoo.prime_period_pair(2, 3, 5, 7)]
 )
 def test_pipeline_builds_one_product_and_relaxes_once(monkeypatch, pair):
+    # one backward search serves the product's trim and its relaxation, and
+    # the letter sum, needed only for a NO witness, is never built
     amax, bmin = pair()
     expected = serialize(unambiguous_from_pair(amax, bmin))
-    products, relaxations = [], []
-    product, rounds = twa.automaton._accessible_product, twa.decisions._star_rounds
+    products, searches, relaxations = [], [], []
+    product, search, relax = (
+        twa.automaton._accessible_product, twa.decisions._backward_search, twa.decisions._relax
+    )
 
-    def counted_product(*args):
-        products.append(args)
-        return product(*args)
+    def counted(calls, fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
 
-    def counted_rounds(*args):
-        relaxations.append(args)
-        return rounds(*args)
+        return wrapper
 
     for module in (twa.automaton, twa.decisions):
-        monkeypatch.setattr(module, "_accessible_product", counted_product)
-    monkeypatch.setattr(twa.decisions, "_star_rounds", counted_rounds)
+        monkeypatch.setattr(module, "_accessible_product", counted(products, product))
+    monkeypatch.setattr(twa.decisions, "_backward_search", counted(searches, search))
+    monkeypatch.setattr(twa.decisions, "_relax", counted(relaxations, relax))
     monkeypatch.setattr(twa.decisions, "nfa_equivalence", _raise)
+    monkeypatch.setattr(WeightedAutomaton, "letter_sum", _raise)
     assert serialize(unambiguous_from_pair(amax, bmin)) == expected
-    assert (len(products), len(relaxations)) == (1, 1)
+    assert (len(products), len(searches), len(relaxations)) == (1, 1, 1)
+
+
+def ref_star_rounds(m, u):
+    """The relaxation on the letter sum: its own predecessor lists, rounds up to m.n."""
+    into = [[] for _ in range(m.n)]
+    for i, row in enumerate(m.rows):
+        for j, w in row.items():
+            into[j].append((i, w))
+    order = [j for j, uj in enumerate(u) if uj is not None]
+    seen = set(order)
+    arcs = []
+    for j in order:
+        for i, w in into[j]:
+            arcs.append((i, j, w))
+            if i not in seen:
+                seen.add(i)
+                order.append(i)
+    for rounds in range(m.n + 1):
+        improved = []
+        for i, j, w in arcs:
+            c = w + u[j]
+            if u[i] is None or c > u[i]:
+                u[i] = c
+                improved.append(i)
+        if not improved:
+            return
+        if rounds == m.n:
+            raise PositiveCycleError("diverges")
+        yield improved
+
+
+def _rounds(rounds, limit):
+    """The first ``limit`` rounds of a relaxation, then how it ended."""
+    out = []
+    try:
+        for improved in rounds:
+            out.append(improved)
+            if len(out) == limit:
+                return out, "stopped"
+    except PositiveCycleError:
+        return out, "diverged"
+    return out, "fixpoint"
+
+
+def relaxes_like_the_letter_sum(amax, bmin):
+    """The kernel relaxes the untrimmed product in the order of the search that
+    also trims it; the trimmed product's letter sum, relaxed in its own order,
+    must take the same rounds, improve the same states and end in the same u,
+    up to the renumbering.  Returns how the relaxation ended."""
+    product, _ = twa.automaton._accessible_product(amax.trim(), bmin.trim(), MAX_PLUS, operator.sub)
+    u = list(product.beta)
+    order, into = twa.spectral._backward_search([mat.rows for mat in product.mu.values()], u)
+    keep = sorted(order)
+    assert keep == product._useful_states()
+    trim = product._restrict(keep)
+    ref_u = list(trim.beta)
+    index = {old: new for new, old in enumerate(keep)}
+    got = _rounds(twa.spectral._relax(order, into, u), 2 * len(keep) + 2)
+    expected = _rounds(ref_star_rounds(trim.letter_sum(), ref_u), 2 * len(keep) + 2)
+    assert ([[index[i] for i in r] for r in got[0]], got[1]) == expected
+    assert [u[i] for i in keep] == ref_u
+    return got[1], len(got[0]) > 0, len(keep) < product.n
+
+
+def test_one_backward_search_relaxes_like_the_letter_sum():
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(pairs)
+    def check(pair):
+        end, improved, trimmed = relaxes_like_the_letter_sum(*pair)
+        seen.add(end)
+        if improved:
+            seen.add("improved")
+        if trimmed:
+            seen.add("trimmed")
+
+    check()
+    assert seen == {"fixpoint", "diverged", "improved", "trimmed"}
 
 
 @pytest.mark.parametrize("pqrs", [(2, 3, 5, 7), (3, 4, 5, 7)])
 def test_relaxation_of_the_prime_products_takes_few_rounds(pqrs):
     # relaxing in state order took 28 and 42 improving rounds here
     amax, bmin = zoo.prime_period_pair(*pqrs)
+    assert relaxes_like_the_letter_sum(amax, bmin) == ("fixpoint", True, False)
     product = hadamard(amax.trim(), bmin.trim().negate()).trim()
     u = list(product.beta)
     assert sum(1 for _ in _star_rounds(product.letter_sum(), u)) <= 3

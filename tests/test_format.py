@@ -2,13 +2,14 @@
 
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import automata, random_automaton
+from corpus import LONGEST_LIST, automata, random_automaton
 from twa import MAX_PLUS, FormatError, WeightedAutomaton, zoo
 from twa.format import load, parse, serialize
 
@@ -157,6 +158,35 @@ def test_bad_weight_literal_reports_line():
 )
 def test_integers_and_weights_take_ascii_digits_only(line, fragment, lineno):
     _expect_error(f"twa 1\nsemiring max-plus\nalphabet a\n{line}\n", fragment, line=lineno)
+
+
+@pytest.mark.parametrize("count", [LONGEST_LIST + 1, 10**30, 10**400])
+def test_state_count_longer_than_any_list_is_a_format_error(count):
+    # rejected at its line, before the parser allocates anything
+    _expect_error(
+        f"twa 1\nsemiring max-plus\nalphabet a\nstates {count}\ninitial 0 0\n",
+        "larger than the longest list",
+        line=4,
+    )
+
+
+@pytest.mark.parametrize(
+    "line, fragment, lineno",
+    [
+        ("states " + "1" * 5000, "state count has 5000 digits", 4),
+        ("states 1\ninitial " + "0" * 5000 + " 0", "state has 5000 digits", 5),
+        ("states 1\ninitial 0 " + "1" * 5000, "weight literal of 5000 characters", 5),
+        ("states 1\ninitial 0 1/" + "1" * 5000, "weight literal of 5002 characters", 5),
+    ],
+    ids=["count", "state", "integer-weight", "fraction-weight"],
+)
+def test_numbers_longer_than_int_converts_are_format_errors(line, fragment, lineno):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default; int() rejects longer digit strings
+    try:
+        _expect_error(f"twa 1\nsemiring max-plus\nalphabet a\n{line}\n", fragment, line=lineno)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_pair_weight_in_scalar_file_fails():

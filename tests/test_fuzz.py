@@ -42,7 +42,10 @@ def reference_parse(text: str) -> WeightedAutomaton:
     def want_int(tok: str, what: str, lineno: int) -> int:
         if not _INT_RE.match(tok):
             fail(f"{what} must be an integer, got {tok!r}", lineno)
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            fail(f"{what} has {len(tok)} digits, more than this Python converts", lineno)
 
     def want_state(tok: str, lineno: int) -> int:
         s = want_int(tok, "state", lineno)
@@ -96,6 +99,8 @@ def reference_parse(text: str) -> WeightedAutomaton:
             count = want_int(tokens[1], "state count", lineno)
             if count < 0:
                 fail("state count must be nonnegative", lineno)
+            if count > corpus.LONGEST_LIST:
+                fail(f"state count {count} is larger than the longest list, {corpus.LONGEST_LIST}", lineno)
             n = count
         elif key == "initial":
             if len(tokens) != 3:
@@ -189,7 +194,7 @@ def test_parse_agrees_with_the_reference():
             seen.add("out-of-order row")
 
     agree()
-    assert {"parsed", "out-of-order row"} <= seen
+    assert {"parsed", "out-of-order row", "state count _ is larger than the longest list, _"} <= seen
     assert len(seen) >= 20, sorted(seen)
 
 
