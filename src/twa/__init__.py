@@ -1,8 +1,8 @@
 """Weighted automata over tropical semirings with exact rational weights.
 
-The package provides linear representations over max-plus/min-plus (plus the
-Boolean semiring of their supports), exact spectral primitives (maximum cycle
-mean, matrix star), decision procedures (nonpositivity, constant series,
+The package provides linear representations over max-plus/min-plus (their
+supports are plain NFAs), exact spectral primitives (maximum cycle mean,
+matrix star), decision procedures (nonpositivity, constant series,
 equality and inequality of a max-plus and a min-plus series), and the
 constructive pipeline that turns an equivalent max-plus/min-plus pair into a
 1-valued and then unambiguous automaton.  Every language question (the
@@ -55,10 +55,8 @@ from .errors import (
 )
 from .format import load, parse, save, serialize
 from .semiring import (
-    BOOLEAN,
     MAX_PLUS,
     MIN_PLUS,
-    boolean_projection,
     format_finite,
     negate_weight,
     oplus,
@@ -79,7 +77,6 @@ from . import oracle, zoo
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOOLEAN",
     "MAX_PLUS",
     "MIN_PLUS",
     "AlphabetError",
@@ -98,7 +95,6 @@ __all__ = [
     "TropicalMatrix",
     "TwaError",
     "WeightedAutomaton",
-    "boolean_projection",
     "covering",
     "decide_equal_const",
     "decide_equal_const_on_support",

@@ -25,7 +25,7 @@ def _valid_symbol(ch) -> bool:
 
 
 class WeightedAutomaton:
-    """A linear representation over max-plus, min-plus or the Boolean semiring."""
+    """A linear representation over max-plus or min-plus."""
 
     __slots__ = ("semiring", "alphabet", "n", "alpha", "beta", "mu", "state_labels")
 
@@ -245,12 +245,7 @@ class WeightedAutomaton:
         Realizes the semiring isomorphism, so the result's series is the
         pointwise negation of this one's.
         """
-        if self.semiring.tag == "max-plus":
-            sr = MIN_PLUS
-        elif self.semiring.tag == "min-plus":
-            sr = MAX_PLUS
-        else:
-            raise TagMismatchError(f"cannot negate a {self.semiring.tag} automaton")
+        sr = MIN_PLUS if self.semiring is MAX_PLUS else MAX_PLUS
         alpha = [None if w is None else -w for w in self.alpha]
         beta = [None if w is None else -w for w in self.beta]
         mu = {
@@ -265,8 +260,6 @@ class WeightedAutomaton:
 
     def letter_sum(self) -> TropicalMatrix:
         """The entrywise semiring sum of all letter matrices."""
-        if self.semiring.tag not in ("max-plus", "min-plus"):
-            raise TagMismatchError(f"letter_sum is not defined for tag {self.semiring.tag!r}")
         plus = self.semiring.plus
         letters = [self.mu[ch].rows for ch in self.alphabet]
         # the first letter's rows are copied whole, the others merged in
@@ -359,22 +352,19 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     """Tensor product of representations; realizes the pointwise product of series.
 
     For every word w: eval(result, w) = eval(a, w) (x) eval(b, w).  Both
-    automata must carry the same scalar tag (max-plus or min-plus) and the
-    same alphabet.  Only the pairs (p, q) reachable from an initial pair are
-    built, numbered in (p, q) order, so the result has at most a.n * b.n
-    states.
+    automata must carry the same tag and the same alphabet.  Only the pairs
+    (p, q) reachable from an initial pair are built, numbered in (p, q)
+    order, so the result has at most a.n * b.n states.
     """
     if a.semiring.tag != b.semiring.tag:
         raise TagMismatchError(f"mixed tags: {a.semiring.tag} vs {b.semiring.tag}")
-    if a.semiring.tag not in ("max-plus", "min-plus"):
-        raise TagMismatchError(f"hadamard is not defined for tag {a.semiring.tag!r}")
     if a.alphabet != b.alphabet:
         raise AlphabetError("hadamard requires identical alphabets")
     return _accessible_product(a, b, a.semiring, operator.add)[0]
 
 
 class BooleanAutomaton:
-    """A plain NFA: the image of a weighted automaton under the Boolean projection."""
+    """A plain NFA, such as the support of a weighted automaton."""
 
     __slots__ = ("alphabet", "n", "initial", "final", "delta")
 

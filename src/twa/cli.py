@@ -43,7 +43,7 @@ from .errors import (
     TwaError,
 )
 from .oracle import equal_upto, max_ambiguity_upto
-from .semiring import format_finite, parse_finite
+from .semiring import MIN_PLUS, format_finite, parse_finite
 from .spectral import max_mean_cycle
 
 
@@ -87,95 +87,83 @@ def cmd_trim(args) -> int:
     return 0
 
 
-def cmd_rho(args) -> int:
-    aut = twa_format.load(args.file)
-    if aut.semiring.tag == "max-plus":
-        value = max_mean_cycle(aut.letter_sum())
-        print(_show_weight(value, "max-plus"))
-    elif aut.semiring.tag == "min-plus":
-        value = max_mean_cycle(aut.negate().letter_sum())
-        print(_show_weight(None if value is None else -value, "min-plus"))
-    else:
-        raise TagMismatchError("rho needs a max-plus or min-plus automaton")
-    return 0
+def _dualize(aut: WeightedAutomaton):
+    """The max-plus mirror of an automaton, and the sign that carries values across.
+
+    A max-plus automaton is its own mirror (sign 1); a min-plus one is
+    negated (sign -1), so its series T becomes -T.
+    """
+    if aut.semiring is MIN_PLUS:
+        return aut.negate(), -1
+    return aut, 1
 
 
-def _dualize(aut: WeightedAutomaton) -> WeightedAutomaton:
-    """Map a min-plus automaton onto the max-plus mirror of its question."""
-    if aut.semiring.tag == "max-plus":
-        return aut
-    if aut.semiring.tag == "min-plus":
-        return aut.negate()
-    raise TagMismatchError(f"expected a max-plus or min-plus automaton, got {aut.semiring.tag}")
-
-
-def cmd_check_nonpositive(args) -> int:
-    verdict = decide_nonpositive(_dualize(twa_format.load(args.file)))
+def _report(verdict, yes: str, no: str) -> int:
+    """Print ``yes`` when the verdict holds, else ``no`` with the witness; the exit code."""
     if verdict.holds:
-        print("YES")
+        print(yes)
         return 0
-    print(f"NO witness={_show_word(verdict.witness)}")
+    print(f"{no} witness={_show_word(verdict.witness)}")
     return 1
 
 
-def cmd_fatou(args) -> int:
-    aut = twa_format.load(args.file)
+def _construct(build, args, no: str) -> int:
+    """Write the automaton ``build()`` returns, or report the witness of the check it fails."""
     try:
-        if aut.semiring.tag == "min-plus":
-            result = fatou_normalize(aut.negate()).negate()
-        else:
-            result = fatou_normalize(aut)
-    except NotNonpositiveError as exc:
-        print(f"NOT-NONPOSITIVE witness={_show_word(exc.witness)}")
+        result = build()
+    except (NotEqualError, NotNonpositiveError) as exc:
+        print(f"{no} witness={_show_word(exc.witness)}")
         return 1
     _write(result, args)
     return 0
 
 
-def cmd_equal_const(args) -> int:
+def cmd_rho(args) -> int:
     aut = twa_format.load(args.file)
-    const = parse_finite(args.const)
-    if aut.semiring.tag == "min-plus":
-        aut = aut.negate()
-        const = -const
+    mirror, sign = _dualize(aut)
+    value = max_mean_cycle(mirror.letter_sum())
+    print(_show_weight(None if value is None else sign * value, aut.semiring.tag))
+    return 0
+
+
+def cmd_check_nonpositive(args) -> int:
+    mirror, _ = _dualize(twa_format.load(args.file))
+    return _report(decide_nonpositive(mirror), "YES", "NO")
+
+
+def cmd_fatou(args) -> int:
+    mirror, sign = _dualize(twa_format.load(args.file))
+
+    def build():
+        result = fatou_normalize(mirror)
+        return result if sign > 0 else result.negate()
+
+    return _construct(build, args, "NOT-NONPOSITIVE")
+
+
+def cmd_equal_const(args) -> int:
+    aut, sign = _dualize(twa_format.load(args.file))
+    const = sign * parse_finite(args.const)
     if args.on_support:
         verdict = decide_equal_const_on_support(aut, const)
     else:
-        verdict = decide_equal_const(aut, const, args.monoid_cap)
-    if verdict.holds:
-        print("YES")
-        return 0
-    print(f"NO witness={_show_word(verdict.witness)}")
-    return 1
+        verdict = decide_equal_const(aut, const, args.subset_cap)
+    return _report(verdict, "YES", "NO")
 
 
 def cmd_equal(args) -> int:
-    verdict = decide_series_equal(*_load_pair(args))
-    if verdict.holds:
-        print("EQUAL")
-        return 0
-    print(f"NOT-EQUAL witness={_show_word(verdict.witness)}")
-    return 1
+    return _report(decide_series_equal(*_load_pair(args)), "EQUAL", "NOT-EQUAL")
 
 
 def cmd_leq(args) -> int:
-    verdict = decide_series_leq(*_load_pair(args))
-    if verdict.holds:
-        print("LEQ")
-        return 0
-    print(f"NOT-LEQ witness={_show_word(verdict.witness)}")
-    return 1
+    return _report(decide_series_leq(*_load_pair(args)), "LEQ", "NOT-LEQ")
 
 
 def cmd_onevalued(args) -> int:
     amax, bmin = _load_pair(args)
-    try:
-        result = extract_one_valued(amax, bmin, check=not args.no_check)
-    except (NotEqualError, NotNonpositiveError) as exc:
-        print(f"NOT-EQUAL witness={_show_word(exc.witness)}")
-        return 1
-    _write(result, args)
-    return 0
+    return _construct(
+        lambda: extract_one_valued(amax, bmin, check=not args.no_check), args, "NOT-EQUAL"
+    )
 
 
 def cmd_disambiguate(args) -> int:
@@ -186,26 +174,19 @@ def cmd_disambiguate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     amax, bmin = _load_pair(args)
-    try:
-        result = unambiguous_from_pair(
+    return _construct(
+        lambda: unambiguous_from_pair(
             amax, bmin, check=not args.no_check, subset_cap=args.subset_cap
-        )
-    except (NotEqualError, NotNonpositiveError) as exc:
-        print(f"NOT-EQUAL witness={_show_word(exc.witness)}")
-        return 1
-    _write(result, args)
-    return 0
+        ),
+        args,
+        "NOT-EQUAL",
+    )
 
 
 def cmd_oracle_compare(args) -> int:
     a = twa_format.load(args.file_a)
     b = twa_format.load(args.file_b)
-    verdict = equal_upto(a, b, args.maxlen)
-    if verdict.holds:
-        print(f"EQUAL-UPTO {args.maxlen}")
-        return 0
-    print(f"NOT-EQUAL witness={_show_word(verdict.witness)}")
-    return 1
+    return _report(equal_upto(a, b, args.maxlen), f"EQUAL-UPTO {args.maxlen}", "NOT-EQUAL")
 
 
 def cmd_oracle_ambiguity(args) -> int:
@@ -274,8 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--on-support", action="store_true", help="quantify over the support only")
     p.add_argument(
-        "--monoid-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP, metavar="N",
-        help="cap on the subsets explored by the all-words test",
+        "--subset-cap", "--monoid-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP,
+        metavar="N", help="cap on the subsets explored by the all-words test",
     )
 
     p = add("equal", cmd_equal, "decide equality of a max-plus and a min-plus series")

@@ -100,20 +100,33 @@ def decide_nonpositive(aut: WeightedAutomaton) -> Decision:
     otherwise a pumped maximum-mean (positive) cycle.
     """
     _require_max_plus(aut, "decide_nonpositive")
-    return _nonpositive_trimmed(aut.trim())[0]
+    return _nonpositive(aut.trim())[0]
 
 
-def _nonpositive_trimmed(trim: WeightedAutomaton) -> tuple[Decision, Optional[list]]:
-    """The nonpositivity verdict of a trim automaton, with u = M*beta when it holds.
+def _nonpositive(
+    aut: WeightedAutomaton,
+) -> tuple[Decision, WeightedAutomaton, Optional[list], Optional[list]]:
+    """The nonpositivity verdict of an accessible automaton, and its trim.
 
-    The potential is None with a negative verdict, which carries the witness.
+    One backward search from the final arrows orders the relaxation and
+    finds the states that reach a final arrow; when it misses some, the
+    automaton is restricted to the ones it found, after the relaxation.
+    Returns (verdict, trim, u, keep): u = M*beta on the trim when the
+    verdict holds and None with a NO verdict, which carries the witness;
+    ``keep`` lists the kept states of ``aut`` in increasing order, or is
+    None when all of them are kept.
     """
-    u = list(trim.beta)
-    if not _positive(trim.alpha, u, range(trim.n)):  # before the search, which it may spare
-        order, into = _backward_search([mat.rows for mat in trim.mu.values()], u)
-        if _nonpositive_potential(trim, order, into, u):
-            return Decision(True, None), u
-    return Decision(False, _positive_word(trim, trim.letter_sum())), None
+    u = list(aut.beta)
+    order, into = _backward_search([mat.rows for mat in aut.mu.values()], u)
+    holds = _nonpositive_potential(aut, order, into, u)
+    keep = None
+    if len(order) < aut.n:
+        keep = sorted(order)
+        aut = aut._restrict(keep)
+        u = [u[i] for i in keep]
+    if not holds:
+        return Decision(False, _positive_word(aut, aut.letter_sum())), aut, None, keep
+    return Decision(True, None), aut, u, keep
 
 
 def _positive(alpha: list, u: list, states) -> bool:
@@ -343,8 +356,7 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
     coefficient is positive.
     """
     _require_max_plus(aut, "fatou_normalize")
-    trim = aut.trim()
-    verdict, u = _nonpositive_trimmed(trim)
+    verdict, trim, u, _ = _nonpositive(aut.trim())
     if not verdict.holds:
         raise NotNonpositiveError(verdict.witness)
     return _fatou_trimmed(trim, u)
@@ -353,7 +365,7 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
 def _fatou_trimmed(trim: WeightedAutomaton, u: list) -> WeightedAutomaton:
     """Conjugate a trim nonpositive automaton by its potential ``u`` = M*beta.
 
-    ``u`` is the potential that _nonpositive_trimmed returns with a positive
+    ``u`` is the potential that _nonpositive returns with a positive
     verdict, so the decision and the renormalization share one relaxation.
     """
     if trim.n == 0:
@@ -418,8 +430,7 @@ def decide_equal_const(
     _require_max_plus(aut, "decide_equal_const")
     if not is_rational(const):
         raise TypeError(f"constant must be an exact rational, got {const!r}")
-    trim = _shift_final(aut, -const).trim()
-    verdict, u = _nonpositive_trimmed(trim)
+    verdict, trim, u, _ = _nonpositive(_shift_final(aut, -const).trim())
     if not verdict.holds:
         return verdict
     zero = _zero_masks(trim, u)
@@ -451,11 +462,10 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
     _require_max_plus(aut, "decide_equal_const_on_support")
     if not is_rational(const):
         raise TypeError(f"constant must be an exact rational, got {const!r}")
-    shifted = _shift_final(aut.trim(), -const)
-    verdict, u = _nonpositive_trimmed(shifted)
+    verdict, trim, u, _ = _nonpositive(_shift_final(aut.trim(), -const))
     if not verdict.holds:
         return verdict
-    return _compare(shifted._support_masks(), _zero_masks(shifted, u), inclusion=False)
+    return _compare(trim._support_masks(), _zero_masks(trim, u), inclusion=False)
 
 
 # ---------------------------------------------------------------------------
@@ -567,20 +577,11 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
         if not verdict.holds:
             return _Difference(verdict, ta, None, None, None)
     product, pairs = _accessible_product(ta, tb, MAX_PLUS, operator.sub)
-    u = list(product.beta)
-    order, into = _backward_search([mat.rows for mat in product.mu.values()], u)
-    holds = _nonpositive_potential(product, order, into, u)
-    if len(order) < product.n:
-        keep = sorted(order)
-        product = product._restrict(keep)
+    verdict, product, u, keep = _nonpositive(product)
+    if keep is not None:
         pairs = [pairs[i] for i in keep]
-        u = [u[i] for i in keep]
-    if not holds:
-        verdict, u = Decision(False, _positive_word(product, product.letter_sum())), None
-    elif mode == "equal":
+    if verdict.holds and mode == "equal":
         verdict = _compare(support, _zero_masks(product, u), inclusion=False)
-    else:
-        verdict = Decision(True, None)
     return _Difference(verdict, ta, product, pairs, u)
 
 

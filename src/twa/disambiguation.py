@@ -33,13 +33,7 @@ from .automaton import (
     _post,
 )
 from .decisions import _check_pair, _difference
-from .errors import (
-    AlphabetError,
-    CapExceededError,
-    NotEqualError,
-    NotNonpositiveError,
-    TagMismatchError,
-)
+from .errors import CapExceededError, NotEqualError, NotNonpositiveError
 from .semiring import MAX_PLUS, format_finite
 from .spectral import TropicalMatrix
 
@@ -65,13 +59,8 @@ def extract_one_valued(
     fails; without it, unequal inputs surface as NotNonpositiveError from
     the renormalization step.
     """
-    if check:
-        _check_pair(amax, bmin, "decide_series_equal")  # errors name the check it runs
-    else:
-        if amax.semiring.tag != "max-plus" or bmin.semiring.tag != "min-plus":
-            raise TagMismatchError("extract_one_valued takes a max-plus and a min-plus automaton")
-        if amax.alphabet != bmin.alphabet:
-            raise AlphabetError("extract_one_valued requires identical alphabets")
+    # with the check, errors name the decision it runs
+    _check_pair(amax, bmin, "decide_series_equal" if check else "extract_one_valued")
     difference = _difference(amax, bmin, "equal" if check else "extract")
     if not difference.verdict.holds:
         raise (NotEqualError if check else NotNonpositiveError)(difference.verdict.witness)
@@ -161,8 +150,6 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
     expanded as it is numbered, so every row is built once, and each
     subset's label text is formatted once.
     """
-    if aut.semiring.tag not in ("max-plus", "min-plus"):
-        raise TagMismatchError(f"covering is not defined for tag {aut.semiring.tag!r}")
     support = aut._support_masks()
     subsets, moves = _determinize_subsets(support, cap)
     start_subset = 0

@@ -32,13 +32,12 @@ import sys
 
 from .automaton import WeightedAutomaton, _valid_symbol
 from .errors import FormatError
-from .semiring import format_finite, parse_finite, semiring_for
+from .semiring import SEMIRINGS, format_finite, parse_finite
 from .spectral import TropicalMatrix
 
 MAGIC = "twa"
 VERSION = "1"
 
-_FILE_TAGS = ("max-plus", "min-plus")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 # The longest list this Python can allocate: a larger state count fails
 # before any allocation.
@@ -140,7 +139,7 @@ def parse(text: str) -> WeightedAutomaton:
         elif key == "semiring":
             if len(tokens) != 2:
                 fail("semiring line takes exactly one value", lineno)
-            if tokens[1] not in _FILE_TAGS:
+            if tokens[1] not in SEMIRINGS:
                 fail(f"unsupported semiring {tokens[1]!r}", lineno)
             if semiring is not None:
                 fail("duplicate semiring line", lineno)
@@ -185,18 +184,19 @@ def parse(text: str) -> WeightedAutomaton:
         for letter in rows.values():
             for i, row in enumerate(letter):
                 letter[i] = dict(sorted(row.items()))
-    sr = semiring_for(semiring)
+    sr = SEMIRINGS[semiring]
     mu = {ch: TropicalMatrix._adopt(sr, n, letter) for ch, letter in rows.items()}
     return WeightedAutomaton._adopt(sr, tuple(alphabet), n, alpha, beta, mu, None)
 
 
 def serialize(aut: WeightedAutomaton) -> str:
     """Emit canonical `.twa` text for an automaton; each distinct weight is formatted once."""
-    tag = aut.semiring.tag
-    if tag not in _FILE_TAGS:
-        raise FormatError(f"semiring {tag!r} has no file representation")
-    lines = [f"{MAGIC} {VERSION}", f"semiring {tag}", " ".join(("alphabet",) + aut.alphabet)]
-    lines.append(f"states {aut.n}")
+    lines = [
+        f"{MAGIC} {VERSION}",
+        f"semiring {aut.semiring.tag}",
+        " ".join(("alphabet",) + aut.alphabet),
+        f"states {aut.n}",
+    ]
     labels = aut.state_labels
     if labels:
         # the labels hold a line break iff, joined and followed by a space,

@@ -1,10 +1,11 @@
 """Exact scalar arithmetic for the tropical semirings.
 
-Three tags exist: max-plus, min-plus and the Boolean semiring (the {zero, 0}
-subsemiring of max-plus).  All are scalar: finite weights are exact rationals
-stored as plain ``int`` or ``fractions.Fraction``; the semiring zero carries
-no value and is represented by ``None`` everywhere (an absent arc *is* the
-zero weight).
+Two tags exist, max-plus and min-plus, and ``SEMIRINGS`` is the only place
+that lists them.  Both are scalar: finite weights are exact rationals stored
+as plain ``int`` or ``fractions.Fraction``; the semiring zero carries no value
+and is represented by ``None`` everywhere (an absent arc *is* the zero
+weight).  The supports of their series are handled as NFAs
+(``twa.automaton.BooleanAutomaton``), not as a third tag.
 
 No floating point is used anywhere: comparisons against 0 made by the
 decision procedures are boundary-exact and would be corrupted by rounding.
@@ -87,22 +88,20 @@ class _MinPlus(_MaxPlus):
         return x if x <= y else y
 
 
-class _Boolean(_MaxPlus):
-    # The Boolean semiring is the {zero, 0} subsemiring of max-plus.
-    tag = "boolean"
-
-
 MAX_PLUS = _MaxPlus()
 MIN_PLUS = _MinPlus()
-BOOLEAN = _Boolean()
 
-SEMIRINGS = {s.tag: s for s in (MAX_PLUS, MIN_PLUS, BOOLEAN)}
+SEMIRINGS = {s.tag: s for s in (MAX_PLUS, MIN_PLUS)}
 
 
 def semiring_for(tag) -> Semiring:
-    """Resolve a tag string (or pass a Semiring through); reject anything else."""
+    """The singleton of a tag string or of a Semiring's tag; reject anything else.
+
+    Every automaton and matrix holds MAX_PLUS or MIN_PLUS itself, so a
+    semiring can be tested with ``is``.
+    """
     if isinstance(tag, Semiring):
-        return tag
+        tag = tag.tag
     try:
         return SEMIRINGS[tag]
     except (KeyError, TypeError):
@@ -110,7 +109,7 @@ def semiring_for(tag) -> Semiring:
 
 
 def oplus(x: Weight, y: Weight, tag) -> Weight:
-    """Semiring addition (max, min, or logical-or) with zero as neutral element."""
+    """Semiring addition (max or min) with zero as neutral element."""
     return semiring_for(tag).plus(x, y)
 
 
@@ -126,11 +125,6 @@ def negate_weight(x: Weight) -> Weight:
     if not is_rational(x):
         raise TagMismatchError(f"cannot negate non-scalar weight {x!r}")
     return -x
-
-
-def boolean_projection(x) -> Weight:
-    """Canonical morphism onto the Boolean semiring: zero -> zero, finite -> 0."""
-    return None if x is None else 0
 
 
 # ---------------------------------------------------------------------------

@@ -80,14 +80,12 @@ def divisor_max_series(p: int, q: int, tag) -> WeightedAutomaton:
         return _direct_sum(
             divisibility_series(p, p, sr), divisibility_series(q, q, sr)
         )
-    if sr.tag == "min-plus":
-        finals = {0: max(p, q)}
-        for i in range(1, q):
-            finals[i * p % (p * q)] = p
-        for j in range(1, p):
-            finals[j * q % (p * q)] = q
-        return _cycle_with_finals(p * q, finals, sr)
-    raise TwaError(f"no construction for tag {sr.tag!r}")
+    finals = {0: max(p, q)}
+    for i in range(1, q):
+        finals[i * p % (p * q)] = p
+    for j in range(1, p):
+        finals[j * q % (p * q)] = q
+    return _cycle_with_finals(p * q, finals, sr)
 
 
 def divisor_min_series(r: int, s: int, tag) -> WeightedAutomaton:
@@ -99,14 +97,12 @@ def divisor_min_series(r: int, s: int, tag) -> WeightedAutomaton:
         return _direct_sum(
             divisibility_series(r, r, sr), divisibility_series(s, s, sr)
         )
-    if sr.tag == "max-plus":
-        finals = {0: min(r, s)}
-        for i in range(1, s):
-            finals[i * r % (r * s)] = r
-        for j in range(1, r):
-            finals[j * s % (r * s)] = s
-        return _cycle_with_finals(r * s, finals, sr)
-    raise TwaError(f"no construction for tag {sr.tag!r}")
+    finals = {0: min(r, s)}
+    for i in range(1, s):
+        finals[i * r % (r * s)] = r
+    for j in range(1, r):
+        finals[j * s % (r * s)] = s
+    return _cycle_with_finals(r * s, finals, sr)
 
 
 def prime_period_pair(p: int = 2, q: int = 3, r: int = 5, s: int = 7):

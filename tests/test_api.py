@@ -43,9 +43,30 @@ def test_package_exports_exactly_what_it_imports():
         "DEFAULT_MONOID_CAP",
         "parse_weight",
         "format_weight",
+        "BOOLEAN",
+        "boolean_projection",
     ],
 )
 def test_retired_names_are_gone(name):
     assert name not in twa.__all__
     for module in ["twa", *MODULES]:
         assert not hasattr(importlib.import_module(module), name), module
+
+
+def _holds_both_tags(node) -> bool:
+    strings = {elt.value for elt in node.elts if isinstance(elt, ast.Constant)}
+    return {"max-plus", "min-plus"} <= strings
+
+
+def test_only_the_semiring_module_spells_out_the_tags():
+    # the tag set lives in twa.semiring.SEMIRINGS; any other module that
+    # lists both tags keeps a second copy of it
+    package = pathlib.Path(twa.__file__).parent
+    copies = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "semiring.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and _holds_both_tags(node)
+    ]
+    assert copies == []

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from corpus import automata, grid_product, random_automaton
 from twa import (
-    BOOLEAN,
     MAX_PLUS,
     MIN_PLUS,
     AlphabetError,
@@ -305,18 +304,6 @@ def test_trim_keeps_the_useful_states_in_order(aut):
     assert (trimmed is aut) == (len(keep) == aut.n)
 
 
-def test_letter_sum_rejects_pair_tag(pair):
-    amax, _ = pair
-    boolean = WeightedAutomaton.from_arcs(
-        BOOLEAN, amax.alphabet, amax.n,
-        initial=[(i, 0) for i, w in enumerate(amax.alpha) if w is not None],
-        final=[(i, 0) for i, w in enumerate(amax.beta) if w is not None],
-        arcs=[(src, ch, dst, 0) for src, ch, dst, _ in amax.arcs()],
-    )
-    with pytest.raises(TagMismatchError):
-        boolean.letter_sum()
-
-
 def test_constructor_validates():
     with pytest.raises(AlphabetError):
         WeightedAutomaton.from_arcs(MAX_PLUS, "aa", 1)
@@ -326,6 +313,9 @@ def test_constructor_validates():
         WeightedAutomaton.from_arcs(MAX_PLUS, "a", 1, initial=[(0, 0.5)])
     with pytest.raises(TagMismatchError):
         WeightedAutomaton.from_arcs(MAX_PLUS, "a", 1, initial=[(0, (1, 2))])
+    # supports are NFAs (BooleanAutomaton), never a weighted automaton's tag
+    with pytest.raises(TagMismatchError):
+        WeightedAutomaton.from_arcs("boolean", "a", 1)
 
 
 def test_fraction_weights_evaluate_exactly():

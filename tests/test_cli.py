@@ -237,9 +237,11 @@ def test_monoid_cap_exit_code(capsys, tmp_path):
         "initial 0 0\nfinal 0 0\nfinal 1 0\n"
         "trans 0 1 a 0\ntrans 1 0 a 0\ntrans 0 0 b 0\ntrans 1 1 b 0\n"
     )
-    code, _, err = run(capsys, "equal-const", "0", str(path), "--monoid-cap", "1")
-    assert code == 3
-    assert "cap" in err
+    # --monoid-cap is the older spelling of --subset-cap
+    for spelling in ("--subset-cap", "--monoid-cap"):
+        code, _, err = run(capsys, "equal-const", "0", str(path), spelling, "1")
+        assert code == 3, spelling
+        assert "cap" in err, spelling
 
 
 def test_oracle_compare(capsys):
@@ -319,9 +321,11 @@ def test_nonpositive_caps_and_negative_lengths_are_usage_errors(capsys, tmp_path
         "trans 0 1 a 0\ntrans 1 0 a 0\ntrans 0 0 b 0\ntrans 1 1 b 0\n"
     )
     for argv in (
-        ("equal-const", "0", str(path), "--monoid-cap", "0"),
-        ("equal-const", "0", str(path), "--monoid-cap", "-2"),
-        ("equal-const", "0", str(path), "--monoid-cap", "many"),
+        *(
+            ("equal-const", "0", str(path), spelling, cap)
+            for spelling in ("--subset-cap", "--monoid-cap")
+            for cap in ("0", "-2", "many")
+        ),
         ("pipeline", AMAX, BMIN, "--subset-cap", "0"),
         ("pipeline", AMAX, BMIN, "--subset-cap", "-5"),
         ("disambiguate", AMAX, "--subset-cap", "0"),

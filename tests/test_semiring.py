@@ -1,4 +1,4 @@
-"""Semiring arithmetic: axioms, the negation isomorphism, the Boolean morphism."""
+"""Semiring arithmetic: axioms, the negation isomorphism, weight literals, the tags."""
 
 import random
 from fractions import Fraction
@@ -6,12 +6,10 @@ from fractions import Fraction
 import pytest
 
 from twa import (
-    BOOLEAN,
     MAX_PLUS,
     MIN_PLUS,
     FormatError,
     TagMismatchError,
-    boolean_projection,
     format_finite,
     negate_weight,
     oplus,
@@ -56,12 +54,6 @@ def test_negate_weight():
     assert negate_weight(Fraction(-5, 2)) == Fraction(5, 2)
 
 
-def test_boolean_projection():
-    assert boolean_projection(7) == 0
-    assert boolean_projection(None) is None
-    assert boolean_projection(-3) == 0
-
-
 def _random_weights(rng, count):
     out = []
     for _ in range(count):
@@ -74,12 +66,10 @@ def _random_weights(rng, count):
     return out
 
 
-@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS, BOOLEAN])
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS])
 def test_semiring_axioms(tag):
     rng = random.Random(1234)
     xs = _random_weights(rng, 40)
-    if tag is BOOLEAN:
-        xs = [None if x is None else 0 for x in xs]
     one = tag.one
     for _ in range(300):
         x, y, z = rng.choice(xs), rng.choice(xs), rng.choice(xs)
@@ -105,19 +95,6 @@ def test_negation_is_involutive_and_swaps_the_additions():
         )
         assert negate_weight(otimes(x, y, MAX_PLUS)) == otimes(
             negate_weight(x), negate_weight(y), MIN_PLUS
-        )
-
-
-def test_boolean_projection_is_a_morphism():
-    rng = random.Random(7)
-    xs = _random_weights(rng, 60)
-    for _ in range(300):
-        x, y = rng.choice(xs), rng.choice(xs)
-        assert boolean_projection(oplus(x, y, MAX_PLUS)) == oplus(
-            boolean_projection(x), boolean_projection(y), BOOLEAN
-        )
-        assert boolean_projection(otimes(x, y, MAX_PLUS)) == otimes(
-            boolean_projection(x), boolean_projection(y), BOOLEAN
         )
 
 
@@ -157,5 +134,7 @@ def test_weight_roundtrip_is_canonical():
 def test_semiring_for_accepts_tags_and_instances():
     assert semiring_for("max-plus") is MAX_PLUS
     assert semiring_for(MIN_PLUS) is MIN_PLUS
-    with pytest.raises(TagMismatchError):
-        semiring_for("plus-times")
+    assert semiring_for(type(MAX_PLUS)()) is MAX_PLUS
+    for tag in ("plus-times", "boolean"):
+        with pytest.raises(TagMismatchError):
+            semiring_for(tag)
