@@ -11,8 +11,8 @@ of the potential u = M*beta, and a positive verdict hands u on to the
 renormalization.  The relaxation visits the arcs in backward breadth-first
 order from the final arrows, so a round carries the weights along every
 fewest-arc path and few rounds are needed.  The scan of alpha M^k beta and
-Karp's maximum mean cycle run only to build the witness of a negative
-verdict.
+the maximum mean circuit (Howard policy iteration, in twa.spectral) run only
+to build the witness of a negative verdict.
 
 The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
 automaton, is read straight off u as bitmasks: an initial arrow is kept iff
@@ -59,7 +59,14 @@ from .errors import (
     TagMismatchError,
 )
 from .semiring import MAX_PLUS, is_rational
-from .spectral import TropicalMatrix, _backward_search, _relax, max_mean_cycle, vec_mat
+from .spectral import (
+    TropicalMatrix,
+    _backward_search,
+    _critical_circuit,
+    _relax,
+    max_mean_cycle,
+    vec_mat,
+)
 
 
 class Decision(NamedTuple):
@@ -212,62 +219,16 @@ def _backtrack_word(aut: WeightedAutomaton, profiles, k: int, end_state: int) ->
     return "".join(reversed(letters))
 
 
-def _find_critical_cycle(m: TropicalMatrix, rho) -> list[int]:
-    """A circuit of ``m`` whose mean weight equals the maximum mean ``rho``.
-
-    Subtracting rho from every arc makes all cycle weights <= 0, so the
-    longest-walk potentials b (from an all-zero floor) reach a fixpoint; the
-    arcs that are tight for b form a subgraph in which every cycle has mean
-    exactly rho, and the critical circuit guarantees at least one exists.
-    """
-    n = m.n
-    arcs = [(i, j, w - rho) for i, j, w in m.arcs()]
-    b = [0] * n
-    for _ in range(n + 1):
-        changed = False
-        for i, j, w in arcs:
-            c = b[i] + w
-            if c > b[j]:
-                b[j] = c
-                changed = True
-        if not changed:
-            break
-    assert not changed, "potentials failed to converge; mean cycle was wrong"
-    tight = [[] for _ in range(n)]
-    for i, j, w in arcs:
-        if b[i] + w == b[j]:
-            tight[i].append(j)
-    for row in tight:
-        row.sort()
-    color = [0] * n  # 0 fresh, 1 on stack, 2 done
-    for start in range(n):
-        if color[start] or not tight[start]:
-            continue
-        path = [start]
-        iters = [iter(tight[start])]
-        color[start] = 1
-        while path:
-            for nxt in iters[-1]:
-                if color[nxt] == 1:
-                    return path[path.index(nxt):]
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    iters.append(iter(tight[nxt]))
-                    break
-            else:
-                color[path.pop()] = 2
-                iters.pop()
-    raise AssertionError("tight subgraph has no cycle; mean cycle was wrong")
-
-
 def _pumped_witness(trim: WeightedAutomaton, m: TropicalMatrix, rho) -> str:
-    """Build a word with positive value from a maximum-mean (positive) circuit.
+    """Build a word with positive value from a circuit of maximum mean ``rho`` > 0.
 
-    The witness pumps the circuit enough times to dominate the exact weight
-    of its access and co-access paths.
+    ``m`` is the letter sum of ``trim`` and ``rho`` its max_mean_cycle; the
+    circuit is the one _critical_circuit returns with it.  The witness pumps
+    the circuit enough times to dominate the exact weight of its access and
+    co-access paths.
     """
-    cycle = _find_critical_cycle(m, rho)
+    mean, cycle = _critical_circuit(m)
+    assert mean == rho and rho > 0, "pumped witness needs a positive maximum mean"
     cycle_word = []
     cycle_weight = 0
     for idx, src in enumerate(cycle):
@@ -280,7 +241,6 @@ def _pumped_witness(trim: WeightedAutomaton, m: TropicalMatrix, rho) -> str:
         else:
             raise AssertionError("letter sum lost the maximizing letter")
         cycle_weight += target
-    assert cycle_weight > 0, "extracted cycle is not positive"
     start = cycle[0]
 
     access_word, access_weight = _bfs_path(trim, start, forward=True)
@@ -298,31 +258,31 @@ def _bfs_path(trim: WeightedAutomaton, target: int, forward: bool):
     """Shortest word from an initial arrow to ``target`` (or from it to a final arrow).
 
     Returns (word, exact weight of that particular path including the arrow).
-    The automaton is trim, so the path exists.
+    The automaton is trim, so the path exists.  The search tries the letters
+    in alphabet order and, per letter, the next states in increasing order;
+    the backward search lists the arcs into each state once, before it starts.
     """
     if forward:
-        seeds = {i: w for i, w in enumerate(trim.alpha) if w is not None}
+        seeds, hops = trim.alpha, {ch: mat.rows for ch, mat in trim.mu.items()}
     else:
-        seeds = {i: w for i, w in enumerate(trim.beta) if w is not None}
+        seeds, hops = trim.beta, {ch: [{} for _ in range(trim.n)] for ch in trim.mu}
+        for ch, mat in trim.mu.items():
+            into = hops[ch]
+            for i, row in enumerate(mat.rows):
+                for j, w in row.items():
+                    into[j][i] = w
     prev = {}
     queue = deque()
-    for state in sorted(seeds):
-        prev[state] = None
-        queue.append(state)
+    for state, w in enumerate(seeds):
+        if w is not None:
+            prev[state] = None
+            queue.append(state)
     while queue:
         state = queue.popleft()
         if state == target:
             break
         for ch in trim.alphabet:
-            if forward:
-                hops = trim.mu[ch].rows[state].items()
-            else:
-                hops = (
-                    (i, row[state])
-                    for i, row in enumerate(trim.mu[ch].rows)
-                    if state in row
-                )
-            for nxt, w in sorted(hops):
+            for nxt, w in sorted(hops[ch][state].items()):
                 if nxt not in prev:
                     prev[nxt] = (state, ch, w)
                     queue.append(nxt)

@@ -44,10 +44,11 @@ class NotEqualError(TwaError):
 
 
 class CapExceededError(TwaError):
-    """A configurable resource cap was hit: more subsets appeared than the cap allows.
+    """A resource cap was hit: more subsets or states appeared than the cap allows.
 
     Every subset exploration (the all-words constant test, determinization,
-    the covering) takes a cap; ``what`` names the exploration.
+    the covering) takes a cap, and `format.parse` refuses a state count
+    above DEFAULT_SUBSET_CAP; ``what`` names the exploration or the count.
     """
 
     def __init__(self, what: str, cap: int):

@@ -30,8 +30,8 @@ import re
 import struct
 import sys
 
-from .automaton import WeightedAutomaton, _valid_symbol
-from .errors import FormatError
+from .automaton import DEFAULT_SUBSET_CAP, WeightedAutomaton, _valid_symbol
+from .errors import CapExceededError, FormatError
 from .semiring import SEMIRINGS, format_finite, parse_finite
 from .spectral import TropicalMatrix
 
@@ -54,7 +54,8 @@ def parse(text: str) -> WeightedAutomaton:
 
     Each distinct state token and weight literal is checked once per call,
     and each arc goes straight into its row; rows list their targets in
-    increasing order whatever the order of the lines.
+    increasing order whatever the order of the lines.  A state count above
+    DEFAULT_SUBSET_CAP raises CapExceededError before any list is allocated.
     """
     semiring = None
     alphabet = None
@@ -164,6 +165,8 @@ def parse(text: str) -> WeightedAutomaton:
                 fail("state count must be nonnegative", lineno)
             if count > _MAX_STATES:
                 fail(f"state count {count} is larger than the longest list, {_MAX_STATES}", lineno)
+            if count > DEFAULT_SUBSET_CAP:
+                raise CapExceededError(f"line {lineno}: state count {count}", DEFAULT_SUBSET_CAP)
             n = count
             alpha = [None] * n
             beta = [None] * n

@@ -2,7 +2,8 @@
 
 Matrices are stored sparsely (one dict per row; absent entries are the
 semiring zero), which keeps the large but thin products produced by the
-automaton constructions cheap.
+automaton constructions cheap.  The maximum cycle mean and a circuit that
+attains it come from one routine, Howard policy iteration.
 """
 
 from __future__ import annotations
@@ -149,117 +150,119 @@ def vec_mat(x: dict, m: TropicalMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _strongly_connected_components(n: int, adj) -> list[list[int]]:
-    """Kosaraju's algorithm, iterative; returns components as lists of nodes."""
-    order = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [(start, iter(adj[start]))]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    radj = [[] for _ in range(n)]
-    for u in range(n):
-        for v in adj[u]:
-            radj[v].append(u)
-    comp = [-1] * n
-    components: list[list[int]] = []
-    for node in reversed(order):
-        if comp[node] != -1:
-            continue
-        cid = len(components)
-        members = [node]
-        comp[node] = cid
-        queue = [node]
-        while queue:
-            u = queue.pop()
-            for v in radj[u]:
-                if comp[v] == -1:
-                    comp[v] = cid
-                    members.append(v)
-                    queue.append(v)
-        components.append(members)
-    return components
+def _critical_circuit(m: TropicalMatrix):
+    """The maximum circuit mean of ``m`` and a simple circuit that attains it.
 
+    Howard policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick and
+    Quadrat, 1998).  The states that lead to no circuit are stripped first,
+    so every state left has an arc to keep.  A policy keeps one arc per
+    state; its graph ends in circuits, and each state gets the mean eta of
+    the circuit it leads to and a bias x, with x = 0 at the smallest state of
+    each circuit (its root) and x_i = w - eta_i + x_j along the kept arc
+    i -> j.  A round first moves each state to a successor of larger eta;
+    only when none exists does it move states to an arc of equal eta and
+    larger w + x_j.  A state moves only on a strict improvement, to the
+    lowest such target, so the policies never repeat and the iteration ends,
+    with eta_i the largest mean of a circuit that i reaches.
 
-def _karp_component(nodes: list[int], arcs) -> Fraction | int | None:
-    """Maximum cycle mean inside one strongly connected component.
-
-    Karp's table D[k][v] holds the maximum weight of a walk of exactly k arcs
-    from an arbitrary source; the answer is max_v min_k (D[nc][v]-D[k][v])/(nc-k).
+    Returns (rho, circuit): rho exact (an int when integral), and the states
+    of a circuit of the final policy with mean rho, the one with the smallest
+    root, from its root in arc order.  (None, None) when the graph is acyclic.
     """
-    nc = len(nodes)
-    local = {v: i for i, v in enumerate(nodes)}
-    larcs = [(local[u], local[v], w) for u, v, w in arcs]
-    if not larcs:
-        return None
-    d = [[None] * nc for _ in range(nc + 1)]
-    d[0][0] = 0
-    for k in range(1, nc + 1):
-        prev, cur = d[k - 1], d[k]
-        for u, v, w in larcs:
-            pu = prev[u]
-            if pu is None:
-                continue
-            c = pu + w
-            if cur[v] is None or c > cur[v]:
-                cur[v] = c
-    best = None
-    top = d[nc]
-    for v in range(nc):
-        tv = top[v]
-        if tv is None:
+    if m.semiring.tag != "max-plus":
+        raise TagMismatchError("max_mean_cycle requires a max-plus matrix")
+    n, rows = m.n, m.rows
+    outdeg = [len(row) for row in rows]
+    into = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            into[j].append(i)
+    dead = [i for i in range(n) if not outdeg[i]]
+    for j in dead:  # grows while it is walked
+        for i in into[j]:
+            outdeg[i] -= 1
+            if not outdeg[i]:
+                dead.append(i)
+    alive = [i for i in range(n) if outdeg[i]]
+    if not alive:
+        return None, None
+    succ = [None] * n
+    policy = [None] * n
+    for i in alive:
+        succ[i] = arcs = [(j, w) for j, w in sorted(rows[i].items()) if outdeg[j]]
+        policy[i] = max(arcs, key=lambda arc: arc[1])  # the lowest target of the heaviest
+    while True:
+        eta, x, circuits = _policy_values(alive, policy)
+        moved = False
+        for i in alive:
+            best, target = eta[i], None
+            for arc in succ[i]:
+                if eta[arc[0]] > best:
+                    best, target = eta[arc[0]], arc
+            if target is not None:
+                policy[i] = target
+                moved = True
+        if moved:
             continue
-        vmin = None
-        for k in range(nc):
-            dk = d[k][v]
-            if dk is None:
-                continue
-            mean = Fraction(tv - dk, nc - k)
-            if vmin is None or mean < vmin:
-                vmin = mean
-        if best is None or vmin > best:
-            best = vmin
-    return best
+        for i in alive:
+            ei = eta[i]
+            best, target = x[i] + ei, None
+            for arc in succ[i]:
+                j, w = arc
+                if eta[j] == ei and w + x[j] > best:
+                    best, target = w + x[j], arc
+            if target is not None:
+                policy[i] = target
+                moved = True
+        if not moved:
+            return max(circuits, key=lambda c: (c[0], -c[1][0]))
+
+
+def _policy_values(alive: list, policy: list):
+    """The mean eta and bias x of each state under ``policy``, and its circuits.
+
+    ``policy[i]`` is the kept arc (j, w) of state i.  Returns (eta, x,
+    circuits), circuits as (mean, states from the root).
+    """
+    n = len(policy)
+    eta = [None] * n
+    x = [None] * n
+    walk = [None] * n
+    circuits = []
+    for start in alive:
+        if walk[start] is not None:
+            continue
+        path = []
+        i = start
+        while walk[i] is None:
+            walk[i] = start
+            path.append(i)
+            i = policy[i][0]
+        if walk[i] == start:  # this walk closed a circuit at i
+            k = path.index(i)
+            cycle = path[k:]
+            del path[k:]
+            root = cycle.index(min(cycle))
+            cycle = cycle[root:] + cycle[:root]
+            mean = as_value(Fraction(sum(policy[c][1] for c in cycle), len(cycle)))
+            circuits.append((mean, cycle))
+            eta[cycle[0]] = mean
+            x[cycle[0]] = 0
+            path += cycle[1:]
+        for i in reversed(path):
+            j, w = policy[i]
+            eta[i] = ej = eta[j]
+            x[i] = w - ej + x[j]
+    return eta, x, circuits
 
 
 def max_mean_cycle(m: TropicalMatrix):
     """The maximal mean weight over all simple circuits of the graph of ``m``.
 
     Returns an exact rational, or None (the semiring zero) when the graph is
-    acyclic.  Runs Karp's algorithm once per nontrivial strongly connected
-    component and takes the maximum.
+    acyclic.  The mean is the first item of _critical_circuit.
     """
-    if m.semiring.tag != "max-plus":
-        raise TagMismatchError("max_mean_cycle requires a max-plus matrix")
-    adj = [sorted(row) for row in m.rows]
-    best = None
-    for nodes in _strongly_connected_components(m.n, adj):
-        members = set(nodes)
-        arcs = [
-            (u, v, w)
-            for u in nodes
-            for v, w in m.rows[u].items()
-            if v in members
-        ]
-        if not arcs:
-            continue
-        mean = _karp_component(nodes, arcs)
-        if mean is not None and (best is None or mean > best):
-            best = mean
-    return None if best is None else as_value(best)
+    return _critical_circuit(m)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ def test_package_exports_exactly_what_it_imports():
         "format_weight",
         "BOOLEAN",
         "boolean_projection",
+        "_karp_component",
+        "_strongly_connected_components",
+        "_find_critical_cycle",
     ],
 )
 def test_retired_names_are_gone(name):

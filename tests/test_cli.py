@@ -286,6 +286,15 @@ def test_state_count_longer_than_any_list_is_a_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_state_count_above_the_cap_exits_3(capsys, tmp_path):
+    path = tmp_path / "big.twa"
+    path.write_text("twa 1\nsemiring max-plus\nalphabet a\nstates 1000000000\n")
+    code, out, err = run(capsys, "eval", str(path), "a")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: line 4: state count 1000000000 exceeded cap of")
+    assert err.count("\n") == 1
+
+
 def test_bad_format_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.twa"
     path.write_text("twa 1\nsemiring max-plus\nalphabet a\nstates 1\ntrans 0 5 a 1\n")

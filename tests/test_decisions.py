@@ -114,6 +114,88 @@ def test_nonpositive_agrees_with_bounded_oracle():
             assert value is not None and value > 0
 
 
+def _scan_is_nonpositive(trim):
+    """Whether alpha M^k beta <= 0 for every k < n: no word shorter than n is positive."""
+    m = trim.letter_sum()
+    x = {i: w for i, w in enumerate(trim.alpha) if w is not None}
+    for _ in range(trim.n):
+        if any(trim.beta[i] is not None and xi + trim.beta[i] > 0 for i, xi in x.items()):
+            return False
+        x = vec_mat(x, m)
+    return True
+
+
+def test_pumped_witnesses_are_exact_when_the_scan_finds_no_positive_word():
+    # positive loops behind heavy negative arrows, as in the padding test above
+    rng = random.Random(1501)
+    pumped = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        arcs = [
+            (i, ch, j, Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])))
+            for i in range(n) for ch in "ab" for j in range(n) if rng.random() < 0.35
+        ]
+        initial = [(i, rng.randint(-60, -10)) for i in range(n) if rng.random() < 0.5]
+        final = [(i, rng.randint(-60, -10)) for i in range(n) if rng.random() < 0.5]
+        aut = WeightedAutomaton.from_arcs(
+            MAX_PLUS, "ab", n, initial=initial, final=final, arcs=arcs
+        )
+        trim = aut.trim()
+        if trim.n == 0 or not _scan_is_nonpositive(trim):
+            continue
+        verdict = decide_nonpositive(aut)
+        if verdict.holds:
+            continue
+        pumped += 1
+        value = aut.eval(verdict.witness)
+        assert value is not None and value > 0
+    assert pumped >= 50
+
+
+def _reference_bfs_path(trim, target, forward):
+    """_bfs_path as it was: backward, it scans every row of every letter per dequeued state."""
+    seeds = {i: w for i, w in enumerate(trim.alpha if forward else trim.beta) if w is not None}
+    prev = {state: None for state in sorted(seeds)}
+    queue = deque(sorted(seeds))
+    while queue:
+        state = queue.popleft()
+        if state == target:
+            break
+        for ch in trim.alphabet:
+            if forward:
+                hops = trim.mu[ch].rows[state].items()
+            else:
+                hops = ((i, row[state]) for i, row in enumerate(trim.mu[ch].rows) if state in row)
+            for nxt, w in sorted(hops):
+                if nxt not in prev:
+                    prev[nxt] = (state, ch, w)
+                    queue.append(nxt)
+    letters = []
+    weight = 0
+    node = target
+    while prev[node] is not None:
+        node, ch, w = prev[node]
+        letters.append(ch)
+        weight += w
+    weight += seeds[node]
+    if forward:
+        letters.reverse()
+    return "".join(letters), weight
+
+
+def test_bfs_path_matches_the_row_scanning_reference():
+    rng = random.Random(1502)
+    checked = 0
+    for _ in range(150):
+        trim = random_automaton(rng, max_states=7, alphabet="abc", arc_p=0.2, frac_p=0.3).trim()
+        for target in range(trim.n):
+            for forward in (True, False):
+                expected = _reference_bfs_path(trim, target, forward)
+                assert twa.decisions._bfs_path(trim, target, forward) == expected
+                checked += 1
+    assert checked > 500
+
+
 def test_profile_scan_matches_oracle_per_length():
     # alpha M^k beta equals the best value over words of length exactly k
     rng = random.Random(1002)
@@ -377,6 +459,7 @@ def _raise(*args, **kwargs):
 def test_positive_verdicts_skip_karp_and_the_profile_scan(monkeypatch, pair):
     amax, bmin = pair()
     monkeypatch.setattr(twa.decisions, "max_mean_cycle", _raise)
+    monkeypatch.setattr(twa.decisions, "_critical_circuit", _raise)
     monkeypatch.setattr(twa.decisions, "vec_mat", _raise)
     difference = hadamard(amax, bmin.negate())
     assert decide_nonpositive(difference).holds

@@ -3,6 +3,7 @@
 import pathlib
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import LONGEST_LIST, automata, random_automaton
-from twa import MAX_PLUS, FormatError, WeightedAutomaton, zoo
+from twa import (
+    DEFAULT_SUBSET_CAP,
+    MAX_PLUS,
+    CapExceededError,
+    FormatError,
+    WeightedAutomaton,
+    zoo,
+)
 from twa.format import load, parse, serialize
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -168,6 +176,15 @@ def test_state_count_longer_than_any_list_is_a_format_error(count):
         "larger than the longest list",
         line=4,
     )
+
+
+@pytest.mark.parametrize("count", [DEFAULT_SUBSET_CAP + 1, 10**9, LONGEST_LIST])
+def test_state_count_above_the_cap_is_refused_before_allocating(count):
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as err:
+        parse(f"twa 1\nsemiring max-plus\nalphabet a b\nstates {count}\ninitial 0 0\n")
+    assert time.perf_counter() - start < 0.5
+    assert (err.value.what, err.value.cap) == (f"line 4: state count {count}", DEFAULT_SUBSET_CAP)
 
 
 @pytest.mark.parametrize(
