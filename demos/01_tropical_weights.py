@@ -1,4 +1,4 @@
-"""Exact tropical arithmetic: weights, matrices, cycle means, and the star.
+"""Exact tropical arithmetic: weights, matrices, cycle means, and divergence.
 
 Run:  python3 demos/01_tropical_weights.py
 """
@@ -9,8 +9,8 @@ from twa import (
     MAX_PLUS,
     MIN_PLUS,
     TropicalMatrix,
-    mat_mul,
-    mat_star,
+    WeightedAutomaton,
+    decide_nonpositive,
     max_mean_cycle,
     negate_weight,
     oplus,
@@ -37,16 +37,14 @@ print()
 print("== matrices ==")
 m = TropicalMatrix.from_rows(MAX_PLUS, [[-1, 2], [0, None]])
 print("M =", m.to_rows())
-print("M ** 2 =", mat_mul(m, m).to_rows())
 print("maximum cycle mean of M:", max_mean_cycle(m), "(the two-cycle averages (2+0)/2)")
 
-nilpotent = TropicalMatrix.from_rows(MAX_PLUS, [[None, 1], [None, None]])
 print()
-print("N =", nilpotent.to_rows())
-print("N* =", mat_star(nilpotent).to_rows(), "(identity plus the only path)")
-
-spiky = TropicalMatrix.from_rows(MAX_PLUS, [[1]])
-try:
-    mat_star(spiky)
-except Exception as exc:
-    print("star of a positive loop diverges:", exc)
+print("== divergence ==")
+spiky = WeightedAutomaton.from_arcs(
+    MAX_PLUS, "a", 1, initial=[(0, -3)], final=[(0, -3)], arcs=[(0, "a", 0, Fraction(1, 2))]
+)
+print("a one-state loop of weight 1/2 behind arrows of -3: cycle mean", max_mean_cycle(spiky.letter_sum()))
+verdict = decide_nonpositive(spiky)
+print("every value <= 0?", verdict.holds, "- the positive loop pumps past the arrows")
+print(f"witness {verdict.witness!r} has value {spiky.eval(verdict.witness)}")

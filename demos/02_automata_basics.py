@@ -42,6 +42,5 @@ text = serialize(slim)
 print(text)
 print("round-trip parses back to the same automaton:", parse(text) == slim)
 
-print("the support is a plain NFA:")
-nfa = slim.support()
-print("  accepts 'a':", nfa.accepts("a"), "/ accepts 'b':", nfa.accepts("b"))
+print("the support is the set of words with a value:")
+print("  'a' in it:", slim.eval("a") is not None, "/ 'b' in it:", slim.eval("b") is not None)

@@ -1,25 +1,22 @@
 """Weighted automata over tropical semirings with exact rational weights.
 
-The package provides linear representations over max-plus/min-plus (their
-supports are plain NFAs), exact spectral primitives (maximum cycle mean,
-matrix star), decision procedures (nonpositivity, constant series,
+The package provides linear representations over max-plus/min-plus, the
+maximum cycle mean, decision procedures (nonpositivity, constant series,
 equality and inequality of a max-plus and a min-plus series), and the
 constructive pipeline that turns an equivalent max-plus/min-plus pair into a
-1-valued and then unambiguous automaton.  Every language question (the
-all-words constant test, the NFA comparisons, determinization, the covering)
-runs on one breadth-first subset exploration, bounded by one cap,
-``DEFAULT_SUBSET_CAP``.
+1-valued and then unambiguous automaton.  The supports of the series are
+handled inside as bitmask NFAs.  Every language question (the all-words
+constant test, the support comparisons, the subset covering, weighted
+determinization) runs on one breadth-first exploration, bounded by one cap,
+``DEFAULT_SUBSET_CAP``, and every potential u = M*beta comes from one
+Bellman-Ford relaxation.
 
 Weights are exact rationals (``int`` or ``fractions.Fraction``); the semiring
 zero is ``None`` and never carries a value.  All operations are pure and all
 results deterministic.
 """
 
-from .automaton import (
-    BooleanAutomaton,
-    WeightedAutomaton,
-    hadamard,
-)
+from .automaton import WeightedAutomaton, hadamard
 from .decisions import (
     Decision,
     decide_equal_const,
@@ -28,14 +25,11 @@ from .decisions import (
     decide_series_equal,
     decide_series_leq,
     fatou_normalize,
-    nfa_equivalence,
-    nfa_inclusion,
 )
 from .disambiguation import (
     DEFAULT_SUBSET_CAP,
     Covering,
     covering,
-    determinize,
     disambiguate,
     extract_one_valued,
     remove_competitions,
@@ -64,14 +58,7 @@ from .semiring import (
     parse_finite,
     semiring_for,
 )
-from .spectral import (
-    TropicalMatrix,
-    mat_add,
-    mat_mul,
-    mat_star,
-    max_mean_cycle,
-    star_vector,
-)
+from .spectral import TropicalMatrix, max_mean_cycle
 from . import oracle, zoo
 
 __version__ = "0.1.0"
@@ -80,7 +67,6 @@ __all__ = [
     "MAX_PLUS",
     "MIN_PLUS",
     "AlphabetError",
-    "BooleanAutomaton",
     "CapExceededError",
     "Covering",
     "Decision",
@@ -101,20 +87,14 @@ __all__ = [
     "decide_nonpositive",
     "decide_series_equal",
     "decide_series_leq",
-    "determinize",
     "disambiguate",
     "extract_one_valued",
     "fatou_normalize",
     "format_finite",
     "hadamard",
     "load",
-    "mat_add",
-    "mat_mul",
-    "mat_star",
     "max_mean_cycle",
     "negate_weight",
-    "nfa_equivalence",
-    "nfa_inclusion",
     "oplus",
     "oracle",
     "otimes",
@@ -124,7 +104,6 @@ __all__ = [
     "save",
     "semiring_for",
     "serialize",
-    "star_vector",
     "unambiguous_from_pair",
     "zoo",
 ]

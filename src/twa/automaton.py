@@ -228,17 +228,6 @@ class WeightedAutomaton:
         labels = tuple(self.state_labels[old] for old in keep) if self.state_labels else None
         return WeightedAutomaton._adopt(self.semiring, self.alphabet, n, alpha, beta, mu, labels)
 
-    def support(self) -> "BooleanAutomaton":
-        """The Boolean automaton accepting exactly the words with nonzero coefficient."""
-        initial = frozenset(i for i, w in enumerate(self.alpha) if w is not None)
-        final = frozenset(i for i, w in enumerate(self.beta) if w is not None)
-        delta = {}
-        for ch, mat in self.mu.items():
-            for i, row in enumerate(mat.rows):
-                if row:
-                    delta[(i, ch)] = frozenset(row)
-        return BooleanAutomaton(self.alphabet, self.n, initial, final, delta)
-
     def negate(self) -> "WeightedAutomaton":
         """Negate every weight and flip max-plus <-> min-plus.
 
@@ -363,87 +352,6 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     return _accessible_product(a, b, a.semiring, operator.add)[0]
 
 
-class BooleanAutomaton:
-    """A plain NFA, such as the support of a weighted automaton."""
-
-    __slots__ = ("alphabet", "n", "initial", "final", "delta")
-
-    def __init__(self, alphabet, n: int, initial, final, delta):
-        alphabet = tuple(alphabet)
-        if n < 0:
-            raise DimensionError("state count must be nonnegative")
-        initial = frozenset(initial)
-        final = frozenset(final)
-        for s in initial | final:
-            if not 0 <= s < n:
-                raise DimensionError(f"state {s} out of range")
-        clean = {}
-        for (i, ch), targets in delta.items():
-            if not 0 <= i < n:
-                raise DimensionError(f"state {i} out of range")
-            if ch not in alphabet:
-                raise AlphabetError(f"unknown letter {ch!r} in transition relation")
-            targets = frozenset(targets)
-            for j in targets:
-                if not 0 <= j < n:
-                    raise DimensionError(f"state {j} out of range")
-            if targets:
-                clean[(i, ch)] = targets
-        self.alphabet = alphabet
-        self.n = n
-        self.initial = initial
-        self.final = final
-        self.delta = clean
-
-    def step(self, states, letter: str) -> frozenset:
-        out = set()
-        for s in states:
-            out.update(self.delta.get((s, letter), ()))
-        return frozenset(out)
-
-    def _masks(self) -> "_MaskNfa":
-        """This NFA as bitmasks: bit j of succ[letter][i] is a move i -> j."""
-        succ = {ch: [0] * self.n for ch in self.alphabet}
-        for (i, ch), targets in self.delta.items():
-            succ[ch][i] = _mask(targets)
-        return _MaskNfa(_mask(self.initial), _mask(self.final), succ)
-
-    def accepts(self, word: str) -> bool:
-        for ch in word:
-            if ch not in self.alphabet:
-                raise AlphabetError(f"symbol {ch!r} is not in the alphabet")
-        cur = self.initial
-        for ch in word:
-            if not cur:
-                return False
-            cur = self.step(cur, ch)
-        return bool(cur & self.final)
-
-    def arcs(self):
-        for (i, ch), targets in sorted(
-            self.delta.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
-            for j in sorted(targets):
-                yield i, ch, j
-
-    def __eq__(self, other):
-        if not isinstance(other, BooleanAutomaton):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.n == other.n
-            and self.initial == other.initial
-            and self.final == other.final
-            and self.delta == other.delta
-        )
-
-    def __repr__(self):
-        return (
-            f"<BooleanAutomaton states={self.n} initial={sorted(self.initial)} "
-            f"final={sorted(self.final)} arcs={sum(len(t) for t in self.delta.values())}>"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Subset exploration over bitmasks.
 # ---------------------------------------------------------------------------
@@ -546,6 +454,5 @@ def _path_word(parents: list, node: int) -> str:
 
 __all__ = [
     "WeightedAutomaton",
-    "BooleanAutomaton",
     "hadamard",
 ]

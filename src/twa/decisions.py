@@ -43,7 +43,6 @@ from typing import NamedTuple, Optional
 
 from .automaton import (
     DEFAULT_SUBSET_CAP,
-    BooleanAutomaton,
     WeightedAutomaton,
     _accessible_product,
     _explore,
@@ -64,7 +63,6 @@ from .spectral import (
     _backward_search,
     _critical_circuit,
     _relax,
-    max_mean_cycle,
     vec_mat,
 )
 
@@ -115,25 +113,36 @@ def _nonpositive(
 ) -> tuple[Decision, WeightedAutomaton, Optional[list], Optional[list]]:
     """The nonpositivity verdict of an accessible automaton, and its trim.
 
-    One backward search from the final arrows orders the relaxation and
-    finds the states that reach a final arrow; when it misses some, the
-    automaton is restricted to the ones it found, after the relaxation.
-    Returns (verdict, trim, u, keep): u = M*beta on the trim when the
-    verdict holds and None with a NO verdict, which carries the witness;
-    ``keep`` lists the kept states of ``aut`` in increasing order, or is
-    None when all of them are kept.
+    A positive empty word (alpha_i + beta_i > 0) is a NO before any search.
+    Otherwise one backward search from the final arrows orders the
+    relaxation and finds the states that reach a final arrow; when it misses
+    some, the automaton is restricted to the ones it found, after the
+    relaxation.  Returns (verdict, trim, u, keep): u = M*beta on the trim
+    when the verdict holds and None with a NO verdict, which carries the
+    witness; ``keep`` lists the kept states of ``aut`` in increasing order,
+    or is None when all of them are kept (or the empty word decided).
     """
     u = list(aut.beta)
+    if _positive(aut.alpha, u, range(aut.n)):
+        return Decision(False, ""), aut, None, None
     order, into = _backward_search([mat.rows for mat in aut.mu.values()], u)
-    holds = _nonpositive_potential(aut, order, into, u)
+    diverged = False
+    try:
+        holds = _nonpositive_potential(aut.alpha, order, into, u)
+    except PositiveCycleError:
+        holds, diverged = False, True
     keep = None
     if len(order) < aut.n:
         keep = sorted(order)
         aut = aut._restrict(keep)
         u = [u[i] for i in keep]
-    if not holds:
-        return Decision(False, _positive_word(aut, aut.letter_sum())), aut, None, keep
-    return Decision(True, None), aut, u, keep
+    if holds:
+        return Decision(True, None), aut, u, keep
+    m = aut.letter_sum()
+    # a positive word shorter than n would have stopped an earlier round, so
+    # after a divergence the scan of alpha M^k beta cannot succeed
+    witness = _pumped_witness(aut, m) if diverged else _positive_word(aut, m)
+    return Decision(False, witness), aut, None, keep
 
 
 def _positive(alpha: list, u: list, states) -> bool:
@@ -143,30 +152,24 @@ def _positive(alpha: list, u: list, states) -> bool:
     )
 
 
-def _nonpositive_potential(aut: WeightedAutomaton, order: list, into: list, u: list) -> bool:
-    """Whether the series of ``aut`` is nonpositive; relaxes ``u`` to M*beta if so.
+def _nonpositive_potential(alpha: list, order: list, into: list, u: list) -> bool:
+    """Whether the series is nonpositive; relaxes ``u`` to M*beta if so.
 
-    ``u`` starts as beta, and ``order`` and ``into`` are what _backward_search
-    returns for it and the letter rows of ``aut``, so the states outside
-    ``order``, which reach no final arrow, keep u_i = None.  Every finite
-    u_i is the weight of a real path from i to a final arrow, so
-    alpha_i + u_i > 0 at any time (tested before the first round, which
-    covers the empty word, and after each round on the states it improved)
-    exhibits a positive word.  A positive cycle that reaches a final arrow
-    stops the relaxation; it pumps, because ``aut`` is accessible (trim, or
-    a product built from its initial pairs), so the cycle lies on a
+    ``u`` starts as beta, with alpha_i + beta_i <= 0 for every i, and
+    ``order`` and ``into`` are what _backward_search returns for it and the
+    letter rows of the automaton, so the states outside ``order``, which
+    reach no final arrow, keep u_i = None.  Every finite u_i is the weight
+    of a real path from i to a final arrow, so alpha_i + u_i > 0 after a
+    round, tested on the states it improved, exhibits a positive word.  A
+    positive cycle that reaches a final arrow stops the relaxation with
+    PositiveCycleError; it pumps, because the automaton is accessible (trim,
+    or a product built from its initial pairs), so the cycle lies on a
     successful path.  At the fixpoint alpha + u <= 0 is exactly
     nonpositivity.
     """
-    alpha = aut.alpha
-    if _positive(alpha, u, order):
-        return False
-    try:
-        for improved in _relax(order, into, u):
-            if _positive(alpha, u, improved):
-                return False
-    except PositiveCycleError:
-        return False
+    for improved in _relax(order, into, u):
+        if _positive(alpha, u, improved):
+            return False
     return True
 
 
@@ -192,9 +195,7 @@ def _positive_word(trim: WeightedAutomaton, m: TropicalMatrix) -> str:
             return _backtrack_word(trim, profiles, k, best_state)
         if k + 1 < trim.n:
             profiles.append(vec_mat(x, m))
-    rho = max_mean_cycle(m)
-    assert rho is not None and rho > 0, "positive series without a positive word or cycle"
-    return _pumped_witness(trim, m, rho)
+    return _pumped_witness(trim, m)
 
 
 def _backtrack_word(aut: WeightedAutomaton, profiles, k: int, end_state: int) -> str:
@@ -219,16 +220,16 @@ def _backtrack_word(aut: WeightedAutomaton, profiles, k: int, end_state: int) ->
     return "".join(reversed(letters))
 
 
-def _pumped_witness(trim: WeightedAutomaton, m: TropicalMatrix, rho) -> str:
-    """Build a word with positive value from a circuit of maximum mean ``rho`` > 0.
+def _pumped_witness(trim: WeightedAutomaton, m: TropicalMatrix) -> str:
+    """Build a word with positive value from a circuit of maximum mean rho > 0.
 
-    ``m`` is the letter sum of ``trim`` and ``rho`` its max_mean_cycle; the
-    circuit is the one _critical_circuit returns with it.  The witness pumps
+    ``m`` is the letter sum of ``trim``, which has a positive cycle; the
+    circuit and rho come from one _critical_circuit call.  The witness pumps
     the circuit enough times to dominate the exact weight of its access and
     co-access paths.
     """
-    mean, cycle = _critical_circuit(m)
-    assert mean == rho and rho > 0, "pumped witness needs a positive maximum mean"
+    rho, cycle = _critical_circuit(m)
+    assert rho is not None and rho > 0, "positive series without a positive word or cycle"
     cycle_word = []
     cycle_weight = 0
     for idx, src in enumerate(cycle):
@@ -429,7 +430,7 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
 
 
 # ---------------------------------------------------------------------------
-# NFA comparisons (on-the-fly product of subset constructions).
+# Comparisons of bitmask NFAs: supports and zero filters, explored on the fly.
 # ---------------------------------------------------------------------------
 
 
@@ -454,22 +455,6 @@ def _compare(a: _MaskNfa, b: _MaskNfa, inclusion: bool) -> Decision:
     if hit is None:
         return Decision(True, None)
     return Decision(False, _path_word(parents, hit))
-
-
-def _nfa_compare(a: BooleanAutomaton, b: BooleanAutomaton, inclusion: bool) -> Decision:
-    if a.alphabet != b.alphabet:
-        raise AlphabetError("NFA comparison requires identical alphabets")
-    return _compare(a._masks(), b._masks(), inclusion)
-
-
-def nfa_equivalence(a: BooleanAutomaton, b: BooleanAutomaton) -> Decision:
-    """Language equality of two NFAs; the witness is the length-lex first difference."""
-    return _nfa_compare(a, b, inclusion=False)
-
-
-def nfa_inclusion(a: BooleanAutomaton, b: BooleanAutomaton) -> Decision:
-    """Language inclusion L(a) <= L(b); the witness is accepted by a only."""
-    return _nfa_compare(a, b, inclusion=True)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +554,6 @@ __all__ = [
     "fatou_normalize",
     "decide_equal_const",
     "decide_equal_const_on_support",
-    "nfa_equivalence",
-    "nfa_inclusion",
     "decide_series_equal",
     "decide_series_leq",
 ]

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from .automaton import (
     DEFAULT_SUBSET_CAP,
-    BooleanAutomaton,
     WeightedAutomaton,
     _bits,
     _explore,
@@ -108,22 +107,6 @@ def _determinize_subsets(nfa, cap: int):
         nfa.initial, list(nfa.succ), step, cap=cap, what="subset construction"
     )
     return subsets, moves
-
-
-def determinize(nfa: BooleanAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> BooleanAutomaton:
-    """Deterministic automaton for the same language (accessible subsets only).
-
-    The result is partial: a missing transition rejects.  Raises
-    CapExceededError when more than ``cap`` subsets appear.
-    """
-    masks = nfa._masks()
-    subsets, moves = _determinize_subsets(masks, cap)
-    delta = {}
-    for i, table in enumerate(moves):
-        for ch, j in table.items():
-            delta[(i, ch)] = frozenset((j,))
-    final = frozenset(i for i, subset in enumerate(subsets) if subset & masks.final)
-    return BooleanAutomaton(nfa.alphabet, len(subsets), frozenset((0,)), final, delta)
 
 
 @dataclass(frozen=True)
@@ -349,7 +332,6 @@ __all__ = [
     "Covering",
     "DEFAULT_SUBSET_CAP",
     "extract_one_valued",
-    "determinize",
     "covering",
     "remove_competitions",
     "disambiguate",

@@ -18,7 +18,10 @@ class AlphabetError(TwaError):
 
 
 class PositiveCycleError(TwaError):
-    """A star/closure diverges because the graph contains a positive-weight cycle."""
+    """The potential u = M*beta diverges: a positive-weight cycle reaches beta.
+
+    Raised by the Bellman-Ford relaxation of u (``twa.spectral._relax``).
+    """
 
 
 class NotNonpositiveError(TwaError):

@@ -1,9 +1,12 @@
-"""Square matrices over tropical semirings: products, maximum mean cycle, star.
+"""Square matrices over tropical semirings: maximum mean cycle and the potential.
 
 Matrices are stored sparsely (one dict per row; absent entries are the
 semiring zero), which keeps the large but thin products produced by the
 automaton constructions cheap.  The maximum cycle mean and a circuit that
-attains it come from one routine, Howard policy iteration.
+attains it come from one routine, Howard policy iteration.  The one star the
+library needs, the potential u = M*beta, is never formed as a matrix: a
+backward search from the support of beta orders a Bellman-Ford relaxation
+of u, which raises PositiveCycleError when the star diverges.
 """
 
 from __future__ import annotations
@@ -64,11 +67,6 @@ class TropicalMatrix:
             rows.append({j: w for j, w in enumerate(drow) if w is not None})
         return cls(tag, n, rows)
 
-    @classmethod
-    def identity(cls, tag, n: int) -> "TropicalMatrix":
-        sr = semiring_for(tag)
-        return cls(sr, n, [{i: sr.one} for i in range(n)])
-
     def entry(self, i: int, j: int):
         return self.rows[i].get(j)
 
@@ -93,44 +91,6 @@ class TropicalMatrix:
 
     def __repr__(self):
         return f"TropicalMatrix({self.semiring.tag!r}, {self.n}, {self.rows!r})"
-
-
-def _check_compatible(a: TropicalMatrix, b: TropicalMatrix):
-    if a.semiring.tag != b.semiring.tag:
-        raise TagMismatchError(
-            f"mixed-tag matrices: {a.semiring.tag} vs {b.semiring.tag}"
-        )
-    if a.n != b.n:
-        raise DimensionError(f"dimension mismatch: {a.n} vs {b.n}")
-
-
-def mat_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    """Semiring matrix product."""
-    _check_compatible(a, b)
-    sr = a.semiring
-    out = TropicalMatrix(sr, a.n)
-    for i, arow in enumerate(a.rows):
-        acc = out.rows[i]
-        for k, w1 in arow.items():
-            for j, w2 in b.rows[k].items():
-                c = sr.times(w1, w2)
-                old = acc.get(j)
-                acc[j] = c if old is None else sr.plus(old, c)
-    return out
-
-
-def mat_add(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    """Entrywise semiring addition."""
-    _check_compatible(a, b)
-    sr = a.semiring
-    out = TropicalMatrix(sr, a.n)
-    for i in range(a.n):
-        row = dict(a.rows[i])
-        for j, w in b.rows[i].items():
-            old = row.get(j)
-            row[j] = w if old is None else sr.plus(old, w)
-        out.rows[i] = row
-    return out
 
 
 def vec_mat(x: dict, m: TropicalMatrix) -> dict:
@@ -266,50 +226,8 @@ def max_mean_cycle(m: TropicalMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Star.
+# The potential u = M*beta.
 # ---------------------------------------------------------------------------
-
-
-def mat_star(m: TropicalMatrix) -> TropicalMatrix:
-    """All-pairs maximal path weight with 0 on the diagonal.
-
-    Equals I + M + M^2 + ... + M^(n-1); only defined when no cycle has
-    positive weight, otherwise the sum diverges and PositiveCycleError is
-    raised.  Computed by Floyd-Warshall-style relaxation, which also detects
-    the divergence: a positive simple cycle whose largest state is k shows as
-    a positive diagonal entry (k, k) when k comes up as the pivot.
-    """
-    if m.semiring.tag != "max-plus":
-        raise TagMismatchError("mat_star requires a max-plus matrix")
-    n = m.n
-    dist = [dict(row) for row in m.rows]
-    for k in range(n):
-        dk = dist[k]
-        if not dk:
-            continue
-        # dk[k] is the weight of a real closed walk through states < k, and
-        # those walks are exact maxima because no smaller pivot diverged
-        loop = dk.get(k)
-        if loop is not None and loop > 0:
-            raise PositiveCycleError(
-                f"matrix star diverges: a cycle through state {k} weighs {loop}"
-            )
-        for i in range(n):
-            if i == k:
-                # k -> k -> j cannot improve anything: cycles weigh <= 0.
-                continue
-            dik = dist[i].get(k)
-            if dik is None:
-                continue
-            di = dist[i]
-            for j, dkj in dk.items():
-                c = dik + dkj
-                old = di.get(j)
-                if old is None or c > old:
-                    di[j] = c
-    for i in range(n):
-        dist[i][i] = 0
-    return TropicalMatrix(m.semiring, n, dist)
 
 
 def _backward_order(into: list, u: list) -> list:
@@ -382,26 +300,3 @@ def _relax(order: list, into: list, u: list):
         if rounds == len(order):
             raise PositiveCycleError("star diverges: positive-weight cycle reached")
         yield improved
-
-
-def _star_rounds(m: TropicalMatrix, u: list):
-    """_relax on the rows of ``m``, after checking its tag and dimension."""
-    if m.semiring.tag != "max-plus":
-        raise TagMismatchError("star_vector requires a max-plus matrix")
-    if len(u) != m.n:
-        raise DimensionError("vector length does not match matrix dimension")
-    yield from _relax(*_backward_search([m.rows], u), u)
-
-
-def star_vector(m: TropicalMatrix, beta: list) -> list:
-    """The product (star of m) times the column vector ``beta``, without forming the star.
-
-    Entry i is the maximal weight of a path from i into the support of beta,
-    final weight included.  Computed by Bellman-Ford-style relaxation over the
-    arcs, which is O(n*m) on sparse matrices; requires every cycle weight
-    to be nonpositive.
-    """
-    u = list(beta)
-    for _ in _star_rounds(m, u):
-        pass
-    return u

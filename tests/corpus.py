@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from twa import MAX_PLUS, MIN_PLUS, BooleanAutomaton, TropicalMatrix, WeightedAutomaton
+from twa import MAX_PLUS, MIN_PLUS, TropicalMatrix, WeightedAutomaton
+from twa.automaton import _MaskNfa
 from twa.format import serialize
 
 
@@ -111,18 +112,120 @@ def grid_product(a, b, semiring, combine):
     return WeightedAutomaton(semiring, a.alphabet, len(grid), alpha, beta, mu, labels)
 
 
+class Nfa:
+    """Reference NFA over frozensets of states, such as a support or a zero filter."""
+
+    def __init__(self, alphabet, n, initial, final, delta):
+        self.alphabet = tuple(alphabet)
+        self.n = n
+        self.initial = frozenset(initial)
+        self.final = frozenset(final)
+        self.delta = {key: frozenset(targets) for key, targets in delta.items() if targets}
+
+    def step(self, states, letter):
+        return frozenset(j for i in states for j in self.delta.get((i, letter), ()))
+
+    def accepts(self, word):
+        states = self.initial
+        for ch in word:
+            states = self.step(states, ch)
+        return bool(states & self.final)
+
+    def masks(self):
+        """The same NFA as the bitmasks that ``_compare`` and ``_determinize_subsets`` read."""
+
+        def mask(states):
+            return sum(1 << i for i in states)
+
+        succ = {ch: [mask(self.delta.get((i, ch), ())) for i in range(self.n)] for ch in self.alphabet}
+        return _MaskNfa(mask(self.initial), mask(self.final), succ)
+
+    @classmethod
+    def from_masks(cls, nfa, n):
+        """Read a bitmask NFA over states 0..n-1 back into frozensets."""
+
+        def states(mask):
+            return {i for i in range(n) if mask >> i & 1}
+
+        delta = {(i, ch): states(m) for ch, masks in nfa.succ.items() for i, m in enumerate(masks)}
+        return cls(nfa.succ, n, states(nfa.initial), states(nfa.final), delta)
+
+
+def support(aut):
+    """The NFA accepting exactly the words with a nonzero coefficient."""
+    delta = {(i, ch): set(row) for ch, mat in aut.mu.items() for i, row in enumerate(mat.rows)}
+    return Nfa(
+        aut.alphabet,
+        aut.n,
+        {i for i, w in enumerate(aut.alpha) if w is not None},
+        {i for i, w in enumerate(aut.beta) if w is not None},
+        delta,
+    )
+
+
 def zero_filter(aut):
     """The NFA of the weight-0 arrows and arcs of a nonpositively weighted automaton."""
     delta = {}
     for ch, mat in aut.mu.items():
         for i, row in enumerate(mat.rows):
             delta[(i, ch)] = {j for j, w in row.items() if w == 0}
-    return BooleanAutomaton(
+    return Nfa(
         aut.alphabet,
         aut.n,
         {i for i, w in enumerate(aut.alpha) if w == 0},
         {i for i, w in enumerate(aut.beta) if w == 0},
         delta,
+    )
+
+
+def power_star(m):
+    """I + M + M^2 + ... + M^(n-1) of a max-plus matrix, as dict rows.
+
+    The star by its definition; it equals the star whenever no cycle of
+    ``m`` has positive weight.
+    """
+    acc = [{i: 0} for i in range(m.n)]
+    power = [{i: 0} for i in range(m.n)]
+    for _ in range(m.n - 1):
+        nxt = []
+        for row in power:
+            out = {}
+            for k, w1 in row.items():
+                for j, w2 in m.rows[k].items():
+                    if j not in out or w1 + w2 > out[j]:
+                        out[j] = w1 + w2
+            nxt.append(out)
+        power = nxt
+        for arow, prow in zip(acc, power):
+            for j, w in prow.items():
+                if j not in arow or w > arow[j]:
+                    arow[j] = w
+    return acc
+
+
+def ref_fatou(trim):
+    """Conjugation of a trim nonpositive automaton by u = M*beta, the star from power_star."""
+    beta = trim.beta
+    u = [
+        max((w + beta[j] for j, w in row.items() if beta[j] is not None), default=None)
+        for row in power_star(trim.letter_sum())
+    ]
+    mu = {
+        ch: TropicalMatrix(
+            MAX_PLUS,
+            trim.n,
+            [{j: w - u[i] + u[j] for j, w in row.items()} for i, row in enumerate(mat.rows)],
+        )
+        for ch, mat in trim.mu.items()
+    }
+    return WeightedAutomaton(
+        MAX_PLUS,
+        trim.alphabet,
+        trim.n,
+        [None if w is None else w + u[i] for i, w in enumerate(trim.alpha)],
+        [None if w is None else w - u[i] for i, w in enumerate(beta)],
+        mu,
+        trim.state_labels,
     )
 
 

@@ -48,12 +48,32 @@ def test_package_exports_exactly_what_it_imports():
         "_karp_component",
         "_strongly_connected_components",
         "_find_critical_cycle",
+        "mat_mul",
+        "mat_add",
+        "_check_compatible",
+        "mat_star",
+        "star_vector",
+        "_star_rounds",
+        "BooleanAutomaton",
+        "nfa_equivalence",
+        "nfa_inclusion",
+        "_nfa_compare",
+        "determinize",
     ],
 )
 def test_retired_names_are_gone(name):
     assert name not in twa.__all__
     for module in ["twa", *MODULES]:
         assert not hasattr(importlib.import_module(module), name), module
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [(twa.WeightedAutomaton, "support"), (twa.TropicalMatrix, "identity")],
+    ids=["WeightedAutomaton.support", "TropicalMatrix.identity"],
+)
+def test_retired_methods_are_gone(owner, name):
+    assert not hasattr(owner, name)
 
 
 def _holds_both_tags(node) -> bool:

@@ -9,23 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twa.decisions
+import twa.spectral
 from corpus import (
+    Nfa,
     as_min_plus_copy,
     automata,
     random_automaton,
     random_deterministic_automaton,
     random_trim_nonpositive,
+    ref_fatou,
+    support,
     zero_filter,
 )
 from twa import (
     MAX_PLUS,
     MIN_PLUS,
-    BooleanAutomaton,
     CapExceededError,
     Decision,
     NotNonpositiveError,
     TagMismatchError,
-    TropicalMatrix,
     WeightedAutomaton,
     decide_equal_const,
     decide_equal_const_on_support,
@@ -35,13 +37,10 @@ from twa import (
     fatou_normalize,
     hadamard,
     max_mean_cycle,
-    nfa_equivalence,
-    nfa_inclusion,
-    star_vector,
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _backtrack_word, _pumped_witness, _shift_final
+from twa.decisions import _backtrack_word, _compare, _pumped_witness, _shift_final
 from twa.oracle import equal_upto, eval_bruteforce, words_upto
 from twa.spectral import vec_mat
 
@@ -83,10 +82,9 @@ def test_nonpositive_epsilon_witness():
     assert (verdict.holds, verdict.witness) == (False, "")
 
 
-def test_nonpositive_pumped_witness_outruns_negative_padding():
-    # positive cycle behind expensive access/co-access arrows: the witness
-    # must pump the loop enough times to climb above zero
-    aut = WeightedAutomaton.from_arcs(
+def padded_loop():
+    """A positive cycle behind expensive access and co-access arrows."""
+    return WeightedAutomaton.from_arcs(
         MAX_PLUS,
         "ab",
         3,
@@ -94,6 +92,11 @@ def test_nonpositive_pumped_witness_outruns_negative_padding():
         final=[(2, -30)],
         arcs=[(0, "a", 1, 0), (1, "b", 1, Fraction(1, 3)), (1, "a", 2, 0)],
     )
+
+
+def test_nonpositive_pumped_witness_outruns_negative_padding():
+    # the witness must pump the loop enough times to climb above zero
+    aut = padded_loop()
     verdict = decide_nonpositive(aut)
     assert not verdict.holds
     value = aut.eval(verdict.witness)
@@ -295,32 +298,8 @@ def _reference_nonpositive(trim):
             profiles.append(vec_mat(x, m))
     rho = max_mean_cycle(m)
     if rho is not None and rho > 0:
-        return Decision(False, _pumped_witness(trim, m, rho))
+        return Decision(False, _pumped_witness(trim, m))
     return Decision(True, None)
-
-
-def _reference_fatou(trim):
-    """Conjugation by a potential computed on its own by star_vector."""
-    if trim.n == 0:
-        return trim
-    u = star_vector(trim.letter_sum(), trim.beta)
-    mu = {
-        ch: TropicalMatrix(
-            MAX_PLUS,
-            trim.n,
-            [{j: w - u[i] + u[j] for j, w in row.items()} for i, row in enumerate(mat.rows)],
-        )
-        for ch, mat in trim.mu.items()
-    }
-    return WeightedAutomaton(
-        MAX_PLUS,
-        trim.alphabet,
-        trim.n,
-        [None if w is None else w + u[i] for i, w in enumerate(trim.alpha)],
-        [None if w is None else w - u[i] for i, w in enumerate(trim.beta)],
-        mu,
-        trim.state_labels,
-    )
 
 
 # -- the reference for the all-words test: the Boolean transition monoid -----
@@ -375,7 +354,7 @@ def _reference_equal_const(aut, const):
     verdict = _reference_nonpositive(trim)
     if not verdict.holds:
         return verdict
-    filtered = zero_filter(_reference_fatou(trim))
+    filtered = zero_filter(ref_fatou(trim))
     final_mask = sum(1 << j for j in filtered.final)
     for mat, word in boolean_monoid_closure(filtered).items():
         if not any(mat[i] & final_mask for i in filtered.initial):
@@ -401,7 +380,7 @@ def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference():
         assert decide_nonpositive(aut) == expected
         if expected.holds:
             result = fatou_normalize(aut)
-            assert result == _reference_fatou(trim)
+            assert result == ref_fatou(trim)
             assert result.state_labels == trim.state_labels
         else:
             with pytest.raises(NotNonpositiveError) as err:
@@ -458,7 +437,6 @@ def _raise(*args, **kwargs):
 )
 def test_positive_verdicts_skip_karp_and_the_profile_scan(monkeypatch, pair):
     amax, bmin = pair()
-    monkeypatch.setattr(twa.decisions, "max_mean_cycle", _raise)
     monkeypatch.setattr(twa.decisions, "_critical_circuit", _raise)
     monkeypatch.setattr(twa.decisions, "vec_mat", _raise)
     difference = hadamard(amax, bmin.negate())
@@ -468,6 +446,34 @@ def test_positive_verdicts_skip_karp_and_the_profile_scan(monkeypatch, pair):
     assert unambiguous_from_pair(amax, bmin).n > 0
 
 
+def _counted(calls, fn):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
+
+
+def test_a_diverging_relaxation_pumps_after_one_howard_call_and_no_scan(monkeypatch):
+    # the relaxation of the padded loop diverges; every positive word shorter
+    # than n would have stopped an earlier round, so the scan is skipped
+    expected = decide_nonpositive(padded_loop())
+    circuits, scans = [], []
+    critical_circuit = _counted(circuits, twa.spectral._critical_circuit)
+    for module in (twa.spectral, twa.decisions):
+        monkeypatch.setattr(module, "_critical_circuit", critical_circuit)
+    monkeypatch.setattr(twa.decisions, "vec_mat", _counted(scans, twa.spectral.vec_mat))
+    assert decide_nonpositive(padded_loop()) == expected
+    assert (len(circuits), len(scans)) == (1, 0)
+
+
+def test_a_positive_empty_word_is_a_no_before_the_backward_search(monkeypatch):
+    monkeypatch.setattr(twa.decisions, "_backward_search", _raise)
+    positive_empty = WeightedAutomaton.from_arcs(MAX_PLUS, "a", 1, initial=[(0, 1)], final=[(0, 1)])
+    assert decide_nonpositive(positive_empty) == (False, "")
+    assert decide_equal_const(constant_automaton(3), 0) == (False, "")
+
+
 # -- the reference monoid closure ---------------------------------------------
 
 
@@ -475,7 +481,7 @@ def _nfa(alphabet, n, initial, final, arcs):
     delta = {}
     for i, ch, j in arcs:
         delta.setdefault((i, ch), set()).add(j)
-    return BooleanAutomaton(alphabet, n, initial, final, delta)
+    return Nfa(alphabet, n, initial, final, delta)
 
 
 def test_closure_of_full_single_state():
@@ -492,7 +498,7 @@ def test_closure_with_duplicate_generators():
 
 def test_closure_of_demo_support():
     amax, _ = zoo.sample_equivalent_pair()
-    closure = boolean_monoid_closure(amax.support())
+    closure = boolean_monoid_closure(support(amax))
     assert 1 <= len(closure) <= 16  # 2x2 boolean matrices
     # words annotate their own matrices
     for matrix, word in closure.items():
@@ -502,7 +508,7 @@ def test_closure_of_demo_support():
 def test_closure_cap():
     amax, _ = zoo.sample_equivalent_pair()
     with pytest.raises(CapExceededError):
-        boolean_monoid_closure(amax.support(), cap=1)
+        boolean_monoid_closure(support(amax), cap=1)
 
 
 # -- constant-series tests ----------------------------------------------------
@@ -590,28 +596,28 @@ def test_empty_series_is_not_constant_but_is_constant_on_support():
 
 def test_nfa_equivalence_reflexive():
     amax, _ = zoo.sample_equivalent_pair()
-    nfa = amax.support()
-    assert nfa_equivalence(nfa, nfa).holds
+    nfa = support(amax)
+    assert _compare(nfa.masks(), nfa.masks(), inclusion=False).holds
 
 
 def test_nfa_equivalence_ignores_dead_states():
     live = _nfa("ab", 1, {0}, {0}, [(0, "a", 0), (0, "b", 0)])
     dead = _nfa("ab", 2, {0}, {0}, [(0, "a", 0), (0, "b", 0), (1, "a", 0)])
-    assert nfa_equivalence(live, dead).holds
+    assert _compare(live.masks(), dead.masks(), inclusion=False).holds
 
 
 def test_nfa_equivalence_witness():
     just_a = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
     a_or_aa = _nfa("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
-    verdict = nfa_equivalence(just_a, a_or_aa)
+    verdict = _compare(just_a.masks(), a_or_aa.masks(), inclusion=False)
     assert (verdict.holds, verdict.witness) == (False, "aa")
 
 
 def test_nfa_inclusion():
     just_a = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
     a_or_aa = _nfa("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
-    assert nfa_inclusion(just_a, a_or_aa).holds
-    verdict = nfa_inclusion(a_or_aa, just_a)
+    assert _compare(just_a.masks(), a_or_aa.masks(), inclusion=True).holds
+    verdict = _compare(a_or_aa.masks(), just_a.masks(), inclusion=True)
     assert (verdict.holds, verdict.witness) == (False, "aa")
 
 

@@ -20,12 +20,19 @@ import twa.automaton
 import twa.decisions
 import twa.disambiguation
 import twa.spectral
-from corpus import as_min_plus_copy, automata, grid_product, nonsequential_pair, zero_filter
+from corpus import (
+    as_min_plus_copy,
+    automata,
+    grid_product,
+    nonsequential_pair,
+    ref_fatou,
+    support,
+    zero_filter,
+)
 from twa import (
     DEFAULT_SUBSET_CAP,
     MAX_PLUS,
     MIN_PLUS,
-    BooleanAutomaton,
     CapExceededError,
     Decision,
     NotEqualError,
@@ -39,22 +46,19 @@ from twa import (
     decide_nonpositive,
     decide_series_equal,
     decide_series_leq,
-    determinize,
     disambiguate,
     extract_one_valued,
     format_finite,
     hadamard,
-    mat_star,
     max_mean_cycle,
-    nfa_equivalence,
-    nfa_inclusion,
     remove_competitions,
     serialize,
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _backtrack_word, _pumped_witness
-from twa.spectral import _star_rounds, vec_mat
+from twa.decisions import _backtrack_word, _compare, _pumped_witness
+from twa.disambiguation import _determinize_subsets
+from twa.spectral import _backward_search, _relax, vec_mat
 
 # -- the reference: the separate path, with frozenset subsets -----------------
 
@@ -85,8 +89,12 @@ def ref_nfa_compare(a, b, inclusion):
     return Decision(True, None)
 
 
-def ref_determinize(nfa, cap=None):
-    """Accessible subset construction over frozensets; the empty set is no state."""
+def ref_determinize(nfa):
+    """Accessible subset construction over frozensets; the empty set is no state.
+
+    Returns (subsets, moves): moves[i] maps each letter to the index of its
+    target subset.
+    """
     start = frozenset(nfa.initial)
     subsets, index, moves = [start], {start: 0}, [{}]
     queue = deque([0])
@@ -97,16 +105,12 @@ def ref_determinize(nfa, cap=None):
             if not target:
                 continue
             if target not in index:
-                if cap is not None and len(subsets) >= cap:
-                    raise CapExceededError("subset construction", cap)
                 index[target] = len(subsets)
                 subsets.append(target)
                 moves.append({})
                 queue.append(index[target])
             moves[cur][ch] = index[target]
-    delta = {(i, ch): {j} for i, row in enumerate(moves) for ch, j in row.items()}
-    final = {i for i, subset in enumerate(subsets) if subset & nfa.final}
-    return subsets, BooleanAutomaton(nfa.alphabet, len(subsets), {0}, final, delta)
+    return subsets, moves
 
 
 def ref_nonpositive(trim):
@@ -126,37 +130,8 @@ def ref_nonpositive(trim):
             profiles.append(vec_mat(profiles[k], m))
     rho = max_mean_cycle(m)
     if rho is not None and rho > 0:
-        return Decision(False, _pumped_witness(trim, m, rho))
+        return Decision(False, _pumped_witness(trim, m))
     return Decision(True, None)
-
-
-def ref_fatou(trim):
-    """Conjugation by u = M*beta, with the star from Floyd-Warshall."""
-    star = mat_star(trim.letter_sum())
-    u = []
-    for row in star.rows:
-        best = None
-        for j, w in row.items():
-            if trim.beta[j] is not None and (best is None or w + trim.beta[j] > best):
-                best = w + trim.beta[j]
-        u.append(best)
-    mu = {
-        ch: TropicalMatrix(
-            MAX_PLUS,
-            trim.n,
-            [{j: w - u[i] + u[j] for j, w in row.items()} for i, row in enumerate(mat.rows)],
-        )
-        for ch, mat in trim.mu.items()
-    }
-    return WeightedAutomaton(
-        MAX_PLUS,
-        trim.alphabet,
-        trim.n,
-        [None if w is None else w + u[i] for i, w in enumerate(trim.alpha)],
-        [None if w is None else w - u[i] for i, w in enumerate(trim.beta)],
-        mu,
-        trim.state_labels,
-    )
 
 
 def ref_const_on_support(aut):
@@ -164,12 +139,12 @@ def ref_const_on_support(aut):
     verdict = ref_nonpositive(trim)
     if not verdict.holds:
         return verdict
-    return ref_nfa_compare(trim.support(), zero_filter(ref_fatou(trim)), False)
+    return ref_nfa_compare(support(trim), zero_filter(ref_fatou(trim)), False)
 
 
 def ref_series_equal(amax, bmin):
     ta, tb = amax.trim(), bmin.trim()
-    verdict = ref_nfa_compare(ta.support(), tb.support(), False)
+    verdict = ref_nfa_compare(support(ta), support(tb), False)
     if not verdict.holds:
         return verdict
     return ref_const_on_support(hadamard(ta, tb.negate()))
@@ -177,7 +152,7 @@ def ref_series_equal(amax, bmin):
 
 def ref_series_leq(amax, bmin):
     ta, tb = amax.trim(), bmin.trim()
-    verdict = ref_nfa_compare(ta.support(), tb.support(), True)
+    verdict = ref_nfa_compare(support(ta), support(tb), True)
     if not verdict.holds:
         return verdict
     return ref_nonpositive(hadamard(ta, tb.negate()).trim())
@@ -483,7 +458,7 @@ def test_kernel_matches_the_separate_path():
             )
         ta, tb = amax.trim(), bmin.trim()
         seen.add("equal" if equal.holds else "not equal")
-        if not ref_nfa_compare(ta.support(), tb.support(), False).holds:
+        if not ref_nfa_compare(support(ta), support(tb), False).holds:
             seen.add("unequal supports")
         if difference.trim().n == 0:
             seen.add("empty product")
@@ -579,7 +554,6 @@ def test_pipeline_builds_one_product_and_relaxes_once(monkeypatch, pair):
         monkeypatch.setattr(module, "_accessible_product", counted(products, product))
     monkeypatch.setattr(twa.decisions, "_backward_search", counted(searches, search))
     monkeypatch.setattr(twa.decisions, "_relax", counted(relaxations, relax))
-    monkeypatch.setattr(twa.decisions, "nfa_equivalence", _raise)
     monkeypatch.setattr(WeightedAutomaton, "letter_sum", _raise)
     assert serialize(unambiguous_from_pair(amax, bmin)) == expected
     assert (len(products), len(searches), len(relaxations)) == (1, 1, 1)
@@ -671,7 +645,7 @@ def test_relaxation_of_the_prime_products_takes_few_rounds(pqrs):
     assert relaxes_like_the_letter_sum(amax, bmin) == ("fixpoint", True, False)
     product = hadamard(amax.trim(), bmin.trim().negate()).trim()
     u = list(product.beta)
-    assert sum(1 for _ in _star_rounds(product.letter_sum(), u)) <= 3
+    assert sum(1 for _ in _relax(*_backward_search([product.letter_sum().rows], u), u)) <= 3
     assert all(w is not None for w in u)
     assert decide_nonpositive(product).holds
 
@@ -720,32 +694,31 @@ def test_one_pass_competition_removal_matches_the_grouping_rule():
 # -- the bitmask engine against frozensets -------------------------------------
 
 
-supports = automata(MAX_PLUS).map(lambda aut: aut.support())
-
-
 @settings(max_examples=200)
-@given(supports, supports)
+@given(automata(MAX_PLUS), automata(MAX_PLUS))
 def test_nfa_comparisons_match_frozenset_exploration(a, b):
-    assert nfa_equivalence(a, b) == ref_nfa_compare(a, b, False)
-    assert nfa_inclusion(a, b) == ref_nfa_compare(a, b, True)
-    assert nfa_inclusion(b, a) == ref_nfa_compare(b, a, True)
+    ma, mb, ra, rb = a._support_masks(), b._support_masks(), support(a), support(b)
+    assert _compare(ma, mb, inclusion=False) == ref_nfa_compare(ra, rb, False)
+    assert _compare(ma, mb, inclusion=True) == ref_nfa_compare(ra, rb, True)
+    assert _compare(mb, ma, inclusion=True) == ref_nfa_compare(rb, ra, True)
 
 
 @settings(max_examples=200)
 @given(automata(MAX_PLUS), st.integers(1, 6))
 def test_determinize_and_covering_match_frozenset_subsets(aut, cap):
-    nfa = aut.support()
-    subsets, expected = ref_determinize(nfa)
-    assert determinize(nfa) == expected
+    masks = aut._support_masks()
+    subsets, moves = ref_determinize(support(aut))
+    expected = [sum(1 << i for i in subset) for subset in subsets], moves
+    assert _determinize_subsets(masks, DEFAULT_SUBSET_CAP) == expected
     cover = covering(aut)
     assert cover.subsets == tuple(subsets)
     for label, (p, s) in zip(cover.automaton.state_labels, cover.provenance):
         assert label == f"({aut.state_label(p)},{{{','.join(map(str, sorted(subsets[s])))}}})"
     if len(subsets) > cap:
         with pytest.raises(CapExceededError):
-            determinize(nfa, cap)
+            _determinize_subsets(masks, cap)
     else:
-        assert determinize(nfa, cap) == expected
+        assert _determinize_subsets(masks, cap) == expected
 
 
 def _one_state_loop(tag):
@@ -756,7 +729,7 @@ def _one_state_loop(tag):
 
 CAPPED = {
     "decide_equal_const": lambda cap: decide_equal_const(_one_state_loop(MAX_PLUS), 0, cap),
-    "determinize": lambda cap: determinize(_one_state_loop(MAX_PLUS).support(), cap),
+    "determinize": lambda cap: _determinize_subsets(_one_state_loop(MAX_PLUS)._support_masks(), cap),
     "covering": lambda cap: covering(_one_state_loop(MAX_PLUS), cap),
     "disambiguate": lambda cap: disambiguate(_one_state_loop(MAX_PLUS), cap),
     "unambiguous_from_pair": lambda cap: unambiguous_from_pair(
