@@ -283,7 +283,9 @@ def _accessible_product(
 
     Two phases: the first discovers the reachable pairs and builds nothing
     else; the second builds each row once, already in the final numbering.
+    Raises CapExceededError("product", ...) past DEFAULT_SUBSET_CAP pairs.
     """
+    cap = DEFAULT_SUBSET_CAP
     bn = b.n
     letters = [(a.mu[ch].rows, b.mu[ch].rows) for ch in a.alphabet]
     seen = {
@@ -291,6 +293,8 @@ def _accessible_product(
         for p, wa in enumerate(a.alpha) if wa is not None
         for q, wb in enumerate(b.alpha) if wb is not None
     }
+    if len(seen) > cap:
+        raise CapExceededError("product", cap)
     stack = list(seen)
     while stack:
         p, q = divmod(stack.pop(), bn)
@@ -302,6 +306,8 @@ def _accessible_product(
                     for s in brow:
                         t = base + s
                         if t not in seen:
+                            if len(seen) >= cap:
+                                raise CapExceededError("product", cap)
                             seen.add(t)
                             stack.append(t)
     keys = sorted(seen)
@@ -343,7 +349,8 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     For every word w: eval(result, w) = eval(a, w) (x) eval(b, w).  Both
     automata must carry the same tag and the same alphabet.  Only the pairs
     (p, q) reachable from an initial pair are built, numbered in (p, q)
-    order, so the result has at most a.n * b.n states.
+    order, so the result has at most a.n * b.n states; more than
+    ``DEFAULT_SUBSET_CAP`` raise CapExceededError.
     """
     if a.semiring.tag != b.semiring.tag:
         raise TagMismatchError(f"mixed tags: {a.semiring.tag} vs {b.semiring.tag}")

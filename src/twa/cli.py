@@ -275,7 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("disambiguate", cmd_disambiguate, "make a 1-valued automaton unambiguous")
     p.add_argument("file")
-    p.add_argument("--subset-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP, metavar="N")
+    p.add_argument(
+        "--subset-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP, metavar="N",
+        help="cap on the subsets of the covering",
+    )
     with_output(p)
 
     p = add(

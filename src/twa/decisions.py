@@ -536,7 +536,8 @@ def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Dec
     Equality means: equal supports, and equal coefficients on the support.
     Checked as (a) NFA equivalence of the supports and (b) the pointwise
     difference S - T (a tensor product that subtracts T's weights from S's)
-    being constantly 0 on its support.
+    being constantly 0 on its support.  Raises CapExceededError when that
+    product reaches more than ``DEFAULT_SUBSET_CAP`` pairs.
     """
     _check_pair(amax, bmin, "decide_series_equal")
     return _difference(amax, bmin, "equal").verdict

@@ -9,24 +9,27 @@ series value, so the result is 1-valued.  Second, the 1-valued automaton is
 made unambiguous.  The output is deterministic when the max-plus weighted
 subset construction (Mohri 1997) finishes within the 1-valued automaton's
 size; this is exact whenever it finishes, and it finishes only on a
-sequential series.  Otherwise it is the subset covering: tensoring the
-1-valued automaton with the determinization of its own support and deleting
+sequential series.  Otherwise it is the subset covering: the accessible
+product of the 1-valued automaton with the subset automaton of its own
+support, its states numbered in (original state, subset) order; deleting
 competing arcs leaves at most one successful path per word without changing
 the series.
 
 Both halves run on the shared engines of ``twa.automaton``: the accessible
-product and the breadth-first subset exploration, whose cap
-``DEFAULT_SUBSET_CAP`` bounds the subsets of the covering.  The weights stay
+product (the difference product and the covering) and the breadth-first
+subset exploration; ``DEFAULT_SUBSET_CAP`` bounds both.  The weights stay
 scalar max-plus throughout; no semiring of weight pairs is involved.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .automaton import (
     DEFAULT_SUBSET_CAP,
     WeightedAutomaton,
+    _accessible_product,
     _bits,
     _explore,
     _post,
@@ -56,7 +59,8 @@ def extract_one_valued(
     With ``check`` the equivalence of the two inputs is decided on the same
     product and potential, and NotEqualError (with witness) raised if it
     fails; without it, unequal inputs surface as NotNonpositiveError from
-    the renormalization step.
+    the renormalization step.  Raises CapExceededError when the product
+    reaches more than ``DEFAULT_SUBSET_CAP`` pairs.
     """
     # with the check, errors name the decision it runs
     _check_pair(amax, bmin, "decide_series_equal" if check else "extract_one_valued")
@@ -64,8 +68,6 @@ def extract_one_valued(
     if not difference.verdict.holds:
         raise (NotEqualError if check else NotNonpositiveError)(difference.verdict.witness)
     ta, product, pairs, u = difference.ta, difference.product, difference.pairs, difference.u
-    if product.n == 0:
-        return WeightedAutomaton(MAX_PLUS, ta.alphabet, 0, [], [], {ch: TropicalMatrix(MAX_PLUS, 0) for ch in ta.alphabet})
     firsts = [p for p, _ in pairs]  # the amax state of each product state
     alpha = [
         ta.alpha[p] if w is not None and w + ui == 0 else None
@@ -128,46 +130,28 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
 
     The subset component evolves deterministically with the input, so it adds
     no weight and no new values: the covering recognizes the same series.
-    Restricted to accessible states, numbered breadth-first from the initial
-    ones in state order, each state's targets in state order.  Each state is
-    expanded as it is numbered, so every row is built once, and each
-    subset's label text is formatted once.
+    It is the accessible product of ``aut`` with the subset automaton of its
+    support, whose arrows and arcs all weigh 0: the pairs (p, s) reachable
+    from the initial ones, numbered in (p, s) order.  Raises
+    CapExceededError when more than ``cap`` subsets, or more than
+    ``DEFAULT_SUBSET_CAP`` pairs, appear.
     """
     support = aut._support_masks()
     subsets, moves = _determinize_subsets(support, cap)
-    start_subset = 0
-    provenance = [(p, start_subset) for p, w in enumerate(aut.alpha) if w is not None]
-    index = {key: i for i, key in enumerate(provenance)}
-    rows = {ch: [] for ch in aut.alphabet}
-    letters = [(ch, aut.mu[ch].rows, rows[ch]) for ch in aut.alphabet]
-    src = 0
-    while src < len(provenance):  # breadth-first: states are expanded in index order
-        p, s = provenance[src]
-        table = moves[s]
-        for ch, arows, out in letters:
-            row = arows[p]
-            target_subset = table.get(ch)
-            built = {}
-            if row and target_subset is not None:
-                for r in sorted(row):
-                    nkey = (r, target_subset)
-                    dst = index.get(nkey)
-                    if dst is None:
-                        dst = index[nkey] = len(provenance)
-                        provenance.append(nkey)
-                    built[dst] = row[r]
-            out.append(built)
-        src += 1
-    n = len(provenance)
-    alpha = [aut.alpha[p] if s == start_subset else None for p, s in provenance]
-    beta = [aut.beta[p] if subsets[s] & support.final else None for p, s in provenance]
     members = [_bits(mask) for mask in subsets]
-    texts = [",".join(map(str, m)) for m in members]
-    la = [aut.state_label(p) for p in range(aut.n)]
-    labels = tuple(f"({la[p]},{{{texts[s]}}})" for p, s in provenance)
-    mu = {ch: TropicalMatrix._adopt(aut.semiring, n, rows[ch]) for ch in aut.alphabet}
-    cover = WeightedAutomaton._adopt(aut.semiring, aut.alphabet, n, alpha, beta, mu, labels)
-    return Covering(cover, tuple(provenance), tuple(frozenset(m) for m in members))
+    n = len(subsets)
+    rows = {ch: [{table[ch]: 0} if ch in table else {} for table in moves] for ch in aut.alphabet}
+    dfa = WeightedAutomaton._adopt(
+        aut.semiring,
+        aut.alphabet,
+        n,
+        [0] + [None] * (n - 1),
+        [0 if mask & support.final else None for mask in subsets],
+        {ch: TropicalMatrix._adopt(aut.semiring, n, rows[ch]) for ch in aut.alphabet},
+        tuple("{" + ",".join(map(str, m)) + "}" for m in members),
+    )
+    cover, pairs = _accessible_product(aut, dfa, aut.semiring, operator.add)
+    return Covering(cover, tuple(pairs), tuple(frozenset(m) for m in members))
 
 
 def remove_competitions(cover: Covering) -> WeightedAutomaton:
@@ -317,7 +301,8 @@ def unambiguous_from_pair(
     (``disambiguate(one, subset_cap)``).  The choice follows from the input
     alone.  Both keep the series of the 1-valued automaton, also when
     ``check`` is off.  Raises ValueError for a ``subset_cap`` below 1 before
-    any work, and CapExceededError when the covering exceeds it.
+    any work, and CapExceededError when the covering exceeds it or a
+    product exceeds ``DEFAULT_SUBSET_CAP`` pairs.
     """
     if subset_cap < 1:
         raise ValueError("cap must be at least 1")

@@ -50,7 +50,8 @@ class CapExceededError(TwaError):
     """A resource cap was hit: more subsets or states appeared than the cap allows.
 
     Every subset exploration (the all-words constant test, determinization,
-    the covering) takes a cap, and `format.parse` refuses a state count
+    the covering) takes a cap, every product stops at DEFAULT_SUBSET_CAP
+    pairs (``what`` is "product"), and `format.parse` refuses a state count
     above DEFAULT_SUBSET_CAP; ``what`` names the exploration or the count.
     """
 

@@ -1,12 +1,14 @@
 """Seeded random generators shared by the test modules."""
 
+import operator
 import struct
 import sys
+from collections import deque
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from twa import MAX_PLUS, MIN_PLUS, TropicalMatrix, WeightedAutomaton
+from twa import MAX_PLUS, MIN_PLUS, Covering, TropicalMatrix, WeightedAutomaton
 from twa.automaton import _MaskNfa
 from twa.format import serialize
 
@@ -161,6 +163,79 @@ def support(aut):
         {i for i, w in enumerate(aut.beta) if w is not None},
         delta,
     )
+
+
+def ref_determinize(nfa):
+    """Accessible subset construction over frozensets; the empty set is no state.
+
+    Returns (subsets, moves): moves[i] maps each letter to the index of its
+    target subset.
+    """
+    start = frozenset(nfa.initial)
+    subsets, index, moves = [start], {start: 0}, [{}]
+    queue = deque([0])
+    while queue:
+        cur = queue.popleft()
+        for ch in nfa.alphabet:
+            target = nfa.step(subsets[cur], ch)
+            if not target:
+                continue
+            if target not in index:
+                index[target] = len(subsets)
+                subsets.append(target)
+                moves.append({})
+                queue.append(index[target])
+            moves[cur][ch] = index[target]
+    return subsets, moves
+
+
+def ref_covering(aut):
+    """The covering by its definition: ``aut`` times the frozenset subset automaton of its support.
+
+    The full grid of ``aut`` with ``ref_determinize(support(aut))``, whose
+    one initial arrow, final arrows and arcs weigh 0 and whose states are
+    labelled by their subsets ({0,2}), restricted to the pairs that an
+    initial pair reaches, in grid order.  Returns a ``Covering``:
+    provenance[i] is the pair (p, s) of state i.
+    """
+    nfa = support(aut)
+    subsets, moves = ref_determinize(nfa)
+    dfa = WeightedAutomaton.from_arcs(
+        aut.semiring,
+        aut.alphabet,
+        len(subsets),
+        initial=[(0, 0)],
+        final=[(s, 0) for s, subset in enumerate(subsets) if subset & nfa.final],
+        arcs=[(s, ch, t, 0) for s, table in enumerate(moves) for ch, t in table.items()],
+        labels=["{" + ",".join(map(str, sorted(subset))) + "}" for subset in subsets],
+    )
+    grid = grid_product(aut, dfa, aut.semiring, operator.add)
+    reached = {i for i, w in enumerate(grid.alpha) if w is not None}
+    stack = list(reached)
+    while stack:
+        i = stack.pop()
+        for mat in grid.mu.values():
+            for j in mat.rows[i].keys() - reached:
+                reached.add(j)
+                stack.append(j)
+    keep = sorted(reached)
+    index = {old: new for new, old in enumerate(keep)}
+    mu = {
+        ch: TropicalMatrix(
+            aut.semiring, len(keep), [{index[j]: w for j, w in mat.rows[i].items()} for i in keep]
+        )
+        for ch, mat in grid.mu.items()
+    }
+    accessible = WeightedAutomaton(
+        aut.semiring,
+        aut.alphabet,
+        len(keep),
+        [grid.alpha[i] for i in keep],
+        [grid.beta[i] for i in keep],
+        mu,
+        [grid.state_labels[i] for i in keep],
+    )
+    return Covering(accessible, tuple(divmod(i, dfa.n) for i in keep), tuple(subsets))
 
 
 def zero_filter(aut):

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import twa.automaton
 from twa import cli
 from twa.cli import main
 from twa.format import load, parse, serialize
@@ -226,6 +227,13 @@ def test_pipeline_subset_cap_exit_code(capsys):
     code, _, err = run(capsys, "pipeline", AMAX, BMIN, "--subset-cap", "1")
     assert code == 3
     assert "cap" in err
+
+
+def test_product_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(twa.automaton, "DEFAULT_SUBSET_CAP", 2)
+    code, out, err = run(capsys, "equal", AMAX, BMIN)
+    assert (code, out) == (3, "")
+    assert err == "error: product exceeded cap of 2\n"  # one line, no traceback
 
 
 def test_monoid_cap_exit_code(capsys, tmp_path):

@@ -5,8 +5,9 @@ difference product, one potential and one bitmask subset exploration.  These
 tests hold them to a reference copy of the separate path they replaced: the
 Hadamard product with the negated min-plus automaton and a frozenset NFA
 comparison for the decisions, two full-grid products (the difference, and
-amax's own weights) for the extraction, and the sort of every competing group for the one-pass
-competition removal.
+amax's own weights) for the extraction, the grid product with the frozenset
+subset automaton of the support for the covering, and the sort of every
+competing group for the one-pass competition removal.
 """
 
 import operator
@@ -25,6 +26,8 @@ from corpus import (
     automata,
     grid_product,
     nonsequential_pair,
+    ref_covering,
+    ref_determinize,
     ref_fatou,
     support,
     zero_filter,
@@ -87,30 +90,6 @@ def ref_nfa_compare(a, b, inclusion):
                 parents[nxt] = (pair, ch)
                 queue.append(nxt)
     return Decision(True, None)
-
-
-def ref_determinize(nfa):
-    """Accessible subset construction over frozensets; the empty set is no state.
-
-    Returns (subsets, moves): moves[i] maps each letter to the index of its
-    target subset.
-    """
-    start = frozenset(nfa.initial)
-    subsets, index, moves = [start], {start: 0}, [{}]
-    queue = deque([0])
-    while queue:
-        cur = queue.popleft()
-        for ch in nfa.alphabet:
-            target = nfa.step(subsets[cur], ch)
-            if not target:
-                continue
-            if target not in index:
-                index[target] = len(subsets)
-                subsets.append(target)
-                moves.append({})
-                queue.append(index[target])
-            moves[cur][ch] = index[target]
-    return subsets, moves
 
 
 def ref_nonpositive(trim):
@@ -305,7 +284,7 @@ def ref_unambiguous(amax, bmin, check=True, cap=DEFAULT_SUBSET_CAP):
     deterministic = ref_determinize_weighted(one, min(one.n, cap))
     if deterministic is not None:
         return deterministic
-    return ref_remove_competitions(covering(one, cap))[2]
+    return ref_remove_competitions(ref_covering(one))[2]
 
 
 def outcome(fn, *args, **kwargs):
@@ -451,7 +430,7 @@ def test_kernel_matches_the_separate_path():
             assert outcome(extract_one_valued, amax, bmin, check) == expected
             if isinstance(expected, str):
                 one = ref_extract(amax, bmin, check)
-                assert serialize(disambiguate(one)) == serialize(ref_remove_competitions(covering(one))[2])
+                assert serialize(disambiguate(one)) == serialize(ref_remove_competitions(ref_covering(one))[2])
                 seen.add("deterministic" if ref_determinize_weighted(one, one.n) else "covering")
             assert outcome(unambiguous_from_pair, amax, bmin, check) == outcome(
                 ref_unambiguous, amax, bmin, check
@@ -489,7 +468,7 @@ def test_kernel_builds_no_negated_copy_and_no_product_support(monkeypatch, pair)
     ta, tb = amax.trim(), bmin.trim()
     one = ref_extract(amax, bmin, True)
     assert serialize(disambiguate(extract_one_valued(amax, bmin))) == serialize(
-        ref_remove_competitions(covering(one))[2]
+        ref_remove_competitions(ref_covering(one))[2]
     )
     expected = (
         ref_series_equal(amax, bmin),
@@ -721,6 +700,29 @@ def test_determinize_and_covering_match_frozenset_subsets(aut, cap):
         assert _determinize_subsets(masks, cap) == expected
 
 
+def _named(cover):
+    """The arrows, arcs and labels of a covering, each state named by its provenance."""
+    aut, name = cover.automaton, cover.provenance.__getitem__
+    return (
+        aut.semiring.tag,
+        {name(i): w for i, w in enumerate(aut.alpha) if w is not None},
+        {name(i): w for i, w in enumerate(aut.beta) if w is not None},
+        {(name(i), ch, name(j)): w for i, ch, j, w in aut.arcs()},
+        {name(i): aut.state_label(i) for i in range(aut.n)},
+    )
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([MAX_PLUS, MIN_PLUS]).flatmap(automata))
+def test_covering_is_the_accessible_grid_product_with_the_subset_automaton(aut):
+    cover, expected = covering(aut), ref_covering(aut)
+    assert cover.subsets == expected.subsets
+    assert _named(cover) == _named(expected)
+    assert cover.provenance == expected.provenance
+    # the engine's numbering: (original state, subset) pairs in increasing order
+    assert list(cover.provenance) == sorted(set(cover.provenance))
+
+
 def _one_state_loop(tag):
     return WeightedAutomaton.from_arcs(
         tag, "ab", 1, initial=[(0, 0)], final=[(0, 0)], arcs=[(0, "a", 0, 0), (0, "b", 0, 0)]
@@ -745,3 +747,34 @@ def test_caps_below_one_are_rejected_by_every_exploration(entry, cap):
     with pytest.raises(ValueError, match="cap must be at least 1"):
         CAPPED[entry](cap)
     CAPPED[entry](1)
+
+
+# -- every product stops at the cap ---------------------------------------------
+
+
+def _products():
+    """Per entry point: a call that builds one product, and that product's pair count."""
+    amax, bmin = zoo.sample_equivalent_pair()
+    one = extract_one_valued(amax, bmin)
+    difference = hadamard(amax.trim(), bmin.trim().negate()).n
+    # two initial states on each side: four initial pairs before any arc
+    starts = WeightedAutomaton.from_arcs(MAX_PLUS, "ab", 2, initial=[(0, 0), (1, 0)], final=[(0, 0)])
+    return {
+        "hadamard": (lambda: hadamard(amax, amax), hadamard(amax, amax).n),
+        "hadamard of initial pairs": (lambda: hadamard(starts, starts), 4),
+        "decide_series_equal": (lambda: decide_series_equal(amax, bmin), difference),
+        "extract_one_valued": (lambda: extract_one_valued(amax, bmin), difference),
+        "covering": (lambda: covering(one), covering(one).automaton.n),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_products()))
+def test_every_product_stops_at_the_cap(monkeypatch, entry):
+    build, pairs = _products()[entry]
+    assert pairs > 1
+    monkeypatch.setattr(twa.automaton, "DEFAULT_SUBSET_CAP", pairs)
+    build()  # exactly the cap: no error
+    monkeypatch.setattr(twa.automaton, "DEFAULT_SUBSET_CAP", pairs - 1)
+    with pytest.raises(CapExceededError) as info:
+        build()
+    assert (info.value.what, info.value.cap) == ("product", pairs - 1)
