@@ -3,28 +3,32 @@
 All entry points trim internally, so user automata need not be trim.  Every
 negative verdict comes with a witness word that fails the property exactly;
 witnesses are deterministic (first in length-lex order where the search is
-breadth-first, argmax backtracking otherwise).
+breadth-first; for nonpositivity a shortest positive word, or a pumped
+circuit when none is shorter than the state count).
 
 Nonpositivity, on which Fatou renormalization, the constant tests and the
 series comparisons rest, is decided by one early-exit Bellman-Ford relaxation
 of the potential u = M*beta, and a positive verdict hands u on to the
 renormalization.  The relaxation visits the arcs in backward breadth-first
 order from the final arrows, so a round carries the weights along every
-fewest-arc path and few rounds are needed.  The scan of alpha M^k beta and
-the maximum mean circuit (Howard policy iteration, in twa.spectral) run only
-to build the witness of a negative verdict.
+fewest-arc path and few rounds are needed.  Only a negative verdict pays for
+its witness: one forward pass over the letters, or, when no word shorter
+than n is positive, the maximum mean circuit (Howard policy iteration, in
+twa.spectral).
 
 The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
 automaton, is read straight off u as bitmasks: an initial arrow is kept iff
 alpha_i + u_i = 0, a final arrow iff beta_i = u_i, an arc i -> j of weight w
-iff w + u_j = u_i.  One breadth-first subset exploration
-(``twa.automaton._explore``) answers every language question: the all-words
-constant test walks the subsets of the zero filter until one holds no final
-state, and the comparisons walk pairs of subsets.  The series comparisons and
-the 1-valued extraction of ``twa.disambiguation`` share one kernel, _difference:
-it trims each input once, compares the supports, builds the product of S and
--T once and relaxes its potential once.  The product subtracts T's weights as
-it builds each row, in its final (p, q) numbering, so no negated copy of T
+iff w + u_j = u_i.  _zero_masks is the only place that tests this tightness.
+One breadth-first subset exploration (``twa.automaton._explore``) answers
+every language question: the all-words constant test walks the subsets of the
+zero filter until one holds no final state, and the comparisons walk pairs of
+subsets.  The series comparisons and the 1-valued extraction of
+``twa.disambiguation`` share one kernel, _difference: it trims each input
+once, compares the supports, builds the product of S and -T once, relaxes its
+potential once and reads its zero filter once, and the extraction takes its
+arrows and arcs from that filter.  The product subtracts T's weights as it
+builds each row, in its final (p, q) numbering, so no negated copy of T
 exists; it is accessible by construction, so its trim only removes the states
 that reach no final arrow, and the one backward search that orders the
 relaxation finds them; and with equal supports the zero filter is compared
@@ -63,7 +67,6 @@ from .spectral import (
     _backward_search,
     _critical_circuit,
     _relax,
-    vec_mat,
 )
 
 
@@ -84,7 +87,7 @@ def _shift_final(aut: WeightedAutomaton, delta) -> WeightedAutomaton:
     if delta == 0:
         return aut
     beta = [None if w is None else w + delta for w in aut.beta]
-    return WeightedAutomaton(
+    return WeightedAutomaton._adopt(
         aut.semiring, aut.alphabet, aut.n, aut.alpha, beta, aut.mu, aut.state_labels
     )
 
@@ -100,9 +103,9 @@ def decide_nonpositive(aut: WeightedAutomaton) -> Decision:
     Criterion on the trimmed automaton with M the letter sum: u = M*beta
     exists (no cycle has positive weight) and alpha_i + u_i <= 0 for every
     state i.  Decided by one early-exit Bellman-Ford relaxation.  The
-    returned witness word has a value > 0 (exactly): the shortest offending
-    word from the scan of alpha M^k beta for k < n when there is one,
-    otherwise a pumped maximum-mean (positive) cycle.
+    returned witness word has a value > 0 (exactly): a shortest offending
+    word when one is shorter than n (_positive_word), otherwise a pumped
+    maximum-mean (positive) cycle.
     """
     _require_max_plus(aut, "decide_nonpositive")
     return _nonpositive(aut.trim())[0]
@@ -138,10 +141,11 @@ def _nonpositive(
         u = [u[i] for i in keep]
     if holds:
         return Decision(True, None), aut, u, keep
-    m = aut.letter_sum()
     # a positive word shorter than n would have stopped an earlier round, so
-    # after a divergence the scan of alpha M^k beta cannot succeed
-    witness = _pumped_witness(aut, m) if diverged else _positive_word(aut, m)
+    # after a divergence the forward pass cannot succeed
+    witness = None if diverged else _positive_word(aut)
+    if witness is None:
+        witness = _pumped_witness(aut)
     return Decision(False, witness), aut, None, keep
 
 
@@ -173,61 +177,51 @@ def _nonpositive_potential(alpha: list, order: list, into: list, u: list) -> boo
     return True
 
 
-def _positive_word(trim: WeightedAutomaton, m: TropicalMatrix) -> str:
-    """A word with positive value, for a trim automaton whose series is not <= 0.
+def _positive_word(trim: WeightedAutomaton) -> Optional[str]:
+    """A shortest word with positive value, or None when none is shorter than n.
 
-    Scans alpha M^k beta for k < n first: when it fails, the witness is a
-    shortest offending word; otherwise a positive cycle exists, and the
-    witness pumps a maximum-mean one.
+    One forward pass over the letters: level k holds the best weight
+    (alpha M^k)_j of the words of length k that reach each state j, with
+    the first (state, letter) in increasing state and alphabet order that
+    attains it.  The first level whose best alpha M^k beta (at the smallest
+    state that attains it) is positive gives the word, read back along
+    those pointers.
     """
-    profiles = [{i: w for i, w in enumerate(trim.alpha) if w is not None}]
-    for k in range(trim.n):
-        x = profiles[k]
-        best, best_state = None, None
-        for i, xi in sorted(x.items()):
-            b = trim.beta[i]
-            if b is None:
-                continue
-            v = xi + b
-            if best is None or v > best:
-                best, best_state = v, i
-        if best is not None and best > 0:
-            return _backtrack_word(trim, profiles, k, best_state)
-        if k + 1 < trim.n:
-            profiles.append(vec_mat(x, m))
-    return _pumped_witness(trim, m)
+    letters = [(ch, trim.mu[ch].rows) for ch in trim.alphabet]
+    x = {i: w for i, w in enumerate(trim.alpha) if w is not None}
+    hops = []  # hops[k][j]: the (state, letter) before j on level k + 1
+    for _ in range(trim.n):
+        states = sorted(x)
+        ends = [(x[i] + trim.beta[i], -i) for i in states if trim.beta[i] is not None]
+        best, end = max(ends, default=(0, 0))
+        if best > 0:
+            end, word = -end, ""
+            for hop in reversed(hops):
+                end, ch = hop[end]
+                word = ch + word
+            return word
+        nxt, hop = {}, {}
+        for i in states:
+            xi = x[i]
+            for ch, rows in letters:
+                for j, w in rows[i].items():
+                    v = xi + w
+                    if j not in nxt or v > nxt[j]:
+                        nxt[j], hop[j] = v, (i, ch)
+        x = nxt
+        hops.append(hop)
+    return None
 
 
-def _backtrack_word(aut: WeightedAutomaton, profiles, k: int, end_state: int) -> str:
-    """Recover a length-k word whose best path reaches ``end_state`` with the profile value."""
-    letters = []
-    cur = end_state
-    for t in range(k, 0, -1):
-        target = profiles[t][cur]
-        prev = profiles[t - 1]
-        hop = None
-        for i in sorted(prev):
-            for ch in aut.alphabet:
-                w = aut.mu[ch].rows[i].get(cur)
-                if w is not None and prev[i] + w == target:
-                    hop = (i, ch)
-                    break
-            if hop:
-                break
-        assert hop is not None, "profile backtracking lost the maximizing path"
-        cur, ch = hop
-        letters.append(ch)
-    return "".join(reversed(letters))
-
-
-def _pumped_witness(trim: WeightedAutomaton, m: TropicalMatrix) -> str:
+def _pumped_witness(trim: WeightedAutomaton) -> str:
     """Build a word with positive value from a circuit of maximum mean rho > 0.
 
-    ``m`` is the letter sum of ``trim``, which has a positive cycle; the
-    circuit and rho come from one _critical_circuit call.  The witness pumps
-    the circuit enough times to dominate the exact weight of its access and
-    co-access paths.
+    ``trim`` has a positive cycle; the circuit and rho come from one
+    _critical_circuit call on its letter sum, built here for that call.  The
+    witness pumps the circuit enough times to dominate the exact weight of
+    its access and co-access paths.
     """
+    m = trim.letter_sum()
     rho, cycle = _critical_circuit(m)
     assert rho is not None and rho > 0, "positive series without a positive word or cycle"
     cycle_word = []
@@ -376,6 +370,19 @@ def _zero_masks(trim: WeightedAutomaton, u: list) -> _MaskNfa:
 # ---------------------------------------------------------------------------
 
 
+def _shifted_zero_filter(aut: WeightedAutomaton, const, op: str):
+    """The prelude of the constant tests: (verdict, trim, zero filter or None).
+
+    Checks the tag and the constant, shifts the final arrows of the trim by
+    -const, relaxes, and reads the zero filter off a nonpositive result.
+    """
+    _require_max_plus(aut, op)
+    if not is_rational(const):
+        raise TypeError(f"constant must be an exact rational, got {const!r}")
+    verdict, trim, u, _ = _nonpositive(_shift_final(aut.trim(), -const))
+    return verdict, trim, _zero_masks(trim, u) if verdict.holds else None
+
+
 def decide_equal_const(
     aut: WeightedAutomaton, const, subset_cap: int = DEFAULT_SUBSET_CAP
 ) -> Decision:
@@ -386,15 +393,14 @@ def decide_equal_const(
     The subsets of the filter that the words reach are explored breadth-first
     in alphabet order until one holds no final state, so the witness is the
     length-lex-first word of another value (or of no value).  Raises
+    ValueError for a ``subset_cap`` below 1 before any work, and
     CapExceededError when more than ``subset_cap`` subsets appear.
     """
-    _require_max_plus(aut, "decide_equal_const")
-    if not is_rational(const):
-        raise TypeError(f"constant must be an exact rational, got {const!r}")
-    verdict, trim, u, _ = _nonpositive(_shift_final(aut, -const).trim())
+    if subset_cap < 1:
+        raise ValueError("cap must be at least 1")
+    verdict, trim, zero = _shifted_zero_filter(aut, const, "decide_equal_const")
     if not verdict.holds:
         return verdict
-    zero = _zero_masks(trim, u)
     final, succ = zero.final, zero.succ
 
     def step(mask, ch):
@@ -420,13 +426,10 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
     support NFA with the weight-0 filtered NFA for language equality, so
     words outside the support are unconstrained.
     """
-    _require_max_plus(aut, "decide_equal_const_on_support")
-    if not is_rational(const):
-        raise TypeError(f"constant must be an exact rational, got {const!r}")
-    verdict, trim, u, _ = _nonpositive(_shift_final(aut.trim(), -const))
+    verdict, trim, zero = _shifted_zero_filter(aut, const, "decide_equal_const_on_support")
     if not verdict.holds:
         return verdict
-    return _compare(trim._support_masks(), _zero_masks(trim, u), inclusion=False)
+    return _compare(trim._support_masks(), zero, inclusion=False)
 
 
 # ---------------------------------------------------------------------------
@@ -471,25 +474,23 @@ def _check_pair(amax: WeightedAutomaton, bmin: WeightedAutomaton, op: str):
         raise AlphabetError(f"{op}: automata must share one alphabet")
 
 
-class _Difference:
+class _Difference(NamedTuple):
     """What the equality kernel learned about S - T.
 
     ``product`` is the trimmed accessible product of the trimmed amax ``ta``
     and the trimmed bmin, each joint arrow and arc weighing the amax weight
     minus the bmin weight, so its series is S - T on the common support;
-    ``pairs`` holds the (p, q) of each of its states and ``u`` its
-    potential M*beta.  ``product`` and ``pairs`` are None when the supports
-    failed their comparison, ``u`` when S - T is not nonpositive.
+    ``pairs`` holds the (p, q) of each of its states and ``zero`` its zero
+    filter, read off its potential M*beta by _zero_masks.  ``product`` and
+    ``pairs`` are None when the supports failed their comparison, ``zero``
+    when S - T is not nonpositive or the mode is "leq".
     """
 
-    __slots__ = ("verdict", "ta", "product", "pairs", "u")
-
-    def __init__(self, verdict: Decision, ta: WeightedAutomaton, product, pairs, u):
-        self.verdict = verdict
-        self.ta = ta
-        self.product = product
-        self.pairs = pairs
-        self.u = u
+    verdict: Decision
+    ta: WeightedAutomaton
+    product: Optional[WeightedAutomaton]
+    pairs: Optional[list]
+    zero: Optional[_MaskNfa]
 
 
 def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> _Difference:
@@ -497,10 +498,10 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
 
     Trims each input once, compares the supports ("equal": equivalence,
     "leq": inclusion, "extract": skipped), builds the difference product
-    once, relaxes its potential u once, and for "equal" compares the zero
-    filter read off u with the support of ``ta``.  Each step runs only when
-    the ones before it held, so a witness is the one that the failing step
-    alone gives.
+    once, relaxes its potential u once, and, except for "leq", reads the
+    zero filter off u; "equal" compares it with the support of ``ta``.  Each
+    step runs only when the ones before it held, so a witness is the one
+    that the failing step alone gives.
 
     The product subtracts bmin's weights as it combines them, so no negated
     copy of bmin is built.  It is accessible by construction, so its trim
@@ -525,9 +526,12 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
     verdict, product, u, keep = _nonpositive(product)
     if keep is not None:
         pairs = [pairs[i] for i in keep]
-    if verdict.holds and mode == "equal":
-        verdict = _compare(support, _zero_masks(product, u), inclusion=False)
-    return _Difference(verdict, ta, product, pairs, u)
+    zero = None
+    if verdict.holds and mode != "leq":
+        zero = _zero_masks(product, u)
+        if mode == "equal":
+            verdict = _compare(support, zero, inclusion=False)
+    return _Difference(verdict, ta, product, pairs, zero)
 
 
 def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decision:

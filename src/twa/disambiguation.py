@@ -1,19 +1,19 @@
 """From a max-plus/min-plus pair of equivalent automata to an unambiguous one.
 
-The pipeline has two halves.  First, the difference product of S and -T
-(built once, by the equality kernel of ``twa.decisions``) carries S - T along
-joint paths; its potential u = M*beta renormalizes it, and the arcs whose
-renormalized difference is exactly 0 are kept, each with the weight of the
-max-plus arc it came from.  Every surviving successful path then carries the
-series value, so the result is 1-valued.  Second, the 1-valued automaton is
-made unambiguous.  The output is deterministic when the max-plus weighted
-subset construction (Mohri 1997) finishes within the 1-valued automaton's
-size; this is exact whenever it finishes, and it finishes only on a
-sequential series.  Otherwise it is the subset covering: the accessible
-product of the 1-valued automaton with the subset automaton of its own
-support, its states numbered in (original state, subset) order; deleting
-competing arcs leaves at most one successful path per word without changing
-the series.
+The pipeline has two halves.  First, the difference product of S and -T (built
+once, by the equality kernel of ``twa.decisions``) carries S - T along joint
+paths; the kernel reads its zero filter, the arrows and arcs whose difference
+renormalized by u = M*beta is exactly 0, off u as bitmasks, and those are
+kept, each with the weight of the max-plus arc it came from.  Every surviving
+successful path then carries the series value, so the result is 1-valued.
+Second, the 1-valued automaton is made unambiguous.  The output is
+deterministic when the max-plus weighted subset construction (Mohri 1997)
+finishes within the 1-valued automaton's size; this is exact whenever it
+finishes, and it finishes only on a sequential series.  Otherwise it is the
+subset covering: the accessible product of the 1-valued automaton with the
+subset automaton of its own support, its states numbered in (original state,
+subset) order; deleting competing arcs leaves at most one successful path per
+word without changing the series.
 
 Both halves run on the shared engines of ``twa.automaton``: the accessible
 product (the difference product and the covering) and the breadth-first
@@ -50,9 +50,9 @@ def extract_one_valued(
     of amax with the negation of bmin, without building that negation (only
     the pairs reachable from an initial pair, numbered in (p, q) order),
     trim it, relax its potential u = M*beta, keep only the arrows and arcs
-    whose renormalized weight is exactly 0 (alpha_i + u_i = 0,
-    beta_i = u_i, w + u_j = u_i), give each kept one the weight of the amax
-    arrow or arc at its (p, q) pair, trim again.  The result has at most
+    whose renormalized weight is exactly 0 (the zero filter that the kernel
+    reads off u), give each kept one the weight of the amax arrow or arc at
+    its (p, q) pair, trim again.  The result has at most
     states(amax) * states(bmin) states and all successful paths of a word
     weigh exactly the series value.
 
@@ -67,29 +67,21 @@ def extract_one_valued(
     difference = _difference(amax, bmin, "equal" if check else "extract")
     if not difference.verdict.holds:
         raise (NotEqualError if check else NotNonpositiveError)(difference.verdict.witness)
-    ta, product, pairs, u = difference.ta, difference.product, difference.pairs, difference.u
-    firsts = [p for p, _ in pairs]  # the amax state of each product state
-    alpha = [
-        ta.alpha[p] if w is not None and w + ui == 0 else None
-        for w, ui, p in zip(product.alpha, u, firsts)
-    ]
-    beta = [
-        ta.beta[p] if w is not None and w == ui else None
-        for w, ui, p in zip(product.beta, u, firsts)
-    ]
+    ta, product, zero = difference.ta, difference.product, difference.zero
+    firsts = [p for p, _ in difference.pairs]  # the amax state of each product state
+    alpha = [ta.alpha[p] if zero.initial >> i & 1 else None for i, p in enumerate(firsts)]
+    beta = [ta.beta[p] if zero.final >> i & 1 else None for i, p in enumerate(firsts)]
     mu = {}
-    for ch in product.alphabet:
+    for ch, masks in zero.succ.items():
         arows = ta.mu[ch].rows
-        rows = []
-        for i, row in enumerate(product.mu[ch].rows):
-            ui = u[i]
-            arow = arows[firsts[i]]
-            rows.append({j: arow[firsts[j]] for j, w in row.items() if w + u[j] == ui})
+        rows = [
+            {j: arows[p][firsts[j]] for j in row if mask >> j & 1}
+            for row, mask, p in zip(product.mu[ch].rows, masks, firsts)
+        ]
         mu[ch] = TropicalMatrix._adopt(MAX_PLUS, product.n, rows)
-    filtered = WeightedAutomaton._adopt(
+    return WeightedAutomaton._adopt(
         MAX_PLUS, product.alphabet, product.n, alpha, beta, mu, product.state_labels
-    )
-    return filtered.trim()
+    ).trim()
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +154,12 @@ def remove_competitions(cover: Covering) -> WeightedAutomaton:
     arrows compete when they share the subset.  Exactly one member of each
     group survives (the one with the smallest original state; a subset and
     an original state determine a covering state), which is the minimal
-    number of deletions.  One pass over the states in (subset, original
-    state) order keeps the first arc of each group and the first final arrow
-    of each subset.  For a 1-valued covered automaton the result is
-    unambiguous and equivalent.
+    number of deletions.  ``covering`` numbers the states in (original
+    state, subset) order, and the one pass over them in index order relies
+    on that: it visits the states of each subset by increasing original
+    state, so keeping the first arc of each group and the first final arrow
+    of each subset keeps the survivors.  For a 1-valued covered automaton
+    the result is unambiguous and equivalent.
     """
     aut = cover.automaton
     prov = cover.provenance
@@ -175,7 +169,7 @@ def remove_competitions(cover: Covering) -> WeightedAutomaton:
     kept = {ch: [None] * n for ch in aut.alphabet}
     # per letter: the rows, the kept rows, and subset -> the targets of its kept arcs
     letters = [(aut.mu[ch].rows, kept[ch], {}) for ch in aut.alphabet]
-    for i in sorted(range(n), key=lambda i: (prov[i][1], prov[i][0])):
+    for i in range(n):
         s = prov[i][1]
         for rows, out, taken in letters:
             row = {}

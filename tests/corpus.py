@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from twa import MAX_PLUS, MIN_PLUS, Covering, TropicalMatrix, WeightedAutomaton
 from twa.automaton import _MaskNfa
 from twa.format import serialize
+from twa.spectral import vec_mat
 
 
 def random_weight(rng, lo=-5, hi=5, zero_p=0.4, frac_p=0.0):
@@ -302,6 +303,56 @@ def ref_fatou(trim):
         mu,
         trim.state_labels,
     )
+
+
+def ref_positive_word(trim):
+    """The scan of alpha M^k beta for k < n on ``vec_mat``, then a backward walk.
+
+    A shortest word with positive value, found by walking the profiles back
+    from the first state of best value and taking at each step the first
+    (state, letter), in increasing state and alphabet order, that attains
+    the profile; None when no word shorter than n is positive (a NO verdict
+    then pumps a circuit).
+    """
+    m = trim.letter_sum()
+    profiles = [{i: w for i, w in enumerate(trim.alpha) if w is not None}]
+    for k in range(trim.n):
+        x = profiles[k]
+        best, best_state = None, None
+        for i, xi in sorted(x.items()):
+            b = trim.beta[i]
+            if b is None:
+                continue
+            v = xi + b
+            if best is None or v > best:
+                best, best_state = v, i
+        if best is not None and best > 0:
+            return _backtrack_word(trim, profiles, k, best_state)
+        if k + 1 < trim.n:
+            profiles.append(vec_mat(x, m))
+    return None
+
+
+def _backtrack_word(aut, profiles, k: int, end_state: int) -> str:
+    """Recover a length-k word whose best path reaches ``end_state`` with the profile value."""
+    letters = []
+    cur = end_state
+    for t in range(k, 0, -1):
+        target = profiles[t][cur]
+        prev = profiles[t - 1]
+        hop = None
+        for i in sorted(prev):
+            for ch in aut.alphabet:
+                w = aut.mu[ch].rows[i].get(cur)
+                if w is not None and prev[i] + w == target:
+                    hop = (i, ch)
+                    break
+            if hop:
+                break
+        assert hop is not None, "profile backtracking lost the maximizing path"
+        cur, ch = hop
+        letters.append(ch)
+    return "".join(reversed(letters))
 
 
 def as_min_plus_copy(aut):

@@ -59,6 +59,7 @@ def test_package_exports_exactly_what_it_imports():
         "nfa_inclusion",
         "_nfa_compare",
         "determinize",
+        "_backtrack_word",
     ],
 )
 def test_retired_names_are_gone(name):

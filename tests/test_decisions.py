@@ -5,7 +5,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twa.decisions
@@ -18,6 +18,7 @@ from corpus import (
     random_deterministic_automaton,
     random_trim_nonpositive,
     ref_fatou,
+    ref_positive_word,
     support,
     zero_filter,
 )
@@ -27,6 +28,7 @@ from twa import (
     CapExceededError,
     Decision,
     NotNonpositiveError,
+    PositiveCycleError,
     TagMismatchError,
     WeightedAutomaton,
     decide_equal_const,
@@ -40,7 +42,7 @@ from twa import (
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _backtrack_word, _compare, _pumped_witness, _shift_final
+from twa.decisions import _compare, _positive_word, _pumped_witness, _shift_final
 from twa.oracle import equal_upto, eval_bruteforce, words_upto
 from twa.spectral import vec_mat
 
@@ -277,29 +279,69 @@ def test_fatou_outputs_nonpositive_weights_and_same_series():
 
 def _reference_nonpositive(trim):
     """The scan of alpha M^k beta for k < n, then Karp: the decision that the
-    single Bellman-Ford relaxation replaced, with the same witness builders."""
+    single Bellman-Ford relaxation replaced, with the same pumped witness."""
     if trim.n == 0:
         return Decision(True, None)
-    m = trim.letter_sum()
-    profiles = [{i: w for i, w in enumerate(trim.alpha) if w is not None}]
-    for k in range(trim.n):
-        x = profiles[k]
-        best, best_state = None, None
-        for i, xi in sorted(x.items()):
-            b = trim.beta[i]
-            if b is None:
-                continue
-            v = xi + b
-            if best is None or v > best:
-                best, best_state = v, i
-        if best is not None and best > 0:
-            return Decision(False, _backtrack_word(trim, profiles, k, best_state))
-        if k + 1 < trim.n:
-            profiles.append(vec_mat(x, m))
-    rho = max_mean_cycle(m)
+    word = ref_positive_word(trim)
+    if word is not None:
+        return Decision(False, word)
+    rho = max_mean_cycle(trim.letter_sum())
     if rho is not None and rho > 0:
-        return Decision(False, _pumped_witness(trim, m))
+        return Decision(False, _pumped_witness(trim))
     return Decision(True, None)
+
+
+def _tied_automaton(initial, final, arcs):
+    return WeightedAutomaton.from_arcs(MAX_PLUS, "ab", 3, initial=initial, final=final, arcs=arcs)
+
+
+# two predecessors tie on the path to state 2: the first, (0, "b"), gives "b"
+TIED_PREDECESSORS = _tied_automaton([(0, 0), (1, 0)], [(2, 0)], [(0, "b", 2, 1), (1, "a", 2, 1)])
+# two final states tie on level 1: the smaller, state 1, gives "a"
+TIED_ENDS = _tied_automaton([(0, 0)], [(1, 0), (2, 0)], [(0, "a", 1, 1), (0, "b", 2, 1)])
+
+
+def test_the_forward_pass_gives_the_word_of_the_scan_and_backward_walk():
+    kinds = set()
+
+    @settings(max_examples=300)
+    @given(
+        # few distinct weights, so that paths tie and the choice among them shows
+        automata(MAX_PLUS, weight=st.integers(-1, 1) | st.just(Fraction(1, 2))),
+        st.integers(0, 2),
+    )
+    @example(TIED_PREDECESSORS, 0)
+    @example(TIED_ENDS, 0)
+    def check(aut, lower):
+        # the empty word is lowered to at most 0, so that longer words decide
+        empty = aut.eval("")
+        trim = _shift_final(aut, -(empty or 0) - lower).trim()
+        expected = ref_positive_word(trim)
+        assert _positive_word(trim) == expected
+        verdict = decide_nonpositive(trim)
+        if verdict.holds:
+            assert expected is None
+            return
+        u = list(trim.beta)
+        order, into = twa.spectral._backward_search([mat.rows for mat in trim.mu.values()], u)
+        try:
+            twa.decisions._nonpositive_potential(trim.alpha, order, into, u)
+        except PositiveCycleError:
+            # every positive word shorter than n stops a round before the divergence
+            assert expected is None
+            kinds.add("diverged")
+            return
+        if expected is None:
+            value = trim.eval(verdict.witness)
+            assert value is not None and value > 0
+            kinds.add("pumped")
+        else:
+            assert verdict.witness == expected
+            kinds.add("shortest")
+
+    check()
+    assert kinds == {"shortest", "pumped", "diverged"}
+    assert (_positive_word(TIED_PREDECESSORS), _positive_word(TIED_ENDS)) == ("b", "a")
 
 
 # -- the reference for the all-words test: the Boolean transition monoid -----
@@ -438,7 +480,7 @@ def _raise(*args, **kwargs):
 def test_positive_verdicts_skip_karp_and_the_profile_scan(monkeypatch, pair):
     amax, bmin = pair()
     monkeypatch.setattr(twa.decisions, "_critical_circuit", _raise)
-    monkeypatch.setattr(twa.decisions, "vec_mat", _raise)
+    monkeypatch.setattr(twa.decisions, "_positive_word", _raise)
     difference = hadamard(amax, bmin.negate())
     assert decide_nonpositive(difference).holds
     assert fatou_normalize(difference).n == difference.trim().n
@@ -456,13 +498,13 @@ def _counted(calls, fn):
 
 def test_a_diverging_relaxation_pumps_after_one_howard_call_and_no_scan(monkeypatch):
     # the relaxation of the padded loop diverges; every positive word shorter
-    # than n would have stopped an earlier round, so the scan is skipped
+    # than n would have stopped an earlier round, so the forward pass is skipped
     expected = decide_nonpositive(padded_loop())
     circuits, scans = [], []
     critical_circuit = _counted(circuits, twa.spectral._critical_circuit)
     for module in (twa.spectral, twa.decisions):
         monkeypatch.setattr(module, "_critical_circuit", critical_circuit)
-    monkeypatch.setattr(twa.decisions, "vec_mat", _counted(scans, twa.spectral.vec_mat))
+    monkeypatch.setattr(twa.decisions, "_positive_word", _counted(scans, _positive_word))
     assert decide_nonpositive(padded_loop()) == expected
     assert (len(circuits), len(scans)) == (1, 0)
 

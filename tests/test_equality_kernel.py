@@ -29,6 +29,7 @@ from corpus import (
     ref_covering,
     ref_determinize,
     ref_fatou,
+    ref_positive_word,
     support,
     zero_filter,
 )
@@ -59,9 +60,9 @@ from twa import (
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _backtrack_word, _compare, _pumped_witness
+from twa.decisions import _compare, _pumped_witness
 from twa.disambiguation import _determinize_subsets
-from twa.spectral import _backward_search, _relax, vec_mat
+from twa.spectral import _backward_search, _relax
 
 # -- the reference: the separate path, with frozenset subsets -----------------
 
@@ -96,20 +97,12 @@ def ref_nonpositive(trim):
     """The scan of alpha M^k beta for k < n, then Karp."""
     if trim.n == 0:
         return Decision(True, None)
-    m = trim.letter_sum()
-    profiles = [{i: w for i, w in enumerate(trim.alpha) if w is not None}]
-    for k in range(trim.n):
-        best, best_state = None, None
-        for i, xi in sorted(profiles[k].items()):
-            if trim.beta[i] is not None and (best is None or xi + trim.beta[i] > best):
-                best, best_state = xi + trim.beta[i], i
-        if best is not None and best > 0:
-            return Decision(False, _backtrack_word(trim, profiles, k, best_state))
-        if k + 1 < trim.n:
-            profiles.append(vec_mat(profiles[k], m))
-    rho = max_mean_cycle(m)
+    word = ref_positive_word(trim)
+    if word is not None:
+        return Decision(False, word)
+    rho = max_mean_cycle(trim.letter_sum())
     if rho is not None and rho > 0:
-        return Decision(False, _pumped_witness(trim, m))
+        return Decision(False, _pumped_witness(trim))
     return Decision(True, None)
 
 
@@ -538,6 +531,32 @@ def test_pipeline_builds_one_product_and_relaxes_once(monkeypatch, pair):
     assert (len(products), len(searches), len(relaxations)) == (1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "pair", [zoo.sample_equivalent_pair, lambda: zoo.prime_period_pair(2, 3, 5, 7)]
+)
+def test_only_the_kernel_reads_the_zero_filter(monkeypatch, pair):
+    # the extraction takes its arrows and arcs from the kernel's zero filter,
+    # so the tightness of an arrow or arc is tested once; "leq" reads none
+    amax, bmin = pair()
+    expected = {check: serialize(extract_one_valued(amax, bmin, check)) for check in (True, False)}
+    leq = decide_series_leq(amax, bmin)
+    calls = []
+    zero_masks = twa.decisions._zero_masks
+
+    def counted(*args):
+        calls.append(args)
+        return zero_masks(*args)
+
+    monkeypatch.setattr(twa.decisions, "_zero_masks", counted)
+    for check in (True, False):
+        calls.clear()
+        assert serialize(extract_one_valued(amax, bmin, check)) == expected[check]
+        assert len(calls) == 1
+    calls.clear()
+    assert decide_series_leq(amax, bmin) == leq
+    assert calls == []
+
+
 def ref_star_rounds(m, u):
     """The relaxation on the letter sum: its own predecessor lists, rounds up to m.n."""
     into = [[] for _ in range(m.n)]
@@ -731,6 +750,8 @@ def _one_state_loop(tag):
 
 CAPPED = {
     "decide_equal_const": lambda cap: decide_equal_const(_one_state_loop(MAX_PLUS), 0, cap),
+    # the shifted series is positive, so the verdict is NO before any exploration
+    "decide_equal_const_no": lambda cap: decide_equal_const(_one_state_loop(MAX_PLUS), -1, cap),
     "determinize": lambda cap: _determinize_subsets(_one_state_loop(MAX_PLUS)._support_masks(), cap),
     "covering": lambda cap: covering(_one_state_loop(MAX_PLUS), cap),
     "disambiguate": lambda cap: disambiguate(_one_state_loop(MAX_PLUS), cap),
@@ -743,7 +764,7 @@ CAPPED = {
 @pytest.mark.parametrize("cap", [0, -5])
 @pytest.mark.parametrize("entry", sorted(CAPPED))
 def test_caps_below_one_are_rejected_by_every_exploration(entry, cap):
-    # each input reaches one subset, so a cap that is not checked goes unnoticed
+    # each input reaches at most one subset, so a cap that is not checked goes unnoticed
     with pytest.raises(ValueError, match="cap must be at least 1"):
         CAPPED[entry](cap)
     CAPPED[entry](1)
