@@ -67,22 +67,26 @@ class WeightedAutomaton:
         self.state_labels = state_labels
 
     @classmethod
-    def _adopt(cls, semiring: Semiring, alphabet: tuple, n: int, alpha, beta, mu, state_labels):
-        """Wrap parts the library built itself, without copying or re-checking.
+    def _adopt(cls, semiring: Semiring, alphabet: tuple, alpha, beta, rows, state_labels):
+        """Assemble an automaton from parts the library built, without copying or re-checking.
 
-        The caller guarantees what __init__ checks: ``alphabet`` is a tuple of
-        distinct valid symbols, ``alpha`` and ``beta`` are lists of n weights
-        of ``semiring``, ``mu`` maps the letters, in alphabet order, to n x n
-        matrices of ``semiring``, and ``state_labels`` is None or a tuple of n
-        strings.  The caller keeps no reference it later mutates.
+        The one place where a construction's rows become matrices.  The state
+        count is n = len(alpha).  The caller guarantees what __init__ checks:
+        ``alphabet`` is a tuple of distinct valid symbols, ``alpha`` and
+        ``beta`` are lists of n weights of ``semiring``, ``rows`` maps the
+        letters, in alphabet order, to lists of n row dicts {target: weight}
+        whose targets lie in range and whose weights are finite weights of
+        ``semiring``, and ``state_labels`` is None or a tuple of n strings.
+        The caller keeps no reference it later mutates.
         """
+        n = len(alpha)
         aut = cls.__new__(cls)
         aut.semiring = semiring
         aut.alphabet = alphabet
         aut.n = n
         aut.alpha = alpha
         aut.beta = beta
-        aut.mu = mu
+        aut.mu = {ch: TropicalMatrix._adopt(semiring, n, letter) for ch, letter in rows.items()}
         aut.state_labels = state_labels
         return aut
 
@@ -215,18 +219,14 @@ class WeightedAutomaton:
     def _restrict(self, keep: list) -> "WeightedAutomaton":
         """The automaton on the states ``keep`` (increasing), renumbered in that order."""
         index = {old: new for new, old in enumerate(keep)}
-        n = len(keep)
         alpha = [self.alpha[old] for old in keep]
         beta = [self.beta[old] for old in keep]
-        mu = {}
-        for ch, mat in self.mu.items():
-            rows = [
-                {index[j]: w for j, w in mat.rows[old].items() if j in index}
-                for old in keep
-            ]
-            mu[ch] = TropicalMatrix._adopt(self.semiring, n, rows)
+        rows = {
+            ch: [{index[j]: w for j, w in mat.rows[old].items() if j in index} for old in keep]
+            for ch, mat in self.mu.items()
+        }
         labels = tuple(self.state_labels[old] for old in keep) if self.state_labels else None
-        return WeightedAutomaton._adopt(self.semiring, self.alphabet, n, alpha, beta, mu, labels)
+        return WeightedAutomaton._adopt(self.semiring, self.alphabet, alpha, beta, rows, labels)
 
     def negate(self) -> "WeightedAutomaton":
         """Negate every weight and flip max-plus <-> min-plus.
@@ -237,15 +237,11 @@ class WeightedAutomaton:
         sr = MIN_PLUS if self.semiring is MAX_PLUS else MAX_PLUS
         alpha = [None if w is None else -w for w in self.alpha]
         beta = [None if w is None else -w for w in self.beta]
-        mu = {
-            ch: TropicalMatrix._adopt(
-                sr, self.n, [{j: -w for j, w in row.items()} for row in mat.rows]
-            )
+        rows = {
+            ch: [{j: -w for j, w in row.items()} for row in mat.rows]
             for ch, mat in self.mu.items()
         }
-        return WeightedAutomaton._adopt(
-            sr, self.alphabet, self.n, alpha, beta, mu, self.state_labels
-        )
+        return WeightedAutomaton._adopt(sr, self.alphabet, alpha, beta, rows, self.state_labels)
 
     def letter_sum(self) -> TropicalMatrix:
         """The entrywise semiring sum of all letter matrices."""
@@ -311,12 +307,11 @@ def _accessible_product(
                             seen.add(t)
                             stack.append(t)
     keys = sorted(seen)
-    n = len(keys)
     index = {key: i for i, key in enumerate(keys)}
     pairs = [divmod(key, bn) for key in keys]
     mu = {}
     for ch, (arows, brows) in zip(a.alphabet, letters):
-        rows = []
+        mu[ch] = rows = []
         for p, q in pairs:
             row = {}
             brow = brows[q]
@@ -326,7 +321,6 @@ def _accessible_product(
                     for s, w2 in brow.items():
                         row[index[base + s]] = combine(w1, w2)
             rows.append(row)
-        mu[ch] = TropicalMatrix._adopt(semiring, n, rows)
 
     def arrows(va, vb):
         return [
@@ -338,7 +332,7 @@ def _accessible_product(
     lb = [b.state_label(q) for q in range(bn)]
     labels = tuple(f"({la[p]},{lb[q]})" for p, q in pairs)
     product = WeightedAutomaton._adopt(
-        semiring, a.alphabet, n, arrows(a.alpha, b.alpha), arrows(a.beta, b.beta), mu, labels
+        semiring, a.alphabet, arrows(a.alpha, b.alpha), arrows(a.beta, b.beta), mu, labels
     )
     return product, pairs
 
@@ -408,7 +402,7 @@ def _post(mask: int, succ: list) -> int:
     return out
 
 
-def _explore(start, letters, step, stop=None, cap=None, what="subset exploration"):
+def _explore(start, letters, step, cap: int, what: str, stop=None):
     """Breadth-first search over the nodes reachable from ``start``.
 
     ``step(node, letter)`` is the successor of a node, or None for no move.
@@ -418,10 +412,10 @@ def _explore(start, letters, step, stop=None, cap=None, what="subset exploration
     parents[i] = (index, letter) of the move that discovered node i (None for
     the start); moves[i] = {letter: index of the successor}; and hit = the
     index of the first node for which ``stop`` holds, where the search
-    ended, or None.  Raises CapExceededError when more than ``cap`` nodes
-    appear, and ValueError for a ``cap`` below 1.
+    ended, or None.  Raises CapExceededError(what, cap) when more than
+    ``cap`` nodes appear, and ValueError for a ``cap`` below 1.
     """
-    if cap is not None and cap < 1:
+    if cap < 1:
         raise ValueError("cap must be at least 1")
     nodes = [start]
     index = {start: 0}
@@ -439,7 +433,7 @@ def _explore(start, letters, step, stop=None, cap=None, what="subset exploration
                 continue
             target = index.get(nxt)
             if target is None:
-                if cap is not None and len(nodes) >= cap:
+                if len(nodes) >= cap:
                     raise CapExceededError(what, cap)
                 target = index[nxt] = len(nodes)
                 nodes.append(nxt)

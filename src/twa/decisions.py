@@ -23,16 +23,17 @@ iff w + u_j = u_i.  _zero_masks is the only place that tests this tightness.
 One breadth-first subset exploration (``twa.automaton._explore``) answers
 every language question: the all-words constant test walks the subsets of the
 zero filter until one holds no final state, and the comparisons walk pairs of
-subsets.  The series comparisons and the 1-valued extraction of
-``twa.disambiguation`` share one kernel, _difference: it trims each input
-once, compares the supports, builds the product of S and -T once, relaxes its
-potential once and reads its zero filter once, and the extraction takes its
-arrows and arcs from that filter.  The product subtracts T's weights as it
-builds each row, in its final (p, q) numbering, so no negated copy of T
-exists; it is accessible by construction, so its trim only removes the states
-that reach no final arrow, and the one backward search that orders the
-relaxation finds them; and with equal supports the zero filter is compared
-with S's support, whose masks the support check already built.
+subsets, at most ``DEFAULT_SUBSET_CAP`` of them.  The series comparisons and
+the 1-valued extraction of ``twa.disambiguation`` share one kernel,
+_difference: it trims each input once, compares the supports, builds the
+product of S and -T once, relaxes its potential once and reads its zero
+filter once, and the extraction takes its arrows and arcs from that filter.
+The product subtracts T's weights as it builds each row, in its final (p, q)
+numbering, so no negated copy of T exists; it is accessible by construction,
+so its trim only removes the states that reach no final arrow, and the one
+backward search that orders the relaxation finds them; and with equal supports
+the zero filter is compared with S's support, whose masks the support check
+already built.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -45,6 +46,7 @@ import operator
 from collections import deque
 from typing import NamedTuple, Optional
 
+from . import automaton
 from .automaton import (
     DEFAULT_SUBSET_CAP,
     WeightedAutomaton,
@@ -62,12 +64,7 @@ from .errors import (
     TagMismatchError,
 )
 from .semiring import MAX_PLUS, is_rational
-from .spectral import (
-    TropicalMatrix,
-    _backward_search,
-    _critical_circuit,
-    _relax,
-)
+from .spectral import _backward_search, _critical_circuit, _relax
 
 
 class Decision(NamedTuple):
@@ -87,8 +84,9 @@ def _shift_final(aut: WeightedAutomaton, delta) -> WeightedAutomaton:
     if delta == 0:
         return aut
     beta = [None if w is None else w + delta for w in aut.beta]
+    rows = {ch: mat.rows for ch, mat in aut.mu.items()}
     return WeightedAutomaton._adopt(
-        aut.semiring, aut.alphabet, aut.n, aut.alpha, beta, aut.mu, aut.state_labels
+        aut.semiring, aut.alphabet, aut.alpha, beta, rows, aut.state_labels
     )
 
 
@@ -327,15 +325,12 @@ def _fatou_trimmed(trim: WeightedAutomaton, u: list) -> WeightedAutomaton:
         return trim
     alpha = [None if w is None else w + u[i] for i, w in enumerate(trim.alpha)]
     beta = [None if w is None else w - u[i] for i, w in enumerate(trim.beta)]
-    mu = {}
-    for ch, mat in trim.mu.items():
-        rows = [
-            {j: w - u[i] + u[j] for j, w in mat.rows[i].items()}
-            for i in range(trim.n)
-        ]
-        mu[ch] = TropicalMatrix._adopt(trim.semiring, trim.n, rows)
+    rows = {
+        ch: [{j: w - u[i] + u[j] for j, w in row.items()} for i, row in enumerate(mat.rows)]
+        for ch, mat in trim.mu.items()
+    }
     return WeightedAutomaton._adopt(
-        trim.semiring, trim.alphabet, trim.n, alpha, beta, mu, trim.state_labels
+        trim.semiring, trim.alphabet, alpha, beta, rows, trim.state_labels
     )
 
 
@@ -410,9 +405,9 @@ def decide_equal_const(
         zero.initial,
         trim.alphabet,
         step,
+        subset_cap,
+        "universality check",
         stop=lambda mask: not mask & final,
-        cap=subset_cap,
-        what="universality check",
     )
     if hit is None:
         return Decision(True, None)
@@ -424,12 +419,14 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
 
     Same pipeline as decide_equal_const, but the final check compares the
     support NFA with the weight-0 filtered NFA for language equality, so
-    words outside the support are unconstrained.
+    words outside the support are unconstrained.  Raises CapExceededError
+    when that comparison meets more than ``DEFAULT_SUBSET_CAP`` pairs of
+    subsets.
     """
     verdict, trim, zero = _shifted_zero_filter(aut, const, "decide_equal_const_on_support")
     if not verdict.holds:
         return verdict
-    return _compare(trim._support_masks(), zero, inclusion=False)
+    return _compare(trim._support_masks(), zero, inclusion=False, what="zero-filter comparison")
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +434,14 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
 # ---------------------------------------------------------------------------
 
 
-def _compare(a: _MaskNfa, b: _MaskNfa, inclusion: bool) -> Decision:
+def _compare(a: _MaskNfa, b: _MaskNfa, inclusion: bool, what: str) -> Decision:
     """Explore the pairs of subsets that one word reaches in a and in b.
 
     Breadth-first in alphabet order, so the witness is the length-lex-first
     word accepted by a and not by b (for inclusion), or by exactly one of
-    them (for equivalence).
+    them (for equivalence).  Raises CapExceededError(what, cap) when more
+    than ``DEFAULT_SUBSET_CAP`` pairs appear, the cap read from
+    ``twa.automaton`` at call time.
     """
     afinal, bfinal = a.final, b.final
 
@@ -454,7 +453,9 @@ def _compare(a: _MaskNfa, b: _MaskNfa, inclusion: bool) -> Decision:
     def step(pair, ch):
         return _post(pair[0], a.succ[ch]), _post(pair[1], b.succ[ch])
 
-    _, parents, _, hit = _explore((a.initial, b.initial), list(a.succ), step, stop=bad)
+    _, parents, _, hit = _explore(
+        (a.initial, b.initial), list(a.succ), step, automaton.DEFAULT_SUBSET_CAP, what, stop=bad
+    )
     if hit is None:
         return Decision(True, None)
     return Decision(False, _path_word(parents, hit))
@@ -519,7 +520,9 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
     tb = bmin.trim()
     if mode != "extract":
         support = ta._support_masks()
-        verdict = _compare(support, tb._support_masks(), inclusion=mode == "leq")
+        verdict = _compare(
+            support, tb._support_masks(), inclusion=mode == "leq", what="support comparison"
+        )
         if not verdict.holds:
             return _Difference(verdict, ta, None, None, None)
     product, pairs = _accessible_product(ta, tb, MAX_PLUS, operator.sub)
@@ -530,7 +533,7 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
     if verdict.holds and mode != "leq":
         zero = _zero_masks(product, u)
         if mode == "equal":
-            verdict = _compare(support, zero, inclusion=False)
+            verdict = _compare(support, zero, inclusion=False, what="zero-filter comparison")
     return _Difference(verdict, ta, product, pairs, zero)
 
 
@@ -541,14 +544,18 @@ def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Dec
     Checked as (a) NFA equivalence of the supports and (b) the pointwise
     difference S - T (a tensor product that subtracts T's weights from S's)
     being constantly 0 on its support.  Raises CapExceededError when that
-    product reaches more than ``DEFAULT_SUBSET_CAP`` pairs.
+    product, or either comparison, reaches more than ``DEFAULT_SUBSET_CAP``
+    pairs.
     """
     _check_pair(amax, bmin, "decide_series_equal")
     return _difference(amax, bmin, "equal").verdict
 
 
 def decide_series_leq(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decision:
-    """Decide S <= T: supp S contained in supp T and S(w) <= T(w) on supp S."""
+    """Decide S <= T: supp S contained in supp T and S(w) <= T(w) on supp S.
+
+    Raises CapExceededError as decide_series_equal does.
+    """
     _check_pair(amax, bmin, "decide_series_leq")
     return _difference(amax, bmin, "leq").verdict
 

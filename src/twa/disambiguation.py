@@ -37,7 +37,6 @@ from .automaton import (
 from .decisions import _check_pair, _difference
 from .errors import CapExceededError, NotEqualError, NotNonpositiveError
 from .semiring import MAX_PLUS, format_finite
-from .spectral import TropicalMatrix
 
 
 def extract_one_valued(
@@ -59,8 +58,9 @@ def extract_one_valued(
     With ``check`` the equivalence of the two inputs is decided on the same
     product and potential, and NotEqualError (with witness) raised if it
     fails; without it, unequal inputs surface as NotNonpositiveError from
-    the renormalization step.  Raises CapExceededError when the product
-    reaches more than ``DEFAULT_SUBSET_CAP`` pairs.
+    the renormalization step.  Raises CapExceededError when the product, or
+    a comparison of the check, reaches more than ``DEFAULT_SUBSET_CAP``
+    pairs.
     """
     # with the check, errors name the decision it runs
     _check_pair(amax, bmin, "decide_series_equal" if check else "extract_one_valued")
@@ -71,16 +71,15 @@ def extract_one_valued(
     firsts = [p for p, _ in difference.pairs]  # the amax state of each product state
     alpha = [ta.alpha[p] if zero.initial >> i & 1 else None for i, p in enumerate(firsts)]
     beta = [ta.beta[p] if zero.final >> i & 1 else None for i, p in enumerate(firsts)]
-    mu = {}
+    rows = {}
     for ch, masks in zero.succ.items():
         arows = ta.mu[ch].rows
-        rows = [
+        rows[ch] = [
             {j: arows[p][firsts[j]] for j in row if mask >> j & 1}
             for row, mask, p in zip(product.mu[ch].rows, masks, firsts)
         ]
-        mu[ch] = TropicalMatrix._adopt(MAX_PLUS, product.n, rows)
     return WeightedAutomaton._adopt(
-        MAX_PLUS, product.alphabet, product.n, alpha, beta, mu, product.state_labels
+        MAX_PLUS, product.alphabet, alpha, beta, rows, product.state_labels
     ).trim()
 
 
@@ -97,9 +96,7 @@ def _determinize_subsets(nfa, cap: int):
     def step(mask, ch):
         return _post(mask, nfa.succ[ch]) or None
 
-    subsets, _, moves, _ = _explore(
-        nfa.initial, list(nfa.succ), step, cap=cap, what="subset construction"
-    )
+    subsets, _, moves, _ = _explore(nfa.initial, list(nfa.succ), step, cap, "subset construction")
     return subsets, moves
 
 
@@ -131,15 +128,13 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
     support = aut._support_masks()
     subsets, moves = _determinize_subsets(support, cap)
     members = [_bits(mask) for mask in subsets]
-    n = len(subsets)
     rows = {ch: [{table[ch]: 0} if ch in table else {} for table in moves] for ch in aut.alphabet}
     dfa = WeightedAutomaton._adopt(
         aut.semiring,
         aut.alphabet,
-        n,
-        [0] + [None] * (n - 1),
+        [0] + [None] * (len(subsets) - 1),
         [0 if mask & support.final else None for mask in subsets],
-        {ch: TropicalMatrix._adopt(aut.semiring, n, rows[ch]) for ch in aut.alphabet},
+        rows,
         tuple("{" + ",".join(map(str, m)) + "}" for m in members),
     )
     cover, pairs = _accessible_product(aut, dfa, aut.semiring, operator.add)
@@ -183,9 +178,8 @@ def remove_competitions(cover: Covering) -> WeightedAutomaton:
         if aut.beta[i] is not None and s not in final_subsets:
             final_subsets.add(s)
             beta[i] = aut.beta[i]
-    mu = {ch: TropicalMatrix._adopt(aut.semiring, n, kept[ch]) for ch in aut.alphabet}
     pruned = WeightedAutomaton._adopt(
-        aut.semiring, aut.alphabet, n, aut.alpha, beta, mu, aut.state_labels
+        aut.semiring, aut.alphabet, aut.alpha, beta, kept, aut.state_labels
     )
     return pruned.trim()
 
@@ -241,7 +235,7 @@ def _weighted_subsets(aut: WeightedAutomaton, cap: int) -> WeightedAutomaton:
         return tuple([(t, reach[t] - lam) for t in sorted(reach)])
 
     start = tuple([(q, w - top) for q, w in initial])
-    nodes, _, moves, _ = _explore(start, aut.alphabet, step, cap=cap, what="weighted determinization")
+    nodes, _, moves, _ = _explore(start, aut.alphabet, step, cap, "weighted determinization")
     n = len(nodes)
     mu = {ch: [{} for _ in range(n)] for ch in aut.alphabet}
     weights = iter(lambdas)
@@ -269,13 +263,7 @@ def _weighted_subsets(aut: WeightedAutomaton, cap: int) -> WeightedAutomaton:
             parts.append(f"{la[q]}:{text}")
         labels.append("{" + ",".join(parts) + "}")
     return WeightedAutomaton._adopt(
-        MAX_PLUS,
-        aut.alphabet,
-        n,
-        [top] + [None] * (n - 1),
-        final,
-        {ch: TropicalMatrix._adopt(MAX_PLUS, n, mu[ch]) for ch in aut.alphabet},
-        tuple(labels),
+        MAX_PLUS, aut.alphabet, [top] + [None] * (n - 1), final, mu, tuple(labels)
     )
 
 
@@ -296,7 +284,7 @@ def unambiguous_from_pair(
     alone.  Both keep the series of the 1-valued automaton, also when
     ``check`` is off.  Raises ValueError for a ``subset_cap`` below 1 before
     any work, and CapExceededError when the covering exceeds it or a
-    product exceeds ``DEFAULT_SUBSET_CAP`` pairs.
+    product or a comparison exceeds ``DEFAULT_SUBSET_CAP`` pairs.
     """
     if subset_cap < 1:
         raise ValueError("cap must be at least 1")

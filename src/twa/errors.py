@@ -50,9 +50,11 @@ class CapExceededError(TwaError):
     """A resource cap was hit: more subsets or states appeared than the cap allows.
 
     Every subset exploration (the all-words constant test, determinization,
-    the covering) takes a cap, every product stops at DEFAULT_SUBSET_CAP
-    pairs (``what`` is "product"), and `format.parse` refuses a state count
-    above DEFAULT_SUBSET_CAP; ``what`` names the exploration or the count.
+    the covering) takes a cap.  Every product stops at DEFAULT_SUBSET_CAP
+    pairs (``what`` is "product"), and so does every comparison of two NFAs
+    ("support comparison", "zero-filter comparison"), which explores pairs of
+    subsets.  `format.parse` refuses a state count above DEFAULT_SUBSET_CAP.
+    ``what`` names the exploration, the product, the comparison or the count.
     """
 
     def __init__(self, what: str, cap: int):

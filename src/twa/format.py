@@ -33,7 +33,6 @@ import sys
 from .automaton import DEFAULT_SUBSET_CAP, WeightedAutomaton, _valid_symbol
 from .errors import CapExceededError, FormatError
 from .semiring import SEMIRINGS, format_finite, parse_finite
-from .spectral import TropicalMatrix
 
 MAGIC = "twa"
 VERSION = "1"
@@ -187,9 +186,7 @@ def parse(text: str) -> WeightedAutomaton:
         for letter in rows.values():
             for i, row in enumerate(letter):
                 letter[i] = dict(sorted(row.items()))
-    sr = SEMIRINGS[semiring]
-    mu = {ch: TropicalMatrix._adopt(sr, n, letter) for ch, letter in rows.items()}
-    return WeightedAutomaton._adopt(sr, tuple(alphabet), n, alpha, beta, mu, None)
+    return WeightedAutomaton._adopt(SEMIRINGS[semiring], tuple(alphabet), alpha, beta, rows, None)
 
 
 def serialize(aut: WeightedAutomaton) -> str:

@@ -6,7 +6,7 @@ from math import gcd
 
 from .automaton import WeightedAutomaton, hadamard
 from .errors import TwaError
-from .semiring import MAX_PLUS, MIN_PLUS, semiring_for
+from .semiring import MAX_PLUS, MIN_PLUS, Semiring, semiring_for
 
 
 def letter_count_max(letters=("a", "b")) -> WeightedAutomaton:
@@ -52,7 +52,6 @@ def _direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton
     final = [(i, w) for i, w in enumerate(a.beta) if w is not None]
     final += [(i + shift, w) for i, w in enumerate(b.beta) if w is not None]
     arcs = list(a.arcs())
-    arcs = [(src, ch, dst, w) for src, ch, dst, w in arcs]
     arcs += [(src + shift, ch, dst + shift, w) for src, ch, dst, w in b.arcs()]
     return WeightedAutomaton.from_arcs(
         a.semiring, a.alphabet, a.n + b.n, initial=initial, final=final, arcs=arcs
@@ -66,21 +65,22 @@ def _cycle_with_finals(length: int, finals, tag, letter: str = "a") -> WeightedA
     )
 
 
-def divisor_max_series(p: int, q: int, tag) -> WeightedAutomaton:
-    """One-letter series: a^n -> max(d in {p,q} with d | n), zero when neither divides.
+def _divisor_series(p: int, q: int, tag, native: Semiring) -> WeightedAutomaton:
+    """One-letter series: a^n -> the best d in {p,q} with d | n, zero when neither divides.
 
-    Over max-plus this is the disjoint union of two cycles (p + q states);
-    over min-plus the same series needs the deterministic product cycle of
-    p*q states, whose final weights spell out the max by hand.
+    The best is the plus of ``native``: max for MAX_PLUS, min for MIN_PLUS.
+    Over ``native`` this is the disjoint union of two cycles (p + q states);
+    over the other tag the same series needs the deterministic product cycle
+    of p*q states, whose final weights spell out the best by hand.
     """
     if gcd(p, q) != 1:
         raise TwaError("divisors must be coprime")
     sr = semiring_for(tag)
-    if sr.tag == "max-plus":
+    if sr is native:
         return _direct_sum(
             divisibility_series(p, p, sr), divisibility_series(q, q, sr)
         )
-    finals = {0: max(p, q)}
+    finals = {0: native.plus(p, q)}
     for i in range(1, q):
         finals[i * p % (p * q)] = p
     for j in range(1, p):
@@ -88,21 +88,14 @@ def divisor_max_series(p: int, q: int, tag) -> WeightedAutomaton:
     return _cycle_with_finals(p * q, finals, sr)
 
 
+def divisor_max_series(p: int, q: int, tag) -> WeightedAutomaton:
+    """a^n -> max(d in {p,q} with d | n): p + q states over max-plus, p*q over min-plus."""
+    return _divisor_series(p, q, tag, MAX_PLUS)
+
+
 def divisor_min_series(r: int, s: int, tag) -> WeightedAutomaton:
-    """One-letter series: a^n -> min(d in {r,s} with d | n), zero when neither divides."""
-    if gcd(r, s) != 1:
-        raise TwaError("divisors must be coprime")
-    sr = semiring_for(tag)
-    if sr.tag == "min-plus":
-        return _direct_sum(
-            divisibility_series(r, r, sr), divisibility_series(s, s, sr)
-        )
-    finals = {0: min(r, s)}
-    for i in range(1, s):
-        finals[i * r % (r * s)] = r
-    for j in range(1, r):
-        finals[j * s % (r * s)] = s
-    return _cycle_with_finals(r * s, finals, sr)
+    """a^n -> min(d in {r,s} with d | n): r + s states over min-plus, r*s over max-plus."""
+    return _divisor_series(r, s, tag, MIN_PLUS)
 
 
 def prime_period_pair(p: int = 2, q: int = 3, r: int = 5, s: int = 7):

@@ -394,6 +394,44 @@ def nonsequential_pair():
     return amax, as_min_plus_copy(amax)
 
 
+def _kth_letter_arcs(k):
+    # state 0 loops and guesses an `a`; states 1..k+1 count the letters after it
+    arcs = [(0, "a", 0, 0), (0, "b", 0, 0), (0, "a", 1, 0)]
+    return arcs + [(i, ch, i + 1, 0) for i in range(1, k + 1) for ch in "ab"]
+
+
+def kth_letter_from_last(k, tag):
+    """(a+b)*a(a+b)^k over {a, b}, every arrow and arc of weight 0.
+
+    k + 2 states; the words reach 2^(k+1) subsets of them, one per choice of
+    the letters among the last k + 1 that are an `a`.
+    """
+    return WeightedAutomaton.from_arcs(
+        tag, "ab", k + 2, initial=[(0, 0)], final=[(k + 1, 0)], arcs=_kth_letter_arcs(k)
+    )
+
+
+def tight_kth_letter_from_last(k):
+    """A max-plus automaton of the constant series 0 whose zero filter is the family above.
+
+    The arcs of kth_letter_from_last weigh 0, every other arc between its
+    k + 2 states weighs -1, and every state has a final arrow of weight 0.
+    So the nonempty words reach all states, while the zero filter keeps the
+    family's arcs and reaches 2^(k+1) subsets.
+    """
+    tight = _kth_letter_arcs(k)
+    keys = {(i, ch, j) for i, ch, j, _ in tight}
+    loose = [
+        (i, ch, j, -1)
+        for i in range(k + 2) for ch in "ab" for j in range(k + 2)
+        if (i, ch, j) not in keys
+    ]
+    every = [(i, 0) for i in range(k + 2)]
+    return WeightedAutomaton.from_arcs(
+        MAX_PLUS, "ab", k + 2, initial=[(0, 0)], final=every, arcs=tight + loose
+    )
+
+
 def random_trim_nonpositive(rng, decide, max_states=4, alphabet="ab", tries=2000):
     """Rejection-sample a trim automaton whose series is nonpositive.
 

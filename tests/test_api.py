@@ -94,3 +94,27 @@ def test_only_the_semiring_module_spells_out_the_tags():
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and _holds_both_tags(node)
     ]
     assert copies == []
+
+
+def _builds_a_matrix(node) -> bool:
+    # TropicalMatrix(...), or a classmethod such as TropicalMatrix._adopt(...)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        func = func.value
+    return isinstance(func, ast.Name) and func.id == "TropicalMatrix"
+
+
+def test_only_the_automaton_and_spectral_modules_build_matrices():
+    # how a letter's transitions are stored is twa.automaton's business:
+    # every other construction hands its rows to WeightedAutomaton._adopt
+    package = pathlib.Path(twa.__file__).parent
+    builds = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("automaton.py", "spectral.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _builds_a_matrix(node)
+    ]
+    assert builds == []

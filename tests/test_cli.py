@@ -6,9 +6,10 @@ import subprocess
 import sys
 
 import twa.automaton
-from twa import cli
+from corpus import kth_letter_from_last, tight_kth_letter_from_last
+from twa import MAX_PLUS, cli, zoo
 from twa.cli import main
-from twa.format import load, parse, serialize
+from twa.format import load, parse, save, serialize
 
 DATA = pathlib.Path(__file__).parent / "data"
 AMAX = str(DATA / "amax.twa")
@@ -229,11 +230,39 @@ def test_pipeline_subset_cap_exit_code(capsys):
     assert "cap" in err
 
 
-def test_product_cap_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(twa.automaton, "DEFAULT_SUBSET_CAP", 2)
-    code, out, err = run(capsys, "equal", AMAX, BMIN)
+def test_product_cap_exit_code(monkeypatch, capsys, tmp_path):
+    # on (2,3,5,7) the comparisons meet 210 subset pairs and the difference
+    # product has 840 pairs, so the product is the first to pass this cap
+    paths = []
+    for name, aut in zip(("pmax.twa", "pmin.twa"), zoo.prime_period_pair(2, 3, 5, 7)):
+        paths.append(str(tmp_path / name))
+        save(aut, paths[-1])
+    monkeypatch.setattr(twa.automaton, "DEFAULT_SUBSET_CAP", 839)
+    code, out, err = run(capsys, "equal", *paths)
     assert (code, out) == (3, "")
-    assert err == "error: product exceeded cap of 2\n"  # one line, no traceback
+    assert err == "error: product exceeded cap of 839\n"  # one line, no traceback
+
+
+def test_comparison_cap_exit_code(monkeypatch, capsys, tmp_path):
+    # each comparison below meets 32 subset pairs or more, each product at
+    # most 6 pairs (see _comparisons in test_equality_kernel)
+    kth, tight = tmp_path / "kth.twa", tmp_path / "tight.twa"
+    save(kth_letter_from_last(4, MAX_PLUS), kth)
+    save(tight_kth_letter_from_last(4), tight)
+    every = tmp_path / "every.twa"
+    every.write_text(
+        "twa 1\nsemiring min-plus\nalphabet a b\nstates 1\n"
+        "initial 0 0\nfinal 0 0\ntrans 0 0 a 0\ntrans 0 0 b 0\n"
+    )
+    monkeypatch.setattr(twa.automaton, "DEFAULT_SUBSET_CAP", 8)
+    for argv, what in [
+        (("leq", kth, every), "support comparison"),
+        (("equal-const", "0", kth, "--on-support"), "zero-filter comparison"),
+        (("equal", tight, every), "zero-filter comparison"),
+        (("pipeline", tight, every), "zero-filter comparison"),
+    ]:
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, out, err) == (3, "", f"error: {what} exceeded cap of 8\n"), argv
 
 
 def test_monoid_cap_exit_code(capsys, tmp_path):

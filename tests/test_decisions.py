@@ -639,27 +639,27 @@ def test_empty_series_is_not_constant_but_is_constant_on_support():
 def test_nfa_equivalence_reflexive():
     amax, _ = zoo.sample_equivalent_pair()
     nfa = support(amax)
-    assert _compare(nfa.masks(), nfa.masks(), inclusion=False).holds
+    assert _compare(nfa.masks(), nfa.masks(), inclusion=False, what="support comparison").holds
 
 
 def test_nfa_equivalence_ignores_dead_states():
     live = _nfa("ab", 1, {0}, {0}, [(0, "a", 0), (0, "b", 0)])
     dead = _nfa("ab", 2, {0}, {0}, [(0, "a", 0), (0, "b", 0), (1, "a", 0)])
-    assert _compare(live.masks(), dead.masks(), inclusion=False).holds
+    assert _compare(live.masks(), dead.masks(), inclusion=False, what="support comparison").holds
 
 
 def test_nfa_equivalence_witness():
     just_a = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
     a_or_aa = _nfa("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
-    verdict = _compare(just_a.masks(), a_or_aa.masks(), inclusion=False)
+    verdict = _compare(just_a.masks(), a_or_aa.masks(), inclusion=False, what="support comparison")
     assert (verdict.holds, verdict.witness) == (False, "aa")
 
 
 def test_nfa_inclusion():
     just_a = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
     a_or_aa = _nfa("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
-    assert _compare(just_a.masks(), a_or_aa.masks(), inclusion=True).holds
-    verdict = _compare(a_or_aa.masks(), just_a.masks(), inclusion=True)
+    assert _compare(just_a.masks(), a_or_aa.masks(), inclusion=True, what="support comparison").holds
+    verdict = _compare(a_or_aa.masks(), just_a.masks(), inclusion=True, what="support comparison")
     assert (verdict.holds, verdict.witness) == (False, "aa")
 
 

@@ -1,7 +1,9 @@
-"""Every demo script runs to the end without writing to stderr."""
+"""Every demo script runs to the end without writing to stderr, and README's examples hold."""
 
+import doctest
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -25,3 +27,14 @@ def test_demo_runs_cleanly(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_examples_hold():
+    readme = ROOT / "README.md"
+    # the fenced blocks alone, so that a closing fence is not read as output
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    test = doctest.DocTestParser().get_doctest("".join(blocks), {}, readme.name, str(readme), 0)
+    assert len(test.examples) >= 7
+    report = []
+    result = doctest.DocTestRunner().run(test, out=report.append)
+    assert result.failed == 0, "".join(report)

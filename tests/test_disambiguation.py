@@ -194,7 +194,7 @@ def determinize(nfa, cap=DEFAULT_SUBSET_CAP):
 
 
 def equivalent(a, b):
-    return _compare(a.masks(), b.masks(), inclusion=False).holds
+    return _compare(a.masks(), b.masks(), inclusion=False, what="support comparison").holds
 
 
 def test_determinize_twostate_example():

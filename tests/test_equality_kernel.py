@@ -25,12 +25,14 @@ from corpus import (
     as_min_plus_copy,
     automata,
     grid_product,
+    kth_letter_from_last,
     nonsequential_pair,
     ref_covering,
     ref_determinize,
     ref_fatou,
     ref_positive_word,
     support,
+    tight_kth_letter_from_last,
     zero_filter,
 )
 from twa import (
@@ -696,9 +698,9 @@ def test_one_pass_competition_removal_matches_the_grouping_rule():
 @given(automata(MAX_PLUS), automata(MAX_PLUS))
 def test_nfa_comparisons_match_frozenset_exploration(a, b):
     ma, mb, ra, rb = a._support_masks(), b._support_masks(), support(a), support(b)
-    assert _compare(ma, mb, inclusion=False) == ref_nfa_compare(ra, rb, False)
-    assert _compare(ma, mb, inclusion=True) == ref_nfa_compare(ra, rb, True)
-    assert _compare(mb, ma, inclusion=True) == ref_nfa_compare(rb, ra, True)
+    assert _compare(ma, mb, inclusion=False, what="support comparison") == ref_nfa_compare(ra, rb, False)
+    assert _compare(ma, mb, inclusion=True, what="support comparison") == ref_nfa_compare(ra, rb, True)
+    assert _compare(mb, ma, inclusion=True, what="support comparison") == ref_nfa_compare(rb, ra, True)
 
 
 @settings(max_examples=200)
@@ -774,17 +776,23 @@ def test_caps_below_one_are_rejected_by_every_exploration(entry, cap):
 
 
 def _products():
-    """Per entry point: a call that builds one product, and that product's pair count."""
+    """Per entry point: a call that builds one product, and that product's pair count.
+
+    The kernel's entries run on the prime pair (2,3,5,7), whose comparisons
+    meet 210 subset pairs and whose difference product has 840 pairs, so the
+    product is the first to pass a cap between the two.
+    """
     amax, bmin = zoo.sample_equivalent_pair()
     one = extract_one_valued(amax, bmin)
-    difference = hadamard(amax.trim(), bmin.trim().negate()).n
+    pmax, pmin = zoo.prime_period_pair(2, 3, 5, 7)
+    difference = hadamard(pmax.trim(), pmin.trim().negate()).n
     # two initial states on each side: four initial pairs before any arc
     starts = WeightedAutomaton.from_arcs(MAX_PLUS, "ab", 2, initial=[(0, 0), (1, 0)], final=[(0, 0)])
     return {
         "hadamard": (lambda: hadamard(amax, amax), hadamard(amax, amax).n),
         "hadamard of initial pairs": (lambda: hadamard(starts, starts), 4),
-        "decide_series_equal": (lambda: decide_series_equal(amax, bmin), difference),
-        "extract_one_valued": (lambda: extract_one_valued(amax, bmin), difference),
+        "decide_series_equal": (lambda: decide_series_equal(pmax, pmin), difference),
+        "extract_one_valued": (lambda: extract_one_valued(pmax, pmin), difference),
         "covering": (lambda: covering(one), covering(one).automaton.n),
     }
 
@@ -799,3 +807,44 @@ def test_every_product_stops_at_the_cap(monkeypatch, entry):
     with pytest.raises(CapExceededError) as info:
         build()
     assert (info.value.what, info.value.cap) == ("product", pairs - 1)
+
+
+# -- every comparison stops at the cap ------------------------------------------
+
+
+def _comparisons():
+    """Per entry point: a call, its comparison that meets the most subset pairs, and their count.
+
+    Each comparison of (a+b)*a(a+b)^4 meets its 2^5 subsets, paired with one
+    subset of the other side; the tight family's zero-filter comparison adds
+    the pair of the empty word.  Every product here has at most 36 pairs.
+    """
+    kmax, kmin = kth_letter_from_last(4, MAX_PLUS), kth_letter_from_last(4, MIN_PLUS)
+    tight, every = tight_kth_letter_from_last(4), _one_state_loop(MIN_PLUS)
+    supports, zeros = "support comparison", "zero-filter comparison"
+    return {
+        "decide_series_equal supports": (lambda: decide_series_equal(kmax, kmin), supports, 32),
+        "decide_series_leq": (lambda: decide_series_leq(kmax, every), supports, 32),
+        "extract_one_valued": (lambda: extract_one_valued(kmax, kmin), supports, 32),
+        "decide_equal_const_on_support": (
+            lambda: decide_equal_const_on_support(kmax, 0), zeros, 32
+        ),
+        "decide_series_equal zero filter": (lambda: decide_series_equal(tight, every), zeros, 33),
+        "unambiguous_from_pair": (lambda: unambiguous_from_pair(tight, every), zeros, 33),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_comparisons()))
+def test_every_comparison_stops_at_the_cap(monkeypatch, entry):
+    build, what, pairs = _comparisons()[entry]
+    result = build()
+    assert getattr(result, "holds", True)
+    monkeypatch.setattr(twa.automaton, "DEFAULT_SUBSET_CAP", pairs)
+    try:
+        build()  # exactly the cap: the comparison passes
+    except CapExceededError as exc:  # a product larger than the comparison may stop next
+        assert exc.what == "product"
+    monkeypatch.setattr(twa.automaton, "DEFAULT_SUBSET_CAP", pairs - 1)
+    with pytest.raises(CapExceededError) as info:
+        build()
+    assert (info.value.what, info.value.cap) == (what, pairs - 1)
