@@ -24,6 +24,16 @@ def _valid_symbol(ch) -> bool:
     return isinstance(ch, str) and len(ch) == 1 and 33 <= ord(ch) <= 126 and ch != "#"
 
 
+def _check_alphabets(a: "WeightedAutomaton", b: "WeightedAutomaton", message: str) -> None:
+    """Raise AlphabetError(message) unless a and b have the same letters.
+
+    The order may differ: every engine reads b's letters by name, so results
+    and witnesses follow a's alphabet order.
+    """
+    if set(a.alphabet) != set(b.alphabet):
+        raise AlphabetError(message)
+
+
 class WeightedAutomaton:
     """A linear representation over max-plus or min-plus."""
 
@@ -92,7 +102,11 @@ class WeightedAutomaton:
 
     @classmethod
     def from_arcs(cls, tag, alphabet, n, *, initial=(), final=(), arcs=(), labels=None):
-        """Convenience constructor from (state, weight) and (src, letter, dst, weight) lists."""
+        """Convenience constructor from (state, weight) and (src, letter, dst, weight) lists.
+
+        Raises what ``TropicalMatrix(sr, n, rows)`` and ``__init__`` would
+        raise, in the same order, but checks each arc once and copies no row.
+        """
         sr = semiring_for(tag)
         alphabet = tuple(alphabet)
         alpha = [None] * n
@@ -121,7 +135,17 @@ class WeightedAutomaton:
             if dst in rows[ch][src]:
                 raise TwaError(f"duplicate arc {src} -{ch}-> {dst}")
             rows[ch][src][dst] = w
-        mu = {ch: TropicalMatrix(sr, n, rows[ch]) for ch in alphabet}
+        # TropicalMatrix's checks, letter by letter; __init__ checks the rest
+        if n < 0 and rows:
+            raise DimensionError("matrix dimension must be nonnegative")
+        for letter in rows.values():
+            for i, row in enumerate(letter):
+                for j, w in row.items():
+                    if w is None or not sr.is_weight(w):
+                        raise TagMismatchError(
+                            f"entry ({i},{j})={w!r} is not a finite {sr.tag} weight"
+                        )
+        mu = {ch: TropicalMatrix._adopt(sr, n, letter) for ch, letter in rows.items()}
         return cls(sr, alphabet, n, alpha, beta, mu, state_labels=labels)
 
     # -- basic queries ------------------------------------------------------
@@ -257,11 +281,11 @@ class WeightedAutomaton:
         return TropicalMatrix._adopt(self.semiring, self.n, rows)
 
     def _support_masks(self) -> "_MaskNfa":
-        """The support NFA as bitmasks: bit j of succ[letter][i] is an arc i -> j."""
-        return _MaskNfa(
-            _mask(i for i, w in enumerate(self.alpha) if w is not None),
-            _mask(i for i, w in enumerate(self.beta) if w is not None),
-            {ch: [_mask(row) for row in self.mu[ch].rows] for ch in self.alphabet},
+        """The support NFA: the states with an initial or a final arrow, and every arc."""
+        return _MaskNfa.of(
+            (i for i, w in enumerate(self.alpha) if w is not None),
+            (i for i, w in enumerate(self.beta) if w is not None),
+            {ch: self.mu[ch].rows for ch in self.alphabet},
         )
 
 
@@ -341,15 +365,15 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     """Tensor product of representations; realizes the pointwise product of series.
 
     For every word w: eval(result, w) = eval(a, w) (x) eval(b, w).  Both
-    automata must carry the same tag and the same alphabet.  Only the pairs
-    (p, q) reachable from an initial pair are built, numbered in (p, q)
-    order, so the result has at most a.n * b.n states; more than
-    ``DEFAULT_SUBSET_CAP`` raise CapExceededError.
+    automata must carry the same tag and the same letters, in any order; the
+    result has a's alphabet order.  Only the pairs (p, q) reachable from an
+    initial pair are built, numbered in (p, q) order, so the result has at
+    most a.n * b.n states; more than ``DEFAULT_SUBSET_CAP`` raise
+    CapExceededError.
     """
     if a.semiring.tag != b.semiring.tag:
         raise TagMismatchError(f"mixed tags: {a.semiring.tag} vs {b.semiring.tag}")
-    if a.alphabet != b.alphabet:
-        raise AlphabetError("hadamard requires identical alphabets")
+    _check_alphabets(a, b, "hadamard requires identical alphabets")
     return _accessible_product(a, b, a.semiring, operator.add)[0]
 
 
@@ -363,8 +387,11 @@ DEFAULT_SUBSET_CAP = 1_000_000
 class _MaskNfa:
     """An NFA over states 0..n-1 as Python ints: bit i set means state i is in.
 
+    The one reader and writer of subset masks: other modules build it from
+    sparse states (``of``) and get back words, state lists and move tables.
     ``succ`` maps each letter, in alphabet order, to the successor mask of
-    every state.
+    every state.  Each question is one breadth-first ``_explore`` in
+    alphabet order, so every witness is the length-lex-first word.
     """
 
     __slots__ = ("initial", "final", "succ")
@@ -373,6 +400,59 @@ class _MaskNfa:
         self.initial = initial
         self.final = final
         self.succ = succ
+
+    @classmethod
+    def of(cls, initial_states, final_states, targets: dict) -> "_MaskNfa":
+        """``targets`` maps each letter, in alphabet order, to an iterable of targets per state."""
+        succ = {ch: [_mask(row) for row in rows] for ch, rows in targets.items()}
+        return cls(_mask(initial_states), _mask(final_states), succ)
+
+    def compare(self, other: "_MaskNfa", inclusion: bool, what: str):
+        """The first word accepted here and not by ``other`` (inclusion), or by
+        exactly one of them (equivalence); None when there is none.
+
+        Walks the pairs of subsets that one word reaches, reading ``other``'s
+        letters by name.  Raises CapExceededError(what, cap) past
+        ``DEFAULT_SUBSET_CAP`` pairs, the cap read at call time.
+        """
+        afinal, bfinal, asucc, bsucc = self.final, other.final, self.succ, other.succ
+
+        def bad(pair) -> bool:
+            acc_a, acc_b = bool(pair[0] & afinal), bool(pair[1] & bfinal)
+            return (acc_a and not acc_b) if inclusion else (acc_a != acc_b)
+
+        def step(pair, ch):
+            return _post(pair[0], asucc[ch]), _post(pair[1], bsucc[ch])
+
+        _, parents, _, hit = _explore(
+            (self.initial, other.initial), list(asucc), step, DEFAULT_SUBSET_CAP, what, stop=bad
+        )
+        return None if hit is None else _path_word(parents, hit)
+
+    def rejected_word(self, cap: int, what: str):
+        """The first word rejected, found by walking the subsets that the words
+        reach; None when every word is accepted.  Raises
+        CapExceededError(what, cap) past ``cap`` subsets."""
+        final, succ = self.final, self.succ
+        _, parents, _, hit = _explore(
+            self.initial, list(succ), lambda mask, ch: _post(mask, succ[ch]), cap, what,
+            stop=lambda mask: not mask & final,
+        )
+        return None if hit is None else _path_word(parents, hit)
+
+    def subsets(self, cap: int):
+        """The accessible subset construction, without the empty subset.
+
+        Returns (members, accepting, moves): per subset, its states in
+        increasing order, whether one is final, and {letter: successor index}.
+        Raises CapExceededError("subset construction", cap) past ``cap`` subsets.
+        """
+        final, succ = self.final, self.succ
+        masks, _, moves, _ = _explore(
+            self.initial, list(succ), lambda mask, ch: _post(mask, succ[ch]) or None, cap,
+            "subset construction",
+        )
+        return [_bits(mask) for mask in masks], [bool(mask & final) for mask in masks], moves
 
 
 def _mask(states) -> int:

@@ -17,27 +17,29 @@ than n is positive, the maximum mean circuit (Howard policy iteration, in
 twa.spectral).
 
 The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
-automaton, is read straight off u as bitmasks: an initial arrow is kept iff
-alpha_i + u_i = 0, a final arrow iff beta_i = u_i, an arc i -> j of weight w
-iff w + u_j = u_i.  _zero_masks is the only place that tests this tightness.
-One breadth-first subset exploration (``twa.automaton._explore``) answers
-every language question: the all-words constant test walks the subsets of the
-zero filter until one holds no final state, and the comparisons walk pairs of
-subsets, at most ``DEFAULT_SUBSET_CAP`` of them.  The series comparisons and
-the 1-valued extraction of ``twa.disambiguation`` share one kernel,
-_difference: it trims each input once, compares the supports, builds the
-product of S and -T once, relaxes its potential once and reads its zero
-filter once, and the extraction takes its arrows and arcs from that filter.
-The product subtracts T's weights as it builds each row, in its final (p, q)
-numbering, so no negated copy of T exists; it is accessible by construction,
-so its trim only removes the states that reach no final arrow, and the one
-backward search that orders the relaxation finds them; and with equal supports
-the zero filter is compared with S's support, whose masks the support check
-already built.
+automaton, is read straight off u as lists of states: an initial arrow is kept
+iff alpha_i + u_i = 0, a final arrow iff beta_i = u_i, an arc i -> j of weight
+w iff w + u_j = u_i.  _zero_filter is the only place that tests this
+tightness.  Every language question goes to the subset engine of
+``twa.automaton`` (``_MaskNfa``), the only module that knows how a subset is
+stored, and comes back as a witness word or None: the all-words constant test
+walks the subsets of the zero filter until one holds no final state, and the
+comparisons walk pairs of subsets, at most ``DEFAULT_SUBSET_CAP`` of them,
+both breadth-first in alphabet order.  The series comparisons and the 1-valued
+extraction of ``twa.disambiguation`` share one kernel, _difference: it trims
+each input once, compares the supports, builds the product of S and -T once,
+relaxes its potential once and reads its zero filter once, and the extraction
+takes its arrows and arcs from that filter.  The product subtracts T's weights
+as it builds each row, in its final (p, q) numbering, so no negated copy of T
+exists; it is accessible by construction, so its trim only removes the states
+that reach no final arrow, and the one backward search that orders the
+relaxation finds them; and with equal supports the zero filter is compared
+with S's support, whose subset NFA the support check already built.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
-max-plus input.
+max-plus input.  The two automata of a comparison must have the same letters,
+in any order; witnesses follow the first one's alphabet order.
 """
 
 from __future__ import annotations
@@ -46,19 +48,14 @@ import operator
 from collections import deque
 from typing import NamedTuple, Optional
 
-from . import automaton
 from .automaton import (
     DEFAULT_SUBSET_CAP,
     WeightedAutomaton,
     _accessible_product,
-    _explore,
-    _mask,
+    _check_alphabets,
     _MaskNfa,
-    _path_word,
-    _post,
 )
 from .errors import (
-    AlphabetError,
     NotNonpositiveError,
     PositiveCycleError,
     TagMismatchError,
@@ -72,6 +69,11 @@ class Decision(NamedTuple):
 
     holds: bool
     witness: Optional[str]
+
+
+def _decision(witness: Optional[str]) -> Decision:
+    """The verdict of a language question: it holds when no witness word exists."""
+    return Decision(witness is None, witness)
 
 
 def _require_max_plus(aut: WeightedAutomaton, op: str):
@@ -334,7 +336,7 @@ def _fatou_trimmed(trim: WeightedAutomaton, u: list) -> WeightedAutomaton:
     )
 
 
-def _zero_masks(trim: WeightedAutomaton, u: list) -> _MaskNfa:
+def _zero_filter(trim: WeightedAutomaton, u: list) -> tuple:
     """The zero filter of the Fatou form of ``trim``, read straight off u = M*beta.
 
     The renormalized arrows and arcs are alpha_i + u_i, beta_i - u_i and
@@ -342,22 +344,23 @@ def _zero_masks(trim: WeightedAutomaton, u: list) -> _MaskNfa:
     final arrow iff beta_i = u_i, and an arc i -> j of weight w iff
     w + u_j = u_i.  On the Fatou form these are exactly the weight-0 arrows
     and arcs, so the NFA accepts exactly the words with coefficient 0.
+    Returns it sparse: (initial states, final states, targets), where
+    targets maps each letter to the kept targets of every state, in row order.
     """
     alpha, beta = trim.alpha, trim.beta
-    initial = _mask(i for i, w in enumerate(alpha) if w is not None and w + u[i] == 0)
-    final = _mask(i for i, w in enumerate(beta) if w is not None and w == u[i])
-    succ = {}
+    initial = [i for i, w in enumerate(alpha) if w is not None and w + u[i] == 0]
+    final = [i for i, w in enumerate(beta) if w is not None and w == u[i]]
+    targets = {}
     for ch, mat in trim.mu.items():
-        masks = []
+        targets[ch] = kept = []
         for i, row in enumerate(mat.rows):
             ui = u[i]
-            mask = 0
+            keep = []
             for j, w in row.items():
                 if w + u[j] == ui:
-                    mask |= 1 << j
-            masks.append(mask)
-        succ[ch] = masks
-    return _MaskNfa(initial, final, succ)
+                    keep.append(j)
+            kept.append(keep)
+    return initial, final, targets
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +378,7 @@ def _shifted_zero_filter(aut: WeightedAutomaton, const, op: str):
     if not is_rational(const):
         raise TypeError(f"constant must be an exact rational, got {const!r}")
     verdict, trim, u, _ = _nonpositive(_shift_final(aut.trim(), -const))
-    return verdict, trim, _zero_masks(trim, u) if verdict.holds else None
+    return verdict, trim, _zero_filter(trim, u) if verdict.holds else None
 
 
 def decide_equal_const(
@@ -393,25 +396,10 @@ def decide_equal_const(
     """
     if subset_cap < 1:
         raise ValueError("cap must be at least 1")
-    verdict, trim, zero = _shifted_zero_filter(aut, const, "decide_equal_const")
+    verdict, _, zero = _shifted_zero_filter(aut, const, "decide_equal_const")
     if not verdict.holds:
         return verdict
-    final, succ = zero.final, zero.succ
-
-    def step(mask, ch):
-        return _post(mask, succ[ch])
-
-    _, parents, _, hit = _explore(
-        zero.initial,
-        trim.alphabet,
-        step,
-        subset_cap,
-        "universality check",
-        stop=lambda mask: not mask & final,
-    )
-    if hit is None:
-        return Decision(True, None)
-    return Decision(False, _path_word(parents, hit))
+    return _decision(_MaskNfa.of(*zero).rejected_word(subset_cap, "universality check"))
 
 
 def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
@@ -426,39 +414,8 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
     verdict, trim, zero = _shifted_zero_filter(aut, const, "decide_equal_const_on_support")
     if not verdict.holds:
         return verdict
-    return _compare(trim._support_masks(), zero, inclusion=False, what="zero-filter comparison")
-
-
-# ---------------------------------------------------------------------------
-# Comparisons of bitmask NFAs: supports and zero filters, explored on the fly.
-# ---------------------------------------------------------------------------
-
-
-def _compare(a: _MaskNfa, b: _MaskNfa, inclusion: bool, what: str) -> Decision:
-    """Explore the pairs of subsets that one word reaches in a and in b.
-
-    Breadth-first in alphabet order, so the witness is the length-lex-first
-    word accepted by a and not by b (for inclusion), or by exactly one of
-    them (for equivalence).  Raises CapExceededError(what, cap) when more
-    than ``DEFAULT_SUBSET_CAP`` pairs appear, the cap read from
-    ``twa.automaton`` at call time.
-    """
-    afinal, bfinal = a.final, b.final
-
-    def bad(pair) -> bool:
-        acc_a = bool(pair[0] & afinal)
-        acc_b = bool(pair[1] & bfinal)
-        return (acc_a and not acc_b) if inclusion else (acc_a != acc_b)
-
-    def step(pair, ch):
-        return _post(pair[0], a.succ[ch]), _post(pair[1], b.succ[ch])
-
-    _, parents, _, hit = _explore(
-        (a.initial, b.initial), list(a.succ), step, automaton.DEFAULT_SUBSET_CAP, what, stop=bad
-    )
-    if hit is None:
-        return Decision(True, None)
-    return Decision(False, _path_word(parents, hit))
+    zero_nfa = _MaskNfa.of(*zero)
+    return _decision(trim._support_masks().compare(zero_nfa, False, "zero-filter comparison"))
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +428,7 @@ def _check_pair(amax: WeightedAutomaton, bmin: WeightedAutomaton, op: str):
         raise TagMismatchError(f"{op}: first automaton must be max-plus")
     if bmin.semiring.tag != "min-plus":
         raise TagMismatchError(f"{op}: second automaton must be min-plus")
-    if amax.alphabet != bmin.alphabet:
-        raise AlphabetError(f"{op}: automata must share one alphabet")
+    _check_alphabets(amax, bmin, f"{op}: automata must share one alphabet")
 
 
 class _Difference(NamedTuple):
@@ -482,7 +438,7 @@ class _Difference(NamedTuple):
     and the trimmed bmin, each joint arrow and arc weighing the amax weight
     minus the bmin weight, so its series is S - T on the common support;
     ``pairs`` holds the (p, q) of each of its states and ``zero`` its zero
-    filter, read off its potential M*beta by _zero_masks.  ``product`` and
+    filter, read off its potential M*beta by _zero_filter.  ``product`` and
     ``pairs`` are None when the supports failed their comparison, ``zero``
     when S - T is not nonpositive or the mode is "leq".
     """
@@ -491,7 +447,7 @@ class _Difference(NamedTuple):
     ta: WeightedAutomaton
     product: Optional[WeightedAutomaton]
     pairs: Optional[list]
-    zero: Optional[_MaskNfa]
+    zero: Optional[tuple]
 
 
 def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> _Difference:
@@ -520,8 +476,8 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
     tb = bmin.trim()
     if mode != "extract":
         support = ta._support_masks()
-        verdict = _compare(
-            support, tb._support_masks(), inclusion=mode == "leq", what="support comparison"
+        verdict = _decision(
+            support.compare(tb._support_masks(), mode == "leq", "support comparison")
         )
         if not verdict.holds:
             return _Difference(verdict, ta, None, None, None)
@@ -531,9 +487,10 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
         pairs = [pairs[i] for i in keep]
     zero = None
     if verdict.holds and mode != "leq":
-        zero = _zero_masks(product, u)
+        zero = _zero_filter(product, u)
         if mode == "equal":
-            verdict = _compare(support, zero, inclusion=False, what="zero-filter comparison")
+            zero_nfa = _MaskNfa.of(*zero)
+            verdict = _decision(support.compare(zero_nfa, False, "zero-filter comparison"))
     return _Difference(verdict, ta, product, pairs, zero)
 
 

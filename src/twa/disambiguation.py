@@ -3,10 +3,10 @@
 The pipeline has two halves.  First, the difference product of S and -T (built
 once, by the equality kernel of ``twa.decisions``) carries S - T along joint
 paths; the kernel reads its zero filter, the arrows and arcs whose difference
-renormalized by u = M*beta is exactly 0, off u as bitmasks, and those are
-kept, each with the weight of the max-plus arc it came from.  Every surviving
-successful path then carries the series value, so the result is 1-valued.
-Second, the 1-valued automaton is made unambiguous.  The output is
+renormalized by u = M*beta is exactly 0, off u as lists of states, and those
+are kept, each with the weight of the max-plus arc it came from.  Every
+surviving successful path then carries the series value, so the result is
+1-valued.  Second, the 1-valued automaton is made unambiguous.  The output is
 deterministic when the max-plus weighted subset construction (Mohri 1997)
 finishes within the 1-valued automaton's size; this is exact whenever it
 finishes, and it finishes only on a sequential series.  Otherwise it is the
@@ -16,9 +16,10 @@ subset) order; deleting competing arcs leaves at most one successful path per
 word without changing the series.
 
 Both halves run on the shared engines of ``twa.automaton``: the accessible
-product (the difference product and the covering) and the breadth-first
-subset exploration; ``DEFAULT_SUBSET_CAP`` bounds both.  The weights stay
-scalar max-plus throughout; no semiring of weight pairs is involved.
+product (the difference product and the covering) and the breadth-first subset
+exploration, whose subset construction (``_MaskNfa.subsets``) hands back each
+subset as its list of states; ``DEFAULT_SUBSET_CAP`` bounds both.  The weights
+stay scalar max-plus throughout; no semiring of weight pairs is involved.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from .automaton import (
     DEFAULT_SUBSET_CAP,
     WeightedAutomaton,
     _accessible_product,
-    _bits,
     _explore,
-    _post,
 )
 from .decisions import _check_pair, _difference
 from .errors import CapExceededError, NotEqualError, NotNonpositiveError
@@ -67,17 +66,18 @@ def extract_one_valued(
     difference = _difference(amax, bmin, "equal" if check else "extract")
     if not difference.verdict.holds:
         raise (NotEqualError if check else NotNonpositiveError)(difference.verdict.witness)
-    ta, product, zero = difference.ta, difference.product, difference.zero
+    ta, product = difference.ta, difference.product
+    initial, final, targets = difference.zero
     firsts = [p for p, _ in difference.pairs]  # the amax state of each product state
-    alpha = [ta.alpha[p] if zero.initial >> i & 1 else None for i, p in enumerate(firsts)]
-    beta = [ta.beta[p] if zero.final >> i & 1 else None for i, p in enumerate(firsts)]
+    alpha, beta = [None] * product.n, [None] * product.n
+    for i in initial:
+        alpha[i] = ta.alpha[firsts[i]]
+    for i in final:
+        beta[i] = ta.beta[firsts[i]]
     rows = {}
-    for ch, masks in zero.succ.items():
+    for ch, kept in targets.items():
         arows = ta.mu[ch].rows
-        rows[ch] = [
-            {j: arows[p][firsts[j]] for j in row if mask >> j & 1}
-            for row, mask, p in zip(product.mu[ch].rows, masks, firsts)
-        ]
+        rows[ch] = [{j: arows[p][firsts[j]] for j in row} for row, p in zip(kept, firsts)]
     return WeightedAutomaton._adopt(
         MAX_PLUS, product.alphabet, alpha, beta, rows, product.state_labels
     ).trim()
@@ -86,18 +86,6 @@ def extract_one_valued(
 # ---------------------------------------------------------------------------
 # Subset covering and competition removal.
 # ---------------------------------------------------------------------------
-
-
-def _determinize_subsets(nfa, cap: int):
-    """Accessible subset construction on a bitmask NFA.
-
-    Returns (subset masks, move table); the empty subset is not a state.
-    """
-    def step(mask, ch):
-        return _post(mask, nfa.succ[ch]) or None
-
-    subsets, _, moves, _ = _explore(nfa.initial, list(nfa.succ), step, cap, "subset construction")
-    return subsets, moves
 
 
 @dataclass(frozen=True)
@@ -125,15 +113,13 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
     CapExceededError when more than ``cap`` subsets, or more than
     ``DEFAULT_SUBSET_CAP`` pairs, appear.
     """
-    support = aut._support_masks()
-    subsets, moves = _determinize_subsets(support, cap)
-    members = [_bits(mask) for mask in subsets]
+    members, accepting, moves = aut._support_masks().subsets(cap)
     rows = {ch: [{table[ch]: 0} if ch in table else {} for table in moves] for ch in aut.alphabet}
     dfa = WeightedAutomaton._adopt(
         aut.semiring,
         aut.alphabet,
-        [0] + [None] * (len(subsets) - 1),
-        [0 if mask & support.final else None for mask in subsets],
+        [0] + [None] * (len(members) - 1),
+        [0 if acc else None for acc in accepting],
         rows,
         tuple("{" + ",".join(map(str, m)) + "}" for m in members),
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .automaton import WeightedAutomaton
+from .automaton import WeightedAutomaton, _check_alphabets
 from .decisions import Decision
 from .errors import AlphabetError, OracleBoundError
 from .semiring import as_value
@@ -162,10 +162,10 @@ def equal_upto(a: WeightedAutomaton, b: WeightedAutomaton, maxlen: int) -> Decis
 
     Values are compared exactly (zero included), so a max-plus automaton can
     be compared against a min-plus one.  Returns the first mismatching word
-    as witness.
+    as witness.  The two automata must have the same letters, in any order;
+    words follow a's alphabet order.
     """
-    if a.alphabet != b.alphabet:
-        raise AlphabetError("equal_upto requires identical alphabets")
+    _check_alphabets(a, b, "equal_upto requires identical alphabets")
     _guard(len(a.alphabet), maxlen)
     queue = deque([("", _initial_sets(a), _initial_sets(b))])
     while queue:

@@ -135,13 +135,9 @@ class Nfa:
         return bool(states & self.final)
 
     def masks(self):
-        """The same NFA as the bitmasks that ``_compare`` and ``_determinize_subsets`` read."""
-
-        def mask(states):
-            return sum(1 << i for i in states)
-
-        succ = {ch: [mask(self.delta.get((i, ch), ())) for i in range(self.n)] for ch in self.alphabet}
-        return _MaskNfa(mask(self.initial), mask(self.final), succ)
+        """The same NFA on the subset engine that answers ``compare`` and ``subsets``."""
+        targets = {ch: [self.delta.get((i, ch), ()) for i in range(self.n)] for ch in self.alphabet}
+        return _MaskNfa.of(self.initial, self.final, targets)
 
     @classmethod
     def from_masks(cls, nfa, n):
@@ -372,6 +368,13 @@ def as_min_plus_copy(aut):
             for ch, mat in aut.mu.items()
         },
         aut.state_labels,
+    )
+
+
+def reordered(aut):
+    """The same automaton with its alphabet in reverse order."""
+    return WeightedAutomaton(
+        aut.semiring, aut.alphabet[::-1], aut.n, aut.alpha, aut.beta, aut.mu, aut.state_labels
     )
 
 

@@ -60,6 +60,9 @@ def test_package_exports_exactly_what_it_imports():
         "_nfa_compare",
         "determinize",
         "_backtrack_word",
+        "_compare",
+        "_determinize_subsets",
+        "_zero_masks",
     ],
 )
 def test_retired_names_are_gone(name):
@@ -118,3 +121,31 @@ def test_only_the_automaton_and_spectral_modules_build_matrices():
         if _builds_a_matrix(node)
     ]
     assert builds == []
+
+
+MASK_HELPERS = {"_mask", "_bits", "_post"}
+
+
+def _touches_a_mask(node) -> bool:
+    # a shift or a bitwise and, an import of a mask helper, or a bare _MaskNfa(...)
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, (ast.LShift, ast.RShift, ast.BitAnd))
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name in MASK_HELPERS for alias in node.names)
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "_MaskNfa"
+    return False
+
+
+def test_only_the_automaton_module_reads_subset_masks():
+    # how a subset is stored is twa.automaton's business: every other module
+    # builds its NFAs with _MaskNfa.of and asks _MaskNfa its questions
+    package = pathlib.Path(twa.__file__).parent
+    touches = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "automaton.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _touches_a_mask(node)
+    ]
+    assert touches == []

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import Nfa, automata, grid_product, random_automaton
@@ -20,7 +20,9 @@ from twa import (
     zoo,
 )
 from twa.automaton import _accessible_product
+from twa.errors import DimensionError, TwaError
 from twa.oracle import eval_bruteforce, words_upto
+from twa.semiring import semiring_for
 
 
 @pytest.fixture(scope="module")
@@ -334,3 +336,103 @@ def test_fraction_weights_evaluate_exactly():
         arcs=[(0, "a", 0, Fraction(1, 2))],
     )
     assert aut.eval("aa") == Fraction(3, 2)
+
+
+# -- from_arcs checks each weight once, and raises as the constructors do ------
+
+
+def ref_from_arcs(tag, alphabet, n, *, initial=(), final=(), arcs=(), labels=None):
+    """from_arcs through the public constructors, which copy and check every row again."""
+    sr = semiring_for(tag)
+    alphabet = tuple(alphabet)
+    alpha = [None] * n
+    beta = [None] * n
+    rows = {ch: [dict() for _ in range(n)] for ch in alphabet}
+
+    def check_state(i):
+        if not 0 <= i < n:
+            raise DimensionError(f"state {i} out of range for {n} states")
+
+    for i, w in initial:
+        check_state(i)
+        if alpha[i] is not None:
+            raise TwaError(f"duplicate initial weight for state {i}")
+        alpha[i] = w
+    for i, w in final:
+        check_state(i)
+        if beta[i] is not None:
+            raise TwaError(f"duplicate final weight for state {i}")
+        beta[i] = w
+    for src, ch, dst, w in arcs:
+        check_state(src)
+        check_state(dst)
+        if ch not in rows:
+            raise AlphabetError(f"unknown letter {ch!r}")
+        if dst in rows[ch][src]:
+            raise TwaError(f"duplicate arc {src} -{ch}-> {dst}")
+        rows[ch][src][dst] = w
+    mu = {ch: TropicalMatrix(sr, n, rows[ch]) for ch in alphabet}
+    return WeightedAutomaton(sr, alphabet, n, alpha, beta, mu, state_labels=labels)
+
+
+def _built(build, *args, **kwargs):
+    """Every part of the automaton built, rows in insertion order, or what was raised."""
+    try:
+        aut = build(*args, **kwargs)
+    except TwaError as exc:
+        return type(exc), str(exc)
+    rows = {ch: [list(row.items()) for row in mat.rows] for ch, mat in aut.mu.items()}
+    return aut.semiring, aut.alphabet, aut.n, aut.alpha, aut.beta, rows, aut.state_labels
+
+
+# the kinds that hypothesis draws more often come first
+FLAWS = ["weight", "state", "duplicate", "n", "letter", "labels", "alphabet", "tag"]
+BAD_WEIGHTS = ["1", 0.5, True, None]
+
+
+@st.composite
+def from_arcs_parts(draw):
+    """Arguments of from_arcs: well formed, then up to two flaws, each at a random place."""
+    flaws = draw(st.lists(st.sampled_from(FLAWS), max_size=2))
+    tag = "boolean" if "tag" in flaws else draw(st.sampled_from([MAX_PLUS, MIN_PLUS, "min-plus"]))
+    alphabet = list(draw(st.sampled_from(["ab", "a", ""])))
+    if "alphabet" in flaws:
+        bad = draw(st.sampled_from(["a", "#", " ", "ab"]))
+        alphabet.insert(draw(st.integers(0, len(alphabet))), bad)
+    n = -1 if "n" in flaws else draw(st.integers(1, 3))
+    state = st.integers(0, max(n, 1) - 1)
+    weight = st.sampled_from([0, -2, 3, Fraction(1, 2)])
+    letter = st.sampled_from([ch for ch in alphabet if len(ch) == 1] or ["a"])
+    arrow = st.tuples(state, weight)
+    initial = draw(st.lists(arrow, max_size=2, unique_by=lambda a: a[0]))
+    final = draw(st.lists(arrow, max_size=2, unique_by=lambda a: a[0]))
+    arc = st.tuples(state, letter, state, weight)
+    arcs = draw(st.lists(arc, max_size=4, unique_by=lambda a: a[:3]))
+    labels = draw(st.none() | st.just([f"q{i}" for i in range(max(n, 0))]))
+    for flaw in flaws:
+        parts, ch = draw(st.sampled_from([initial, final, arcs])), draw(letter)
+        if flaw == "state":
+            bad = draw(st.sampled_from([-1, max(n, 1)]))
+            entries = [(bad, 0)] if parts is not arcs else [(bad, ch, 0, 0), (0, ch, bad, 0)]
+        elif flaw == "letter":
+            parts, entries = arcs, [(0, "z", 0, 0)]
+        elif flaw == "duplicate":
+            entries = [(0, 0)] * 2 if parts is not arcs else [(0, ch, 0, 0)] * 2
+        elif flaw == "weight":
+            w = draw(st.sampled_from(BAD_WEIGHTS))
+            entries = [(0, w)] if parts is not arcs else [(0, ch, 0, w)]
+        else:
+            if flaw == "labels":
+                labels = ["p"] * (max(n, 0) + 1)
+            continue
+        for entry in entries if flaw == "duplicate" else [draw(st.sampled_from(entries))]:
+            parts.insert(draw(st.integers(0, len(parts))), entry)
+    return tag, alphabet, n, dict(initial=initial, final=final, arcs=arcs, labels=labels)
+
+
+@settings(max_examples=500)
+@given(from_arcs_parts())
+def test_from_arcs_raises_what_the_public_constructors_raise(parts):
+    tag, alphabet, n, arrows = parts
+    expected = _built(ref_from_arcs, tag, alphabet, n, **arrows)
+    assert _built(WeightedAutomaton.from_arcs, tag, alphabet, n, **arrows) == expected

@@ -487,3 +487,52 @@ def test_repeated_calls_match_a_fresh_process_each(monkeypatch, capsys, tmp_path
         assert in_process == (proc.returncode, proc.stdout, proc.stderr, written()), argv
         codes.append(code)
     assert codes == [0, 0, 3, 0, 3, 0, 0, 0]
+
+
+# -- the letters of a pair may come in any order ---------------------------------
+
+PAIR_COMMANDS = [
+    ["equal"],
+    ["leq"],
+    ["onevalued"],
+    ["onevalued", "--no-check"],
+    ["pipeline"],
+    ["pipeline", "--no-check"],
+    ["oracle", "compare"],
+]
+
+
+def _with_alphabet(tmp_path, letters):
+    """BMIN with its alphabet line changed to ``letters``."""
+    text = pathlib.Path(BMIN).read_text()
+    assert "alphabet a b\n" in text
+    path = tmp_path / f"bmin-{''.join(letters.split())}.twa"
+    path.write_text(text.replace("alphabet a b\n", f"alphabet {letters}\n"))
+    return str(path)
+
+
+def test_a_reordered_alphabet_prints_the_same(capsys, tmp_path):
+    flipped = _with_alphabet(tmp_path, "b a")
+    for command in PAIR_COMMANDS:
+        same = run(capsys, *command, AMAX, BMIN)
+        assert same[0] in (0, 1), command
+        assert run(capsys, *command, AMAX, flipped) == same, command
+        proc = subprocess.run(
+            [sys.executable, "-m", "twa.cli", *command, AMAX, flipped],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == same, command
+
+
+def test_different_letters_exit_2(capsys, tmp_path):
+    other = _with_alphabet(tmp_path, "a b c")
+    for command in PAIR_COMMANDS:
+        code, out, err = run(capsys, *command, AMAX, other)
+        expected = (
+            "equal_upto requires identical alphabets"
+            if command[0] == "oracle"
+            else "automata must share one alphabet"
+        )
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and expected in err, command

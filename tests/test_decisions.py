@@ -18,6 +18,7 @@ from corpus import (
     random_deterministic_automaton,
     random_trim_nonpositive,
     ref_fatou,
+    reordered,
     ref_positive_word,
     support,
     zero_filter,
@@ -25,6 +26,7 @@ from corpus import (
 from twa import (
     MAX_PLUS,
     MIN_PLUS,
+    AlphabetError,
     CapExceededError,
     Decision,
     NotNonpositiveError,
@@ -36,13 +38,16 @@ from twa import (
     decide_nonpositive,
     decide_series_equal,
     decide_series_leq,
+    extract_one_valued,
     fatou_normalize,
     hadamard,
     max_mean_cycle,
+    serialize,
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _compare, _positive_word, _pumped_witness, _shift_final
+from twa.decisions import _decision, _positive_word, _pumped_witness, _shift_final
+from twa.errors import TwaError
 from twa.oracle import equal_upto, eval_bruteforce, words_upto
 from twa.spectral import vec_mat
 
@@ -639,27 +644,27 @@ def test_empty_series_is_not_constant_but_is_constant_on_support():
 def test_nfa_equivalence_reflexive():
     amax, _ = zoo.sample_equivalent_pair()
     nfa = support(amax)
-    assert _compare(nfa.masks(), nfa.masks(), inclusion=False, what="support comparison").holds
+    assert _decision(nfa.masks().compare(nfa.masks(), inclusion=False, what="support comparison")).holds
 
 
 def test_nfa_equivalence_ignores_dead_states():
     live = _nfa("ab", 1, {0}, {0}, [(0, "a", 0), (0, "b", 0)])
     dead = _nfa("ab", 2, {0}, {0}, [(0, "a", 0), (0, "b", 0), (1, "a", 0)])
-    assert _compare(live.masks(), dead.masks(), inclusion=False, what="support comparison").holds
+    assert _decision(live.masks().compare(dead.masks(), inclusion=False, what="support comparison")).holds
 
 
 def test_nfa_equivalence_witness():
     just_a = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
     a_or_aa = _nfa("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
-    verdict = _compare(just_a.masks(), a_or_aa.masks(), inclusion=False, what="support comparison")
+    verdict = _decision(just_a.masks().compare(a_or_aa.masks(), inclusion=False, what="support comparison"))
     assert (verdict.holds, verdict.witness) == (False, "aa")
 
 
 def test_nfa_inclusion():
     just_a = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
     a_or_aa = _nfa("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
-    assert _compare(just_a.masks(), a_or_aa.masks(), inclusion=True, what="support comparison").holds
-    verdict = _compare(a_or_aa.masks(), just_a.masks(), inclusion=True, what="support comparison")
+    assert _decision(just_a.masks().compare(a_or_aa.masks(), inclusion=True, what="support comparison")).holds
+    verdict = _decision(a_or_aa.masks().compare(just_a.masks(), inclusion=True, what="support comparison"))
     assert (verdict.holds, verdict.witness) == (False, "aa")
 
 
@@ -774,3 +779,60 @@ def test_series_decisions_validate_tags_and_alphabets():
         decide_series_equal(amax, amax)
     with pytest.raises(TagMismatchError):
         decide_series_leq(bmin, bmin)
+
+
+# -- the letters of a pair may come in any order ---------------------------------
+
+
+def _outcome(call):
+    """What a call returns (an automaton serialized), or the type and message it raises."""
+    try:
+        result = call()
+    except TwaError as exc:
+        return type(exc), str(exc)
+    return serialize(result) if isinstance(result, WeightedAutomaton) else result
+
+
+PAIR_CALLS = {
+    "decide_series_equal": decide_series_equal,
+    "decide_series_leq": decide_series_leq,
+    "extract_one_valued": extract_one_valued,
+    "extract_one_valued unchecked": lambda a, b: extract_one_valued(a, b, check=False),
+    "unambiguous_from_pair": unambiguous_from_pair,
+    "unambiguous_from_pair unchecked": lambda a, b: unambiguous_from_pair(a, b, check=False),
+    "hadamard": lambda a, b: hadamard(a, b.negate()),
+    "equal_upto": lambda a, b: equal_upto(a, b, 5),
+}
+
+
+def _pair_outcomes(amax, bmin):
+    return {name: _outcome(lambda: call(amax, bmin)) for name, call in PAIR_CALLS.items()}
+
+
+@settings(max_examples=150)
+@given(automata(MAX_PLUS, max_states=4), automata(MIN_PLUS, max_states=4))
+@example(*zoo.sample_equivalent_pair())
+def test_a_reordered_alphabet_gives_the_same_results(amax, bmin):
+    # every engine reads the second automaton's letters by name, and results
+    # and witnesses follow the first one's alphabet order
+    assert reordered(bmin).alphabet != bmin.alphabet
+    assert _pair_outcomes(amax, reordered(bmin)) == _pair_outcomes(amax, bmin)
+
+
+def test_different_letters_are_still_refused():
+    amax, bmin = zoo.sample_equivalent_pair()
+    other = WeightedAutomaton.from_arcs(MIN_PLUS, "ac", 1, initial=[(0, 0)], final=[(0, 0)])
+    wider = WeightedAutomaton.from_arcs(MIN_PLUS, "bac", 1, initial=[(0, 0)], final=[(0, 0)])
+    messages = {
+        "decide_series_equal": "decide_series_equal: automata must share one alphabet",
+        "decide_series_leq": "decide_series_leq: automata must share one alphabet",
+        "extract_one_valued": "decide_series_equal: automata must share one alphabet",
+        "extract_one_valued unchecked": "extract_one_valued: automata must share one alphabet",
+        "unambiguous_from_pair": "decide_series_equal: automata must share one alphabet",
+        "unambiguous_from_pair unchecked": "extract_one_valued: automata must share one alphabet",
+        "hadamard": "hadamard requires identical alphabets",
+        "equal_upto": "equal_upto requires identical alphabets",
+    }
+    for b in (other, wider):
+        expected = {name: (AlphabetError, text) for name, text in messages.items()}
+        assert _pair_outcomes(amax, b) == expected

@@ -30,8 +30,7 @@ from twa import (
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _compare
-from twa.disambiguation import _determinize_subsets
+from twa.decisions import _decision
 from twa.oracle import (
     equal_upto,
     max_ambiguity_upto,
@@ -185,16 +184,15 @@ def _nfa(alphabet, n, initial, final, arcs):
 
 
 def determinize(nfa, cap=DEFAULT_SUBSET_CAP):
-    """The result of _determinize_subsets as a (partial) deterministic reference NFA."""
-    masks = nfa.masks()
-    subsets, moves = _determinize_subsets(masks, cap)
+    """The subset construction of the engine as a (partial) deterministic reference NFA."""
+    subsets, accepting, moves = nfa.masks().subsets(cap)
     delta = {(i, ch): {j} for i, table in enumerate(moves) for ch, j in table.items()}
-    final = {i for i, subset in enumerate(subsets) if subset & masks.final}
+    final = {i for i, acc in enumerate(accepting) if acc}
     return Nfa(nfa.alphabet, len(subsets), {0}, final, delta)
 
 
 def equivalent(a, b):
-    return _compare(a.masks(), b.masks(), inclusion=False, what="support comparison").holds
+    return _decision(a.masks().compare(b.masks(), inclusion=False, what="support comparison")).holds
 
 
 def test_determinize_twostate_example():

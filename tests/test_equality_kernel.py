@@ -62,8 +62,7 @@ from twa import (
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _compare, _pumped_witness
-from twa.disambiguation import _determinize_subsets
+from twa.decisions import _decision, _pumped_witness
 from twa.spectral import _backward_search, _relax
 
 # -- the reference: the separate path, with frozenset subsets -----------------
@@ -543,13 +542,13 @@ def test_only_the_kernel_reads_the_zero_filter(monkeypatch, pair):
     expected = {check: serialize(extract_one_valued(amax, bmin, check)) for check in (True, False)}
     leq = decide_series_leq(amax, bmin)
     calls = []
-    zero_masks = twa.decisions._zero_masks
+    zero_filter = twa.decisions._zero_filter
 
     def counted(*args):
         calls.append(args)
-        return zero_masks(*args)
+        return zero_filter(*args)
 
-    monkeypatch.setattr(twa.decisions, "_zero_masks", counted)
+    monkeypatch.setattr(twa.decisions, "_zero_filter", counted)
     for check in (True, False):
         calls.clear()
         assert serialize(extract_one_valued(amax, bmin, check)) == expected[check]
@@ -698,27 +697,28 @@ def test_one_pass_competition_removal_matches_the_grouping_rule():
 @given(automata(MAX_PLUS), automata(MAX_PLUS))
 def test_nfa_comparisons_match_frozenset_exploration(a, b):
     ma, mb, ra, rb = a._support_masks(), b._support_masks(), support(a), support(b)
-    assert _compare(ma, mb, inclusion=False, what="support comparison") == ref_nfa_compare(ra, rb, False)
-    assert _compare(ma, mb, inclusion=True, what="support comparison") == ref_nfa_compare(ra, rb, True)
-    assert _compare(mb, ma, inclusion=True, what="support comparison") == ref_nfa_compare(rb, ra, True)
+    assert _decision(ma.compare(mb, inclusion=False, what="support comparison")) == ref_nfa_compare(ra, rb, False)
+    assert _decision(ma.compare(mb, inclusion=True, what="support comparison")) == ref_nfa_compare(ra, rb, True)
+    assert _decision(mb.compare(ma, inclusion=True, what="support comparison")) == ref_nfa_compare(rb, ra, True)
 
 
 @settings(max_examples=200)
 @given(automata(MAX_PLUS), st.integers(1, 6))
 def test_determinize_and_covering_match_frozenset_subsets(aut, cap):
-    masks = aut._support_masks()
-    subsets, moves = ref_determinize(support(aut))
-    expected = [sum(1 << i for i in subset) for subset in subsets], moves
-    assert _determinize_subsets(masks, DEFAULT_SUBSET_CAP) == expected
+    masks, nfa = aut._support_masks(), support(aut)
+    subsets, moves = ref_determinize(nfa)
+    accepting = [bool(subset & nfa.final) for subset in subsets]
+    expected = [sorted(subset) for subset in subsets], accepting, moves
+    assert masks.subsets(DEFAULT_SUBSET_CAP) == expected
     cover = covering(aut)
     assert cover.subsets == tuple(subsets)
     for label, (p, s) in zip(cover.automaton.state_labels, cover.provenance):
         assert label == f"({aut.state_label(p)},{{{','.join(map(str, sorted(subsets[s])))}}})"
     if len(subsets) > cap:
         with pytest.raises(CapExceededError):
-            _determinize_subsets(masks, cap)
+            masks.subsets(cap)
     else:
-        assert _determinize_subsets(masks, cap) == expected
+        assert masks.subsets(cap) == expected
 
 
 def _named(cover):
@@ -754,7 +754,7 @@ CAPPED = {
     "decide_equal_const": lambda cap: decide_equal_const(_one_state_loop(MAX_PLUS), 0, cap),
     # the shifted series is positive, so the verdict is NO before any exploration
     "decide_equal_const_no": lambda cap: decide_equal_const(_one_state_loop(MAX_PLUS), -1, cap),
-    "determinize": lambda cap: _determinize_subsets(_one_state_loop(MAX_PLUS)._support_masks(), cap),
+    "determinize": lambda cap: _one_state_loop(MAX_PLUS)._support_masks().subsets(cap),
     "covering": lambda cap: covering(_one_state_loop(MAX_PLUS), cap),
     "disambiguate": lambda cap: disambiguate(_one_state_loop(MAX_PLUS), cap),
     "unambiguous_from_pair": lambda cap: unambiguous_from_pair(
