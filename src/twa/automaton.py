@@ -280,9 +280,9 @@ class WeightedAutomaton:
                     row[j] = w if old is None else plus(old, w)
         return TropicalMatrix._adopt(self.semiring, self.n, rows)
 
-    def _support_masks(self) -> "_MaskNfa":
+    def _support_nfa(self) -> "_SubsetNfa":
         """The support NFA: the states with an initial or a final arrow, and every arc."""
-        return _MaskNfa.of(
+        return _SubsetNfa.of(
             (i for i, w in enumerate(self.alpha) if w is not None),
             (i for i, w in enumerate(self.beta) if w is not None),
             {ch: self.mu[ch].rows for ch in self.alphabet},
@@ -378,36 +378,37 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Subset exploration over bitmasks.
+# Subset exploration over frozensets of states.
 # ---------------------------------------------------------------------------
 
 DEFAULT_SUBSET_CAP = 1_000_000
 
 
-class _MaskNfa:
-    """An NFA over states 0..n-1 as Python ints: bit i set means state i is in.
+class _SubsetNfa:
+    """An NFA over states 0..n-1 whose subsets are frozensets of states.
 
-    The one reader and writer of subset masks: other modules build it from
-    sparse states (``of``) and get back words, state lists and move tables.
-    ``succ`` maps each letter, in alphabet order, to the successor mask of
-    every state.  Each question is one breadth-first ``_explore`` in
-    alphabet order, so every witness is the length-lex-first word.
+    The one owner of subsets: other modules build it from sparse states
+    (``of``) and get back words, state lists and move tables.
+    ``succ`` maps each letter, in alphabet order, to the frozenset of targets
+    of every state, so memory grows with the arcs and the subsets walked.
+    Each question is one breadth-first ``_explore`` in alphabet order, so
+    every witness is the length-lex-first word.
     """
 
     __slots__ = ("initial", "final", "succ")
 
-    def __init__(self, initial: int, final: int, succ: dict):
+    def __init__(self, initial: frozenset, final: frozenset, succ: dict):
         self.initial = initial
         self.final = final
         self.succ = succ
 
     @classmethod
-    def of(cls, initial_states, final_states, targets: dict) -> "_MaskNfa":
+    def of(cls, initial_states, final_states, targets: dict) -> "_SubsetNfa":
         """``targets`` maps each letter, in alphabet order, to an iterable of targets per state."""
-        succ = {ch: [_mask(row) for row in rows] for ch, rows in targets.items()}
-        return cls(_mask(initial_states), _mask(final_states), succ)
+        succ = {ch: [frozenset(row) for row in rows] for ch, rows in targets.items()}
+        return cls(frozenset(initial_states), frozenset(final_states), succ)
 
-    def compare(self, other: "_MaskNfa", inclusion: bool, what: str):
+    def compare(self, other: "_SubsetNfa", inclusion: bool, what: str):
         """The first word accepted here and not by ``other`` (inclusion), or by
         exactly one of them (equivalence); None when there is none.
 
@@ -418,7 +419,7 @@ class _MaskNfa:
         afinal, bfinal, asucc, bsucc = self.final, other.final, self.succ, other.succ
 
         def bad(pair) -> bool:
-            acc_a, acc_b = bool(pair[0] & afinal), bool(pair[1] & bfinal)
+            acc_a, acc_b = not afinal.isdisjoint(pair[0]), not bfinal.isdisjoint(pair[1])
             return (acc_a and not acc_b) if inclusion else (acc_a != acc_b)
 
         def step(pair, ch):
@@ -435,51 +436,39 @@ class _MaskNfa:
         CapExceededError(what, cap) past ``cap`` subsets."""
         final, succ = self.final, self.succ
         _, parents, _, hit = _explore(
-            self.initial, list(succ), lambda mask, ch: _post(mask, succ[ch]), cap, what,
-            stop=lambda mask: not mask & final,
+            self.initial, list(succ), lambda node, ch: _post(node, succ[ch]), cap, what,
+            stop=final.isdisjoint,
         )
         return None if hit is None else _path_word(parents, hit)
 
     def subsets(self, cap: int):
-        """The accessible subset construction, without the empty subset.
+        """The accessible subset construction.
 
         Returns (members, accepting, moves): per subset, its states in
         increasing order, whether one is final, and {letter: successor index}.
+        The empty subset is left out, except as the start subset of an NFA
+        with no initial state, which then has one subset, empty, and no move.
         Raises CapExceededError("subset construction", cap) past ``cap`` subsets.
         """
         final, succ = self.final, self.succ
-        masks, _, moves, _ = _explore(
-            self.initial, list(succ), lambda mask, ch: _post(mask, succ[ch]) or None, cap,
+        nodes, _, moves, _ = _explore(
+            self.initial, list(succ), lambda node, ch: _post(node, succ[ch]) or None, cap,
             "subset construction",
         )
-        return [_bits(mask) for mask in masks], [bool(mask & final) for mask in masks], moves
+        accepting = [not final.isdisjoint(node) for node in nodes]
+        return [sorted(node) for node in nodes], accepting, moves
 
 
-def _mask(states) -> int:
-    mask = 0
-    for s in states:
-        mask |= 1 << s
-    return mask
+def _post(subset: frozenset, succ: list) -> frozenset:
+    """The states reached from the states of ``subset`` by one move in ``succ``.
 
-
-def _bits(mask: int) -> list:
-    """The states of a mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _post(mask: int, succ: list) -> int:
-    """The states reached from the states of ``mask`` by one move in ``succ``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= succ[low.bit_length() - 1]
-        mask ^= low
-    return out
+    A one-state subset gets its stored successor set back, whose hash is
+    then computed once however often it is reached.
+    """
+    if len(subset) == 1:
+        (state,) = subset
+        return succ[state]
+    return frozenset().union(*[succ[s] for s in subset])
 
 
 def _explore(start, letters, step, cap: int, what: str, stop=None):

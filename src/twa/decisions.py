@@ -21,20 +21,21 @@ automaton, is read straight off u as lists of states: an initial arrow is kept
 iff alpha_i + u_i = 0, a final arrow iff beta_i = u_i, an arc i -> j of weight
 w iff w + u_j = u_i.  _zero_filter is the only place that tests this
 tightness.  Every language question goes to the subset engine of
-``twa.automaton`` (``_MaskNfa``), the only module that knows how a subset is
-stored, and comes back as a witness word or None: the all-words constant test
-walks the subsets of the zero filter until one holds no final state, and the
-comparisons walk pairs of subsets, at most ``DEFAULT_SUBSET_CAP`` of them,
-both breadth-first in alphabet order.  The series comparisons and the 1-valued
-extraction of ``twa.disambiguation`` share one kernel, _difference: it trims
-each input once, compares the supports, builds the product of S and -T once,
-relaxes its potential once and reads its zero filter once, and the extraction
-takes its arrows and arcs from that filter.  The product subtracts T's weights
-as it builds each row, in its final (p, q) numbering, so no negated copy of T
-exists; it is accessible by construction, so its trim only removes the states
-that reach no final arrow, and the one backward search that orders the
-relaxation finds them; and with equal supports the zero filter is compared
-with S's support, whose subset NFA the support check already built.
+``twa.automaton`` (``_SubsetNfa``), the only module that knows how a subset is
+stored (a frozenset of states), and comes back as a witness word or None: the
+all-words constant test walks the subsets of the zero filter until one holds
+no final state, and the comparisons walk pairs of subsets, at most
+``DEFAULT_SUBSET_CAP`` of them, both breadth-first in alphabet order.  The
+series comparisons and the 1-valued extraction of ``twa.disambiguation`` share
+one kernel, _difference: it trims each input once, compares the supports,
+builds the product of S and -T once, relaxes its potential once and reads its
+zero filter once, and the extraction takes its arrows and arcs from that
+filter.  The product subtracts T's weights as it builds each row, in its final
+(p, q) numbering, so no negated copy of T exists; it is accessible by
+construction, so its trim only removes the states that reach no final arrow,
+and the one backward search that orders the relaxation finds them; and with
+equal supports the zero filter is compared with S's support, whose subset NFA
+the support check already built.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -53,7 +54,7 @@ from .automaton import (
     WeightedAutomaton,
     _accessible_product,
     _check_alphabets,
-    _MaskNfa,
+    _SubsetNfa,
 )
 from .errors import (
     NotNonpositiveError,
@@ -399,7 +400,7 @@ def decide_equal_const(
     verdict, _, zero = _shifted_zero_filter(aut, const, "decide_equal_const")
     if not verdict.holds:
         return verdict
-    return _decision(_MaskNfa.of(*zero).rejected_word(subset_cap, "universality check"))
+    return _decision(_SubsetNfa.of(*zero).rejected_word(subset_cap, "universality check"))
 
 
 def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
@@ -414,8 +415,8 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
     verdict, trim, zero = _shifted_zero_filter(aut, const, "decide_equal_const_on_support")
     if not verdict.holds:
         return verdict
-    zero_nfa = _MaskNfa.of(*zero)
-    return _decision(trim._support_masks().compare(zero_nfa, False, "zero-filter comparison"))
+    zero_nfa = _SubsetNfa.of(*zero)
+    return _decision(trim._support_nfa().compare(zero_nfa, False, "zero-filter comparison"))
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +469,16 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
     order, which runs before the renumbering.  The letter sum is built only
     for a NO witness.  Once the supports are equal, the product's support
     language is that of ``ta``, and comparing the zero filter with ``ta``'s
-    support masks, already built for the support check, gives the same
+    support NFA, already built for the support check, gives the same
     verdict and the same length-lex-first witness as comparing it with the
     product's.
     """
     ta = amax.trim()
     tb = bmin.trim()
     if mode != "extract":
-        support = ta._support_masks()
+        support = ta._support_nfa()
         verdict = _decision(
-            support.compare(tb._support_masks(), mode == "leq", "support comparison")
+            support.compare(tb._support_nfa(), mode == "leq", "support comparison")
         )
         if not verdict.holds:
             return _Difference(verdict, ta, None, None, None)
@@ -489,7 +490,7 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
     if verdict.holds and mode != "leq":
         zero = _zero_filter(product, u)
         if mode == "equal":
-            zero_nfa = _MaskNfa.of(*zero)
+            zero_nfa = _SubsetNfa.of(*zero)
             verdict = _decision(support.compare(zero_nfa, False, "zero-filter comparison"))
     return _Difference(verdict, ta, product, pairs, zero)
 

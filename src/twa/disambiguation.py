@@ -17,9 +17,10 @@ word without changing the series.
 
 Both halves run on the shared engines of ``twa.automaton``: the accessible
 product (the difference product and the covering) and the breadth-first subset
-exploration, whose subset construction (``_MaskNfa.subsets``) hands back each
-subset as its list of states; ``DEFAULT_SUBSET_CAP`` bounds both.  The weights
-stay scalar max-plus throughout; no semiring of weight pairs is involved.
+exploration, whose subset construction (``_SubsetNfa.subsets``) hands back each
+subset, a frozenset of states inside the engine, as its sorted list of states;
+``DEFAULT_SUBSET_CAP`` bounds both.  The weights stay scalar max-plus
+throughout; no semiring of weight pairs is involved.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
     CapExceededError when more than ``cap`` subsets, or more than
     ``DEFAULT_SUBSET_CAP`` pairs, appear.
     """
-    members, accepting, moves = aut._support_masks().subsets(cap)
+    members, accepting, moves = aut._support_nfa().subsets(cap)
     rows = {ch: [{table[ch]: 0} if ch in table else {} for table in moves] for ch in aut.alphabet}
     dfa = WeightedAutomaton._adopt(
         aut.semiring,

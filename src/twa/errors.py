@@ -53,7 +53,8 @@ class CapExceededError(TwaError):
     the covering) takes a cap.  Every product stops at DEFAULT_SUBSET_CAP
     pairs (``what`` is "product"), and so does every comparison of two NFAs
     ("support comparison", "zero-filter comparison"), which explores pairs of
-    subsets.  `format.parse` refuses a state count above DEFAULT_SUBSET_CAP.
+    subsets.  `format.parse` refuses a state count, or a number of states
+    times letters, above DEFAULT_SUBSET_CAP.
     ``what`` names the exploration, the product, the comparison or the count.
     """
 

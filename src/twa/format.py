@@ -54,7 +54,8 @@ def parse(text: str) -> WeightedAutomaton:
     Each distinct state token and weight literal is checked once per call,
     and each arc goes straight into its row; rows list their targets in
     increasing order whatever the order of the lines.  A state count above
-    DEFAULT_SUBSET_CAP raises CapExceededError before any list is allocated.
+    DEFAULT_SUBSET_CAP raises CapExceededError before any list is allocated,
+    and so do more states times letters, before any row is allocated.
     """
     semiring = None
     alphabet = None
@@ -98,9 +99,12 @@ def parse(text: str) -> WeightedAutomaton:
                 fail(str(exc), lineno)
         return w
 
-    def grid():
+    def grid(lineno: int):
         if n is None or alphabet is None:
             return None
+        if n * len(alphabet) > DEFAULT_SUBSET_CAP:
+            what = f"line {lineno}: {n} states x {len(alphabet)} letters"
+            raise CapExceededError(what, DEFAULT_SUBSET_CAP)
         return {ch: [{} for _ in range(n)] for ch in alphabet}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -153,7 +157,7 @@ def parse(text: str) -> WeightedAutomaton:
                     fail(f"bad alphabet symbol {ch!r}", lineno)
             if len(set(alphabet)) != len(alphabet):
                 fail("alphabet symbols must be distinct", lineno)
-            rows = grid()
+            rows = grid(lineno)
         elif key == "states":
             if n is not None:
                 fail("duplicate states line", lineno)
@@ -169,7 +173,7 @@ def parse(text: str) -> WeightedAutomaton:
             n = count
             alpha = [None] * n
             beta = [None] * n
-            rows = grid()
+            rows = grid(lineno)
         else:
             fail(f"unknown directive {key!r}", lineno)
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from twa import MAX_PLUS, MIN_PLUS, Covering, TropicalMatrix, WeightedAutomaton
-from twa.automaton import _MaskNfa
+from twa.automaton import _SubsetNfa
 from twa.format import serialize
 from twa.spectral import vec_mat
 
@@ -134,20 +134,16 @@ class Nfa:
             states = self.step(states, ch)
         return bool(states & self.final)
 
-    def masks(self):
+    def engine(self):
         """The same NFA on the subset engine that answers ``compare`` and ``subsets``."""
         targets = {ch: [self.delta.get((i, ch), ()) for i in range(self.n)] for ch in self.alphabet}
-        return _MaskNfa.of(self.initial, self.final, targets)
+        return _SubsetNfa.of(self.initial, self.final, targets)
 
     @classmethod
-    def from_masks(cls, nfa, n):
-        """Read a bitmask NFA over states 0..n-1 back into frozensets."""
-
-        def states(mask):
-            return {i for i in range(n) if mask >> i & 1}
-
-        delta = {(i, ch): states(m) for ch, masks in nfa.succ.items() for i, m in enumerate(masks)}
-        return cls(nfa.succ, n, states(nfa.initial), states(nfa.final), delta)
+    def from_engine(cls, nfa, n):
+        """Read the subset engine's NFA over states 0..n-1 back."""
+        delta = {(i, ch): row for ch, rows in nfa.succ.items() for i, row in enumerate(rows)}
+        return cls(nfa.succ, n, nfa.initial, nfa.final, delta)
 
 
 def support(aut):

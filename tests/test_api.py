@@ -63,6 +63,9 @@ def test_package_exports_exactly_what_it_imports():
         "_compare",
         "_determinize_subsets",
         "_zero_masks",
+        "_mask",
+        "_bits",
+        "_MaskNfa",
     ],
 )
 def test_retired_names_are_gone(name):
@@ -73,8 +76,12 @@ def test_retired_names_are_gone(name):
 
 @pytest.mark.parametrize(
     "owner, name",
-    [(twa.WeightedAutomaton, "support"), (twa.TropicalMatrix, "identity")],
-    ids=["WeightedAutomaton.support", "TropicalMatrix.identity"],
+    [
+        (twa.WeightedAutomaton, "support"),
+        (twa.TropicalMatrix, "identity"),
+        (twa.WeightedAutomaton, "_support_masks"),
+    ],
+    ids=["WeightedAutomaton.support", "TropicalMatrix.identity", "WeightedAutomaton._support_masks"],
 )
 def test_retired_methods_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -123,29 +130,29 @@ def test_only_the_automaton_and_spectral_modules_build_matrices():
     assert builds == []
 
 
-MASK_HELPERS = {"_mask", "_bits", "_post"}
+SUBSET_HELPERS = {"_post"}
 
 
-def _touches_a_mask(node) -> bool:
-    # a shift or a bitwise and, an import of a mask helper, or a bare _MaskNfa(...)
+def _touches_a_subset(node) -> bool:
+    # a shift or a bitwise and, an import of a subset helper, or a bare _SubsetNfa(...)
     if isinstance(node, (ast.BinOp, ast.AugAssign)):
         return isinstance(node.op, (ast.LShift, ast.RShift, ast.BitAnd))
     if isinstance(node, ast.ImportFrom):
-        return any(alias.name in MASK_HELPERS for alias in node.names)
+        return any(alias.name in SUBSET_HELPERS for alias in node.names)
     if isinstance(node, ast.Call):
-        return isinstance(node.func, ast.Name) and node.func.id == "_MaskNfa"
+        return isinstance(node.func, ast.Name) and node.func.id == "_SubsetNfa"
     return False
 
 
 def test_only_the_automaton_module_reads_subset_masks():
     # how a subset is stored is twa.automaton's business: every other module
-    # builds its NFAs with _MaskNfa.of and asks _MaskNfa its questions
+    # builds its NFAs with _SubsetNfa.of and asks _SubsetNfa its questions
     package = pathlib.Path(twa.__file__).parent
     touches = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         if path.name != "automaton.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if _touches_a_mask(node)
+        if _touches_a_subset(node)
     ]
     assert touches == []

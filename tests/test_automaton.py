@@ -103,9 +103,9 @@ def test_trim_preserves_series_on_randoms():
             assert slim.eval(word) == aut.eval(word)
 
 
-def support_masks(aut):
-    """The production support NFA, read back into frozensets."""
-    return Nfa.from_masks(aut._support_masks(), aut.n)
+def support_nfa(aut):
+    """The production support NFA, read back into the reference NFA."""
+    return Nfa.from_engine(aut._support_nfa(), aut.n)
 
 
 def test_support_accepts_exactly_nonzero_words():
@@ -113,21 +113,21 @@ def test_support_accepts_exactly_nonzero_words():
     corpus = [random_automaton(rng, max_states=4) for _ in range(25)]
     corpus.append(zoo.sample_equivalent_pair()[0])
     for aut in corpus:
-        nfa = support_masks(aut)
+        nfa = support_nfa(aut)
         for word in words_upto(aut.alphabet, 5):
             assert nfa.accepts(word) == (aut.eval(word) is not None)
 
 
 def test_support_of_demo_pair_is_all_words(pair):
     amax, _ = pair
-    nfa = support_masks(amax)
+    nfa = support_nfa(amax)
     for word in words_upto(amax.alphabet, 6):
         assert nfa.accepts(word)
 
 
 def test_support_of_empty_automaton_accepts_nothing():
     empty = WeightedAutomaton.from_arcs(MAX_PLUS, "a", 0)
-    nfa = support_masks(empty)
+    nfa = support_nfa(empty)
     assert not nfa.accepts("")
     assert not nfa.accepts("a")
 

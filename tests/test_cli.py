@@ -265,6 +265,15 @@ def test_comparison_cap_exit_code(monkeypatch, capsys, tmp_path):
         assert (code, out, err) == (3, "", f"error: {what} exceeded cap of 8\n"), argv
 
 
+def test_states_times_letters_cap_exit_code(capsys, tmp_path):
+    # 53 bytes that would make the parser allocate 1,500,000 rows
+    path = tmp_path / "wide.twa"
+    path.write_text("twa 1\nsemiring max-plus\nalphabet a b c\nstates 500000\n")
+    code, out, err = run(capsys, "eval", str(path), "")
+    assert (code, out) == (3, "")
+    assert err == "error: line 4: 500000 states x 3 letters exceeded cap of 1000000\n"
+
+
 def test_monoid_cap_exit_code(capsys, tmp_path):
     # a constant series: the all-words test explores the subsets {0} and {1},
     # more than the cap of 1

@@ -644,27 +644,27 @@ def test_empty_series_is_not_constant_but_is_constant_on_support():
 def test_nfa_equivalence_reflexive():
     amax, _ = zoo.sample_equivalent_pair()
     nfa = support(amax)
-    assert _decision(nfa.masks().compare(nfa.masks(), inclusion=False, what="support comparison")).holds
+    assert _decision(nfa.engine().compare(nfa.engine(), inclusion=False, what="support comparison")).holds
 
 
 def test_nfa_equivalence_ignores_dead_states():
     live = _nfa("ab", 1, {0}, {0}, [(0, "a", 0), (0, "b", 0)])
     dead = _nfa("ab", 2, {0}, {0}, [(0, "a", 0), (0, "b", 0), (1, "a", 0)])
-    assert _decision(live.masks().compare(dead.masks(), inclusion=False, what="support comparison")).holds
+    assert _decision(live.engine().compare(dead.engine(), inclusion=False, what="support comparison")).holds
 
 
 def test_nfa_equivalence_witness():
     just_a = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
     a_or_aa = _nfa("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
-    verdict = _decision(just_a.masks().compare(a_or_aa.masks(), inclusion=False, what="support comparison"))
+    verdict = _decision(just_a.engine().compare(a_or_aa.engine(), inclusion=False, what="support comparison"))
     assert (verdict.holds, verdict.witness) == (False, "aa")
 
 
 def test_nfa_inclusion():
     just_a = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
     a_or_aa = _nfa("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
-    assert _decision(just_a.masks().compare(a_or_aa.masks(), inclusion=True, what="support comparison")).holds
-    verdict = _decision(a_or_aa.masks().compare(just_a.masks(), inclusion=True, what="support comparison"))
+    assert _decision(just_a.engine().compare(a_or_aa.engine(), inclusion=True, what="support comparison")).holds
+    verdict = _decision(a_or_aa.engine().compare(just_a.engine(), inclusion=True, what="support comparison"))
     assert (verdict.holds, verdict.witness) == (False, "aa")
 
 

@@ -185,14 +185,14 @@ def _nfa(alphabet, n, initial, final, arcs):
 
 def determinize(nfa, cap=DEFAULT_SUBSET_CAP):
     """The subset construction of the engine as a (partial) deterministic reference NFA."""
-    subsets, accepting, moves = nfa.masks().subsets(cap)
+    subsets, accepting, moves = nfa.engine().subsets(cap)
     delta = {(i, ch): {j} for i, table in enumerate(moves) for ch, j in table.items()}
     final = {i for i, acc in enumerate(accepting) if acc}
     return Nfa(nfa.alphabet, len(subsets), {0}, final, delta)
 
 
 def equivalent(a, b):
-    return _decision(a.masks().compare(b.masks(), inclusion=False, what="support comparison")).holds
+    return _decision(a.engine().compare(b.engine(), inclusion=False, what="support comparison")).holds
 
 
 def test_determinize_twostate_example():

@@ -1,7 +1,7 @@
 """The equality kernel: one product, one relaxation, one subset-exploration engine.
 
 The series decisions, the 1-valued extraction and the pipeline share one
-difference product, one potential and one bitmask subset exploration.  These
+difference product, one potential and one subset exploration.  These
 tests hold them to a reference copy of the separate path they replaced: the
 Hadamard product with the negated min-plus automaton and a frozenset NFA
 comparison for the decisions, two full-grid products (the difference, and
@@ -11,6 +11,7 @@ competing group for the one-pass competition removal.
 """
 
 import operator
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -469,9 +470,9 @@ def test_kernel_builds_no_negated_copy_and_no_product_support(monkeypatch, pair)
         ref_series_leq(amax, bmin),
         serialize(ref_unambiguous(amax, bmin)),
     )
-    kernel_calls = []  # per kernel call: the automata whose support masks it built
+    kernel_calls = []  # per kernel call: the automata whose support NFAs it built
     inside = []
-    difference, support_masks = twa.decisions._difference, WeightedAutomaton._support_masks
+    difference, support_nfa = twa.decisions._difference, WeightedAutomaton._support_nfa
 
     def watched_difference(*args):
         kernel_calls.append([])
@@ -481,14 +482,14 @@ def test_kernel_builds_no_negated_copy_and_no_product_support(monkeypatch, pair)
         finally:
             inside.pop()
 
-    def watched_support_masks(self):
+    def watched_support_nfa(self):
         if inside:
             kernel_calls[-1].append(self)
-        return support_masks(self)
+        return support_nfa(self)
 
     for module in (twa.decisions, twa.disambiguation):
         monkeypatch.setattr(module, "_difference", watched_difference)
-    monkeypatch.setattr(WeightedAutomaton, "_support_masks", watched_support_masks)
+    monkeypatch.setattr(WeightedAutomaton, "_support_nfa", watched_support_nfa)
     monkeypatch.setattr(WeightedAutomaton, "negate", _raise)
     assert (
         decide_series_equal(amax, bmin),
@@ -690,13 +691,13 @@ def test_one_pass_competition_removal_matches_the_grouping_rule():
     assert competitions == {"arcs", "final arrows"}
 
 
-# -- the bitmask engine against frozensets -------------------------------------
+# -- the subset engine against the reference exploration -----------------------
 
 
 @settings(max_examples=200)
 @given(automata(MAX_PLUS), automata(MAX_PLUS))
 def test_nfa_comparisons_match_frozenset_exploration(a, b):
-    ma, mb, ra, rb = a._support_masks(), b._support_masks(), support(a), support(b)
+    ma, mb, ra, rb = a._support_nfa(), b._support_nfa(), support(a), support(b)
     assert _decision(ma.compare(mb, inclusion=False, what="support comparison")) == ref_nfa_compare(ra, rb, False)
     assert _decision(ma.compare(mb, inclusion=True, what="support comparison")) == ref_nfa_compare(ra, rb, True)
     assert _decision(mb.compare(ma, inclusion=True, what="support comparison")) == ref_nfa_compare(rb, ra, True)
@@ -705,20 +706,34 @@ def test_nfa_comparisons_match_frozenset_exploration(a, b):
 @settings(max_examples=200)
 @given(automata(MAX_PLUS), st.integers(1, 6))
 def test_determinize_and_covering_match_frozenset_subsets(aut, cap):
-    masks, nfa = aut._support_masks(), support(aut)
+    engine, nfa = aut._support_nfa(), support(aut)
     subsets, moves = ref_determinize(nfa)
     accepting = [bool(subset & nfa.final) for subset in subsets]
     expected = [sorted(subset) for subset in subsets], accepting, moves
-    assert masks.subsets(DEFAULT_SUBSET_CAP) == expected
+    assert engine.subsets(DEFAULT_SUBSET_CAP) == expected
     cover = covering(aut)
     assert cover.subsets == tuple(subsets)
     for label, (p, s) in zip(cover.automaton.state_labels, cover.provenance):
         assert label == f"({aut.state_label(p)},{{{','.join(map(str, sorted(subsets[s])))}}})"
     if len(subsets) > cap:
         with pytest.raises(CapExceededError):
-            masks.subsets(cap)
+            engine.subsets(cap)
     else:
-        assert masks.subsets(cap) == expected
+        assert engine.subsets(cap) == expected
+
+
+def test_subset_memory_grows_with_the_subsets_walked():
+    # the supports and the zero filter of the 20,020-state difference product
+    # are compared on few subsets; per-state bitmasks as wide as their highest
+    # target would add about n^2/16 bytes, some 25 MB here
+    amax, bmin = zoo.prime_period_pair(5, 7, 11, 13)
+    tracemalloc.start()
+    try:
+        assert decide_series_equal(amax, bmin).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def _named(cover):
@@ -754,7 +769,7 @@ CAPPED = {
     "decide_equal_const": lambda cap: decide_equal_const(_one_state_loop(MAX_PLUS), 0, cap),
     # the shifted series is positive, so the verdict is NO before any exploration
     "decide_equal_const_no": lambda cap: decide_equal_const(_one_state_loop(MAX_PLUS), -1, cap),
-    "determinize": lambda cap: _one_state_loop(MAX_PLUS)._support_masks().subsets(cap),
+    "determinize": lambda cap: _one_state_loop(MAX_PLUS)._support_nfa().subsets(cap),
     "covering": lambda cap: covering(_one_state_loop(MAX_PLUS), cap),
     "disambiguate": lambda cap: disambiguate(_one_state_loop(MAX_PLUS), cap),
     "unambiguous_from_pair": lambda cap: unambiguous_from_pair(

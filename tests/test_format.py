@@ -19,6 +19,7 @@ from twa import (
     WeightedAutomaton,
     zoo,
 )
+import twa.format
 from twa.format import load, parse, serialize
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -185,6 +186,27 @@ def test_state_count_above_the_cap_is_refused_before_allocating(count):
         parse(f"twa 1\nsemiring max-plus\nalphabet a b\nstates {count}\ninitial 0 0\n")
     assert time.perf_counter() - start < 0.5
     assert (err.value.what, err.value.cap) == (f"line 4: state count {count}", DEFAULT_SUBSET_CAP)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["alphabet a b c\nstates 500000", "states 500000\nalphabet a b c"],
+    ids=["alphabet-first", "states-first"],
+)
+def test_states_times_letters_above_the_cap_is_refused_before_allocating(header):
+    # each state count is under the cap, but the rows would number 1,500,000
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as err:
+        parse(f"twa 1\nsemiring max-plus\n{header}\ninitial 0 0\n")
+    assert time.perf_counter() - start < 0.5
+    assert (err.value.what, err.value.cap) == ("line 4: 500000 states x 3 letters", DEFAULT_SUBSET_CAP)
+
+
+def test_states_times_letters_at_the_cap_is_parsed(monkeypatch):
+    monkeypatch.setattr(twa.format, "DEFAULT_SUBSET_CAP", 6)
+    assert parse("twa 1\nsemiring max-plus\nalphabet a b\nstates 3\n").n == 3
+    with pytest.raises(CapExceededError):
+        parse("twa 1\nsemiring max-plus\nalphabet a b\nstates 4\n")
 
 
 @pytest.mark.parametrize(
