@@ -21,7 +21,7 @@ print("deciding equality of the two series:", decide_series_equal(tmax, tmin))
 print(f"  ({time.perf_counter() - start:.2f}s)")
 
 start = time.perf_counter()
-one_valued = extract_one_valued(tmax, tmin, check=False)
+one_valued = extract_one_valued(tmax, tmin)
 print(f"1-valued automaton extracted: {one_valued.n} states "
       f"({time.perf_counter() - start:.2f}s)")
 

@@ -161,9 +161,7 @@ def cmd_leq(args) -> int:
 
 def cmd_onevalued(args) -> int:
     amax, bmin = _load_pair(args)
-    return _construct(
-        lambda: extract_one_valued(amax, bmin, check=not args.no_check), args, "NOT-EQUAL"
-    )
+    return _construct(lambda: extract_one_valued(amax, bmin), args, "NOT-EQUAL")
 
 
 def cmd_disambiguate(args) -> int:
@@ -175,11 +173,7 @@ def cmd_disambiguate(args) -> int:
 def cmd_pipeline(args) -> int:
     amax, bmin = _load_pair(args)
     return _construct(
-        lambda: unambiguous_from_pair(
-            amax, bmin, check=not args.no_check, subset_cap=args.subset_cap
-        ),
-        args,
-        "NOT-EQUAL",
+        lambda: unambiguous_from_pair(amax, bmin, args.subset_cap), args, "NOT-EQUAL"
     )
 
 
@@ -255,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--on-support", action="store_true", help="quantify over the support only")
     p.add_argument(
-        "--subset-cap", "--monoid-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP,
+        "--subset-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP,
         metavar="N", help="cap on the subsets explored by the all-words test",
     )
 
@@ -270,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("onevalued", cmd_onevalued, "build a 1-valued automaton from an equivalent pair")
     p.add_argument("maxfile")
     p.add_argument("minfile")
-    p.add_argument("--no-check", action="store_true", help="skip the equality pre-check")
     with_output(p)
 
     p = add("disambiguate", cmd_disambiguate, "make a 1-valued automaton unambiguous")
@@ -289,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("maxfile")
     p.add_argument("minfile")
-    p.add_argument("--no-check", action="store_true", help="skip the equality pre-check")
     p.add_argument(
         "--subset-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP, metavar="N",
         help="cap on the subsets of the covering; the weighted subset construction"

@@ -4,7 +4,8 @@ All entry points trim internally, so user automata need not be trim.  Every
 negative verdict comes with a witness word that fails the property exactly;
 witnesses are deterministic (first in length-lex order where the search is
 breadth-first; for nonpositivity a shortest positive word, or a pumped
-circuit when none is shorter than the state count).
+circuit when none is shorter than the state count or the forward pass meets
+its cap).  No witness longer than ``DEFAULT_SUBSET_CAP`` letters is built.
 
 Nonpositivity, on which Fatou renormalization, the constant tests and the
 series comparisons rest, is decided by one early-exit Bellman-Ford relaxation
@@ -27,15 +28,15 @@ all-words constant test walks the subsets of the zero filter until one holds
 no final state, and the comparisons walk pairs of subsets, at most
 ``DEFAULT_SUBSET_CAP`` of them, both breadth-first in alphabet order.  The
 series comparisons and the 1-valued extraction of ``twa.disambiguation`` share
-one kernel, _difference: it trims each input once, compares the supports,
-builds the product of S and -T once, relaxes its potential once and reads its
-zero filter once, and the extraction takes its arrows and arcs from that
-filter.  The product subtracts T's weights as it builds each row, in its final
-(p, q) numbering, so no negated copy of T exists; it is accessible by
-construction, so its trim only removes the states that reach no final arrow,
-and the one backward search that orders the relaxation finds them; and with
-equal supports the zero filter is compared with S's support, whose subset NFA
-the support check already built.
+one kernel, _difference, for S = T or S <= T: it trims each input once,
+compares the supports, builds the product of S and -T once, relaxes its
+potential once and, for S = T, reads its zero filter once, from which the
+extraction takes its arrows and arcs.  The product subtracts T's weights as it
+builds each row, in its final (p, q) numbering, so no negated copy of T
+exists; it is accessible by construction, so its trim only removes the states
+that reach no final arrow, and the one backward search that orders the
+relaxation finds them; and with equal supports the zero filter is compared
+with S's support, whose subset NFA the support check already built.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -57,6 +58,7 @@ from .automaton import (
     _SubsetNfa,
 )
 from .errors import (
+    CapExceededError,
     NotNonpositiveError,
     PositiveCycleError,
     TagMismatchError,
@@ -106,7 +108,8 @@ def decide_nonpositive(aut: WeightedAutomaton) -> Decision:
     state i.  Decided by one early-exit Bellman-Ford relaxation.  The
     returned witness word has a value > 0 (exactly): a shortest offending
     word when one is shorter than n (_positive_word), otherwise a pumped
-    maximum-mean (positive) cycle.
+    maximum-mean (positive) cycle.  Raises CapExceededError when no witness
+    within ``DEFAULT_SUBSET_CAP`` letters or forward-pass pointers is found.
     """
     _require_max_plus(aut, "decide_nonpositive")
     return _nonpositive(aut.trim())[0]
@@ -186,11 +189,12 @@ def _positive_word(trim: WeightedAutomaton) -> Optional[str]:
     the first (state, letter) in increasing state and alphabet order that
     attains it.  The first level whose best alpha M^k beta (at the smallest
     state that attains it) is positive gives the word, read back along
-    those pointers.
+    those pointers.  Also None once it holds over ``DEFAULT_SUBSET_CAP`` pointers.
     """
     letters = [(ch, trim.mu[ch].rows) for ch in trim.alphabet]
     x = {i: w for i, w in enumerate(trim.alpha) if w is not None}
     hops = []  # hops[k][j]: the (state, letter) before j on level k + 1
+    held = 0
     for _ in range(trim.n):
         states = sorted(x)
         ends = [(x[i] + trim.beta[i], -i) for i in states if trim.beta[i] is not None]
@@ -211,20 +215,27 @@ def _positive_word(trim: WeightedAutomaton) -> Optional[str]:
                         nxt[j], hop[j] = v, (i, ch)
         x = nxt
         hops.append(hop)
+        held += len(hop)
+        if held > DEFAULT_SUBSET_CAP:
+            break
     return None
 
 
 def _pumped_witness(trim: WeightedAutomaton) -> str:
     """Build a word with positive value from a circuit of maximum mean rho > 0.
 
-    ``trim`` has a positive cycle; the circuit and rho come from one
+    ``trim`` has a positive series; the circuit and rho come from one
     _critical_circuit call on its letter sum, built here for that call.  The
     witness pumps the circuit enough times to dominate the exact weight of
-    its access and co-access paths.
+    its access and co-access paths.  Raises CapExceededError ("positive
+    word") when no circuit is positive, as only a forward pass stopped at
+    its cap leaves it, and ("witness") before building a word of more than
+    ``DEFAULT_SUBSET_CAP`` letters.
     """
     m = trim.letter_sum()
     rho, cycle = _critical_circuit(m)
-    assert rho is not None and rho > 0, "positive series without a positive word or cycle"
+    if rho is None or rho <= 0:
+        raise CapExceededError("positive word", DEFAULT_SUBSET_CAP)
     cycle_word = []
     cycle_weight = 0
     for idx, src in enumerate(cycle):
@@ -242,11 +253,11 @@ def _pumped_witness(trim: WeightedAutomaton) -> str:
     access_word, access_weight = _bfs_path(trim, start, forward=True)
     coaccess_word, coaccess_weight = _bfs_path(trim, start, forward=False)
     base = access_weight + coaccess_weight
-    if base + cycle_weight > 0:
-        pumps = 1
-    else:
-        # exact floor division keeps this correct for Fraction weights too
-        pumps = (-base) // cycle_weight + 1
+    # the fewest pumps k >= 1 with base + k * cycle_weight > 0; exact floor
+    # division keeps this correct for Fraction weights too
+    pumps = max(1, (-base) // cycle_weight + 1)
+    if len(access_word) + pumps * len(cycle_word) + len(coaccess_word) > DEFAULT_SUBSET_CAP:
+        raise CapExceededError("witness", DEFAULT_SUBSET_CAP)
     return access_word + "".join(cycle_word) * pumps + coaccess_word
 
 
@@ -441,7 +452,7 @@ class _Difference(NamedTuple):
     ``pairs`` holds the (p, q) of each of its states and ``zero`` its zero
     filter, read off its potential M*beta by _zero_filter.  ``product`` and
     ``pairs`` are None when the supports failed their comparison, ``zero``
-    when S - T is not nonpositive or the mode is "leq".
+    when S - T is not nonpositive or the question is S <= T.
     """
 
     verdict: Decision
@@ -451,15 +462,17 @@ class _Difference(NamedTuple):
     zero: Optional[tuple]
 
 
-def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> _Difference:
-    """The equality kernel: S = T ("equal"), S <= T ("leq"), or only S - T <= 0 ("extract").
+def _difference(
+    amax: WeightedAutomaton, bmin: WeightedAutomaton, inclusion: bool
+) -> _Difference:
+    """The equality kernel: S = T, or S <= T with ``inclusion``.
 
-    Trims each input once, compares the supports ("equal": equivalence,
-    "leq": inclusion, "extract": skipped), builds the difference product
-    once, relaxes its potential u once, and, except for "leq", reads the
-    zero filter off u; "equal" compares it with the support of ``ta``.  Each
-    step runs only when the ones before it held, so a witness is the one
-    that the failing step alone gives.
+    Trims each input once, compares the supports (equivalence, or inclusion
+    with ``inclusion``), builds the difference product once, relaxes its
+    potential u once, and, for S = T, reads the zero filter off u and
+    compares it with the support of ``ta``.  Each step runs only when the
+    ones before it held, so a witness is the one that the failing step
+    alone gives.
 
     The product subtracts bmin's weights as it combines them, so no negated
     copy of bmin is built.  It is accessible by construction, so its trim
@@ -475,23 +488,18 @@ def _difference(amax: WeightedAutomaton, bmin: WeightedAutomaton, mode: str) -> 
     """
     ta = amax.trim()
     tb = bmin.trim()
-    if mode != "extract":
-        support = ta._support_nfa()
-        verdict = _decision(
-            support.compare(tb._support_nfa(), mode == "leq", "support comparison")
-        )
-        if not verdict.holds:
-            return _Difference(verdict, ta, None, None, None)
+    support = ta._support_nfa()
+    verdict = _decision(support.compare(tb._support_nfa(), inclusion, "support comparison"))
+    if not verdict.holds:
+        return _Difference(verdict, ta, None, None, None)
     product, pairs = _accessible_product(ta, tb, MAX_PLUS, operator.sub)
     verdict, product, u, keep = _nonpositive(product)
     if keep is not None:
         pairs = [pairs[i] for i in keep]
     zero = None
-    if verdict.holds and mode != "leq":
+    if verdict.holds and not inclusion:
         zero = _zero_filter(product, u)
-        if mode == "equal":
-            zero_nfa = _SubsetNfa.of(*zero)
-            verdict = _decision(support.compare(zero_nfa, False, "zero-filter comparison"))
+        verdict = _decision(support.compare(_SubsetNfa.of(*zero), False, "zero-filter comparison"))
     return _Difference(verdict, ta, product, pairs, zero)
 
 
@@ -506,7 +514,7 @@ def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Dec
     pairs.
     """
     _check_pair(amax, bmin, "decide_series_equal")
-    return _difference(amax, bmin, "equal").verdict
+    return _difference(amax, bmin, False).verdict
 
 
 def decide_series_leq(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decision:
@@ -515,7 +523,7 @@ def decide_series_leq(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decis
     Raises CapExceededError as decide_series_equal does.
     """
     _check_pair(amax, bmin, "decide_series_leq")
-    return _difference(amax, bmin, "leq").verdict
+    return _difference(amax, bmin, True).verdict
 
 
 __all__ = [

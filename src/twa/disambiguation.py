@@ -35,13 +35,11 @@ from .automaton import (
     _explore,
 )
 from .decisions import _check_pair, _difference
-from .errors import CapExceededError, NotEqualError, NotNonpositiveError
+from .errors import CapExceededError, NotEqualError
 from .semiring import MAX_PLUS, format_finite
 
 
-def extract_one_valued(
-    amax: WeightedAutomaton, bmin: WeightedAutomaton, check: bool = True
-) -> WeightedAutomaton:
+def extract_one_valued(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> WeightedAutomaton:
     """A 1-valued max-plus automaton recognizing the common series of the pair.
 
     Pipeline: trim both inputs, build the product of amax and bmin whose
@@ -55,18 +53,18 @@ def extract_one_valued(
     states(amax) * states(bmin) states and all successful paths of a word
     weigh exactly the series value.
 
-    With ``check`` the equivalence of the two inputs is decided on the same
-    product and potential, and NotEqualError (with witness) raised if it
-    fails; without it, unequal inputs surface as NotNonpositiveError from
-    the renormalization step.  Raises CapExceededError when the product, or
-    a comparison of the check, reaches more than ``DEFAULT_SUBSET_CAP``
-    pairs.
+    The equivalence of the two inputs is decided on the same product and
+    potential, so the result is certified equal to both, and NotEqualError
+    (with the decision's witness) is raised when it fails.  Raises
+    CapExceededError when the product, or a comparison of that decision,
+    reaches more than ``DEFAULT_SUBSET_CAP`` pairs, or its witness more
+    than that many letters.
     """
-    # with the check, errors name the decision it runs
-    _check_pair(amax, bmin, "decide_series_equal" if check else "extract_one_valued")
-    difference = _difference(amax, bmin, "equal" if check else "extract")
+    # errors name the decision the extraction runs
+    _check_pair(amax, bmin, "decide_series_equal")
+    difference = _difference(amax, bmin, False)
     if not difference.verdict.holds:
-        raise (NotEqualError if check else NotNonpositiveError)(difference.verdict.witness)
+        raise NotEqualError(difference.verdict.witness)
     ta, product = difference.ta, difference.product
     initial, final, targets = difference.zero
     firsts = [p for p, _ in difference.pairs]  # the amax state of each product state
@@ -257,7 +255,6 @@ def _weighted_subsets(aut: WeightedAutomaton, cap: int) -> WeightedAutomaton:
 def unambiguous_from_pair(
     amax: WeightedAutomaton,
     bmin: WeightedAutomaton,
-    check: bool = True,
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> WeightedAutomaton:
     """Full pipeline: decide equality, extract the 1-valued automaton, make it unambiguous.
@@ -268,14 +265,15 @@ def unambiguous_from_pair(
     size, that is within min(its state count, ``subset_cap``) states;
     otherwise it is the subset covering with its competitions removed
     (``disambiguate(one, subset_cap)``).  The choice follows from the input
-    alone.  Both keep the series of the 1-valued automaton, also when
-    ``check`` is off.  Raises ValueError for a ``subset_cap`` below 1 before
-    any work, and CapExceededError when the covering exceeds it or a
-    product or a comparison exceeds ``DEFAULT_SUBSET_CAP`` pairs.
+    alone.  Both keep the series of the 1-valued automaton, which the
+    extraction certifies equal to both inputs.  Raises ValueError for a
+    ``subset_cap`` below 1 before any work, NotEqualError (with witness) for
+    unequal inputs, and CapExceededError when the covering exceeds the cap
+    or a product or a comparison exceeds ``DEFAULT_SUBSET_CAP`` pairs.
     """
     if subset_cap < 1:
         raise ValueError("cap must be at least 1")
-    one = extract_one_valued(amax, bmin, check)
+    one = extract_one_valued(amax, bmin)
     try:
         return _weighted_subsets(one, min(one.n, subset_cap))
     except CapExceededError:

@@ -47,15 +47,15 @@ class NotEqualError(TwaError):
 
 
 class CapExceededError(TwaError):
-    """A resource cap was hit: more subsets or states appeared than the cap allows.
+    """A resource cap was hit: a construction or a witness grew past its cap.
 
     Every subset exploration (the all-words constant test, determinization,
-    the covering) takes a cap.  Every product stops at DEFAULT_SUBSET_CAP
-    pairs (``what`` is "product"), and so does every comparison of two NFAs
-    ("support comparison", "zero-filter comparison"), which explores pairs of
-    subsets.  `format.parse` refuses a state count, or a number of states
-    times letters, above DEFAULT_SUBSET_CAP.
-    ``what`` names the exploration, the product, the comparison or the count.
+    the covering) takes a cap.  DEFAULT_SUBSET_CAP bounds every product
+    (``what`` is "product") and every comparison of two NFAs ("support
+    comparison", "zero-filter comparison"), the letters of a nonpositivity
+    witness ("witness"), and the pointers of its forward pass when no circuit
+    is positive ("positive word").  `format.parse` refuses a state count, or
+    a number of states times letters, above it.  ``what`` names what stopped.
     """
 
     def __init__(self, what: str, cap: int):

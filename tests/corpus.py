@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from twa import MAX_PLUS, MIN_PLUS, Covering, TropicalMatrix, WeightedAutomaton
 from twa.automaton import _SubsetNfa
 from twa.format import serialize
+from twa.semiring import format_finite, parse_finite
 from twa.spectral import vec_mat
 
 
@@ -485,16 +486,18 @@ LONGEST_LIST = sys.maxsize // struct.calcsize("P")
 
 
 @st.composite
-def twa_texts(draw, tag=None, max_states=4):
+def twa_texts(draw, tag=None, max_states=4, lowered=False):
     """Hypothesis strategy: `.twa` text, valid or malformed.
 
     Serializes an automaton of ``automata`` (of ``tag``, else of either tag;
-    integer or fraction weights), shuffles the lines after the `states` line, then applies up to
-    four mutations: drop or duplicate a line; drop, duplicate or swap tokens
-    of a line; put a non-ASCII digit into a token; put an out-of-range state
-    into an arrow or arc; put an unknown letter into an arc; put a malformed
-    literal in place of a weight; give the `states` line a count longer
-    than any list.  Such a count must fail before anything is allocated.
+    integer or fraction weights); with ``lowered``, half of the time lowers
+    one initial arrow by 10**3 or 10**30, so that the first positive word
+    may be about that long, past any cap; shuffles the lines after the
+    `states` line, then applies up to four mutations: drop or duplicate a
+    line; drop, duplicate or swap tokens of a line; put a non-ASCII digit
+    into a token; put an out-of-range state into an arrow or arc; put an
+    unknown letter into an arc; put a malformed literal in place of a
+    weight; give the `states` line a count longer than any list.  Such a count must fail before anything is allocated.
     Counts between the drawn ones and that limit are never drawn: a count
     near 10**9 would really allocate gigabytes.
     """
@@ -503,6 +506,12 @@ def twa_texts(draw, tag=None, max_states=4):
     weight = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=4)
     aut = draw(automata(tag, max_states=max_states, weight=weight))
     lines = serialize(aut).splitlines()
+    initial = [k for k, line in enumerate(lines) if line.startswith("initial ")]
+    if lowered and initial and draw(st.booleans()):
+        k = draw(st.sampled_from(initial))
+        head, literal = lines[k].rsplit(" ", 1)
+        value = parse_finite(literal) - 10 ** draw(st.sampled_from([3, 30]))
+        lines[k] = f"{head} {format_finite(value)}"
     lines[4:] = draw(st.permutations(lines[4:]))
     for _ in range(draw(st.integers(0, 4))):
         if not lines:
@@ -548,13 +557,13 @@ def twa_texts(draw, tag=None, max_states=4):
 
 
 @st.composite
-def twa_files(draw, tag=None, max_states=4):
+def twa_files(draw, tag=None, max_states=4, lowered=False):
     """Hypothesis strategy: the bytes of a `.twa` file, sometimes not UTF-8.
 
     The UTF-8 encoding of ``twa_texts``, with one byte sequence that does not
     decode inserted at a drawn offset half of the time.
     """
-    data = draw(twa_texts(tag, max_states)).encode("utf-8")
+    data = draw(twa_texts(tag, max_states, lowered)).encode("utf-8")
     if draw(st.booleans()):
         at = draw(st.integers(0, len(data)))
         bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))

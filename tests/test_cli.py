@@ -96,6 +96,28 @@ def test_check_nonpositive_min_plus_dual(capsys, tmp_path):
     assert (code, out.strip()) == (0, "YES")
 
 
+def test_a_witness_past_the_cap_exits_3(capsys, tmp_path):
+    # one state, `initial 0 -K`, `final 0 0`, an `a` loop of weight 1: the
+    # first positive word is a^(K+1), which `leq` against 0 meets as well
+    path, zero = tmp_path / "far.twa", tmp_path / "zero.twa"
+    zero.write_text(
+        "twa 1\nsemiring min-plus\nalphabet a\nstates 1\ninitial 0 0\nfinal 0 0\ntrans 0 0 a 0\n"
+    )
+    refused = (3, "", "error: witness exceeded cap of 1000000\n")  # one line, no traceback
+    for k, expected in [
+        (10**5, (1, "NO witness=" + "a" * 100_001 + "\n", "")),
+        (10**6, refused),
+        (10**30, refused),
+    ]:
+        path.write_text(
+            "twa 1\nsemiring max-plus\nalphabet a\nstates 1\n"
+            f"initial 0 -{k}\nfinal 0 0\ntrans 0 0 a 1\n"
+        )
+        assert run(capsys, "check-nonpositive", str(path)) == expected, k
+        if k == 10**30:
+            assert run(capsys, "leq", str(path), str(zero)) == refused
+
+
 def test_fatou_roundtrip(capsys, tmp_path):
     src = tmp_path / "chain.twa"
     src.write_text(
@@ -189,13 +211,6 @@ def test_onevalued_writes_output(capsys, tmp_path):
     assert result.n == 4
 
 
-def test_onevalued_no_check(capsys, tmp_path):
-    out_path = tmp_path / "onevalued.twa"
-    code, _, _ = run(capsys, "onevalued", AMAX, BMIN, "--no-check", "-o", str(out_path))
-    assert code == 0
-    assert load(out_path).n == 4
-
-
 def test_onevalued_reports_unequal_pairs(capsys, tmp_path):
     other = tmp_path / "other.twa"
     other.write_text(pathlib.Path(BMIN).read_text().replace("final 0 0", "final 0 1"))
@@ -283,11 +298,22 @@ def test_monoid_cap_exit_code(capsys, tmp_path):
         "initial 0 0\nfinal 0 0\nfinal 1 0\n"
         "trans 0 1 a 0\ntrans 1 0 a 0\ntrans 0 0 b 0\ntrans 1 1 b 0\n"
     )
-    # --monoid-cap is the older spelling of --subset-cap
-    for spelling in ("--subset-cap", "--monoid-cap"):
-        code, _, err = run(capsys, "equal-const", "0", str(path), spelling, "1")
-        assert code == 3, spelling
-        assert "cap" in err, spelling
+    code, _, err = run(capsys, "equal-const", "0", str(path), "--subset-cap", "1")
+    assert code == 3
+    assert "cap" in err
+
+
+def test_retired_options_are_usage_errors(capsys):
+    # every pair is checked, so there is no --no-check; --monoid-cap was the
+    # old spelling of --subset-cap
+    for argv in (
+        ("onevalued", AMAX, BMIN, "--no-check"),
+        ("pipeline", AMAX, BMIN, "--no-check"),
+        ("equal-const", "0", AMAX, "--monoid-cap", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments" in err, argv
 
 
 def test_oracle_compare(capsys):
@@ -376,11 +402,7 @@ def test_nonpositive_caps_and_negative_lengths_are_usage_errors(capsys, tmp_path
         "trans 0 1 a 0\ntrans 1 0 a 0\ntrans 0 0 b 0\ntrans 1 1 b 0\n"
     )
     for argv in (
-        *(
-            ("equal-const", "0", str(path), spelling, cap)
-            for spelling in ("--subset-cap", "--monoid-cap")
-            for cap in ("0", "-2", "many")
-        ),
+        *(("equal-const", "0", str(path), "--subset-cap", cap) for cap in ("0", "-2", "many")),
         ("pipeline", AMAX, BMIN, "--subset-cap", "0"),
         ("pipeline", AMAX, BMIN, "--subset-cap", "-5"),
         ("disambiguate", AMAX, "--subset-cap", "0"),
@@ -468,11 +490,11 @@ def test_repeated_calls_match_a_fresh_process_each(monkeypatch, capsys, tmp_path
     swap.write_text(SWAP)
     out_file = tmp_path / "out.twa"
     calls = [
-        ("pipeline", AMAX, BMIN, "--no-check", "-o", str(out_file)),
+        ("pipeline", AMAX, BMIN, "-o", str(out_file)),
         ("pipeline", AMAX, BMIN),
         ("pipeline", AMAX, BMIN, "--subset-cap", "1"),
         ("pipeline", AMAX, BMIN),
-        ("equal-const", "0", str(swap), "--monoid-cap", "1"),
+        ("equal-const", "0", str(swap), "--subset-cap", "1"),
         ("equal-const", "0", str(swap)),
         ("--help",),
         ("--help",),
@@ -504,9 +526,7 @@ PAIR_COMMANDS = [
     ["equal"],
     ["leq"],
     ["onevalued"],
-    ["onevalued", "--no-check"],
     ["pipeline"],
-    ["pipeline", "--no-check"],
     ["oracle", "compare"],
 ]
 

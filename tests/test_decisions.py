@@ -521,6 +521,48 @@ def test_a_positive_empty_word_is_a_no_before_the_backward_search(monkeypatch):
     assert decide_equal_const(constant_automaton(3), 0) == (False, "")
 
 
+# -- the caps of a NO witness -------------------------------------------------
+
+
+def pumped_loop(k):
+    """One state, initial -k, final 0, an `a` loop of weight 1: a^(k+1) is the first positive word."""
+    return WeightedAutomaton.from_arcs(
+        MAX_PLUS, "a", 1, initial=[(0, -k)], final=[(0, 0)], arcs=[(0, "a", 0, 1)]
+    )
+
+
+def test_a_pumped_witness_past_the_cap_is_refused_before_it_is_built():
+    assert decide_nonpositive(pumped_loop(10**5)) == (False, "a" * 100_001)
+    for k in (10**6, 10**30):  # 1,000,001 letters, and more than an index can hold
+        with pytest.raises(CapExceededError) as err:
+            decide_nonpositive(pumped_loop(k))
+        assert (err.value.what, err.value.cap) == ("witness", 10**6)
+
+
+def test_the_forward_pass_holds_at_most_the_cap(monkeypatch):
+    # a positive `a` loop at state 0, padded with 20 states that one `b`
+    # reaches, so the first level holds 21 pointers; the relaxation stops on
+    # the positive word aa, not on a divergence
+    padded = WeightedAutomaton.from_arcs(
+        MAX_PLUS, "ab", 21, initial=[(0, -1)], final=[(i, 0) for i in range(21)],
+        arcs=[(0, "a", 0, 1)] + [(0, "b", i, -10) for i in range(1, 21)],
+    )
+    # an acyclic positive path of 12 letters, one pointer per level
+    chain = WeightedAutomaton.from_arcs(
+        MAX_PLUS, "a", 13, initial=[(0, 0)], final=[(12, 1)],
+        arcs=[(i, "a", i + 1, 0) for i in range(12)],
+    )
+    assert decide_nonpositive(padded) == (False, "aa")
+    assert decide_nonpositive(chain) == (False, "a" * 12)
+    monkeypatch.setattr(twa.decisions, "DEFAULT_SUBSET_CAP", 10)
+    assert _positive_word(padded.trim()) is None
+    # past the cap the pumped loop takes over, with an exact positive word
+    assert decide_nonpositive(padded) == (False, "aa")
+    with pytest.raises(CapExceededError) as err:
+        decide_nonpositive(chain)  # no circuit to pump
+    assert (err.value.what, err.value.cap) == ("positive word", 10)
+
+
 # -- the reference monoid closure ---------------------------------------------
 
 
@@ -797,9 +839,7 @@ PAIR_CALLS = {
     "decide_series_equal": decide_series_equal,
     "decide_series_leq": decide_series_leq,
     "extract_one_valued": extract_one_valued,
-    "extract_one_valued unchecked": lambda a, b: extract_one_valued(a, b, check=False),
     "unambiguous_from_pair": unambiguous_from_pair,
-    "unambiguous_from_pair unchecked": lambda a, b: unambiguous_from_pair(a, b, check=False),
     "hadamard": lambda a, b: hadamard(a, b.negate()),
     "equal_upto": lambda a, b: equal_upto(a, b, 5),
 }
@@ -827,9 +867,7 @@ def test_different_letters_are_still_refused():
         "decide_series_equal": "decide_series_equal: automata must share one alphabet",
         "decide_series_leq": "decide_series_leq: automata must share one alphabet",
         "extract_one_valued": "decide_series_equal: automata must share one alphabet",
-        "extract_one_valued unchecked": "extract_one_valued: automata must share one alphabet",
         "unambiguous_from_pair": "decide_series_equal: automata must share one alphabet",
-        "unambiguous_from_pair unchecked": "extract_one_valued: automata must share one alphabet",
         "hadamard": "hadamard requires identical alphabets",
         "equal_upto": "equal_upto requires identical alphabets",
     }

@@ -16,6 +16,7 @@ from corpus import (
 from twa import (
     DEFAULT_SUBSET_CAP,
     MAX_PLUS,
+    MIN_PLUS,
     CapExceededError,
     NotEqualError,
     WeightedAutomaton,
@@ -167,7 +168,7 @@ def test_extract_one_valued_dimension_bound_and_values():
     rng = random.Random(6006)
     for _ in range(20):
         det = random_deterministic_automaton(rng, max_states=3)
-        result = extract_one_valued(det, as_min_plus_copy(det), check=False)
+        result = extract_one_valued(det, as_min_plus_copy(det))
         assert result.n <= det.n * det.n
         assert equal_upto(result, det, 5).holds
         assert one_valued_upto(result, 5).holds
@@ -435,10 +436,9 @@ def test_pipeline_rejects_caps_below_one_before_any_work(pair, cap):
         unambiguous_from_pair(amax, as_min_plus_copy(amax), subset_cap=cap)
 
 
-def test_unchecked_pipeline_keeps_the_one_valued_series():
-    # with the check off the output has the series of the extracted automaton,
-    # also when the inputs differ: here T is S + 1 on the words that end in
-    # one final state, so the extraction keeps S on the other words only
+def test_every_unequal_pair_raises_with_a_witness_on_which_it_differs():
+    # T is S + 1 on the words that end in one final state; the extraction and
+    # the pipeline always decide S = T first, and build only on equal pairs
     rng = random.Random(1717)
     unequal = 0
     for _ in range(12):
@@ -455,9 +455,35 @@ def test_unchecked_pipeline_keeps_the_one_valued_series():
             arcs=list(det.arcs()),
         )
         amax, bmin = _duplicate_union(det), as_min_plus_copy(raised)
-        one = extract_one_valued(amax, bmin, check=False)
-        out = unambiguous_from_pair(amax, bmin, check=False)
-        unequal += not decide_series_equal(amax, bmin).holds
-        assert decide_series_equal(out, as_min_plus_copy(one)).holds
-        assert max_ambiguity_upto(out, 8)[0] <= 1
+        verdict = decide_series_equal(amax, bmin)
+        unequal += not verdict.holds
+        for call in (extract_one_valued, unambiguous_from_pair):
+            if verdict.holds:
+                assert decide_series_equal(call(amax, bmin), bmin).holds
+                continue
+            with pytest.raises(NotEqualError) as err:
+                call(amax, bmin)
+            assert err.value.witness == verdict.witness
+            assert amax.eval(verdict.witness) != bmin.eval(verdict.witness)
     assert unequal > 0
+
+
+def test_the_pipeline_has_no_unchecked_path():
+    # S = 0 on a*, and T = 0 on the empty word only, or T(a^n) = n + 1:
+    # unchecked, these pairs once gave a 1-state and a 0-state automaton
+    s = WeightedAutomaton.from_arcs(
+        MAX_PLUS, "a", 1, initial=[(0, 0)], final=[(0, 0)], arcs=[(0, "a", 0, 0)]
+    )
+    empty_word = WeightedAutomaton.from_arcs(MIN_PLUS, "a", 1, initial=[(0, 0)], final=[(0, 0)])
+    plus_one = WeightedAutomaton.from_arcs(
+        MIN_PLUS, "a", 1, initial=[(0, 0)], final=[(0, 1)], arcs=[(0, "a", 0, 1)]
+    )
+    for t, witness in ((empty_word, "a"), (plus_one, "")):
+        for call in (extract_one_valued, unambiguous_from_pair):
+            with pytest.raises(NotEqualError) as err:
+                call(s, t)
+            assert err.value.witness == witness
+    with pytest.raises(TypeError):
+        extract_one_valued(s, as_min_plus_copy(s), check=False)
+    with pytest.raises(TypeError):
+        unambiguous_from_pair(s, as_min_plus_copy(s), check=False)

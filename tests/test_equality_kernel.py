@@ -43,7 +43,6 @@ from twa import (
     CapExceededError,
     Decision,
     NotEqualError,
-    NotNonpositiveError,
     PositiveCycleError,
     TropicalMatrix,
     WeightedAutomaton,
@@ -132,17 +131,16 @@ def ref_series_leq(amax, bmin):
     return ref_nonpositive(hadamard(ta, tb.negate()).trim())
 
 
-def ref_extract(amax, bmin, check):
-    """Renormalize the difference on the full grid, keep its zeros with amax's weights.
+def ref_extract(amax, bmin):
+    """Decide S = T, renormalize the difference on the full grid, keep its zeros with amax's weights.
 
     The difference S - T and amax's weights come from two full-grid products
     of the same shape, never from the kernel, so trimming keeps the same
     states of both.
     """
-    if check:
-        verdict = ref_series_equal(amax, bmin)
-        if not verdict.holds:
-            raise NotEqualError(verdict.witness)
+    verdict = ref_series_equal(amax, bmin)
+    if not verdict.holds:
+        raise NotEqualError(verdict.witness)
     ta, negated = amax.trim(), bmin.trim().negate()
     difference = grid_product(ta, negated, MAX_PLUS, operator.add).trim()
     weights = grid_product(ta, negated, MAX_PLUS, lambda x, y: x).trim()
@@ -150,9 +148,7 @@ def ref_extract(amax, bmin, check):
         return WeightedAutomaton(
             MAX_PLUS, amax.alphabet, 0, [], [], {ch: TropicalMatrix(MAX_PLUS, 0) for ch in amax.alphabet}
         )
-    verdict = ref_nonpositive(difference)
-    if not verdict.holds:
-        raise NotNonpositiveError(verdict.witness)
+    assert ref_nonpositive(difference).holds  # S = T, so S - T is 0 on its support
     flat = ref_fatou(difference)
     mu = {
         ch: TropicalMatrix(
@@ -271,11 +267,11 @@ def ref_determinize_weighted(aut, cap):
     )
 
 
-def ref_unambiguous(amax, bmin, check=True, cap=DEFAULT_SUBSET_CAP):
+def ref_unambiguous(amax, bmin, cap=DEFAULT_SUBSET_CAP):
     """The weighted determinization of ref_extract's automaton if it stays within
     min(its state count, cap) states, else its covering with the competitions
     removed by the grouping rule."""
-    one = ref_extract(amax, bmin, check)
+    one = ref_extract(amax, bmin)
     deterministic = ref_determinize_weighted(one, min(one.n, cap))
     if deterministic is not None:
         return deterministic
@@ -286,7 +282,7 @@ def outcome(fn, *args, **kwargs):
     """A comparable record: the verdict, the serialized automaton, or the error and its witness."""
     try:
         result = fn(*args, **kwargs)
-    except (NotEqualError, NotNonpositiveError) as exc:
+    except NotEqualError as exc:
         return (type(exc).__name__, exc.witness)
     if isinstance(result, WeightedAutomaton):
         return serialize(result)
@@ -420,24 +416,21 @@ def test_kernel_matches_the_separate_path():
         assert decide_series_leq(amax, bmin) == ref_series_leq(amax, bmin)
         difference = hadamard(amax, bmin.negate())
         assert decide_equal_const_on_support(difference, 0) == ref_const_on_support(difference)
-        for check in (True, False):
-            expected = outcome(ref_extract, amax, bmin, check)
-            assert outcome(extract_one_valued, amax, bmin, check) == expected
-            if isinstance(expected, str):
-                one = ref_extract(amax, bmin, check)
-                assert serialize(disambiguate(one)) == serialize(ref_remove_competitions(ref_covering(one))[2])
-                seen.add("deterministic" if ref_determinize_weighted(one, one.n) else "covering")
-            assert outcome(unambiguous_from_pair, amax, bmin, check) == outcome(
-                ref_unambiguous, amax, bmin, check
-            )
+        expected = outcome(ref_extract, amax, bmin)
+        assert outcome(extract_one_valued, amax, bmin) == expected
+        if isinstance(expected, str):
+            one = ref_extract(amax, bmin)
+            assert serialize(disambiguate(one)) == serialize(ref_remove_competitions(ref_covering(one))[2])
+            seen.add("deterministic" if ref_determinize_weighted(one, one.n) else "covering")
+        assert outcome(unambiguous_from_pair, amax, bmin) == outcome(ref_unambiguous, amax, bmin)
         ta, tb = amax.trim(), bmin.trim()
         seen.add("equal" if equal.holds else "not equal")
         if not ref_nfa_compare(support(ta), support(tb), False).holds:
             seen.add("unequal supports")
+        elif not ref_nonpositive(difference.trim()).holds:
+            seen.add("not nonpositive")
         if difference.trim().n == 0:
             seen.add("empty product")
-        if expected[0] == "NotNonpositiveError":
-            seen.add("not nonpositive")
 
     check()
     # the drawn pairs reach every branch of the kernel
@@ -461,7 +454,7 @@ def test_kernel_matches_the_separate_path():
 def test_kernel_builds_no_negated_copy_and_no_product_support(monkeypatch, pair):
     amax, bmin = pair()
     ta, tb = amax.trim(), bmin.trim()
-    one = ref_extract(amax, bmin, True)
+    one = ref_extract(amax, bmin)
     assert serialize(disambiguate(extract_one_valued(amax, bmin))) == serialize(
         ref_remove_competitions(ref_covering(one))[2]
     )
@@ -540,7 +533,7 @@ def test_only_the_kernel_reads_the_zero_filter(monkeypatch, pair):
     # the extraction takes its arrows and arcs from the kernel's zero filter,
     # so the tightness of an arrow or arc is tested once; "leq" reads none
     amax, bmin = pair()
-    expected = {check: serialize(extract_one_valued(amax, bmin, check)) for check in (True, False)}
+    expected = serialize(extract_one_valued(amax, bmin))
     leq = decide_series_leq(amax, bmin)
     calls = []
     zero_filter = twa.decisions._zero_filter
@@ -550,10 +543,8 @@ def test_only_the_kernel_reads_the_zero_filter(monkeypatch, pair):
         return zero_filter(*args)
 
     monkeypatch.setattr(twa.decisions, "_zero_filter", counted)
-    for check in (True, False):
-        calls.clear()
-        assert serialize(extract_one_valued(amax, bmin, check)) == expected[check]
-        assert len(calls) == 1
+    assert serialize(extract_one_valued(amax, bmin)) == expected
+    assert len(calls) == 1
     calls.clear()
     assert decide_series_leq(amax, bmin) == leq
     assert calls == []
@@ -655,8 +646,8 @@ def test_relaxation_of_the_prime_products_takes_few_rounds(pqrs):
 
 def _one_valued(pair):
     try:
-        return extract_one_valued(*pair, check=False)
-    except NotNonpositiveError:
+        return extract_one_valued(*pair)
+    except NotEqualError:
         return None
 
 

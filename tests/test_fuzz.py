@@ -12,7 +12,7 @@ import pathlib
 import re
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import corpus
 from twa import MAX_PLUS, MIN_PLUS
@@ -205,7 +205,7 @@ _COMMANDS = (
     ("rho", "F"),
     ("check-nonpositive", "F"),
     ("fatou", "F"),
-    ("equal-const", "0", "F", "--monoid-cap", "2"),
+    ("equal-const", "0", "F", "--subset-cap", "2"),
     ("equal-const", "0", "F", "--on-support"),
     ("disambiguate", "F", "--subset-cap", "2"),
     ("oracle", "ambiguity", "F", "--maxlen", "3"),
@@ -217,8 +217,18 @@ _COMMANDS = (
 )
 
 
+# one `a` loop of weight 1 behind an initial arrow of -10**30: the first
+# positive word has 10**30 + 1 letters, and the constant 0 on a*
+_FAR = (
+    "twa 1\nsemiring max-plus\nalphabet a\nstates 1\n"
+    f"initial 0 -{10**30}\nfinal 0 0\ntrans 0 0 a 1\n"
+).encode()
+_ZERO = b"twa 1\nsemiring min-plus\nalphabet a\nstates 1\ninitial 0 0\nfinal 0 0\ntrans 0 0 a 0\n"
+
+
 @settings(max_examples=60)
-@given(corpus.twa_files(MAX_PLUS), corpus.twa_files(MIN_PLUS))
+@given(corpus.twa_files(MAX_PLUS, lowered=True), corpus.twa_files(MIN_PLUS, lowered=True))
+@example(_FAR, _ZERO)
 def test_cli_answers_every_file_with_an_exit_code(data_a, data_b):
     with tempfile.TemporaryDirectory() as tmp:
         a, b = pathlib.Path(tmp, "a.twa"), pathlib.Path(tmp, "b.twa")
