@@ -290,9 +290,9 @@ class WeightedAutomaton:
 
 
 def _accessible_product(
-    a: WeightedAutomaton, b: WeightedAutomaton, semiring: Semiring, combine
+    a: WeightedAutomaton, b: WeightedAutomaton, semiring: Semiring, combine, reached=None
 ) -> tuple[WeightedAutomaton, list]:
-    """The part of the product a x b reachable from its initial pairs.
+    """The part of the product a x b reachable from its initial pairs, unlabelled.
 
     A pair (p, q) is initial when both initial weights are finite, and a
     joint arc (p, q) -x-> (r, s) exists when both p -x-> r and q -x-> s do;
@@ -301,35 +301,41 @@ def _accessible_product(
     unreachable pairs deleted, and trimming either gives the same automaton.
     Returns the product and the pair (p, q) of each of its states.
 
-    Two phases: the first discovers the reachable pairs and builds nothing
-    else; the second builds each row once, already in the final numbering.
+    Two phases: the first finds the reachable pairs, the second builds each
+    row once, in the final numbering.  The pairs are read off ``reached``,
+    groups (x, y) whose products x * y make up exactly the reachable pairs,
+    when those hold at most min(a.n * b.n, DEFAULT_SUBSET_CAP) pairs in all;
+    else a search from the initial pairs finds them.
     Raises CapExceededError("product", ...) past DEFAULT_SUBSET_CAP pairs.
     """
     cap = DEFAULT_SUBSET_CAP
     bn = b.n
     letters = [(a.mu[ch].rows, b.mu[ch].rows) for ch in a.alphabet]
-    seen = {
-        p * bn + q
-        for p, wa in enumerate(a.alpha) if wa is not None
-        for q, wb in enumerate(b.alpha) if wb is not None
-    }
-    if len(seen) > cap:
-        raise CapExceededError("product", cap)
-    stack = list(seen)
-    while stack:
-        p, q = divmod(stack.pop(), bn)
-        for arows, brows in letters:
-            brow = brows[q]
-            if brow:
-                for r in arows[p]:
-                    base = r * bn
-                    for s in brow:
-                        t = base + s
-                        if t not in seen:
-                            if len(seen) >= cap:
-                                raise CapExceededError("product", cap)
-                            seen.add(t)
-                            stack.append(t)
+    if reached is not None and sum(len(x) * len(y) for x, y in reached) <= min(a.n * bn, cap):
+        seen = {p * bn + q for x, y in reached for p in x for q in y}
+    else:
+        seen = {
+            p * bn + q
+            for p, wa in enumerate(a.alpha) if wa is not None
+            for q, wb in enumerate(b.alpha) if wb is not None
+        }
+        if len(seen) > cap:
+            raise CapExceededError("product", cap)
+        stack = list(seen)
+        while stack:
+            p, q = divmod(stack.pop(), bn)
+            for arows, brows in letters:
+                brow = brows[q]
+                if brow:
+                    for r in arows[p]:
+                        base = r * bn
+                        for s in brow:
+                            t = base + s
+                            if t not in seen:
+                                if len(seen) >= cap:
+                                    raise CapExceededError("product", cap)
+                                seen.add(t)
+                                stack.append(t)
     keys = sorted(seen)
     index = {key: i for i, key in enumerate(keys)}
     pairs = [divmod(key, bn) for key in keys]
@@ -352,13 +358,17 @@ def _accessible_product(
             for p, q in pairs
         ]
 
-    la = [a.state_label(p) for p in range(a.n)]
-    lb = [b.state_label(q) for q in range(bn)]
-    labels = tuple(f"({la[p]},{lb[q]})" for p, q in pairs)
     product = WeightedAutomaton._adopt(
-        semiring, a.alphabet, arrows(a.alpha, b.alpha), arrows(a.beta, b.beta), mu, labels
+        semiring, a.alphabet, arrows(a.alpha, b.alpha), arrows(a.beta, b.beta), mu, None
     )
     return product, pairs
+
+
+def _pair_labels(a: WeightedAutomaton, b: WeightedAutomaton, pairs) -> tuple:
+    """The label "(label of p,label of q)" of each pair (p, q) of a product of a and b."""
+    la = [a.state_label(p) for p in range(a.n)]
+    lb = [b.state_label(q) for q in range(b.n)]
+    return tuple(f"({la[p]},{lb[q]})" for p, q in pairs)
 
 
 def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
@@ -374,7 +384,9 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     if a.semiring.tag != b.semiring.tag:
         raise TagMismatchError(f"mixed tags: {a.semiring.tag} vs {b.semiring.tag}")
     _check_alphabets(a, b, "hadamard requires identical alphabets")
-    return _accessible_product(a, b, a.semiring, operator.add)[0]
+    product, pairs = _accessible_product(a, b, a.semiring, operator.add)
+    product.state_labels = _pair_labels(a, b, pairs)
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +394,8 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
 # ---------------------------------------------------------------------------
 
 DEFAULT_SUBSET_CAP = 1_000_000
+
+_EMPTY = frozenset()  # the targets of every state without an arc on a letter
 
 
 class _SubsetNfa:
@@ -391,8 +405,8 @@ class _SubsetNfa:
     (``of``) and get back words, state lists and move tables.
     ``succ`` maps each letter, in alphabet order, to the frozenset of targets
     of every state, so memory grows with the arcs and the subsets walked.
-    Each question is one breadth-first ``_explore`` in alphabet order, so
-    every witness is the length-lex-first word.
+    Every question is one breadth-first walk in alphabet order (``_explore``,
+    or the comparisons' own loop), so every witness is the length-lex-first word.
     """
 
     __slots__ = ("initial", "final", "succ")
@@ -405,30 +419,48 @@ class _SubsetNfa:
     @classmethod
     def of(cls, initial_states, final_states, targets: dict) -> "_SubsetNfa":
         """``targets`` maps each letter, in alphabet order, to an iterable of targets per state."""
-        succ = {ch: [frozenset(row) for row in rows] for ch, rows in targets.items()}
+        succ = {ch: [frozenset(r) if r else _EMPTY for r in rows] for ch, rows in targets.items()}
         return cls(frozenset(initial_states), frozenset(final_states), succ)
 
     def compare(self, other: "_SubsetNfa", inclusion: bool, what: str):
         """The first word accepted here and not by ``other`` (inclusion), or by
-        exactly one of them (equivalence); None when there is none.
-
-        Walks the pairs of subsets that one word reaches, reading ``other``'s
-        letters by name.  Raises CapExceededError(what, cap) past
-        ``DEFAULT_SUBSET_CAP`` pairs, the cap read at call time.
+        exactly one of them (equivalence); None when there is none.  See ``walk``.
         """
-        afinal, bfinal, asucc, bsucc = self.final, other.final, self.succ, other.succ
+        return self.walk(other, inclusion, what)[0]
 
-        def bad(pair) -> bool:
-            acc_a, acc_b = not afinal.isdisjoint(pair[0]), not bfinal.isdisjoint(pair[1])
-            return (acc_a and not acc_b) if inclusion else (acc_a != acc_b)
+    def walk(self, other: "_SubsetNfa", inclusion: bool, what: str):
+        """``compare``'s witness, and the pairs of subsets walked: with no
+        witness, every pair (A(w), B(w)) that a word w reaches.
 
-        def step(pair, ch):
-            return _post(pair[0], asucc[ch]), _post(pair[1], bsucc[ch])
-
-        _, parents, _, hit = _explore(
-            (self.initial, other.initial), list(asucc), step, DEFAULT_SUBSET_CAP, what, stop=bad
-        )
-        return None if hit is None else _path_word(parents, hit)
+        Breadth-first in this NFA's alphabet order, ``other``'s letters read
+        by name, with no move table.  A one-state subset steps to its stored
+        set.  Raises CapExceededError(what, cap) past ``DEFAULT_SUBSET_CAP``
+        pairs, the cap read at call time.
+        """
+        cap = DEFAULT_SUBSET_CAP
+        afinal, bfinal = self.final, other.final
+        letters = [(ch, asucc, other.succ[ch]) for ch, asucc in self.succ.items()]
+        start = (self.initial, other.initial)
+        parents = {start: None}
+        walked = [start]
+        for pair in walked:  # the list grows as the walk goes
+            x, y = pair
+            accepted = not afinal.isdisjoint(x)
+            if accepted != (not bfinal.isdisjoint(y)) and (accepted or not inclusion):
+                return _path_word(parents, pair), walked
+            p = next(iter(x)) if len(x) == 1 else None
+            q = next(iter(y)) if len(y) == 1 else None
+            for ch, asucc, bsucc in letters:
+                nxt = (
+                    asucc[p] if p is not None else _EMPTY.union(*[asucc[s] for s in x]),
+                    bsucc[q] if q is not None else _EMPTY.union(*[bsucc[s] for s in y]),
+                )
+                if nxt not in parents:
+                    if len(walked) >= cap:
+                        raise CapExceededError(what, cap)
+                    parents[nxt] = (pair, ch)
+                    walked.append(nxt)
+        return None, walked
 
     def rejected_word(self, cap: int, what: str):
         """The first word rejected, found by walking the subsets that the words
@@ -468,7 +500,7 @@ def _post(subset: frozenset, succ: list) -> frozenset:
     if len(subset) == 1:
         (state,) = subset
         return succ[state]
-    return frozenset().union(*[succ[s] for s in subset])
+    return _EMPTY.union(*[succ[s] for s in subset])
 
 
 def _explore(start, letters, step, cap: int, what: str, stop=None):
@@ -513,8 +545,9 @@ def _explore(start, letters, step, cap: int, what: str, stop=None):
     return nodes, parents, moves, None
 
 
-def _path_word(parents: list, node: int) -> str:
-    """The word that first reached ``node`` in an exploration."""
+def _path_word(parents, node) -> str:
+    """The word that first reached ``node``: ``parents`` maps each node (an
+    index, or the node itself) to the (node, letter) it was reached from, or None."""
     letters = []
     while parents[node] is not None:
         node, ch = parents[node]

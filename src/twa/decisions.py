@@ -35,8 +35,9 @@ extraction takes its arrows and arcs.  The product subtracts T's weights as it
 builds each row, in its final (p, q) numbering, so no negated copy of T
 exists; it is accessible by construction, so its trim only removes the states
 that reach no final arrow, and the one backward search that orders the
-relaxation finds them; and with equal supports the zero filter is compared
-with S's support, whose subset NFA the support check already built.
+relaxation finds them; it reads its pairs off the walk of the support
+comparison and has no labels; and with equal supports the zero filter is
+compared with the support NFA of the input with fewer states, already built.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -447,16 +448,17 @@ class _Difference(NamedTuple):
     """What the equality kernel learned about S - T.
 
     ``product`` is the trimmed accessible product of the trimmed amax ``ta``
-    and the trimmed bmin, each joint arrow and arc weighing the amax weight
-    minus the bmin weight, so its series is S - T on the common support;
-    ``pairs`` holds the (p, q) of each of its states and ``zero`` its zero
-    filter, read off its potential M*beta by _zero_filter.  ``product`` and
-    ``pairs`` are None when the supports failed their comparison, ``zero``
-    when S - T is not nonpositive or the question is S <= T.
+    and the trimmed bmin ``tb``, unlabelled, each arrow and arc weighing the
+    amax weight minus the bmin weight, so its series is S - T on the common
+    support; ``pairs`` holds the (p, q) of each of its states and ``zero``
+    its zero filter, read off its potential M*beta by _zero_filter.
+    ``product`` and ``pairs`` are None when the supports failed their
+    comparison, ``zero`` when S - T is not nonpositive or the question is S <= T.
     """
 
     verdict: Decision
     ta: WeightedAutomaton
+    tb: WeightedAutomaton
     product: Optional[WeightedAutomaton]
     pairs: Optional[list]
     zero: Optional[tuple]
@@ -470,37 +472,39 @@ def _difference(
     Trims each input once, compares the supports (equivalence, or inclusion
     with ``inclusion``), builds the difference product once, relaxes its
     potential u once, and, for S = T, reads the zero filter off u and
-    compares it with the support of ``ta``.  Each step runs only when the
-    ones before it held, so a witness is the one that the failing step
-    alone gives.
+    compares it with the support of the smaller trimmed input.  Each step
+    runs only when the ones before it held, so a witness is the one that
+    the failing step alone gives.
 
-    The product subtracts bmin's weights as it combines them, so no negated
-    copy of bmin is built.  It is accessible by construction, so its trim
-    is the backward (co-reachability) half alone, and one backward search
-    from its final arrows serves both the trim and the relaxation: the
-    states it reaches are the ones kept, and its order is the relaxation
-    order, which runs before the renumbering.  The letter sum is built only
-    for a NO witness.  Once the supports are equal, the product's support
-    language is that of ``ta``, and comparing the zero filter with ``ta``'s
-    support NFA, already built for the support check, gives the same
-    verdict and the same length-lex-first witness as comparing it with the
-    product's.
+    A support comparison without a witness walked every pair (A(w), B(w))
+    that a word w reaches, and the union of those A x B is the product's
+    pairs, which it hands on.  The product subtracts bmin's weights as it
+    combines them, so no negated copy of bmin is built.  It is accessible
+    by construction, so its trim is the backward half alone, and one
+    backward search from its final arrows serves both the trim and the
+    relaxation, which runs before the renumbering.  The letter sum is built
+    only for a NO witness.  Once the supports are equal, the product's
+    support language is that of ``ta`` and of ``tb``, so comparing the zero
+    filter with either support NFA, both already built, gives the same
+    verdict and length-lex-first witness; the one with fewer states (``ta``
+    on a tie) is walked.
     """
     ta = amax.trim()
     tb = bmin.trim()
-    support = ta._support_nfa()
-    verdict = _decision(support.compare(tb._support_nfa(), inclusion, "support comparison"))
-    if not verdict.holds:
-        return _Difference(verdict, ta, None, None, None)
-    product, pairs = _accessible_product(ta, tb, MAX_PLUS, operator.sub)
+    sa, sb = ta._support_nfa(), tb._support_nfa()
+    witness, walked = sa.walk(sb, inclusion, "support comparison")
+    if witness is not None:
+        return _Difference(_decision(witness), ta, tb, None, None, None)
+    product, pairs = _accessible_product(ta, tb, MAX_PLUS, operator.sub, walked)
     verdict, product, u, keep = _nonpositive(product)
     if keep is not None:
         pairs = [pairs[i] for i in keep]
     zero = None
     if verdict.holds and not inclusion:
         zero = _zero_filter(product, u)
-        verdict = _decision(support.compare(_SubsetNfa.of(*zero), False, "zero-filter comparison"))
-    return _Difference(verdict, ta, product, pairs, zero)
+        smaller = sa if ta.n <= tb.n else sb
+        verdict = _decision(_SubsetNfa.of(*zero).compare(smaller, False, "zero-filter comparison"))
+    return _Difference(verdict, ta, tb, product, pairs, zero)
 
 
 def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decision:

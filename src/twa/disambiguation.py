@@ -33,6 +33,7 @@ from .automaton import (
     WeightedAutomaton,
     _accessible_product,
     _explore,
+    _pair_labels,
 )
 from .decisions import _check_pair, _difference
 from .errors import CapExceededError, NotEqualError
@@ -65,9 +66,9 @@ def extract_one_valued(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Weig
     difference = _difference(amax, bmin, False)
     if not difference.verdict.holds:
         raise NotEqualError(difference.verdict.witness)
-    ta, product = difference.ta, difference.product
+    ta, product, pairs = difference.ta, difference.product, difference.pairs
     initial, final, targets = difference.zero
-    firsts = [p for p, _ in difference.pairs]  # the amax state of each product state
+    firsts = [p for p, _ in pairs]  # the amax state of each product state
     alpha, beta = [None] * product.n, [None] * product.n
     for i in initial:
         alpha[i] = ta.alpha[firsts[i]]
@@ -77,9 +78,8 @@ def extract_one_valued(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Weig
     for ch, kept in targets.items():
         arows = ta.mu[ch].rows
         rows[ch] = [{j: arows[p][firsts[j]] for j in row} for row, p in zip(kept, firsts)]
-    return WeightedAutomaton._adopt(
-        MAX_PLUS, product.alphabet, alpha, beta, rows, product.state_labels
-    ).trim()
+    labels = _pair_labels(ta, difference.tb, pairs)
+    return WeightedAutomaton._adopt(MAX_PLUS, product.alphabet, alpha, beta, rows, labels).trim()
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,9 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
         rows,
         tuple("{" + ",".join(map(str, m)) + "}" for m in members),
     )
-    cover, pairs = _accessible_product(aut, dfa, aut.semiring, operator.add)
+    groups = [(m, (s,)) for s, m in enumerate(members)]  # each (p, s) once
+    cover, pairs = _accessible_product(aut, dfa, aut.semiring, operator.add, groups)
+    cover.state_labels = _pair_labels(aut, dfa, pairs)
     return Covering(cover, tuple(pairs), tuple(frozenset(m) for m in members))
 
 

@@ -432,6 +432,22 @@ def tight_kth_letter_from_last(k):
     )
 
 
+def rotation_cycle(n, tag):
+    """One `a` cycle through n states, states 0..n/2 - 1 initial, `final 0 0`.
+
+    Unambiguous, so its max-plus and min-plus readings have one series.  The
+    word a^k reaches the n/2 states from k on (mod n), so the support comparison of
+    the pair walks n pairs of subsets of n/2 states each: n^3/4 pairs in all
+    against the n^2 cells of the product.
+    """
+    return WeightedAutomaton.from_arcs(
+        tag, "a", n,
+        initial=[(i, 0) for i in range(n // 2)],
+        final=[(0, 0)],
+        arcs=[(i, "a", (i + 1) % n, 1) for i in range(n)],
+    )
+
+
 def random_trim_nonpositive(rng, decide, max_states=4, alphabet="ab", tries=2000):
     """Rejection-sample a trim automaton whose series is nonpositive.
 

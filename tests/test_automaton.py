@@ -19,7 +19,7 @@ from twa import (
     hadamard,
     zoo,
 )
-from twa.automaton import _accessible_product
+from twa.automaton import _accessible_product, _pair_labels
 from twa.errors import DimensionError, TwaError
 from twa.oracle import eval_bruteforce, words_upto
 from twa.semiring import semiring_for
@@ -200,8 +200,15 @@ def test_hadamard_is_the_accessible_part_of_the_grid(ab):
 
 
 def difference_product(a, b):
-    """The product of the equality kernel: each weight is a's minus b's."""
-    return _accessible_product(a, b, MAX_PLUS, operator.sub)[0]
+    """The product of the equality kernel: each weight is a's minus b's.
+
+    The kernel formats no label; it is labelled here by the helper that
+    labels extract_one_valued's output from the kept pairs.
+    """
+    product, pairs = _accessible_product(a, b, MAX_PLUS, operator.sub)
+    assert product.state_labels is None
+    product.state_labels = _pair_labels(a, b, pairs)
+    return product
 
 
 @given(automata(MAX_PLUS), automata(MIN_PLUS))

@@ -32,6 +32,7 @@ from corpus import (
     ref_determinize,
     ref_fatou,
     ref_positive_word,
+    rotation_cycle,
     support,
     tight_kth_letter_from_last,
     zero_filter,
@@ -62,7 +63,8 @@ from twa import (
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _decision, _pumped_witness
+from twa.automaton import _SubsetNfa
+from twa.decisions import _decision, _nonpositive, _pumped_witness, _zero_filter
 from twa.spectral import _backward_search, _relax
 
 # -- the reference: the separate path, with frozenset subsets -----------------
@@ -750,6 +752,124 @@ def test_covering_is_the_accessible_grid_product_with_the_subset_automaton(aut):
     assert list(cover.provenance) == sorted(set(cover.provenance))
 
 
+# -- the product's pairs from the support walk, the zero filter on either side --
+
+
+def _parts(product, pairs):
+    """Everything a product holds, and its pairs."""
+    rows = {ch: mat.rows for ch, mat in product.mu.items()}
+    return pairs, product.alpha, product.beta, rows, product.state_labels
+
+
+def _walk(ta, tb, inclusion):
+    return ta._support_nfa().walk(tb._support_nfa(), inclusion, "support comparison")
+
+
+def test_products_from_the_walked_pairs_match_the_search():
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(pairs)
+    def check(pair):
+        ta, tb = pair[0].trim(), pair[1].trim()
+        equal = _walk(ta, tb, False)[0] is None
+        for inclusion in (False, True):
+            witness, walked = _walk(ta, tb, inclusion)
+            if witness is not None:
+                continue
+            grouped = twa.automaton._accessible_product(ta, tb, MAX_PLUS, operator.sub, walked)
+            searched = twa.automaton._accessible_product(ta, tb, MAX_PLUS, operator.sub)
+            assert _parts(*grouped) == _parts(*searched)
+            seen.add("equal supports" if equal else "included supports")
+            if sum(len(x) * len(y) for x, y in walked) <= ta.n * tb.n:
+                seen.add("groups")
+
+    check()
+    assert seen == {"equal supports", "included supports", "groups"}
+
+
+def test_products_search_when_the_walked_pairs_outnumber_the_cells():
+    # 12 walked pairs of 6 x 6 states: 432 pairs against 144 cells, so the
+    # groups are never read, not even one that would add every cell
+    amax = rotation_cycle(12, MAX_PLUS)
+    bmin = as_min_plus_copy(amax)
+    witness, walked = _walk(amax, bmin, False)
+    assert witness is None
+    assert sum(len(x) * len(y) for x, y in walked) == 432
+    every_cell = walked + [(range(12), range(12))]
+    grouped = twa.automaton._accessible_product(amax, bmin, MAX_PLUS, operator.sub, every_cell)
+    searched = twa.automaton._accessible_product(amax, bmin, MAX_PLUS, operator.sub)
+    assert _parts(*grouped) == _parts(*searched)
+    assert len(searched[1]) < 144
+    assert decide_series_equal(amax, bmin).holds
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([MAX_PLUS, MIN_PLUS]).flatmap(automata))
+def test_covering_from_its_subsets_is_the_searched_covering(aut):
+    cover = covering(aut)
+    product = twa.automaton._accessible_product
+
+    def searched(a, b, semiring, combine, groups):
+        return product(a, b, semiring, combine)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twa.disambiguation, "_accessible_product", searched)
+        expected = covering(aut)
+    assert _named(cover) == _named(expected)
+    assert (cover.provenance, cover.subsets) == (expected.provenance, expected.subsets)
+
+
+def test_either_support_gives_the_zero_filter_witness():
+    # with equal supports, the zero filter may be compared with either input
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(pairs)
+    def check(pair):
+        ta, tb = pair[0].trim(), pair[1].trim()
+        sa, sb = ta._support_nfa(), tb._support_nfa()
+        if sa.compare(sb, False, "support comparison") is not None:
+            return
+        product, _ = twa.automaton._accessible_product(ta, tb, MAX_PLUS, operator.sub)
+        verdict, product, u, _ = _nonpositive(product)
+        if not verdict.holds:
+            return
+        zero = _SubsetNfa.of(*_zero_filter(product, u))
+        what = "zero-filter comparison"
+        words = {sa.compare(zero, False, what), sb.compare(zero, False, what)}
+        words |= {zero.compare(sa, False, what), zero.compare(sb, False, what)}
+        assert len(words) == 1
+        seen.add("equal" if words == {None} else "not equal")
+
+    check()
+    assert seen == {"equal", "not equal"}
+
+
+@pytest.mark.parametrize(
+    "pair", [zoo.sample_equivalent_pair, lambda: zoo.prime_period_pair(2, 3, 5, 7)]
+)
+def test_only_kept_products_are_labelled(monkeypatch, pair):
+    amax, bmin = pair()
+    calls = []
+    labels = twa.automaton._pair_labels
+
+    def counted(*args):
+        calls.append(args)
+        return labels(*args)
+
+    for module in (twa.automaton, twa.disambiguation):
+        monkeypatch.setattr(module, "_pair_labels", counted)
+    assert decide_series_equal(amax, bmin).holds
+    decide_series_leq(amax, bmin)
+    assert calls == []
+    one = extract_one_valued(amax, bmin)
+    cover = covering(one)
+    product = hadamard(amax, amax)
+    assert len(calls) == 3
+    assert all(aut.state_labels for aut in (one, cover.automaton, product))
+
+
 def _one_state_loop(tag):
     return WeightedAutomaton.from_arcs(
         tag, "ab", 1, initial=[(0, 0)], final=[(0, 0)], arcs=[(0, "a", 0, 0), (0, "b", 0, 0)]
@@ -822,8 +942,10 @@ def _comparisons():
     """Per entry point: a call, its comparison that meets the most subset pairs, and their count.
 
     Each comparison of (a+b)*a(a+b)^4 meets its 2^5 subsets, paired with one
-    subset of the other side; the tight family's zero-filter comparison adds
-    the pair of the empty word.  Every product here has at most 36 pairs.
+    subset of the other side.  The tight family's zero filter is compared
+    with the support of ``every``, the smaller input, whose one state pairs
+    with each of those subsets; with the tight side's support it would meet
+    33, the empty word's pair besides.  Every product here has at most 36 pairs.
     """
     kmax, kmin = kth_letter_from_last(4, MAX_PLUS), kth_letter_from_last(4, MIN_PLUS)
     tight, every = tight_kth_letter_from_last(4), _one_state_loop(MIN_PLUS)
@@ -835,8 +957,8 @@ def _comparisons():
         "decide_equal_const_on_support": (
             lambda: decide_equal_const_on_support(kmax, 0), zeros, 32
         ),
-        "decide_series_equal zero filter": (lambda: decide_series_equal(tight, every), zeros, 33),
-        "unambiguous_from_pair": (lambda: unambiguous_from_pair(tight, every), zeros, 33),
+        "decide_series_equal zero filter": (lambda: decide_series_equal(tight, every), zeros, 32),
+        "unambiguous_from_pair": (lambda: unambiguous_from_pair(tight, every), zeros, 32),
     }
 
 
