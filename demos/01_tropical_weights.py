@@ -1,4 +1,4 @@
-"""Exact tropical arithmetic: weights, matrices, cycle means, and divergence.
+"""Exact tropical arithmetic: weights, letter matrices, cycle means, and divergence.
 
 Run:  python3 demos/01_tropical_weights.py
 """
@@ -8,7 +8,6 @@ from fractions import Fraction
 from twa import (
     MAX_PLUS,
     MIN_PLUS,
-    TropicalMatrix,
     WeightedAutomaton,
     decide_nonpositive,
     max_mean_cycle,
@@ -35,16 +34,18 @@ print("negation swaps the semirings:", negate_weight(Fraction(5, 2)))
 
 print()
 print("== matrices ==")
-m = TropicalMatrix.from_rows(MAX_PLUS, [[-1, 2], [0, None]])
-print("M =", m.to_rows())
-print("maximum cycle mean of M:", max_mean_cycle(m), "(the two-cycle averages (2+0)/2)")
+# a letter's matrix is a list of row dicts {target: weight}; an absent entry is the zero
+rows = [{0: -1, 1: 2}, {0: 0}]
+one_letter = WeightedAutomaton(MAX_PLUS, "a", 2, [0, None], [None, 0], {"a": rows})
+print("M = [[-1, 2], [0, zero]] as rows:", rows)
+print("maximum cycle mean of M:", max_mean_cycle(one_letter), "(the two-cycle averages (2+0)/2)")
 
 print()
 print("== divergence ==")
 spiky = WeightedAutomaton.from_arcs(
     MAX_PLUS, "a", 1, initial=[(0, -3)], final=[(0, -3)], arcs=[(0, "a", 0, Fraction(1, 2))]
 )
-print("a one-state loop of weight 1/2 behind arrows of -3: cycle mean", max_mean_cycle(spiky.letter_sum()))
+print("a one-state loop of weight 1/2 behind arrows of -3: cycle mean", max_mean_cycle(spiky))
 verdict = decide_nonpositive(spiky)
 print("every value <= 0?", verdict.holds, "- the positive loop pumps past the arrows")
 print(f"witness {verdict.witness!r} has value {spiky.eval(verdict.witness)}")

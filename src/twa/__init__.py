@@ -59,7 +59,7 @@ from .semiring import (
     parse_finite,
     semiring_for,
 )
-from .spectral import TropicalMatrix, max_mean_cycle
+from .spectral import max_mean_cycle
 from . import oracle, zoo
 
 __version__ = "0.1.0"
@@ -79,7 +79,6 @@ __all__ = [
     "OracleBoundError",
     "PositiveCycleError",
     "TagMismatchError",
-    "TropicalMatrix",
     "TwaError",
     "WeightedAutomaton",
     "covering",

@@ -1,10 +1,11 @@
 """Weighted automata as linear representations.
 
 An automaton is a triple (alpha, mu, beta): an initial weight vector, one
-square transition matrix per letter, and a final weight vector, all over a
-single semiring tag.  States are dense integers 0..n-1; initial and final
-weights play the role of ingoing/outgoing arrows, so there are no designated
-initial/final state sets at this level.
+square transition matrix per letter, kept as n row dicts {target: weight},
+and a final weight vector, all over a single semiring tag.  States are dense
+integers 0..n-1; initial and final weights play the role of
+ingoing/outgoing arrows, so there are no designated initial/final state sets
+at this level.
 
 Everything here is pure: automata are immutable after construction and all
 operations build new ones.
@@ -16,7 +17,7 @@ import operator
 
 from .errors import AlphabetError, CapExceededError, DimensionError, TagMismatchError, TwaError
 from .semiring import MAX_PLUS, MIN_PLUS, Semiring, semiring_for
-from .spectral import TropicalMatrix, _backward_order, vec_mat
+from .spectral import _backward_order
 
 
 def _valid_symbol(ch) -> bool:
@@ -34,78 +35,108 @@ def _check_alphabets(a: "WeightedAutomaton", b: "WeightedAutomaton", message: st
         raise AlphabetError(message)
 
 
+class _Rows:
+    """What ``mu[ch]`` holds: the letter's n row dicts {target: weight}, as ``rows``.
+
+    It stays only because the benchmark reads ``mu[ch].rows`` (and hands
+    ``aut.mu`` back to the constructor); built only in WeightedAutomaton._take.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list):
+        self.rows = rows
+
+
+def _checked(sr: Semiring, alphabet, n: int, alpha: list, beta: list, rows: dict, state_labels):
+    """Check parts built outside the library, rows {letter: list of row dicts} included.
+
+    The one row check.  Raises AlphabetError, DimensionError or
+    TagMismatchError for the first flaw, in the order of the tests below.
+    Returns what _take sets, the alphabet and labels as tuples and the rows
+    in alphabet order.
+    """
+    alphabet = tuple(alphabet)
+    if len(set(alphabet)) != len(alphabet):
+        raise AlphabetError("alphabet symbols must be distinct")
+    for ch in alphabet:
+        if not _valid_symbol(ch):
+            raise AlphabetError(f"bad alphabet symbol {ch!r}")
+    if n < 0:
+        raise DimensionError("state count must be nonnegative")
+    if len(alpha) != n or len(beta) != n:
+        raise DimensionError("initial/final vectors must have length n")
+    if set(rows) != set(alphabet):
+        raise AlphabetError("every alphabet letter needs exactly one matrix")
+    for vec in (alpha, beta):
+        for i, w in enumerate(vec):
+            if w is not None and not sr.is_weight(w):
+                raise TagMismatchError(f"vector entry {i}={w!r} is not a {sr.tag} weight")
+    rows = {ch: rows[ch] for ch in alphabet}
+    for ch, letter in rows.items():
+        if len(letter) != n:
+            raise DimensionError(f"mu[{ch!r}] has {len(letter)} rows, automaton has {n}")
+        for i, row in enumerate(letter):
+            for j, w in row.items():
+                if not 0 <= j < n:
+                    raise DimensionError(f"column {j} out of range in row {i}")
+                if w is None or not sr.is_weight(w):
+                    raise TagMismatchError(f"entry ({i},{j})={w!r} is not a finite {sr.tag} weight")
+    if state_labels is not None:
+        state_labels = tuple(str(s) for s in state_labels)
+        if len(state_labels) != n:
+            raise DimensionError("state_labels must have length n")
+    return alphabet, alpha, beta, rows, state_labels
+
+
 class WeightedAutomaton:
     """A linear representation over max-plus or min-plus."""
 
     __slots__ = ("semiring", "alphabet", "n", "alpha", "beta", "mu", "state_labels")
 
     def __init__(self, tag, alphabet, n: int, alpha, beta, mu, state_labels=None):
+        """``mu`` maps each letter to its n row dicts {target: weight}, or to an
+        automaton's ``mu[ch]``.  Copies the rows, ``alpha`` and ``beta``, then checks them.
+        """
         sr = semiring_for(tag)
-        alphabet = tuple(alphabet)
-        if len(set(alphabet)) != len(alphabet):
-            raise AlphabetError("alphabet symbols must be distinct")
-        for ch in alphabet:
-            if not _valid_symbol(ch):
-                raise AlphabetError(f"bad alphabet symbol {ch!r}")
-        if n < 0:
-            raise DimensionError("state count must be nonnegative")
-        if len(alpha) != n or len(beta) != n:
-            raise DimensionError("initial/final vectors must have length n")
-        if set(mu) != set(alphabet):
-            raise AlphabetError("every alphabet letter needs exactly one matrix")
-        for vec in (alpha, beta):
-            for i, w in enumerate(vec):
-                if w is not None and not sr.is_weight(w):
-                    raise TagMismatchError(f"vector entry {i}={w!r} is not a {sr.tag} weight")
-        for ch, mat in mu.items():
-            if not isinstance(mat, TropicalMatrix):
-                raise TypeError(f"mu[{ch!r}] must be a TropicalMatrix")
-            if mat.semiring.tag != sr.tag:
-                raise TagMismatchError(f"mu[{ch!r}] has tag {mat.semiring.tag}, automaton has {sr.tag}")
-            if mat.n != n:
-                raise DimensionError(f"mu[{ch!r}] has dimension {mat.n}, automaton has {n}")
-        if state_labels is not None:
-            state_labels = tuple(str(s) for s in state_labels)
-            if len(state_labels) != n:
-                raise DimensionError("state_labels must have length n")
-        self.semiring: Semiring = sr
-        self.alphabet = alphabet
-        self.n = n
-        self.alpha = list(alpha)
-        self.beta = list(beta)
-        self.mu = {ch: mu[ch] for ch in alphabet}
-        self.state_labels = state_labels
+        rows = {
+            ch: [dict(row) for row in (letter.rows if isinstance(letter, _Rows) else letter)]
+            for ch, letter in mu.items()
+        }
+        self._take(sr, *_checked(sr, alphabet, n, list(alpha), list(beta), rows, state_labels))
 
     @classmethod
     def _adopt(cls, semiring: Semiring, alphabet: tuple, alpha, beta, rows, state_labels):
         """Assemble an automaton from parts the library built, without copying or re-checking.
 
-        The one place where a construction's rows become matrices.  The state
-        count is n = len(alpha).  The caller guarantees what __init__ checks:
-        ``alphabet`` is a tuple of distinct valid symbols, ``alpha`` and
-        ``beta`` are lists of n weights of ``semiring``, ``rows`` maps the
-        letters, in alphabet order, to lists of n row dicts {target: weight}
-        whose targets lie in range and whose weights are finite weights of
-        ``semiring``, and ``state_labels`` is None or a tuple of n strings.
-        The caller keeps no reference it later mutates.
+        The state count is n = len(alpha).  The caller guarantees what
+        _checked checks: ``alphabet`` is a tuple of distinct valid symbols,
+        ``alpha`` and ``beta`` are lists of n weights of ``semiring``,
+        ``rows`` maps the letters, in alphabet order, to lists of n row dicts
+        {target: weight} whose targets lie in range and whose weights are
+        finite weights of ``semiring``, and ``state_labels`` is None or a
+        tuple of n strings.  The caller keeps no reference it later mutates.
         """
-        n = len(alpha)
         aut = cls.__new__(cls)
-        aut.semiring = semiring
-        aut.alphabet = alphabet
-        aut.n = n
-        aut.alpha = alpha
-        aut.beta = beta
-        aut.mu = {ch: TropicalMatrix._adopt(semiring, n, letter) for ch, letter in rows.items()}
-        aut.state_labels = state_labels
+        aut._take(semiring, alphabet, alpha, beta, rows, state_labels)
         return aut
+
+    def _take(self, semiring: Semiring, alphabet: tuple, alpha, beta, rows, state_labels):
+        """Set every slot from parts that hold what _adopt's caller guarantees."""
+        self.semiring = semiring
+        self.alphabet = alphabet
+        self.n = len(alpha)
+        self.alpha = alpha
+        self.beta = beta
+        self.mu = {ch: _Rows(letter) for ch, letter in rows.items()}
+        self.state_labels = state_labels
 
     @classmethod
     def from_arcs(cls, tag, alphabet, n, *, initial=(), final=(), arcs=(), labels=None):
         """Convenience constructor from (state, weight) and (src, letter, dst, weight) lists.
 
-        Raises what ``TropicalMatrix(sr, n, rows)`` and ``__init__`` would
-        raise, in the same order, but checks each arc once and copies no row.
+        Raises what ``__init__`` would raise for the same parts, in the same
+        order (the rows go through the same _checked), but copies no row.
         """
         sr = semiring_for(tag)
         alphabet = tuple(alphabet)
@@ -135,18 +166,7 @@ class WeightedAutomaton:
             if dst in rows[ch][src]:
                 raise TwaError(f"duplicate arc {src} -{ch}-> {dst}")
             rows[ch][src][dst] = w
-        # TropicalMatrix's checks, letter by letter; __init__ checks the rest
-        if n < 0 and rows:
-            raise DimensionError("matrix dimension must be nonnegative")
-        for letter in rows.values():
-            for i, row in enumerate(letter):
-                for j, w in row.items():
-                    if w is None or not sr.is_weight(w):
-                        raise TagMismatchError(
-                            f"entry ({i},{j})={w!r} is not a finite {sr.tag} weight"
-                        )
-        mu = {ch: TropicalMatrix._adopt(sr, n, letter) for ch, letter in rows.items()}
-        return cls(sr, alphabet, n, alpha, beta, mu, state_labels=labels)
+        return cls._adopt(sr, *_checked(sr, alphabet, n, alpha, beta, rows, labels))
 
     # -- basic queries ------------------------------------------------------
 
@@ -170,7 +190,7 @@ class WeightedAutomaton:
             and self.n == other.n
             and self.alpha == other.alpha
             and self.beta == other.beta
-            and all(self.mu[ch] == other.mu[ch] for ch in self.alphabet)
+            and all(self.mu[ch].rows == other.mu[ch].rows for ch in self.alphabet)
         )
 
     def __repr__(self):
@@ -195,7 +215,12 @@ class WeightedAutomaton:
         for ch in word:
             if not x:
                 return None
-            x = vec_mat(x, self.mu[ch])
+            rows = self.mu[ch].rows
+            y: dict = {}
+            for i, xi in x.items():
+                for j, w in rows[i].items():
+                    y[j] = xi + w if j not in y else sr.plus(y[j], xi + w)
+            x = y
         acc = None
         for i, xi in x.items():
             b = self.beta[i]
@@ -267,8 +292,8 @@ class WeightedAutomaton:
         }
         return WeightedAutomaton._adopt(sr, self.alphabet, alpha, beta, rows, self.state_labels)
 
-    def letter_sum(self) -> TropicalMatrix:
-        """The entrywise semiring sum of all letter matrices."""
+    def letter_sum(self) -> list:
+        """The entrywise semiring sum of all letter matrices, as n row dicts."""
         plus = self.semiring.plus
         letters = [self.mu[ch].rows for ch in self.alphabet]
         # the first letter's rows are copied whole, the others merged in
@@ -278,7 +303,7 @@ class WeightedAutomaton:
                 for j, w in mrow.items():
                     old = row.get(j)
                     row[j] = w if old is None else plus(old, w)
-        return TropicalMatrix._adopt(self.semiring, self.n, rows)
+        return rows
 
     def _support_nfa(self) -> "_SubsetNfa":
         """The support NFA: the states with an initial or a final arrow, and every arc."""

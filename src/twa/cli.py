@@ -121,7 +121,7 @@ def _construct(build, args, no: str) -> int:
 def cmd_rho(args) -> int:
     aut = twa_format.load(args.file)
     mirror, sign = _dualize(aut)
-    value = max_mean_cycle(mirror.letter_sum())
+    value = max_mean_cycle(mirror)
     print(_show_weight(None if value is None else sign * value, aut.semiring.tag))
     return 0
 

@@ -241,7 +241,7 @@ def _pumped_witness(trim: WeightedAutomaton) -> str:
     cycle_weight = 0
     for idx, src in enumerate(cycle):
         dst = cycle[(idx + 1) % len(cycle)]
-        target = m.rows[src][dst]
+        target = m[src][dst]
         for ch in trim.alphabet:
             if trim.mu[ch].rows[src].get(dst) == target:
                 cycle_word.append(ch)

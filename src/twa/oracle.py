@@ -17,15 +17,18 @@ from fractions import Fraction
 
 from .automaton import WeightedAutomaton, _check_alphabets
 from .decisions import Decision
-from .errors import AlphabetError, OracleBoundError
+from .errors import AlphabetError, OracleBoundError, TagMismatchError
 from .semiring import as_value
-from .spectral import TropicalMatrix
 
 MAX_ENUM = 10**7
 MAX_CIRCUIT_NODES = 10
 
 
 def _guard(alphabet_size: int, maxlen: int):
+    # a sweep over one letter or none takes maxlen steps, which its word count
+    # never refuses; tested first, the length also spares a huge power
+    if maxlen >= MAX_ENUM:
+        raise OracleBoundError(f"length {maxlen} exceeds the enumeration bound {MAX_ENUM}")
     if alphabet_size**maxlen > MAX_ENUM:
         raise OracleBoundError(
             f"{alphabet_size}^{maxlen} words exceed the enumeration bound {MAX_ENUM}"
@@ -45,6 +48,8 @@ def words_upto(alphabet, maxlen: int):
     frontier = [""]
     yield ""
     for _ in range(maxlen):
+        if not frontier:  # the empty alphabet has no longer word
+            return
         nxt = []
         for word in frontier:
             for ch in alphabet:
@@ -220,24 +225,28 @@ def max_ambiguity_upto(aut: WeightedAutomaton, maxlen: int):
     return best, best_word
 
 
-def simple_circuits(mat: TropicalMatrix):
-    """Every simple circuit of the graph of ``mat`` with its exact mean weight.
+def simple_circuits(aut: WeightedAutomaton):
+    """Every simple circuit of a max-plus automaton with its exact mean weight.
 
-    A circuit is reported once, anchored at its smallest state; the result is
-    a list of (state tuple, mean).  Exhaustive, so bounded to small matrices.
+    The circuits are those of its letter sum, as for max_mean_cycle.  A
+    circuit is reported once, anchored at its smallest state; the result is a
+    list of (state tuple, mean).  Exhaustive, so bounded to small automata.
     """
-    if mat.n > MAX_CIRCUIT_NODES:
+    if aut.semiring.tag != "max-plus":
+        raise TagMismatchError("simple_circuits requires a max-plus automaton")
+    if aut.n > MAX_CIRCUIT_NODES:
         raise OracleBoundError(
             f"circuit enumeration is limited to {MAX_CIRCUIT_NODES} states"
         )
+    succ = aut.letter_sum()
     out = []
-    for anchor in range(mat.n):
+    for anchor in range(aut.n):
         # DFS over simple paths anchored at `anchor`, visiting only larger states.
         stack = [(anchor, (anchor,), 0)]
         while stack:
             node, path, weight = stack.pop()
-            for j in sorted(mat.rows[node], reverse=True):
-                w = mat.rows[node][j]
+            for j in sorted(succ[node], reverse=True):
+                w = succ[node][j]
                 if j == anchor:
                     total = weight + w
                     out.append((path, as_value(Fraction(total, len(path)))))

@@ -1,9 +1,10 @@
-"""Square matrices over tropical semirings: maximum mean cycle and the potential.
+"""Max-plus matrices as row lists: maximum mean cycle and the potential.
 
-Matrices are stored sparsely (one dict per row; absent entries are the
-semiring zero), which keeps the large but thin products produced by the
-automaton constructions cheap.  The maximum cycle mean and a circuit that
-attains it come from one routine, Howard policy iteration.  The one star the
+A matrix is kept as an automaton keeps each letter, n row dicts {column:
+weight} with the semiring zero absent, so thin products stay cheap.  The
+maximum cycle mean and a circuit that attains it come from one routine,
+Howard policy iteration on the rows of a letter sum; max_mean_cycle takes
+the max-plus automaton itself, as rows carry no tag.  The one star the
 library needs, the potential u = M*beta, is never formed as a matrix: a
 backward search from the support of beta orders a Bellman-Ford relaxation
 of u, which raises PositiveCycleError when the star diverges.
@@ -13,96 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionError, PositiveCycleError, TagMismatchError
-from .semiring import Semiring, as_value, semiring_for
-
-
-class TropicalMatrix:
-    """A square matrix of weights over a single semiring tag."""
-
-    __slots__ = ("semiring", "n", "rows")
-
-    def __init__(self, tag, n: int, rows=None):
-        self.semiring: Semiring = semiring_for(tag)
-        if n < 0:
-            raise DimensionError("matrix dimension must be nonnegative")
-        self.n = n
-        if rows is None:
-            self.rows = [{} for _ in range(n)]
-        else:
-            if len(rows) != n:
-                raise DimensionError(f"expected {n} rows, got {len(rows)}")
-            self.rows = [dict(row) for row in rows]
-            for i, row in enumerate(self.rows):
-                for j, w in row.items():
-                    if not 0 <= j < n:
-                        raise DimensionError(f"column {j} out of range in row {i}")
-                    if w is None or not self.semiring.is_weight(w):
-                        raise TagMismatchError(
-                            f"entry ({i},{j})={w!r} is not a finite {self.semiring.tag} weight"
-                        )
-
-    @classmethod
-    def _adopt(cls, semiring: Semiring, n: int, rows: list) -> "TropicalMatrix":
-        """Wrap rows the library built itself, without copying or re-checking.
-
-        The caller hands over ``rows`` (n dicts whose columns lie in range and
-        whose entries are finite weights of ``semiring``) and keeps no
-        reference it later mutates.
-        """
-        mat = cls.__new__(cls)
-        mat.semiring = semiring
-        mat.n = n
-        mat.rows = rows
-        return mat
-
-    @classmethod
-    def from_rows(cls, tag, dense_rows) -> "TropicalMatrix":
-        """Build from dense lists; None entries denote the semiring zero."""
-        n = len(dense_rows)
-        rows = []
-        for drow in dense_rows:
-            if len(drow) != n:
-                raise DimensionError("dense matrix must be square")
-            rows.append({j: w for j, w in enumerate(drow) if w is not None})
-        return cls(tag, n, rows)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i].get(j)
-
-    def to_rows(self):
-        """Dense list-of-lists view with None for zero entries."""
-        return [[row.get(j) for j in range(self.n)] for row in self.rows]
-
-    def arcs(self):
-        """Yield (i, j, weight) for every nonzero entry."""
-        for i, row in enumerate(self.rows):
-            for j, w in row.items():
-                yield i, j, w
-
-    def __eq__(self, other):
-        if not isinstance(other, TropicalMatrix):
-            return NotImplemented
-        return (
-            self.semiring.tag == other.semiring.tag
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"TropicalMatrix({self.semiring.tag!r}, {self.n}, {self.rows!r})"
-
-
-def vec_mat(x: dict, m: TropicalMatrix) -> dict:
-    """Sparse row-vector times matrix; vectors are dicts state -> weight."""
-    sr = m.semiring
-    out: dict = {}
-    for i, xi in x.items():
-        for j, w in m.rows[i].items():
-            c = sr.times(xi, w)
-            old = out.get(j)
-            out[j] = c if old is None else sr.plus(old, c)
-    return out
+from .errors import PositiveCycleError, TagMismatchError
+from .semiring import as_value
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +23,8 @@ def vec_mat(x: dict, m: TropicalMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _critical_circuit(m: TropicalMatrix):
-    """The maximum circuit mean of ``m`` and a simple circuit that attains it.
+def _critical_circuit(rows: list):
+    """The maximum circuit mean of the max-plus rows ``rows`` and a simple circuit that attains it.
 
     Howard policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick and
     Quadrat, 1998).  The states that lead to no circuit are stripped first,
@@ -129,9 +42,7 @@ def _critical_circuit(m: TropicalMatrix):
     of a circuit of the final policy with mean rho, the one with the smallest
     root, from its root in arc order.  (None, None) when the graph is acyclic.
     """
-    if m.semiring.tag != "max-plus":
-        raise TagMismatchError("max_mean_cycle requires a max-plus matrix")
-    n, rows = m.n, m.rows
+    n = len(rows)
     outdeg = [len(row) for row in rows]
     into = [[] for _ in range(n)]
     for i, row in enumerate(rows):
@@ -216,13 +127,17 @@ def _policy_values(alive: list, policy: list):
     return eta, x, circuits
 
 
-def max_mean_cycle(m: TropicalMatrix):
-    """The maximal mean weight over all simple circuits of the graph of ``m``.
+def max_mean_cycle(aut):
+    """The maximal mean weight over all simple circuits of a max-plus automaton.
 
-    Returns an exact rational, or None (the semiring zero) when the graph is
-    acyclic.  The mean is the first item of _critical_circuit.
+    The circuits are those of the graph of its letter sum.  Returns an exact
+    rational, or None (the semiring zero) when the graph is acyclic.  The
+    mean is the first item of _critical_circuit.  Raises TagMismatchError for
+    a min-plus automaton, whose rows alone would not show it.
     """
-    return _critical_circuit(m)[0]
+    if aut.semiring.tag != "max-plus":
+        raise TagMismatchError("max_mean_cycle requires a max-plus automaton")
+    return _critical_circuit(aut.letter_sum())[0]
 
 
 # ---------------------------------------------------------------------------

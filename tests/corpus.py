@@ -8,11 +8,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from twa import MAX_PLUS, MIN_PLUS, Covering, TropicalMatrix, WeightedAutomaton
+from twa import MAX_PLUS, MIN_PLUS, Covering, WeightedAutomaton
 from twa.automaton import _SubsetNfa
 from twa.format import serialize
 from twa.semiring import format_finite, parse_finite
-from twa.spectral import vec_mat
 
 
 def random_weight(rng, lo=-5, hi=5, zero_p=0.4, frac_p=0.0):
@@ -24,7 +23,8 @@ def random_weight(rng, lo=-5, hi=5, zero_p=0.4, frac_p=0.0):
     return rng.randint(lo, hi)
 
 
-def random_matrix(rng, n=None, nmax=6, lo=-5, hi=5, zero_p=0.4, tag=MAX_PLUS):
+def random_matrix(rng, n=None, nmax=6, lo=-5, hi=5, zero_p=0.4):
+    """A random square matrix as n row dicts {column: weight}."""
     if n is None:
         n = rng.randint(1, nmax)
     rows = []
@@ -35,7 +35,24 @@ def random_matrix(rng, n=None, nmax=6, lo=-5, hi=5, zero_p=0.4, tag=MAX_PLUS):
             if w is not None:
                 row[j] = w
         rows.append(row)
-    return TropicalMatrix(tag, n, rows)
+    return rows
+
+
+def vec_rows(x, rows):
+    """The max-plus product of the sparse row vector ``x`` {state: weight} and ``rows``."""
+    out = {}
+    for i, xi in x.items():
+        for j, w in rows[i].items():
+            if j not in out or xi + w > out[j]:
+                out[j] = xi + w
+    return out
+
+
+def one_letter(rows, tag=MAX_PLUS):
+    """The automaton whose one letter ``a`` has the matrix ``rows``, with no arrows:
+    what max_mean_cycle and simple_circuits take for a matrix."""
+    n = len(rows)
+    return WeightedAutomaton(tag, "a", n, [None] * n, [None] * n, {"a": rows})
 
 
 def random_automaton(
@@ -101,14 +118,14 @@ def grid_product(a, b, semiring, combine):
         ]
 
     mu = {
-        ch: TropicalMatrix(semiring, len(grid), [
+        ch: [
             {
                 r * bn + s: combine(w1, w2)
                 for r, w1 in a.mu[ch].rows[p].items()
                 for s, w2 in b.mu[ch].rows[q].items()
             }
             for p, q in grid
-        ])
+        ]
         for ch in a.alphabet
     }
     labels = [f"({a.state_label(p)},{b.state_label(q)})" for p, q in grid]
@@ -215,9 +232,7 @@ def ref_covering(aut):
     keep = sorted(reached)
     index = {old: new for new, old in enumerate(keep)}
     mu = {
-        ch: TropicalMatrix(
-            aut.semiring, len(keep), [{index[j]: w for j, w in mat.rows[i].items()} for i in keep]
-        )
+        ch: [{index[j]: w for j, w in mat.rows[i].items()} for i in keep]
         for ch, mat in grid.mu.items()
     }
     accessible = WeightedAutomaton(
@@ -247,20 +262,21 @@ def zero_filter(aut):
     )
 
 
-def power_star(m):
-    """I + M + M^2 + ... + M^(n-1) of a max-plus matrix, as dict rows.
+def power_star(rows):
+    """I + M + M^2 + ... + M^(n-1) of a max-plus matrix given as n row dicts, as dict rows.
 
     The star by its definition; it equals the star whenever no cycle of
-    ``m`` has positive weight.
+    the matrix has positive weight.
     """
-    acc = [{i: 0} for i in range(m.n)]
-    power = [{i: 0} for i in range(m.n)]
-    for _ in range(m.n - 1):
+    n = len(rows)
+    acc = [{i: 0} for i in range(n)]
+    power = [{i: 0} for i in range(n)]
+    for _ in range(n - 1):
         nxt = []
         for row in power:
             out = {}
             for k, w1 in row.items():
-                for j, w2 in m.rows[k].items():
+                for j, w2 in rows[k].items():
                     if j not in out or w1 + w2 > out[j]:
                         out[j] = w1 + w2
             nxt.append(out)
@@ -280,11 +296,7 @@ def ref_fatou(trim):
         for row in power_star(trim.letter_sum())
     ]
     mu = {
-        ch: TropicalMatrix(
-            MAX_PLUS,
-            trim.n,
-            [{j: w - u[i] + u[j] for j, w in row.items()} for i, row in enumerate(mat.rows)],
-        )
+        ch: [{j: w - u[i] + u[j] for j, w in row.items()} for i, row in enumerate(mat.rows)]
         for ch, mat in trim.mu.items()
     }
     return WeightedAutomaton(
@@ -299,7 +311,7 @@ def ref_fatou(trim):
 
 
 def ref_positive_word(trim):
-    """The scan of alpha M^k beta for k < n on ``vec_mat``, then a backward walk.
+    """The scan of alpha M^k beta for k < n, M the letter sum, then a backward walk.
 
     A shortest word with positive value, found by walking the profiles back
     from the first state of best value and taking at each step the first
@@ -307,7 +319,7 @@ def ref_positive_word(trim):
     the profile; None when no word shorter than n is positive (a NO verdict
     then pumps a circuit).
     """
-    m = trim.letter_sum()
+    total = trim.letter_sum()
     profiles = [{i: w for i, w in enumerate(trim.alpha) if w is not None}]
     for k in range(trim.n):
         x = profiles[k]
@@ -322,7 +334,7 @@ def ref_positive_word(trim):
         if best is not None and best > 0:
             return _backtrack_word(trim, profiles, k, best_state)
         if k + 1 < trim.n:
-            profiles.append(vec_mat(x, m))
+            profiles.append(vec_rows(x, total))
     return None
 
 
@@ -360,10 +372,7 @@ def as_min_plus_copy(aut):
         aut.n,
         aut.alpha,
         aut.beta,
-        {
-            ch: TropicalMatrix(MIN_PLUS, aut.n, mat.rows)
-            for ch, mat in aut.mu.items()
-        },
+        {ch: mat.rows for ch, mat in aut.mu.items()},
         aut.state_labels,
     )
 

@@ -66,6 +66,8 @@ def test_package_exports_exactly_what_it_imports():
         "_mask",
         "_bits",
         "_MaskNfa",
+        "TropicalMatrix",
+        "vec_mat",
     ],
 )
 def test_retired_names_are_gone(name):
@@ -78,10 +80,9 @@ def test_retired_names_are_gone(name):
     "owner, name",
     [
         (twa.WeightedAutomaton, "support"),
-        (twa.TropicalMatrix, "identity"),
         (twa.WeightedAutomaton, "_support_masks"),
     ],
-    ids=["WeightedAutomaton.support", "TropicalMatrix.identity", "WeightedAutomaton._support_masks"],
+    ids=["WeightedAutomaton.support", "WeightedAutomaton._support_masks"],
 )
 def test_retired_methods_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -106,28 +107,83 @@ def test_only_the_semiring_module_spells_out_the_tags():
     assert copies == []
 
 
-def _builds_a_matrix(node) -> bool:
-    # TropicalMatrix(...), or a classmethod such as TropicalMatrix._adopt(...)
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        func = func.value
-    return isinstance(func, ast.Name) and func.id == "TropicalMatrix"
+def _names_the_row_holder(node) -> bool:
+    # _Rows(...), an import of _Rows, or any other mention of the name
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "_Rows" for alias in node.names)
+    return (isinstance(node, ast.Name) and node.id == "_Rows") or (
+        isinstance(node, ast.Attribute) and node.attr == "_Rows"
+    )
 
 
 def test_only_the_automaton_and_spectral_modules_build_matrices():
-    # how a letter's transitions are stored is twa.automaton's business:
-    # every other construction hands its rows to WeightedAutomaton._adopt
+    # how a letter's rows are held is twa.automaton's business: every other
+    # construction hands its row lists to WeightedAutomaton._adopt, and the
+    # holder is built in one place, WeightedAutomaton._take
     package = pathlib.Path(twa.__file__).parent
-    builds = [
+    mentions = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
-        if path.name not in ("automaton.py", "spectral.py")
+        if path.name != "automaton.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if _builds_a_matrix(node)
+        if _names_the_row_holder(node)
     ]
-    assert builds == []
+    assert mentions == []
+    tree = ast.parse((package / "automaton.py").read_text(encoding="utf-8"))
+    builders = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and _names_the_row_holder(node.func)
+    ]
+    assert builders == ["_take"]
+
+
+def _rows_as_the_benchmark_reads_them(aut) -> bool:
+    # bench/ reads aut.mu[ch].rows: a list of aut.n row dicts, on a holder of nothing else
+    return all(
+        type(aut.mu[ch].rows) is list
+        and len(aut.mu[ch].rows) == aut.n
+        and all(type(row) is dict for row in aut.mu[ch].rows)
+        and type(aut.mu[ch]).__slots__ == ("rows",)
+        and not hasattr(aut.mu[ch], "__dict__")
+        for ch in aut.alphabet
+    )
+
+
+def test_every_construction_keeps_mu_rows_readable():
+    amax, bmin = twa.zoo.sample_equivalent_pair()
+    det = twa.WeightedAutomaton.from_arcs(
+        twa.MAX_PLUS, "ab", 2, initial=[(0, 0)], final=[(1, 0)],
+        arcs=[(0, "a", 1, 1), (1, "b", 0, 2), (1, "a", 1, 0)],
+    )
+    det_min = twa.WeightedAutomaton(twa.MIN_PLUS, det.alphabet, det.n, det.alpha, det.beta, det.mu)
+    untrimmed = twa.WeightedAutomaton.from_arcs(
+        twa.MAX_PLUS, "ab", 3, initial=[(0, 0)], final=[(0, 0)], arcs=[(0, "a", 1, 0), (2, "b", 0, 0)]
+    )
+    difference = twa.hadamard(amax, bmin.negate())
+    deterministic = twa.unambiguous_from_pair(det, det_min)
+    covered = twa.unambiguous_from_pair(amax, bmin)
+    # one output of each branch: a deterministic one, and the 7-state covering
+    assert sum(w is not None for w in deterministic.alpha) == 1
+    assert all(len(row) <= 1 for mat in deterministic.mu.values() for row in mat.rows)
+    assert covered.n == 7 and twa.extract_one_valued(amax, bmin).n == 4
+    built = {
+        "parse": twa.parse(twa.serialize(amax)),
+        "from_arcs": amax,
+        "WeightedAutomaton": twa.WeightedAutomaton(twa.MAX_PLUS, "a", 1, [0], [0], {"a": [{0: -1}]}),
+        "trim": untrimmed.trim(),
+        "negate": bmin.negate(),
+        "hadamard": difference,
+        "fatou_normalize": twa.fatou_normalize(difference),
+        "extract_one_valued": twa.extract_one_valued(amax, bmin),
+        "unambiguous_from_pair, deterministic": deterministic,
+        "unambiguous_from_pair, covering": covered,
+    }
+    assert built["trim"].n == 1
+    for name, aut in built.items():
+        assert aut.n > 0 and _rows_as_the_benchmark_reads_them(aut), name
 
 
 SUBSET_HELPERS = {"_post"}

@@ -14,7 +14,6 @@ from twa import (
     MIN_PLUS,
     AlphabetError,
     TagMismatchError,
-    TropicalMatrix,
     WeightedAutomaton,
     hadamard,
     zoo,
@@ -249,7 +248,7 @@ def test_negate_single_transition():
         MIN_PLUS, "a", 2, initial=[(0, 0)], final=[(1, 0)], arcs=[(0, "a", 1, 3)]
     )
     flipped = aut.negate()
-    assert flipped.mu["a"].entry(0, 1) == -3
+    assert flipped.mu["a"].rows[0].get(1) == -3
     assert flipped.semiring.tag == "max-plus"
 
 
@@ -262,28 +261,28 @@ def test_letter_sum():
         final=[(1, 0)],
         arcs=[(0, "a", 1, 1), (0, "b", 1, 2)],
     )
-    m = aut.letter_sum()
-    assert m.entry(0, 1) == 2
+    assert aut.letter_sum() == [{1: 2}, {}]
     single = WeightedAutomaton.from_arcs(
         MAX_PLUS, "a", 2, initial=[(0, 0)], final=[(1, 0)], arcs=[(0, "a", 1, 5)]
     )
-    assert single.letter_sum() == single.mu["a"]
+    assert single.letter_sum() == single.mu["a"].rows
+    assert single.letter_sum() is not single.mu["a"].rows  # a copy, never the letter's own rows
     silent = WeightedAutomaton.from_arcs(MAX_PLUS, "ab", 2, initial=[(0, 0)], final=[(1, 0)])
-    assert all(not row for row in silent.letter_sum().rows)
+    assert silent.letter_sum() == [{}, {}]
 
 
 @given(st.sampled_from([MAX_PLUS, MIN_PLUS]).flatmap(lambda tag: automata(tag, alphabet="abc")))
 def test_letter_sum_is_the_chain_of_matrix_sums(aut):
-    # same entries in the same order (the first letter's first), and a
-    # matrix that checks out like a validated one
+    # same entries in the same order (the first letter's first), and rows
+    # that check out like the rows of a validated automaton
     expected = [{} for _ in range(aut.n)]
     for ch in aut.alphabet:
         for row, mrow in zip(expected, aut.mu[ch].rows):
             for j, w in mrow.items():
                 row[j] = w if j not in row else aut.semiring.plus(row[j], w)
     m = aut.letter_sum()
-    assert [list(row.items()) for row in m.rows] == [list(row.items()) for row in expected]
-    assert TropicalMatrix(m.semiring, m.n, m.rows) == m
+    assert [list(row.items()) for row in m] == [list(row.items()) for row in expected]
+    assert WeightedAutomaton(aut.semiring, "a", aut.n, aut.alpha, aut.beta, {"a": m}).mu["a"].rows == m
 
 
 def reference_trim_states(aut):
@@ -333,6 +332,52 @@ def test_constructor_validates():
         WeightedAutomaton.from_arcs("boolean", "a", 1)
 
 
+def test_constructor_copies_its_input():
+    rows = {"a": [{1: 2}, {}], "b": [{}, {0: -1}]}
+    alpha, beta = [0, None], [None, 0]
+    aut = WeightedAutomaton(MAX_PLUS, "ab", 2, alpha, beta, rows)
+    expected = WeightedAutomaton.from_arcs(
+        MAX_PLUS, "ab", 2, initial=[(0, 0)], final=[(1, 0)], arcs=[(0, "a", 1, 2), (1, "b", 0, -1)]
+    )
+    assert aut == expected
+    rows["a"][0][1] = 5
+    rows["a"][1][0] = 3
+    rows["b"].append({})
+    alpha[1] = 4
+    beta[0] = 4
+    assert aut == expected
+    assert aut.eval("ab") is None and aut.eval("a") == 2
+
+
+def test_constructor_takes_an_automatons_mu_and_copies_its_rows():
+    # an automaton's own mu may be handed back, as the benchmark does
+    amax, _ = zoo.sample_equivalent_pair()
+    copy = WeightedAutomaton(amax.semiring, amax.alphabet, amax.n, amax.alpha, amax.beta, amax.mu)
+    assert copy == amax
+    for ch in amax.alphabet:
+        assert copy.mu[ch] is not amax.mu[ch]
+        assert all(a is not b for a, b in zip(copy.mu[ch].rows, amax.mu[ch].rows))
+
+
+@pytest.mark.parametrize(
+    "mu, error",
+    [
+        ({"a": [{}]}, DimensionError),  # one row for two states
+        ({"a": [{}, {}, {}]}, DimensionError),
+        ({"a": [{2: 0}, {}]}, DimensionError),  # a column out of range
+        ({"a": [{}, {-1: 0}]}, DimensionError),
+        ({"a": [{0: None}, {}]}, TagMismatchError),  # the zero is never stored
+        ({"a": [{0: 0.5}, {}]}, TagMismatchError),
+        ({"a": [{}, {1: True}]}, TagMismatchError),
+        ({}, AlphabetError),  # a letter without rows
+        ({"a": [{}, {}], "b": [{}, {}]}, AlphabetError),  # rows without a letter
+    ],
+)
+def test_constructor_checks_every_row(mu, error):
+    with pytest.raises(error):
+        WeightedAutomaton(MAX_PLUS, "a", 2, [0, None], [None, 0], mu)
+
+
 def test_fraction_weights_evaluate_exactly():
     aut = WeightedAutomaton.from_arcs(
         MAX_PLUS,
@@ -349,7 +394,7 @@ def test_fraction_weights_evaluate_exactly():
 
 
 def ref_from_arcs(tag, alphabet, n, *, initial=(), final=(), arcs=(), labels=None):
-    """from_arcs through the public constructors, which copy and check every row again."""
+    """from_arcs through the public constructor, which copies and checks every row again."""
     sr = semiring_for(tag)
     alphabet = tuple(alphabet)
     alpha = [None] * n
@@ -378,8 +423,7 @@ def ref_from_arcs(tag, alphabet, n, *, initial=(), final=(), arcs=(), labels=Non
         if dst in rows[ch][src]:
             raise TwaError(f"duplicate arc {src} -{ch}-> {dst}")
         rows[ch][src][dst] = w
-    mu = {ch: TropicalMatrix(sr, n, rows[ch]) for ch in alphabet}
-    return WeightedAutomaton(sr, alphabet, n, alpha, beta, mu, state_labels=labels)
+    return WeightedAutomaton(sr, alphabet, n, alpha, beta, rows, state_labels=labels)
 
 
 def _built(build, *args, **kwargs):

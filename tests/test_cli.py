@@ -128,7 +128,7 @@ def test_fatou_roundtrip(capsys, tmp_path):
     assert code == 0
     result = parse(out)
     assert result.beta == [None, 0]
-    assert result.mu["a"].entry(0, 1) == 0
+    assert result.mu["a"].rows[0].get(1) == 0
 
 
 def test_fatou_rejects_positive_series(capsys, tmp_path):
@@ -413,6 +413,19 @@ def test_nonpositive_caps_and_negative_lengths_are_usage_errors(capsys, tmp_path
         assert (code, out) == (2, ""), argv
         assert "at least" in err or "integer" in err, argv
         assert "Traceback" not in err, argv
+
+
+def test_oracle_refuses_long_sweeps_over_one_letter(capsys, tmp_path):
+    # one word per length: only the length bound stops a sweep of 10^12 steps
+    path = tmp_path / "one.twa"
+    path.write_text("twa 1\nsemiring max-plus\nalphabet a\nstates 1\ninitial 0 0\nfinal 0 0\ntrans 0 0 a 1\n")
+    for argv in (
+        ("oracle", "compare", str(path), str(path), "--maxlen", "1000000000000"),
+        ("oracle", "ambiguity", str(path), "--maxlen", "10000000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "enumeration bound" in err and "Traceback" not in err, argv
 
 
 def test_smallest_caps_and_lengths_are_accepted(capsys):

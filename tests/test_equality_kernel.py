@@ -45,7 +45,6 @@ from twa import (
     Decision,
     NotEqualError,
     PositiveCycleError,
-    TropicalMatrix,
     WeightedAutomaton,
     covering,
     decide_equal_const,
@@ -103,7 +102,7 @@ def ref_nonpositive(trim):
     word = ref_positive_word(trim)
     if word is not None:
         return Decision(False, word)
-    rho = max_mean_cycle(trim.letter_sum())
+    rho = max_mean_cycle(trim)
     if rho is not None and rho > 0:
         return Decision(False, _pumped_witness(trim))
     return Decision(True, None)
@@ -148,19 +147,15 @@ def ref_extract(amax, bmin):
     weights = grid_product(ta, negated, MAX_PLUS, lambda x, y: x).trim()
     if difference.n == 0:
         return WeightedAutomaton(
-            MAX_PLUS, amax.alphabet, 0, [], [], {ch: TropicalMatrix(MAX_PLUS, 0) for ch in amax.alphabet}
+            MAX_PLUS, amax.alphabet, 0, [], [], {ch: [] for ch in amax.alphabet}
         )
     assert ref_nonpositive(difference).holds  # S = T, so S - T is 0 on its support
     flat = ref_fatou(difference)
     mu = {
-        ch: TropicalMatrix(
-            MAX_PLUS,
-            difference.n,
-            [
-                {j: weights.mu[ch].rows[i][j] for j, w in row.items() if w == 0}
-                for i, row in enumerate(flat.mu[ch].rows)
-            ],
-        )
+        ch: [
+            {j: weights.mu[ch].rows[i][j] for j, w in row.items() if w == 0}
+            for i, row in enumerate(flat.mu[ch].rows)
+        ]
         for ch in difference.alphabet
     }
 
@@ -208,14 +203,10 @@ def ref_remove_competitions(cover):
         aut.alpha,
         [w if i in keep_finals else None for i, w in enumerate(aut.beta)],
         {
-            ch: TropicalMatrix(
-                aut.semiring,
-                aut.n,
-                [
-                    {j: w for j, w in row.items() if (i, ch, j) in keep_arcs}
-                    for i, row in enumerate(mat.rows)
-                ],
-            )
+            ch: [
+                {j: w for j, w in row.items() if (i, ch, j) in keep_arcs}
+                for i, row in enumerate(mat.rows)
+            ]
             for ch, mat in aut.mu.items()
         },
         aut.state_labels,
@@ -241,7 +232,7 @@ def ref_determinize_weighted(aut, cap):
             best = {}
             for q, r in current:
                 for t in range(aut.n):
-                    w = aut.mu[ch].entry(q, t)
+                    w = aut.mu[ch].rows[q].get(t)
                     if w is not None and (t not in best or r + w > best[t]):
                         best[t] = r + w
             if not best:
@@ -552,10 +543,11 @@ def test_only_the_kernel_reads_the_zero_filter(monkeypatch, pair):
     assert calls == []
 
 
-def ref_star_rounds(m, u):
-    """The relaxation on the letter sum: its own predecessor lists, rounds up to m.n."""
-    into = [[] for _ in range(m.n)]
-    for i, row in enumerate(m.rows):
+def ref_star_rounds(rows, u):
+    """The relaxation on the letter sum's rows: its own predecessor lists, rounds up to n."""
+    n = len(rows)
+    into = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
         for j, w in row.items():
             into[j].append((i, w))
     order = [j for j, uj in enumerate(u) if uj is not None]
@@ -567,7 +559,7 @@ def ref_star_rounds(m, u):
             if i not in seen:
                 seen.add(i)
                 order.append(i)
-    for rounds in range(m.n + 1):
+    for rounds in range(n + 1):
         improved = []
         for i, j, w in arcs:
             c = w + u[j]
@@ -576,7 +568,7 @@ def ref_star_rounds(m, u):
                 improved.append(i)
         if not improved:
             return
-        if rounds == m.n:
+        if rounds == n:
             raise PositiveCycleError("diverges")
         yield improved
 
@@ -638,7 +630,7 @@ def test_relaxation_of_the_prime_products_takes_few_rounds(pqrs):
     assert relaxes_like_the_letter_sum(amax, bmin) == ("fixpoint", True, False)
     product = hadamard(amax.trim(), bmin.trim().negate()).trim()
     u = list(product.beta)
-    assert sum(1 for _ in _relax(*_backward_search([product.letter_sum().rows], u), u)) <= 3
+    assert sum(1 for _ in _relax(*_backward_search([product.letter_sum()], u), u)) <= 3
     assert all(w is not None for w in u)
     assert decide_nonpositive(product).holds
 

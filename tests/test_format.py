@@ -243,7 +243,7 @@ def test_decimals_parse_exactly():
     )
     assert aut.alpha[0] == Fraction(1, 10)
     assert aut.beta[0] == Fraction(-1, 5)
-    assert aut.mu["a"].entry(0, 0) == Fraction(1, 4)
+    assert aut.mu["a"].rows[0].get(0) == Fraction(1, 4)
     assert "trans 0 0 a 1/4" in serialize(aut)
 
 

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import random_automaton
-from twa import MAX_PLUS, OracleBoundError, TropicalMatrix, WeightedAutomaton, zoo
+from corpus import one_letter, random_automaton
+from twa import MAX_PLUS, MIN_PLUS, OracleBoundError, TagMismatchError, WeightedAutomaton, zoo
 from twa.oracle import (
+    MAX_ENUM,
     ambiguity,
     enum_paths,
     equal_upto,
@@ -100,18 +101,24 @@ def test_max_ambiguity_upto():
 
 
 def test_simple_circuits_example():
-    mat = TropicalMatrix.from_rows(MAX_PLUS, [[-1, 2], [0, None]])
-    circuits = simple_circuits(mat)
+    circuits = simple_circuits(one_letter([{0: -1, 1: 2}, {0: 0}]))
     assert {mean for _, mean in circuits} == {-1, 1}
     assert ((0,), -1) in circuits and ((0, 1), 1) in circuits
 
 
 def test_simple_circuits_means_are_exact():
-    mat = TropicalMatrix.from_rows(
-        MAX_PLUS, [[None, 1, None], [None, None, 1], [2, None, None]]
-    )
-    circuits = simple_circuits(mat)
+    circuits = simple_circuits(one_letter([{1: 1}, {2: 1}, {0: 2}]))
     assert circuits == [((0, 1, 2), Fraction(4, 3))]
+
+
+def test_simple_circuits_read_the_letter_sum():
+    # arc 0 -> 1 weighs 2 on b and 0 -> 0 only exists on a: the heaviest letter counts
+    aut = WeightedAutomaton.from_arcs(
+        MAX_PLUS, "ab", 2, arcs=[(0, "a", 1, -4), (0, "b", 1, 2), (1, "a", 0, 0), (0, "a", 0, -1)]
+    )
+    assert simple_circuits(aut) == [((0,), -1), ((0, 1), 1)]
+    with pytest.raises(TagMismatchError):
+        simple_circuits(one_letter([{0: 0}], MIN_PLUS))
 
 
 def test_oracle_bounds_guard():
@@ -119,6 +126,40 @@ def test_oracle_bounds_guard():
     with pytest.raises(OracleBoundError):
         list(words_upto("ab", 64))
     with pytest.raises(OracleBoundError):
-        simple_circuits(TropicalMatrix(MAX_PLUS, 11))
+        simple_circuits(one_letter([{} for _ in range(11)]))
     with pytest.raises(OracleBoundError):
         equal_upto(amax, amax, 64)
+
+
+def _counter(alphabet):
+    """A one-state automaton over ``alphabet`` whose every word weighs 0."""
+    return WeightedAutomaton.from_arcs(
+        MAX_PLUS, alphabet, 1, initial=[(0, 0)], final=[(0, 0)], arcs=[(0, ch, 0, 0) for ch in alphabet]
+    )
+
+
+@pytest.mark.parametrize("alphabet", ["a", ""], ids=["one letter", "no letter"])
+def test_the_bound_refuses_long_sweeps_over_small_alphabets(alphabet):
+    # |alphabet|^maxlen is 1 or 0 here, so only the length can refuse the sweep
+    aut = _counter(alphabet)
+    for maxlen in (MAX_ENUM, 10**12):
+        with pytest.raises(OracleBoundError):
+            equal_upto(aut, aut, maxlen)
+        with pytest.raises(OracleBoundError):
+            one_valued_upto(aut, maxlen)
+        with pytest.raises(OracleBoundError):
+            max_ambiguity_upto(aut, maxlen)
+        with pytest.raises(OracleBoundError):
+            list(words_upto(alphabet, maxlen))
+    assert equal_upto(aut, aut, 50).holds
+    assert one_valued_upto(aut, 50).holds
+    assert max_ambiguity_upto(aut, 50) == (1, "")
+    assert list(words_upto(alphabet, 3)) == ["", *(alphabet * k for k in (1, 2, 3) if alphabet)]
+
+
+def test_words_upto_stops_at_the_first_empty_level():
+    # the empty alphabet has one word: no level after the first is walked
+    assert list(words_upto("", MAX_ENUM - 1)) == [""]
+    aut = _counter("")
+    assert equal_upto(aut, aut, MAX_ENUM - 1).holds
+    assert max_ambiguity_upto(aut, MAX_ENUM - 1) == (1, "")

@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import power_star, random_matrix
+from corpus import one_letter, power_star, random_matrix
 from twa import (
     MAX_PLUS,
     MIN_PLUS,
     PositiveCycleError,
     TagMismatchError,
-    TropicalMatrix,
     max_mean_cycle,
 )
 from twa.oracle import simple_circuits
@@ -21,15 +20,16 @@ from twa.spectral import _backward_search, _critical_circuit, _relax
 Z = None  # the semiring zero, for readable fixtures
 
 
-def M(*rows, tag=MAX_PLUS):
-    return TropicalMatrix.from_rows(tag, list(rows))
+def M(*dense, tag=MAX_PLUS):
+    """The one-letter automaton of a dense matrix, Z for the zero."""
+    return one_letter([{j: w for j, w in enumerate(row) if w is not Z} for row in dense], tag)
 
 
 def test_max_mean_cycle_examples():
     assert max_mean_cycle(M([-1, 2], [0, Z])) == 1  # two-cycle mean (2+0)/2
     assert max_mean_cycle(M([-3])) == -3  # only circuit: the self-loop
     assert max_mean_cycle(M([Z, 5, 7], [Z, Z, 1], [Z, Z, Z])) is None  # acyclic
-    assert max_mean_cycle(TropicalMatrix(MAX_PLUS, 0)) is None
+    assert max_mean_cycle(one_letter([])) is None
 
 
 def test_max_mean_cycle_requires_max_plus():
@@ -40,7 +40,7 @@ def test_max_mean_cycle_requires_max_plus():
 def test_max_mean_cycle_matches_circuit_enumeration():
     rng = random.Random(2024)
     for _ in range(200):
-        a = random_matrix(rng, nmax=6)
+        a = one_letter(random_matrix(rng, nmax=6))
         circuits = simple_circuits(a)
         expected = max((mean for _, mean in circuits), default=None)
         assert max_mean_cycle(a) == expected
@@ -50,18 +50,16 @@ def test_max_mean_cycle_shifts_with_constant():
     rng = random.Random(77)
     for _ in range(50):
         a = random_matrix(rng, nmax=5)
-        rho = max_mean_cycle(a)
+        rho = max_mean_cycle(one_letter(a))
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        shifted = TropicalMatrix(
-            MAX_PLUS, a.n, [{j: w + c for j, w in row.items()} for row in a.rows]
-        )
+        shifted = [{j: w + c for j, w in row.items()} for row in a]
         expected = None if rho is None else rho + c
-        assert max_mean_cycle(shifted) == expected
+        assert max_mean_cycle(one_letter(shifted)) == expected
 
 
 def _components(a):
-    """The strongly connected components of the graph of ``a``: reach meets co-reach."""
-    n = a.n
+    """The strongly connected components of the graph of the rows ``a``: reach meets co-reach."""
+    n = len(a)
 
     def closure(start, step):
         seen = {start}
@@ -73,12 +71,12 @@ def _components(a):
                     stack.append(j)
         return seen
 
-    into = [[i for i in range(n) if j in a.rows[i]] for j in range(n)]
+    into = [[i for i in range(n) if j in a[i]] for j in range(n)]
     placed = set()
     out = []
     for v in range(n):
         if v not in placed:
-            comp = closure(v, lambda i: a.rows[i]) & closure(v, lambda j: into[j])
+            comp = closure(v, lambda i: a[i]) & closure(v, lambda j: into[j])
             placed |= comp
             out.append(sorted(comp))
     return out
@@ -94,7 +92,7 @@ def karp_max_mean_cycle(a):
     best = None
     for nodes in _components(a):
         members = set(nodes)
-        arcs = [(u, v, w) for u in nodes for v, w in a.rows[u].items() if v in members]
+        arcs = [(u, v, w) for u in nodes for v, w in a[u].items() if v in members]
         if not arcs:
             continue
         c = len(nodes)
@@ -134,13 +132,13 @@ def components_matrix(rng, sizes, weights, frac_p=0.0):
             if first + size < n and rng.random() < 0.3:
                 rows[i][rng.randrange(first + size, n)] = weight()
         first += size
-    return TropicalMatrix(MAX_PLUS, n, rows)
+    return rows
 
 
 def _check_circuit(a, rho, circuit):
     assert len(set(circuit)) == len(circuit)
     arcs = zip(circuit, circuit[1:] + circuit[:1])
-    assert Fraction(sum(a.rows[i][j] for i, j in arcs), len(circuit)) == rho
+    assert Fraction(sum(a[i][j] for i, j in arcs), len(circuit)) == rho
 
 
 def test_critical_circuit_matches_circuit_enumeration():
@@ -151,15 +149,12 @@ def test_critical_circuit_matches_circuit_enumeration():
         if rng.random() < 0.5:
             a = random_matrix(rng, nmax=8, lo=-2, hi=2, zero_p=rng.choice([0.5, 0.8]))
             if rng.random() < 0.3:
-                a = TropicalMatrix(MAX_PLUS, a.n, [
-                    {j: Fraction(w, rng.choice([1, 3, 4])) for j, w in row.items()}
-                    for row in a.rows
-                ])
+                a = [{j: Fraction(w, rng.choice([1, 3, 4])) for j, w in row.items()} for row in a]
         else:
             sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
             a = components_matrix(rng, sizes, [-1, 0, 1], frac_p=0.3)
         rho, circuit = _critical_circuit(a)
-        means = [mean for _, mean in simple_circuits(a)]
+        means = [mean for _, mean in simple_circuits(one_letter(a))]
         assert rho == max(means, default=None)
         if rho is None:
             assert circuit is None
@@ -182,14 +177,14 @@ def test_max_mean_cycle_matches_karp_beyond_the_enumeration():
             a = components_matrix(rng, sizes, range(-9, 4), frac_p=0.2)
             assert len(_components(a)) == len(sizes)
             rho, circuit = _critical_circuit(a)
-            assert rho == max_mean_cycle(a) == karp_max_mean_cycle(a)
+            assert rho == max_mean_cycle(one_letter(a)) == karp_max_mean_cycle(a)
             _check_circuit(a, rho, circuit)
 
 
 def relaxed(a, beta):
     """The potential u = M*beta of the production relaxation, run to its fixpoint."""
     u = list(beta)
-    for _ in _relax(*_backward_search([a.rows], u), u):
+    for _ in _relax(*_backward_search([a], u), u):
         pass
     return u
 
@@ -199,10 +194,10 @@ def test_star_vector_matches_mat_star():
     rng = random.Random(4242)
     for _ in range(100):
         a = random_matrix(rng, nmax=5, lo=-5, hi=0)
-        if (rho := max_mean_cycle(a)) is not None and rho > 0:
+        if (rho := max_mean_cycle(one_letter(a))) is not None and rho > 0:
             continue
         beta = [
-            None if rng.random() < 0.4 else rng.randint(-5, 5) for _ in range(a.n)
+            None if rng.random() < 0.4 else rng.randint(-5, 5) for _ in range(len(a))
         ]
         expected = []
         for row in power_star(a):
@@ -216,6 +211,6 @@ def test_star_vector_matches_mat_star():
 
 
 def test_star_vector_detects_divergence():
-    a = M([1])  # positive self-loop feeding the final vector
+    a = [{0: 1}]  # positive self-loop feeding the final vector
     with pytest.raises(PositiveCycleError):
         relaxed(a, [0])
