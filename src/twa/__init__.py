@@ -44,7 +44,6 @@ from .errors import (
     NotEqualError,
     NotNonpositiveError,
     OracleBoundError,
-    PositiveCycleError,
     TagMismatchError,
     TwaError,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "NotEqualError",
     "NotNonpositiveError",
     "OracleBoundError",
-    "PositiveCycleError",
     "TagMismatchError",
     "TwaError",
     "WeightedAutomaton",

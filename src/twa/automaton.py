@@ -17,7 +17,6 @@ import operator
 
 from .errors import AlphabetError, CapExceededError, DimensionError, TagMismatchError, TwaError
 from .semiring import MAX_PLUS, MIN_PLUS, Semiring, semiring_for
-from .spectral import _backward_order
 
 
 def _valid_symbol(ch) -> bool:
@@ -33,6 +32,23 @@ def _check_alphabets(a: "WeightedAutomaton", b: "WeightedAutomaton", message: st
     """
     if set(a.alphabet) != set(b.alphabet):
         raise AlphabetError(message)
+
+
+def _backward_order(into: list, u: list) -> list:
+    """Breadth-first search backward from the finite entries of ``u``.
+
+    Iterating ``into[j]`` gives the sources of the arcs into j.  Returns the
+    states from which some arc path reaches a finite entry: those entries
+    first, in increasing order, then the others in discovery order.
+    """
+    order = [j for j, uj in enumerate(u) if uj is not None]
+    seen = [uj is not None for uj in u]
+    for j in order:  # grows while it is walked: a breadth-first queue
+        for i in into[j]:
+            if not seen[i]:
+                seen[i] = True
+                order.append(i)
+    return order
 
 
 class _Rows:
@@ -245,8 +261,8 @@ class WeightedAutomaton:
 
         Those reachable from an initial arrow (the forward search below)
         among those that reach a final arrow (the backward search of
-        ``spectral._backward_order``, which also orders the relaxation of
-        the potential).
+        _backward_order, which also orders the relaxation of the potential
+        in ``twa.decisions``).
         """
         letters = [mat.rows for mat in self.mu.values()]
         fwd = [w is not None for w in self.alpha]

@@ -247,8 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("equal-const", cmd_equal_const, "decide: every coefficient equals a constant")
     p.add_argument("const", help="rational constant (weight literal)")
     p.add_argument("file")
-    p.add_argument("--on-support", action="store_true", help="quantify over the support only")
-    p.add_argument(
+    # the support test compares two NFAs under the fixed cap: no option caps it
+    scope = p.add_mutually_exclusive_group()
+    scope.add_argument("--on-support", action="store_true", help="quantify over the support only")
+    scope.add_argument(
         "--subset-cap", type=_int_at_least(1), default=DEFAULT_SUBSET_CAP,
         metavar="N", help="cap on the subsets explored by the all-words test",
     )

@@ -55,17 +55,13 @@ from .automaton import (
     DEFAULT_SUBSET_CAP,
     WeightedAutomaton,
     _accessible_product,
+    _backward_order,
     _check_alphabets,
     _SubsetNfa,
 )
-from .errors import (
-    CapExceededError,
-    NotNonpositiveError,
-    PositiveCycleError,
-    TagMismatchError,
-)
+from .errors import CapExceededError, NotNonpositiveError, TagMismatchError
 from .semiring import MAX_PLUS, is_rational
-from .spectral import _backward_search, _critical_circuit, _relax
+from .spectral import _critical_circuit
 
 
 class Decision(NamedTuple):
@@ -134,11 +130,7 @@ def _nonpositive(
     if _positive(aut.alpha, u, range(aut.n)):
         return Decision(False, ""), aut, None, None
     order, into = _backward_search([mat.rows for mat in aut.mu.values()], u)
-    diverged = False
-    try:
-        holds = _nonpositive_potential(aut.alpha, order, into, u)
-    except PositiveCycleError:
-        holds, diverged = False, True
+    holds = _relax(aut.alpha, order, into, u)
     keep = None
     if len(order) < aut.n:
         keep = sorted(order)
@@ -147,8 +139,8 @@ def _nonpositive(
     if holds:
         return Decision(True, None), aut, u, keep
     # a positive word shorter than n would have stopped an earlier round, so
-    # after a divergence the forward pass cannot succeed
-    witness = None if diverged else _positive_word(aut)
+    # after a divergence (None) the forward pass cannot succeed
+    witness = None if holds is None else _positive_word(aut)
     if witness is None:
         witness = _pumped_witness(aut)
     return Decision(False, witness), aut, None, keep
@@ -161,25 +153,66 @@ def _positive(alpha: list, u: list, states) -> bool:
     )
 
 
-def _nonpositive_potential(alpha: list, order: list, into: list, u: list) -> bool:
-    """Whether the series is nonpositive; relaxes ``u`` to M*beta if so.
+def _backward_search(letters: list, u: list) -> tuple[list, list]:
+    """The backward search from the finite entries of ``u``, with the arcs it crossed.
+
+    ``letters`` lists row lists (one per letter, or one matrix's rows), each
+    of len(u) row dicts.  Returns (order, into): the result of
+    _backward_order, and into[j] = {i: w}, the arcs i -> j of the letter sum
+    by increasing source, built without the sum: one pass over the rows in
+    row-major order merges the arcs of one source, one per letter, into
+    their maximum.
+    """
+    into = [{} for _ in u]
+    for i in range(len(u)):
+        for rows in letters:
+            for j, w in rows[i].items():
+                preds = into[j]
+                old = preds.get(i)
+                if old is None or w > old:
+                    preds[i] = w
+    return _backward_order(into, u), into
+
+
+def _relax(alpha: list, order: list, into: list, u: list) -> Optional[bool]:
+    """Relax ``u`` in place toward M*beta, one Bellman-Ford round at a time,
+    and tell whether the series is nonpositive.
 
     ``u`` starts as beta, with alpha_i + beta_i <= 0 for every i, and
     ``order`` and ``into`` are what _backward_search returns for it and the
     letter rows of the automaton, so the states outside ``order``, which
-    reach no final arrow, keep u_i = None.  Every finite u_i is the weight
-    of a real path from i to a final arrow, so alpha_i + u_i > 0 after a
-    round, tested on the states it improved, exhibits a positive word.  A
-    positive cycle that reaches a final arrow stops the relaxation with
-    PositiveCycleError; it pumps, because the automaton is accessible (trim,
-    or a product built from its initial pairs), so the cycle lies on a
-    successful path.  At the fixpoint alpha + u <= 0 is exactly
-    nonpositivity.
+    reach no final arrow, keep u_i = None.  Every finite u_i is, at all
+    times, the weight of a real path from i to a final arrow, so
+    alpha_i + u_i > 0 after a round, tested by _positive once per improving
+    round on the states it improved (in improvement order, a state may
+    repeat), exhibits a positive word: returns False.  Returns True after
+    the first round that changes nothing, when u = M*beta and alpha + u <= 0
+    is exactly nonpositivity.  Returns None when round len(order) + 1 still
+    changes u: a positive cycle reaches a final arrow.  It pumps, because
+    the automaton is accessible (trim, or a product built from its initial
+    pairs), so the cycle lies on a successful path.
+
+    A round relaxes the arcs in backward breadth-first order from the support
+    of u: the arcs into a state come right after those into the states it
+    was discovered from.  So one round carries the best weights back along
+    every path of fewest arcs, and rounds repeat only for better paths with
+    more arcs.  Arcs into states that cannot reach the support never change
+    u and are left out.
     """
-    for improved in _relax(order, into, u):
+    arcs = [(i, j, w) for j in order for i, w in into[j].items()]
+    for rounds in range(len(order) + 1):
+        improved = []
+        for i, j, w in arcs:
+            c = w + u[j]  # finite: an arc out of j came earlier in this order
+            if u[i] is None or c > u[i]:
+                u[i] = c
+                improved.append(i)
+        if not improved:
+            return True
+        if rounds == len(order):
+            return None
         if _positive(alpha, u, improved):
             return False
-    return True
 
 
 def _positive_word(trim: WeightedAutomaton) -> Optional[str]:
@@ -324,18 +357,10 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
     coefficient is positive.
     """
     _require_max_plus(aut, "fatou_normalize")
+    # the decision and the renormalization share one relaxation
     verdict, trim, u, _ = _nonpositive(aut.trim())
     if not verdict.holds:
         raise NotNonpositiveError(verdict.witness)
-    return _fatou_trimmed(trim, u)
-
-
-def _fatou_trimmed(trim: WeightedAutomaton, u: list) -> WeightedAutomaton:
-    """Conjugate a trim nonpositive automaton by its potential ``u`` = M*beta.
-
-    ``u`` is the potential that _nonpositive returns with a positive
-    verdict, so the decision and the renormalization share one relaxation.
-    """
     if trim.n == 0:
         return trim
     alpha = [None if w is None else w + u[i] for i, w in enumerate(trim.alpha)]

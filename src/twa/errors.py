@@ -17,13 +17,6 @@ class AlphabetError(TwaError):
     """An unknown symbol was used, or two alphabets do not match."""
 
 
-class PositiveCycleError(TwaError):
-    """The potential u = M*beta diverges: a positive-weight cycle reaches beta.
-
-    Raised by the Bellman-Ford relaxation of u (``twa.spectral._relax``).
-    """
-
-
 class NotNonpositiveError(TwaError):
     """A construction required a nonpositive series but found a value above zero.
 

@@ -1,26 +1,19 @@
-"""Max-plus matrices as row lists: maximum mean cycle and the potential.
+"""Maximum mean cycle of a max-plus automaton, by Howard policy iteration.
 
 A matrix is kept as an automaton keeps each letter, n row dicts {column:
 weight} with the semiring zero absent, so thin products stay cheap.  The
 maximum cycle mean and a circuit that attains it come from one routine,
 Howard policy iteration on the rows of a letter sum; max_mean_cycle takes
-the max-plus automaton itself, as rows carry no tag.  The one star the
-library needs, the potential u = M*beta, is never formed as a matrix: a
-backward search from the support of beta orders a Bellman-Ford relaxation
-of u, which raises PositiveCycleError when the star diverges.
+the max-plus automaton itself, as rows carry no tag.  The potential u =
+M*beta is relaxed in twa.decisions, next to the verdict it serves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PositiveCycleError, TagMismatchError
+from .errors import TagMismatchError
 from .semiring import as_value
-
-
-# ---------------------------------------------------------------------------
-# Maximum mean cycle.
-# ---------------------------------------------------------------------------
 
 
 def _critical_circuit(rows: list):
@@ -138,80 +131,3 @@ def max_mean_cycle(aut):
     if aut.semiring.tag != "max-plus":
         raise TagMismatchError("max_mean_cycle requires a max-plus automaton")
     return _critical_circuit(aut.letter_sum())[0]
-
-
-# ---------------------------------------------------------------------------
-# The potential u = M*beta.
-# ---------------------------------------------------------------------------
-
-
-def _backward_order(into: list, u: list) -> list:
-    """Breadth-first search backward from the finite entries of ``u``.
-
-    Iterating ``into[j]`` gives the sources of the arcs into j.  Returns the
-    states from which some arc path reaches a finite entry: those entries
-    first, in increasing order, then the others in discovery order.
-    """
-    order = [j for j, uj in enumerate(u) if uj is not None]
-    seen = [uj is not None for uj in u]
-    for j in order:  # grows while it is walked: a breadth-first queue
-        for i in into[j]:
-            if not seen[i]:
-                seen[i] = True
-                order.append(i)
-    return order
-
-
-def _backward_search(letters: list, u: list) -> tuple[list, list]:
-    """The backward search from the finite entries of ``u``, with the arcs it crossed.
-
-    ``letters`` lists row lists (one per letter, or one matrix's rows), each
-    of len(u) row dicts.  Returns (order, into): the result of
-    _backward_order, and into[j] = {i: w}, the arcs i -> j of the letter sum
-    by increasing source, built without the sum: one pass over the rows in
-    row-major order merges the arcs of one source, one per letter, into
-    their maximum.
-    """
-    into = [{} for _ in u]
-    for i in range(len(u)):
-        for rows in letters:
-            for j, w in rows[i].items():
-                preds = into[j]
-                old = preds.get(i)
-                if old is None or w > old:
-                    preds[i] = w
-    return _backward_order(into, u), into
-
-
-def _relax(order: list, into: list, u: list):
-    """Relax ``u`` in place toward (star of M) times u, one Bellman-Ford round per step.
-
-    ``order`` and ``into`` are what _backward_search returns for u and the
-    rows of M.  Every finite entry u_i is, at all times, the weight of a
-    real path from i into the support of the starting vector, its final
-    weight included.  Yields the states that a round improved, in
-    improvement order (a state may repeat), and returns after the first
-    round that changes nothing, when u is the fixpoint.  A caller may stop
-    after any round.  Raises PositiveCycleError when round len(order) + 1
-    still changes u: a cycle that reaches the support has positive weight.
-
-    A round relaxes the arcs in backward breadth-first order from the support
-    of u: the arcs into a state come right after those into the states it
-    was discovered from.  So one round carries the best weights back along
-    every path of fewest arcs, and rounds repeat only for better paths with
-    more arcs.  Arcs into states that cannot reach the support never change
-    u and are left out.
-    """
-    arcs = [(i, j, w) for j in order for i, w in into[j].items()]
-    for rounds in range(len(order) + 1):
-        improved = []
-        for i, j, w in arcs:
-            c = w + u[j]  # finite: an arc out of j came earlier in this order
-            if u[i] is None or c > u[i]:
-                u[i] = c
-                improved.append(i)
-        if not improved:
-            return
-        if rounds == len(order):
-            raise PositiveCycleError("star diverges: positive-weight cycle reached")
-        yield improved

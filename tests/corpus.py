@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from twa import MAX_PLUS, MIN_PLUS, Covering, WeightedAutomaton
 from twa.automaton import _SubsetNfa
+from twa.decisions import _backward_search, _relax
 from twa.format import serialize
 from twa.semiring import format_finite, parse_finite
 
@@ -36,6 +37,14 @@ def random_matrix(rng, n=None, nmax=6, lo=-5, hi=5, zero_p=0.4):
                 row[j] = w
         rows.append(row)
     return rows
+
+
+def relaxed(rows, beta):
+    """The potential u = M*beta of the production relaxation, M given as row
+    dicts: u at the fixpoint, or None when the relaxation diverges."""
+    u = list(beta)
+    # no initial arrow, so no round is positive: the fixpoint or a divergence
+    return u if _relax([None] * len(u), *_backward_search([rows], u), u) else None
 
 
 def vec_rows(x, rows):

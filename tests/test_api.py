@@ -68,6 +68,9 @@ def test_package_exports_exactly_what_it_imports():
         "_MaskNfa",
         "TropicalMatrix",
         "vec_mat",
+        "PositiveCycleError",
+        "_nonpositive_potential",
+        "_fatou_trimmed",
     ],
 )
 def test_retired_names_are_gone(name):
@@ -86,6 +89,28 @@ def test_retired_names_are_gone(name):
 )
 def test_retired_methods_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+# each module may import only the ones before it: twa.automaton, the base of
+# every algorithm, sits below the cycle means and the decisions
+LAYERS = [
+    "errors", "semiring", "automaton", "spectral", "decisions",
+    "disambiguation", "format", "oracle", "zoo", "cli",
+]
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    package = pathlib.Path(twa.__file__).parent
+    assert sorted(LAYERS) == sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
+    upward = [
+        f"{name} imports {target}"
+        for name in LAYERS
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for target in ([node.module] if node.module else [alias.name for alias in node.names])
+        if LAYERS.index(target) >= LAYERS.index(name)
+    ]
+    assert upward == []
 
 
 def _holds_both_tags(node) -> bool:

@@ -415,6 +415,19 @@ def test_nonpositive_caps_and_negative_lengths_are_usage_errors(capsys, tmp_path
         assert "Traceback" not in err, argv
 
 
+def test_the_support_test_takes_no_subset_cap(capsys, tmp_path):
+    # --subset-cap 1 alone stops the all-words test (test_monoid_cap_exit_code);
+    # --on-support compares two NFAs under the fixed cap and would ignore it
+    path = tmp_path / "swap.twa"
+    path.write_text(SWAP)
+    assert run(capsys, "equal-const", "0", str(path), "--on-support") == (0, "YES\n", "")
+    for options in (("--on-support", "--subset-cap", "1"), ("--subset-cap", "1", "--on-support")):
+        code, out, err = run(capsys, "equal-const", "0", str(path), *options)
+        assert (code, out) == (2, ""), options
+        assert "--on-support" in err and "--subset-cap" in err, options
+        assert "Traceback" not in err, options
+
+
 def test_oracle_refuses_long_sweeps_over_one_letter(capsys, tmp_path):
     # one word per length: only the length bound stops a sweep of 10^12 steps
     path = tmp_path / "one.twa"

@@ -14,11 +14,15 @@ from corpus import (
     Nfa,
     as_min_plus_copy,
     automata,
+    one_letter,
+    power_star,
     random_automaton,
     random_deterministic_automaton,
+    random_matrix,
     random_trim_nonpositive,
     ref_fatou,
     ref_positive_word,
+    relaxed,
     reordered,
     support,
     vec_rows,
@@ -31,7 +35,6 @@ from twa import (
     CapExceededError,
     Decision,
     NotNonpositiveError,
-    PositiveCycleError,
     TagMismatchError,
     WeightedAutomaton,
     decide_equal_const,
@@ -279,6 +282,32 @@ def test_fatou_outputs_nonpositive_weights_and_same_series():
 # -- one potential for the verdict and the renormalization -------------------
 
 
+def test_the_potential_matches_the_star():
+    # the relaxed potential against the star by its definition
+    rng = random.Random(4242)
+    for _ in range(100):
+        a = random_matrix(rng, nmax=5, lo=-5, hi=0)
+        if (rho := max_mean_cycle(one_letter(a))) is not None and rho > 0:
+            continue
+        beta = [
+            None if rng.random() < 0.4 else rng.randint(-5, 5) for _ in range(len(a))
+        ]
+        expected = []
+        for row in power_star(a):
+            acc = None
+            for j, w in row.items():
+                if beta[j] is not None:
+                    cand = w + beta[j]
+                    acc = cand if acc is None or cand > acc else acc
+            expected.append(acc)
+        assert relaxed(a, beta) == expected
+
+
+def test_the_potential_diverges_on_a_positive_cycle():
+    a = [{0: 1}]  # positive self-loop feeding the final vector
+    assert relaxed(a, [0]) is None
+
+
 def _reference_nonpositive(trim):
     """The scan of alpha M^k beta for k < n, then Karp: the decision that the
     single Bellman-Ford relaxation replaced, with the same pumped witness."""
@@ -325,10 +354,8 @@ def test_the_forward_pass_gives_the_word_of_the_scan_and_backward_walk():
             assert expected is None
             return
         u = list(trim.beta)
-        order, into = twa.spectral._backward_search([mat.rows for mat in trim.mu.values()], u)
-        try:
-            twa.decisions._nonpositive_potential(trim.alpha, order, into, u)
-        except PositiveCycleError:
+        order, into = twa.decisions._backward_search([mat.rows for mat in trim.mu.values()], u)
+        if twa.decisions._relax(trim.alpha, order, into, u) is None:
             # every positive word shorter than n stops a round before the divergence
             assert expected is None
             kinds.add("diverged")

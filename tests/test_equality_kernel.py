@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import twa.automaton
 import twa.decisions
 import twa.disambiguation
-import twa.spectral
 from corpus import (
     as_min_plus_copy,
     automata,
@@ -44,7 +43,6 @@ from twa import (
     CapExceededError,
     Decision,
     NotEqualError,
-    PositiveCycleError,
     WeightedAutomaton,
     covering,
     decide_equal_const,
@@ -64,7 +62,6 @@ from twa import (
 )
 from twa.automaton import _SubsetNfa
 from twa.decisions import _decision, _nonpositive, _pumped_witness, _zero_filter
-from twa.spectral import _backward_search, _relax
 
 # -- the reference: the separate path, with frozenset subsets -----------------
 
@@ -544,7 +541,9 @@ def test_only_the_kernel_reads_the_zero_filter(monkeypatch, pair):
 
 
 def ref_star_rounds(rows, u):
-    """The relaxation on the letter sum's rows: its own predecessor lists, rounds up to n."""
+    """The relaxation on the letter sum's rows: its own predecessor lists, rounds up to n.
+
+    Returns the states that each improving round improved, and how it ended."""
     n = len(rows)
     into = [[] for _ in range(n)]
     for i, row in enumerate(rows):
@@ -559,7 +558,8 @@ def ref_star_rounds(rows, u):
             if i not in seen:
                 seen.add(i)
                 order.append(i)
-    for rounds in range(n + 1):
+    rounds = []
+    for k in range(n + 1):
         improved = []
         for i, j, w in arcs:
             c = w + u[j]
@@ -567,40 +567,44 @@ def ref_star_rounds(rows, u):
                 u[i] = c
                 improved.append(i)
         if not improved:
-            return
-        if rounds == n:
-            raise PositiveCycleError("diverges")
-        yield improved
+            return rounds, "fixpoint"
+        if k == n:
+            return rounds, "diverged"
+        rounds.append(improved)
 
 
-def _rounds(rounds, limit):
-    """The first ``limit`` rounds of a relaxation, then how it ended."""
-    out = []
-    try:
-        for improved in rounds:
-            out.append(improved)
-            if len(out) == limit:
-                return out, "stopped"
-    except PositiveCycleError:
-        return out, "diverged"
-    return out, "fixpoint"
+def _relax_rounds(alpha, order, into, u):
+    """The production relaxation, with the states that each improving round
+    improved, as _relax hands them to _positive once per round, and how it ended."""
+    rounds = []
+    positive = twa.decisions._positive
+
+    def recorded(alpha, u, improved):
+        rounds.append(list(improved))
+        return positive(alpha, u, improved)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twa.decisions, "_positive", recorded)
+        holds = twa.decisions._relax(alpha, order, into, u)
+    return rounds, {True: "fixpoint", False: "positive", None: "diverged"}[holds]
 
 
 def relaxes_like_the_letter_sum(amax, bmin):
     """The kernel relaxes the untrimmed product in the order of the search that
     also trims it; the trimmed product's letter sum, relaxed in its own order,
     must take the same rounds, improve the same states and end in the same u,
-    up to the renumbering.  Returns how the relaxation ended."""
+    up to the renumbering.  No initial arrow is passed, so no round stops the
+    relaxation early.  Returns how the relaxation ended."""
     product, _ = twa.automaton._accessible_product(amax.trim(), bmin.trim(), MAX_PLUS, operator.sub)
     u = list(product.beta)
-    order, into = twa.spectral._backward_search([mat.rows for mat in product.mu.values()], u)
+    order, into = twa.decisions._backward_search([mat.rows for mat in product.mu.values()], u)
     keep = sorted(order)
     assert keep == product._useful_states()
     trim = product._restrict(keep)
     ref_u = list(trim.beta)
     index = {old: new for new, old in enumerate(keep)}
-    got = _rounds(twa.spectral._relax(order, into, u), 2 * len(keep) + 2)
-    expected = _rounds(ref_star_rounds(trim.letter_sum(), ref_u), 2 * len(keep) + 2)
+    got = _relax_rounds([None] * len(u), order, into, u)
+    expected = ref_star_rounds(trim.letter_sum(), ref_u)
     assert ([[index[i] for i in r] for r in got[0]], got[1]) == expected
     assert [u[i] for i in keep] == ref_u
     return got[1], len(got[0]) > 0, len(keep) < product.n
@@ -630,7 +634,9 @@ def test_relaxation_of_the_prime_products_takes_few_rounds(pqrs):
     assert relaxes_like_the_letter_sum(amax, bmin) == ("fixpoint", True, False)
     product = hadamard(amax.trim(), bmin.trim().negate()).trim()
     u = list(product.beta)
-    assert sum(1 for _ in _relax(*_backward_search([product.letter_sum()], u), u)) <= 3
+    order, into = twa.decisions._backward_search([product.letter_sum()], u)
+    rounds, end = _relax_rounds(product.alpha, order, into, u)
+    assert end == "fixpoint" and len(rounds) <= 3
     assert all(w is not None for w in u)
     assert decide_nonpositive(product).holds
 

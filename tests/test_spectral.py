@@ -1,21 +1,20 @@
-"""Maximum mean cycle against the circuit oracle and Karp; the potential against the star."""
+"""Maximum mean cycle against the circuit oracle and Karp."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from corpus import one_letter, power_star, random_matrix
+from corpus import one_letter, random_matrix
 from twa import (
     MAX_PLUS,
     MIN_PLUS,
-    PositiveCycleError,
     TagMismatchError,
     max_mean_cycle,
 )
 from twa.oracle import simple_circuits
 from twa.semiring import as_value
-from twa.spectral import _backward_search, _critical_circuit, _relax
+from twa.spectral import _critical_circuit
 
 Z = None  # the semiring zero, for readable fixtures
 
@@ -179,38 +178,3 @@ def test_max_mean_cycle_matches_karp_beyond_the_enumeration():
             rho, circuit = _critical_circuit(a)
             assert rho == max_mean_cycle(one_letter(a)) == karp_max_mean_cycle(a)
             _check_circuit(a, rho, circuit)
-
-
-def relaxed(a, beta):
-    """The potential u = M*beta of the production relaxation, run to its fixpoint."""
-    u = list(beta)
-    for _ in _relax(*_backward_search([a], u), u):
-        pass
-    return u
-
-
-def test_star_vector_matches_mat_star():
-    # the relaxed potential against the star by its definition
-    rng = random.Random(4242)
-    for _ in range(100):
-        a = random_matrix(rng, nmax=5, lo=-5, hi=0)
-        if (rho := max_mean_cycle(one_letter(a))) is not None and rho > 0:
-            continue
-        beta = [
-            None if rng.random() < 0.4 else rng.randint(-5, 5) for _ in range(len(a))
-        ]
-        expected = []
-        for row in power_star(a):
-            acc = None
-            for j, w in row.items():
-                if beta[j] is not None:
-                    cand = w + beta[j]
-                    acc = cand if acc is None or cand > acc else acc
-            expected.append(acc)
-        assert relaxed(a, beta) == expected
-
-
-def test_star_vector_detects_divergence():
-    a = [{0: 1}]  # positive self-loop feeding the final vector
-    with pytest.raises(PositiveCycleError):
-        relaxed(a, [0])
