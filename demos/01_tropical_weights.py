@@ -11,26 +11,24 @@ from twa import (
     WeightedAutomaton,
     decide_nonpositive,
     max_mean_cycle,
-    negate_weight,
-    oplus,
-    otimes,
     parse_finite,
 )
 
 print("== scalar arithmetic ==")
-print("oplus(2, 5) in max-plus :", oplus(2, 5, MAX_PLUS))
-print("oplus(2, 5) in min-plus :", oplus(2, 5, MIN_PLUS))
-print("otimes(2, 5) either way :", otimes(2, 5, MAX_PLUS))
-print("zero (None) is neutral  :", oplus(3, None, MAX_PLUS))
-print("zero absorbs under times:", otimes(3, None, MAX_PLUS))
+# the two semirings differ only in their addition; both multiply by rational +
+print("2 (+) 5 in max-plus     :", MAX_PLUS.plus(2, 5))
+print("2 (+) 5 in min-plus     :", MIN_PLUS.plus(2, 5))
+print("2 (x) 5 either way      :", 2 + 5)
+print("zero (None) is neutral  :", MAX_PLUS.plus(3, None))
 
 print()
 print("== exact rationals ==")
 half = parse_finite("0.5")
 third = parse_finite("1/3")
 print("0.5 parses to", repr(half), "and 1/3 to", repr(third))
-print("their tropical product is", otimes(half, third, MAX_PLUS), "- no rounding, ever")
-print("negation swaps the semirings:", negate_weight(Fraction(5, 2)))
+print("their tropical product is", half + third, "- no rounding, ever")
+print("negation swaps the semirings: -(2 (+) 5) in max-plus =", -MAX_PLUS.plus(2, 5),
+      "= (-2) (+) (-5) in min-plus =", MIN_PLUS.plus(-2, -5))
 
 print()
 print("== matrices ==")

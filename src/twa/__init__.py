@@ -7,10 +7,10 @@ constructive pipeline that turns an equivalent max-plus/min-plus pair into a
 1-valued and then unambiguous automaton.  The supports of the series are
 handled inside as NFAs whose subsets are frozensets of states.  Every
 language question (the all-words constant test, the support comparisons, the
-subset covering, weighted determinization) runs on one breadth-first
-exploration, every product on one accessible-product engine, both bounded by
-one cap, ``DEFAULT_SUBSET_CAP``, and every potential u = M*beta comes from
-one Bellman-Ford relaxation.
+subset covering, weighted determinization) shares that one subset
+representation, every product comes from one accessible-product engine, all
+are bounded by one cap, ``DEFAULT_SUBSET_CAP``, and every potential
+u = M*beta comes from one Bellman-Ford relaxation.
 
 Weights are exact rationals (``int`` or ``fractions.Fraction``); the semiring
 zero is ``None`` and never carries a value.  All operations are pure and all
@@ -52,9 +52,6 @@ from .semiring import (
     MAX_PLUS,
     MIN_PLUS,
     format_finite,
-    negate_weight,
-    oplus,
-    otimes,
     parse_finite,
     semiring_for,
 )
@@ -92,10 +89,7 @@ __all__ = [
     "hadamard",
     "load",
     "max_mean_cycle",
-    "negate_weight",
-    "oplus",
     "oracle",
-    "otimes",
     "parse",
     "parse_finite",
     "remove_competitions",

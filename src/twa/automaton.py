@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 
 from .errors import AlphabetError, CapExceededError, DimensionError, TagMismatchError, TwaError
-from .semiring import MAX_PLUS, MIN_PLUS, Semiring, semiring_for
+from .semiring import MAX_PLUS, MIN_PLUS, Semiring, is_rational, semiring_for
 
 
 def _valid_symbol(ch) -> bool:
@@ -32,6 +32,11 @@ def _check_alphabets(a: "WeightedAutomaton", b: "WeightedAutomaton", message: st
     """
     if set(a.alphabet) != set(b.alphabet):
         raise AlphabetError(message)
+
+
+def _require_max_plus(aut: "WeightedAutomaton", op: str) -> None:
+    if aut.semiring is not MAX_PLUS:
+        raise TagMismatchError(f"{op} requires a max-plus automaton, got {aut.semiring.tag}")
 
 
 def _backward_order(into: list, u: list) -> list:
@@ -86,7 +91,7 @@ def _checked(sr: Semiring, alphabet, n: int, alpha: list, beta: list, rows: dict
         raise AlphabetError("every alphabet letter needs exactly one matrix")
     for vec in (alpha, beta):
         for i, w in enumerate(vec):
-            if w is not None and not sr.is_weight(w):
+            if w is not None and not is_rational(w):
                 raise TagMismatchError(f"vector entry {i}={w!r} is not a {sr.tag} weight")
     rows = {ch: rows[ch] for ch in alphabet}
     for ch, letter in rows.items():
@@ -96,7 +101,7 @@ def _checked(sr: Semiring, alphabet, n: int, alpha: list, beta: list, rows: dict
             for j, w in row.items():
                 if not 0 <= j < n:
                     raise DimensionError(f"column {j} out of range in row {i}")
-                if w is None or not sr.is_weight(w):
+                if not is_rational(w):
                     raise TagMismatchError(f"entry ({i},{j})={w!r} is not a finite {sr.tag} weight")
     if state_labels is not None:
         state_labels = tuple(str(s) for s in state_labels)
@@ -201,7 +206,7 @@ class WeightedAutomaton:
         if not isinstance(other, WeightedAutomaton):
             return NotImplemented
         return (
-            self.semiring.tag == other.semiring.tag
+            self.semiring is other.semiring
             and self.alphabet == other.alphabet
             and self.n == other.n
             and self.alpha == other.alpha
@@ -241,7 +246,7 @@ class WeightedAutomaton:
         for i, xi in x.items():
             b = self.beta[i]
             if b is not None:
-                acc = sr.plus(acc, sr.times(xi, b))
+                acc = sr.plus(acc, xi + b)
         return acc
 
     # -- structure ----------------------------------------------------------
@@ -422,7 +427,7 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     most a.n * b.n states; more than ``DEFAULT_SUBSET_CAP`` raise
     CapExceededError.
     """
-    if a.semiring.tag != b.semiring.tag:
+    if a.semiring is not b.semiring:
         raise TagMismatchError(f"mixed tags: {a.semiring.tag} vs {b.semiring.tag}")
     _check_alphabets(a, b, "hadamard requires identical alphabets")
     product, pairs = _accessible_product(a, b, a.semiring, operator.add)

@@ -43,14 +43,14 @@ from .errors import (
     TwaError,
 )
 from .oracle import equal_upto, max_ambiguity_upto
-from .semiring import MIN_PLUS, format_finite, parse_finite
+from .semiring import MAX_PLUS, MIN_PLUS, format_finite, parse_finite
 from .spectral import max_mean_cycle
 
 
-def _show_weight(value, tag: str) -> str:
+def _show_weight(value, semiring) -> str:
     if value is not None:
         return format_finite(value)
-    return "+inf" if tag == "min-plus" else "-inf"
+    return "+inf" if semiring is MIN_PLUS else "-inf"
 
 
 def _show_word(word: str) -> str:
@@ -69,16 +69,16 @@ def _write(aut: WeightedAutomaton, args) -> None:
 def _load_pair(args):
     amax = twa_format.load(args.maxfile)
     bmin = twa_format.load(args.minfile)
-    if amax.semiring.tag != "max-plus":
+    if amax.semiring is not MAX_PLUS:
         raise TagMismatchError(f"{args.maxfile}: expected a max-plus automaton")
-    if bmin.semiring.tag != "min-plus":
+    if bmin.semiring is not MIN_PLUS:
         raise TagMismatchError(f"{args.minfile}: expected a min-plus automaton")
     return amax, bmin
 
 
 def cmd_eval(args) -> int:
     aut = twa_format.load(args.file)
-    print(_show_weight(aut.eval(args.word), aut.semiring.tag))
+    print(_show_weight(aut.eval(args.word), aut.semiring))
     return 0
 
 
@@ -122,7 +122,7 @@ def cmd_rho(args) -> int:
     aut = twa_format.load(args.file)
     mirror, sign = _dualize(aut)
     value = max_mean_cycle(mirror)
-    print(_show_weight(None if value is None else sign * value, aut.semiring.tag))
+    print(_show_weight(None if value is None else sign * value, aut.semiring))
     return 0
 
 

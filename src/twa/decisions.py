@@ -57,10 +57,11 @@ from .automaton import (
     _accessible_product,
     _backward_order,
     _check_alphabets,
+    _require_max_plus,
     _SubsetNfa,
 )
 from .errors import CapExceededError, NotNonpositiveError, TagMismatchError
-from .semiring import MAX_PLUS, is_rational
+from .semiring import MAX_PLUS, MIN_PLUS, is_rational
 from .spectral import _critical_circuit
 
 
@@ -74,11 +75,6 @@ class Decision(NamedTuple):
 def _decision(witness: Optional[str]) -> Decision:
     """The verdict of a language question: it holds when no witness word exists."""
     return Decision(witness is None, witness)
-
-
-def _require_max_plus(aut: WeightedAutomaton, op: str):
-    if aut.semiring.tag != "max-plus":
-        raise TagMismatchError(f"{op} requires a max-plus automaton, got {aut.semiring.tag}")
 
 
 def _shift_final(aut: WeightedAutomaton, delta) -> WeightedAutomaton:
@@ -462,9 +458,9 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
 
 
 def _check_pair(amax: WeightedAutomaton, bmin: WeightedAutomaton, op: str):
-    if amax.semiring.tag != "max-plus":
+    if amax.semiring is not MAX_PLUS:
         raise TagMismatchError(f"{op}: first automaton must be max-plus")
-    if bmin.semiring.tag != "min-plus":
+    if bmin.semiring is not MIN_PLUS:
         raise TagMismatchError(f"{op}: second automaton must be min-plus")
     _check_alphabets(amax, bmin, f"{op}: automata must share one alphabet")
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .automaton import WeightedAutomaton, _check_alphabets
+from .automaton import WeightedAutomaton, _check_alphabets, _require_max_plus
 from .decisions import Decision
-from .errors import AlphabetError, OracleBoundError, TagMismatchError
+from .errors import AlphabetError, OracleBoundError
 from .semiring import as_value
 
 MAX_ENUM = 10**7
@@ -26,13 +26,21 @@ MAX_CIRCUIT_NODES = 10
 
 def _guard(alphabet_size: int, maxlen: int):
     # a sweep over one letter or none takes maxlen steps, which its word count
-    # never refuses; tested first, the length also spares a huge power
+    # never refuses; tested first, the length also bounds the count below
     if maxlen >= MAX_ENUM:
         raise OracleBoundError(f"length {maxlen} exceeds the enumeration bound {MAX_ENUM}")
-    if alphabet_size**maxlen > MAX_ENUM:
-        raise OracleBoundError(
-            f"{alphabet_size}^{maxlen} words exceed the enumeration bound {MAX_ENUM}"
-        )
+    if alphabet_size < 2:  # maxlen + 1 words or fewer: within the bound
+        return
+    # count 1 + a + ... + a^maxlen words, level by level, up to the first past the bound
+    words = level = 1
+    for _ in range(maxlen):
+        level *= alphabet_size
+        words += level
+        if words > MAX_ENUM:
+            raise OracleBoundError(
+                f"the words of length <= {maxlen} over {alphabet_size} letters"
+                f" exceed the enumeration bound {MAX_ENUM}"
+            )
 
 
 def _validate(aut: WeightedAutomaton, word: str):
@@ -67,20 +75,19 @@ def enum_paths(aut: WeightedAutomaton, word: str):
     state tuple).
     """
     _validate(aut, word)
-    sr = aut.semiring
     partial = [((i,), w) for i, w in enumerate(aut.alpha) if w is not None]
     for ch in word:
         rows = aut.mu[ch].rows
         nxt = []
         for states, weight in partial:
             for j, arc_w in rows[states[-1]].items():
-                nxt.append((states + (j,), sr.times(weight, arc_w)))
+                nxt.append((states + (j,), weight + arc_w))
         partial = nxt
     out = []
     for states, weight in partial:
         b = aut.beta[states[-1]]
         if b is not None:
-            out.append((states, sr.times(weight, b)))
+            out.append((states, weight + b))
     out.sort(key=lambda item: item[0])
     return out
 
@@ -117,25 +124,23 @@ def _initial_sets(aut) -> dict:
 
 
 def _step_sets(aut, sets: dict, ch: str) -> dict:
-    sr = aut.semiring
     rows = aut.mu[ch].rows
     out: dict = {}
     for i, weights in sets.items():
         for j, arc_w in rows[i].items():
             bucket = out.setdefault(j, set())
             for w in weights:
-                bucket.add(sr.times(w, arc_w))
+                bucket.add(w + arc_w)
     return out
 
 
 def _successful_weights(aut, sets: dict) -> set:
-    sr = aut.semiring
     out = set()
     for i, weights in sets.items():
         b = aut.beta[i]
         if b is not None:
             for w in weights:
-                out.add(sr.times(w, b))
+                out.add(w + b)
     return out
 
 
@@ -232,8 +237,7 @@ def simple_circuits(aut: WeightedAutomaton):
     circuit is reported once, anchored at its smallest state; the result is a
     list of (state tuple, mean).  Exhaustive, so bounded to small automata.
     """
-    if aut.semiring.tag != "max-plus":
-        raise TagMismatchError("simple_circuits requires a max-plus automaton")
+    _require_max_plus(aut, "simple_circuits")
     if aut.n > MAX_CIRCUIT_NODES:
         raise OracleBoundError(
             f"circuit enumeration is limited to {MAX_CIRCUIT_NODES} states"

@@ -19,7 +19,6 @@ from fractions import Fraction
 from .errors import FormatError, TagMismatchError
 
 Rational = int | Fraction
-Weight = Rational | None
 
 
 def as_value(x: Rational) -> Rational:
@@ -35,61 +34,32 @@ def is_rational(x) -> bool:
 
 
 class Semiring:
-    """Arithmetic for one semiring tag.
+    """One semiring tag and its addition, max or min.
 
-    Instances are stateless singletons; ``plus``/``times`` work on raw weight
-    values with ``None`` as the zero.
+    Both tags multiply by rational ``+``, so a semiring is its addition
+    alone.  ``plus`` takes raw weight values with ``None`` as the zero; on a
+    tie ``max`` and ``min`` return their first argument.
     """
 
-    tag: str = ""
-    one: object = None
+    __slots__ = ("tag", "_choose")
+
+    def __init__(self, tag: str, choose):
+        self.tag = tag
+        self._choose = choose
 
     def plus(self, x, y):
-        raise NotImplementedError
-
-    def times(self, x, y):
-        raise NotImplementedError
-
-    def is_weight(self, x) -> bool:
-        raise NotImplementedError
+        if x is None:
+            return y
+        if y is None:
+            return x
+        return self._choose(x, y)
 
     def __repr__(self):
         return f"<semiring {self.tag}>"
 
 
-class _MaxPlus(Semiring):
-    tag = "max-plus"
-    one = 0
-
-    def plus(self, x, y):
-        if x is None:
-            return y
-        if y is None:
-            return x
-        return x if x >= y else y
-
-    def times(self, x, y):
-        if x is None or y is None:
-            return None
-        return x + y
-
-    def is_weight(self, x):
-        return x is None or is_rational(x)
-
-
-class _MinPlus(_MaxPlus):
-    tag = "min-plus"
-
-    def plus(self, x, y):
-        if x is None:
-            return y
-        if y is None:
-            return x
-        return x if x <= y else y
-
-
-MAX_PLUS = _MaxPlus()
-MIN_PLUS = _MinPlus()
+MAX_PLUS = Semiring("max-plus", max)
+MIN_PLUS = Semiring("min-plus", min)
 
 SEMIRINGS = {s.tag: s for s in (MAX_PLUS, MIN_PLUS)}
 
@@ -97,8 +67,8 @@ SEMIRINGS = {s.tag: s for s in (MAX_PLUS, MIN_PLUS)}
 def semiring_for(tag) -> Semiring:
     """The singleton of a tag string or of a Semiring's tag; reject anything else.
 
-    Every automaton and matrix holds MAX_PLUS or MIN_PLUS itself, so a
-    semiring can be tested with ``is``.
+    Every automaton holds MAX_PLUS or MIN_PLUS itself, so a semiring can be
+    tested with ``is``.
     """
     if isinstance(tag, Semiring):
         tag = tag.tag
@@ -106,25 +76,6 @@ def semiring_for(tag) -> Semiring:
         return SEMIRINGS[tag]
     except (KeyError, TypeError):
         raise TagMismatchError(f"unknown semiring tag {tag!r}") from None
-
-
-def oplus(x: Weight, y: Weight, tag) -> Weight:
-    """Semiring addition (max or min) with zero as neutral element."""
-    return semiring_for(tag).plus(x, y)
-
-
-def otimes(x: Weight, y: Weight, tag) -> Weight:
-    """Semiring multiplication (rational addition) with zero absorbing."""
-    return semiring_for(tag).times(x, y)
-
-
-def negate_weight(x: Weight) -> Weight:
-    """The isomorphism between max-plus and min-plus: x -> -x, zero -> zero."""
-    if x is None:
-        return None
-    if not is_rational(x):
-        raise TagMismatchError(f"cannot negate non-scalar weight {x!r}")
-    return -x
 
 
 # ---------------------------------------------------------------------------

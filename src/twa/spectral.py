@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import TagMismatchError
+from .automaton import _require_max_plus
 from .semiring import as_value
 
 
@@ -128,6 +128,5 @@ def max_mean_cycle(aut):
     mean is the first item of _critical_circuit.  Raises TagMismatchError for
     a min-plus automaton, whose rows alone would not show it.
     """
-    if aut.semiring.tag != "max-plus":
-        raise TagMismatchError("max_mean_cycle requires a max-plus automaton")
+    _require_max_plus(aut, "max_mean_cycle")
     return _critical_circuit(aut.letter_sum())[0]

@@ -44,7 +44,7 @@ def divisibility_series(period: int, bonus, tag, letter: str = "a") -> WeightedA
 
 def _direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     """Disjoint union; adds the two series (pointwise max or min per the tag)."""
-    if a.semiring.tag != b.semiring.tag or a.alphabet != b.alphabet:
+    if a.semiring is not b.semiring or a.alphabet != b.alphabet:
         raise TwaError("direct sum needs matching tags and alphabets")
     shift = a.n
     initial = [(i, w) for i, w in enumerate(a.alpha) if w is not None]

@@ -8,6 +8,7 @@ import pkgutil
 import pytest
 
 import twa
+from twa.semiring import Semiring
 
 MODULES = sorted(
     f"twa.{info.name}" for info in pkgutil.iter_modules(twa.__path__) if not info.name.startswith("_")
@@ -71,6 +72,12 @@ def test_package_exports_exactly_what_it_imports():
         "PositiveCycleError",
         "_nonpositive_potential",
         "_fatou_trimmed",
+        "oplus",
+        "otimes",
+        "negate_weight",
+        "Weight",
+        "_MaxPlus",
+        "_MinPlus",
     ],
 )
 def test_retired_names_are_gone(name):
@@ -84,8 +91,18 @@ def test_retired_names_are_gone(name):
     [
         (twa.WeightedAutomaton, "support"),
         (twa.WeightedAutomaton, "_support_masks"),
+        (twa.MAX_PLUS, "times"),
+        (twa.MAX_PLUS, "one"),
+        (twa.MAX_PLUS, "is_weight"),
+        (twa.MIN_PLUS, "times"),
+        (twa.MIN_PLUS, "one"),
+        (twa.MIN_PLUS, "is_weight"),
     ],
-    ids=["WeightedAutomaton.support", "WeightedAutomaton._support_masks"],
+    ids=[
+        "WeightedAutomaton.support", "WeightedAutomaton._support_masks",
+        "MAX_PLUS.times", "MAX_PLUS.one", "MAX_PLUS.is_weight",
+        "MIN_PLUS.times", "MIN_PLUS.one", "MIN_PLUS.is_weight",
+    ],
 )
 def test_retired_methods_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -130,6 +147,32 @@ def test_only_the_semiring_module_spells_out_the_tags():
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and _holds_both_tags(node)
     ]
     assert copies == []
+
+
+def test_tags_are_compared_by_identity():
+    # semiring_for leaves only the two singletons, so a module other than
+    # twa.semiring tests a tag with `is MAX_PLUS`, never by its string
+    package = pathlib.Path(twa.__file__).parent
+    string_tests = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "semiring.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        for operand in [node.left, *node.comparators]
+        if isinstance(operand, ast.Constant) and operand.value in ("max-plus", "min-plus")
+    ]
+    assert string_tests == []
+
+
+def test_the_semiring_is_one_class_of_two_instances():
+    # a tag and its addition: both semirings multiply by rational +
+    for module in MODULES:
+        importlib.import_module(module)
+    methods = {name for name, value in vars(Semiring).items() if callable(value)}
+    assert methods == {"__init__", "plus", "__repr__"}
+    assert Semiring.__subclasses__() == []
+    assert type(twa.MAX_PLUS) is Semiring and type(twa.MIN_PLUS) is Semiring
 
 
 def _names_the_row_holder(node) -> bool:

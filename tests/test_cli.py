@@ -1,6 +1,8 @@
 """The `twa` command line: subcommands, output, and the exit-code contract."""
 
 import argparse
+import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -458,6 +460,56 @@ def test_cap_errors_leave_no_traceback_in_a_subprocess(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "--subset-cap" in proc.stderr
+
+
+# runs each argv list of argv[1] (JSON) through main; prints the order in which
+# this process iterates a set of the two letters, and [[code, stdout], ...]
+_RUN_EACH = """
+import contextlib, io, json, sys
+from twa.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([main(argv), out.getvalue()])
+print(json.dumps(["".join({"a", "b"}), results]))
+"""
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # bmin with one arc lowered: NOT-EQUAL
+    bad = tmp_path / "bad.twa"
+    bad.write_text(pathlib.Path(BMIN).read_text(encoding="utf-8").replace("b 3", "b 2"))
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    runs = {}
+    # a process has one PYTHONHASHSEED, so each seed gets a process of its own;
+    # seeds are tried until two of them iterate the letters in different orders
+    for seed in range(8):
+        out = tmp_path / f"seed-{seed}"
+        out.mkdir()
+        commands = [
+            ["pipeline", AMAX, BMIN, "-o", str(out / "pipeline.twa")],
+            ["onevalued", AMAX, BMIN, "-o", str(out / "one.twa")],
+            ["disambiguate", str(out / "one.twa"), "-o", str(out / "unambiguous.twa")],
+            ["disambiguate", AMAX],
+            ["equal", AMAX, str(bad)],
+            ["pipeline", AMAX, str(bad)],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_EACH, json.dumps(commands)],
+            capture_output=True, text=True, env={**env, "PYTHONHASHSEED": str(seed)}, check=True,
+        )
+        order, results = json.loads(proc.stdout)
+        runs[order] = results, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        if len(runs) == 2:
+            break
+    assert len(runs) == 2
+    (results, files), other = runs.values()
+    assert [code for code, _ in results] == [0, 0, 0, 0, 1, 1]
+    assert results[4][1] == results[5][1] == "NOT-EQUAL witness=aba\n" and len(files) == 3
+    assert (results, files) == other
 
 
 def test_undecodable_file_is_a_usage_error(capsys, tmp_path):

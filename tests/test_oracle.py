@@ -1,12 +1,14 @@
 """The brute-force oracle itself: paths, counts, bounded sweeps, circuits."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from corpus import one_letter, random_automaton
-from twa import MAX_PLUS, MIN_PLUS, OracleBoundError, TagMismatchError, WeightedAutomaton, zoo
+from twa import MAX_PLUS, MIN_PLUS, OracleBoundError, TagMismatchError, WeightedAutomaton, save, zoo
+from twa.cli import main
 from twa.oracle import (
     MAX_ENUM,
     ambiguity,
@@ -117,7 +119,8 @@ def test_simple_circuits_read_the_letter_sum():
         MAX_PLUS, "ab", 2, arcs=[(0, "a", 1, -4), (0, "b", 1, 2), (1, "a", 0, 0), (0, "a", 0, -1)]
     )
     assert simple_circuits(aut) == [((0,), -1), ((0, 1), 1)]
-    with pytest.raises(TagMismatchError):
+    message = "^simple_circuits requires a max-plus automaton, got min-plus$"
+    with pytest.raises(TagMismatchError, match=message):
         simple_circuits(one_letter([{0: 0}], MIN_PLUS))
 
 
@@ -155,6 +158,32 @@ def test_the_bound_refuses_long_sweeps_over_small_alphabets(alphabet):
     assert one_valued_upto(aut, 50).holds
     assert max_ambiguity_upto(aut, 50) == (1, "")
     assert list(words_upto(alphabet, 3)) == ["", *(alphabet * k for k in (1, 2, 3) if alphabet)]
+
+
+@pytest.mark.parametrize(
+    "alphabet, longest",
+    [("ab", 22), ("abcdefghij", 6)],
+    ids=["two letters", "ten letters"],
+)
+def test_the_bound_counts_every_level_of_the_sweep(alphabet, longest):
+    # 1 + a + ... + a^L words are swept, not a^L alone: 2^23 - 1 and 11,111,111
+    # words pass the bound one length past the longest accepted sweep
+    assert next(words_upto(alphabet, longest)) == ""
+    with pytest.raises(OracleBoundError):
+        next(words_upto(alphabet, longest + 1))
+
+
+def test_the_bound_refuses_a_long_sweep_at_once(capsys, tmp_path):
+    # the count stops at the first level past the bound, so a huge --maxlen
+    # costs a few steps, not a power of 9,999,999 digits
+    path = tmp_path / "ten.twa"
+    save(_counter("abcdefghij"), str(path))
+    start = time.perf_counter()
+    code = main(["oracle", "ambiguity", str(path), "--maxlen", "9999999"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and "enumeration bound" in err
+    assert elapsed < 1.0
 
 
 def test_words_upto_stops_at_the_first_empty_level():

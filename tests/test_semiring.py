@@ -10,48 +10,75 @@ from twa import (
     MIN_PLUS,
     FormatError,
     TagMismatchError,
+    WeightedAutomaton,
     format_finite,
-    negate_weight,
-    oplus,
-    otimes,
     parse_finite,
     semiring_for,
 )
+from twa.semiring import Semiring
+
+
+def otimes(x, y):
+    """The product of both semirings: rational +, with the zero None absorbing."""
+    return None if x is None or y is None else x + y
+
+
+def negate(x):
+    return None if x is None else -x
 
 
 def test_oplus_zero_is_neutral():
-    assert oplus(3, None, MAX_PLUS) == 3
-    assert oplus(None, 3, MIN_PLUS) == 3
-    assert oplus(None, None, MAX_PLUS) is None
+    assert MAX_PLUS.plus(3, None) == 3
+    assert MIN_PLUS.plus(None, 3) == 3
+    assert MAX_PLUS.plus(None, None) is None
 
 
 def test_oplus_max_and_min():
-    assert oplus(2, 5, MAX_PLUS) == 5
-    assert oplus(2, 5, MIN_PLUS) == 2
-    assert oplus(Fraction(-1, 2), Fraction(1, 3), MAX_PLUS) == Fraction(1, 3)
+    assert MAX_PLUS.plus(2, 5) == 5
+    assert MIN_PLUS.plus(2, 5) == 2
+    assert MAX_PLUS.plus(Fraction(-1, 2), Fraction(1, 3)) == Fraction(1, 3)
+
+
+def test_oplus_keeps_the_first_of_a_tie():
+    # an int and an equal Fraction: the value's type does not switch
+    for sr in (MAX_PLUS, MIN_PLUS):
+        assert type(sr.plus(1, Fraction(1))) is int
+        assert type(sr.plus(Fraction(1), 1)) is Fraction
+
+
+def _path(tag, initial, arc, final):
+    return WeightedAutomaton.from_arcs(
+        tag, "a", 2, initial=[(0, initial)], final=[(1, final)], arcs=[(0, "a", 1, arc)]
+    )
 
 
 def test_otimes_zero_absorbs():
-    assert otimes(3, None, MAX_PLUS) is None
-    assert otimes(None, 3, MIN_PLUS) is None
+    # eval multiplies along a path; an absent arc or arrow is the zero
+    no_arc = WeightedAutomaton.from_arcs(MAX_PLUS, "a", 2, initial=[(0, 3)], final=[(1, 0)])
+    assert no_arc.eval("a") is None
+    no_final = WeightedAutomaton.from_arcs(
+        MIN_PLUS, "a", 2, initial=[(0, 3)], final=[(0, 1)], arcs=[(0, "a", 1, 0)]
+    )
+    assert no_final.eval("a") is None
 
 
 def test_otimes_adds():
-    assert otimes(1, 1, MAX_PLUS) == 2
-    assert otimes(Fraction(2, 3), Fraction(1, 3), MIN_PLUS) == 1
+    assert _path(MAX_PLUS, 0, 1, 1).eval("a") == 2
+    assert _path(MIN_PLUS, 0, Fraction(2, 3), Fraction(1, 3)).eval("a") == 1
 
 
 def test_oplus_rejects_pair_tag():
-    with pytest.raises(TagMismatchError):
-        oplus((1, 2), (3, 4), "max-plus-pair")
-    with pytest.raises(TagMismatchError):
-        otimes(1, 2, "no-such-semiring")
+    for tag in ("max-plus-pair", "no-such-semiring", ("max-plus", "min-plus")):
+        with pytest.raises(TagMismatchError):
+            semiring_for(tag)
 
 
 def test_negate_weight():
-    assert negate_weight(3) == -3
-    assert negate_weight(None) is None
-    assert negate_weight(Fraction(-5, 2)) == Fraction(5, 2)
+    # the one negation of weights is WeightedAutomaton.negate
+    aut = _path(MAX_PLUS, 3, Fraction(-5, 2), 0).negate()
+    assert aut.semiring is MIN_PLUS
+    assert aut.alpha == [-3, None] and aut.beta == [None, 0]
+    assert aut.mu["a"].rows == [{1: Fraction(5, 2)}, {}]
 
 
 def _random_weights(rng, count):
@@ -70,18 +97,15 @@ def _random_weights(rng, count):
 def test_semiring_axioms(tag):
     rng = random.Random(1234)
     xs = _random_weights(rng, 40)
-    one = tag.one
+    plus = tag.plus
     for _ in range(300):
         x, y, z = rng.choice(xs), rng.choice(xs), rng.choice(xs)
-        assert oplus(oplus(x, y, tag), z, tag) == oplus(x, oplus(y, z, tag), tag)
-        assert oplus(x, y, tag) == oplus(y, x, tag)
-        assert oplus(x, x, tag) == x  # idempotent
-        assert otimes(otimes(x, y, tag), z, tag) == otimes(x, otimes(y, z, tag), tag)
-        assert otimes(x, oplus(y, z, tag), tag) == oplus(
-            otimes(x, y, tag), otimes(x, z, tag), tag
-        )
-        assert otimes(x, None, tag) is None and otimes(None, x, tag) is None
-        assert otimes(x, one, tag) == x and otimes(one, x, tag) == x
+        assert plus(plus(x, y), z) == plus(x, plus(y, z))
+        assert plus(x, y) == plus(y, x)
+        assert plus(x, x) == x  # idempotent
+        assert plus(x, None) == x and plus(None, x) == x
+        assert otimes(x, plus(y, z)) == plus(otimes(x, y), otimes(x, z))
+        assert otimes(plus(y, z), x) == plus(otimes(y, x), otimes(z, x))
 
 
 def test_negation_is_involutive_and_swaps_the_additions():
@@ -89,13 +113,9 @@ def test_negation_is_involutive_and_swaps_the_additions():
     xs = _random_weights(rng, 60)
     for _ in range(300):
         x, y = rng.choice(xs), rng.choice(xs)
-        assert negate_weight(negate_weight(x)) == x
-        assert negate_weight(oplus(x, y, MAX_PLUS)) == oplus(
-            negate_weight(x), negate_weight(y), MIN_PLUS
-        )
-        assert negate_weight(otimes(x, y, MAX_PLUS)) == otimes(
-            negate_weight(x), negate_weight(y), MIN_PLUS
-        )
+        assert negate(negate(x)) == x
+        assert negate(MAX_PLUS.plus(x, y)) == MIN_PLUS.plus(negate(x), negate(y))
+        assert negate(MIN_PLUS.plus(x, y)) == MAX_PLUS.plus(negate(x), negate(y))
 
 
 def test_parse_finite_literals():
@@ -134,7 +154,7 @@ def test_weight_roundtrip_is_canonical():
 def test_semiring_for_accepts_tags_and_instances():
     assert semiring_for("max-plus") is MAX_PLUS
     assert semiring_for(MIN_PLUS) is MIN_PLUS
-    assert semiring_for(type(MAX_PLUS)()) is MAX_PLUS
+    assert semiring_for(Semiring("max-plus", max)) is MAX_PLUS
     for tag in ("plus-times", "boolean"):
         with pytest.raises(TagMismatchError):
             semiring_for(tag)

@@ -32,7 +32,8 @@ def test_max_mean_cycle_examples():
 
 
 def test_max_mean_cycle_requires_max_plus():
-    with pytest.raises(TagMismatchError):
+    message = "^max_mean_cycle requires a max-plus automaton, got min-plus$"
+    with pytest.raises(TagMismatchError, match=message):
         max_mean_cycle(M([0], tag=MIN_PLUS))
 
 
