@@ -47,7 +47,8 @@ print()
 print("== the one-call version ==")
 # unambiguous_from_pair first determinizes the 1-valued automaton with its
 # weights; the output is deterministic when that finishes within the
-# 1-valued automaton's size, otherwise it is the covering of step 3.  Here
+# 1-valued automaton's size and the subset cap (10**6 by default),
+# otherwise it is the covering of step 3.  Here
 # determinizing needs 5 states against 4, so the covering is the output.
 direct = unambiguous_from_pair(amax, bmin)
 print("states:", direct.n, "| ambiguity:", max_ambiguity_upto(direct, 10)[0])

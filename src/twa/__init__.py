@@ -56,7 +56,7 @@ from .semiring import (
     semiring_for,
 )
 from .spectral import max_mean_cycle
-from . import oracle, zoo
+from . import zoo
 
 __version__ = "0.1.0"
 
@@ -89,7 +89,6 @@ __all__ = [
     "hadamard",
     "load",
     "max_mean_cycle",
-    "oracle",
     "parse",
     "parse_finite",
     "remove_competitions",

@@ -42,7 +42,6 @@ from .errors import (
     TagMismatchError,
     TwaError,
 )
-from .oracle import equal_upto, max_ambiguity_upto
 from .semiring import MAX_PLUS, MIN_PLUS, format_finite, parse_finite
 from .spectral import max_mean_cycle
 
@@ -178,12 +177,14 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    from .oracle import equal_upto
     a = twa_format.load(args.file_a)
     b = twa_format.load(args.file_b)
     return _report(equal_upto(a, b, args.maxlen), f"EQUAL-UPTO {args.maxlen}", "NOT-EQUAL")
 
 
 def cmd_oracle_ambiguity(args) -> int:
+    from .oracle import max_ambiguity_upto
     aut = twa_format.load(args.file)
     count, word = max_ambiguity_upto(aut, args.maxlen)
     print(f"max-ambiguity {count} word={_show_word(word)}")
@@ -279,8 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add(
         "pipeline",
         cmd_pipeline,
-        "equivalent pair -> unambiguous automaton: deterministic when the weighted subset"
-        " construction finishes within the 1-valued automaton's size, otherwise the covering",
+        "equivalent pair -> unambiguous automaton: deterministic when the weighted subset construction"
+        " finishes within --subset-cap and the 1-valued automaton's size, otherwise the covering",
     )
     p.add_argument("maxfile")
     p.add_argument("minfile")

@@ -8,8 +8,8 @@ are kept, each with the weight of the max-plus arc it came from.  Every
 surviving successful path then carries the series value, so the result is
 1-valued.  Second, the 1-valued automaton is made unambiguous.  The output is
 deterministic when the max-plus weighted subset construction (Mohri 1997)
-finishes within the 1-valued automaton's size; this is exact whenever it
-finishes, and it finishes only on a sequential series.  Otherwise it is the
+finishes within min(the 1-valued automaton's size, the cap), which is exact
+when it finishes and finishes only on a sequential series.  Otherwise it is the
 subset covering: the accessible product of the 1-valued automaton with the
 subset automaton of its own support, its states numbered in (original state,
 subset) order; deleting competing arcs leaves at most one successful path per
@@ -26,7 +26,7 @@ throughout; no semiring of weight pairs is involved.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automaton import (
     DEFAULT_SUBSET_CAP,
@@ -50,9 +50,10 @@ def extract_one_valued(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Weig
     trim it, relax its potential u = M*beta, keep only the arrows and arcs
     whose renormalized weight is exactly 0 (the zero filter that the kernel
     reads off u), give each kept one the weight of the amax arrow or arc at
-    its (p, q) pair, trim again.  The result has at most
-    states(amax) * states(bmin) states and all successful paths of a word
-    weigh exactly the series value.
+    its (p, q) pair, trim again.  That trim only drops states that no kept
+    initial arrow reaches, since u is attained along kept arcs and a kept
+    final arrow.  The result has at most states(amax) * states(bmin) states
+    and all successful paths of a word weigh exactly the series value.
 
     The equivalence of the two inputs is decided on the same product and
     potential, so the result is certified equal to both, and NotEqualError
@@ -87,8 +88,7 @@ def extract_one_valued(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Weig
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Covering:
+class Covering(NamedTuple):
     """A weighted automaton whose states are (original state, subset) pairs.
 
     ``provenance[i]`` is the pair (p, s): p indexes a state of the covered
@@ -263,15 +263,15 @@ def unambiguous_from_pair(
 
     The equality check and the extraction share one product and one
     relaxation.  The output is deterministic (hence unambiguous) when the
-    weighted determinization of the 1-valued automaton finishes within its
-    size, that is within min(its state count, ``subset_cap``) states;
-    otherwise it is the subset covering with its competitions removed
-    (``disambiguate(one, subset_cap)``).  The choice follows from the input
-    alone.  Both keep the series of the 1-valued automaton, which the
-    extraction certifies equal to both inputs.  Raises ValueError for a
-    ``subset_cap`` below 1 before any work, NotEqualError (with witness) for
-    unequal inputs, and CapExceededError when the covering exceeds the cap
-    or a product or a comparison exceeds ``DEFAULT_SUBSET_CAP`` pairs.
+    weighted determinization of the 1-valued automaton finishes within
+    min(its state count, ``subset_cap``) states; otherwise it is the subset
+    covering with its competitions removed (``disambiguate(one, subset_cap)``).
+    The branch follows from the inputs and ``subset_cap``, never from timing.
+    Both keep the series of the 1-valued automaton, which the extraction
+    certifies equal to both inputs.  Raises ValueError for a ``subset_cap``
+    below 1 before any work, NotEqualError (with witness) for unequal
+    inputs, and CapExceededError when the covering exceeds the cap or a
+    product or a comparison exceeds ``DEFAULT_SUBSET_CAP`` pairs.
     """
     if subset_cap < 1:
         raise ValueError("cap must be at least 1")

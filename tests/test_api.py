@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -33,6 +36,28 @@ def test_package_exports_exactly_what_it_imports():
     }
     assert len(twa.__all__) == len(set(twa.__all__))
     assert set(twa.__all__) == imported
+
+
+def _modules_after(statement):
+    """The modules a fresh interpreter holds after ``statement``, with this twa first on its path."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(twa.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = f"import sys\n{statement}\nprint(sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return set(ast.literal_eval(proc.stdout))
+
+
+def test_import_loads_only_the_code_it_runs():
+    # dataclasses pulls in inspect, ast, dis and tokenize; the brute-force
+    # oracle is imported by the commands that call it.  The difference from
+    # a bare interpreter leaves out whatever site preloads.
+    bare = _modules_after("pass")
+    for statement in ("import twa", "import twa.cli"):
+        added = _modules_after(statement) - bare
+        assert "twa.decisions" in added, statement
+        assert added.isdisjoint({"dataclasses", "inspect", "twa.oracle"}), (statement, sorted(added))
+    assert "twa.oracle" in _modules_after("import twa\nfrom twa import oracle")
 
 
 @pytest.mark.parametrize(

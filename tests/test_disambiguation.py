@@ -1,6 +1,7 @@
 """Difference product, one-valued extraction, covering, competition removal."""
 
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from twa import (
     MAX_PLUS,
     MIN_PLUS,
     CapExceededError,
+    Covering,
     NotEqualError,
     WeightedAutomaton,
     covering,
@@ -26,6 +28,7 @@ from twa import (
     extract_one_valued,
     fatou_normalize,
     hadamard,
+    load,
     remove_competitions,
     serialize,
     unambiguous_from_pair,
@@ -252,6 +255,16 @@ def test_covering_provenance_tracks_subsets(pair):
     assert aut.state_labels is not None
 
 
+def test_a_covering_is_a_named_tuple_of_three_fields(pair):
+    cover = covering(extract_one_valued(*pair))
+    assert Covering._fields == ("automaton", "provenance", "subsets")
+    assert tuple(cover) == (cover.automaton, cover.provenance, cover.subsets)
+    assert cover == Covering(*cover) and cover != cover._replace(subsets=())
+    assert repr(cover).startswith("Covering(automaton=<WeightedAutomaton max-plus states=")
+    with pytest.raises(AttributeError):
+        cover.subsets = ()
+
+
 def test_remove_competitions_no_op_without_competitions():
     rng = random.Random(1111)
     for _ in range(10):
@@ -421,6 +434,60 @@ def test_nonsequential_pair_falls_back_to_the_covering():
     assert not _is_deterministic(out)
     assert _equals_both_inputs(out, amax, bmin)
     assert max_ambiguity_upto(out, 8)[0] <= 1
+
+
+# The weighted subset construction of this automaton's 3-state 1-valued
+# automaton needs 3 states, so it finishes under the default cap and stops
+# under a cap of 2: the cap, not the input alone, picks the branch.
+SUBSET_CAP_EXAMPLE = pathlib.Path(__file__).parent / "data" / "subset_cap.twa"
+DETERMINIZED = """twa 1
+semiring max-plus
+alphabet a b
+states 3
+# 0: {(0,0):0,(2,2):-3}
+# 1: {(0,0):-2,(1,1):0}
+# 2: {(0,0):0,(2,2):-5}
+initial 0 5
+final 0 -4
+final 1 -2
+final 2 -6
+trans 0 1 a 0
+trans 1 1 a -2
+trans 1 2 b 0
+trans 2 1 a 0
+"""
+COVERED = """twa 1
+semiring max-plus
+alphabet a b
+states 4
+# 0: ((0,0),{0,2})
+# 1: ((0,0),{0,1})
+# 2: ((1,1),{0,1})
+# 3: ((2,2),{0,2})
+initial 0 5
+initial 3 2
+final 2 -2
+final 3 -1
+trans 0 1 a -2
+trans 0 2 a 0
+trans 1 1 a -2
+trans 1 2 a 0
+trans 2 0 b 0
+trans 2 3 b -5
+"""
+
+
+def test_the_subset_cap_can_choose_the_pipelines_branch():
+    amax = load(SUBSET_CAP_EXAMPLE)
+    bmin = as_min_plus_copy(amax)
+    assert extract_one_valued(amax, bmin).n == 3
+    determinized = unambiguous_from_pair(amax, bmin)
+    covered = unambiguous_from_pair(amax, bmin, subset_cap=2)
+    assert serialize(determinized) == DETERMINIZED and _is_deterministic(determinized)
+    assert serialize(covered) == COVERED and not _is_deterministic(covered)
+    for out in (determinized, covered):
+        assert _equals_both_inputs(out, amax, bmin)
+        assert max_ambiguity_upto(out, 8)[0] <= 1
 
 
 @pytest.mark.parametrize("cap", [0, -5])

@@ -540,6 +540,48 @@ def test_only_the_kernel_reads_the_zero_filter(monkeypatch, pair):
     assert calls == []
 
 
+def _reaches_a_kept_final_arrow(zero):
+    """The states from which the arcs of a zero filter lead to one of its final arrows."""
+    _, final, targets = zero
+    sources = {}
+    for kept in targets.values():
+        for i, row in enumerate(kept):
+            for j in row:
+                sources.setdefault(j, []).append(i)
+    reached = set(final)
+    queue = deque(final)
+    while queue:
+        for i in sources.get(queue.popleft(), ()):
+            if i not in reached:
+                reached.add(i)
+                queue.append(i)
+    return reached
+
+
+def test_every_state_of_the_zero_filter_reaches_a_kept_final_arrow():
+    # When S - T is nonpositive, u = M*beta is attained along a path of the
+    # trim product, and every arc and the final arrow of that path are tight;
+    # so the closing trim of the extraction can drop only the states that no
+    # kept initial arrow reaches.  The related pairs of ``pairs`` have arcs
+    # that are not tight.
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(st.one_of(automata(MAX_PLUS).map(lambda aut: (aut, as_min_plus_copy(aut))), pairs))
+    @example(zoo.prime_period_pair(2, 3, 5, 7))
+    def check(pair):
+        difference = twa.decisions._difference(*pair, False)
+        if difference.zero is None:
+            seen.add("no zero filter")
+            return
+        assert _reaches_a_kept_final_arrow(difference.zero) == set(range(difference.product.n))
+        kept = sum(len(row) for rows in difference.zero[2].values() for row in rows)
+        seen.add("arcs dropped" if kept < sum(1 for _ in difference.product.arcs()) else "zero filter")
+
+    check()
+    assert seen == {"no zero filter", "zero filter", "arcs dropped"}
+
+
 def ref_star_rounds(rows, u):
     """The relaxation on the letter sum's rows: its own predecessor lists, rounds up to n.
 
