@@ -5,12 +5,12 @@ maximum cycle mean, decision procedures (nonpositivity, constant series,
 equality and inequality of a max-plus and a min-plus series), and the
 constructive pipeline that turns an equivalent max-plus/min-plus pair into a
 1-valued and then unambiguous automaton.  The supports of the series are
-handled inside as NFAs whose subsets are frozensets of states.  Every
-language question (the all-words constant test, the support comparisons, the
-subset covering, weighted determinization) shares that one subset
-representation, every product comes from one accessible-product engine, all
-are bounded by one cap, ``DEFAULT_SUBSET_CAP``, and every potential
-u = M*beta comes from one Bellman-Ford relaxation.
+handled inside as NFAs whose subsets are frozensets of states.  The language
+questions (the all-words constant test, the support comparisons) walk pairs
+of subsets, and the constructions (the subset covering, weighted
+determinization) explore subsets; every product comes from one
+accessible-product engine, all are bounded by one cap, ``DEFAULT_SUBSET_CAP``,
+and every potential u = M*beta comes from one Bellman-Ford relaxation.
 
 Weights are exact rationals (``int`` or ``fractions.Fraction``); the semiring
 zero is ``None`` and never carries a value.  All operations are pure and all

@@ -7,6 +7,11 @@ integers 0..n-1; initial and final weights play the role of
 ingoing/outgoing arrows, so there are no designated initial/final state sets
 at this level.
 
+The subset engine ``_SubsetNfa`` has one loop per job: questions (universality,
+equivalence, inclusion) walk pairs of subsets and return a witness word, and
+constructions (the subset construction, weighted determinization) explore
+subsets with ``_explore`` and return nodes and moves.
+
 Everything here is pure: automata are immutable after construction and all
 operations build new ones.
 """
@@ -336,7 +341,7 @@ class WeightedAutomaton:
 
 
 def _accessible_product(
-    a: WeightedAutomaton, b: WeightedAutomaton, semiring: Semiring, combine, reached=None
+    a: WeightedAutomaton, b: WeightedAutomaton, combine, reached=None
 ) -> tuple[WeightedAutomaton, list]:
     """The part of the product a x b reachable from its initial pairs, unlabelled.
 
@@ -345,7 +350,7 @@ def _accessible_product(
     arrows and arcs weigh ``combine(wa, wb)``.  Only reached pairs are built.
     They are numbered in (p, q) order, so the result is the full grid with its
     unreachable pairs deleted, and trimming either gives the same automaton.
-    Returns the product and the pair (p, q) of each of its states.
+    Returns the product, in a's semiring, and the pair (p, q) of each of its states.
 
     Two phases: the first finds the reachable pairs, the second builds each
     row once, in the final numbering.  The pairs are read off ``reached``,
@@ -405,7 +410,7 @@ def _accessible_product(
         ]
 
     product = WeightedAutomaton._adopt(
-        semiring, a.alphabet, arrows(a.alpha, b.alpha), arrows(a.beta, b.beta), mu, None
+        a.semiring, a.alphabet, arrows(a.alpha, b.alpha), arrows(a.beta, b.beta), mu, None
     )
     return product, pairs
 
@@ -430,7 +435,7 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     if a.semiring is not b.semiring:
         raise TagMismatchError(f"mixed tags: {a.semiring.tag} vs {b.semiring.tag}")
     _check_alphabets(a, b, "hadamard requires identical alphabets")
-    product, pairs = _accessible_product(a, b, a.semiring, operator.add)
+    product, pairs = _accessible_product(a, b, operator.add)
     product.state_labels = _pair_labels(a, b, pairs)
     return product
 
@@ -451,8 +456,9 @@ class _SubsetNfa:
     (``of``) and get back words, state lists and move tables.
     ``succ`` maps each letter, in alphabet order, to the frozenset of targets
     of every state, so memory grows with the arcs and the subsets walked.
-    Every question is one breadth-first walk in alphabet order (``_explore``,
-    or the comparisons' own loop), so every witness is the length-lex-first word.
+    Questions (universality, equivalence, inclusion) walk pairs of subsets in
+    ``walk``, and ``subsets`` explores subsets on ``_explore``.  Both go
+    breadth-first in alphabet order, so every witness is the length-lex-first word.
     """
 
     __slots__ = ("initial", "final", "succ")
@@ -474,16 +480,16 @@ class _SubsetNfa:
         """
         return self.walk(other, inclusion, what)[0]
 
-    def walk(self, other: "_SubsetNfa", inclusion: bool, what: str):
+    def walk(self, other: "_SubsetNfa", inclusion: bool, what: str, cap=None):
         """``compare``'s witness, and the pairs of subsets walked: with no
         witness, every pair (A(w), B(w)) that a word w reaches.
 
         Breadth-first in this NFA's alphabet order, ``other``'s letters read
         by name, with no move table.  A one-state subset steps to its stored
-        set.  Raises CapExceededError(what, cap) past ``DEFAULT_SUBSET_CAP``
-        pairs, the cap read at call time.
+        set.  Raises CapExceededError(what, cap) past ``cap`` pairs, by
+        default ``DEFAULT_SUBSET_CAP`` read at call time.
         """
-        cap = DEFAULT_SUBSET_CAP
+        cap = DEFAULT_SUBSET_CAP if cap is None else cap
         afinal, bfinal = self.final, other.final
         letters = [(ch, asucc, other.succ[ch]) for ch, asucc in self.succ.items()]
         start = (self.initial, other.initial)
@@ -493,7 +499,11 @@ class _SubsetNfa:
             x, y = pair
             accepted = not afinal.isdisjoint(x)
             if accepted != (not bfinal.isdisjoint(y)) and (accepted or not inclusion):
-                return _path_word(parents, pair), walked
+                word = []  # read back along the parents to the start
+                while parents[pair] is not None:
+                    pair, ch = parents[pair]
+                    word.append(ch)
+                return "".join(reversed(word)), walked
             p = next(iter(x)) if len(x) == 1 else None
             q = next(iter(y)) if len(y) == 1 else None
             for ch, asucc, bsucc in letters:
@@ -508,17 +518,6 @@ class _SubsetNfa:
                     walked.append(nxt)
         return None, walked
 
-    def rejected_word(self, cap: int, what: str):
-        """The first word rejected, found by walking the subsets that the words
-        reach; None when every word is accepted.  Raises
-        CapExceededError(what, cap) past ``cap`` subsets."""
-        final, succ = self.final, self.succ
-        _, parents, _, hit = _explore(
-            self.initial, list(succ), lambda node, ch: _post(node, succ[ch]), cap, what,
-            stop=final.isdisjoint,
-        )
-        return None if hit is None else _path_word(parents, hit)
-
     def subsets(self, cap: int):
         """The accessible subset construction.
 
@@ -529,7 +528,7 @@ class _SubsetNfa:
         Raises CapExceededError("subset construction", cap) past ``cap`` subsets.
         """
         final, succ = self.final, self.succ
-        nodes, _, moves, _ = _explore(
+        nodes, moves = _explore(
             self.initial, list(succ), lambda node, ch: _post(node, succ[ch]) or None, cap,
             "subset construction",
         )
@@ -549,31 +548,22 @@ def _post(subset: frozenset, succ: list) -> frozenset:
     return _EMPTY.union(*[succ[s] for s in subset])
 
 
-def _explore(start, letters, step, cap: int, what: str, stop=None):
+def _explore(start, letters, step, cap: int, what: str):
     """Breadth-first search over the nodes reachable from ``start``.
 
     ``step(node, letter)`` is the successor of a node, or None for no move.
-    Letters are tried in the order given, so the first path to each node
-    spells the length-lex-first word that reaches it.  Returns (nodes,
-    parents, moves, hit): the nodes in discovery order, ``start`` first;
-    parents[i] = (index, letter) of the move that discovered node i (None for
-    the start); moves[i] = {letter: index of the successor}; and hit = the
-    index of the first node for which ``stop`` holds, where the search
-    ended, or None.  Raises CapExceededError(what, cap) when more than
-    ``cap`` nodes appear, and ValueError for a ``cap`` below 1.
+    It is called once per node and letter: nodes in discovery order, letters
+    in the order given.  Returns (nodes, moves): the nodes in discovery
+    order, ``start`` first, and moves[i] = {letter: index of the successor}.
+    Raises CapExceededError(what, cap) when more than ``cap`` nodes appear,
+    and ValueError for a ``cap`` below 1.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     nodes = [start]
     index = {start: 0}
-    parents: list = [None]
     moves: list = [{}]
-    cur = 0
-    while cur < len(nodes):
-        node = nodes[cur]
-        if stop is not None and stop(node):
-            return nodes, parents, moves, cur
-        row = moves[cur]
+    for node, row in zip(nodes, moves):  # both lists grow as the search goes
         for ch in letters:
             nxt = step(node, ch)
             if nxt is None:
@@ -584,21 +574,9 @@ def _explore(start, letters, step, cap: int, what: str, stop=None):
                     raise CapExceededError(what, cap)
                 target = index[nxt] = len(nodes)
                 nodes.append(nxt)
-                parents.append((cur, ch))
                 moves.append({})
             row[ch] = target
-        cur += 1
-    return nodes, parents, moves, None
-
-
-def _path_word(parents, node) -> str:
-    """The word that first reached ``node``: ``parents`` maps each node (an
-    index, or the node itself) to the (node, letter) it was reached from, or None."""
-    letters = []
-    while parents[node] is not None:
-        node, ch = parents[node]
-        letters.append(ch)
-    return "".join(reversed(letters))
+    return nodes, moves
 
 
 __all__ = [

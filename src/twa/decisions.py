@@ -23,10 +23,10 @@ iff alpha_i + u_i = 0, a final arrow iff beta_i = u_i, an arc i -> j of weight
 w iff w + u_j = u_i.  _zero_filter is the only place that tests this
 tightness.  Every language question goes to the subset engine of
 ``twa.automaton`` (``_SubsetNfa``), the only module that knows how a subset is
-stored (a frozenset of states), and comes back as a witness word or None: the
-all-words constant test walks the subsets of the zero filter until one holds
-no final state, and the comparisons walk pairs of subsets, at most
-``DEFAULT_SUBSET_CAP`` of them, both breadth-first in alphabet order.  The
+stored (a frozenset of states), and comes back as a witness word or None.
+Each one walks pairs of subsets breadth-first in alphabet order, at most
+``DEFAULT_SUBSET_CAP`` of them (``subset_cap`` for the all-words constant test,
+which walks the one-state NFA of all words against the zero filter).  The
 series comparisons and the 1-valued extraction of ``twa.disambiguation`` share
 one kernel, _difference, for S = T or S <= T: it trims each input once,
 compares the supports, builds the product of S and -T once, relaxes its
@@ -219,7 +219,9 @@ def _positive_word(trim: WeightedAutomaton) -> Optional[str]:
     the first (state, letter) in increasing state and alphabet order that
     attains it.  The first level whose best alpha M^k beta (at the smallest
     state that attains it) is positive gives the word, read back along
-    those pointers.  Also None once it holds over ``DEFAULT_SUBSET_CAP`` pointers.
+    those pointers.  Also None once it holds over ``DEFAULT_SUBSET_CAP`` pointers
+    (pointers, not bytes: each is a dict entry holding a (state, letter)
+    tuple, and 10**6 of them take about 100 MB).
     """
     letters = [(ch, trim.mu[ch].rows) for ch in trim.alphabet]
     x = {i: w for i, w in enumerate(trim.alpha) if w is not None}
@@ -421,19 +423,22 @@ def decide_equal_const(
     """Decide whether every word (all of Sigma*) has coefficient exactly ``const``.
 
     Shifts the series by -const and requires nonpositivity; then every word
-    has value const iff the zero filter read off the potential is universal.
-    The subsets of the filter that the words reach are explored breadth-first
-    in alphabet order until one holds no final state, so the witness is the
-    length-lex-first word of another value (or of no value).  Raises
-    ValueError for a ``subset_cap`` below 1 before any work, and
+    has value const iff the zero filter read off the potential is universal,
+    that is, includes the one-state NFA of all words.  That inclusion is
+    walked breadth-first in alphabet order, so the walk meets the subsets of
+    the filter that the words reach until one holds no final state, and the
+    witness is the length-lex-first word of another value (or of no value).
+    Raises ValueError for a ``subset_cap`` below 1 before any work, and
     CapExceededError when more than ``subset_cap`` subsets appear.
     """
     if subset_cap < 1:
         raise ValueError("cap must be at least 1")
-    verdict, _, zero = _shifted_zero_filter(aut, const, "decide_equal_const")
+    verdict, trim, zero = _shifted_zero_filter(aut, const, "decide_equal_const")
     if not verdict.holds:
         return verdict
-    return _decision(_SubsetNfa.of(*zero).rejected_word(subset_cap, "universality check"))
+    every_word = _SubsetNfa.of([0], [0], {ch: [[0]] for ch in trim.alphabet})
+    witness, _ = every_word.walk(_SubsetNfa.of(*zero), True, "universality check", subset_cap)
+    return _decision(witness)
 
 
 def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
@@ -516,7 +521,7 @@ def _difference(
     witness, walked = sa.walk(sb, inclusion, "support comparison")
     if witness is not None:
         return _Difference(_decision(witness), ta, tb, None, None, None)
-    product, pairs = _accessible_product(ta, tb, MAX_PLUS, operator.sub, walked)
+    product, pairs = _accessible_product(ta, tb, operator.sub, walked)
     verdict, product, u, keep = _nonpositive(product)
     if keep is not None:
         pairs = [pairs[i] for i in keep]

@@ -123,7 +123,7 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
         tuple("{" + ",".join(map(str, m)) + "}" for m in members),
     )
     groups = [(m, (s,)) for s, m in enumerate(members)]  # each (p, s) once
-    cover, pairs = _accessible_product(aut, dfa, aut.semiring, operator.add, groups)
+    cover, pairs = _accessible_product(aut, dfa, operator.add, groups)
     cover.state_labels = _pair_labels(aut, dfa, pairs)
     return Covering(cover, tuple(pairs), tuple(frozenset(m) for m in members))
 
@@ -222,7 +222,7 @@ def _weighted_subsets(aut: WeightedAutomaton, cap: int) -> WeightedAutomaton:
         return tuple([(t, reach[t] - lam) for t in sorted(reach)])
 
     start = tuple([(q, w - top) for q, w in initial])
-    nodes, _, moves, _ = _explore(start, aut.alphabet, step, cap, "weighted determinization")
+    nodes, moves = _explore(start, aut.alphabet, step, cap, "weighted determinization")
     n = len(nodes)
     mu = {ch: [{} for _ in range(n)] for ch in aut.alphabet}
     weights = iter(lambdas)

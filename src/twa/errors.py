@@ -47,7 +47,8 @@ class CapExceededError(TwaError):
     (``what`` is "product") and every comparison of two NFAs ("support
     comparison", "zero-filter comparison"), the letters of a nonpositivity
     witness ("witness"), and the pointers of its forward pass when no circuit
-    is positive ("positive word").  `format.parse` refuses a state count, or
+    is positive ("positive word"; it counts pointers, not bytes: 10**6 take
+    about 100 MB).  `format.parse` refuses a state count, or
     a number of states times letters, above it.  ``what`` names what stopped.
     """
 

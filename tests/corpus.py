@@ -386,6 +386,19 @@ def as_min_plus_copy(aut):
     )
 
 
+def conjugate(aut, h):
+    """``aut`` conjugated by the potential h: alpha - h, beta + h, and w + h_s - h_t
+    on each arc s -> t.  Every successful path keeps its weight, so the series stays."""
+    return WeightedAutomaton.from_arcs(
+        aut.semiring,
+        aut.alphabet,
+        aut.n,
+        initial=[(i, w - h[i]) for i, w in enumerate(aut.alpha) if w is not None],
+        final=[(i, w + h[i]) for i, w in enumerate(aut.beta) if w is not None],
+        arcs=[(s, ch, t, w + h[s] - h[t]) for s, ch, t, w in aut.arcs()],
+    )
+
+
 def reordered(aut):
     """The same automaton with its alphabet in reverse order."""
     return WeightedAutomaton(

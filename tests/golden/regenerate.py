@@ -10,10 +10,13 @@ only for an intended change of outcome, and record that change.
 The outcomes are:
 
 - every operation of the gated benchmark workloads, prime-pipeline and
-  random-pairs, at seeds 1 to 3, built by ``bench/workloads.py``;
+  random-pairs, and of the constant tests of const-perm, at seeds 1 to 3,
+  built by ``bench/workloads.py``;
 - ``twa rho`` on every automaton of ``twa.zoo``, read in both tags;
 - ``twa pipeline`` on an example whose branch ``--subset-cap`` chooses, with
-  the default cap and with a cap of 2.
+  the default cap and with a cap of 2;
+- the all-words constant test on an example that needs 5 subsets, through
+  the library and through ``twa equal-const``, with caps of 5 and 4.
 
 The bytes of an outcome are the repr of ``bench/checks.fingerprint``: a CLI
 run's exit code, stdout, stderr and ``-o`` file, a library result serialized,
@@ -28,6 +31,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -43,13 +47,18 @@ import workloads  # noqa: E402  (bench/workloads.py)
 import twa  # noqa: E402
 from twa import MAX_PLUS, MIN_PLUS, Decision, TwaError, WeightedAutomaton, zoo  # noqa: E402
 
-WORKLOADS = ("prime-pipeline", "random-pairs")
+WORKLOADS = ("prime-pipeline", "random-pairs", "const-perm")
 SEEDS = (1, 2, 3)
 SHORT = 64  # the longest verdict or witness kept verbatim
 
 # The weighted subset construction of this automaton's 1-valued automaton
 # needs 3 states, so a cap of 2 makes the pipeline write the covering.
 SUBSET_CAP_EXAMPLE = ROOT / "tests" / "data" / "subset_cap.twa"
+
+# Every word of this S_5 permutation automaton has value CONST, and the
+# all-words test walks 5 subsets to see it, so a cap of 4 stops it.
+UNIVERSALITY_EXAMPLE = (5, False)
+UNIVERSALITY_CAPS = (5, 4)
 
 
 def retagged(aut: WeightedAutomaton, semiring) -> WeightedAutomaton:
@@ -96,6 +105,12 @@ def outcomes(workdir: str):
     for extra in ((), ("--subset-cap", "2")):
         run = workloads._cli("pipeline", str(SUBSET_CAP_EXAMPLE), bmin, *extra, "-o", out, output=out)
         yield " ".join(("pipeline subset-cap example",) + extra), run()
+    aut = workloads.perm_instance(random.Random(1), *UNIVERSALITY_EXAMPLE)
+    path = os.path.join(workdir, "universality.twa")
+    twa.save(aut, path)
+    for cap in UNIVERSALITY_CAPS:
+        yield f"universality cap={cap} library", _call(lambda: twa.decide_equal_const(aut, workloads.CONST, cap))
+        yield f"universality cap={cap} cli", workloads._cli("equal-const", str(workloads.CONST), path, "--subset-cap", str(cap))()
 
 
 def _verbatim(outcome) -> dict:

@@ -205,7 +205,7 @@ def difference_product(a, b):
     The kernel formats no label; it is labelled here by the helper that
     labels extract_one_valued's output from the kept pairs.
     """
-    product, pairs = _accessible_product(a, b, MAX_PLUS, operator.sub)
+    product, pairs = _accessible_product(a, b, operator.sub)
     assert product.state_labels is None
     product.state_labels = _pair_labels(a, b, pairs)
     return product

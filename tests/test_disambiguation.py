@@ -372,6 +372,7 @@ def test_full_pipeline_with_ambiguous_max_side():
             continue
         doubled = _duplicate_union(det)
         result = unambiguous_from_pair(doubled, as_min_plus_copy(det))
+        assert decide_series_equal(result, as_min_plus_copy(det)).holds  # exact, no length bound
         assert max_ambiguity_upto(result, 8)[0] <= 1
         assert equal_upto(result, det, 8).holds
 

@@ -24,6 +24,7 @@ import twa.disambiguation
 from corpus import (
     as_min_plus_copy,
     automata,
+    conjugate,
     grid_product,
     kth_letter_from_last,
     nonsequential_pair,
@@ -322,18 +323,6 @@ def _union(a, b):
     )
 
 
-def _conjugate(aut, h):
-    initial, final = _arcs_of(aut)
-    return WeightedAutomaton.from_arcs(
-        aut.semiring,
-        aut.alphabet,
-        aut.n,
-        initial=[(i, w - h[i]) for i, w in initial],
-        final=[(i, w + h[i]) for i, w in final],
-        arcs=[(s, ch, t, w + h[s] - h[t]) for s, ch, t, w in aut.arcs()],
-    )
-
-
 def _edit(aut, target, delta):
     """Move one final arrow (target < 0) or arc (target >= 0) by ``delta``; None deletes the arc."""
     initial, final = _arcs_of(aut)
@@ -367,7 +356,7 @@ def related_pairs(draw):
     amax = d
     side = draw(st.sampled_from(["alone", "conjugated copy", "lowered copy", "edited copy"]))
     if side == "conjugated copy":
-        amax = _union(d, _conjugate(d, draw(st.lists(st.integers(-3, 3), min_size=d.n, max_size=d.n))))
+        amax = _union(d, conjugate(d, draw(st.lists(st.integers(-3, 3), min_size=d.n, max_size=d.n))))
     elif side == "lowered copy":
         drop = draw(st.lists(st.integers(-1, 0), min_size=len(arcs), max_size=len(arcs)))
         lowered = WeightedAutomaton.from_arcs(
@@ -383,7 +372,7 @@ def related_pairs(draw):
     elif side == "edited copy":
         amax = _union(d, _edit(d, *draw(edits)))
     h = draw(st.lists(st.integers(-3, 3), min_size=d.n, max_size=d.n))
-    bmin = as_min_plus_copy(_conjugate(d, h))
+    bmin = as_min_plus_copy(conjugate(d, h))
     if draw(st.booleans()):
         bmin = _edit(bmin, *draw(edits))
     return amax, bmin
@@ -637,7 +626,7 @@ def relaxes_like_the_letter_sum(amax, bmin):
     must take the same rounds, improve the same states and end in the same u,
     up to the renumbering.  No initial arrow is passed, so no round stops the
     relaxation early.  Returns how the relaxation ended."""
-    product, _ = twa.automaton._accessible_product(amax.trim(), bmin.trim(), MAX_PLUS, operator.sub)
+    product, _ = twa.automaton._accessible_product(amax.trim(), bmin.trim(), operator.sub)
     u = list(product.beta)
     order, into = twa.decisions._backward_search([mat.rows for mat in product.mu.values()], u)
     keep = sorted(order)
@@ -817,8 +806,8 @@ def test_products_from_the_walked_pairs_match_the_search():
             witness, walked = _walk(ta, tb, inclusion)
             if witness is not None:
                 continue
-            grouped = twa.automaton._accessible_product(ta, tb, MAX_PLUS, operator.sub, walked)
-            searched = twa.automaton._accessible_product(ta, tb, MAX_PLUS, operator.sub)
+            grouped = twa.automaton._accessible_product(ta, tb, operator.sub, walked)
+            searched = twa.automaton._accessible_product(ta, tb, operator.sub)
             assert _parts(*grouped) == _parts(*searched)
             seen.add("equal supports" if equal else "included supports")
             if sum(len(x) * len(y) for x, y in walked) <= ta.n * tb.n:
@@ -837,8 +826,8 @@ def test_products_search_when_the_walked_pairs_outnumber_the_cells():
     assert witness is None
     assert sum(len(x) * len(y) for x, y in walked) == 432
     every_cell = walked + [(range(12), range(12))]
-    grouped = twa.automaton._accessible_product(amax, bmin, MAX_PLUS, operator.sub, every_cell)
-    searched = twa.automaton._accessible_product(amax, bmin, MAX_PLUS, operator.sub)
+    grouped = twa.automaton._accessible_product(amax, bmin, operator.sub, every_cell)
+    searched = twa.automaton._accessible_product(amax, bmin, operator.sub)
     assert _parts(*grouped) == _parts(*searched)
     assert len(searched[1]) < 144
     assert decide_series_equal(amax, bmin).holds
@@ -850,8 +839,8 @@ def test_covering_from_its_subsets_is_the_searched_covering(aut):
     cover = covering(aut)
     product = twa.automaton._accessible_product
 
-    def searched(a, b, semiring, combine, groups):
-        return product(a, b, semiring, combine)
+    def searched(a, b, combine, groups):
+        return product(a, b, combine)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(twa.disambiguation, "_accessible_product", searched)
@@ -871,7 +860,7 @@ def test_either_support_gives_the_zero_filter_witness():
         sa, sb = ta._support_nfa(), tb._support_nfa()
         if sa.compare(sb, False, "support comparison") is not None:
             return
-        product, _ = twa.automaton._accessible_product(ta, tb, MAX_PLUS, operator.sub)
+        product, _ = twa.automaton._accessible_product(ta, tb, operator.sub)
         verdict, product, u, _ = _nonpositive(product)
         if not verdict.holds:
             return

@@ -26,6 +26,8 @@ def test_every_outcome_matches_the_manifest():
 def test_the_corpus_covers_the_gated_workloads_the_zoo_and_the_subset_cap_example():
     names = [entry["name"] for entry in regenerate.read_manifest()]
     workload = [name for name in names if name.startswith(regenerate.WORKLOADS)]
-    assert len(workload) == 498  # (6 + 160) operations at each of three seeds
+    assert len(workload) == 558  # (6 + 160 + 20) operations at each of three seeds
+    assert sum(name.startswith("const-perm ") for name in names) == 60
     assert sum(name.startswith("rho ") for name in names) == 20
     assert sum(name.startswith("pipeline subset-cap example") for name in names) == 2
+    assert sum(name.startswith("universality cap=") for name in names) == 4
