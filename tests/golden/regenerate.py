@@ -16,7 +16,13 @@ The outcomes are:
 - ``twa pipeline`` on an example whose branch ``--subset-cap`` chooses, with
   the default cap and with a cap of 2;
 - the all-words constant test on an example that needs 5 subsets, through
-  the library and through ``twa equal-const``, with caps of 5 and 4.
+  the library and through ``twa equal-const``, with caps of 5 and 4;
+- on 300 draws of ``tests/corpus.py``'s ``random_automaton``:
+  ``decide_nonpositive``, ``fatou_normalize`` serialized, and
+  ``decide_equal_const`` with constant 0 at caps 1, 2, 3 and the default.
+  The even draws have weights in {-1, 0}, so that the series is nonpositive
+  and the all-words walk answers YES or meets its cap; the odd ones keep
+  the default weights, so that they pin NO witnesses, pumped ones included.
 
 The bytes of an outcome are the repr of ``bench/checks.fingerprint``: a CLI
 run's exit code, stdout, stderr and ``-o`` file, a library result serialized,
@@ -37,11 +43,12 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 MANIFEST = pathlib.Path(__file__).with_name("manifest.json")
-for _path in (ROOT / "bench", ROOT / "src"):
+for _path in (ROOT / "bench", ROOT / "src", ROOT / "tests"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
 import checks  # noqa: E402  (bench/checks.py)
+import corpus  # noqa: E402  (tests/corpus.py)
 import workloads  # noqa: E402  (bench/workloads.py)
 
 import twa  # noqa: E402
@@ -59,6 +66,11 @@ SUBSET_CAP_EXAMPLE = ROOT / "tests" / "data" / "subset_cap.twa"
 # all-words test walks 5 subsets to see it, so a cap of 4 stops it.
 UNIVERSALITY_EXAMPLE = (5, False)
 UNIVERSALITY_CAPS = (5, 4)
+
+# The random slice: draws 0..RANDOM_DRAWS-1, and the caps of its constant
+# tests (None for the default).
+RANDOM_DRAWS = 300
+RANDOM_CAPS = (1, 2, 3, None)
 
 
 def retagged(aut: WeightedAutomaton, semiring) -> WeightedAutomaton:
@@ -111,6 +123,22 @@ def outcomes(workdir: str):
     for cap in UNIVERSALITY_CAPS:
         yield f"universality cap={cap} library", _call(lambda: twa.decide_equal_const(aut, workloads.CONST, cap))
         yield f"universality cap={cap} cli", workloads._cli("equal-const", str(workloads.CONST), path, "--subset-cap", str(cap))()
+    for name, aut in _random_draws():
+        yield f"{name} decide_nonpositive", _call(lambda: twa.decide_nonpositive(aut))
+        yield f"{name} fatou_normalize", _call(lambda: twa.fatou_normalize(aut))
+        for cap in RANDOM_CAPS:
+            caps = () if cap is None else (cap,)
+            yield f"{name} decide_equal_const 0 cap={cap or 'default'}", _call(lambda: twa.decide_equal_const(aut, 0, *caps))
+
+
+def _random_draws():
+    """(name, automaton) for every draw of the random slice."""
+    for i in range(RANDOM_DRAWS):
+        rng = random.Random(i)
+        if i % 2 == 0:
+            yield f"random draw={i} weights=-1..0", corpus.random_automaton(rng, arc_p=0.7, arrow_p=0.8, lo=-1, hi=0, frac_p=0)
+        else:
+            yield f"random draw={i} weights=default", corpus.random_automaton(rng)
 
 
 def _verbatim(outcome) -> dict:

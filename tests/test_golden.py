@@ -24,10 +24,15 @@ def test_every_outcome_matches_the_manifest():
 
 
 def test_the_corpus_covers_the_gated_workloads_the_zoo_and_the_subset_cap_example():
-    names = [entry["name"] for entry in regenerate.read_manifest()]
+    manifest = regenerate.read_manifest()
+    names = [entry["name"] for entry in manifest]
     workload = [name for name in names if name.startswith(regenerate.WORKLOADS)]
     assert len(workload) == 558  # (6 + 160 + 20) operations at each of three seeds
     assert sum(name.startswith("const-perm ") for name in names) == 60
     assert sum(name.startswith("rho ") for name in names) == 20
     assert sum(name.startswith("pipeline subset-cap example") for name in names) == 2
     assert sum(name.startswith("universality cap=") for name in names) == 4
+    assert sum(name.startswith("random draw=") for name in names) == 1800  # 6 outcomes of 300 draws
+    # the random slice reaches both ends of the all-words walk
+    verdicts = {(entry["name"].rpartition(" ")[2], entry.get("verdict")) for entry in manifest if entry["name"].startswith("random draw=")}
+    assert {("cap=default", True), ("cap=1", "CapExceededError"), ("cap=3", "CapExceededError")} <= verdicts
