@@ -44,23 +44,6 @@ def _require_max_plus(aut: "WeightedAutomaton", op: str) -> None:
         raise TagMismatchError(f"{op} requires a max-plus automaton, got {aut.semiring.tag}")
 
 
-def _backward_order(into: list, u: list) -> list:
-    """Breadth-first search backward from the finite entries of ``u``.
-
-    Iterating ``into[j]`` gives the sources of the arcs into j.  Returns the
-    states from which some arc path reaches a finite entry: those entries
-    first, in increasing order, then the others in discovery order.
-    """
-    order = [j for j, uj in enumerate(u) if uj is not None]
-    seen = [uj is not None for uj in u]
-    for j in order:  # grows while it is walked: a breadth-first queue
-        for i in into[j]:
-            if not seen[i]:
-                seen[i] = True
-                order.append(i)
-    return order
-
-
 class _Rows:
     """What ``mu[ch]`` holds: the letter's n row dicts {target: weight}, as ``rows``.
 
@@ -270,9 +253,8 @@ class WeightedAutomaton:
         """The states on some successful path, in increasing order.
 
         Those reachable from an initial arrow (the forward search below)
-        among those that reach a final arrow (the backward search of
-        _backward_order, which also orders the relaxation of the potential
-        in ``twa.decisions``).
+        among those that reach a final arrow (the backward breadth-first
+        search after it).
         """
         letters = [mat.rows for mat in self.mu.values()]
         fwd = [w is not None for w in self.alpha]
@@ -289,7 +271,14 @@ class WeightedAutomaton:
             for i, row in enumerate(rows):
                 for j in row:
                     into[j].append(i)
-        return [i for i in sorted(_backward_order(into, self.beta)) if fwd[i]]
+        order = [j for j, w in enumerate(self.beta) if w is not None]
+        seen = [w is not None for w in self.beta]
+        for j in order:  # grows while it is walked: a breadth-first queue
+            for i in into[j]:
+                if not seen[i]:
+                    seen[i] = True
+                    order.append(i)
+        return [i for i in sorted(order) if fwd[i]]
 
     def _restrict(self, keep: list) -> "WeightedAutomaton":
         """The automaton on the states ``keep`` (increasing), renumbered in that order."""
@@ -355,8 +344,9 @@ def _accessible_product(
     Two phases: the first finds the reachable pairs, the second builds each
     row once, in the final numbering.  The pairs are read off ``reached``,
     groups (x, y) whose products x * y make up exactly the reachable pairs,
-    when those hold at most min(a.n * b.n, DEFAULT_SUBSET_CAP) pairs in all;
-    else a search from the initial pairs finds them.
+    when those hold at most min(a.n * b.n, DEFAULT_SUBSET_CAP) pairs in all,
+    and ``reached`` is then emptied, so that it is not held while the rows
+    are built; else a search from the initial pairs finds them.
     Raises CapExceededError("product", ...) past DEFAULT_SUBSET_CAP pairs.
     """
     cap = DEFAULT_SUBSET_CAP
@@ -364,6 +354,7 @@ def _accessible_product(
     letters = [(a.mu[ch].rows, b.mu[ch].rows) for ch in a.alphabet]
     if reached is not None and sum(len(x) * len(y) for x, y in reached) <= min(a.n * bn, cap):
         seen = {p * bn + q for x, y in reached for p in x for q in y}
+        reached.clear()
     else:
         seen = {
             p * bn + q

@@ -12,10 +12,11 @@ series comparisons rest, is decided by one early-exit Bellman-Ford relaxation
 of the potential u = M*beta, and a positive verdict hands u on to the
 renormalization.  The relaxation visits the arcs in backward breadth-first
 order from the final arrows, so a round carries the weights along every
-fewest-arc path and few rounds are needed.  Only a negative verdict pays for
-its witness: one forward pass over the letters, or, when no word shorter
-than n is positive, the maximum mean circuit (Howard policy iteration, in
-twa.spectral).
+fewest-arc path and few rounds are needed; the backward search lists them in
+that order, and only that list is kept while the rounds run.  Only a negative
+verdict pays for its witness: one forward pass over the letters, or, when no
+word shorter than n is positive, the maximum mean circuit (Howard policy
+iteration, in twa.spectral).
 
 The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
 automaton, is read straight off u as lists of states: an initial arrow is kept
@@ -38,6 +39,10 @@ that reach no final arrow, and the one backward search that orders the
 relaxation finds them; it reads its pairs off the walk of the support
 comparison and has no labels; and with equal supports the zero filter is
 compared with the support NFA of the input with fewer states, already built.
+The product is the kernel's largest data, and each structure of its size goes
+after its last read: the walked pairs once the product's pairs are found,
+the arcs after the relaxation, and the product once its zero filter is read
+(at once for S <= T or a NO); only its pairs and zero filter are handed on.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -48,14 +53,12 @@ in any order; witnesses follow the first one's alphabet order.
 from __future__ import annotations
 
 import operator
-from collections import deque
-from typing import NamedTuple, Optional
+from collections import deque, namedtuple
 
 from .automaton import (
     DEFAULT_SUBSET_CAP,
     WeightedAutomaton,
     _accessible_product,
-    _backward_order,
     _check_alphabets,
     _require_max_plus,
     _SubsetNfa,
@@ -65,14 +68,13 @@ from .semiring import MAX_PLUS, MIN_PLUS, is_rational
 from .spectral import _critical_circuit
 
 
-class Decision(NamedTuple):
-    """Outcome of a decision procedure: the verdict plus an optional witness word."""
+class Decision(namedtuple("Decision", "holds witness")):
+    """Outcome of a decision procedure: the verdict ``holds`` plus an optional witness word."""
 
-    holds: bool
-    witness: Optional[str]
+    __slots__ = ()
 
 
-def _decision(witness: Optional[str]) -> Decision:
+def _decision(witness: str | None) -> Decision:
     """The verdict of a language question: it holds when no witness word exists."""
     return Decision(witness is None, witness)
 
@@ -110,7 +112,7 @@ def decide_nonpositive(aut: WeightedAutomaton) -> Decision:
 
 def _nonpositive(
     aut: WeightedAutomaton,
-) -> tuple[Decision, WeightedAutomaton, Optional[list], Optional[list]]:
+) -> tuple[Decision, WeightedAutomaton, list | None, list | None]:
     """The nonpositivity verdict of an accessible automaton, and its trim.
 
     A positive empty word (alpha_i + beta_i > 0) is a NO before any search.
@@ -125,8 +127,9 @@ def _nonpositive(
     u = list(aut.beta)
     if _positive(aut.alpha, u, range(aut.n)):
         return Decision(False, ""), aut, None, None
-    order, into = _backward_search([mat.rows for mat in aut.mu.values()], u)
-    holds = _relax(aut.alpha, order, into, u)
+    order, arcs = _backward_search([mat.rows for mat in aut.mu.values()], u)
+    holds = _relax(aut.alpha, order, arcs, u)
+    del arcs  # the largest structure of the relaxation, read only by it
     keep = None
     if len(order) < aut.n:
         keep = sorted(order)
@@ -150,32 +153,47 @@ def _positive(alpha: list, u: list, states) -> bool:
 
 
 def _backward_search(letters: list, u: list) -> tuple[list, list]:
-    """The backward search from the finite entries of ``u``, with the arcs it crossed.
+    """The backward search from the finite entries of ``u``, and the arcs it crossed.
 
     ``letters`` lists row lists (one per letter, or one matrix's rows), each
-    of len(u) row dicts.  Returns (order, into): the result of
-    _backward_order, and into[j] = {i: w}, the arcs i -> j of the letter sum
-    by increasing source, built without the sum: one pass over the rows in
-    row-major order merges the arcs of one source, one per letter, into
-    their maximum.
+    of len(u) row dicts.  Returns (order, arcs): the states from which an
+    arc path reaches a finite entry, those entries first in increasing
+    order, then the others in discovery order; and the arcs i -> j of the
+    letter sum as (i, j, w), those into each j of ``order`` in turn by
+    increasing source.  No sum is built: one pass over the rows in row-major
+    order lists each target's arcs, merging those of one source into their
+    maximum, and the search moves each list into ``arcs`` and drops it.
     """
-    into = [{} for _ in u]
+    into = [[] for _ in u]
     for i in range(len(u)):
         for rows in letters:
             for j, w in rows[i].items():
                 preds = into[j]
-                old = preds.get(i)
-                if old is None or w > old:
-                    preds[i] = w
-    return _backward_order(into, u), into
+                if preds and preds[-1][0] == i:  # i's arc on an earlier letter
+                    if w > preds[-1][2]:
+                        preds[-1] = (i, j, w)
+                else:
+                    preds.append((i, j, w))
+    order = [j for j, uj in enumerate(u) if uj is not None]
+    seen = [uj is not None for uj in u]
+    arcs = []
+    for j in order:  # grows while it is walked: a breadth-first queue
+        preds = into[j]
+        into[j] = None
+        arcs += preds
+        for i, _, _ in preds:
+            if not seen[i]:
+                seen[i] = True
+                order.append(i)
+    return order, arcs
 
 
-def _relax(alpha: list, order: list, into: list, u: list) -> Optional[bool]:
+def _relax(alpha: list, order: list, arcs: list, u: list) -> bool | None:
     """Relax ``u`` in place toward M*beta, one Bellman-Ford round at a time,
     and tell whether the series is nonpositive.
 
     ``u`` starts as beta, with alpha_i + beta_i <= 0 for every i, and
-    ``order`` and ``into`` are what _backward_search returns for it and the
+    ``order`` and ``arcs`` are what _backward_search returns for it and the
     letter rows of the automaton, so the states outside ``order``, which
     reach no final arrow, keep u_i = None.  Every finite u_i is, at all
     times, the weight of a real path from i to a final arrow, so
@@ -188,14 +206,13 @@ def _relax(alpha: list, order: list, into: list, u: list) -> Optional[bool]:
     the automaton is accessible (trim, or a product built from its initial
     pairs), so the cycle lies on a successful path.
 
-    A round relaxes the arcs in backward breadth-first order from the support
-    of u: the arcs into a state come right after those into the states it
-    was discovered from.  So one round carries the best weights back along
-    every path of fewest arcs, and rounds repeat only for better paths with
-    more arcs.  Arcs into states that cannot reach the support never change
-    u and are left out.
+    A round relaxes ``arcs`` in their order, backward breadth-first from the
+    support of u: the arcs into a state come right after those into the
+    states it was discovered from.  So one round carries the best weights
+    back along every path of fewest arcs, and rounds repeat only for better
+    paths with more arcs.  Arcs into states that cannot reach the support
+    never change u and are not listed.
     """
-    arcs = [(i, j, w) for j in order for i, w in into[j].items()]
     for rounds in range(len(order) + 1):
         improved = []
         for i, j, w in arcs:
@@ -211,7 +228,7 @@ def _relax(alpha: list, order: list, into: list, u: list) -> Optional[bool]:
             return False
 
 
-def _positive_word(trim: WeightedAutomaton) -> Optional[str]:
+def _positive_word(trim: WeightedAutomaton) -> str | None:
     """A shortest word with positive value, or None when none is shorter than n.
 
     One forward pass over the letters: level k holds the best weight
@@ -470,24 +487,20 @@ def _check_pair(amax: WeightedAutomaton, bmin: WeightedAutomaton, op: str):
     _check_alphabets(amax, bmin, f"{op}: automata must share one alphabet")
 
 
-class _Difference(NamedTuple):
-    """What the equality kernel learned about S - T.
+class _Difference(namedtuple("_Difference", "verdict ta tb pairs zero")):
+    """What the equality kernel learned about S - T: its ``verdict``, the
+    trimmed amax ``ta`` and bmin ``tb``, and two parts of its product.
 
-    ``product`` is the trimmed accessible product of the trimmed amax ``ta``
-    and the trimmed bmin ``tb``, unlabelled, each arrow and arc weighing the
-    amax weight minus the bmin weight, so its series is S - T on the common
-    support; ``pairs`` holds the (p, q) of each of its states and ``zero``
-    its zero filter, read off its potential M*beta by _zero_filter.
-    ``product`` and ``pairs`` are None when the supports failed their
-    comparison, ``zero`` when S - T is not nonpositive or the question is S <= T.
+    That product is the trimmed accessible product of ``ta`` and ``tb``,
+    unlabelled, each arrow and arc weighing the amax weight minus the bmin
+    weight, so its series is S - T on the common support.  It is not kept:
+    ``pairs`` holds the (p, q) of each of its states and ``zero`` its zero
+    filter, read off its potential M*beta by _zero_filter.  ``pairs`` is
+    None when the supports failed their comparison, ``zero`` when S - T is
+    not nonpositive or the question is S <= T.
     """
 
-    verdict: Decision
-    ta: WeightedAutomaton
-    tb: WeightedAutomaton
-    product: Optional[WeightedAutomaton]
-    pairs: Optional[list]
-    zero: Optional[tuple]
+    __slots__ = ()
 
 
 def _difference(
@@ -514,23 +527,28 @@ def _difference(
     filter with either support NFA, both already built, gives the same
     verdict and length-lex-first witness; the one with fewer states (``ta``
     on a tie) is walked.
+
+    Each structure the size of the product goes after its last read (see the
+    module docstring), and the larger support NFA after the support walk.
     """
     ta = amax.trim()
     tb = bmin.trim()
     sa, sb = ta._support_nfa(), tb._support_nfa()
     witness, walked = sa.walk(sb, inclusion, "support comparison")
     if witness is not None:
-        return _Difference(_decision(witness), ta, tb, None, None, None)
-    product, pairs = _accessible_product(ta, tb, operator.sub, walked)
+        return _Difference(_decision(witness), ta, tb, None, None)
+    smaller = sa if ta.n <= tb.n else sb  # the other support is not read again
+    del sa, sb
+    product, pairs = _accessible_product(ta, tb, operator.sub, walked)  # empties walked
     verdict, product, u, keep = _nonpositive(product)
     if keep is not None:
         pairs = [pairs[i] for i in keep]
     zero = None
     if verdict.holds and not inclusion:
         zero = _zero_filter(product, u)
-        smaller = sa if ta.n <= tb.n else sb
+        del product, u
         verdict = _decision(_SubsetNfa.of(*zero).compare(smaller, False, "zero-filter comparison"))
-    return _Difference(verdict, ta, tb, product, pairs, zero)
+    return _Difference(verdict, ta, tb, pairs, zero)
 
 
 def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decision:

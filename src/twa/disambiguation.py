@@ -26,7 +26,7 @@ throughout; no semiring of weight pairs is involved.
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 from .automaton import (
     DEFAULT_SUBSET_CAP,
@@ -35,7 +35,7 @@ from .automaton import (
     _explore,
     _pair_labels,
 )
-from .decisions import _check_pair, _difference
+from .decisions import _check_pair, _difference, _Difference
 from .errors import CapExceededError, NotEqualError
 from .semiring import MAX_PLUS, format_finite
 
@@ -64,13 +64,18 @@ def extract_one_valued(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Weig
     """
     # errors name the decision the extraction runs
     _check_pair(amax, bmin, "decide_series_equal")
-    difference = _difference(amax, bmin, False)
+    # the kernel's pairs and zero filter are let go before the closing trim
+    return _untrimmed_one_valued(_difference(amax, bmin, False)).trim()
+
+
+def _untrimmed_one_valued(difference: _Difference) -> WeightedAutomaton:
+    """The kernel's zero filter with amax's weights; NotEqualError when S = T failed."""
     if not difference.verdict.holds:
         raise NotEqualError(difference.verdict.witness)
-    ta, product, pairs = difference.ta, difference.product, difference.pairs
+    ta, pairs = difference.ta, difference.pairs
     initial, final, targets = difference.zero
     firsts = [p for p, _ in pairs]  # the amax state of each product state
-    alpha, beta = [None] * product.n, [None] * product.n
+    alpha, beta = [None] * len(pairs), [None] * len(pairs)
     for i in initial:
         alpha[i] = ta.alpha[firsts[i]]
     for i in final:
@@ -80,7 +85,7 @@ def extract_one_valued(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Weig
         arows = ta.mu[ch].rows
         rows[ch] = [{j: arows[p][firsts[j]] for j in row} for row, p in zip(kept, firsts)]
     labels = _pair_labels(ta, difference.tb, pairs)
-    return WeightedAutomaton._adopt(MAX_PLUS, product.alphabet, alpha, beta, rows, labels).trim()
+    return WeightedAutomaton._adopt(MAX_PLUS, ta.alphabet, alpha, beta, rows, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +93,15 @@ def extract_one_valued(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Weig
 # ---------------------------------------------------------------------------
 
 
-class Covering(NamedTuple):
-    """A weighted automaton whose states are (original state, subset) pairs.
+class Covering(namedtuple("Covering", "automaton provenance subsets")):
+    """A weighted ``automaton`` whose states are (original state, subset) pairs.
 
     ``provenance[i]`` is the pair (p, s): p indexes a state of the covered
     automaton, s indexes a subset of the determinized support.  ``subsets``
     lists those subsets for reporting.
     """
 
-    automaton: WeightedAutomaton
-    provenance: tuple
-    subsets: tuple
+    __slots__ = ()
 
 
 def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:

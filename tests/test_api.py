@@ -38,13 +38,14 @@ def test_package_exports_exactly_what_it_imports():
     assert set(twa.__all__) == imported
 
 
-def _modules_after(statement):
-    """The modules a fresh interpreter holds after ``statement``, with this twa first on its path."""
+def _modules_after(statement, *flags):
+    """The modules a fresh interpreter, started with ``flags``, holds after
+    ``statement``, with this twa first on its path."""
     env = dict(os.environ)
     src = str(pathlib.Path(twa.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     code = f"import sys\n{statement}\nprint(sorted(sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, check=True)
     return set(ast.literal_eval(proc.stdout))
 
 
@@ -58,6 +59,8 @@ def test_import_loads_only_the_code_it_runs():
         assert "twa.decisions" in added, statement
         assert added.isdisjoint({"dataclasses", "inspect", "twa.oracle"}), (statement, sorted(added))
     assert "twa.oracle" in _modules_after("import twa\nfrom twa import oracle")
+    # without site, which may preload it, typing would be a fifth of the import
+    assert "typing" not in _modules_after("import twa.cli", "-S")
 
 
 @pytest.mark.parametrize(

@@ -354,8 +354,8 @@ def test_the_forward_pass_gives_the_word_of_the_scan_and_backward_walk():
             assert expected is None
             return
         u = list(trim.beta)
-        order, into = twa.decisions._backward_search([mat.rows for mat in trim.mu.values()], u)
-        if twa.decisions._relax(trim.alpha, order, into, u) is None:
+        order, arcs = twa.decisions._backward_search([mat.rows for mat in trim.mu.values()], u)
+        if twa.decisions._relax(trim.alpha, order, arcs, u) is None:
             # every positive word shorter than n stops a round before the divergence
             assert expected is None
             kinds.add("diverged")
