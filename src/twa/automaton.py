@@ -8,9 +8,10 @@ ingoing/outgoing arrows, so there are no designated initial/final state sets
 at this level.
 
 The subset engine ``_SubsetNfa`` has one loop per job: questions (universality,
-equivalence, inclusion) walk pairs of subsets and return a witness word, and
-constructions (the subset construction, weighted determinization) explore
-subsets with ``_explore`` and return nodes and moves.
+equivalence, inclusion) walk pairs of subsets in ``walk`` and return a witness
+word, and constructions (the subset construction, weighted determinization)
+explore nodes with ``_explore`` and return them with the letter rows that an
+automaton is assembled from.
 
 Everything here is pure: automata are immutable after construction and all
 operations build new ones.
@@ -444,7 +445,7 @@ class _SubsetNfa:
     """An NFA over states 0..n-1 whose subsets are frozensets of states.
 
     The one owner of subsets: other modules build it from sparse states
-    (``of``) and get back words, state lists and move tables.
+    (``of``) and get back words, state lists and letter rows.
     ``succ`` maps each letter, in alphabet order, to the frozenset of targets
     of every state, so memory grows with the arcs and the subsets walked.
     Questions (universality, equivalence, inclusion) walk pairs of subsets in
@@ -465,18 +466,14 @@ class _SubsetNfa:
         succ = {ch: [frozenset(r) if r else _EMPTY for r in rows] for ch, rows in targets.items()}
         return cls(frozenset(initial_states), frozenset(final_states), succ)
 
-    def compare(self, other: "_SubsetNfa", inclusion: bool, what: str):
-        """The first word accepted here and not by ``other`` (inclusion), or by
-        exactly one of them (equivalence); None when there is none.  See ``walk``.
-        """
-        return self.walk(other, inclusion, what)[0]
-
     def walk(self, other: "_SubsetNfa", inclusion: bool, what: str, cap=None):
-        """``compare``'s witness, and the pairs of subsets walked: with no
-        witness, every pair (A(w), B(w)) that a word w reaches.
+        """(witness, walked): the first word accepted here and not by ``other``
+        (inclusion), or by exactly one of them (equivalence), or None when
+        there is none; and the pairs of subsets walked, so with no witness
+        every pair (A(w), B(w)) that a word w reaches.
 
         Breadth-first in this NFA's alphabet order, ``other``'s letters read
-        by name, with no move table.  A one-state subset steps to its stored
+        by name, building no rows.  A one-state subset steps to its stored
         set.  Raises CapExceededError(what, cap) past ``cap`` pairs, by
         default ``DEFAULT_SUBSET_CAP`` read at call time.
         """
@@ -512,19 +509,22 @@ class _SubsetNfa:
     def subsets(self, cap: int):
         """The accessible subset construction.
 
-        Returns (members, accepting, moves): per subset, its states in
-        increasing order, whether one is final, and {letter: successor index}.
-        The empty subset is left out, except as the start subset of an NFA
-        with no initial state, which then has one subset, empty, and no move.
+        Returns (members, accepting, rows): per subset, its states in
+        increasing order and whether one is final, and the letter rows of
+        ``_explore``, in which every arc weighs 0.  The empty subset is left
+        out, except as the start subset of an NFA with no initial state,
+        which then has one subset, empty, and no move.
         Raises CapExceededError("subset construction", cap) past ``cap`` subsets.
         """
         final, succ = self.final, self.succ
-        nodes, moves = _explore(
-            self.initial, list(succ), lambda node, ch: _post(node, succ[ch]) or None, cap,
-            "subset construction",
-        )
+
+        def step(node, ch):
+            nxt = _post(node, succ[ch])
+            return (nxt, 0) if nxt else None
+
+        nodes, rows = _explore(self.initial, succ, step, cap, "subset construction")
         accepting = [not final.isdisjoint(node) for node in nodes]
-        return [sorted(node) for node in nodes], accepting, moves
+        return [sorted(node) for node in nodes], accepting, rows
 
 
 def _post(subset: frozenset, succ: list) -> frozenset:
@@ -542,10 +542,12 @@ def _post(subset: frozenset, succ: list) -> frozenset:
 def _explore(start, letters, step, cap: int, what: str):
     """Breadth-first search over the nodes reachable from ``start``.
 
-    ``step(node, letter)`` is the successor of a node, or None for no move.
-    It is called once per node and letter: nodes in discovery order, letters
-    in the order given.  Returns (nodes, moves): the nodes in discovery
-    order, ``start`` first, and moves[i] = {letter: index of the successor}.
+    ``step(node, letter)`` is (successor, weight) for the node's move on the
+    letter, or None for no move.  It is called once per node and letter:
+    nodes in discovery order, letters in the order given.  Returns (nodes,
+    rows): the nodes in discovery order, ``start`` first, and
+    rows[letter][i] = {index of the successor: weight}, or {} for no move,
+    the letter rows that ``WeightedAutomaton._adopt`` takes.
     Raises CapExceededError(what, cap) when more than ``cap`` nodes appear,
     and ValueError for a ``cap`` below 1.
     """
@@ -553,21 +555,22 @@ def _explore(start, letters, step, cap: int, what: str):
         raise ValueError("cap must be at least 1")
     nodes = [start]
     index = {start: 0}
-    moves: list = [{}]
-    for node, row in zip(nodes, moves):  # both lists grow as the search goes
-        for ch in letters:
-            nxt = step(node, ch)
-            if nxt is None:
-                continue
-            target = index.get(nxt)
-            if target is None:
-                if len(nodes) >= cap:
-                    raise CapExceededError(what, cap)
-                target = index[nxt] = len(nodes)
-                nodes.append(nxt)
-                moves.append({})
-            row[ch] = target
-    return nodes, moves
+    rows = {ch: [] for ch in letters}
+    for node in nodes:  # the list grows as the search goes
+        for ch, out in rows.items():
+            move = step(node, ch)
+            row = {}
+            if move is not None:
+                nxt, weight = move
+                target = index.get(nxt)
+                if target is None:
+                    if len(nodes) >= cap:
+                        raise CapExceededError(what, cap)
+                    target = index[nxt] = len(nodes)
+                    nodes.append(nxt)
+                row[target] = weight
+            out.append(row)
+    return nodes, rows
 
 
 __all__ = [

@@ -471,7 +471,7 @@ def decide_equal_const_on_support(aut: WeightedAutomaton, const) -> Decision:
     if not verdict.holds:
         return verdict
     zero_nfa = _SubsetNfa.of(*zero)
-    return _decision(trim._support_nfa().compare(zero_nfa, False, "zero-filter comparison"))
+    return _decision(trim._support_nfa().walk(zero_nfa, False, "zero-filter comparison")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +547,7 @@ def _difference(
     if verdict.holds and not inclusion:
         zero = _zero_filter(product, u)
         del product, u
-        verdict = _decision(_SubsetNfa.of(*zero).compare(smaller, False, "zero-filter comparison"))
+        verdict = _decision(_SubsetNfa.of(*zero).walk(smaller, False, "zero-filter comparison")[0])
     return _Difference(verdict, ta, tb, pairs, zero)
 
 

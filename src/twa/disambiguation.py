@@ -16,9 +16,10 @@ subset) order; deleting competing arcs leaves at most one successful path per
 word without changing the series.
 
 Both halves run on the shared engines of ``twa.automaton``: the accessible
-product (the difference product and the covering) and the breadth-first subset
-exploration, whose subset construction (``_SubsetNfa.subsets``) hands back each
-subset, a frozenset of states inside the engine, as its sorted list of states;
+product (the difference product and the covering) and the breadth-first
+exploration ``_explore``, which hands both subset constructions the letter rows
+of the automaton they build; ``_SubsetNfa.subsets`` also hands back each subset
+of the support, a frozenset inside the engine, as its sorted list of states.
 ``DEFAULT_SUBSET_CAP`` bounds both.  The weights stay scalar max-plus
 throughout; no semiring of weight pairs is involved.
 """
@@ -115,8 +116,7 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
     CapExceededError when more than ``cap`` subsets, or more than
     ``DEFAULT_SUBSET_CAP`` pairs, appear.
     """
-    members, accepting, moves = aut._support_nfa().subsets(cap)
-    rows = {ch: [{table[ch]: 0} if ch in table else {} for table in moves] for ch in aut.alphabet}
+    members, accepting, rows = aut._support_nfa().subsets(cap)
     dfa = WeightedAutomaton._adopt(
         aut.semiring,
         aut.alphabet,
@@ -207,7 +207,6 @@ def _weighted_subsets(aut: WeightedAutomaton, cap: int) -> WeightedAutomaton:
     initial = [(q, w) for q, w in enumerate(aut.alpha) if w is not None]
     top = max(w for _, w in initial)
     rows = {ch: aut.mu[ch].rows for ch in aut.alphabet}
-    lambdas = []  # the arc weights, in the order in which _explore records its moves
 
     def step(node, ch):
         arows = rows[ch]
@@ -221,17 +220,11 @@ def _weighted_subsets(aut: WeightedAutomaton, cap: int) -> WeightedAutomaton:
         if not reach:
             return None
         lam = max(reach.values())
-        lambdas.append(lam)
-        return tuple([(t, reach[t] - lam) for t in sorted(reach)])
+        return tuple([(t, reach[t] - lam) for t in sorted(reach)]), lam
 
     start = tuple([(q, w - top) for q, w in initial])
-    nodes, moves = _explore(start, aut.alphabet, step, cap, "weighted determinization")
+    nodes, mu = _explore(start, aut.alphabet, step, cap, "weighted determinization")
     n = len(nodes)
-    mu = {ch: [{} for _ in range(n)] for ch in aut.alphabet}
-    weights = iter(lambdas)
-    for i, table in enumerate(moves):
-        for ch, j in table.items():
-            mu[ch][i][j] = next(weights)
     beta = aut.beta
     final = []
     for node in nodes:

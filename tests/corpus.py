@@ -8,9 +8,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from twa import MAX_PLUS, MIN_PLUS, Covering, WeightedAutomaton
+from twa import MAX_PLUS, MIN_PLUS, Covering, Decision, WeightedAutomaton, max_mean_cycle
 from twa.automaton import _SubsetNfa
-from twa.decisions import _backward_search, _relax
+from twa.decisions import _backward_search, _pumped_witness, _relax
 from twa.format import serialize
 from twa.semiring import format_finite, parse_finite
 
@@ -152,6 +152,14 @@ class Nfa:
         self.final = frozenset(final)
         self.delta = {key: frozenset(targets) for key, targets in delta.items() if targets}
 
+    @classmethod
+    def from_arcs(cls, alphabet, n, initial, final, arcs):
+        """The NFA with the (source, letter, target) triples ``arcs``."""
+        delta = {}
+        for i, ch, j in arcs:
+            delta.setdefault((i, ch), set()).add(j)
+        return cls(alphabet, n, initial, final, delta)
+
     def step(self, states, letter):
         return frozenset(j for i in states for j in self.delta.get((i, letter), ()))
 
@@ -162,7 +170,7 @@ class Nfa:
         return bool(states & self.final)
 
     def engine(self):
-        """The same NFA on the subset engine that answers ``compare`` and ``subsets``."""
+        """The same NFA on the subset engine that answers ``walk`` and ``subsets``."""
         targets = {ch: [self.delta.get((i, ch), ()) for i in range(self.n)] for ch in self.alphabet}
         return _SubsetNfa.of(self.initial, self.final, targets)
 
@@ -189,7 +197,7 @@ def ref_determinize(nfa):
     """Accessible subset construction over frozensets; the empty set is no state.
 
     Returns (subsets, moves): moves[i] maps each letter to the index of its
-    target subset.
+    target subset.  ``ref_rows`` turns the moves into letter rows.
     """
     start = frozenset(nfa.initial)
     subsets, index, moves = [start], {start: 0}, [{}]
@@ -207,6 +215,11 @@ def ref_determinize(nfa):
                 queue.append(index[target])
             moves[cur][ch] = index[target]
     return subsets, moves
+
+
+def ref_rows(alphabet, moves):
+    """The moves of ``ref_determinize`` as rows[letter][i] = {target: 0}, or {} for no move."""
+    return {ch: [{table[ch]: 0} if ch in table else {} for table in moves] for ch in alphabet}
 
 
 def ref_covering(aut):
@@ -345,6 +358,20 @@ def ref_positive_word(trim):
         if k + 1 < trim.n:
             profiles.append(vec_rows(x, total))
     return None
+
+
+def ref_nonpositive(trim):
+    """The scan of alpha M^k beta for k < n, then Karp: the decision that the
+    single Bellman-Ford relaxation replaced, with the same pumped witness."""
+    if trim.n == 0:
+        return Decision(True, None)
+    word = ref_positive_word(trim)
+    if word is not None:
+        return Decision(False, word)
+    rho = max_mean_cycle(trim)
+    if rho is not None and rho > 0:
+        return Decision(False, _pumped_witness(trim))
+    return Decision(True, None)
 
 
 def _backtrack_word(aut, profiles, k: int, end_state: int) -> str:

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import twa
+from twa.automaton import _SubsetNfa
 from twa.semiring import Semiring
 
 MODULES = sorted(
@@ -125,11 +126,13 @@ def test_retired_names_are_gone(name):
         (twa.MIN_PLUS, "times"),
         (twa.MIN_PLUS, "one"),
         (twa.MIN_PLUS, "is_weight"),
+        (_SubsetNfa, "compare"),
     ],
     ids=[
         "WeightedAutomaton.support", "WeightedAutomaton._support_masks",
         "MAX_PLUS.times", "MAX_PLUS.one", "MAX_PLUS.is_weight",
         "MIN_PLUS.times", "MIN_PLUS.one", "MIN_PLUS.is_weight",
+        "_SubsetNfa.compare",
     ],
 )
 def test_retired_methods_are_gone(owner, name):

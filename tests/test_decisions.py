@@ -21,6 +21,7 @@ from corpus import (
     random_matrix,
     random_trim_nonpositive,
     ref_fatou,
+    ref_nonpositive,
     ref_positive_word,
     relaxed,
     reordered,
@@ -50,7 +51,7 @@ from twa import (
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _decision, _positive_word, _pumped_witness, _shift_final
+from twa.decisions import _decision, _positive_word, _shift_final
 from twa.errors import TwaError
 from twa.oracle import equal_upto, eval_bruteforce, words_upto
 
@@ -308,20 +309,6 @@ def test_the_potential_diverges_on_a_positive_cycle():
     assert relaxed(a, [0]) is None
 
 
-def _reference_nonpositive(trim):
-    """The scan of alpha M^k beta for k < n, then Karp: the decision that the
-    single Bellman-Ford relaxation replaced, with the same pumped witness."""
-    if trim.n == 0:
-        return Decision(True, None)
-    word = ref_positive_word(trim)
-    if word is not None:
-        return Decision(False, word)
-    rho = max_mean_cycle(trim)
-    if rho is not None and rho > 0:
-        return Decision(False, _pumped_witness(trim))
-    return Decision(True, None)
-
-
 def _tied_automaton(initial, final, arcs):
     return WeightedAutomaton.from_arcs(MAX_PLUS, "ab", 3, initial=initial, final=final, arcs=arcs)
 
@@ -422,7 +409,7 @@ def _reference_equal_const(aut, const):
     discovery order that rejects carries the length-lex-first rejected word.
     """
     trim = _shift_final(aut, -const).trim()
-    verdict = _reference_nonpositive(trim)
+    verdict = ref_nonpositive(trim)
     if not verdict.holds:
         return verdict
     filtered = zero_filter(ref_fatou(trim))
@@ -447,7 +434,7 @@ def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference():
         aut, shift = drawn
         aut = _shift_final(aut, shift)
         trim = aut.trim()
-        expected = _reference_nonpositive(trim)
+        expected = ref_nonpositive(trim)
         assert decide_nonpositive(aut) == expected
         if expected.holds:
             result = fatou_normalize(aut)
@@ -463,7 +450,7 @@ def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference():
             assert decide_equal_const(aut, const) == reference
             if reference.holds:
                 kinds.add("YES")
-            elif _reference_nonpositive(_shift_final(aut, -const).trim()).holds:
+            elif ref_nonpositive(_shift_final(aut, -const).trim()).holds:
                 kinds.add("NO by universality")
             else:
                 kinds.add("NO by nonpositivity")
@@ -590,22 +577,15 @@ def test_the_forward_pass_holds_at_most_the_cap(monkeypatch):
 # -- the reference monoid closure ---------------------------------------------
 
 
-def _nfa(alphabet, n, initial, final, arcs):
-    delta = {}
-    for i, ch, j in arcs:
-        delta.setdefault((i, ch), set()).add(j)
-    return Nfa(alphabet, n, initial, final, delta)
-
-
 def test_closure_of_full_single_state():
-    nfa = _nfa("ab", 1, {0}, {0}, [(0, "a", 0), (0, "b", 0)])
+    nfa = Nfa.from_arcs("ab", 1, {0}, {0}, [(0, "a", 0), (0, "b", 0)])
     closure = boolean_monoid_closure(nfa)
     assert closure == {(1,): ""}
 
 
 def test_closure_with_duplicate_generators():
-    two = _nfa("ab", 2, {0}, {1}, [(0, "a", 1), (0, "b", 1)])
-    one = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
+    two = Nfa.from_arcs("ab", 2, {0}, {1}, [(0, "a", 1), (0, "b", 1)])
+    one = Nfa.from_arcs("a", 2, {0}, {1}, [(0, "a", 1)])
     assert len(boolean_monoid_closure(two)) == len(boolean_monoid_closure(one))
 
 
@@ -710,27 +690,27 @@ def test_empty_series_is_not_constant_but_is_constant_on_support():
 def test_nfa_equivalence_reflexive():
     amax, _ = zoo.sample_equivalent_pair()
     nfa = support(amax)
-    assert _decision(nfa.engine().compare(nfa.engine(), inclusion=False, what="support comparison")).holds
+    assert _decision(nfa.engine().walk(nfa.engine(), inclusion=False, what="support comparison")[0]).holds
 
 
 def test_nfa_equivalence_ignores_dead_states():
-    live = _nfa("ab", 1, {0}, {0}, [(0, "a", 0), (0, "b", 0)])
-    dead = _nfa("ab", 2, {0}, {0}, [(0, "a", 0), (0, "b", 0), (1, "a", 0)])
-    assert _decision(live.engine().compare(dead.engine(), inclusion=False, what="support comparison")).holds
+    live = Nfa.from_arcs("ab", 1, {0}, {0}, [(0, "a", 0), (0, "b", 0)])
+    dead = Nfa.from_arcs("ab", 2, {0}, {0}, [(0, "a", 0), (0, "b", 0), (1, "a", 0)])
+    assert _decision(live.engine().walk(dead.engine(), inclusion=False, what="support comparison")[0]).holds
 
 
 def test_nfa_equivalence_witness():
-    just_a = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
-    a_or_aa = _nfa("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
-    verdict = _decision(just_a.engine().compare(a_or_aa.engine(), inclusion=False, what="support comparison"))
+    just_a = Nfa.from_arcs("a", 2, {0}, {1}, [(0, "a", 1)])
+    a_or_aa = Nfa.from_arcs("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
+    verdict = _decision(just_a.engine().walk(a_or_aa.engine(), inclusion=False, what="support comparison")[0])
     assert (verdict.holds, verdict.witness) == (False, "aa")
 
 
 def test_nfa_inclusion():
-    just_a = _nfa("a", 2, {0}, {1}, [(0, "a", 1)])
-    a_or_aa = _nfa("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
-    assert _decision(just_a.engine().compare(a_or_aa.engine(), inclusion=True, what="support comparison")).holds
-    verdict = _decision(a_or_aa.engine().compare(just_a.engine(), inclusion=True, what="support comparison"))
+    just_a = Nfa.from_arcs("a", 2, {0}, {1}, [(0, "a", 1)])
+    a_or_aa = Nfa.from_arcs("a", 3, {0}, {1, 2}, [(0, "a", 1), (1, "a", 2)])
+    assert _decision(just_a.engine().walk(a_or_aa.engine(), inclusion=True, what="support comparison")[0]).holds
+    verdict = _decision(a_or_aa.engine().walk(just_a.engine(), inclusion=True, what="support comparison")[0])
     assert (verdict.holds, verdict.witness) == (False, "aa")
 
 

@@ -175,27 +175,20 @@ def test_extract_one_valued_dimension_bound_and_values():
 # -- the subset construction -----------------------------------------------------
 
 
-def _nfa(alphabet, n, initial, final, arcs):
-    delta = {}
-    for i, ch, j in arcs:
-        delta.setdefault((i, ch), set()).add(j)
-    return Nfa(alphabet, n, initial, final, delta)
-
-
 def determinize(nfa, cap=DEFAULT_SUBSET_CAP):
     """The subset construction of the engine as a (partial) deterministic reference NFA."""
-    subsets, accepting, moves = nfa.engine().subsets(cap)
-    delta = {(i, ch): {j} for i, table in enumerate(moves) for ch, j in table.items()}
+    subsets, accepting, rows = nfa.engine().subsets(cap)
+    delta = {(i, ch): set(row) for ch, letter in rows.items() for i, row in enumerate(letter)}
     final = {i for i, acc in enumerate(accepting) if acc}
     return Nfa(nfa.alphabet, len(subsets), {0}, final, delta)
 
 
 def equivalent(a, b):
-    return _decision(a.engine().compare(b.engine(), inclusion=False, what="support comparison")).holds
+    return _decision(a.engine().walk(b.engine(), inclusion=False, what="support comparison")[0]).holds
 
 
 def test_determinize_twostate_example():
-    nfa = _nfa("a", 2, {0}, {1}, [(0, "a", 0), (0, "a", 1)])
+    nfa = Nfa.from_arcs("a", 2, {0}, {1}, [(0, "a", 0), (0, "a", 1)])
     dfa = determinize(nfa)
     assert dfa.n == 2  # subsets {0} and {0,1}
     assert equivalent(nfa, dfa)
@@ -216,7 +209,7 @@ def test_determinize_is_deterministic_and_equivalent():
 
 
 def test_determinize_cap():
-    nfa = _nfa("a", 2, {0}, {1}, [(0, "a", 0), (0, "a", 1)])  # needs two subsets
+    nfa = Nfa.from_arcs("a", 2, {0}, {1}, [(0, "a", 0), (0, "a", 1)])  # needs two subsets
     with pytest.raises(CapExceededError):
         determinize(nfa, cap=1)
 

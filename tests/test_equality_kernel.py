@@ -31,7 +31,8 @@ from corpus import (
     ref_covering,
     ref_determinize,
     ref_fatou,
-    ref_positive_word,
+    ref_nonpositive,
+    ref_rows,
     rotation_cycle,
     support,
     tight_kth_letter_from_last,
@@ -55,14 +56,13 @@ from twa import (
     extract_one_valued,
     format_finite,
     hadamard,
-    max_mean_cycle,
     remove_competitions,
     serialize,
     unambiguous_from_pair,
     zoo,
 )
 from twa.automaton import _SubsetNfa
-from twa.decisions import _decision, _nonpositive, _pumped_witness, _zero_filter
+from twa.decisions import _decision, _nonpositive, _zero_filter
 
 # -- the reference: the separate path, with frozenset subsets -----------------
 
@@ -90,19 +90,6 @@ def ref_nfa_compare(a, b, inclusion):
             if nxt not in parents:
                 parents[nxt] = (pair, ch)
                 queue.append(nxt)
-    return Decision(True, None)
-
-
-def ref_nonpositive(trim):
-    """The scan of alpha M^k beta for k < n, then Karp."""
-    if trim.n == 0:
-        return Decision(True, None)
-    word = ref_positive_word(trim)
-    if word is not None:
-        return Decision(False, word)
-    rho = max_mean_cycle(trim)
-    if rho is not None and rho > 0:
-        return Decision(False, _pumped_witness(trim))
     return Decision(True, None)
 
 
@@ -723,9 +710,9 @@ def test_one_pass_competition_removal_matches_the_grouping_rule():
 @given(automata(MAX_PLUS), automata(MAX_PLUS))
 def test_nfa_comparisons_match_frozenset_exploration(a, b):
     ma, mb, ra, rb = a._support_nfa(), b._support_nfa(), support(a), support(b)
-    assert _decision(ma.compare(mb, inclusion=False, what="support comparison")) == ref_nfa_compare(ra, rb, False)
-    assert _decision(ma.compare(mb, inclusion=True, what="support comparison")) == ref_nfa_compare(ra, rb, True)
-    assert _decision(mb.compare(ma, inclusion=True, what="support comparison")) == ref_nfa_compare(rb, ra, True)
+    assert _decision(ma.walk(mb, inclusion=False, what="support comparison")[0]) == ref_nfa_compare(ra, rb, False)
+    assert _decision(ma.walk(mb, inclusion=True, what="support comparison")[0]) == ref_nfa_compare(ra, rb, True)
+    assert _decision(mb.walk(ma, inclusion=True, what="support comparison")[0]) == ref_nfa_compare(rb, ra, True)
 
 
 @settings(max_examples=200)
@@ -734,7 +721,7 @@ def test_determinize_and_covering_match_frozenset_subsets(aut, cap):
     engine, nfa = aut._support_nfa(), support(aut)
     subsets, moves = ref_determinize(nfa)
     accepting = [bool(subset & nfa.final) for subset in subsets]
-    expected = [sorted(subset) for subset in subsets], accepting, moves
+    expected = [sorted(subset) for subset in subsets], accepting, ref_rows(nfa.alphabet, moves)
     assert engine.subsets(DEFAULT_SUBSET_CAP) == expected
     cover = covering(aut)
     assert cover.subsets == tuple(subsets)
@@ -886,7 +873,7 @@ def test_either_support_gives_the_zero_filter_witness():
     def check(pair):
         ta, tb = pair[0].trim(), pair[1].trim()
         sa, sb = ta._support_nfa(), tb._support_nfa()
-        if sa.compare(sb, False, "support comparison") is not None:
+        if sa.walk(sb, False, "support comparison")[0] is not None:
             return
         product, _ = twa.automaton._accessible_product(ta, tb, operator.sub)
         verdict, product, u, _ = _nonpositive(product)
@@ -894,8 +881,8 @@ def test_either_support_gives_the_zero_filter_witness():
             return
         zero = _SubsetNfa.of(*_zero_filter(product, u))
         what = "zero-filter comparison"
-        words = {sa.compare(zero, False, what), sb.compare(zero, False, what)}
-        words |= {zero.compare(sa, False, what), zero.compare(sb, False, what)}
+        words = {sa.walk(zero, False, what)[0], sb.walk(zero, False, what)[0]}
+        words |= {zero.walk(sa, False, what)[0], zero.walk(sb, False, what)[0]}
         assert len(words) == 1
         seen.add("equal" if words == {None} else "not equal")
 
