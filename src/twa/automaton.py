@@ -11,7 +11,8 @@ The subset engine ``_SubsetNfa`` has one loop per job: questions (universality,
 equivalence, inclusion) walk pairs of subsets in ``walk`` and return a witness
 word, and constructions (the subset construction, weighted determinization)
 explore nodes with ``_explore`` and return them with the letter rows that an
-automaton is assembled from.
+automaton is assembled from.  It keeps the rows of targets it is given: a
+support NFA's frozensets, the zero filter's lists.
 
 Everything here is pure: automata are immutable after construction and all
 operations build new ones.
@@ -322,11 +323,17 @@ class WeightedAutomaton:
         return rows
 
     def _support_nfa(self) -> "_SubsetNfa":
-        """The support NFA: the states with an initial or a final arrow, and every arc."""
+        """The support NFA: the states with an initial or a final arrow, and every arc.
+
+        Its rows are frozensets, so walks step to stored, already-hashed sets.
+        """
         return _SubsetNfa.of(
             (i for i, w in enumerate(self.alpha) if w is not None),
             (i for i, w in enumerate(self.beta) if w is not None),
-            {ch: self.mu[ch].rows for ch in self.alphabet},
+            {
+                ch: [frozenset(row) if row else _EMPTY for row in self.mu[ch].rows]
+                for ch in self.alphabet
+            },
         )
 
 
@@ -347,7 +354,8 @@ def _accessible_product(
     groups (x, y) whose products x * y make up exactly the reachable pairs,
     when those hold at most min(a.n * b.n, DEFAULT_SUBSET_CAP) pairs in all,
     and ``reached`` is then emptied, so that it is not held while the rows
-    are built; else a search from the initial pairs finds them.
+    are built; else a search from the initial pairs finds them.  The set of
+    pairs found goes too, once it is sorted.
     Raises CapExceededError("product", ...) past DEFAULT_SUBSET_CAP pairs.
     """
     cap = DEFAULT_SUBSET_CAP
@@ -380,6 +388,7 @@ def _accessible_product(
                                 seen.add(t)
                                 stack.append(t)
     keys = sorted(seen)
+    del seen
     index = {key: i for i, key in enumerate(keys)}
     pairs = [divmod(key, bn) for key in keys]
     mu = {}
@@ -446,8 +455,9 @@ class _SubsetNfa:
 
     The one owner of subsets: other modules build it from sparse states
     (``of``) and get back words, state lists and letter rows.
-    ``succ`` maps each letter, in alphabet order, to the frozenset of targets
-    of every state, so memory grows with the arcs and the subsets walked.
+    ``succ`` maps each letter, in alphabet order, to the targets of every
+    state, any collection of states kept as given, so memory grows with the
+    arcs and the subsets walked.
     Questions (universality, equivalence, inclusion) walk pairs of subsets in
     ``walk``, and ``subsets`` explores subsets on ``_explore``.  Both go
     breadth-first in alphabet order, so every witness is the length-lex-first word.
@@ -462,9 +472,9 @@ class _SubsetNfa:
 
     @classmethod
     def of(cls, initial_states, final_states, targets: dict) -> "_SubsetNfa":
-        """``targets`` maps each letter, in alphabet order, to an iterable of targets per state."""
-        succ = {ch: [frozenset(r) if r else _EMPTY for r in rows] for ch, rows in targets.items()}
-        return cls(frozenset(initial_states), frozenset(final_states), succ)
+        """``targets`` maps each letter, in alphabet order, to a collection of
+        targets per state; it becomes ``succ`` as it is, so no row is copied."""
+        return cls(frozenset(initial_states), frozenset(final_states), targets)
 
     def walk(self, other: "_SubsetNfa", inclusion: bool, what: str, cap=None):
         """(witness, walked): the first word accepted here and not by ``other``
@@ -473,9 +483,10 @@ class _SubsetNfa:
         every pair (A(w), B(w)) that a word w reaches.
 
         Breadth-first in this NFA's alphabet order, ``other``'s letters read
-        by name, building no rows.  A one-state subset steps to its stored
-        set.  Raises CapExceededError(what, cap) past ``cap`` pairs, by
-        default ``DEFAULT_SUBSET_CAP`` read at call time.
+        by name, building no rows.  A one-state subset steps to
+        ``frozenset(row)`` of its state's row, which is the row itself when
+        it is stored as a frozenset.  Raises CapExceededError(what, cap)
+        past ``cap`` pairs, by default ``DEFAULT_SUBSET_CAP`` read at call time.
         """
         cap = DEFAULT_SUBSET_CAP if cap is None else cap
         afinal, bfinal = self.final, other.final
@@ -496,8 +507,8 @@ class _SubsetNfa:
             q = next(iter(y)) if len(y) == 1 else None
             for ch, asucc, bsucc in letters:
                 nxt = (
-                    asucc[p] if p is not None else _EMPTY.union(*[asucc[s] for s in x]),
-                    bsucc[q] if q is not None else _EMPTY.union(*[bsucc[s] for s in y]),
+                    frozenset(asucc[p]) if p is not None else _EMPTY.union(*[asucc[s] for s in x]),
+                    frozenset(bsucc[q]) if q is not None else _EMPTY.union(*[bsucc[s] for s in y]),
                 )
                 if nxt not in parents:
                     if len(walked) >= cap:
@@ -530,12 +541,13 @@ class _SubsetNfa:
 def _post(subset: frozenset, succ: list) -> frozenset:
     """The states reached from the states of ``subset`` by one move in ``succ``.
 
-    A one-state subset gets its stored successor set back, whose hash is
-    then computed once however often it is reached.
+    A one-state subset steps to ``frozenset`` of its state's row: the row
+    itself when it is stored as a frozenset, whose hash is then computed
+    once however often it is reached.
     """
     if len(subset) == 1:
         (state,) = subset
-        return succ[state]
+        return frozenset(succ[state])
     return _EMPTY.union(*[succ[s] for s in subset])
 
 

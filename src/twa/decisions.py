@@ -24,7 +24,8 @@ iff alpha_i + u_i = 0, a final arrow iff beta_i = u_i, an arc i -> j of weight
 w iff w + u_j = u_i.  _zero_filter is the only place that tests this
 tightness.  Every language question goes to the subset engine of
 ``twa.automaton`` (``_SubsetNfa``), the only module that knows how a subset is
-stored (a frozenset of states), and comes back as a witness word or None.
+stored (a frozenset of states), and comes back as a witness word or None; the
+engine walks the zero filter from these lists, without a frozenset copy.
 Each one walks pairs of subsets breadth-first in alphabet order, at most
 ``DEFAULT_SUBSET_CAP`` of them (``subset_cap`` for the all-words constant test,
 which walks the one-state NFA of all words against the zero filter).  The
@@ -32,7 +33,8 @@ series comparisons and the 1-valued extraction of ``twa.disambiguation`` share
 one kernel, _difference, for S = T or S <= T: it trims each input once,
 compares the supports, builds the product of S and -T once, relaxes its
 potential once and, for S = T, reads its zero filter once, from which the
-extraction takes its arrows and arcs.  The product subtracts T's weights as it
+extraction takes its arrows and arcs, and the pipeline's weighted
+determinization its moves.  The product subtracts T's weights as it
 builds each row, in its final (p, q) numbering, so no negated copy of T
 exists; it is accessible by construction, so its trim only removes the states
 that reach no final arrow, and the one backward search that orders the
@@ -40,9 +42,10 @@ relaxation finds them; it reads its pairs off the walk of the support
 comparison and has no labels; and with equal supports the zero filter is
 compared with the support NFA of the input with fewer states, already built.
 The product is the kernel's largest data, and each structure of its size goes
-after its last read: the walked pairs once the product's pairs are found,
-the arcs after the relaxation, and the product once its zero filter is read
-(at once for S <= T or a NO); only its pairs and zero filter are handed on.
+after its last read: the walked pairs once the product's pairs are found, and
+the set of their keys once it is sorted, the arcs after the relaxation, and
+the product once its zero filter is read (at once for S <= T or a NO); only
+its pairs and zero filter are handed on.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -162,14 +165,18 @@ def _backward_search(letters: list, u: list) -> tuple[list, list]:
     letter sum as (i, j, w), those into each j of ``order`` in turn by
     increasing source.  No sum is built: one pass over the rows in row-major
     order lists each target's arcs, merging those of one source into their
-    maximum, and the search moves each list into ``arcs`` and drops it.
+    maximum, and the search moves each list into ``arcs`` and drops it.  A
+    target's list is made at its first arc, so a state without arcs in
+    holds None and no empty list.
     """
-    into = [[] for _ in u]
+    into = [None] * len(u)
     for i in range(len(u)):
         for rows in letters:
             for j, w in rows[i].items():
                 preds = into[j]
-                if preds and preds[-1][0] == i:  # i's arc on an earlier letter
+                if preds is None:
+                    into[j] = [(i, j, w)]
+                elif preds[-1][0] == i:  # i's arc on an earlier letter
                     if w > preds[-1][2]:
                         preds[-1] = (i, j, w)
                 else:
@@ -179,6 +186,8 @@ def _backward_search(letters: list, u: list) -> tuple[list, list]:
     arcs = []
     for j in order:  # grows while it is walked: a breadth-first queue
         preds = into[j]
+        if preds is None:
+            continue
         into[j] = None
         arcs += preds
         for i, _, _ in preds:

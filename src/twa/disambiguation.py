@@ -9,11 +9,15 @@ surviving successful path then carries the series value, so the result is
 1-valued.  Second, the 1-valued automaton is made unambiguous.  The output is
 deterministic when the max-plus weighted subset construction (Mohri 1997)
 finishes within min(the 1-valued automaton's size, the cap), which is exact
-when it finishes and finishes only on a sequential series.  Otherwise it is the
-subset covering: the accessible product of the 1-valued automaton with the
-subset automaton of its own support, its states numbered in (original state,
-subset) order; deleting competing arcs leaves at most one successful path per
-word without changing the series.
+when it finishes and finishes only on a sequential series.  That construction
+runs straight on the kernel's zero filter and product pairs, so the pipeline
+assembles no 1-valued automaton on this branch; its size is the count of
+states that the kept initial arrows reach.  Otherwise the output is the
+subset covering of the 1-valued automaton, assembled then: the accessible
+product of the 1-valued automaton with the subset automaton of its own
+support, its states numbered in (original state, subset) order; deleting
+competing arcs leaves at most one successful path per word without changing
+the series.
 
 Both halves run on the shared engines of ``twa.automaton``: the accessible
 product (the difference product and the covering) and the breadth-first
@@ -63,16 +67,22 @@ def extract_one_valued(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Weig
     reaches more than ``DEFAULT_SUBSET_CAP`` pairs, or its witness more
     than that many letters.
     """
+    # the kernel's pairs and zero filter are let go before the closing trim
+    return _untrimmed_one_valued(_equal_difference(amax, bmin)).trim()
+
+
+def _equal_difference(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> _Difference:
+    """The equality kernel on S = T; NotEqualError (with the witness) when it fails."""
     # errors name the decision the extraction runs
     _check_pair(amax, bmin, "decide_series_equal")
-    # the kernel's pairs and zero filter are let go before the closing trim
-    return _untrimmed_one_valued(_difference(amax, bmin, False)).trim()
+    difference = _difference(amax, bmin, False)
+    if not difference.verdict.holds:
+        raise NotEqualError(difference.verdict.witness)
+    return difference
 
 
 def _untrimmed_one_valued(difference: _Difference) -> WeightedAutomaton:
-    """The kernel's zero filter with amax's weights; NotEqualError when S = T failed."""
-    if not difference.verdict.holds:
-        raise NotEqualError(difference.verdict.witness)
+    """The zero filter of an S = T that held, with amax's weights."""
     ta, pairs = difference.ta, difference.pairs
     initial, final, targets = difference.zero
     firsts = [p for p, _ in pairs]  # the amax state of each product state
@@ -184,70 +194,101 @@ def disambiguate(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Weigh
     return remove_competitions(covering(aut, cap))
 
 
-def _weighted_subsets(aut: WeightedAutomaton, cap: int) -> WeightedAutomaton:
-    """Max-plus weighted subset construction (Mohri 1997) of a trim automaton.
+def _weighted_subsets(difference: _Difference, cap: int) -> WeightedAutomaton:
+    """Max-plus weighted subset construction (Mohri 1997) of the 1-valued automaton.
 
+    Runs straight on the kernel's result of an S = T that held: the states
+    are product states, the arrows and arcs those of the zero filter, each
+    weighing amax's arrow or arc at the amax states of the product pairs.
     A state is the sorted tuple of pairs (q, residual) whose largest
     residual is 0: after a word, q is in the tuple when some path of the
     word reaches it, with the best such weight minus the weight already
     put on the deterministic path.  The initial state holds the states with
-    an initial arrow, which weighs the largest of those arrows; a letter
-    moves every pair along its arcs, keeps the best weight per target and
-    takes out the largest, lambda, as the weight of the arc; a final arrow
-    weighs the largest residual + beta over the pairs.  So every word has
-    at most one path, of weight alpha + mu(word) + beta of ``aut``.  States
-    are explored breadth-first in alphabet order (``_explore``), labelled
-    {label:residual,...} from ``aut``'s labels; each one holds a state of
-    the trim input, so the result is trim.  The result is exact whenever
-    the construction ends, and it ends only on a sequential series: raises
-    CapExceededError when more than ``cap`` states appear.
+    a kept initial arrow, which weighs the largest of those arrows; a letter
+    moves every pair along its kept arcs, keeps the best weight per target
+    and takes out the largest, lambda, as the weight of the arc; a final
+    arrow weighs the largest residual + beta over the pairs.  So every word
+    has at most one path, of weight alpha + mu(word) + beta of the 1-valued
+    automaton.  States are explored breadth-first in alphabet order
+    (``_explore``), labelled {(p,q):residual,...} from the pairs and the
+    labels of amax and bmin.  The product states reached are those of
+    ``extract_one_valued``'s trimmed output, in the same order, so the
+    result is the construction on that output, labels included.  It is
+    exact whenever the construction ends, and it ends only on a sequential
+    series: raises CapExceededError when more than ``cap`` states appear.
     """
-    if aut.n == 0:
-        return aut
-    initial = [(q, w) for q, w in enumerate(aut.alpha) if w is not None]
-    top = max(w for _, w in initial)
-    rows = {ch: aut.mu[ch].rows for ch in aut.alphabet}
+    ta, tb, pairs = difference.ta, difference.tb, difference.pairs
+    initial, final, targets = difference.zero
+    alpha = [ta.alpha[pairs[i][0]] for i in initial]
+    top = max(alpha)
+    letters = {ch: (targets[ch], ta.mu[ch].rows) for ch in ta.alphabet}
 
     def step(node, ch):
-        arows = rows[ch]
+        kept, arows = letters[ch]
         reach = {}
-        for q, r in node:
-            for t, w in arows[q].items():
-                c = r + w
-                old = reach.get(t)
+        for i, r in node:
+            row = arows[pairs[i][0]]
+            for j in kept[i]:
+                c = r + row[pairs[j][0]]
+                old = reach.get(j)
                 if old is None or c > old:
-                    reach[t] = c
+                    reach[j] = c
         if not reach:
             return None
         lam = max(reach.values())
-        return tuple([(t, reach[t] - lam) for t in sorted(reach)]), lam
+        return tuple([(j, reach[j] - lam) for j in sorted(reach)]), lam
 
-    start = tuple([(q, w - top) for q, w in initial])
-    nodes, mu = _explore(start, aut.alphabet, step, cap, "weighted determinization")
+    start = tuple([(i, w - top) for i, w in zip(initial, alpha)])
+    nodes, mu = _explore(start, ta.alphabet, step, cap, "weighted determinization")
     n = len(nodes)
-    beta = aut.beta
-    final = []
+    beta = {i: ta.beta[pairs[i][0]] for i in final}  # the kept final arrows
+    finals = []
     for node in nodes:
         best = None
-        for q, r in node:
-            b = beta[q]
+        for i, r in node:
+            b = beta.get(i)
             if b is not None and (best is None or r + b > best):
                 best = r + b
-        final.append(best)
-    la = [aut.state_label(q) for q in range(aut.n)]
+        finals.append(best)
+    la = [ta.state_label(p) for p in range(ta.n)]
+    lb = [tb.state_label(q) for q in range(tb.n)]
     texts = {}  # residual -> its text, formatted once
     labels = []
     for node in nodes:
         parts = []
-        for q, r in node:
+        for i, r in node:
             text = texts.get(r)
             if text is None:
                 text = texts[r] = format_finite(r)
-            parts.append(f"{la[q]}:{text}")
+            p, q = pairs[i]
+            parts.append(f"({la[p]},{lb[q]}):{text}")
         labels.append("{" + ",".join(parts) + "}")
     return WeightedAutomaton._adopt(
-        MAX_PLUS, aut.alphabet, [top] + [None] * (n - 1), final, mu, tuple(labels)
+        MAX_PLUS, ta.alphabet, [top] + [None] * (n - 1), finals, mu, tuple(labels)
     )
+
+
+def _reached(difference: _Difference) -> list:
+    """The product states that the kept initial arrows reach along kept arcs.
+
+    One forward pass over the lists of the kernel's zero filter, in
+    discovery order.  For an S = T that held, every state of the zero filter
+    reaches a kept final arrow (u is attained along kept arcs), so these are
+    the states of the trimmed 1-valued automaton, ``extract_one_valued``'s.
+    """
+    initial, _, targets = difference.zero
+    letters = list(targets.values())
+    order = list(initial)
+    seen = bytearray(len(difference.pairs))
+    for i in order:
+        seen[i] = 1
+    for i in order:  # grows while it is walked
+        for kept in letters:
+            for j in kept[i]:
+                if not seen[j]:
+                    seen[j] = 1
+                    order.append(j)
+    return order
 
 
 def unambiguous_from_pair(
@@ -257,25 +298,34 @@ def unambiguous_from_pair(
 ) -> WeightedAutomaton:
     """Full pipeline: decide equality, extract the 1-valued automaton, make it unambiguous.
 
-    The equality check and the extraction share one product and one
-    relaxation.  The output is deterministic (hence unambiguous) when the
-    weighted determinization of the 1-valued automaton finishes within
-    min(its state count, ``subset_cap``) states; otherwise it is the subset
-    covering with its competitions removed (``disambiguate(one, subset_cap)``).
-    The branch follows from the inputs and ``subset_cap``, never from timing.
-    Both keep the series of the 1-valued automaton, which the extraction
-    certifies equal to both inputs.  Raises ValueError for a ``subset_cap``
-    below 1 before any work, NotEqualError (with witness) for unequal
-    inputs, and CapExceededError when the covering exceeds the cap or a
-    product or a comparison exceeds ``DEFAULT_SUBSET_CAP`` pairs.
+    The equality check, the extraction and the determinization share one
+    product, one relaxation and its zero filter, which the weighted
+    determinization reads as the kernel leaves it.  The output is
+    deterministic (hence unambiguous) when that determinization finishes
+    within min(n, ``subset_cap``) states, n being the state count of the
+    1-valued automaton (``extract_one_valued``'s), the states that the kept
+    initial arrows reach; otherwise it is the subset covering of the
+    1-valued automaton, built only then, with its competitions removed
+    (``disambiguate(one, subset_cap)``).  The branch follows from the inputs
+    and ``subset_cap``, never from timing.  Both keep the series of the
+    1-valued automaton, which the kernel certifies equal to both inputs.
+    Raises ValueError for a ``subset_cap`` below 1 before any work,
+    NotEqualError (with witness) for unequal inputs, and CapExceededError
+    when the covering exceeds the cap or a product or a comparison exceeds
+    ``DEFAULT_SUBSET_CAP`` pairs.
     """
     if subset_cap < 1:
         raise ValueError("cap must be at least 1")
-    one = extract_one_valued(amax, bmin)
+    difference = _equal_difference(amax, bmin)
+    n = len(_reached(difference))
+    if n == 0:  # the empty series, whose 1-valued automaton has no state
+        return _untrimmed_one_valued(difference).trim()
     try:
-        return _weighted_subsets(one, min(one.n, subset_cap))
+        return _weighted_subsets(difference, min(n, subset_cap))
     except CapExceededError:
-        return disambiguate(one, subset_cap)
+        one = _untrimmed_one_valued(difference).trim()
+    del difference  # the covering needs only the 1-valued automaton
+    return disambiguate(one, subset_cap)
 
 
 __all__ = [

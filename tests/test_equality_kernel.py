@@ -561,6 +561,43 @@ def test_every_state_of_the_zero_filter_reaches_a_kept_final_arrow():
     assert seen == {"no zero filter", "zero filter", "arcs dropped"}
 
 
+EQUAL_PAIRS = {
+    "sample": zoo.sample_equivalent_pair,
+    "nonsequential": nonsequential_pair,
+    "kth letter from last, k = 4": lambda: (kth_letter_from_last(4, MAX_PLUS), kth_letter_from_last(4, MIN_PLUS)),
+    "tight kth letter from last, k = 4": lambda: (tight_kth_letter_from_last(4), _one_state_loop(MIN_PLUS)),
+    "rotation cycle, n = 12": lambda: (rotation_cycle(12, MAX_PLUS), rotation_cycle(12, MIN_PLUS)),
+    "prime pair (2,3,5,7)": lambda: zoo.prime_period_pair(2, 3, 5, 7),
+    "prime pair (3,4,5,7)": lambda: zoo.prime_period_pair(3, 4, 5, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_PAIRS))
+def test_the_determinization_bound_is_the_one_valued_state_count(name):
+    # unambiguous_from_pair bounds the weighted determinization by the states
+    # that the kept initial arrows reach, counted on the zero filter's lists
+    # without building the 1-valued automaton; that count must be the size
+    # of extract_one_valued's output, whose closing trim may drop only the
+    # states no kept initial arrow reaches
+    amax, bmin = EQUAL_PAIRS[name]()
+    difference = twa.decisions._difference(amax, bmin, False)
+    assert difference.verdict.holds
+    reached = twa.disambiguation._reached(difference)
+    assert len(reached) == len(set(reached)) == extract_one_valued(amax, bmin).n
+    one = twa.disambiguation._untrimmed_one_valued(difference)
+    forward = {i for i, w in enumerate(one.alpha) if w is not None}
+    queue = deque(forward)
+    while queue:
+        i = queue.popleft()
+        for ch in one.alphabet:
+            for j in one.mu[ch].rows[i]:
+                if j not in forward:
+                    forward.add(j)
+                    queue.append(j)
+    assert set(reached) == forward
+    assert forward <= _reaches_a_kept_final_arrow(difference.zero)
+
+
 def ref_star_rounds(rows, u):
     """The relaxation on the letter sum's rows: its own predecessor lists, rounds up to n.
 
@@ -706,13 +743,35 @@ def test_one_pass_competition_removal_matches_the_grouping_rule():
 # -- the subset engine against the reference exploration -----------------------
 
 
+ROW_KINDS = {
+    "frozenset": frozenset,
+    "list": lambda row: sorted(row, reverse=True),
+    "tuple": lambda row: tuple(sorted(row)),
+    "dict": lambda row: dict.fromkeys(sorted(row), 0),
+}
+
+
+def _rows_as(nfa, kind):
+    """The same NFA with every row of its targets turned into ``kind``."""
+    convert = ROW_KINDS[kind]
+    return _SubsetNfa.of(nfa.initial, nfa.final, {ch: [convert(row) for row in rows] for ch, rows in nfa.succ.items()})
+
+
 @settings(max_examples=200)
 @given(automata(MAX_PLUS), automata(MAX_PLUS))
 def test_nfa_comparisons_match_frozenset_exploration(a, b):
+    # _SubsetNfa.of keeps the rows it is given (frozensets for a support NFA,
+    # lists for the zero filter), so every kind of row must walk the same
+    # pairs in the same order to the same witness, and build the same subsets
     ma, mb, ra, rb = a._support_nfa(), b._support_nfa(), support(a), support(b)
-    assert _decision(ma.walk(mb, inclusion=False, what="support comparison")[0]) == ref_nfa_compare(ra, rb, False)
-    assert _decision(ma.walk(mb, inclusion=True, what="support comparison")[0]) == ref_nfa_compare(ra, rb, True)
-    assert _decision(mb.walk(ma, inclusion=True, what="support comparison")[0]) == ref_nfa_compare(rb, ra, True)
+    subsets = ma.subsets(DEFAULT_SUBSET_CAP)
+    for x, y, rx, ry, inclusion in ((ma, mb, ra, rb, False), (ma, mb, ra, rb, True), (mb, ma, rb, ra, True)):
+        walk = x.walk(y, inclusion, "support comparison")
+        assert _decision(walk[0]) == ref_nfa_compare(rx, ry, inclusion)
+        for kind in ROW_KINDS:
+            assert _rows_as(x, kind).walk(_rows_as(y, kind), inclusion, "support comparison") == walk, kind
+    for kind in ROW_KINDS:
+        assert _rows_as(ma, kind).subsets(DEFAULT_SUBSET_CAP) == subsets, kind
 
 
 @settings(max_examples=200)
@@ -737,19 +796,27 @@ def test_determinize_and_covering_match_frozenset_subsets(aut, cap):
 def test_subset_memory_grows_with_the_subsets_walked():
     # the supports and the zero filter of the 20,020-state difference product
     # are compared on few subsets; per-state bitmasks as wide as their highest
-    # target would add about n^2/16 bytes, some 25 MB here
+    # target would add about n^2/16 bytes, some 25 MB here.  The pipeline
+    # determinizes on the same zero filter.
     amax, bmin = zoo.prime_period_pair(5, 7, 11, 13)
-    tracemalloc.start()
-    try:
-        assert decide_series_equal(amax, bmin).holds
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    calls = {
+        "decide_series_equal": lambda: decide_series_equal(amax, bmin).holds,
+        "unambiguous_from_pair": lambda: unambiguous_from_pair(amax, bmin).n > 0,
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            assert call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, name
 
 
 def _traced_peak(call):
-    """The tracemalloc peak of ``call()``, in bytes."""
+    """The tracemalloc peak of a warm ``call()``, in bytes: one untraced call
+    first, so that what a first call caches is not counted."""
+    call()
     tracemalloc.start()
     try:
         call()
@@ -764,13 +831,19 @@ def test_the_kernel_holds_little_beside_its_product(pqrs):
     # once the product's pairs are found, each predecessor list once its arcs
     # are listed for the relaxation, the product once its zero filter is read.
     # Holding them put the kernel's peak at 2.2-2.4 times the product's own
-    # (1.2-1.5 without), under Python 3.10 to 3.13: a ratio, so that the
-    # object sizes of each version cancel.
+    # (1.14-1.15 without, warm, under Python 3.11; 1.2-1.5 on first calls
+    # under 3.10 to 3.13 before the product let go of its pair set): a ratio,
+    # so that the object sizes of each version cancel.  The pipeline
+    # determinizes straight from the zero filter, walked without a copy, so
+    # it peaks no higher than the kernel; assembling the 1-valued automaton
+    # first took it past (880 against 870 KB on (3,4,5,7), warm, 3.11).
     amax, bmin = zoo.prime_period_pair(*pqrs)
     ta, tb = amax.trim(), bmin.trim()
     product = _traced_peak(lambda: twa.automaton._accessible_product(ta, tb, operator.sub))
     kernel = _traced_peak(lambda: decide_series_equal(amax, bmin))
+    pipeline = _traced_peak(lambda: unambiguous_from_pair(amax, bmin))
     assert kernel <= 1.8 * product
+    assert pipeline <= kernel
 
 
 def _named(cover):
