@@ -5,7 +5,8 @@ maximum cycle mean, decision procedures (nonpositivity, constant series,
 equality and inequality of a max-plus and a min-plus series), and the
 constructive pipeline that turns an equivalent max-plus/min-plus pair into a
 1-valued and then unambiguous automaton.  The supports of the series are
-handled inside as NFAs whose subsets are frozensets of states.  The language
+handled inside as NFAs whose subsets are frozensets of states, stepping along
+the automata's own row dicts (and the zero filter's lists).  The language
 questions (the all-words constant test, the support comparisons) walk pairs
 of subsets, and the constructions (the subset covering, weighted
 determinization) explore subsets; every product comes from one

@@ -11,8 +11,9 @@ The subset engine ``_SubsetNfa`` has one loop per job: questions (universality,
 equivalence, inclusion) walk pairs of subsets in ``walk`` and return a witness
 word, and constructions (the subset construction, weighted determinization)
 explore nodes with ``_explore`` and return them with the letter rows that an
-automaton is assembled from.  It keeps the rows of targets it is given: a
-support NFA's frozensets, the zero filter's lists.
+automaton is assembled from.  It reads the rows of targets where they lie,
+without a copy: a support NFA's are the automaton's own row dicts, the zero
+filter's are its lists.
 
 Everything here is pure: automata are immutable after construction and all
 operations build new ones.
@@ -89,8 +90,8 @@ def _checked(sr: Semiring, alphabet, n: int, alpha: list, beta: list, rows: dict
             raise DimensionError(f"mu[{ch!r}] has {len(letter)} rows, automaton has {n}")
         for i, row in enumerate(letter):
             for j, w in row.items():
-                if not 0 <= j < n:
-                    raise DimensionError(f"column {j} out of range in row {i}")
+                if type(j) is not int or not 0 <= j < n:
+                    raise DimensionError(f"column {j!r} in row {i} is not an int in range({n})")
                 if not is_rational(w):
                     raise TagMismatchError(f"entry ({i},{j})={w!r} is not a finite {sr.tag} weight")
     if state_labels is not None:
@@ -156,8 +157,8 @@ class WeightedAutomaton:
         rows = {ch: [dict() for _ in range(n)] for ch in alphabet}
 
         def _check_state(i):
-            if not 0 <= i < n:
-                raise DimensionError(f"state {i} out of range for {n} states")
+            if type(i) is not int or not 0 <= i < n:
+                raise DimensionError(f"state {i!r} is not an int in range({n})")
 
         for i, w in initial:
             _check_state(i)
@@ -252,35 +253,20 @@ class WeightedAutomaton:
         return self if len(keep) == self.n else self._restrict(keep)
 
     def _useful_states(self) -> list:
-        """The states on some successful path, in increasing order.
-
-        Those reachable from an initial arrow (the forward search below)
-        among those that reach a final arrow (the backward breadth-first
-        search after it).
+        """The states on some successful path, in increasing order: those that
+        an initial arrow reaches and that reach a final arrow (``_reach``
+        forward along the rows, then backward along their predecessor lists).
         """
+        n = self.n
         letters = [mat.rows for mat in self.mu.values()]
-        fwd = [w is not None for w in self.alpha]
-        stack = [i for i, reached in enumerate(fwd) if reached]
-        while stack:
-            i = stack.pop()
-            for rows in letters:
-                for j in rows[i]:
-                    if not fwd[j]:
-                        fwd[j] = True
-                        stack.append(j)
-        into = [[] for _ in range(self.n)]
+        fwd = _reach((i for i, w in enumerate(self.alpha) if w is not None), letters, n)
+        into = [[] for _ in range(n)]
         for rows in letters:
             for i, row in enumerate(rows):
                 for j in row:
                     into[j].append(i)
-        order = [j for j, w in enumerate(self.beta) if w is not None]
-        seen = [w is not None for w in self.beta]
-        for j in order:  # grows while it is walked: a breadth-first queue
-            for i in into[j]:
-                if not seen[i]:
-                    seen[i] = True
-                    order.append(i)
-        return [i for i in sorted(order) if fwd[i]]
+        bwd = _reach((j for j, w in enumerate(self.beta) if w is not None), [into], n)
+        return [i for i in range(n) if fwd[i] and bwd[i]]
 
     def _restrict(self, keep: list) -> "WeightedAutomaton":
         """The automaton on the states ``keep`` (increasing), renumbered in that order."""
@@ -325,16 +311,37 @@ class WeightedAutomaton:
     def _support_nfa(self) -> "_SubsetNfa":
         """The support NFA: the states with an initial or a final arrow, and every arc.
 
-        Its rows are frozensets, so walks step to stored, already-hashed sets.
+        A view, not a copy: its rows are this automaton's own row dicts,
+        whose keys are the targets.
         """
         return _SubsetNfa.of(
             (i for i, w in enumerate(self.alpha) if w is not None),
             (i for i, w in enumerate(self.beta) if w is not None),
-            {
-                ch: [frozenset(row) if row else _EMPTY for row in self.mu[ch].rows]
-                for ch in self.alphabet
-            },
+            {ch: self.mu[ch].rows for ch in self.alphabet},
         )
+
+
+def _reach(starts, letters, n: int) -> list:
+    """n flags: True for each of the states 0..n-1 that ``starts`` reach.
+
+    ``letters`` lists row lists, ``rows[i]`` iterating over the states that
+    state i steps to: an automaton's row dicts, predecessor lists, the zero
+    filter's lists.  The states in ``starts`` reach themselves.
+    """
+    seen = [False] * n
+    stack = []
+    for i in starts:
+        if not seen[i]:
+            seen[i] = True
+            stack.append(i)
+    while stack:
+        i = stack.pop()
+        for rows in letters:
+            for j in rows[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+    return seen
 
 
 def _accessible_product(
@@ -447,7 +454,7 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
 
 DEFAULT_SUBSET_CAP = 1_000_000
 
-_EMPTY = frozenset()  # the targets of every state without an arc on a letter
+_EMPTY = frozenset()  # the empty subset, into which a subset's rows are united
 
 
 class _SubsetNfa:
@@ -456,8 +463,9 @@ class _SubsetNfa:
     The one owner of subsets: other modules build it from sparse states
     (``of``) and get back words, state lists and letter rows.
     ``succ`` maps each letter, in alphabet order, to the targets of every
-    state, any collection of states kept as given, so memory grows with the
-    arcs and the subsets walked.
+    state, kept as given: an automaton's row dicts, whose keys are the
+    targets, or the zero filter's lists.  So memory grows with the subsets
+    walked, not with the arcs.
     Questions (universality, equivalence, inclusion) walk pairs of subsets in
     ``walk``, and ``subsets`` explores subsets on ``_explore``.  Both go
     breadth-first in alphabet order, so every witness is the length-lex-first word.
@@ -484,8 +492,8 @@ class _SubsetNfa:
 
         Breadth-first in this NFA's alphabet order, ``other``'s letters read
         by name, building no rows.  A one-state subset steps to
-        ``frozenset(row)`` of its state's row, which is the row itself when
-        it is stored as a frozenset.  Raises CapExceededError(what, cap)
+        ``frozenset(row)`` of its state's row, a larger one to the union of
+        its states' rows.  Raises CapExceededError(what, cap)
         past ``cap`` pairs, by default ``DEFAULT_SUBSET_CAP`` read at call time.
         """
         cap = DEFAULT_SUBSET_CAP if cap is None else cap
@@ -541,9 +549,8 @@ class _SubsetNfa:
 def _post(subset: frozenset, succ: list) -> frozenset:
     """The states reached from the states of ``subset`` by one move in ``succ``.
 
-    A one-state subset steps to ``frozenset`` of its state's row: the row
-    itself when it is stored as a frozenset, whose hash is then computed
-    once however often it is reached.
+    A one-state subset steps to ``frozenset`` of its state's row, which
+    skips the union's call; ``walk`` inlines the same shortcut.
     """
     if len(subset) == 1:
         (state,) = subset

@@ -25,7 +25,8 @@ w iff w + u_j = u_i.  _zero_filter is the only place that tests this
 tightness.  Every language question goes to the subset engine of
 ``twa.automaton`` (``_SubsetNfa``), the only module that knows how a subset is
 stored (a frozenset of states), and comes back as a witness word or None; the
-engine walks the zero filter from these lists, without a frozenset copy.
+engine walks the zero filter from these lists and a support from the trimmed
+automaton's own row dicts, copying neither.
 Each one walks pairs of subsets breadth-first in alphabet order, at most
 ``DEFAULT_SUBSET_CAP`` of them (``subset_cap`` for the all-words constant test,
 which walks the one-state NFA of all words against the zero filter).  The
@@ -535,10 +536,11 @@ def _difference(
     support language is that of ``ta`` and of ``tb``, so comparing the zero
     filter with either support NFA, both already built, gives the same
     verdict and length-lex-first witness; the one with fewer states (``ta``
-    on a tie) is walked.
+    on a tie) is walked.  Both support NFAs are views of the trimmed inputs'
+    rows, so neither holds memory of its own.
 
     Each structure the size of the product goes after its last read (see the
-    module docstring), and the larger support NFA after the support walk.
+    module docstring).
     """
     ta = amax.trim()
     tb = bmin.trim()
@@ -546,8 +548,7 @@ def _difference(
     witness, walked = sa.walk(sb, inclusion, "support comparison")
     if witness is not None:
         return _Difference(_decision(witness), ta, tb, None, None)
-    smaller = sa if ta.n <= tb.n else sb  # the other support is not read again
-    del sa, sb
+    smaller = sa if ta.n <= tb.n else sb
     product, pairs = _accessible_product(ta, tb, operator.sub, walked)  # empties walked
     verdict, product, u, keep = _nonpositive(product)
     if keep is not None:

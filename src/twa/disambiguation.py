@@ -39,6 +39,7 @@ from .automaton import (
     _accessible_product,
     _explore,
     _pair_labels,
+    _reach,
 )
 from .decisions import _check_pair, _difference, _Difference
 from .errors import CapExceededError, NotEqualError
@@ -268,29 +269,6 @@ def _weighted_subsets(difference: _Difference, cap: int) -> WeightedAutomaton:
     )
 
 
-def _reached(difference: _Difference) -> list:
-    """The product states that the kept initial arrows reach along kept arcs.
-
-    One forward pass over the lists of the kernel's zero filter, in
-    discovery order.  For an S = T that held, every state of the zero filter
-    reaches a kept final arrow (u is attained along kept arcs), so these are
-    the states of the trimmed 1-valued automaton, ``extract_one_valued``'s.
-    """
-    initial, _, targets = difference.zero
-    letters = list(targets.values())
-    order = list(initial)
-    seen = bytearray(len(difference.pairs))
-    for i in order:
-        seen[i] = 1
-    for i in order:  # grows while it is walked
-        for kept in letters:
-            for j in kept[i]:
-                if not seen[j]:
-                    seen[j] = 1
-                    order.append(j)
-    return order
-
-
 def unambiguous_from_pair(
     amax: WeightedAutomaton,
     bmin: WeightedAutomaton,
@@ -317,7 +295,11 @@ def unambiguous_from_pair(
     if subset_cap < 1:
         raise ValueError("cap must be at least 1")
     difference = _equal_difference(amax, bmin)
-    n = len(_reached(difference))
+    # the states that the kept initial arrows reach along kept arcs; each
+    # reaches a kept final arrow (u is attained along kept arcs), so these
+    # are the states of extract_one_valued's trimmed output
+    initial, _, targets = difference.zero
+    n = sum(_reach(initial, list(targets.values()), len(difference.pairs)))
     if n == 0:  # the empty series, whose 1-valued automaton has no state
         return _untrimmed_one_valued(difference).trim()
     try:

@@ -5,7 +5,8 @@ that lists them.  Both are scalar: finite weights are exact rationals stored
 as plain ``int`` or ``fractions.Fraction``; the semiring zero carries no value
 and is represented by ``None`` everywhere (an absent arc *is* the zero
 weight).  The supports of their series are handled as NFAs over
-frozensets of states (``twa.automaton._SubsetNfa``), not as a third tag.
+frozensets of states (``twa.automaton._SubsetNfa``) that read the automata's
+own row dicts, not as a third tag.
 
 No floating point is used anywhere: comparisons against 0 made by the
 decision procedures are boundary-exact and would be corrupted by rounding.

@@ -372,11 +372,28 @@ def test_constructor_takes_an_automatons_mu_and_copies_its_rows():
         ({"a": [{}, {1: True}]}, TagMismatchError),
         ({}, AlphabetError),  # a letter without rows
         ({"a": [{}, {}], "b": [{}, {}]}, AlphabetError),  # rows without a letter
+        ({"a": [{True: 1}, {}]}, DimensionError),  # a column that is not an int
+        ({"a": [{1.0: 1}, {}]}, DimensionError),
+        ({"a": [{"1": 1}, {}]}, DimensionError),
     ],
 )
 def test_constructor_checks_every_row(mu, error):
     with pytest.raises(error):
         WeightedAutomaton(MAX_PLUS, "a", 2, [0, None], [None, 0], mu)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_from_arcs_takes_only_int_states(bad):
+    # a bool or float state was kept, and serialize then wrote a file that
+    # parse rejects, or eval failed later; a string failed with a bare TypeError
+    for parts in (
+        {"arcs": [(0, "a", bad, 1)]},
+        {"arcs": [(bad, "a", 1, 1)]},
+        {"initial": [(bad, 0)]},
+        {"final": [(bad, 0)]},
+    ):
+        with pytest.raises(DimensionError):
+            WeightedAutomaton.from_arcs(MAX_PLUS, "a", 2, **parts)
 
 
 def test_fraction_weights_evaluate_exactly():
@@ -403,8 +420,8 @@ def ref_from_arcs(tag, alphabet, n, *, initial=(), final=(), arcs=(), labels=Non
     rows = {ch: [dict() for _ in range(n)] for ch in alphabet}
 
     def check_state(i):
-        if not 0 <= i < n:
-            raise DimensionError(f"state {i} out of range for {n} states")
+        if type(i) is not int or not 0 <= i < n:
+            raise DimensionError(f"state {i!r} is not an int in range({n})")
 
     for i, w in initial:
         check_state(i)
@@ -464,7 +481,7 @@ def from_arcs_parts(draw):
     for flaw in flaws:
         parts, ch = draw(st.sampled_from([initial, final, arcs])), draw(letter)
         if flaw == "state":
-            bad = draw(st.sampled_from([-1, max(n, 1)]))
+            bad = draw(st.sampled_from([-1, max(n, 1), True, 1.0, "1"]))
             entries = [(bad, 0)] if parts is not arcs else [(bad, ch, 0, 0), (0, ch, bad, 0)]
         elif flaw == "letter":
             parts, entries = arcs, [(0, "z", 0, 0)]

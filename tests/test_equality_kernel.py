@@ -582,8 +582,11 @@ def test_the_determinization_bound_is_the_one_valued_state_count(name):
     amax, bmin = EQUAL_PAIRS[name]()
     difference = twa.decisions._difference(amax, bmin, False)
     assert difference.verdict.holds
-    reached = twa.disambiguation._reached(difference)
-    assert len(reached) == len(set(reached)) == extract_one_valued(amax, bmin).n
+    initial, _, targets = difference.zero
+    flags = twa.automaton._reach(initial, list(targets.values()), len(difference.pairs))
+    reached = {i for i, flag in enumerate(flags) if flag}
+    assert len(flags) == len(difference.pairs)
+    assert sum(flags) == len(reached) == extract_one_valued(amax, bmin).n
     one = twa.disambiguation._untrimmed_one_valued(difference)
     forward = {i for i, w in enumerate(one.alpha) if w is not None}
     queue = deque(forward)
@@ -594,7 +597,7 @@ def test_the_determinization_bound_is_the_one_valued_state_count(name):
                 if j not in forward:
                     forward.add(j)
                     queue.append(j)
-    assert set(reached) == forward
+    assert reached == forward
     assert forward <= _reaches_a_kept_final_arrow(difference.zero)
 
 
@@ -760,9 +763,10 @@ def _rows_as(nfa, kind):
 @settings(max_examples=200)
 @given(automata(MAX_PLUS), automata(MAX_PLUS))
 def test_nfa_comparisons_match_frozenset_exploration(a, b):
-    # _SubsetNfa.of keeps the rows it is given (frozensets for a support NFA,
-    # lists for the zero filter), so every kind of row must walk the same
-    # pairs in the same order to the same witness, and build the same subsets
+    # _SubsetNfa.of keeps the rows it is given (the automaton's row dicts for
+    # a support NFA, lists for the zero filter), so every kind of row must
+    # walk the same pairs in the same order to the same witness, and build
+    # the same subsets
     ma, mb, ra, rb = a._support_nfa(), b._support_nfa(), support(a), support(b)
     subsets = ma.subsets(DEFAULT_SUBSET_CAP)
     for x, y, rx, ry, inclusion in ((ma, mb, ra, rb, False), (ma, mb, ra, rb, True), (mb, ma, rb, ra, True)):
@@ -772,6 +776,16 @@ def test_nfa_comparisons_match_frozenset_exploration(a, b):
             assert _rows_as(x, kind).walk(_rows_as(y, kind), inclusion, "support comparison") == walk, kind
     for kind in ROW_KINDS:
         assert _rows_as(ma, kind).subsets(DEFAULT_SUBSET_CAP) == subsets, kind
+
+
+@settings(max_examples=50)
+@given(st.sampled_from([MAX_PLUS, MIN_PLUS]).flatmap(automata))
+def test_a_support_nfa_is_a_view_of_the_rows(aut):
+    # the support walks read the automaton's own row dicts; no row is copied
+    nfa = aut._support_nfa()
+    assert list(nfa.succ) == list(aut.alphabet)
+    for ch in aut.alphabet:
+        assert nfa.succ[ch] is aut.mu[ch].rows
 
 
 @settings(max_examples=200)
@@ -831,12 +845,13 @@ def test_the_kernel_holds_little_beside_its_product(pqrs):
     # once the product's pairs are found, each predecessor list once its arcs
     # are listed for the relaxation, the product once its zero filter is read.
     # Holding them put the kernel's peak at 2.2-2.4 times the product's own
-    # (1.14-1.15 without, warm, under Python 3.11; 1.2-1.5 on first calls
-    # under 3.10 to 3.13 before the product let go of its pair set): a ratio,
-    # so that the object sizes of each version cancel.  The pipeline
-    # determinizes straight from the zero filter, walked without a copy, so
-    # it peaks no higher than the kernel; assembling the 1-valued automaton
-    # first took it past (880 against 870 KB on (3,4,5,7), warm, 3.11).
+    # (1.10 without, warm, under Python 3.11: 670 against 610 kB on (3,4,5,7),
+    # 326 against 298 kB on (2,3,5,7); 1.2-1.5 on first calls under 3.10 to
+    # 3.13 before the product let go of its pair set): a ratio, so that the
+    # object sizes of each version cancel.  The pipeline determinizes
+    # straight from the zero filter, walked without a copy, so it peaks in
+    # the kernel (670 kB on (3,4,5,7)); assembling the 1-valued automaton
+    # first took it past the kernel's peak.
     amax, bmin = zoo.prime_period_pair(*pqrs)
     ta, tb = amax.trim(), bmin.trim()
     product = _traced_peak(lambda: twa.automaton._accessible_product(ta, tb, operator.sub))
