@@ -10,13 +10,13 @@ its cap).  No witness longer than ``DEFAULT_SUBSET_CAP`` letters is built.
 Nonpositivity, on which Fatou renormalization, the constant tests and the
 series comparisons rest, is decided by one early-exit Bellman-Ford relaxation
 of the potential u = M*beta, and a positive verdict hands u on to the
-renormalization.  The relaxation visits the arcs in backward breadth-first
-order from the final arrows, so a round carries the weights along every
-fewest-arc path and few rounds are needed; the backward search lists them in
-that order, and only that list is kept while the rounds run.  Only a negative
-verdict pays for its witness: one forward pass over the letters, or, when no
-word shorter than n is positive, the maximum mean circuit (Howard policy
-iteration, in twa.spectral).
+renormalization.  The relaxation lists the arcs into each state once, then
+runs in rounds, each over the arcs into the states that the round before
+improved, so the work follows the improvements and not the numbering of the
+states; on a YES the finite entries of u are the trim.  Only a negative verdict pays
+for its witness: one forward pass over the letters, or, when the round that
+found it shows that no word shorter than n is positive, the maximum mean
+circuit (Howard policy iteration, in twa.spectral).
 
 The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
 automaton, is read straight off u as lists of states: an initial arrow is kept
@@ -38,15 +38,15 @@ extraction takes its arrows and arcs, and the pipeline's weighted
 determinization its moves.  The product subtracts T's weights as it
 builds each row, in its final (p, q) numbering, so no negated copy of T
 exists; it is accessible by construction, so its trim only removes the states
-that reach no final arrow, and the one backward search that orders the
-relaxation finds them; it reads its pairs off the walk of the support
-comparison and has no labels; and with equal supports the zero filter is
-compared with the support NFA of the input with fewer states, already built.
-The product is the kernel's largest data, and each structure of its size goes
-after its last read: the walked pairs once the product's pairs are found, and
-the set of their keys once it is sorted, the arcs after the relaxation, and
-the product once its zero filter is read (at once for S <= T or a NO); only
-its pairs and zero filter are handed on.
+that reach no final arrow, and its relaxation finds them; it reads its pairs
+off the walk of the support comparison and has no labels; and with equal
+supports the zero filter is compared with the support NFA of the input with
+fewer states, already built.  The product is the kernel's largest data, and
+each structure of its size goes after its last read: the walked pairs once
+the product's pairs are found, and the set of their keys once it is sorted,
+the relaxation's predecessor lists once the trim is read, and the product
+once its zero filter is read (at once for S <= T or a NO); only its pairs and
+zero filter are handed on.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -64,6 +64,7 @@ from .automaton import (
     WeightedAutomaton,
     _accessible_product,
     _check_alphabets,
+    _reach,
     _require_max_plus,
     _SubsetNfa,
 )
@@ -120,30 +121,35 @@ def _nonpositive(
     """The nonpositivity verdict of an accessible automaton, and its trim.
 
     A positive empty word (alpha_i + beta_i > 0) is a NO before any search.
-    Otherwise one backward search from the final arrows orders the
-    relaxation and finds the states that reach a final arrow; when it misses
-    some, the automaton is restricted to the ones it found, after the
-    relaxation.  Returns (verdict, trim, u, keep): u = M*beta on the trim
-    when the verdict holds and None with a NO verdict, which carries the
-    witness; ``keep`` lists the kept states of ``aut`` in increasing order,
-    or is None when all of them are kept (or the empty word decided).
+    Otherwise _relax decides; the trim keeps the states with a finite u on a
+    YES, and on a NO the states that one _reach over the relaxation's
+    predecessor lists finds from the final arrows.  The automaton is
+    restricted to them when some are missing.  Returns (verdict, trim, u,
+    keep): u = M*beta on the trim when the verdict holds and None with a NO
+    verdict, which carries the witness; ``keep`` lists the kept states of
+    ``aut`` in increasing order, or is None when all of them are kept (or
+    the empty word decided).
     """
     u = list(aut.beta)
     if _positive(aut.alpha, u, range(aut.n)):
         return Decision(False, ""), aut, None, None
-    order, arcs = _backward_search([mat.rows for mat in aut.mu.values()], u)
-    holds = _relax(aut.alpha, order, arcs, u)
-    del arcs  # the largest structure of the relaxation, read only by it
+    holds, rounds, into = _relax([mat.rows for mat in aut.mu.values()], aut.alpha, u)
+    if holds:
+        useful = [ui is not None for ui in u]
+    else:
+        finals = (j for j, w in enumerate(aut.beta) if w is not None)
+        useful = _reach(finals, [[[i for i, _ in preds] for preds in into]], aut.n)
+    del into  # the largest structure of the relaxation
     keep = None
-    if len(order) < aut.n:
-        keep = sorted(order)
+    if not all(useful):
+        keep = [i for i in range(aut.n) if useful[i]]
         aut = aut._restrict(keep)
         u = [u[i] for i in keep]
     if holds:
         return Decision(True, None), aut, u, keep
-    # a positive word shorter than n would have stopped an earlier round, so
-    # after a divergence (None) the forward pass cannot succeed
-    witness = None if holds is None else _positive_word(aut)
+    # no positive word has fewer letters than the round that found one, and
+    # the forward pass looks only at words shorter than the trim's n
+    witness = _positive_word(aut) if rounds < aut.n else None
     if witness is None:
         witness = _pumped_witness(aut)
     return Decision(False, witness), aut, None, keep
@@ -156,86 +162,62 @@ def _positive(alpha: list, u: list, states) -> bool:
     )
 
 
-def _backward_search(letters: list, u: list) -> tuple[list, list]:
-    """The backward search from the finite entries of ``u``, and the arcs it crossed.
+def _relax(letters: list, alpha: list, u: list) -> tuple[bool, int, list]:
+    """Relax ``u`` in place toward M*beta, in Bellman-Ford rounds over the
+    improved states, and tell whether the series is nonpositive.
 
     ``letters`` lists row lists (one per letter, or one matrix's rows), each
-    of len(u) row dicts.  Returns (order, arcs): the states from which an
-    arc path reaches a finite entry, those entries first in increasing
-    order, then the others in discovery order; and the arcs i -> j of the
-    letter sum as (i, j, w), those into each j of ``order`` in turn by
-    increasing source.  No sum is built: one pass over the rows in row-major
-    order lists each target's arcs, merging those of one source into their
-    maximum, and the search moves each list into ``arcs`` and drops it.  A
-    target's list is made at its first arc, so a state without arcs in
-    holds None and no empty list.
+    of len(u) row dicts, and ``u`` starts as beta, with alpha_i + beta_i <= 0
+    for every i.  One pass over the rows in row-major order lists the arcs
+    into each state j as (source, weight) pairs by increasing source, one
+    source's letters merged into their maximum; no sum is built, and a state
+    without arcs in holds an empty tuple.  Round k scans the arcs into
+    the states that round k - 1 improved (round 1: those with a finite
+    beta), so after round k every path of at most k arcs has been offered.
+    States that reach no final arrow keep u_i = None.
+
+    Every finite u_i is, at all times, the weight of a real path from i to a
+    final arrow, so alpha_i + u_i > 0, tested on the states a round
+    improved, exhibits a positive word, and none has fewer letters than
+    that round's number.  Returns (holds, rounds, into): holds is True when
+    a round changes nothing, so u = M*beta and alpha + u <= 0 is exactly
+    nonpositivity, and False on a positive word or when round len(u) + 1
+    still changes u: a positive cycle reaches a final arrow, and it pumps,
+    because the automaton is accessible (trim, or a product built from its
+    initial pairs), so the cycle lies on a successful path.  ``into`` holds
+    the predecessor lists.
     """
-    into = [None] * len(u)
-    for i in range(len(u)):
+    n = len(u)
+    into = [()] * n
+    for i in range(n):
         for rows in letters:
             for j, w in rows[i].items():
                 preds = into[j]
-                if preds is None:
-                    into[j] = [(i, j, w)]
+                if not preds:
+                    into[j] = [(i, w)]
                 elif preds[-1][0] == i:  # i's arc on an earlier letter
-                    if w > preds[-1][2]:
-                        preds[-1] = (i, j, w)
+                    if w > preds[-1][1]:
+                        preds[-1] = (i, w)
                 else:
-                    preds.append((i, j, w))
-    order = [j for j, uj in enumerate(u) if uj is not None]
-    seen = [uj is not None for uj in u]
-    arcs = []
-    for j in order:  # grows while it is walked: a breadth-first queue
-        preds = into[j]
-        if preds is None:
-            continue
-        into[j] = None
-        arcs += preds
-        for i, _, _ in preds:
-            if not seen[i]:
-                seen[i] = True
-                order.append(i)
-    return order, arcs
-
-
-def _relax(alpha: list, order: list, arcs: list, u: list) -> bool | None:
-    """Relax ``u`` in place toward M*beta, one Bellman-Ford round at a time,
-    and tell whether the series is nonpositive.
-
-    ``u`` starts as beta, with alpha_i + beta_i <= 0 for every i, and
-    ``order`` and ``arcs`` are what _backward_search returns for it and the
-    letter rows of the automaton, so the states outside ``order``, which
-    reach no final arrow, keep u_i = None.  Every finite u_i is, at all
-    times, the weight of a real path from i to a final arrow, so
-    alpha_i + u_i > 0 after a round, tested by _positive once per improving
-    round on the states it improved (in improvement order, a state may
-    repeat), exhibits a positive word: returns False.  Returns True after
-    the first round that changes nothing, when u = M*beta and alpha + u <= 0
-    is exactly nonpositivity.  Returns None when round len(order) + 1 still
-    changes u: a positive cycle reaches a final arrow.  It pumps, because
-    the automaton is accessible (trim, or a product built from its initial
-    pairs), so the cycle lies on a successful path.
-
-    A round relaxes ``arcs`` in their order, backward breadth-first from the
-    support of u: the arcs into a state come right after those into the
-    states it was discovered from.  So one round carries the best weights
-    back along every path of fewest arcs, and rounds repeat only for better
-    paths with more arcs.  Arcs into states that cannot reach the support
-    never change u and are not listed.
-    """
-    for rounds in range(len(order) + 1):
+                    preds.append((i, w))
+    frontier = [j for j, uj in enumerate(u) if uj is not None]
+    last = [0] * n  # the last round that improved each state
+    for rounds in range(1, n + 2):
         improved = []
-        for i, j, w in arcs:
-            c = w + u[j]  # finite: an arc out of j came earlier in this order
-            if u[i] is None or c > u[i]:
-                u[i] = c
-                improved.append(i)
+        for j in frontier:
+            uj = u[j]
+            for i, w in into[j]:
+                c = w + uj
+                if u[i] is None or c > u[i]:
+                    u[i] = c
+                    if last[i] != rounds:
+                        last[i] = rounds
+                        improved.append(i)
         if not improved:
-            return True
-        if rounds == len(order):
-            return None
-        if _positive(alpha, u, improved):
-            return False
+            return True, rounds, into
+        if rounds > n or _positive(alpha, u, improved):
+            return False, rounds, into
+        frontier = improved
 
 
 def _positive_word(trim: WeightedAutomaton) -> str | None:
@@ -529,15 +511,15 @@ def _difference(
     that a word w reaches, and the union of those A x B is the product's
     pairs, which it hands on.  The product subtracts bmin's weights as it
     combines them, so no negated copy of bmin is built.  It is accessible
-    by construction, so its trim is the backward half alone, and one
-    backward search from its final arrows serves both the trim and the
-    relaxation, which runs before the renumbering.  The letter sum is built
-    only for a NO witness.  Once the supports are equal, the product's
-    support language is that of ``ta`` and of ``tb``, so comparing the zero
-    filter with either support NFA, both already built, gives the same
-    verdict and length-lex-first witness; the one with fewer states (``ta``
-    on a tie) is walked.  Both support NFAs are views of the trimmed inputs'
-    rows, so neither holds memory of its own.
+    by construction, so its trim is the backward half alone, which the one
+    relaxation of its potential finds (see _nonpositive), before the
+    renumbering.  The letter sum is built only for a NO witness.  Once the
+    supports are equal, the product's support language is that of ``ta``
+    and of ``tb``, so comparing the zero filter with either support NFA,
+    both already built, gives the same verdict and length-lex-first
+    witness; the one with fewer states (``ta`` on a tie) is walked.  Both
+    support NFAs are views of the trimmed inputs' rows, so neither holds
+    memory of its own.
 
     Each structure the size of the product goes after its last read (see the
     module docstring).

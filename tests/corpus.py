@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from twa import MAX_PLUS, MIN_PLUS, Covering, Decision, WeightedAutomaton, max_mean_cycle
 from twa.automaton import _SubsetNfa
-from twa.decisions import _backward_search, _pumped_witness, _relax
+from twa.decisions import _pumped_witness, _relax
 from twa.format import serialize
 from twa.semiring import format_finite, parse_finite
 
@@ -44,7 +44,7 @@ def relaxed(rows, beta):
     dicts: u at the fixpoint, or None when the relaxation diverges."""
     u = list(beta)
     # no initial arrow, so no round is positive: the fixpoint or a divergence
-    return u if _relax([None] * len(u), *_backward_search([rows], u), u) else None
+    return u if _relax([rows], [None] * len(u), u)[0] else None
 
 
 def vec_rows(x, rows):

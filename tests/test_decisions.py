@@ -1,6 +1,7 @@
 """Decision procedures: nonpositivity, renormalization, constant tests, equality."""
 
 import random
+import time
 from collections import deque
 from fractions import Fraction
 
@@ -309,6 +310,39 @@ def test_the_potential_diverges_on_a_positive_cycle():
     assert relaxed(a, [0]) is None
 
 
+def chain(n, shortcut, tag, reverse):
+    """A chain 0 -> 1 -> ... -> n-1 -> F on `a` (weight 0) with a shortcut
+    i -> F on `b` (weight ``shortcut``) from each i; F = n is the one final
+    state and 0 the initial one.  ``reverse`` numbers the chain from the end."""
+    num = (lambda i: n - 1 - i) if reverse else (lambda i: i)
+    arcs = [(num(i), "a", num(i + 1), 0) for i in range(n - 1)] + [(num(n - 1), "a", n, 0)]
+    arcs += [(num(i), "b", n, shortcut) for i in range(n)]
+    return WeightedAutomaton.from_arcs(
+        tag, "ab", n + 1, initial=[(num(0), 0)], final=[(n, 0)], arcs=arcs
+    )
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_the_potential_of_a_long_chain_is_relaxed_in_linear_time(reverse):
+    # every state lies one arc from F, so full rounds over the arcs in order
+    # of fewest arcs to F carry the chain's weight back one state per round:
+    # quadratic work, about 2 s per call under the forward numbering (2-core
+    # VM, Python 3.11)
+    n = 4000
+    amax, bmin = chain(n, -n, MAX_PLUS, reverse), chain(n, 0, MIN_PLUS, reverse)
+    calls = {
+        "decide_nonpositive": (lambda: decide_nonpositive(amax).holds, True),
+        "fatou_normalize": (lambda: fatou_normalize(amax).n, n + 1),
+        # the empty word has no coefficient
+        "decide_equal_const": (lambda: decide_equal_const(amax, 0), (False, "")),
+        "decide_series_leq": (lambda: decide_series_leq(amax, bmin).holds, True),
+    }
+    for name, (call, expected) in calls.items():
+        start = time.perf_counter()
+        assert call() == expected, name
+        assert time.perf_counter() - start < 0.5, name
+
+
 def _tied_automaton(initial, final, arcs):
     return WeightedAutomaton.from_arcs(MAX_PLUS, "ab", 3, initial=initial, final=final, arcs=arcs)
 
@@ -341,9 +375,11 @@ def test_the_forward_pass_gives_the_word_of_the_scan_and_backward_walk():
             assert expected is None
             return
         u = list(trim.beta)
-        order, arcs = twa.decisions._backward_search([mat.rows for mat in trim.mu.values()], u)
-        if twa.decisions._relax(trim.alpha, order, arcs, u) is None:
-            # every positive word shorter than n stops a round before the divergence
+        _, rounds, _ = twa.decisions._relax([mat.rows for mat in trim.mu.values()], trim.alpha, u)
+        # no positive word has fewer letters than the round that found one
+        assert expected is None or len(expected) >= rounds
+        if rounds > trim.n:
+            # a divergence: no positive word is shorter than n
             assert expected is None
             kinds.add("diverged")
             return
@@ -525,11 +561,23 @@ def test_a_diverging_relaxation_pumps_after_one_howard_call_and_no_scan(monkeypa
     assert (len(circuits), len(scans)) == (1, 0)
 
 
-def test_a_positive_empty_word_is_a_no_before_the_backward_search(monkeypatch):
-    monkeypatch.setattr(twa.decisions, "_backward_search", _raise)
+def test_a_positive_empty_word_is_a_no_before_the_relaxation(monkeypatch):
+    monkeypatch.setattr(twa.decisions, "_relax", _raise)
     positive_empty = WeightedAutomaton.from_arcs(MAX_PLUS, "a", 1, initial=[(0, 1)], final=[(0, 1)])
     assert decide_nonpositive(positive_empty) == (False, "")
     assert decide_equal_const(constant_automaton(3), 0) == (False, "")
+
+
+def test_a_no_keeps_the_states_that_the_relaxation_had_not_reached():
+    # round 1 finds the positive word a before u reaches states 1 and 2, yet
+    # they lie on a successful path, so the trim keeps them; state 5 reaches
+    # no final arrow and goes
+    aut = WeightedAutomaton.from_arcs(
+        MAX_PLUS, "ab", 6, initial=[(0, 0)], final=[(4, 0)],
+        arcs=[(0, "a", 4, 1), (0, "a", 5, 0)] + [(i, "b", i + 1, 0) for i in range(4)],
+    )
+    verdict, trim, u, keep = twa.decisions._nonpositive(aut)
+    assert (verdict, trim.n, u, keep) == ((False, "a"), 5, None, [0, 1, 2, 3, 4])
 
 
 # -- the caps of a NO witness -------------------------------------------------

@@ -467,14 +467,12 @@ def _raise(*args, **kwargs):
     "pair", [zoo.sample_equivalent_pair, lambda: zoo.prime_period_pair(2, 3, 5, 7)]
 )
 def test_pipeline_builds_one_product_and_relaxes_once(monkeypatch, pair):
-    # one backward search serves the product's trim and its relaxation, and
-    # the letter sum, needed only for a NO witness, is never built
+    # one relaxation gives the product's potential and its trim, and the
+    # letter sum, needed only for a NO witness, is never built
     amax, bmin = pair()
     expected = serialize(unambiguous_from_pair(amax, bmin))
-    products, searches, relaxations = [], [], []
-    product, search, relax = (
-        twa.automaton._accessible_product, twa.decisions._backward_search, twa.decisions._relax
-    )
+    products, relaxations = [], []
+    product, relax = twa.automaton._accessible_product, twa.decisions._relax
 
     def counted(calls, fn):
         def wrapper(*args):
@@ -485,11 +483,10 @@ def test_pipeline_builds_one_product_and_relaxes_once(monkeypatch, pair):
 
     for module in (twa.automaton, twa.decisions):
         monkeypatch.setattr(module, "_accessible_product", counted(products, product))
-    monkeypatch.setattr(twa.decisions, "_backward_search", counted(searches, search))
     monkeypatch.setattr(twa.decisions, "_relax", counted(relaxations, relax))
     monkeypatch.setattr(WeightedAutomaton, "letter_sum", _raise)
     assert serialize(unambiguous_from_pair(amax, bmin)) == expected
-    assert (len(products), len(searches), len(relaxations)) == (1, 1, 1)
+    assert (len(products), len(relaxations)) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -602,31 +599,19 @@ def test_the_determinization_bound_is_the_one_valued_state_count(name):
 
 
 def ref_star_rounds(rows, u):
-    """The relaxation on the letter sum's rows: its own predecessor lists, rounds up to n.
+    """Plain Bellman-Ford on the letter sum's rows: rounds over every arc in
+    row order, up to n + 1 of them.
 
     Returns the states that each improving round improved, and how it ended."""
     n = len(rows)
-    into = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, w in row.items():
-            into[j].append((i, w))
-    order = [j for j, uj in enumerate(u) if uj is not None]
-    seen = set(order)
-    arcs = []
-    for j in order:
-        for i, w in into[j]:
-            arcs.append((i, j, w))
-            if i not in seen:
-                seen.add(i)
-                order.append(i)
     rounds = []
     for k in range(n + 1):
         improved = []
-        for i, j, w in arcs:
-            c = w + u[j]
-            if u[i] is None or c > u[i]:
-                u[i] = c
-                improved.append(i)
+        for i, row in enumerate(rows):
+            for j, w in row.items():
+                if u[j] is not None and (u[i] is None or w + u[j] > u[i]):
+                    u[i] = w + u[j]
+                    improved.append(i)
         if not improved:
             return rounds, "fixpoint"
         if k == n:
@@ -634,44 +619,44 @@ def ref_star_rounds(rows, u):
         rounds.append(improved)
 
 
-def _relax_rounds(alpha, order, arcs, u):
-    """The production relaxation, with the states that each improving round
-    improved, as _relax hands them to _positive once per round, and how it ended."""
-    rounds = []
-    positive = twa.decisions._positive
+class _Counted(list):
+    """A list that counts its item assignments: the improvements of a potential."""
 
-    def recorded(alpha, u, improved):
-        rounds.append(list(improved))
-        return positive(alpha, u, improved)
+    def __init__(self, items):
+        super().__init__(items)
+        self.assignments = 0
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(twa.decisions, "_positive", recorded)
-        holds = twa.decisions._relax(alpha, order, arcs, u)
-    return rounds, {True: "fixpoint", False: "positive", None: "diverged"}[holds]
+    def __setitem__(self, index, value):
+        self.assignments += 1
+        super().__setitem__(index, value)
 
 
 def relaxes_like_the_letter_sum(amax, bmin):
-    """The kernel relaxes the untrimmed product in the order of the search that
-    also trims it; the trimmed product's letter sum, relaxed in its own order,
-    must take the same rounds, improve the same states and end in the same u,
-    up to the renumbering.  No initial arrow is passed, so no round stops the
-    relaxation early.  Returns how the relaxation ended."""
+    """The kernel relaxes the untrimmed product and reads its trim off the
+    result; the trimmed product's letter sum, relaxed by the reference rounds,
+    must end the same way and, at the fixpoint, in the same u up to the
+    renumbering, and the kernel must keep exactly the useful states.  No
+    initial arrow is passed to the relaxation, so no round stops it early.
+    Returns how it ended, whether u improved and whether the trim dropped
+    states."""
     product, _ = twa.automaton._accessible_product(amax.trim(), bmin.trim(), operator.sub)
+    keep = product._useful_states()
+    verdict, _, _, kept = _nonpositive(product)
+    if verdict.witness != "":  # a positive empty word is decided untrimmed
+        assert (list(range(product.n)) if kept is None else kept) == keep
     u = list(product.beta)
-    order, arcs = twa.decisions._backward_search([mat.rows for mat in product.mu.values()], u)
-    keep = sorted(order)
-    assert keep == product._useful_states()
+    holds, _, _ = twa.decisions._relax([mat.rows for mat in product.mu.values()], [None] * len(u), u)
     trim = product._restrict(keep)
     ref_u = list(trim.beta)
-    index = {old: new for new, old in enumerate(keep)}
-    got = _relax_rounds([None] * len(u), order, arcs, u)
-    expected = ref_star_rounds(trim.letter_sum(), ref_u)
-    assert ([[index[i] for i in r] for r in got[0]], got[1]) == expected
-    assert [u[i] for i in keep] == ref_u
-    return got[1], len(got[0]) > 0, len(keep) < product.n
+    rounds, end = ref_star_rounds(trim.letter_sum(), ref_u)
+    assert ("fixpoint" if holds else "diverged") == end
+    if holds:
+        assert [u[i] for i in keep] == ref_u
+        assert [i for i, ui in enumerate(u) if ui is not None] == keep
+    return end, len(rounds) > 0, len(keep) < product.n
 
 
-def test_one_backward_search_relaxes_like_the_letter_sum():
+def test_the_product_relaxes_like_its_trimmed_letter_sum():
     seen = set()
 
     @settings(max_examples=300)
@@ -690,14 +675,15 @@ def test_one_backward_search_relaxes_like_the_letter_sum():
 
 @pytest.mark.parametrize("pqrs", [(2, 3, 5, 7), (3, 4, 5, 7)])
 def test_relaxation_of_the_prime_products_takes_few_rounds(pqrs):
-    # relaxing in state order took 28 and 42 improving rounds here
+    # a round scans only the arcs into the states the round before improved,
+    # so the improvements measure the work: 1,004 on 840 states and 1,974 on
+    # 1,680 here, in 42 and 63 rounds
     amax, bmin = zoo.prime_period_pair(*pqrs)
     assert relaxes_like_the_letter_sum(amax, bmin) == ("fixpoint", True, False)
     product = hadamard(amax.trim(), bmin.trim().negate()).trim()
-    u = list(product.beta)
-    order, arcs = twa.decisions._backward_search([product.letter_sum()], u)
-    rounds, end = _relax_rounds(product.alpha, order, arcs, u)
-    assert end == "fixpoint" and len(rounds) <= 3
+    u = _Counted(product.beta)
+    holds, _, _ = twa.decisions._relax([product.letter_sum()], product.alpha, u)
+    assert holds and u.assignments <= 2 * product.n
     assert all(w is not None for w in u)
     assert decide_nonpositive(product).holds
 
@@ -842,16 +828,16 @@ def _traced_peak(call):
 @pytest.mark.parametrize("pqrs", [(2, 3, 5, 7), (3, 4, 5, 7)])
 def test_the_kernel_holds_little_beside_its_product(pqrs):
     # Each product-sized structure goes after its last read: the walked pairs
-    # once the product's pairs are found, each predecessor list once its arcs
-    # are listed for the relaxation, the product once its zero filter is read.
+    # once the product's pairs are found, the relaxation's predecessor lists
+    # once the trim is read off u, the product once its zero filter is read.
     # Holding them put the kernel's peak at 2.2-2.4 times the product's own
-    # (1.10 without, warm, under Python 3.11: 670 against 610 kB on (3,4,5,7),
-    # 326 against 298 kB on (2,3,5,7); 1.2-1.5 on first calls under 3.10 to
-    # 3.13 before the product let go of its pair set): a ratio, so that the
-    # object sizes of each version cancel.  The pipeline determinizes
-    # straight from the zero filter, walked without a copy, so it peaks in
-    # the kernel (670 kB on (3,4,5,7)); assembling the 1-valued automaton
-    # first took it past the kernel's peak.
+    # (1.10-1.22 without, warm, under Python 3.11: 746 against 610 kB on
+    # (3,4,5,7), 326 against 298 kB on (2,3,5,7); 1.2-1.5 on first calls
+    # under 3.10 to 3.13 before the product let go of its pair set): a ratio,
+    # so that the object sizes of each version cancel.  The pipeline
+    # determinizes straight from the zero filter, walked without a copy, so
+    # it peaks in the kernel (746 kB on (3,4,5,7)); assembling the 1-valued
+    # automaton first took it past the kernel's peak.
     amax, bmin = zoo.prime_period_pair(*pqrs)
     ta, tb = amax.trim(), bmin.trim()
     product = _traced_peak(lambda: twa.automaton._accessible_product(ta, tb, operator.sub))

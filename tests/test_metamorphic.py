@@ -4,7 +4,9 @@ Conjugating an automaton by a potential h (alpha - h, beta + h, and
 w + h_s - h_t on each arc s -> t) keeps the weight of every successful path,
 so it must keep every Decision, witness included.  Adding c to every final
 weight adds c to every coefficient, so it must map the constant test for k
-to the constant test for k + c.
+to the constant test for k + c.  Renumbering the states changes no path,
+so it must keep the nonpositivity verdict and, state by state, the arrows
+of the Fatou renormalization.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ from twa import (
     decide_nonpositive,
     decide_series_equal,
     decide_series_leq,
+    fatou_normalize,
 )
 
 # potentials and shifts mix ints and Fractions, some of them integral
@@ -89,3 +92,41 @@ def test_a_final_shift_shifts_the_constant(aut, const, c):
 def test_a_final_shift_shifts_the_constant_past_nonpositivity(aut, c):
     assert decide_equal_const(shift_final(aut, c), c) == decide_equal_const(aut, 0)
 
+
+def renumbered(aut: WeightedAutomaton, perm) -> WeightedAutomaton:
+    """``aut`` with state i renumbered perm[i] and labelled by its old number i."""
+    labels = [None] * aut.n
+    for i, new in enumerate(perm):
+        labels[new] = str(i)
+    return WeightedAutomaton.from_arcs(
+        aut.semiring,
+        aut.alphabet,
+        aut.n,
+        initial=[(perm[i], w) for i, w in enumerate(aut.alpha) if w is not None],
+        final=[(perm[i], w) for i, w in enumerate(aut.beta) if w is not None],
+        arcs=[(perm[s], ch, perm[t], w) for s, ch, t, w in aut.arcs()],
+        labels=labels,
+    )
+
+
+def arrows_by_label(aut: WeightedAutomaton) -> dict:
+    """The (initial, final) weights of each state, keyed by its label."""
+    return {aut.state_label(i): (aut.alpha[i], aut.beta[i]) for i in range(aut.n)}
+
+
+@settings(max_examples=400)
+@given(
+    automata(MAX_PLUS, weight=st.integers(-3, 1)).flatmap(
+        lambda aut: st.tuples(st.just(aut), st.permutations(range(aut.n)))
+    )
+)
+def test_renumbering_the_states_keeps_the_potential(drawn):
+    # the witness may change: ties between words go to the smaller state
+    aut, perm = drawn
+    labelled, moved = renumbered(aut, range(aut.n)), renumbered(aut, perm)
+    verdict = decide_nonpositive(labelled)
+    assert decide_nonpositive(moved).holds == verdict.holds
+    if verdict.holds:
+        # alpha_i + u_i and beta_i - u_i, so u_i itself, per state
+        expected = arrows_by_label(fatou_normalize(labelled))
+        assert arrows_by_label(fatou_normalize(moved)) == expected
