@@ -254,19 +254,32 @@ class WeightedAutomaton:
 
     def _useful_states(self) -> list:
         """The states on some successful path, in increasing order: those that
-        an initial arrow reaches and that reach a final arrow (``_reach``
-        forward along the rows, then backward along their predecessor lists).
+        an initial arrow reaches and that reach a final arrow.
+
+        One forward search from the initial arrows lists, as it goes, the
+        predecessors of each state along the arcs it follows, so it reads
+        each arc once; ``_reach`` then runs backward along those lists from
+        the final arrows that the forward search met.  Every state it finds
+        is therefore reached from an initial arrow too.
         """
         n = self.n
         letters = [mat.rows for mat in self.mu.values()]
-        fwd = _reach((i for i, w in enumerate(self.alpha) if w is not None), letters, n)
         into = [[] for _ in range(n)]
-        for rows in letters:
-            for i, row in enumerate(rows):
-                for j in row:
+        fwd = [False] * n
+        stack = [i for i, w in enumerate(self.alpha) if w is not None]
+        for i in stack:
+            fwd[i] = True
+        while stack:
+            i = stack.pop()
+            for rows in letters:
+                for j in rows[i]:
                     into[j].append(i)
-        bwd = _reach((j for j, w in enumerate(self.beta) if w is not None), [into], n)
-        return [i for i in range(n) if fwd[i] and bwd[i]]
+                    if not fwd[j]:
+                        fwd[j] = True
+                        stack.append(j)
+        finals = (j for j, w in enumerate(self.beta) if w is not None and fwd[j])
+        bwd = _reach(finals, [into], n)
+        return [i for i in range(n) if bwd[i]]
 
     def _restrict(self, keep: list) -> "WeightedAutomaton":
         """The automaton on the states ``keep`` (increasing), renumbered in that order."""
@@ -325,8 +338,9 @@ def _reach(starts, letters, n: int) -> list:
     """n flags: True for each of the states 0..n-1 that ``starts`` reach.
 
     ``letters`` lists row lists, ``rows[i]`` iterating over the states that
-    state i steps to: an automaton's row dicts, predecessor lists, the zero
-    filter's lists.  The states in ``starts`` reach themselves.
+    state i steps to: the predecessor lists of a trim's backward half, or the
+    zero filter's lists, on which the pipeline counts its 1-valued states.
+    The states in ``starts`` reach themselves.
     """
     seen = [False] * n
     stack = []
@@ -558,6 +572,18 @@ def _post(subset: frozenset, succ: list) -> frozenset:
     return _EMPTY.union(*[succ[s] for s in subset])
 
 
+def _check_cap(cap, name: str) -> None:
+    """The one check of a cap given to the library, named ``name`` in the errors.
+
+    Like a state, a cap is an int, not a bool, float or string: TypeError
+    otherwise, and ValueError below 1.
+    """
+    if type(cap) is not int:
+        raise TypeError(f"{name} must be an int, got {cap!r}")
+    if cap < 1:
+        raise ValueError(f"{name} must be at least 1, got {cap!r}")
+
+
 def _explore(start, letters, step, cap: int, what: str):
     """Breadth-first search over the nodes reachable from ``start``.
 
@@ -568,10 +594,9 @@ def _explore(start, letters, step, cap: int, what: str):
     rows[letter][i] = {index of the successor: weight}, or {} for no move,
     the letter rows that ``WeightedAutomaton._adopt`` takes.
     Raises CapExceededError(what, cap) when more than ``cap`` nodes appear,
-    and ValueError for a ``cap`` below 1.
+    and, before the search, what _check_cap raises for ``cap``.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    _check_cap(cap, "cap")
     nodes = [start]
     index = {start: 0}
     rows = {ch: [] for ch in letters}

@@ -13,7 +13,10 @@ of the potential u = M*beta, and a positive verdict hands u on to the
 renormalization.  The relaxation lists the arcs into each state once, then
 runs in rounds, each over the arcs into the states that the round before
 improved, so the work follows the improvements and not the numbering of the
-states; on a YES the finite entries of u are the trim.  Only a negative verdict pays
+states.  It hands back the trim with the verdict: on a YES the states with a
+finite u, and on a NO also those that reach a state of the last round's
+frontier, whose arcs in were never scanned, found by one search over its own
+predecessor lists from that frontier.  Only a negative verdict pays
 for its witness: one forward pass over the letters, or, when the round that
 found it shows that no word shorter than n is positive, the maximum mean
 circuit (Howard policy iteration, in twa.spectral).
@@ -44,7 +47,8 @@ supports the zero filter is compared with the support NFA of the input with
 fewer states, already built.  The product is the kernel's largest data, and
 each structure of its size goes after its last read: the walked pairs once
 the product's pairs are found, and the set of their keys once it is sorted,
-the relaxation's predecessor lists once the trim is read, and the product
+the relaxation's predecessor lists before it flags the trim on a YES, and
+on a NO once its search for the trim ends, and the product
 once its zero filter is read (at once for S <= T or a NO); only its pairs and
 zero filter are handed on.
 
@@ -64,7 +68,7 @@ from .automaton import (
     WeightedAutomaton,
     _accessible_product,
     _check_alphabets,
-    _reach,
+    _check_cap,
     _require_max_plus,
     _SubsetNfa,
 )
@@ -121,25 +125,19 @@ def _nonpositive(
     """The nonpositivity verdict of an accessible automaton, and its trim.
 
     A positive empty word (alpha_i + beta_i > 0) is a NO before any search.
-    Otherwise _relax decides; the trim keeps the states with a finite u on a
-    YES, and on a NO the states that one _reach over the relaxation's
-    predecessor lists finds from the final arrows.  The automaton is
-    restricted to them when some are missing.  Returns (verdict, trim, u,
-    keep): u = M*beta on the trim when the verdict holds and None with a NO
-    verdict, which carries the witness; ``keep`` lists the kept states of
-    ``aut`` in increasing order, or is None when all of them are kept (or
-    the empty word decided).
+    Otherwise _relax decides, and hands back the trim as flags: the states
+    with a finite u on a YES, and on a NO also those that reach a state its
+    last round improved.  The automaton is restricted to them when some are
+    missing.  Returns (verdict, trim, u, keep): u = M*beta on the trim when
+    the verdict holds and None with a NO verdict, which carries the witness;
+    ``keep`` lists the kept states of ``aut`` in increasing order, or is
+    None when all of them are kept (or the empty word decided).
     """
+    for a, b in zip(aut.alpha, aut.beta):
+        if a is not None and b is not None and a + b > 0:
+            return Decision(False, ""), aut, None, None
     u = list(aut.beta)
-    if _positive(aut.alpha, u, range(aut.n)):
-        return Decision(False, ""), aut, None, None
-    holds, rounds, into = _relax([mat.rows for mat in aut.mu.values()], aut.alpha, u)
-    if holds:
-        useful = [ui is not None for ui in u]
-    else:
-        finals = (j for j, w in enumerate(aut.beta) if w is not None)
-        useful = _reach(finals, [[[i for i, _ in preds] for preds in into]], aut.n)
-    del into  # the largest structure of the relaxation
+    holds, rounds, useful = _relax([mat.rows for mat in aut.mu.values()], aut.alpha, u)
     keep = None
     if not all(useful):
         keep = [i for i in range(aut.n) if useful[i]]
@@ -153,13 +151,6 @@ def _nonpositive(
     if witness is None:
         witness = _pumped_witness(aut)
     return Decision(False, witness), aut, None, keep
-
-
-def _positive(alpha: list, u: list, states) -> bool:
-    """Whether alpha_i + u_i > 0 for some i of ``states``, u_i finite."""
-    return any(
-        alpha[i] is not None and u[i] is not None and alpha[i] + u[i] > 0 for i in states
-    )
 
 
 def _relax(letters: list, alpha: list, u: list) -> tuple[bool, int, list]:
@@ -179,13 +170,21 @@ def _relax(letters: list, alpha: list, u: list) -> tuple[bool, int, list]:
     Every finite u_i is, at all times, the weight of a real path from i to a
     final arrow, so alpha_i + u_i > 0, tested on the states a round
     improved, exhibits a positive word, and none has fewer letters than
-    that round's number.  Returns (holds, rounds, into): holds is True when
-    a round changes nothing, so u = M*beta and alpha + u <= 0 is exactly
-    nonpositivity, and False on a positive word or when round len(u) + 1
-    still changes u: a positive cycle reaches a final arrow, and it pumps,
-    because the automaton is accessible (trim, or a product built from its
-    initial pairs), so the cycle lies on a successful path.  ``into`` holds
-    the predecessor lists.
+    that round's number.  Returns (holds, rounds, useful): holds is True
+    when a round changes nothing, so u = M*beta and alpha + u <= 0 is
+    exactly nonpositivity, and False on a positive word or when round
+    len(u) + 1 still changes u: a positive cycle reaches a final arrow, and
+    it pumps, because the automaton is accessible (trim, or a product built
+    from its initial pairs), so the cycle lies on a successful path.
+
+    ``useful`` flags the states that reach a final arrow, the trim of an
+    accessible automaton.  At the fixpoint they are the states with a finite
+    u.  On a NO, a state with u_i = None may still reach one, but only
+    through a state that the last round improved: the arcs into every state
+    an earlier round improved were scanned in the round after it.  So one
+    search over the predecessor lists, from that round's improved states and
+    through the states with u_i = None alone, adds the rest.  The predecessor
+    lists do not leave this function.
     """
     n = len(u)
     into = [()] * n
@@ -214,10 +213,24 @@ def _relax(letters: list, alpha: list, u: list) -> tuple[bool, int, list]:
                         last[i] = rounds
                         improved.append(i)
         if not improved:
-            return True, rounds, into
-        if rounds > n or _positive(alpha, u, improved):
-            return False, rounds, into
-        frontier = improved
+            del into, last  # let go first, or the flags raise the kernel's peak
+            return True, rounds, [ui is not None for ui in u]
+        if rounds <= n:
+            for i in improved:
+                if alpha[i] is not None and alpha[i] + u[i] > 0:
+                    break
+            else:
+                frontier = improved
+                continue
+        break  # a positive word, or round n + 1 still changed u
+    useful = [ui is not None for ui in u]
+    stack = improved  # the arcs into these were never scanned
+    while stack:
+        for i, _ in into[stack.pop()]:
+            if not useful[i]:
+                useful[i] = True
+                stack.append(i)
+    return False, rounds, useful
 
 
 def _positive_word(trim: WeightedAutomaton) -> str | None:
@@ -437,11 +450,11 @@ def decide_equal_const(
     walked breadth-first in alphabet order, so the walk meets the subsets of
     the filter that the words reach until one holds no final state, and the
     witness is the length-lex-first word of another value (or of no value).
-    Raises ValueError for a ``subset_cap`` below 1 before any work, and
-    CapExceededError when more than ``subset_cap`` subsets appear.
+    Raises TypeError for a ``subset_cap`` that is not an int and ValueError
+    for one below 1, both before any work, and CapExceededError when more
+    than ``subset_cap`` subsets appear.
     """
-    if subset_cap < 1:
-        raise ValueError("cap must be at least 1")
+    _check_cap(subset_cap, "subset_cap")
     verdict, trim, zero = _shifted_zero_filter(aut, const, "decide_equal_const")
     if not verdict.holds:
         return verdict

@@ -37,6 +37,7 @@ from .automaton import (
     DEFAULT_SUBSET_CAP,
     WeightedAutomaton,
     _accessible_product,
+    _check_cap,
     _explore,
     _pair_labels,
     _reach,
@@ -123,9 +124,10 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
     no weight and no new values: the covering recognizes the same series.
     It is the accessible product of ``aut`` with the subset automaton of its
     support, whose arrows and arcs all weigh 0: the pairs (p, s) reachable
-    from the initial ones, numbered in (p, s) order.  Raises
-    CapExceededError when more than ``cap`` subsets, or more than
-    ``DEFAULT_SUBSET_CAP`` pairs, appear.
+    from the initial ones, numbered in (p, s) order.  Raises TypeError for
+    a ``cap`` that is not an int and ValueError for one below 1, both before
+    the subsets are explored, and CapExceededError when more than ``cap``
+    subsets, or more than ``DEFAULT_SUBSET_CAP`` pairs, appear.
     """
     members, accepting, rows = aut._support_nfa().subsets(cap)
     dfa = WeightedAutomaton._adopt(
@@ -287,13 +289,12 @@ def unambiguous_from_pair(
     (``disambiguate(one, subset_cap)``).  The branch follows from the inputs
     and ``subset_cap``, never from timing.  Both keep the series of the
     1-valued automaton, which the kernel certifies equal to both inputs.
-    Raises ValueError for a ``subset_cap`` below 1 before any work,
-    NotEqualError (with witness) for unequal inputs, and CapExceededError
-    when the covering exceeds the cap or a product or a comparison exceeds
-    ``DEFAULT_SUBSET_CAP`` pairs.
+    Raises TypeError for a ``subset_cap`` that is not an int and ValueError
+    for one below 1, both before any work, NotEqualError (with witness) for
+    unequal inputs, and CapExceededError when the covering exceeds the cap
+    or a product or a comparison exceeds ``DEFAULT_SUBSET_CAP`` pairs.
     """
-    if subset_cap < 1:
-        raise ValueError("cap must be at least 1")
+    _check_cap(subset_cap, "subset_cap")
     difference = _equal_difference(amax, bmin)
     # the states that the kept initial arrows reach along kept arcs; each
     # reaches a kept final arrow (u is attained along kept arcs), so these

@@ -10,6 +10,7 @@ subset automaton of the support for the covering, and the sort of every
 competing group for the one-pass competition removal.
 """
 
+import gc
 import operator
 import tracemalloc
 from collections import deque
@@ -636,16 +637,32 @@ def relaxes_like_the_letter_sum(amax, bmin):
     result; the trimmed product's letter sum, relaxed by the reference rounds,
     must end the same way and, at the fixpoint, in the same u up to the
     renumbering, and the kernel must keep exactly the useful states.  No
-    initial arrow is passed to the relaxation, so no round stops it early.
-    Returns how it ended, whether u improved and whether the trim dropped
-    states."""
+    initial arrow is passed to the first relaxation, so no round stops it
+    early; a second one with the product's initial arrows must flag exactly
+    the useful states too, also when it stops at a positive word.
+    Returns how it ended, whether u improved, whether the trim dropped
+    states, and whether the second relaxation stopped before u reached a
+    state it flags as useful."""
     product, _ = twa.automaton._accessible_product(amax.trim(), bmin.trim(), operator.sub)
     keep = product._useful_states()
+    flags = [False] * product.n
+    for i in keep:
+        flags[i] = True
     verdict, _, _, kept = _nonpositive(product)
+    searched = False
     if verdict.witness != "":  # a positive empty word is decided untrimmed
         assert (list(range(product.n)) if kept is None else kept) == keep
+        u = list(product.beta)
+        holds, _, useful = twa.decisions._relax(
+            [mat.rows for mat in product.mu.values()], product.alpha, u
+        )
+        assert useful == flags
+        searched = not holds and any(f and ui is None for f, ui in zip(useful, u))
     u = list(product.beta)
-    holds, _, _ = twa.decisions._relax([mat.rows for mat in product.mu.values()], [None] * len(u), u)
+    holds, _, useful = twa.decisions._relax(
+        [mat.rows for mat in product.mu.values()], [None] * len(u), u
+    )
+    assert useful == flags
     trim = product._restrict(keep)
     ref_u = list(trim.beta)
     rounds, end = ref_star_rounds(trim.letter_sum(), ref_u)
@@ -653,7 +670,7 @@ def relaxes_like_the_letter_sum(amax, bmin):
     if holds:
         assert [u[i] for i in keep] == ref_u
         assert [i for i, ui in enumerate(u) if ui is not None] == keep
-    return end, len(rounds) > 0, len(keep) < product.n
+    return end, len(rounds) > 0, len(keep) < product.n, searched
 
 
 def test_the_product_relaxes_like_its_trimmed_letter_sum():
@@ -662,15 +679,17 @@ def test_the_product_relaxes_like_its_trimmed_letter_sum():
     @settings(max_examples=300)
     @given(pairs)
     def check(pair):
-        end, improved, trimmed = relaxes_like_the_letter_sum(*pair)
+        end, improved, trimmed, searched = relaxes_like_the_letter_sum(*pair)
         seen.add(end)
         if improved:
             seen.add("improved")
         if trimmed:
             seen.add("trimmed")
+        if searched:
+            seen.add("searched")
 
     check()
-    assert seen == {"fixpoint", "diverged", "improved", "trimmed"}
+    assert seen == {"fixpoint", "diverged", "improved", "trimmed", "searched"}
 
 
 @pytest.mark.parametrize("pqrs", [(2, 3, 5, 7), (3, 4, 5, 7)])
@@ -679,7 +698,7 @@ def test_relaxation_of_the_prime_products_takes_few_rounds(pqrs):
     # so the improvements measure the work: 1,004 on 840 states and 1,974 on
     # 1,680 here, in 42 and 63 rounds
     amax, bmin = zoo.prime_period_pair(*pqrs)
-    assert relaxes_like_the_letter_sum(amax, bmin) == ("fixpoint", True, False)
+    assert relaxes_like_the_letter_sum(amax, bmin) == ("fixpoint", True, False, False)
     product = hadamard(amax.trim(), bmin.trim().negate()).trim()
     u = _Counted(product.beta)
     holds, _, _ = twa.decisions._relax([product.letter_sum()], product.alpha, u)
@@ -815,8 +834,12 @@ def test_subset_memory_grows_with_the_subsets_walked():
 
 def _traced_peak(call):
     """The tracemalloc peak of a warm ``call()``, in bytes: one untraced call
-    first, so that what a first call caches is not counted."""
+    first, so that what a first call caches is not counted.  A full
+    collection then empties the interpreter's free lists: an object taken
+    from one (a 2-tuple of a predecessor list, say) is not traced, so the
+    peak would otherwise depend on what the tests before left there."""
     call()
+    gc.collect()
     tracemalloc.start()
     try:
         call()
@@ -831,12 +854,12 @@ def test_the_kernel_holds_little_beside_its_product(pqrs):
     # once the product's pairs are found, the relaxation's predecessor lists
     # once the trim is read off u, the product once its zero filter is read.
     # Holding them put the kernel's peak at 2.2-2.4 times the product's own
-    # (1.10-1.22 without, warm, under Python 3.11: 746 against 610 kB on
-    # (3,4,5,7), 326 against 298 kB on (2,3,5,7); 1.2-1.5 on first calls
+    # (1.21-1.22 without, warm, under Python 3.11: 863 against 710 kB on
+    # (3,4,5,7), 426 against 351 kB on (2,3,5,7); 1.2-1.5 on first calls
     # under 3.10 to 3.13 before the product let go of its pair set): a ratio,
     # so that the object sizes of each version cancel.  The pipeline
     # determinizes straight from the zero filter, walked without a copy, so
-    # it peaks in the kernel (746 kB on (3,4,5,7)); assembling the 1-valued
+    # it peaks in the kernel (863 kB on (3,4,5,7)); assembling the 1-valued
     # automaton first took it past the kernel's peak.
     amax, bmin = zoo.prime_period_pair(*pqrs)
     ta, tb = amax.trim(), bmin.trim()
@@ -1014,6 +1037,19 @@ def test_caps_below_one_are_rejected_by_every_exploration(entry, cap):
     with pytest.raises(ValueError, match="cap must be at least 1"):
         CAPPED[entry](cap)
     CAPPED[entry](1)
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, None, "3", 0], ids=repr)
+@pytest.mark.parametrize("entry", sorted(CAPPED))
+def test_a_cap_is_an_int_of_at_least_one_and_its_error_names_it(entry, cap):
+    # a bool or float cap was taken as it was (covering(aut, 2.5) built its
+    # automaton, and the pipeline raised "exceeded cap of True"), and None
+    # or "3" raised a bare TypeError from the comparison with 1
+    name = "subset_cap" if entry.startswith(("decide", "unambiguous")) else "cap"
+    error, rule = (ValueError, "at least 1") if type(cap) is int else (TypeError, "an int")
+    with pytest.raises(error) as err:
+        CAPPED[entry](cap)
+    assert str(err.value) == f"{name} must be {rule}, got {cap!r}"
 
 
 # -- every product stops at the cap ---------------------------------------------
