@@ -413,6 +413,19 @@ def as_min_plus_copy(aut):
     )
 
 
+def duplicate_union(aut):
+    """Disjoint union of an automaton with itself: 1-valued but ambiguous."""
+    shift = aut.n
+    return WeightedAutomaton.from_arcs(
+        aut.semiring,
+        aut.alphabet,
+        2 * aut.n,
+        initial=[(i + d, w) for d in (0, shift) for i, w in enumerate(aut.alpha) if w is not None],
+        final=[(i + d, w) for d in (0, shift) for i, w in enumerate(aut.beta) if w is not None],
+        arcs=[(s + d, ch, t + d, w) for d in (0, shift) for s, ch, t, w in aut.arcs()],
+    )
+
+
 def conjugate(aut, h):
     """``aut`` conjugated by the potential h: alpha - h, beta + h, and w + h_s - h_t
     on each arc s -> t.  Every successful path keeps its weight, so the series stays."""

@@ -17,6 +17,14 @@ The outcomes are:
   the default cap and with a cap of 2;
 - the all-words constant test on an example that needs 5 subsets, through
   the library and through ``twa equal-const``, with caps of 5 and 4;
+- the equality kernel on 152 seeded pairs (``_kernel_pairs``):
+  ``decide_series_equal``, ``decide_series_leq`` and
+  ``unambiguous_from_pair``.  The pairs are built from ``tests/corpus.py``
+  and ``twa.zoo`` so that between them they reach inputs that are not
+  trim, YES products with states that reach no final arrow, NOs that the
+  forward pass finds and NOs that pump a circuit, equal pairs of an
+  unambiguous automaton read in both tags and of its duplicate union, and
+  both branches of the pipeline;
 - on 300 draws of ``tests/corpus.py``'s ``random_automaton``:
   ``decide_nonpositive``, ``fatou_normalize`` serialized, and
   ``decide_equal_const`` with constant 0 at caps 1, 2, 3 and the default.
@@ -92,6 +100,97 @@ def _zoo():
         yield f"{name}()[1]", bmin
 
 
+# The kernel slice: KERNEL_DRAWS seeded draws, cycling through KERNEL_KINDS,
+# then the zoo's pairs.
+KERNEL_KINDS = ("deterministic", "duplicate", "branches", "lowered", "long", "nonsequential", "random")
+KERNEL_DRAWS = 140
+
+
+def _branches(d, e):
+    """d behind a first letter a and e behind a first letter b: unambiguous
+    when d and e are, and the product of its two readings has pairs that
+    reach no final arrow, such as the two initial states' (d's, e's)."""
+    shift = d.n + 1
+    initial = [(0, 0), (shift, 0)]
+    final = [(i + 1, w) for i, w in enumerate(d.beta) if w is not None]
+    final += [(i + 1 + shift, w) for i, w in enumerate(e.beta) if w is not None]
+    arcs = [(0, "a", i + 1, w) for i, w in enumerate(d.alpha) if w is not None]
+    arcs += [(shift, "b", i + 1 + shift, w) for i, w in enumerate(e.alpha) if w is not None]
+    arcs += [(s + 1, ch, t + 1, w) for s, ch, t, w in d.arcs()]
+    arcs += [(s + 1 + shift, ch, t + 1 + shift, w) for s, ch, t, w in e.arcs()]
+    return WeightedAutomaton.from_arcs(MAX_PLUS, "ab", shift + 1 + e.n, initial=initial, final=final, arcs=arcs)
+
+
+def _moved(aut, rng, delta=0, start=0):
+    """``aut`` with every arc moved by ``delta`` and every initial arrow by
+    ``start``, then one arc or final arrow, drawn by ``rng``, lowered by 1 to 3
+    when ``delta`` is 0."""
+    initial = [(i, w + start) for i, w in enumerate(aut.alpha) if w is not None]
+    final = [(i, w) for i, w in enumerate(aut.beta) if w is not None]
+    arcs = [(s, ch, t, w + delta) for s, ch, t, w in aut.arcs()]
+    if not delta:
+        parts = arcs if arcs and rng.random() < 0.7 else final
+        k = rng.randrange(len(parts))
+        parts[k] = parts[k][:-1] + (parts[k][-1] - rng.randint(1, 3),)
+    return WeightedAutomaton.from_arcs(aut.semiring, aut.alphabet, aut.n, initial=initial, final=final, arcs=arcs)
+
+
+def _nonsequential(rng):
+    """``corpus.nonsequential_pair`` with drawn weights: f(a^n b) and f(a^n c)
+    grow at two different rates, so no weighted determinization ends."""
+    x, y = rng.sample(range(-3, 4), 2)
+    amax = WeightedAutomaton.from_arcs(
+        MAX_PLUS, "abc", 4,
+        initial=[(0, rng.randint(-2, 2)), (1, rng.randint(-2, 2))],
+        final=[(2, rng.randint(-2, 2)), (3, rng.randint(-2, 2))],
+        arcs=[(0, "a", 0, x), (0, "b", 2, rng.randint(-2, 2)), (1, "a", 1, y), (1, "c", 3, rng.randint(-2, 2))],
+    )
+    return amax, corpus.as_min_plus_copy(amax)
+
+
+def _kernel_pair(kind, rng):
+    """One (max-plus, min-plus) pair of the kind ``kind``, drawn by ``rng``."""
+    if kind == "nonsequential":
+        return _nonsequential(rng)
+    if kind == "random":
+        return corpus.random_automaton(rng, 4), corpus.random_automaton(rng, 4, tag=MIN_PLUS)
+    d = corpus.random_deterministic_automaton(rng, max_states=5)
+    if kind == "deterministic":  # often not trim
+        return d, corpus.as_min_plus_copy(d)
+    if kind == "duplicate":
+        return corpus.duplicate_union(d), corpus.as_min_plus_copy(d)
+    if kind == "branches":
+        e = corpus.random_deterministic_automaton(rng, max_states=4)
+        amax = _branches(d, e)
+        return amax, corpus.as_min_plus_copy(amax)
+    if kind == "lowered":  # S > T on the words through the lowered arc or arrow
+        return d, corpus.as_min_plus_copy(_moved(d, rng))
+    # long: S - T = |w| - k, so the first positive words are longer than the product
+    return d, corpus.as_min_plus_copy(_moved(d, rng, -1, d.n + rng.randint(0, 3)))
+
+
+def _zoo_pairs():
+    """(name, pair) for the pairs of equal series that ``twa.zoo`` builds, and
+    each with one final arrow of its min-plus side lowered by 1."""
+    rng = random.Random(0)
+    pairs = [("sample_equivalent_pair()", zoo.sample_equivalent_pair()), ("prime_period_pair(2, 3, 3, 5)", zoo.prime_period_pair(2, 3, 3, 5))]
+    for p, q in ((2, 3), (3, 4)):
+        for name, build in (("divisor_max_series", zoo.divisor_max_series), ("divisor_min_series", zoo.divisor_min_series)):
+            pairs.append((f"{name}({p}, {q})", (build(p, q, MAX_PLUS), build(p, q, MIN_PLUS))))
+    for name, (amax, bmin) in pairs:
+        yield name, (amax, bmin)
+        yield f"{name} lowered", (amax, _moved(bmin, rng))
+
+
+def _kernel_pairs():
+    """(name, pair) for every pair of the kernel slice."""
+    for i in range(KERNEL_DRAWS):
+        kind = KERNEL_KINDS[i % len(KERNEL_KINDS)]
+        yield f"kernel draw={i} {kind}", _kernel_pair(kind, random.Random(i))
+    for name, pair in _zoo_pairs():
+        yield f"kernel zoo {name}", pair
+
+
 def _call(call):
     """The outcome of ``call()``: its result, or the TwaError it raises."""
     try:
@@ -123,6 +222,10 @@ def outcomes(workdir: str):
     for cap in UNIVERSALITY_CAPS:
         yield f"universality cap={cap} library", _call(lambda: twa.decide_equal_const(aut, workloads.CONST, cap))
         yield f"universality cap={cap} cli", workloads._cli("equal-const", str(workloads.CONST), path, "--subset-cap", str(cap))()
+    for name, (amax, bmin) in _kernel_pairs():
+        yield f"{name} decide_series_equal", _call(lambda: twa.decide_series_equal(amax, bmin))
+        yield f"{name} decide_series_leq", _call(lambda: twa.decide_series_leq(amax, bmin))
+        yield f"{name} unambiguous_from_pair", _call(lambda: twa.unambiguous_from_pair(amax, bmin))
     for name, aut in _random_draws():
         yield f"{name} decide_nonpositive", _call(lambda: twa.decide_nonpositive(aut))
         yield f"{name} fatou_normalize", _call(lambda: twa.fatou_normalize(aut))

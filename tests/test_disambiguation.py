@@ -9,6 +9,7 @@ import pytest
 from corpus import (
     Nfa,
     as_min_plus_copy,
+    duplicate_union,
     nonsequential_pair,
     random_automaton,
     random_deterministic_automaton,
@@ -330,26 +331,13 @@ def test_full_pipeline_rejects_unequal_pairs(pair):
         unambiguous_from_pair(amax, as_min_plus_copy(amax))
 
 
-def _duplicate_union(aut):
-    """Disjoint union of an automaton with itself: 1-valued but ambiguous."""
-    shift = aut.n
-    return WeightedAutomaton.from_arcs(
-        aut.semiring,
-        aut.alphabet,
-        2 * aut.n,
-        initial=[(i + d, w) for d in (0, shift) for i, w in enumerate(aut.alpha) if w is not None],
-        final=[(i + d, w) for d in (0, shift) for i, w in enumerate(aut.beta) if w is not None],
-        arcs=[(s + d, ch, t + d, w) for d in (0, shift) for s, ch, t, w in aut.arcs()],
-    )
-
-
 def test_disambiguate_collapses_duplicated_automata():
     rng = random.Random(1414)
     for _ in range(12):
         det = random_deterministic_automaton(rng, max_states=3).trim()
         if det.n == 0:
             continue
-        doubled = _duplicate_union(det)
+        doubled = duplicate_union(det)
         assert one_valued_upto(doubled, 6).holds
         assert max_ambiguity_upto(doubled, 6)[0] >= 2  # genuinely ambiguous
         result = disambiguate(doubled)
@@ -363,7 +351,7 @@ def test_full_pipeline_with_ambiguous_max_side():
         det = random_deterministic_automaton(rng, max_states=3).trim()
         if det.n == 0:
             continue
-        doubled = _duplicate_union(det)
+        doubled = duplicate_union(det)
         result = unambiguous_from_pair(doubled, as_min_plus_copy(det))
         assert decide_series_equal(result, as_min_plus_copy(det)).holds  # exact, no length bound
         assert max_ambiguity_upto(result, 8)[0] <= 1
@@ -405,7 +393,7 @@ def test_pipeline_output_is_deterministic_within_the_one_valued_size():
         det = random_deterministic_automaton(rng, max_states=4).trim()
         if det.n == 0:
             continue
-        amax, bmin = _duplicate_union(det), as_min_plus_copy(det)
+        amax, bmin = duplicate_union(det), as_min_plus_copy(det)
         one = extract_one_valued(amax, bmin)
         out = unambiguous_from_pair(amax, bmin)
         assert _equals_both_inputs(out, amax, bmin)
@@ -510,7 +498,7 @@ def test_every_unequal_pair_raises_with_a_witness_on_which_it_differs():
             final=[(i, w + (k == 0)) for k, (i, w) in enumerate(finals)],
             arcs=list(det.arcs()),
         )
-        amax, bmin = _duplicate_union(det), as_min_plus_copy(raised)
+        amax, bmin = duplicate_union(det), as_min_plus_copy(raised)
         verdict = decide_series_equal(amax, bmin)
         unequal += not verdict.holds
         for call in (extract_one_valued, unambiguous_from_pair):

@@ -33,6 +33,7 @@ def test_the_corpus_covers_the_gated_workloads_the_zoo_and_the_subset_cap_exampl
     assert sum(name.startswith("pipeline subset-cap example") for name in names) == 2
     assert sum(name.startswith("universality cap=") for name in names) == 4
     assert sum(name.startswith("random draw=") for name in names) == 1800  # 6 outcomes of 300 draws
+    assert sum(name.startswith("kernel ") for name in names) == 456  # 3 outcomes of 152 pairs
     # the random slice reaches both ends of the all-words walk
     verdicts = {(entry["name"].rpartition(" ")[2], entry.get("verdict")) for entry in manifest if entry["name"].startswith("random draw=")}
     assert {("cap=default", True), ("cap=1", "CapExceededError"), ("cap=3", "CapExceededError")} <= verdicts
