@@ -60,6 +60,11 @@ class _Rows:
         self.rows = rows
 
 
+def _check_count(n) -> None:
+    if type(n) is not int:  # like a state index: not a bool, float or string
+        raise DimensionError(f"state count {n!r} is not an int")
+
+
 def _checked(sr: Semiring, alphabet, n: int, alpha: list, beta: list, rows: dict, state_labels):
     """Check parts built outside the library, rows {letter: list of row dicts} included.
 
@@ -68,6 +73,7 @@ def _checked(sr: Semiring, alphabet, n: int, alpha: list, beta: list, rows: dict
     Returns what _take sets, the alphabet and labels as tuples and the rows
     in alphabet order.
     """
+    _check_count(n)
     alphabet = tuple(alphabet)
     if len(set(alphabet)) != len(alphabet):
         raise AlphabetError("alphabet symbols must be distinct")
@@ -151,6 +157,7 @@ class WeightedAutomaton:
         order (the rows go through the same _checked), but copies no row.
         """
         sr = semiring_for(tag)
+        _check_count(n)
         alphabet = tuple(alphabet)
         alpha = [None] * n
         beta = [None] * n
@@ -358,34 +365,23 @@ def _reach(starts, letters, n: int) -> list:
     return seen
 
 
-def _accessible_product(
-    a: WeightedAutomaton, b: WeightedAutomaton, combine, reached=None
-) -> tuple[WeightedAutomaton, list]:
-    """The part of the product a x b reachable from its initial pairs, unlabelled.
-
-    A pair (p, q) is initial when both initial weights are finite, and a
-    joint arc (p, q) -x-> (r, s) exists when both p -x-> r and q -x-> s do;
-    arrows and arcs weigh ``combine(wa, wb)``.  Only reached pairs are built.
-    They are numbered in (p, q) order, so the result is the full grid with its
-    unreachable pairs deleted, and trimming either gives the same automaton.
-    Returns the product, in a's semiring, and the pair (p, q) of each of its states.
-
-    Two phases: the first finds the reachable pairs, the second builds each
-    row once, in the final numbering.  The pairs are read off ``reached``,
-    groups (x, y) whose products x * y make up exactly the reachable pairs,
-    when those hold at most min(a.n * b.n, DEFAULT_SUBSET_CAP) pairs in all,
-    and ``reached`` is then emptied, so that it is not held while the rows
-    are built; else a search from the initial pairs finds them.  The set of
-    pairs found goes too, once it is sorted.
-    Raises CapExceededError("product", ...) past DEFAULT_SUBSET_CAP pairs.
+def _pair_numbering(a: WeightedAutomaton, b: WeightedAutomaton, reached=None) -> dict:
+    """The one numbering of a product's states: {p * b.n + q: number} for the
+    pairs (p, q) that an initial pair (both initial weights finite) reaches
+    in a x b, where (p, q) steps to (r, s) on x when p -x-> r and q -x-> s,
+    numbered in (p, q) order.  The pairs are read off ``reached``, groups
+    (x, y) whose products x * y make up exactly the reachable pairs, when
+    those hold at most min(a.n * b.n, DEFAULT_SUBSET_CAP) pairs in all, and
+    ``reached`` is then emptied; else a search from the initial pairs finds
+    them.  Raises CapExceededError("product", ...) past DEFAULT_SUBSET_CAP pairs.
     """
     cap = DEFAULT_SUBSET_CAP
     bn = b.n
-    letters = [(a.mu[ch].rows, b.mu[ch].rows) for ch in a.alphabet]
     if reached is not None and sum(len(x) * len(y) for x, y in reached) <= min(a.n * bn, cap):
         seen = {p * bn + q for x, y in reached for p in x for q in y}
         reached.clear()
     else:
+        letters = [(a.mu[ch].rows, b.mu[ch].rows) for ch in a.alphabet]
         seen = {
             p * bn + q
             for p, wa in enumerate(a.alpha) if wa is not None
@@ -410,10 +406,34 @@ def _accessible_product(
                                 stack.append(t)
     keys = sorted(seen)
     del seen
-    index = {key: i for i, key in enumerate(keys)}
-    pairs = [divmod(key, bn) for key in keys]
+    return dict(zip(keys, range(len(keys))))
+
+
+def _product_arrows(a: WeightedAutomaton, b: WeightedAutomaton, pairs: list, combine) -> tuple:
+    """(alpha, beta) of the product on ``pairs``: combine(wa, wb) where both are finite."""
+    return tuple(
+        [None if va[p] is None or vb[q] is None else combine(va[p], vb[q]) for p, q in pairs]
+        for va, vb in ((a.alpha, b.alpha), (a.beta, b.beta))
+    )
+
+
+def _accessible_product(
+    a: WeightedAutomaton, b: WeightedAutomaton, combine, reached=None
+) -> tuple[WeightedAutomaton, list]:
+    """The row emitter: the product a x b on the pairs of _pair_numbering,
+    unlabelled, in a's semiring, and the pair (p, q) of each of its states.
+
+    A joint arc (p, q) -x-> (r, s) exists when both p -x-> r and q -x-> s
+    do; arrows and arcs weigh ``combine(wa, wb)``.  Each row is built once,
+    in the final numbering, so the result is the full grid with its
+    unreachable pairs deleted, and trimming either gives the same automaton.
+    """
+    index = _pair_numbering(a, b, reached)
+    bn = b.n
+    pairs = [divmod(key, bn) for key in index]
     mu = {}
-    for ch, (arows, brows) in zip(a.alphabet, letters):
+    for ch in a.alphabet:
+        arows, brows = a.mu[ch].rows, b.mu[ch].rows
         mu[ch] = rows = []
         for p, q in pairs:
             row = {}
@@ -424,17 +444,8 @@ def _accessible_product(
                     for s, w2 in brow.items():
                         row[index[base + s]] = combine(w1, w2)
             rows.append(row)
-
-    def arrows(va, vb):
-        return [
-            None if va[p] is None or vb[q] is None else combine(va[p], vb[q])
-            for p, q in pairs
-        ]
-
-    product = WeightedAutomaton._adopt(
-        a.semiring, a.alphabet, arrows(a.alpha, b.alpha), arrows(a.beta, b.beta), mu, None
-    )
-    return product, pairs
+    alpha, beta = _product_arrows(a, b, pairs, combine)
+    return WeightedAutomaton._adopt(a.semiring, a.alphabet, alpha, beta, mu, None), pairs
 
 
 def _pair_labels(a: WeightedAutomaton, b: WeightedAutomaton, pairs) -> tuple:

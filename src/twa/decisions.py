@@ -10,22 +10,22 @@ its cap).  No witness longer than ``DEFAULT_SUBSET_CAP`` letters is built.
 Nonpositivity, on which Fatou renormalization, the constant tests and the
 series comparisons rest, is decided by one early-exit Bellman-Ford relaxation
 of the potential u = M*beta, and a positive verdict hands u on to the
-renormalization.  The relaxation lists the arcs into each state once, then
-runs in rounds, each over the arcs into the states that the round before
-improved, so the work follows the improvements and not the numbering of the
-states.  It hands back the trim with the verdict: on a YES the states with a
-finite u, and on a NO also those that reach a state of the last round's
-frontier, whose arcs in were never scanned, found by one search over its own
-predecessor lists from that frontier.  Only a negative verdict pays
-for its witness: one forward pass over the letters, or, when the round that
-found it shows that no word shorter than n is positive, the maximum mean
-circuit (Howard policy iteration, in twa.spectral).
+renormalization.  The relaxation reads predecessor lists, the arcs into each
+state with their letters, in rounds, each over the arcs into the states that
+the round before improved, so the work follows the improvements and not the
+numbering of the states.  It hands back the trim with the verdict: on a YES
+the states with a finite u, and on a NO also those that reach a state of the
+last round's frontier, whose arcs in were never scanned, found by one search
+over the lists from that frontier.  Only a negative verdict reads rows, for
+its witness: one forward pass over the letters, or, when the round that found
+it shows that no word shorter than n is positive, the maximum mean circuit
+(Howard policy iteration, in twa.spectral).
 
 The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
-automaton, is read straight off u as lists of states: an initial arrow is kept
-iff alpha_i + u_i = 0, a final arrow iff beta_i = u_i, an arc i -> j of weight
-w iff w + u_j = u_i.  _zero_filter is the only place that tests this
-tightness.  Every language question goes to the subset engine of
+automaton, is read straight off u and the predecessor lists as lists of
+states: an initial arrow is kept iff alpha_i + u_i = 0, a final arrow iff
+beta_i = u_i, an arc i -> j of weight w iff w + u_j = u_i.  _zero_filter is
+the only place that tests this tightness.  Every language question goes to the subset engine of
 ``twa.automaton`` (``_SubsetNfa``), the only module that knows how a subset is
 stored (a frozenset of states), and comes back as a witness word or None; the
 engine walks the zero filter from these lists and a support from the trimmed
@@ -35,22 +35,20 @@ Each one walks pairs of subsets breadth-first in alphabet order, at most
 which walks the one-state NFA of all words against the zero filter).  The
 series comparisons and the 1-valued extraction of ``twa.disambiguation`` share
 one kernel, _difference, for S = T or S <= T: it trims each input once,
-compares the supports, builds the product of S and -T once, relaxes its
+compares the supports, lists the product of S and -T once, relaxes its
 potential once and, for S = T, reads its zero filter once, from which the
 extraction takes its arrows and arcs, and the pipeline's weighted
-determinization its moves.  The product subtracts T's weights as it
-builds each row, in its final (p, q) numbering, so no negated copy of T
-exists; it is accessible by construction, so its trim only removes the states
-that reach no final arrow, and its relaxation finds them; it reads its pairs
-off the walk of the support comparison and has no labels; and with equal
-supports the zero filter is compared with the support NFA of the input with
-fewer states, already built.  The product is the kernel's largest data, and
-each structure of its size goes after its last read: the walked pairs once
-the product's pairs are found, and the set of their keys once it is sorted,
-the relaxation's predecessor lists before it flags the trim on a YES, and
-on a NO once its search for the trim ends, and the product
-once its zero filter is read (at once for S <= T or a NO); only its pairs and
-zero filter are handed on.
+determinization its moves.  The product is kept as predecessor lists, in its
+(p, q) numbering, that subtract T's weights, so no negated copy of T and, on
+a YES, no row of the product exists; it is accessible by construction, so
+its trim only removes the states that reach no final arrow, and its
+relaxation finds them; it reads its pairs off the walk of the support
+comparison; and with equal supports the zero filter is compared with the
+support NFA of the input with fewer states, already built.  The lists are the
+kernel's largest data, and each structure of their size goes after its last
+read: the walked pairs once the pairs are numbered, the set of their keys
+once it is sorted, and the lists once the zero filter is read (at once for
+S <= T or a NO); only the pairs and the zero filter are handed on.
 
 Min-plus questions are the duals of these under the negation isomorphism; the
 command line performs that translation, the library functions insist on
@@ -66,9 +64,10 @@ from collections import deque, namedtuple
 from .automaton import (
     DEFAULT_SUBSET_CAP,
     WeightedAutomaton,
-    _accessible_product,
     _check_alphabets,
     _check_cap,
+    _pair_numbering,
+    _product_arrows,
     _require_max_plus,
     _SubsetNfa,
 )
@@ -116,56 +115,79 @@ def decide_nonpositive(aut: WeightedAutomaton) -> Decision:
     within ``DEFAULT_SUBSET_CAP`` letters or forward-pass pointers is found.
     """
     _require_max_plus(aut, "decide_nonpositive")
-    return _nonpositive(aut.trim())[0]
+    trim = aut.trim()
+    return _nonpositive(trim.alphabet, trim.alpha, trim.beta, None, trim)[0]
 
 
-def _nonpositive(
-    aut: WeightedAutomaton,
-) -> tuple[Decision, WeightedAutomaton, list | None, list | None]:
-    """The nonpositivity verdict of an accessible automaton, and its trim.
+def _predecessors(aut: WeightedAutomaton) -> list:
+    """The predecessor lists of ``aut``, which _relax and _zero_filter read: one
+    pass over its rows lists in into[j] the arcs into state j as (source,
+    weight, letter), by increasing source, then in alphabet order."""
+    into = [[] for _ in range(aut.n)]
+    letters = [(ch, aut.mu[ch].rows) for ch in aut.alphabet]
+    for i in range(aut.n):
+        for ch, rows in letters:
+            for j, w in rows[i].items():
+                into[j].append((i, w, ch))
+    return into
 
-    A positive empty word (alpha_i + beta_i > 0) is a NO before any search.
-    Otherwise _relax decides, and hands back the trim as flags: the states
-    with a finite u on a YES, and on a NO also those that reach a state its
-    last round improved.  The automaton is restricted to them when some are
-    missing.  Returns (verdict, trim, u, keep): u = M*beta on the trim when
-    the verdict holds and None with a NO verdict, which carries the witness;
-    ``keep`` lists the kept states of ``aut`` in increasing order, or is
-    None when all of them are kept (or the empty word decided).
+
+def _nonpositive(alphabet, alpha, beta, into, trim=None) -> tuple:
+    """The nonpositivity verdict of an accessible automaton, given by its
+    arrows and predecessor lists ``into``, and its trim.
+
+    A positive empty word (alpha_i + beta_i > 0) is a NO before any search;
+    else ``into``, when None, is listed off ``trim``, and _relax decides and
+    hands back the trim as flags.  Returns (verdict, u, keep, into): u =
+    M*beta when the verdict holds (None on the states that reach no final
+    arrow), else None, and ``keep`` the trim's states in increasing order,
+    or None for all (or a positive empty word).  Only a NO reads rows, for
+    its witness: those of ``trim``, the automaton itself when it is at hand
+    and trim, else the trim's, built from ``into``.
     """
-    for a, b in zip(aut.alpha, aut.beta):
+    for a, b in zip(alpha, beta):
         if a is not None and b is not None and a + b > 0:
-            return Decision(False, ""), aut, None, None
-    u = list(aut.beta)
-    holds, rounds, useful = _relax([mat.rows for mat in aut.mu.values()], aut.alpha, u)
-    keep = None
-    if not all(useful):
-        keep = [i for i in range(aut.n) if useful[i]]
-        aut = aut._restrict(keep)
-        u = [u[i] for i in keep]
+            return Decision(False, ""), None, None, into
+    if into is None:
+        into = _predecessors(trim)
+    u = list(beta)
+    holds, rounds, useful = _relax(into, alpha, u)
+    keep = None if all(useful) else [i for i in range(len(u)) if useful[i]]
     if holds:
-        return Decision(True, None), aut, u, keep
+        return Decision(True, None), u, keep, into
+    if trim is None:
+        if keep is not None:
+            into, alpha, beta = _restricted(keep, into, alpha, beta)
+        rows = {ch: [{} for _ in into] for ch in alphabet}
+        for j, preds in enumerate(into):
+            for i, w, ch in preds:
+                rows[ch][i][j] = w
+        trim = WeightedAutomaton._adopt(MAX_PLUS, alphabet, alpha, beta, rows, None)
     # no positive word has fewer letters than the round that found one, and
     # the forward pass looks only at words shorter than the trim's n
-    witness = _positive_word(aut) if rounds < aut.n else None
+    witness = _positive_word(trim) if rounds < trim.n else None
     if witness is None:
-        witness = _pumped_witness(aut)
-    return Decision(False, witness), aut, None, keep
+        witness = _pumped_witness(trim)
+    return Decision(False, witness), None, keep, into
 
 
-def _relax(letters: list, alpha: list, u: list) -> tuple[bool, int, list]:
+def _restricted(keep: list, into: list, *vectors) -> tuple:
+    """``into`` and each of ``vectors`` on the states ``keep`` of a trim, in that order."""
+    new = dict(zip(keep, range(len(keep))))
+    into = [[(new[i], w, ch) for i, w, ch in into[j]] for j in keep]
+    return (into, *[[v[i] for i in keep] for v in vectors])
+
+
+def _relax(into: list, alpha: list, u: list) -> tuple[bool, int, list]:
     """Relax ``u`` in place toward M*beta, in Bellman-Ford rounds over the
     improved states, and tell whether the series is nonpositive.
 
-    ``letters`` lists row lists (one per letter, or one matrix's rows), each
-    of len(u) row dicts, and ``u`` starts as beta, with alpha_i + beta_i <= 0
-    for every i.  One pass over the rows in row-major order lists the arcs
-    into each state j as (source, weight) pairs by increasing source, one
-    source's letters merged into their maximum; no sum is built, and a state
-    without arcs in holds an empty tuple.  Round k scans the arcs into
-    the states that round k - 1 improved (round 1: those with a finite
-    beta), so after round k every path of at most k arcs has been offered.
-    States that reach no final arrow keep u_i = None.
+    ``into`` lists the arcs into each state as _predecessors does, and ``u``
+    starts as beta, with alpha_i + beta_i <= 0 for every i.  Round k scans
+    the arcs into the states that round k - 1 improved (round 1: those with
+    a finite beta), so after round k every path of at most k arcs has been
+    offered; a source's arcs on several letters, listed one after another,
+    act as their maximum.  States that reach no final arrow keep u_i = None.
 
     Every finite u_i is, at all times, the weight of a real path from i to a
     final arrow, so alpha_i + u_i > 0, tested on the states a round
@@ -183,29 +205,16 @@ def _relax(letters: list, alpha: list, u: list) -> tuple[bool, int, list]:
     through a state that the last round improved: the arcs into every state
     an earlier round improved were scanned in the round after it.  So one
     search over the predecessor lists, from that round's improved states and
-    through the states with u_i = None alone, adds the rest.  The predecessor
-    lists do not leave this function.
+    through the states with u_i = None alone, adds the rest.
     """
     n = len(u)
-    into = [()] * n
-    for i in range(n):
-        for rows in letters:
-            for j, w in rows[i].items():
-                preds = into[j]
-                if not preds:
-                    into[j] = [(i, w)]
-                elif preds[-1][0] == i:  # i's arc on an earlier letter
-                    if w > preds[-1][1]:
-                        preds[-1] = (i, w)
-                else:
-                    preds.append((i, w))
     frontier = [j for j, uj in enumerate(u) if uj is not None]
     last = [0] * n  # the last round that improved each state
     for rounds in range(1, n + 2):
         improved = []
         for j in frontier:
             uj = u[j]
-            for i, w in into[j]:
+            for i, w, _ in into[j]:
                 c = w + uj
                 if u[i] is None or c > u[i]:
                     u[i] = c
@@ -213,7 +222,6 @@ def _relax(letters: list, alpha: list, u: list) -> tuple[bool, int, list]:
                         last[i] = rounds
                         improved.append(i)
         if not improved:
-            del into, last  # let go first, or the flags raise the kernel's peak
             return True, rounds, [ui is not None for ui in u]
         if rounds <= n:
             for i in improved:
@@ -226,7 +234,7 @@ def _relax(letters: list, alpha: list, u: list) -> tuple[bool, int, list]:
     useful = [ui is not None for ui in u]
     stack = improved  # the arcs into these were never scanned
     while stack:
-        for i, _ in into[stack.pop()]:
+        for i, _, _ in into[stack.pop()]:
             if not useful[i]:
                 useful[i] = True
                 stack.append(i)
@@ -378,7 +386,8 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
     """
     _require_max_plus(aut, "fatou_normalize")
     # the decision and the renormalization share one relaxation
-    verdict, trim, u, _ = _nonpositive(aut.trim())
+    trim = aut.trim()
+    verdict, u, _, _ = _nonpositive(trim.alphabet, trim.alpha, trim.beta, None, trim)
     if not verdict.holds:
         raise NotNonpositiveError(verdict.witness)
     if trim.n == 0:
@@ -394,8 +403,8 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
     )
 
 
-def _zero_filter(trim: WeightedAutomaton, u: list) -> tuple:
-    """The zero filter of the Fatou form of ``trim``, read straight off u = M*beta.
+def _zero_filter(alphabet, alpha, beta, into, u: list) -> tuple:
+    """The zero filter of a trim's Fatou form, read off its lists and u = M*beta.
 
     The renormalized arrows and arcs are alpha_i + u_i, beta_i - u_i and
     w - u_i + u_j, so an initial arrow survives iff alpha_i + u_i = 0, a
@@ -403,21 +412,16 @@ def _zero_filter(trim: WeightedAutomaton, u: list) -> tuple:
     w + u_j = u_i.  On the Fatou form these are exactly the weight-0 arrows
     and arcs, so the NFA accepts exactly the words with coefficient 0.
     Returns it sparse: (initial states, final states, targets), where
-    targets maps each letter to the kept targets of every state, in row order.
+    targets maps each letter to the kept targets of every state, in order.
     """
-    alpha, beta = trim.alpha, trim.beta
     initial = [i for i, w in enumerate(alpha) if w is not None and w + u[i] == 0]
     final = [i for i, w in enumerate(beta) if w is not None and w == u[i]]
-    targets = {}
-    for ch, mat in trim.mu.items():
-        targets[ch] = kept = []
-        for i, row in enumerate(mat.rows):
-            ui = u[i]
-            keep = []
-            for j, w in row.items():
-                if w + u[j] == ui:
-                    keep.append(j)
-            kept.append(keep)
+    targets = {ch: [[] for _ in u] for ch in alphabet}
+    for j, preds in enumerate(into):
+        uj = u[j]
+        for i, w, ch in preds:
+            if w + uj == u[i]:
+                targets[ch][i].append(j)
     return initial, final, targets
 
 
@@ -435,8 +439,10 @@ def _shifted_zero_filter(aut: WeightedAutomaton, const, op: str):
     _require_max_plus(aut, op)
     if not is_rational(const):
         raise TypeError(f"constant must be an exact rational, got {const!r}")
-    verdict, trim, u, _ = _nonpositive(_shift_final(aut.trim(), -const))
-    return verdict, trim, _zero_filter(trim, u) if verdict.holds else None
+    trim = _shift_final(aut.trim(), -const)
+    verdict, u, _, into = _nonpositive(trim.alphabet, trim.alpha, trim.beta, None, trim)
+    zero = _zero_filter(trim.alphabet, trim.alpha, trim.beta, into, u) if verdict.holds else None
+    return verdict, trim, zero
 
 
 def decide_equal_const(
@@ -497,12 +503,12 @@ class _Difference(namedtuple("_Difference", "verdict ta tb pairs zero")):
     trimmed amax ``ta`` and bmin ``tb``, and two parts of its product.
 
     That product is the trimmed accessible product of ``ta`` and ``tb``,
-    unlabelled, each arrow and arc weighing the amax weight minus the bmin
-    weight, so its series is S - T on the common support.  It is not kept:
+    each arrow and arc weighing the amax weight minus the bmin weight, so
+    its series is S - T on the common support.  It is never assembled:
     ``pairs`` holds the (p, q) of each of its states and ``zero`` its zero
-    filter, read off its potential M*beta by _zero_filter.  ``pairs`` is
-    None when the supports failed their comparison, ``zero`` when S - T is
-    not nonpositive or the question is S <= T.
+    filter, read off its predecessor lists and potential by _zero_filter.
+    ``pairs`` is None when the supports failed their comparison, ``zero``
+    when S - T is not nonpositive or the question is S <= T.
     """
 
     __slots__ = ()
@@ -514,28 +520,28 @@ def _difference(
     """The equality kernel: S = T, or S <= T with ``inclusion``.
 
     Trims each input once, compares the supports (equivalence, or inclusion
-    with ``inclusion``), builds the difference product once, relaxes its
-    potential u once, and, for S = T, reads the zero filter off u and
+    with ``inclusion``), lists the difference product's arcs once, relaxes
+    its potential u once, and, for S = T, reads the zero filter off u and
     compares it with the support of the smaller trimmed input.  Each step
     runs only when the ones before it held, so a witness is the one that
     the failing step alone gives.
 
     A support comparison without a witness walked every pair (A(w), B(w))
     that a word w reaches, and the union of those A x B is the product's
-    pairs, which it hands on.  The product subtracts bmin's weights as it
-    combines them, so no negated copy of bmin is built.  It is accessible
-    by construction, so its trim is the backward half alone, which the one
-    relaxation of its potential finds (see _nonpositive), before the
-    renumbering.  The letter sum is built only for a NO witness.  Once the
+    pairs, which it hands on.  One pass over the product's arcs lists the
+    arcs into each state, each weighing amax's weight minus bmin's, and
+    builds no row.  The product is accessible by construction, so its trim
+    is the backward half alone, which the one relaxation of its potential
+    finds (see _nonpositive); the lists are renumbered to it only on a YES
+    that drops states.  Rows and the letter sum are built only for a NO
+    witness.  Once the
     supports are equal, the product's support language is that of ``ta``
     and of ``tb``, so comparing the zero filter with either support NFA,
     both already built, gives the same verdict and length-lex-first
     witness; the one with fewer states (``ta`` on a tie) is walked.  Both
     support NFAs are views of the trimmed inputs' rows, so neither holds
-    memory of its own.
-
-    Each structure the size of the product goes after its last read (see the
-    module docstring).
+    memory of its own, and each structure the size of the product goes after
+    its last read (see the module docstring).
     """
     ta = amax.trim()
     tb = bmin.trim()
@@ -544,16 +550,38 @@ def _difference(
     if witness is not None:
         return _Difference(_decision(witness), ta, tb, None, None)
     smaller = sa if ta.n <= tb.n else sb
-    product, pairs = _accessible_product(ta, tb, operator.sub, walked)  # empties walked
-    verdict, product, u, keep = _nonpositive(product)
+    pairs, alpha, beta, into = _difference_predecessors(ta, tb, _pair_numbering(ta, tb, walked))
+    verdict, u, keep = _nonpositive(ta.alphabet, alpha, beta, into)[:3]
     if keep is not None:
         pairs = [pairs[i] for i in keep]
     zero = None
     if verdict.holds and not inclusion:
-        zero = _zero_filter(product, u)
-        del product, u
+        if keep is not None:
+            into, alpha, beta, u = _restricted(keep, into, alpha, beta, u)
+        zero = _zero_filter(ta.alphabet, alpha, beta, into, u)
+        del into, u
         verdict = _decision(_SubsetNfa.of(*zero).walk(smaller, False, "zero-filter comparison")[0])
     return _Difference(verdict, ta, tb, pairs, zero)
+
+
+def _difference_predecessors(ta: WeightedAutomaton, tb: WeightedAutomaton, numbering) -> tuple:
+    """The difference product on ``numbering`` as (pairs, alpha, beta, into),
+    in one pass over its arcs: pairs[i] is the (p, q) of state i, every arrow
+    and arc weighs ta's weight minus tb's, and ``into`` lists the arcs into
+    each state as _predecessors does.  No row is built."""
+    bn = tb.n
+    pairs = [divmod(key, bn) for key in numbering]
+    letters = [(ch, ta.mu[ch].rows, tb.mu[ch].rows) for ch in ta.alphabet]
+    into = [[] for _ in pairs]
+    for i, (p, q) in enumerate(pairs):
+        for ch, arows, brows in letters:
+            brow = brows[q]
+            if brow:
+                for r, w1 in arows[p].items():
+                    base = r * bn
+                    for s, w2 in brow.items():
+                        into[numbering[base + s]].append((i, w1 - w2, ch))
+    return (pairs, *_product_arrows(ta, tb, pairs, operator.sub), into)
 
 
 def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decision:

@@ -19,13 +19,13 @@ support, its states numbered in (original state, subset) order; deleting
 competing arcs leaves at most one successful path per word without changing
 the series.
 
-Both halves run on the shared engines of ``twa.automaton``: the accessible
-product (the difference product and the covering) and the breadth-first
-exploration ``_explore``, which hands both subset constructions the letter rows
-of the automaton they build; ``_SubsetNfa.subsets`` also hands back each subset
-of the support, a frozenset inside the engine, as its sorted list of states.
-``DEFAULT_SUBSET_CAP`` bounds both.  The weights stay scalar max-plus
-throughout; no semiring of weight pairs is involved.
+Both halves run on the shared engines of ``twa.automaton``: the pair
+numbering of a product (the difference product and the covering, whose rows
+``_accessible_product`` emits) and the breadth-first exploration ``_explore``,
+which hands both subset constructions the letter rows of the automaton they
+build; ``_SubsetNfa.subsets`` also hands back each subset of the support, a
+frozenset inside the engine, as its sorted list of states.  ``DEFAULT_SUBSET_CAP``
+bounds both.  The weights stay scalar max-plus; no semiring of pairs is involved.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from twa import MAX_PLUS, MIN_PLUS, Covering, Decision, WeightedAutomaton, max_mean_cycle
-from twa.automaton import _SubsetNfa
-from twa.decisions import _pumped_witness, _relax
+from twa.automaton import _accessible_product, _SubsetNfa
+from twa.decisions import _decision, _nonpositive, _predecessors, _pumped_witness, _relax
 from twa.format import serialize
 from twa.semiring import format_finite, parse_finite
 
@@ -44,7 +44,7 @@ def relaxed(rows, beta):
     dicts: u at the fixpoint, or None when the relaxation diverges."""
     u = list(beta)
     # no initial arrow, so no round is positive: the fixpoint or a divergence
-    return u if _relax([rows], [None] * len(u), u)[0] else None
+    return u if _relax(_predecessors(one_letter(rows)), [None] * len(u), u)[0] else None
 
 
 def vec_rows(x, rows):
@@ -282,6 +282,50 @@ def zero_filter(aut):
         {i for i, w in enumerate(aut.beta) if w == 0},
         delta,
     )
+
+
+def row_zero_filter(trim, u):
+    """The zero filter of a trim automaton read off its rows and u = M*beta:
+    (initial, final, targets), targets[letter][i] the set of the targets of
+    i's tight arcs, w + u_j = u_i."""
+    initial = [i for i, w in enumerate(trim.alpha) if w is not None and w + u[i] == 0]
+    final = [i for i, w in enumerate(trim.beta) if w is not None and w == u[i]]
+    targets = {
+        ch: [{j for j, w in row.items() if w + u[j] == u[i]} for i, row in enumerate(mat.rows)]
+        for ch, mat in trim.mu.items()
+    }
+    return initial, final, targets
+
+
+def ref_difference(amax, bmin, inclusion):
+    """The equality kernel on an assembled product: (verdict, pairs, zero filter).
+
+    The path the kernel took while it built its product's rows: trim both
+    inputs, compare the supports, assemble the difference product with
+    ``_accessible_product(ta, tb, operator.sub)``, decide a positive empty
+    word on it, trim it, decide its nonpositivity with the witness read off
+    the trim's rows, and, for S = T, read the zero filter off those rows and
+    compare it with the support of the smaller input.  ``pairs`` is None
+    after a support witness, and the zero filter None but on a YES of the
+    potential for S = T.
+    """
+    ta, tb = amax.trim(), bmin.trim()
+    sa, sb = ta._support_nfa(), tb._support_nfa()
+    witness, _ = sa.walk(sb, inclusion, "support comparison")
+    if witness is not None:
+        return Decision(False, witness), None, None
+    product, pairs = _accessible_product(ta, tb, operator.sub)
+    if any(a is not None and b is not None and a + b > 0 for a, b in zip(product.alpha, product.beta)):
+        return Decision(False, ""), pairs, None
+    keep = product._useful_states()
+    trim = product._restrict(keep)
+    verdict, u, _, _ = _nonpositive(trim.alphabet, trim.alpha, trim.beta, None, trim)
+    pairs = [pairs[i] for i in keep]
+    if not verdict.holds or inclusion:
+        return verdict, pairs, None
+    zero = row_zero_filter(trim, u)
+    smaller = sa if ta.n <= tb.n else sb
+    return _decision(_SubsetNfa.of(*zero).walk(smaller, False, "zero-filter comparison")[0]), pairs, zero
 
 
 def power_star(rows):

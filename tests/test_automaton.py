@@ -331,6 +331,14 @@ def test_constructor_validates():
     # supports are NFAs, never a weighted automaton's tag
     with pytest.raises(TagMismatchError):
         WeightedAutomaton.from_arcs("boolean", "a", 1)
+    # a state count is an int, as a state index is: "1" and None raised a
+    # bare TypeError from a comparison, 2.0 failed in an allocation, and True
+    # and 1.0 were taken as one state
+    for n in ("1", None, 2.0, True, 1.0):
+        with pytest.raises(DimensionError, match=f"state count {n!r} is not an int"):
+            WeightedAutomaton(MAX_PLUS, "a", n, [None], [None], {"a": [{}]})
+        with pytest.raises(DimensionError, match=f"state count {n!r} is not an int"):
+            WeightedAutomaton.from_arcs(MAX_PLUS, "a", n)
 
 
 def test_constructor_copies_its_input():

@@ -194,6 +194,15 @@ def test_equal_detects_difference(capsys, tmp_path):
     assert out.startswith("NOT-EQUAL witness=")
 
 
+def test_equal_and_leq_on_the_lowered_example(capsys):
+    # bmin.twa with the arc 0 -a-> 1 lowered by 1, the NO that CI takes
+    # through the installed command: the supports agree, so the witness is
+    # the equality kernel's, from its forward pass
+    lowered = str(DATA / "bmin_lowered.twa")
+    for command, verdict in (("equal", "NOT-EQUAL"), ("leq", "NOT-LEQ")):
+        assert run(capsys, command, AMAX, lowered) == (1, f"{verdict} witness=aa\n", "")
+
+
 def test_equal_rejects_wrong_tags(capsys):
     code, _, err = run(capsys, "equal", AMAX, AMAX)
     assert code == 2

@@ -52,7 +52,7 @@ from twa import (
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _decision, _positive_word, _shift_final
+from twa.decisions import _decision, _positive_word, _predecessors, _shift_final
 from twa.errors import TwaError
 from twa.oracle import equal_upto, eval_bruteforce, words_upto
 
@@ -375,7 +375,7 @@ def test_the_forward_pass_gives_the_word_of_the_scan_and_backward_walk():
             assert expected is None
             return
         u = list(trim.beta)
-        _, rounds, _ = twa.decisions._relax([mat.rows for mat in trim.mu.values()], trim.alpha, u)
+        _, rounds, _ = twa.decisions._relax(_predecessors(trim), trim.alpha, u)
         # no positive word has fewer letters than the round that found one
         assert expected is None or len(expected) >= rounds
         if rounds > trim.n:
@@ -576,8 +576,8 @@ def test_a_no_keeps_the_states_that_the_relaxation_had_not_reached():
         MAX_PLUS, "ab", 6, initial=[(0, 0)], final=[(4, 0)],
         arcs=[(0, "a", 4, 1), (0, "a", 5, 0)] + [(i, "b", i + 1, 0) for i in range(4)],
     )
-    verdict, trim, u, keep = twa.decisions._nonpositive(aut)
-    assert (verdict, trim.n, u, keep) == ((False, "a"), 5, None, [0, 1, 2, 3, 4])
+    verdict, u, keep, _ = twa.decisions._nonpositive(aut.alphabet, aut.alpha, aut.beta, _predecessors(aut))
+    assert (verdict, u, keep) == ((False, "a"), None, [0, 1, 2, 3, 4])
 
 
 # -- the caps of a NO witness -------------------------------------------------

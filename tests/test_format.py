@@ -26,7 +26,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_data_files_are_canonical():
-    for name in ("amax.twa", "bmin.twa"):
+    for name in ("amax.twa", "bmin.twa", "bmin_lowered.twa"):
         text = (DATA / name).read_text()
         assert serialize(parse(text)) == text
 
