@@ -448,6 +448,27 @@ def _accessible_product(
     return WeightedAutomaton._adopt(a.semiring, a.alphabet, alpha, beta, mu, None), pairs
 
 
+def _product_predecessors(a: WeightedAutomaton, b: WeightedAutomaton, combine, reached=None) -> tuple:
+    """The product a x b of _accessible_product as (pairs, alpha, beta, into),
+    in one pass over its arcs, with no row: ``into`` lists the arcs into each
+    state as (source, weight, letter), by increasing source, then in a's
+    alphabet order, the predecessor lists that the equality kernel reads."""
+    index = _pair_numbering(a, b, reached)
+    bn = b.n
+    pairs = [divmod(key, bn) for key in index]
+    letters = [(ch, a.mu[ch].rows, b.mu[ch].rows) for ch in a.alphabet]
+    into = [[] for _ in pairs]
+    for i, (p, q) in enumerate(pairs):
+        for ch, arows, brows in letters:
+            brow = brows[q]
+            if brow:
+                for r, w1 in arows[p].items():
+                    base = r * bn
+                    for s, w2 in brow.items():
+                        into[index[base + s]].append((i, combine(w1, w2), ch))
+    return (pairs, *_product_arrows(a, b, pairs, combine), into)
+
+
 def _pair_labels(a: WeightedAutomaton, b: WeightedAutomaton, pairs) -> tuple:
     """The label "(label of p,label of q)" of each pair (p, q) of a product of a and b."""
     la = [a.state_label(p) for p in range(a.n)]

@@ -66,8 +66,7 @@ from .automaton import (
     WeightedAutomaton,
     _check_alphabets,
     _check_cap,
-    _pair_numbering,
-    _product_arrows,
+    _product_predecessors,
     _require_max_plus,
     _SubsetNfa,
 )
@@ -115,8 +114,7 @@ def decide_nonpositive(aut: WeightedAutomaton) -> Decision:
     within ``DEFAULT_SUBSET_CAP`` letters or forward-pass pointers is found.
     """
     _require_max_plus(aut, "decide_nonpositive")
-    trim = aut.trim()
-    return _nonpositive(trim.alphabet, trim.alpha, trim.beta, None, trim)[0]
+    return _nonpositive(trim=aut.trim())[0]
 
 
 def _predecessors(aut: WeightedAutomaton) -> list:
@@ -132,22 +130,23 @@ def _predecessors(aut: WeightedAutomaton) -> list:
     return into
 
 
-def _nonpositive(alphabet, alpha, beta, into, trim=None) -> tuple:
-    """The nonpositivity verdict of an accessible automaton, given by its
-    arrows and predecessor lists ``into``, and its trim.
+def _nonpositive(alphabet=None, alpha=None, beta=None, into=None, trim=None) -> tuple:
+    """The nonpositivity verdict of a trim automaton ``trim``, or of an
+    accessible one given by its arrows and predecessor lists ``into``.
 
     A positive empty word (alpha_i + beta_i > 0) is a NO before any search;
-    else ``into``, when None, is listed off ``trim``, and _relax decides and
-    hands back the trim as flags.  Returns (verdict, u, keep, into): u =
-    M*beta when the verdict holds (None on the states that reach no final
-    arrow), else None, and ``keep`` the trim's states in increasing order,
-    or None for all (or a positive empty word).  Only a NO reads rows, for
-    its witness: those of ``trim``, the automaton itself when it is at hand
-    and trim, else the trim's, built from ``into``.
+    else ``trim``'s lists are built, and _relax decides and hands back the
+    trim as flags.  Returns (verdict, u, keep, into): u = M*beta (None on
+    the states that reach no final arrow) and the lists on a YES, else
+    None, and ``keep`` the trim's states in increasing order, or None for
+    all.  Only a NO reads rows, for its witness: ``trim``'s, else the
+    trim's, built from ``into``, which then goes before the search.
     """
+    if trim is not None:
+        alphabet, alpha, beta = trim.alphabet, trim.alpha, trim.beta
     for a, b in zip(alpha, beta):
         if a is not None and b is not None and a + b > 0:
-            return Decision(False, ""), None, None, into
+            return Decision(False, ""), None, None, None
     if into is None:
         into = _predecessors(trim)
     u = list(beta)
@@ -163,12 +162,13 @@ def _nonpositive(alphabet, alpha, beta, into, trim=None) -> tuple:
             for i, w, ch in preds:
                 rows[ch][i][j] = w
         trim = WeightedAutomaton._adopt(MAX_PLUS, alphabet, alpha, beta, rows, None)
+    del into
     # no positive word has fewer letters than the round that found one, and
     # the forward pass looks only at words shorter than the trim's n
     witness = _positive_word(trim) if rounds < trim.n else None
     if witness is None:
         witness = _pumped_witness(trim)
-    return Decision(False, witness), None, keep, into
+    return Decision(False, witness), None, keep, None
 
 
 def _restricted(keep: list, into: list, *vectors) -> tuple:
@@ -216,7 +216,7 @@ def _relax(into: list, alpha: list, u: list) -> tuple[bool, int, list]:
             uj = u[j]
             for i, w, _ in into[j]:
                 c = w + uj
-                if u[i] is None or c > u[i]:
+                if (ui := u[i]) is None or c > ui:
                     u[i] = c
                     if last[i] != rounds:
                         last[i] = rounds
@@ -387,7 +387,7 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
     _require_max_plus(aut, "fatou_normalize")
     # the decision and the renormalization share one relaxation
     trim = aut.trim()
-    verdict, u, _, _ = _nonpositive(trim.alphabet, trim.alpha, trim.beta, None, trim)
+    verdict, u = _nonpositive(trim=trim)[:2]
     if not verdict.holds:
         raise NotNonpositiveError(verdict.witness)
     if trim.n == 0:
@@ -440,7 +440,7 @@ def _shifted_zero_filter(aut: WeightedAutomaton, const, op: str):
     if not is_rational(const):
         raise TypeError(f"constant must be an exact rational, got {const!r}")
     trim = _shift_final(aut.trim(), -const)
-    verdict, u, _, into = _nonpositive(trim.alphabet, trim.alpha, trim.beta, None, trim)
+    verdict, u, _, into = _nonpositive(trim=trim)
     zero = _zero_filter(trim.alphabet, trim.alpha, trim.beta, into, u) if verdict.holds else None
     return verdict, trim, zero
 
@@ -529,19 +529,18 @@ def _difference(
     A support comparison without a witness walked every pair (A(w), B(w))
     that a word w reaches, and the union of those A x B is the product's
     pairs, which it hands on.  One pass over the product's arcs lists the
-    arcs into each state, each weighing amax's weight minus bmin's, and
-    builds no row.  The product is accessible by construction, so its trim
-    is the backward half alone, which the one relaxation of its potential
-    finds (see _nonpositive); the lists are renumbered to it only on a YES
-    that drops states.  Rows and the letter sum are built only for a NO
-    witness.  Once the
-    supports are equal, the product's support language is that of ``ta``
-    and of ``tb``, so comparing the zero filter with either support NFA,
-    both already built, gives the same verdict and length-lex-first
-    witness; the one with fewer states (``ta`` on a tie) is walked.  Both
-    support NFAs are views of the trimmed inputs' rows, so neither holds
-    memory of its own, and each structure the size of the product goes after
-    its last read (see the module docstring).
+    arcs into each state (_product_predecessors), each weighing amax's
+    weight minus bmin's, and builds no row.  The product is accessible by
+    construction, so its trim is the backward half alone, which the one
+    relaxation of its potential finds (see _nonpositive); the lists are
+    renumbered to it only on a YES that drops states.  Rows and the letter
+    sum are built only for a NO witness.  Once the supports are equal, the
+    product's support language is that of ``ta`` and of ``tb``, so comparing
+    the zero filter with either support NFA, both already built, gives the
+    same verdict and length-lex-first witness; the one with fewer states
+    (``ta`` on a tie) is walked.  Both support NFAs are views of the trimmed
+    inputs' rows, so neither holds memory of its own, and each structure the
+    size of the product goes after its last read (see the module docstring).
     """
     ta = amax.trim()
     tb = bmin.trim()
@@ -550,7 +549,7 @@ def _difference(
     if witness is not None:
         return _Difference(_decision(witness), ta, tb, None, None)
     smaller = sa if ta.n <= tb.n else sb
-    pairs, alpha, beta, into = _difference_predecessors(ta, tb, _pair_numbering(ta, tb, walked))
+    pairs, alpha, beta, into = _product_predecessors(ta, tb, operator.sub, walked)
     verdict, u, keep = _nonpositive(ta.alphabet, alpha, beta, into)[:3]
     if keep is not None:
         pairs = [pairs[i] for i in keep]
@@ -562,26 +561,6 @@ def _difference(
         del into, u
         verdict = _decision(_SubsetNfa.of(*zero).walk(smaller, False, "zero-filter comparison")[0])
     return _Difference(verdict, ta, tb, pairs, zero)
-
-
-def _difference_predecessors(ta: WeightedAutomaton, tb: WeightedAutomaton, numbering) -> tuple:
-    """The difference product on ``numbering`` as (pairs, alpha, beta, into),
-    in one pass over its arcs: pairs[i] is the (p, q) of state i, every arrow
-    and arc weighs ta's weight minus tb's, and ``into`` lists the arcs into
-    each state as _predecessors does.  No row is built."""
-    bn = tb.n
-    pairs = [divmod(key, bn) for key in numbering]
-    letters = [(ch, ta.mu[ch].rows, tb.mu[ch].rows) for ch in ta.alphabet]
-    into = [[] for _ in pairs]
-    for i, (p, q) in enumerate(pairs):
-        for ch, arows, brows in letters:
-            brow = brows[q]
-            if brow:
-                for r, w1 in arows[p].items():
-                    base = r * bn
-                    for s, w2 in brow.items():
-                        into[numbering[base + s]].append((i, w1 - w2, ch))
-    return (pairs, *_product_arrows(ta, tb, pairs, operator.sub), into)
 
 
 def decide_series_equal(amax: WeightedAutomaton, bmin: WeightedAutomaton) -> Decision:

@@ -319,7 +319,7 @@ def ref_difference(amax, bmin, inclusion):
         return Decision(False, ""), pairs, None
     keep = product._useful_states()
     trim = product._restrict(keep)
-    verdict, u, _, _ = _nonpositive(trim.alphabet, trim.alpha, trim.beta, None, trim)
+    verdict, u, _, _ = _nonpositive(trim=trim)
     pairs = [pairs[i] for i in keep]
     if not verdict.holds or inclusion:
         return verdict, pairs, None

@@ -470,13 +470,13 @@ def _raise(*args, **kwargs):
     "pair", [zoo.sample_equivalent_pair, lambda: zoo.prime_period_pair(2, 3, 5, 7)]
 )
 def test_pipeline_builds_one_product_and_relaxes_once(monkeypatch, pair):
-    # the kernel numbers its product's pairs once, one relaxation gives the
+    # the kernel lists its product's arcs once, one relaxation gives the
     # potential and the trim, and the letter sum, needed only for a NO
     # witness, is never built (the covering numbers its own pairs)
     amax, bmin = pair()
     expected = serialize(unambiguous_from_pair(amax, bmin))
     products, relaxations = [], []
-    product, relax = twa.automaton._pair_numbering, twa.decisions._relax
+    product, relax = twa.automaton._product_predecessors, twa.decisions._relax
 
     def counted(calls, fn):
         def wrapper(*args):
@@ -485,7 +485,7 @@ def test_pipeline_builds_one_product_and_relaxes_once(monkeypatch, pair):
 
         return wrapper
 
-    monkeypatch.setattr(twa.decisions, "_pair_numbering", counted(products, product))
+    monkeypatch.setattr(twa.decisions, "_product_predecessors", counted(products, product))
     monkeypatch.setattr(twa.decisions, "_relax", counted(relaxations, relax))
     monkeypatch.setattr(WeightedAutomaton, "letter_sum", _raise)
     assert serialize(unambiguous_from_pair(amax, bmin)) == expected
@@ -914,31 +914,30 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("pqrs", [(2, 3, 5, 7), (3, 4, 5, 7)])
-def test_the_kernel_holds_little_beside_its_product(pqrs):
+# The kernel's peak before it kept its product as predecessor lists, warm,
+# under Python 3.11, over the peak of _accessible_product(ta, tb, sub) then:
+# 425,956 of 350,840 B on (2,3,5,7), 862,996 of 709,936 B on (3,4,5,7).
+@pytest.mark.parametrize(
+    "pqrs, bound", [((2, 3, 5, 7), 425_956 / 350_840), ((3, 4, 5, 7), 862_996 / 709_936)]
+)
+def test_the_kernel_holds_little_beside_its_product(pqrs, bound):
     # Each product-sized structure goes after its last read: the walked pairs
-    # once the product's pairs are found, the relaxation's predecessor lists
-    # once the trim is read off u, the product once its zero filter is read.
-    # Holding them put the kernel's peak at 2.2-2.4 times the product's own
-    # (1.21-1.22 without, warm, under Python 3.11: 863 against 710 kB on
-    # (3,4,5,7), 426 against 351 kB on (2,3,5,7); 1.2-1.5 on first calls
-    # under 3.10 to 3.13 before the product let go of its pair set): a ratio,
-    # so that the object sizes of each version cancel.  The pipeline
-    # determinizes straight from the zero filter, walked without a copy, so
-    # it peaks in the kernel (863 kB on (3,4,5,7)); assembling the 1-valued
-    # automaton first took it past the kernel's peak.
+    # once the product's pairs are numbered, the set of their keys once it is
+    # sorted, the predecessor lists once the zero filter is read off them.
+    # Holding them put the kernel's peak at 2.2-2.4 times the product's own,
+    # hence the first bound.  The kernel builds no row on a YES, so it now
+    # peaks near what the product's rows alone take (711 against 702 kB on
+    # (3,4,5,7)), and the pipeline, which determinizes straight from the zero
+    # filter, peaks in the determinization (727 kB).  Neither may pass the
+    # kernel's peak before the lists, as the same ratio of the product's: a
+    # ratio, so that the object sizes of each version cancel.
     amax, bmin = zoo.prime_period_pair(*pqrs)
     ta, tb = amax.trim(), bmin.trim()
     product = _traced_peak(lambda: twa.automaton._accessible_product(ta, tb, operator.sub))
     kernel = _traced_peak(lambda: decide_series_equal(amax, bmin))
     pipeline = _traced_peak(lambda: unambiguous_from_pair(amax, bmin))
     assert kernel <= 1.8 * product
-    # The kernel now keeps its product as predecessor lists and builds no
-    # rows on a YES, so it peaks below the determinization (711 against
-    # 727 kB on (3,4,5,7)).  Each peak stays within the kernel's before
-    # that, 1.22 times the product's (863 of 710 kB, 426 of 351 kB): no
-    # looser than those bytes, and a ratio, so that object sizes cancel.
-    assert max(kernel, pipeline) <= 1.22 * product
+    assert max(kernel, pipeline) <= bound * product
 
 
 def _named(cover):
@@ -1044,7 +1043,7 @@ def test_either_support_gives_the_zero_filter_witness():
         if sa.walk(sb, False, "support comparison")[0] is not None:
             return
         trim = twa.automaton._accessible_product(ta, tb, operator.sub)[0].trim()
-        verdict, u, _, into = _nonpositive(trim.alphabet, trim.alpha, trim.beta, None, trim)
+        verdict, u, _, into = _nonpositive(trim=trim)
         if not verdict.holds:
             return
         zero = _SubsetNfa.of(*_zero_filter(trim.alphabet, trim.alpha, trim.beta, into, u))
