@@ -71,7 +71,7 @@ def _checked(sr: Semiring, alphabet, n: int, alpha: list, beta: list, rows: dict
     The one row check.  Raises AlphabetError, DimensionError or
     TagMismatchError for the first flaw, in the order of the tests below.
     Returns what _take sets, the alphabet and labels as tuples and the rows
-    in alphabet order.
+    in alphabet order, uncopied.
     """
     _check_count(n)
     alphabet = tuple(alphabet)
@@ -84,17 +84,21 @@ def _checked(sr: Semiring, alphabet, n: int, alpha: list, beta: list, rows: dict
         raise DimensionError("state count must be nonnegative")
     if len(alpha) != n or len(beta) != n:
         raise DimensionError("initial/final vectors must have length n")
-    if set(rows) != set(alphabet):
-        raise AlphabetError("every alphabet letter needs exactly one matrix")
+    if not isinstance(rows, dict) or set(rows) != set(alphabet):
+        raise AlphabetError("mu must be a dict with exactly one matrix per alphabet letter")
     for vec in (alpha, beta):
         for i, w in enumerate(vec):
             if w is not None and not is_rational(w):
                 raise TagMismatchError(f"vector entry {i}={w!r} is not a {sr.tag} weight")
-    rows = {ch: rows[ch] for ch in alphabet}
+    rows = {ch: rows[ch].rows if isinstance(rows[ch], _Rows) else rows[ch] for ch in alphabet}
     for ch, letter in rows.items():
+        if not isinstance(letter, (list, tuple)):
+            raise DimensionError(f"mu[{ch!r}] is not a list of rows")
         if len(letter) != n:
             raise DimensionError(f"mu[{ch!r}] has {len(letter)} rows, automaton has {n}")
         for i, row in enumerate(letter):
+            if not isinstance(row, dict):  # dict() would read a list of pairs as a row
+                raise DimensionError(f"row {i} of mu[{ch!r}] is not a dict")
             for j, w in row.items():
                 if type(j) is not int or not 0 <= j < n:
                     raise DimensionError(f"column {j!r} in row {i} is not an int in range({n})")
@@ -114,14 +118,14 @@ class WeightedAutomaton:
 
     def __init__(self, tag, alphabet, n: int, alpha, beta, mu, state_labels=None):
         """``mu`` maps each letter to its n row dicts {target: weight}, or to an
-        automaton's ``mu[ch]``.  Copies the rows, ``alpha`` and ``beta``, then checks them.
+        automaton's ``mu[ch]``.  Checks the parts, then copies the rows.
         """
         sr = semiring_for(tag)
-        rows = {
-            ch: [dict(row) for row in (letter.rows if isinstance(letter, _Rows) else letter)]
-            for ch, letter in mu.items()
-        }
-        self._take(sr, *_checked(sr, alphabet, n, list(alpha), list(beta), rows, state_labels))
+        alphabet, alpha, beta, rows, labels = _checked(
+            sr, alphabet, n, list(alpha), list(beta), mu, state_labels
+        )
+        rows = {ch: [dict(row) for row in letter] for ch, letter in rows.items()}
+        self._take(sr, alphabet, alpha, beta, rows, labels)
 
     @classmethod
     def _adopt(cls, semiring: Semiring, alphabet: tuple, alpha, beta, rows, state_labels):
@@ -409,24 +413,23 @@ def _pair_numbering(a: WeightedAutomaton, b: WeightedAutomaton, reached=None) ->
     return dict(zip(keys, range(len(keys))))
 
 
-def _product_arrows(a: WeightedAutomaton, b: WeightedAutomaton, pairs: list, combine) -> tuple:
-    """(alpha, beta) of the product on ``pairs``: combine(wa, wb) where both are finite."""
+def _product_arrows(a: WeightedAutomaton, b: WeightedAutomaton, pairs: list, op) -> tuple:
+    """(alpha, beta) of the product on ``pairs``: op(wa, wb) where both are finite."""
     return tuple(
-        [None if va[p] is None or vb[q] is None else combine(va[p], vb[q]) for p, q in pairs]
+        [None if va[p] is None or vb[q] is None else op(va[p], vb[q]) for p, q in pairs]
         for va, vb in ((a.alpha, b.alpha), (a.beta, b.beta))
     )
 
 
-def _accessible_product(
-    a: WeightedAutomaton, b: WeightedAutomaton, combine, reached=None
-) -> tuple[WeightedAutomaton, list]:
-    """The row emitter: the product a x b on the pairs of _pair_numbering,
-    unlabelled, in a's semiring, and the pair (p, q) of each of its states.
+def _accessible_product(a: WeightedAutomaton, b: WeightedAutomaton, reached=None) -> tuple:
+    """The row emitter, the sum product: a x b on the pairs of _pair_numbering,
+    in a's semiring, labelled by _pair_labels, and the pair (p, q) of each of
+    its states.  ``hadamard`` and the covering build their products here.
 
     A joint arc (p, q) -x-> (r, s) exists when both p -x-> r and q -x-> s
-    do; arrows and arcs weigh ``combine(wa, wb)``.  Each row is built once,
-    in the final numbering, so the result is the full grid with its
-    unreachable pairs deleted, and trimming either gives the same automaton.
+    do; arrows and arcs weigh wa + wb.  Each row is built once, in the final
+    numbering, so the result is the full grid with its unreachable pairs
+    deleted, and trimming either gives the same automaton.
     """
     index = _pair_numbering(a, b, reached)
     bn = b.n
@@ -442,16 +445,18 @@ def _accessible_product(
                 for r, w1 in arows[p].items():
                     base = r * bn
                     for s, w2 in brow.items():
-                        row[index[base + s]] = combine(w1, w2)
+                        row[index[base + s]] = w1 + w2
             rows.append(row)
-    alpha, beta = _product_arrows(a, b, pairs, combine)
-    return WeightedAutomaton._adopt(a.semiring, a.alphabet, alpha, beta, mu, None), pairs
+    alpha, beta = _product_arrows(a, b, pairs, operator.add)
+    labels = tuple(_pair_labels(a, b, pairs))
+    return WeightedAutomaton._adopt(a.semiring, a.alphabet, alpha, beta, mu, labels), pairs
 
 
-def _product_predecessors(a: WeightedAutomaton, b: WeightedAutomaton, combine, reached=None) -> tuple:
-    """The product a x b of _accessible_product as (pairs, alpha, beta, into),
-    in one pass over its arcs, with no row: ``into`` lists the arcs into each
-    state as (source, weight, letter), by increasing source, then in a's
+def _product_predecessors(a: WeightedAutomaton, b: WeightedAutomaton, reached=None) -> tuple:
+    """The list emitter, the difference product: a x b on the pairs of
+    _pair_numbering, arrows and arcs weighing wa - wb, as (pairs, alpha, beta,
+    into), in one pass over its arcs, with no row: ``into`` lists the arcs into
+    each state as (source, weight, letter), by increasing source, then in a's
     alphabet order, the predecessor lists that the equality kernel reads."""
     index = _pair_numbering(a, b, reached)
     bn = b.n
@@ -465,15 +470,15 @@ def _product_predecessors(a: WeightedAutomaton, b: WeightedAutomaton, combine, r
                 for r, w1 in arows[p].items():
                     base = r * bn
                     for s, w2 in brow.items():
-                        into[index[base + s]].append((i, combine(w1, w2), ch))
-    return (pairs, *_product_arrows(a, b, pairs, combine), into)
+                        into[index[base + s]].append((i, w1 - w2, ch))
+    return (pairs, *_product_arrows(a, b, pairs, operator.sub), into)
 
 
-def _pair_labels(a: WeightedAutomaton, b: WeightedAutomaton, pairs) -> tuple:
-    """The label "(label of p,label of q)" of each pair (p, q) of a product of a and b."""
+def _pair_labels(a: WeightedAutomaton, b: WeightedAutomaton, pairs):
+    """The labels "(label of p,label of q)" of the pairs (p, q) of a product of a and b, lazily."""
     la = [a.state_label(p) for p in range(a.n)]
     lb = [b.state_label(q) for q in range(b.n)]
-    return tuple(f"({la[p]},{lb[q]})" for p, q in pairs)
+    return (f"({la[p]},{lb[q]})" for p, q in pairs)
 
 
 def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
@@ -482,16 +487,14 @@ def hadamard(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
     For every word w: eval(result, w) = eval(a, w) (x) eval(b, w).  Both
     automata must carry the same tag and the same letters, in any order; the
     result has a's alphabet order.  Only the pairs (p, q) reachable from an
-    initial pair are built, numbered in (p, q) order, so the result has at
-    most a.n * b.n states; more than ``DEFAULT_SUBSET_CAP`` raise
-    CapExceededError.
+    initial pair are built, numbered in (p, q) order and labelled
+    "(label of p,label of q)", so the result has at most a.n * b.n states;
+    more than ``DEFAULT_SUBSET_CAP`` raise CapExceededError.
     """
     if a.semiring is not b.semiring:
         raise TagMismatchError(f"mixed tags: {a.semiring.tag} vs {b.semiring.tag}")
     _check_alphabets(a, b, "hadamard requires identical alphabets")
-    product, pairs = _accessible_product(a, b, operator.add)
-    product.state_labels = _pair_labels(a, b, pairs)
-    return product
+    return _accessible_product(a, b)[0]
 
 
 # ---------------------------------------------------------------------------

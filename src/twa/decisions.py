@@ -58,7 +58,6 @@ in any order; witnesses follow the first one's alphabet order.
 
 from __future__ import annotations
 
-import operator
 from collections import deque, namedtuple
 
 from .automaton import (
@@ -549,7 +548,7 @@ def _difference(
     if witness is not None:
         return _Difference(_decision(witness), ta, tb, None, None)
     smaller = sa if ta.n <= tb.n else sb
-    pairs, alpha, beta, into = _product_predecessors(ta, tb, operator.sub, walked)
+    pairs, alpha, beta, into = _product_predecessors(ta, tb, walked)
     verdict, u, keep = _nonpositive(ta.alphabet, alpha, beta, into)[:3]
     if keep is not None:
         pairs = [pairs[i] for i in keep]

@@ -20,17 +20,16 @@ competing arcs leaves at most one successful path per word without changing
 the series.
 
 Both halves run on the shared engines of ``twa.automaton``: the pair
-numbering of a product (the difference product and the covering, whose rows
-``_accessible_product`` emits) and the breadth-first exploration ``_explore``,
-which hands both subset constructions the letter rows of the automaton they
-build; ``_SubsetNfa.subsets`` also hands back each subset of the support, a
-frozenset inside the engine, as its sorted list of states.  ``DEFAULT_SUBSET_CAP``
+numbering of a product (the kernel's difference product, kept as lists, and
+the covering, whose labelled rows ``_accessible_product`` emits), the pair
+labels of ``_pair_labels``, and the breadth-first exploration ``_explore``,
+which hands both subset constructions the letter rows they build, while
+``_SubsetNfa.subsets`` lists each subset of the support.  ``DEFAULT_SUBSET_CAP``
 bounds both.  The weights stay scalar max-plus; no semiring of pairs is involved.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 
 from .automaton import (
@@ -97,7 +96,7 @@ def _untrimmed_one_valued(difference: _Difference) -> WeightedAutomaton:
     for ch, kept in targets.items():
         arows = ta.mu[ch].rows
         rows[ch] = [{j: arows[p][firsts[j]] for j in row} for row, p in zip(kept, firsts)]
-    labels = _pair_labels(ta, difference.tb, pairs)
+    labels = tuple(_pair_labels(ta, difference.tb, pairs))
     return WeightedAutomaton._adopt(MAX_PLUS, ta.alphabet, alpha, beta, rows, labels)
 
 
@@ -124,10 +123,10 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
     no weight and no new values: the covering recognizes the same series.
     It is the accessible product of ``aut`` with the subset automaton of its
     support, whose arrows and arcs all weigh 0: the pairs (p, s) reachable
-    from the initial ones, numbered in (p, s) order.  Raises TypeError for
-    a ``cap`` that is not an int and ValueError for one below 1, both before
-    the subsets are explored, and CapExceededError when more than ``cap``
-    subsets, or more than ``DEFAULT_SUBSET_CAP`` pairs, appear.
+    from the initial ones, numbered in (p, s) order, labelled by _pair_labels.
+    Raises TypeError for a ``cap`` that is not an int and ValueError for one
+    below 1, both before the subsets are explored, and CapExceededError when
+    more than ``cap`` subsets, or more than ``DEFAULT_SUBSET_CAP`` pairs, appear.
     """
     members, accepting, rows = aut._support_nfa().subsets(cap)
     dfa = WeightedAutomaton._adopt(
@@ -139,8 +138,7 @@ def covering(aut: WeightedAutomaton, cap: int = DEFAULT_SUBSET_CAP) -> Covering:
         tuple("{" + ",".join(map(str, m)) + "}" for m in members),
     )
     groups = [(m, (s,)) for s, m in enumerate(members)]  # each (p, s) once
-    cover, pairs = _accessible_product(aut, dfa, operator.add, groups)
-    cover.state_labels = _pair_labels(aut, dfa, pairs)
+    cover, pairs = _accessible_product(aut, dfa, groups)
     return Covering(cover, tuple(pairs), tuple(frozenset(m) for m in members))
 
 
@@ -213,8 +211,8 @@ def _weighted_subsets(difference: _Difference, cap: int) -> WeightedAutomaton:
     arrow weighs the largest residual + beta over the pairs.  So every word
     has at most one path, of weight alpha + mu(word) + beta of the 1-valued
     automaton.  States are explored breadth-first in alphabet order
-    (``_explore``), labelled {(p,q):residual,...} from the pairs and the
-    labels of amax and bmin.  The product states reached are those of
+    (``_explore``), labelled {(p,q):residual,...}, each (p,q) the label of a
+    product pair from _pair_labels.  The product states reached are those of
     ``extract_one_valued``'s trimmed output, in the same order, so the
     result is the construction on that output, labels included.  It is
     exact whenever the construction ends, and it ends only on a sequential
@@ -253,18 +251,17 @@ def _weighted_subsets(difference: _Difference, cap: int) -> WeightedAutomaton:
             if b is not None and (best is None or r + b > best):
                 best = r + b
         finals.append(best)
-    la = [ta.state_label(p) for p in range(ta.n)]
-    lb = [tb.state_label(q) for q in range(tb.n)]
+    # each entry's pair label, made as it is read: held all at once, they outweighed the labels
+    names = _pair_labels(ta, tb, (pairs[i] for node in nodes for i, _ in node))
     texts = {}  # residual -> its text, formatted once
     labels = []
     for node in nodes:
         parts = []
-        for i, r in node:
+        for (_, r), name in zip(node, names):  # node first, so zip takes no name past its end
             text = texts.get(r)
             if text is None:
                 text = texts[r] = format_finite(r)
-            p, q = pairs[i]
-            parts.append(f"({la[p]},{lb[q]}):{text}")
+            parts.append(f"{name}:{text}")
         labels.append("{" + ",".join(parts) + "}")
     return WeightedAutomaton._adopt(
         MAX_PLUS, ta.alphabet, [top] + [None] * (n - 1), finals, mu, tuple(labels)

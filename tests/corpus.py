@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from twa import MAX_PLUS, MIN_PLUS, Covering, Decision, WeightedAutomaton, max_mean_cycle
-from twa.automaton import _accessible_product, _SubsetNfa
+from twa.automaton import _pair_labels, _product_predecessors, _SubsetNfa
 from twa.decisions import _decision, _nonpositive, _predecessors, _pumped_witness, _relax
 from twa.format import serialize
 from twa.semiring import format_finite, parse_finite
@@ -142,6 +142,51 @@ def grid_product(a, b, semiring, combine):
     return WeightedAutomaton(semiring, a.alphabet, len(grid), alpha, beta, mu, labels)
 
 
+def accessible_grid(a, b, semiring, combine):
+    """Reference: ``grid_product`` restricted to the pairs that an initial
+    pair reaches, in grid order, that is (p, q) order; returns the automaton
+    and the pair (p, q) of each of its states."""
+    grid = grid_product(a, b, semiring, combine)
+    reached = {i for i, w in enumerate(grid.alpha) if w is not None}
+    stack = list(reached)
+    while stack:
+        i = stack.pop()
+        for mat in grid.mu.values():
+            for j in mat.rows[i].keys() - reached:
+                reached.add(j)
+                stack.append(j)
+    keep = sorted(reached)
+    index = {old: new for new, old in enumerate(keep)}
+    mu = {
+        ch: [{index[j]: w for j, w in mat.rows[i].items()} for i in keep]
+        for ch, mat in grid.mu.items()
+    }
+    accessible = WeightedAutomaton(
+        semiring,
+        a.alphabet,
+        len(keep),
+        [grid.alpha[i] for i in keep],
+        [grid.beta[i] for i in keep],
+        mu,
+        [grid.state_labels[i] for i in keep],
+    )
+    return accessible, [divmod(i, b.n) for i in keep]
+
+
+def kernel_product(a, b):
+    """The equality kernel's product, each weight a's minus b's, as an
+    automaton: rows assembled from the predecessor lists of
+    ``_product_predecessors``, the emitter the kernel runs, and labelled
+    from its pairs.  Returns the automaton and its pairs."""
+    pairs, alpha, beta, into = _product_predecessors(a, b)
+    mu = {ch: [{} for _ in pairs] for ch in a.alphabet}
+    for j, arcs in enumerate(into):
+        for i, w, ch in arcs:
+            mu[ch][i][j] = w
+    labels = _pair_labels(a, b, pairs)
+    return WeightedAutomaton(a.semiring, a.alphabet, len(pairs), alpha, beta, mu, labels), pairs
+
+
 class Nfa:
     """Reference NFA over frozensets of states, such as a support or a zero filter."""
 
@@ -242,31 +287,8 @@ def ref_covering(aut):
         arcs=[(s, ch, t, 0) for s, table in enumerate(moves) for ch, t in table.items()],
         labels=["{" + ",".join(map(str, sorted(subset))) + "}" for subset in subsets],
     )
-    grid = grid_product(aut, dfa, aut.semiring, operator.add)
-    reached = {i for i, w in enumerate(grid.alpha) if w is not None}
-    stack = list(reached)
-    while stack:
-        i = stack.pop()
-        for mat in grid.mu.values():
-            for j in mat.rows[i].keys() - reached:
-                reached.add(j)
-                stack.append(j)
-    keep = sorted(reached)
-    index = {old: new for new, old in enumerate(keep)}
-    mu = {
-        ch: [{index[j]: w for j, w in mat.rows[i].items()} for i in keep]
-        for ch, mat in grid.mu.items()
-    }
-    accessible = WeightedAutomaton(
-        aut.semiring,
-        aut.alphabet,
-        len(keep),
-        [grid.alpha[i] for i in keep],
-        [grid.beta[i] for i in keep],
-        mu,
-        [grid.state_labels[i] for i in keep],
-    )
-    return Covering(accessible, tuple(divmod(i, dfa.n) for i in keep), tuple(subsets))
+    accessible, pairs = accessible_grid(aut, dfa, aut.semiring, operator.add)
+    return Covering(accessible, tuple(pairs), tuple(subsets))
 
 
 def zero_filter(aut):
@@ -300,11 +322,11 @@ def row_zero_filter(trim, u):
 def ref_difference(amax, bmin, inclusion):
     """The equality kernel on an assembled product: (verdict, pairs, zero filter).
 
-    The path the kernel took while it built its product's rows: trim both
-    inputs, compare the supports, assemble the difference product with
-    ``_accessible_product(ta, tb, operator.sub)``, decide a positive empty
-    word on it, trim it, decide its nonpositivity with the witness read off
-    the trim's rows, and, for S = T, read the zero filter off those rows and
+    Trim both inputs, compare the supports, take the difference product from
+    ``accessible_grid`` (the full grid, each weight amax's minus bmin's, on
+    the pairs that an initial pair reaches), decide a positive empty word on
+    it, trim it, decide its nonpositivity with the witness read off the
+    trim's rows, and, for S = T, read the zero filter off those rows and
     compare it with the support of the smaller input.  ``pairs`` is None
     after a support witness, and the zero filter None but on a YES of the
     potential for S = T.
@@ -314,7 +336,7 @@ def ref_difference(amax, bmin, inclusion):
     witness, _ = sa.walk(sb, inclusion, "support comparison")
     if witness is not None:
         return Decision(False, witness), None, None
-    product, pairs = _accessible_product(ta, tb, operator.sub)
+    product, pairs = accessible_grid(ta, tb, MAX_PLUS, operator.sub)
     if any(a is not None and b is not None and a + b > 0 for a, b in zip(product.alpha, product.beta)):
         return Decision(False, ""), pairs, None
     keep = product._useful_states()

@@ -239,6 +239,41 @@ def test_only_the_automaton_and_spectral_modules_build_matrices():
     assert builders == ["_take"]
 
 
+def _slot_writes(tree, slots) -> tuple:
+    # (writes inside WeightedAutomaton._take, lines of the writes elsewhere):
+    # an assignment to, or a deletion of, an attribute named after a slot
+    take = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "WeightedAutomaton"
+        for func in cls.body
+        if isinstance(func, ast.FunctionDef) and func.name == "_take"
+        for node in ast.walk(func)
+    }
+    writes = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in slots and not isinstance(node.ctx, ast.Load)
+    ]
+    inside = {node.attr for node in writes if id(node) in take}
+    return inside, [node.lineno for node in writes if id(node) not in take]
+
+
+def test_only_take_sets_an_automatons_slots():
+    # automata are immutable after construction: WeightedAutomaton._take sets
+    # every slot, and no other code of the package assigns one, so no
+    # construction labels or edits an automaton once it is built
+    package = pathlib.Path(twa.__file__).parent
+    slots = set(twa.WeightedAutomaton.__slots__)
+    set_by_take, elsewhere = set(), []
+    for path in sorted(package.glob("*.py")):
+        inside, lines = _slot_writes(ast.parse(path.read_text(encoding="utf-8")), slots)
+        set_by_take |= inside
+        elsewhere += [f"{path.name}:{line}" for line in lines]
+    assert set_by_take == slots
+    assert elsewhere == []
+
+
 def _rows_as_the_benchmark_reads_them(aut) -> bool:
     # bench/ reads aut.mu[ch].rows: a list of aut.n row dicts, on a holder of nothing else
     return all(

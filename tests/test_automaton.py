@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import Nfa, automata, grid_product, random_automaton
+from corpus import Nfa, automata, grid_product, kernel_product, random_automaton
 from twa import (
     MAX_PLUS,
     MIN_PLUS,
@@ -18,7 +18,6 @@ from twa import (
     hadamard,
     zoo,
 )
-from twa.automaton import _accessible_product, _pair_labels
 from twa.errors import DimensionError, TwaError
 from twa.oracle import eval_bruteforce, words_upto
 from twa.semiring import semiring_for
@@ -200,15 +199,9 @@ def test_hadamard_is_the_accessible_part_of_the_grid(ab):
 
 
 def difference_product(a, b):
-    """The product of the equality kernel: each weight is a's minus b's.
-
-    The kernel formats no label; it is labelled here by the helper that
-    labels extract_one_valued's output from the kept pairs.
-    """
-    product, pairs = _accessible_product(a, b, operator.sub)
-    assert product.state_labels is None
-    product.state_labels = _pair_labels(a, b, pairs)
-    return product
+    """The product of the equality kernel, each weight a's minus b's, with
+    its rows assembled from the kernel's predecessor lists."""
+    return kernel_product(a, b)[0]
 
 
 @given(automata(MAX_PLUS), automata(MIN_PLUS))
@@ -383,6 +376,11 @@ def test_constructor_takes_an_automatons_mu_and_copies_its_rows():
         ({"a": [{True: 1}, {}]}, DimensionError),  # a column that is not an int
         ({"a": [{1.0: 1}, {}]}, DimensionError),
         ({"a": [{"1": 1}, {}]}, DimensionError),
+        ({"a": [[(1, 5)], []]}, DimensionError),  # a row that is not a dict
+        ({"a": ["ab", {}]}, DimensionError),
+        ({"a": None}, DimensionError),  # a letter whose rows are not a sequence
+        ({"a": "ab"}, DimensionError),
+        ([("a", [{}, {}])], AlphabetError),  # a mu that is not a dict
     ],
 )
 def test_constructor_checks_every_row(mu, error):

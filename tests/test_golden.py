@@ -4,6 +4,7 @@ The outcomes and how their bytes are hashed are described in
 tests/golden/regenerate.py, which rewrites the manifest.
 """
 
+import twa.automaton
 import twa.decisions
 import twa.disambiguation
 from golden import regenerate
@@ -47,12 +48,13 @@ def test_the_kernel_slice_reaches_every_branch_of_the_kernel(monkeypatch):
     def watched(name, fn, seen):
         def wrapper(*args):
             result = fn(*args)
-            reached.update(seen(result))
+            reached.update(seen(result, *args))
             return result
 
         monkeypatch.setattr(module_of[name], name, wrapper)
 
     module_of = {
+        "_pair_numbering": twa.automaton,
         "_nonpositive": twa.decisions,
         "_positive_word": twa.decisions,
         "_relax": twa.decisions,
@@ -60,12 +62,16 @@ def test_the_kernel_slice_reaches_every_branch_of_the_kernel(monkeypatch):
         "disambiguate": twa.disambiguation,
     }
     seen = {
-        "_nonpositive": lambda r: {"YES with states that reach no final arrow"} if r[0].holds and r[2] is not None else (),
-        "_positive_word": lambda word: {"NO of the forward pass"} if word is not None else (),
+        # the walked pairs are emptied once the product's pairs are read off them
+        "_pair_numbering": lambda index, a, b, walked=None: (
+            {"the walked pairs overflow the grid, so the product's pairs are found by search"} if walked else ()
+        ),
+        "_nonpositive": lambda r, *_: {"YES with states that reach no final arrow"} if r[0].holds and r[2] is not None else (),
+        "_positive_word": lambda word, *_: {"NO of the forward pass"} if word is not None else (),
         # no positive word is shorter than the round, so the witness is pumped
-        "_relax": lambda r: {"NO whose round is at least n"} if not r[0] and r[1] >= sum(r[2]) else (),
-        "_weighted_subsets": lambda aut: {"deterministic branch"},
-        "disambiguate": lambda aut: {"covering branch"},
+        "_relax": lambda r, *_: {"NO whose round is at least n"} if not r[0] and r[1] >= sum(r[2]) else (),
+        "_weighted_subsets": lambda aut, *_: {"deterministic branch"},
+        "disambiguate": lambda aut, *_: {"covering branch"},
     }
     for name, fn in seen.items():
         watched(name, getattr(module_of[name], name), fn)
@@ -78,6 +84,7 @@ def test_the_kernel_slice_reaches_every_branch_of_the_kernel(monkeypatch):
             except twa.TwaError:
                 pass
     assert reached == {
+        "the walked pairs overflow the grid, so the product's pairs are found by search",
         "inputs that are not trim",
         "YES with states that reach no final arrow",
         "NO of the forward pass",
