@@ -10,16 +10,17 @@ its cap).  No witness longer than ``DEFAULT_SUBSET_CAP`` letters is built.
 Nonpositivity, on which Fatou renormalization, the constant tests and the
 series comparisons rest, is decided by one early-exit Bellman-Ford relaxation
 of the potential u = M*beta, and a positive verdict hands u on to the
-renormalization.  The relaxation reads predecessor lists, the arcs into each
-state with their letters, in rounds, each over the arcs into the states that
-the round before improved, so the work follows the improvements and not the
-numbering of the states.  It hands back the trim with the verdict: on a YES
-the states with a finite u, and on a NO also those that reach a state of the
-last round's frontier, whose arcs in were never scanned, found by one search
-over the lists from that frontier.  Only a negative verdict reads rows, for
-its witness: one forward pass over the letters, or, when the round that found
-it shows that no word shorter than n is positive, the maximum mean circuit
-(Howard policy iteration, in twa.spectral).
+renormalization.  Its one input is an accessible automaton's arrows and
+predecessor lists, the arcs into each state with their letters, which it
+reads in rounds, each over the arcs into the states that the round before
+improved, so the work follows the improvements and not the numbering of the
+states.  It hands back the trim with the verdict: on a YES the states with a
+finite u, and on a NO also those that reach a state of the last round's
+frontier, whose arcs in were never scanned, found by one search over the
+lists from that frontier.  Only a negative verdict reads rows, built from
+the lists, for its witness: one forward pass over the letters, or, when the
+round that found it shows that no word shorter than n is positive, the
+maximum mean circuit (Howard policy iteration, in twa.spectral).
 
 The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
 automaton, is read straight off u and the predecessor lists as lists of
@@ -85,17 +86,6 @@ def _decision(witness: str | None) -> Decision:
     return Decision(witness is None, witness)
 
 
-def _shift_final(aut: WeightedAutomaton, delta) -> WeightedAutomaton:
-    """Add ``delta`` to every finite final weight; shifts the series by delta."""
-    if delta == 0:
-        return aut
-    beta = [None if w is None else w + delta for w in aut.beta]
-    rows = {ch: mat.rows for ch, mat in aut.mu.items()}
-    return WeightedAutomaton._adopt(
-        aut.semiring, aut.alphabet, aut.alpha, beta, rows, aut.state_labels
-    )
-
-
 # ---------------------------------------------------------------------------
 # Nonpositivity.
 # ---------------------------------------------------------------------------
@@ -113,13 +103,15 @@ def decide_nonpositive(aut: WeightedAutomaton) -> Decision:
     within ``DEFAULT_SUBSET_CAP`` letters or forward-pass pointers is found.
     """
     _require_max_plus(aut, "decide_nonpositive")
-    return _nonpositive(trim=aut.trim())[0]
+    trim = aut.trim()
+    return _nonpositive(trim.alphabet, trim.alpha, trim.beta, _predecessors(trim))[0]
 
 
 def _predecessors(aut: WeightedAutomaton) -> list:
-    """The predecessor lists of ``aut``, which _relax and _zero_filter read: one
-    pass over its rows lists in into[j] the arcs into state j as (source,
-    weight, letter), by increasing source, then in alphabet order."""
+    """The predecessor lists of ``aut``, the input of _nonpositive, which
+    _relax, _zero_filter and a NO's witness rows read: one pass over its
+    rows lists in into[j] the arcs into state j as (source, weight, letter),
+    by increasing source, then in alphabet order."""
     into = [[] for _ in range(aut.n)]
     letters = [(ch, aut.mu[ch].rows) for ch in aut.alphabet]
     for i in range(aut.n):
@@ -129,39 +121,34 @@ def _predecessors(aut: WeightedAutomaton) -> list:
     return into
 
 
-def _nonpositive(alphabet=None, alpha=None, beta=None, into=None, trim=None) -> tuple:
-    """The nonpositivity verdict of a trim automaton ``trim``, or of an
-    accessible one given by its arrows and predecessor lists ``into``.
+def _nonpositive(alphabet, alpha, beta, into) -> tuple:
+    """The nonpositivity verdict of an accessible automaton, given by its
+    arrows ``alpha`` and ``beta`` and its predecessor lists ``into``.
 
     A positive empty word (alpha_i + beta_i > 0) is a NO before any search;
-    else ``trim``'s lists are built, and _relax decides and hands back the
-    trim as flags.  Returns (verdict, u, keep, into): u = M*beta (None on
-    the states that reach no final arrow) and the lists on a YES, else
-    None, and ``keep`` the trim's states in increasing order, or None for
-    all.  Only a NO reads rows, for its witness: ``trim``'s, else the
-    trim's, built from ``into``, which then goes before the search.
+    else _relax decides and hands back the trim as flags.  Returns
+    (verdict, u, keep, into): u = M*beta (None on the states that reach no
+    final arrow) and the lists on a YES, else None, and ``keep`` the trim's
+    states in increasing order, or None for all.  Only a NO reads rows, for
+    its witness: those of the trim, built from ``into``, which then goes
+    before the search.
     """
-    if trim is not None:
-        alphabet, alpha, beta = trim.alphabet, trim.alpha, trim.beta
     for a, b in zip(alpha, beta):
         if a is not None and b is not None and a + b > 0:
             return Decision(False, ""), None, None, None
-    if into is None:
-        into = _predecessors(trim)
     u = list(beta)
     holds, rounds, useful = _relax(into, alpha, u)
     keep = None if all(useful) else [i for i in range(len(u)) if useful[i]]
     if holds:
         return Decision(True, None), u, keep, into
-    if trim is None:
-        if keep is not None:
-            into, alpha, beta = _restricted(keep, into, alpha, beta)
-        rows = {ch: [{} for _ in into] for ch in alphabet}
-        for j, preds in enumerate(into):
-            for i, w, ch in preds:
-                rows[ch][i][j] = w
-        trim = WeightedAutomaton._adopt(MAX_PLUS, alphabet, alpha, beta, rows, None)
+    if keep is not None:
+        into, alpha, beta = _restricted(keep, into, alpha, beta)
+    rows = {ch: [{} for _ in into] for ch in alphabet}
+    for j, preds in enumerate(into):
+        for i, w, ch in preds:
+            rows[ch][i][j] = w
     del into
+    trim = WeightedAutomaton._adopt(MAX_PLUS, alphabet, alpha, beta, rows, None)
     # no positive word has fewer letters than the round that found one, and
     # the forward pass looks only at words shorter than the trim's n
     witness = _positive_word(trim) if rounds < trim.n else None
@@ -386,7 +373,7 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
     _require_max_plus(aut, "fatou_normalize")
     # the decision and the renormalization share one relaxation
     trim = aut.trim()
-    verdict, u = _nonpositive(trim=trim)[:2]
+    verdict, u = _nonpositive(trim.alphabet, trim.alpha, trim.beta, _predecessors(trim))[:2]
     if not verdict.holds:
         raise NotNonpositiveError(verdict.witness)
     if trim.n == 0:
@@ -432,15 +419,18 @@ def _zero_filter(alphabet, alpha, beta, into, u: list) -> tuple:
 def _shifted_zero_filter(aut: WeightedAutomaton, const, op: str):
     """The prelude of the constant tests: (verdict, trim, zero filter or None).
 
-    Checks the tag and the constant, shifts the final arrows of the trim by
-    -const, relaxes, and reads the zero filter off a nonpositive result.
+    Checks the tag and the constant, lowers a copy of the trim's final
+    weights by const, relaxes with it, and reads the zero filter off a
+    nonpositive result.  The trim is returned unshifted; the shift keeps
+    its support.
     """
     _require_max_plus(aut, op)
     if not is_rational(const):
         raise TypeError(f"constant must be an exact rational, got {const!r}")
-    trim = _shift_final(aut.trim(), -const)
-    verdict, u, _, into = _nonpositive(trim=trim)
-    zero = _zero_filter(trim.alphabet, trim.alpha, trim.beta, into, u) if verdict.holds else None
+    trim = aut.trim()
+    beta = [None if w is None else w - const for w in trim.beta]
+    verdict, u, _, into = _nonpositive(trim.alphabet, trim.alpha, beta, _predecessors(trim))
+    zero = _zero_filter(trim.alphabet, trim.alpha, beta, into, u) if verdict.holds else None
     return verdict, trim, zero
 
 

@@ -36,16 +36,19 @@ def divisibility_series(period: int, bonus, tag, letter: str = "a") -> WeightedA
     """
     if period < 1:
         raise TwaError("period must be positive")
-    arcs = [(i, letter, (i + 1) % period, 0) for i in range(period)]
+    return _cycle_with_finals(period, {0: bonus}, tag, letter)
+
+
+def _cycle_with_finals(length: int, finals, tag, letter: str = "a") -> WeightedAutomaton:
+    arcs = [(i, letter, (i + 1) % length, 0) for i in range(length)]
     return WeightedAutomaton.from_arcs(
-        semiring_for(tag), (letter,), period, initial=[(0, 0)], final=[(0, bonus)], arcs=arcs
+        semiring_for(tag), (letter,), length, initial=[(0, 0)], final=sorted(finals.items()), arcs=arcs
     )
 
 
 def _direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
-    """Disjoint union; adds the two series (pointwise max or min per the tag)."""
-    if a.semiring is not b.semiring or a.alphabet != b.alphabet:
-        raise TwaError("direct sum needs matching tags and alphabets")
+    """Disjoint union of two automata of one tag and alphabet; adds the two
+    series (pointwise max or min per the tag)."""
     shift = a.n
     initial = [(i, w) for i, w in enumerate(a.alpha) if w is not None]
     initial += [(i + shift, w) for i, w in enumerate(b.alpha) if w is not None]
@@ -55,13 +58,6 @@ def _direct_sum(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton
     arcs += [(src + shift, ch, dst + shift, w) for src, ch, dst, w in b.arcs()]
     return WeightedAutomaton.from_arcs(
         a.semiring, a.alphabet, a.n + b.n, initial=initial, final=final, arcs=arcs
-    )
-
-
-def _cycle_with_finals(length: int, finals, tag, letter: str = "a") -> WeightedAutomaton:
-    arcs = [(i, letter, (i + 1) % length, 0) for i in range(length)]
-    return WeightedAutomaton.from_arcs(
-        semiring_for(tag), (letter,), length, initial=[(0, 0)], final=sorted(finals.items()), arcs=arcs
     )
 
 

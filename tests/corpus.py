@@ -325,8 +325,8 @@ def ref_difference(amax, bmin, inclusion):
     Trim both inputs, compare the supports, take the difference product from
     ``accessible_grid`` (the full grid, each weight amax's minus bmin's, on
     the pairs that an initial pair reaches), decide a positive empty word on
-    it, trim it, decide its nonpositivity with the witness read off the
-    trim's rows, and, for S = T, read the zero filter off those rows and
+    it, trim it, decide its nonpositivity on the trim's predecessor lists,
+    and, for S = T, read the zero filter off the trim's rows and
     compare it with the support of the smaller input.  ``pairs`` is None
     after a support witness, and the zero filter None but on a YES of the
     potential for S = T.
@@ -341,7 +341,7 @@ def ref_difference(amax, bmin, inclusion):
         return Decision(False, ""), pairs, None
     keep = product._useful_states()
     trim = product._restrict(keep)
-    verdict, u, _, _ = _nonpositive(trim=trim)
+    verdict, u, _, _ = _nonpositive(trim.alphabet, trim.alpha, trim.beta, _predecessors(trim))
     pairs = [pairs[i] for i in keep]
     if not verdict.holds or inclusion:
         return verdict, pairs, None
@@ -502,6 +502,14 @@ def conjugate(aut, h):
         initial=[(i, w - h[i]) for i, w in enumerate(aut.alpha) if w is not None],
         final=[(i, w + h[i]) for i, w in enumerate(aut.beta) if w is not None],
         arcs=[(s, ch, t, w + h[s] - h[t]) for s, ch, t, w in aut.arcs()],
+    )
+
+
+def shift_final(aut, c):
+    """``aut`` with c added to every final weight, labels kept: its series shifted by c."""
+    beta = [None if w is None else w + c for w in aut.beta]
+    return WeightedAutomaton(
+        aut.semiring, aut.alphabet, aut.n, aut.alpha, beta, aut.mu, aut.state_labels
     )
 
 

@@ -332,6 +332,17 @@ def test_constructor_validates():
             WeightedAutomaton(MAX_PLUS, "a", n, [None], [None], {"a": [{}]})
         with pytest.raises(DimensionError, match=f"state count {n!r} is not an int"):
             WeightedAutomaton.from_arcs(MAX_PLUS, "a", n)
+    # an initial or a final vector whose length is not the state count
+    for alpha, beta in (([0], [None, 0]), ([0, None], [0]), ([0, None, None], [None, 0])):
+        with pytest.raises(DimensionError, match="initial/final vectors must have length n"):
+            WeightedAutomaton(MAX_PLUS, "a", 2, alpha, beta, {"a": [{}, {}]})
+
+
+def test_an_automaton_equals_no_other_type():
+    amax, _ = zoo.sample_equivalent_pair()
+    assert amax.__eq__(1) is NotImplemented
+    assert not amax == 1
+    assert amax != "amax"
 
 
 def test_constructor_copies_its_input():

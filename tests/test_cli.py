@@ -207,6 +207,9 @@ def test_equal_rejects_wrong_tags(capsys):
     code, _, err = run(capsys, "equal", AMAX, AMAX)
     assert code == 2
     assert "min-plus" in err
+    code, out, err = run(capsys, "equal", BMIN, BMIN)
+    assert (code, out) == (2, "")
+    assert f"{BMIN}: expected a max-plus automaton" in err
 
 
 def test_leq_subcommand(capsys):

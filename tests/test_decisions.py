@@ -26,6 +26,7 @@ from corpus import (
     ref_positive_word,
     relaxed,
     reordered,
+    shift_final,
     support,
     vec_rows,
     zero_filter,
@@ -52,7 +53,7 @@ from twa import (
     unambiguous_from_pair,
     zoo,
 )
-from twa.decisions import _decision, _positive_word, _predecessors, _shift_final
+from twa.decisions import _decision, _positive_word, _predecessors
 from twa.errors import TwaError
 from twa.oracle import equal_upto, eval_bruteforce, words_upto
 
@@ -367,7 +368,7 @@ def test_the_forward_pass_gives_the_word_of_the_scan_and_backward_walk():
     def check(aut, lower):
         # the empty word is lowered to at most 0, so that longer words decide
         empty = aut.eval("")
-        trim = _shift_final(aut, -(empty or 0) - lower).trim()
+        trim = shift_final(aut, -(empty or 0) - lower).trim()
         expected = ref_positive_word(trim)
         assert _positive_word(trim) == expected
         verdict = decide_nonpositive(trim)
@@ -444,7 +445,7 @@ def _reference_equal_const(aut, const):
     An independent check of the subset exploration: the first matrix in
     discovery order that rejects carries the length-lex-first rejected word.
     """
-    trim = _shift_final(aut, -const).trim()
+    trim = shift_final(aut, -const).trim()
     verdict = ref_nonpositive(trim)
     if not verdict.holds:
         return verdict
@@ -454,6 +455,12 @@ def _reference_equal_const(aut, const):
         if not any(mat[i] & final_mask for i in filtered.initial):
             return Decision(False, word)
     return Decision(True, None)
+
+
+# the series 0 on every word: one state, 0 on both arrows and both loops
+ZERO_ON_ALL_WORDS = WeightedAutomaton.from_arcs(
+    MAX_PLUS, "ab", 1, initial=[(0, 0)], final=[(0, 0)], arcs=[(0, "a", 0, 0), (0, "b", 0, 0)]
+)
 
 
 def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference():
@@ -466,9 +473,10 @@ def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference():
         # with weights in {-1, 0} the universality step decides the constant 0
         st.tuples(automata(MAX_PLUS, weight=st.integers(-1, 0)), st.just(0)),
     ))
+    @example((ZERO_ON_ALL_WORDS, 0))  # a YES of decide_equal_const, whatever is drawn
     def check(drawn):
         aut, shift = drawn
-        aut = _shift_final(aut, shift)
+        aut = shift_final(aut, shift)
         trim = aut.trim()
         expected = ref_nonpositive(trim)
         assert decide_nonpositive(aut) == expected
@@ -486,7 +494,7 @@ def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference():
             assert decide_equal_const(aut, const) == reference
             if reference.holds:
                 kinds.add("YES")
-            elif ref_nonpositive(_shift_final(aut, -const).trim()).holds:
+            elif ref_nonpositive(shift_final(aut, -const).trim()).holds:
                 kinds.add("NO by universality")
             else:
                 kinds.add("NO by nonpositivity")
@@ -695,6 +703,14 @@ def test_equal_const_fractional():
     assert not decide_equal_const(aut, Fraction(4, 3)).holds
 
 
+@pytest.mark.parametrize("const", [0.5, True], ids=["float", "bool"])
+def test_constant_tests_take_exact_rationals_only(const):
+    aut = constant_automaton(1)
+    for decide in (decide_equal_const, decide_equal_const_on_support):
+        with pytest.raises(TypeError, match="constant must be an exact rational"):
+            decide(aut, const)
+
+
 def test_equal_const_on_support_single_word():
     aut = WeightedAutomaton.from_arcs(
         MAX_PLUS, "a", 2, initial=[(0, 0)], final=[(1, 0)], arcs=[(0, "a", 1, 2)]
@@ -836,22 +852,11 @@ def test_series_leq_reflexive_on_demo_pair():
     assert decide_series_leq(amax, bmin).holds
 
 
-def _shift_series(aut, delta):
-    return WeightedAutomaton.from_arcs(
-        aut.semiring,
-        aut.alphabet,
-        aut.n,
-        initial=[(i, w) for i, w in enumerate(aut.alpha) if w is not None],
-        final=[(i, w + delta) for i, w in enumerate(aut.beta) if w is not None],
-        arcs=list(aut.arcs()),
-    )
-
-
 def test_series_leq_strict_cases():
     amax, bmin = zoo.sample_equivalent_pair()
-    lowered = _shift_series(amax, -1)
+    lowered = shift_final(amax, -1)
     assert decide_series_leq(lowered, bmin).holds
-    raised = _shift_series(amax, 1)
+    raised = shift_final(amax, 1)
     verdict = decide_series_leq(raised, bmin)
     assert (verdict.holds, verdict.witness) == (False, "")
     assert raised.eval("") == 1 > 0 == bmin.eval("")

@@ -1042,7 +1042,7 @@ def test_either_support_gives_the_zero_filter_witness():
         if sa.walk(sb, False, "support comparison")[0] is not None:
             return
         trim = kernel_product(ta, tb)[0].trim()
-        verdict, u, _, into = _nonpositive(trim=trim)
+        verdict, u, _, into = _nonpositive(trim.alphabet, trim.alpha, trim.beta, _predecessors(trim))
         if not verdict.holds:
             return
         zero = _SubsetNfa.of(*_zero_filter(trim.alphabet, trim.alpha, trim.beta, into, u))

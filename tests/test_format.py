@@ -14,6 +14,7 @@ from corpus import LONGEST_LIST, automata, random_automaton
 from twa import (
     DEFAULT_SUBSET_CAP,
     MAX_PLUS,
+    AlphabetError,
     CapExceededError,
     FormatError,
     WeightedAutomaton,
@@ -95,13 +96,37 @@ def test_missing_magic():
     _expect_error("semiring max-plus\nalphabet a\nstates 1\n", "expected header", line=1)
 
 
-@pytest.mark.parametrize("symbol", ["ab", "\u00e9"], ids=["two-letters", "non-ascii"])
+@pytest.mark.parametrize("symbol", ["ab", "\u00e9", "\x7f"], ids=["two-letters", "non-ascii", "del"])
 def test_bad_alphabet_symbol_names_its_line(symbol):
     _expect_error(
         f"twa 1\nsemiring max-plus\nalphabet a {symbol}\nstates 1\n",
         f"bad alphabet symbol {symbol!r}",
         line=3,
     )
+
+
+@pytest.mark.parametrize("letter", ["!", "~"], ids=["0x21", "0x7e"])
+def test_the_first_and_last_visible_characters_are_letters(letter):
+    alphabet = ("a", letter)
+    aut = WeightedAutomaton(MAX_PLUS, alphabet, 1, [0], [0], {"a": [{}], letter: [{0: 1}]})
+    built = WeightedAutomaton.from_arcs(
+        MAX_PLUS, alphabet, 1, initial=[(0, 0)], final=[(0, 0)], arcs=[(0, letter, 0, 1)]
+    )
+    assert built == aut and aut.eval(letter * 2) == 2
+    text = serialize(aut)
+    assert f"alphabet a {letter}\n" in text
+    assert parse(text) == aut and serialize(parse(text)) == text
+
+
+@pytest.mark.parametrize("letter", [" ", "\x7f"], ids=["0x20", "0x7f"])
+def test_a_space_and_del_are_not_letters(letter):
+    # a file cannot hold a space as a letter, as a line splits on it;
+    # test_bad_alphabet_symbol_names_its_line rejects DEL in a file
+    alphabet = ("a", letter)
+    with pytest.raises(AlphabetError, match="bad alphabet symbol"):
+        WeightedAutomaton(MAX_PLUS, alphabet, 1, [0], [0], {"a": [{}], letter: [{}]})
+    with pytest.raises(AlphabetError, match="bad alphabet symbol"):
+        WeightedAutomaton.from_arcs(MAX_PLUS, alphabet, 1)
 
 
 def test_duplicate_arc():
@@ -137,6 +162,18 @@ def test_states_must_precede_arcs():
     )
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("states 1\ntrans 0 0 a 0\nalphabet a", "alphabet line must appear before trans lines"),
+        ("alphabet a\nalphabet b\nstates 1", "duplicate alphabet line"),
+    ],
+    ids=["trans-before-alphabet", "second-alphabet"],
+)
+def test_alphabet_line_comes_once_and_before_the_arcs(text, fragment):
+    _expect_error(f"twa 1\nsemiring max-plus\n{text}\n", fragment, line=4)
+
+
 def test_boolean_semiring_has_no_file_form():
     _expect_error("twa 1\nsemiring boolean\nalphabet a\nstates 1\n", "unsupported semiring")
 
@@ -162,8 +199,9 @@ def test_bad_weight_literal_reports_line():
         ("states \uff13", "state count must be an integer", 4),  # fullwidth three
         ("states 2\ninitial \u0661 0", "state must be an integer", 5),  # Arabic-Indic one
         ("states 2\ninitial 0 1.\uff15", "bad weight literal", 5),  # fullwidth five
+        ("states -1", "state count must be nonnegative", 4),
     ],
-    ids=["underscore", "fullwidth-count", "arabic-indic-state", "fullwidth-weight"],
+    ids=["underscore", "fullwidth-count", "arabic-indic-state", "fullwidth-weight", "negative-count"],
 )
 def test_integers_and_weights_take_ascii_digits_only(line, fragment, lineno):
     _expect_error(f"twa 1\nsemiring max-plus\nalphabet a\n{line}\n", fragment, line=lineno)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import as_min_plus_copy, automata, conjugate
+from corpus import as_min_plus_copy, automata, conjugate, shift_final
 from twa import (
     MAX_PLUS,
     MIN_PLUS,
@@ -29,13 +29,6 @@ from twa import (
 
 # potentials and shifts mix ints and Fractions, some of them integral
 offsets = st.integers(-6, 6) | st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
-
-
-def shift_final(aut: WeightedAutomaton, c) -> WeightedAutomaton:
-    """``aut`` with c added to every final weight."""
-    beta = [None if w is None else w + c for w in aut.beta]
-    rows = {ch: aut.mu[ch].rows for ch in aut.alphabet}
-    return WeightedAutomaton(aut.semiring, aut.alphabet, aut.n, aut.alpha, beta, rows)
 
 
 @st.composite

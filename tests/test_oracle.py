@@ -7,7 +7,16 @@ from fractions import Fraction
 import pytest
 
 from corpus import one_letter, random_automaton
-from twa import MAX_PLUS, MIN_PLUS, OracleBoundError, TagMismatchError, WeightedAutomaton, save, zoo
+from twa import (
+    MAX_PLUS,
+    MIN_PLUS,
+    AlphabetError,
+    OracleBoundError,
+    TagMismatchError,
+    WeightedAutomaton,
+    save,
+    zoo,
+)
 from twa.cli import main
 from twa.oracle import (
     MAX_ENUM,
@@ -44,6 +53,13 @@ def test_enum_paths_dead_letter_row():
         MAX_PLUS, "ab", 1, initial=[(0, 0)], final=[(0, 0)], arcs=[(0, "a", 0, 1)]
     )
     assert enum_paths(aut, "b") == []
+
+
+def test_path_questions_reject_unknown_symbols():
+    amax, _ = zoo.sample_equivalent_pair()
+    for question in (enum_paths, ambiguity):
+        with pytest.raises(AlphabetError, match="symbol 'c' is not in the alphabet"):
+            question(amax, "abc")
 
 
 def test_ambiguity_equals_path_count():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from twa import MAX_PLUS, MIN_PLUS, decide_series_equal, zoo
+from twa import MAX_PLUS, MIN_PLUS, TwaError, decide_series_equal, zoo
 from twa.oracle import equal_upto, words_upto
 
 
@@ -24,6 +24,14 @@ def test_divisibility_series():
         for n in range(20):
             expected = 7 if n % 3 == 0 else None
             assert aut.eval("a" * n) == expected
+
+
+def test_periods_and_divisors_are_checked():
+    for tag in (MAX_PLUS, MIN_PLUS):
+        with pytest.raises(TwaError, match="period must be positive"):
+            zoo.divisibility_series(0, 1, tag)
+        with pytest.raises(TwaError, match="divisors must be coprime"):
+            zoo.divisor_max_series(2, 4, tag)
 
 
 def test_divisor_series_pairs_agree_across_tags():
