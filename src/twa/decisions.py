@@ -17,10 +17,11 @@ improved, so the work follows the improvements and not the numbering of the
 states.  It hands back the trim with the verdict: on a YES the states with a
 finite u, and on a NO also those that reach a state of the last round's
 frontier, whose arcs in were never scanned, found by one search over the
-lists from that frontier.  Only a negative verdict reads rows, built from
-the lists, for its witness: one forward pass over the letters, or, when the
-round that found it shows that no word shorter than n is positive, the
-maximum mean circuit (Howard policy iteration, in twa.spectral).
+lists from that frontier.  Only a negative verdict reads rows, for its
+witness: the trim's own where the caller holds it, else (the equality
+kernel) rows built from the lists; one forward pass over the letters, or,
+when the round that found it shows that no word shorter than n is positive,
+the maximum mean circuit (Howard policy iteration, in twa.spectral).
 
 The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
 automaton, is read straight off u and the predecessor lists as lists of
@@ -104,14 +105,14 @@ def decide_nonpositive(aut: WeightedAutomaton) -> Decision:
     """
     _require_max_plus(aut, "decide_nonpositive")
     trim = aut.trim()
-    return _nonpositive(trim.alphabet, trim.alpha, trim.beta, _predecessors(trim))[0]
+    rounds = _potential(trim.alpha, trim.beta, _predecessors(trim))[0]
+    return _decision(None) if rounds is None else _witness(trim, rounds)
 
 
 def _predecessors(aut: WeightedAutomaton) -> list:
-    """The predecessor lists of ``aut``, the input of _nonpositive, which
-    _relax, _zero_filter and a NO's witness rows read: one pass over its
-    rows lists in into[j] the arcs into state j as (source, weight, letter),
-    by increasing source, then in alphabet order."""
+    """The predecessor lists of ``aut``, which _relax and _zero_filter read:
+    one pass over its rows lists in into[j] the arcs into state j as
+    (source, weight, letter), by increasing source, then in alphabet order."""
     into = [[] for _ in range(aut.n)]
     letters = [(ch, aut.mu[ch].rows) for ch in aut.alphabet]
     for i in range(aut.n):
@@ -121,26 +122,35 @@ def _predecessors(aut: WeightedAutomaton) -> list:
     return into
 
 
-def _nonpositive(alphabet, alpha, beta, into) -> tuple:
-    """The nonpositivity verdict of an accessible automaton, given by its
-    arrows ``alpha`` and ``beta`` and its predecessor lists ``into``.
+def _potential(alpha, beta, into) -> tuple:
+    """Decide nonpositivity for an accessible automaton, given by its arrows
+    ``alpha`` and ``beta`` and its predecessor lists ``into``.
 
     A positive empty word (alpha_i + beta_i > 0) is a NO before any search;
-    else _relax decides and hands back the trim as flags.  Returns
-    (verdict, u, keep, into): u = M*beta (None on the states that reach no
-    final arrow) and the lists on a YES, else None, and ``keep`` the trim's
-    states in increasing order, or None for all.  Only a NO reads rows, for
-    its witness: those of the trim, built from ``into``, which then goes
-    before the search.
+    else _relax decides and hands back the trim as flags.  Returns (rounds,
+    u, keep): ``rounds`` None on a YES, else the round that found a positive
+    word (0: the empty word), for _witness; u = M*beta on a YES, else None;
+    ``keep`` the trim's states in increasing order, or None for all.
     """
     for a, b in zip(alpha, beta):
         if a is not None and b is not None and a + b > 0:
-            return Decision(False, ""), None, None, None
+            return 0, None, None
     u = list(beta)
     holds, rounds, useful = _relax(into, alpha, u)
     keep = None if all(useful) else [i for i in range(len(u)) if useful[i]]
-    if holds:
-        return Decision(True, None), u, keep, into
+    return (None, u, keep) if holds else (rounds, None, keep)
+
+
+def _nonpositive(alphabet, alpha, beta, into) -> tuple:
+    """_potential's verdict with its witness, for an automaton held only as
+    lists (the equality kernel's product): a NO after a round builds the
+    trim's rows from ``into`` for _witness.  Returns (verdict, u, keep,
+    into), ``keep`` as _potential's, u and the lists on a YES, else None."""
+    rounds, u, keep = _potential(alpha, beta, into)
+    if rounds is None:
+        return _decision(None), u, keep, into
+    if rounds == 0:
+        return Decision(False, ""), None, None, None
     if keep is not None:
         into, alpha, beta = _restricted(keep, into, alpha, beta)
     rows = {ch: [{} for _ in into] for ch in alphabet}
@@ -149,12 +159,15 @@ def _nonpositive(alphabet, alpha, beta, into) -> tuple:
             rows[ch][i][j] = w
     del into
     trim = WeightedAutomaton._adopt(MAX_PLUS, alphabet, alpha, beta, rows, None)
+    return _witness(trim, rounds), None, keep, None
+
+
+def _witness(trim: WeightedAutomaton, rounds: int) -> Decision:
+    """The NO of ``trim``, whose relaxation found a positive word in round ``rounds``."""
     # no positive word has fewer letters than the round that found one, and
     # the forward pass looks only at words shorter than the trim's n
     witness = _positive_word(trim) if rounds < trim.n else None
-    if witness is None:
-        witness = _pumped_witness(trim)
-    return Decision(False, witness), None, keep, None
+    return Decision(False, _pumped_witness(trim) if witness is None else witness)
 
 
 def _restricted(keep: list, into: list, *vectors) -> tuple:
@@ -373,9 +386,9 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
     _require_max_plus(aut, "fatou_normalize")
     # the decision and the renormalization share one relaxation
     trim = aut.trim()
-    verdict, u = _nonpositive(trim.alphabet, trim.alpha, trim.beta, _predecessors(trim))[:2]
-    if not verdict.holds:
-        raise NotNonpositiveError(verdict.witness)
+    rounds, u = _potential(trim.alpha, trim.beta, _predecessors(trim))[:2]
+    if rounds is not None:
+        raise NotNonpositiveError(_witness(trim, rounds).witness)
     if trim.n == 0:
         return trim
     alpha = [None if w is None else w + u[i] for i, w in enumerate(trim.alpha)]
@@ -421,17 +434,22 @@ def _shifted_zero_filter(aut: WeightedAutomaton, const, op: str):
 
     Checks the tag and the constant, lowers a copy of the trim's final
     weights by const, relaxes with it, and reads the zero filter off a
-    nonpositive result.  The trim is returned unshifted; the shift keeps
-    its support.
+    nonpositive result.  The trim is returned unshifted (the shift keeps
+    its support); a NO's witness reads its rows under the lowered weights.
     """
     _require_max_plus(aut, op)
     if not is_rational(const):
         raise TypeError(f"constant must be an exact rational, got {const!r}")
     trim = aut.trim()
     beta = [None if w is None else w - const for w in trim.beta]
-    verdict, u, _, into = _nonpositive(trim.alphabet, trim.alpha, beta, _predecessors(trim))
-    zero = _zero_filter(trim.alphabet, trim.alpha, beta, into, u) if verdict.holds else None
-    return verdict, trim, zero
+    into = _predecessors(trim)
+    rounds, u = _potential(trim.alpha, beta, into)[:2]
+    if rounds is None:
+        return _decision(None), trim, _zero_filter(trim.alphabet, trim.alpha, beta, into, u)
+    del into
+    rows = {ch: mat.rows for ch, mat in trim.mu.items()}
+    shifted = WeightedAutomaton._adopt(MAX_PLUS, trim.alphabet, trim.alpha, beta, rows, None)
+    return _witness(shifted, rounds), trim, None
 
 
 def decide_equal_const(

@@ -15,6 +15,7 @@ from corpus import (
     Nfa,
     as_min_plus_copy,
     automata,
+    conjugate,
     one_letter,
     power_star,
     random_automaton,
@@ -457,10 +458,31 @@ def _reference_equal_const(aut, const):
     return Decision(True, None)
 
 
-# the series 0 on every word: one state, 0 on both arrows and both loops
-ZERO_ON_ALL_WORDS = WeightedAutomaton.from_arcs(
-    MAX_PLUS, "ab", 1, initial=[(0, 0)], final=[(0, 0)], arcs=[(0, "a", 0, 0), (0, "b", 0, 0)]
-)
+@st.composite
+def zero_on_every_word(draw):
+    """An automaton whose series is 0 on every word over {a, b}.
+
+    A drawn automaton with weights in {-1, 0} gains a state z with initial
+    and final weight 0 and a 0 loop on each letter, and drawn arcs of weight
+    -1 or 0 between z and the rest (the larger weight where two fall on one
+    arc).  Every path weighs at most 0 and z's loops read every word at 0.
+    The result is conjugated by a drawn potential, so its weights are not
+    all <= 0.
+    """
+    aut = draw(automata(MAX_PLUS, max_states=5, weight=st.integers(-1, 0)))
+    z = aut.n
+    state = st.integers(0, z)
+    links = draw(st.lists(st.tuples(state, st.sampled_from("ab"), state, st.integers(-1, 0)), max_size=4))
+    weights = {}
+    for s, ch, t, w in [*aut.arcs(), *links, (z, "a", z, 0), (z, "b", z, 0)]:
+        weights[s, ch, t] = max(w, weights.get((s, ch, t), w))
+    aut = WeightedAutomaton.from_arcs(
+        MAX_PLUS, "ab", z + 1,
+        initial=[(i, w) for i, w in enumerate(aut.alpha) if w is not None] + [(z, 0)],
+        final=[(i, w) for i, w in enumerate(aut.beta) if w is not None] + [(z, 0)],
+        arcs=[(s, ch, t, w) for (s, ch, t), w in weights.items()],
+    )
+    return conjugate(aut, draw(st.lists(st.integers(-3, 3), min_size=z + 1, max_size=z + 1)))
 
 
 def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference():
@@ -472,8 +494,9 @@ def test_nonpositivity_and_fatou_match_the_scan_and_karp_reference():
         st.tuples(automata(MAX_PLUS), st.integers(-8, 2)),
         # with weights in {-1, 0} the universality step decides the constant 0
         st.tuples(automata(MAX_PLUS, weight=st.integers(-1, 0)), st.just(0)),
+        # a YES of decide_equal_const at the constant 0
+        st.tuples(zero_on_every_word(), st.just(0)),
     ))
-    @example((ZERO_ON_ALL_WORDS, 0))  # a YES of decide_equal_const, whatever is drawn
     def check(drawn):
         aut, shift = drawn
         aut = shift_final(aut, shift)
