@@ -9,19 +9,23 @@ its cap).  No witness longer than ``DEFAULT_SUBSET_CAP`` letters is built.
 
 Nonpositivity, on which Fatou renormalization, the constant tests and the
 series comparisons rest, is decided by one early-exit Bellman-Ford relaxation
-of the potential u = M*beta, and a positive verdict hands u on to the
-renormalization.  Its one input is an accessible automaton's arrows and
-predecessor lists, the arcs into each state with their letters, which it
-reads in rounds, each over the arcs into the states that the round before
-improved, so the work follows the improvements and not the numbering of the
-states.  It hands back the trim with the verdict: on a YES the states with a
-finite u, and on a NO also those that reach a state of the last round's
-frontier, whose arcs in were never scanned, found by one search over the
-lists from that frontier.  Only a negative verdict reads rows, for its
-witness: the trim's own where the caller holds it, else (the equality
+of the potential u = M*beta, _relax, the one entry of every caller, and a
+positive verdict hands u on to the renormalization.  Its one input is an
+accessible automaton's arrows and predecessor lists, the arcs into each
+state with their letters, which it reads in rounds, each over the arcs into
+the states that the round before improved, so the work follows the
+improvements and not the numbering of the states; a positive empty word is
+a NO before any round.  It hands back the trim with the verdict: on a YES
+the states with a finite u, and on a NO also those that reach a state of the
+last round's frontier, whose arcs in were never scanned, found by one search
+over the lists from that frontier.  Only a negative verdict reads rows, for
+its witness: the trim's own where the caller holds it, else (the equality
 kernel) rows built from the lists; one forward pass over the letters, or,
 when the round that found it shows that no word shorter than n is positive,
-the maximum mean circuit (Howard policy iteration, in twa.spectral).
+the maximum mean circuit (Howard policy iteration, in twa.spectral), pumped.
+The pumped witness lists the trim's predecessors once and reads off that one
+reverse graph both the letter sum, whose circuit it spells with the first
+letter that attains each arc's entry, and its co-access path.
 
 The zero filter, the NFA of the weight-0 arrows and arcs of the renormalized
 automaton, is read straight off u and the predecessor lists as lists of
@@ -105,7 +109,7 @@ def decide_nonpositive(aut: WeightedAutomaton) -> Decision:
     """
     _require_max_plus(aut, "decide_nonpositive")
     trim = aut.trim()
-    rounds = _potential(trim.alpha, trim.beta, _predecessors(trim))[0]
+    rounds = _relax(trim.alpha, trim.beta, _predecessors(trim))[0]
     return _decision(None) if rounds is None else _witness(trim, rounds)
 
 
@@ -122,35 +126,16 @@ def _predecessors(aut: WeightedAutomaton) -> list:
     return into
 
 
-def _potential(alpha, beta, into) -> tuple:
-    """Decide nonpositivity for an accessible automaton, given by its arrows
-    ``alpha`` and ``beta`` and its predecessor lists ``into``.
-
-    A positive empty word (alpha_i + beta_i > 0) is a NO before any search;
-    else _relax decides and hands back the trim as flags.  Returns (rounds,
-    u, keep): ``rounds`` None on a YES, else the round that found a positive
-    word (0: the empty word), for _witness; u = M*beta on a YES, else None;
-    ``keep`` the trim's states in increasing order, or None for all.
-    """
-    for a, b in zip(alpha, beta):
-        if a is not None and b is not None and a + b > 0:
-            return 0, None, None
-    u = list(beta)
-    holds, rounds, useful = _relax(into, alpha, u)
-    keep = None if all(useful) else [i for i in range(len(u)) if useful[i]]
-    return (None, u, keep) if holds else (rounds, None, keep)
-
-
 def _nonpositive(alphabet, alpha, beta, into) -> tuple:
-    """_potential's verdict with its witness, for an automaton held only as
+    """_relax's verdict with its witness, for an automaton held only as
     lists (the equality kernel's product): a NO after a round builds the
-    trim's rows from ``into`` for _witness.  Returns (verdict, u, keep,
-    into), ``keep`` as _potential's, u and the lists on a YES, else None."""
-    rounds, u, keep = _potential(alpha, beta, into)
+    trim's rows from ``into`` for _witness.  Returns (verdict, u, keep), u
+    and ``keep`` as _relax returns them."""
+    rounds, u, keep = _relax(alpha, beta, into)
     if rounds is None:
-        return _decision(None), u, keep, into
+        return _decision(None), u, keep
     if rounds == 0:
-        return Decision(False, ""), None, None, None
+        return Decision(False, ""), None, None
     if keep is not None:
         into, alpha, beta = _restricted(keep, into, alpha, beta)
     rows = {ch: [{} for _ in into] for ch in alphabet}
@@ -159,7 +144,7 @@ def _nonpositive(alphabet, alpha, beta, into) -> tuple:
             rows[ch][i][j] = w
     del into
     trim = WeightedAutomaton._adopt(MAX_PLUS, alphabet, alpha, beta, rows, None)
-    return _witness(trim, rounds), None, keep, None
+    return _witness(trim, rounds), None, keep
 
 
 def _witness(trim: WeightedAutomaton, rounds: int) -> Decision:
@@ -177,35 +162,46 @@ def _restricted(keep: list, into: list, *vectors) -> tuple:
     return (into, *[[v[i] for i in keep] for v in vectors])
 
 
-def _relax(into: list, alpha: list, u: list) -> tuple[bool, int, list]:
-    """Relax ``u`` in place toward M*beta, in Bellman-Ford rounds over the
-    improved states, and tell whether the series is nonpositive.
+def _relax(alpha, beta, into) -> tuple:
+    """Decide nonpositivity for an accessible automaton, given by its arrows
+    ``alpha`` and ``beta`` and its predecessor lists ``into``: the one
+    relaxation of the potential u = M*beta, in Bellman-Ford rounds over the
+    improved states.
 
-    ``into`` lists the arcs into each state as _predecessors does, and ``u``
-    starts as beta, with alpha_i + beta_i <= 0 for every i.  Round k scans
-    the arcs into the states that round k - 1 improved (round 1: those with
-    a finite beta), so after round k every path of at most k arcs has been
-    offered; a source's arcs on several letters, listed one after another,
-    act as their maximum.  States that reach no final arrow keep u_i = None.
+    A positive empty word (alpha_i + beta_i > 0) is a NO before ``into`` is
+    read.  Else u starts as beta, and round k scans the arcs into the states
+    that round k - 1 improved (round 1: those with a finite beta), so after
+    round k every path of at most k arcs has been offered; a source's arcs on
+    several letters, listed one after another, act as their maximum.  States
+    that reach no final arrow keep u_i = None.
 
     Every finite u_i is, at all times, the weight of a real path from i to a
     final arrow, so alpha_i + u_i > 0, tested on the states a round
     improved, exhibits a positive word, and none has fewer letters than
-    that round's number.  Returns (holds, rounds, useful): holds is True
-    when a round changes nothing, so u = M*beta and alpha + u <= 0 is
-    exactly nonpositivity, and False on a positive word or when round
-    len(u) + 1 still changes u: a positive cycle reaches a final arrow, and
-    it pumps, because the automaton is accessible (trim, or a product built
-    from its initial pairs), so the cycle lies on a successful path.
+    that round's number.  A round that changes nothing leaves u = M*beta,
+    where alpha + u <= 0 is exactly nonpositivity.  A NO is a positive word
+    or a round n + 1 that still changes u: a positive cycle reaches a final
+    arrow, and it pumps, because the automaton is accessible (trim, or a
+    product built from its initial pairs), so the cycle lies on a successful
+    path.
 
-    ``useful`` flags the states that reach a final arrow, the trim of an
-    accessible automaton.  At the fixpoint they are the states with a finite
-    u.  On a NO, a state with u_i = None may still reach one, but only
-    through a state that the last round improved: the arcs into every state
-    an earlier round improved were scanned in the round after it.  So one
-    search over the predecessor lists, from that round's improved states and
-    through the states with u_i = None alone, adds the rest.
+    The trim of an accessible automaton is the states that reach a final
+    arrow.  At the fixpoint they are the states with a finite u.  On a NO, a
+    state with u_i = None may still reach one, but only through a state that
+    the last round improved: the arcs into every state an earlier round
+    improved were scanned in the round after it.  So one search over the
+    predecessor lists, from that round's improved states and through the
+    states with u_i = None alone, adds the rest.
+
+    Returns (rounds, u, keep): ``rounds`` None on a YES, else the round that
+    found a positive word (0: the empty word), for _witness; u = M*beta on a
+    YES, else None; ``keep`` the trim's states in increasing order, or None
+    for all of them (and for the empty word).
     """
+    for a, b in zip(alpha, beta):
+        if a is not None and b is not None and a + b > 0:
+            return 0, None, None
+    u = list(beta)
     n = len(u)
     frontier = [j for j, uj in enumerate(u) if uj is not None]
     last = [0] * n  # the last round that improved each state
@@ -220,16 +216,16 @@ def _relax(into: list, alpha: list, u: list) -> tuple[bool, int, list]:
                     if last[i] != rounds:
                         last[i] = rounds
                         improved.append(i)
-        if not improved:
-            return True, rounds, [ui is not None for ui in u]
-        if rounds <= n:
-            for i in improved:
-                if alpha[i] is not None and alpha[i] + u[i] > 0:
-                    break
-            else:
-                frontier = improved
-                continue
-        break  # a positive word, or round n + 1 still changed u
+        if not improved or rounds > n:
+            break  # the fixpoint, or round n + 1 still changed u
+        for i in improved:
+            if alpha[i] is not None and alpha[i] + u[i] > 0:
+                break
+        else:
+            frontier = improved
+            continue
+        break  # a positive word
+    holds = not improved
     useful = [ui is not None for ui in u]
     stack = improved  # the arcs into these were never scanned
     while stack:
@@ -237,7 +233,8 @@ def _relax(into: list, alpha: list, u: list) -> tuple[bool, int, list]:
             if not useful[i]:
                 useful[i] = True
                 stack.append(i)
-    return False, rounds, useful
+    keep = None if all(useful) else [i for i in range(n) if useful[i]]
+    return (None, u, keep) if holds else (rounds, None, keep)
 
 
 def _positive_word(trim: WeightedAutomaton) -> str | None:
@@ -286,59 +283,51 @@ def _pumped_witness(trim: WeightedAutomaton) -> str:
     """Build a word with positive value from a circuit of maximum mean rho > 0.
 
     ``trim`` has a positive series; the circuit and rho come from one
-    _critical_circuit call on its letter sum, built here for that call.  The
-    witness pumps the circuit enough times to dominate the exact weight of
-    its access and co-access paths.  Raises CapExceededError ("positive
-    word") when no circuit is positive, as only a forward pass stopped at
-    its cap leaves it, and ("witness") before building a word of more than
+    _critical_circuit call on its letter sum.  Both that letter sum and the
+    co-access search read one reverse graph, the trim's predecessor lists,
+    which list each source's arcs into a state in alphabet order: an entry of
+    the letter sum is the maximum of one source's arcs into a state, and the
+    first of them that attains it spells that arc of the circuit.  The witness
+    pumps the circuit enough times to dominate the exact weight of its
+    access and co-access paths.  Raises CapExceededError ("positive word")
+    when no circuit is positive, as only a forward pass stopped at its cap
+    leaves it, and ("witness") before building a word of more than
     ``DEFAULT_SUBSET_CAP`` letters.
     """
-    m = trim.letter_sum()
+    into = _predecessors(trim)
+    m = [{} for _ in into]
+    for j, preds in enumerate(into):
+        for i, w, _ in preds:
+            if (old := m[i].get(j)) is None or w > old:
+                m[i][j] = w
     rho, cycle = _critical_circuit(m)
     if rho is None or rho <= 0:
         raise CapExceededError("positive word", DEFAULT_SUBSET_CAP)
-    cycle_word = []
-    cycle_weight = 0
-    for idx, src in enumerate(cycle):
-        dst = cycle[(idx + 1) % len(cycle)]
-        target = m[src][dst]
-        for ch in trim.alphabet:
-            if trim.mu[ch].rows[src].get(dst) == target:
-                cycle_word.append(ch)
-                break
-        else:
-            raise AssertionError("letter sum lost the maximizing letter")
-        cycle_weight += target
-    start = cycle[0]
-
-    access_word, access_weight = _bfs_path(trim, start, forward=True)
-    coaccess_word, coaccess_weight = _bfs_path(trim, start, forward=False)
+    arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+    cycle_word = "".join(next(ch for s, w, ch in into[j] if s == i and w == m[i][j]) for i, j in arcs)
+    cycle_weight = sum(m[i][j] for i, j in arcs)
+    access_word, access_weight = _bfs_path(trim, cycle[0])
+    coaccess_word, coaccess_weight = _bfs_path(trim, cycle[0], into)
     base = access_weight + coaccess_weight
     # the fewest pumps k >= 1 with base + k * cycle_weight > 0; exact floor
     # division keeps this correct for Fraction weights too
     pumps = max(1, (-base) // cycle_weight + 1)
     if len(access_word) + pumps * len(cycle_word) + len(coaccess_word) > DEFAULT_SUBSET_CAP:
         raise CapExceededError("witness", DEFAULT_SUBSET_CAP)
-    return access_word + "".join(cycle_word) * pumps + coaccess_word
+    return access_word + cycle_word * pumps + coaccess_word
 
 
-def _bfs_path(trim: WeightedAutomaton, target: int, forward: bool):
-    """Shortest word from an initial arrow to ``target`` (or from it to a final arrow).
+def _bfs_path(trim: WeightedAutomaton, target: int, into: list | None = None):
+    """Shortest word from an initial arrow to ``target``, or, given the trim's
+    predecessor lists ``into``, from ``target`` to a final arrow.
 
     Returns (word, exact weight of that particular path including the arrow).
     The automaton is trim, so the path exists.  The search tries the letters
-    in alphabet order and, per letter, the next states in increasing order;
-    the backward search lists the arcs into each state once, before it starts.
+    in alphabet order and, per letter, the next states in increasing order:
+    forward along the rows, backward along ``into``, whose arcs into a state,
+    listed by source, it reads in that order.
     """
-    if forward:
-        seeds, hops = trim.alpha, {ch: mat.rows for ch, mat in trim.mu.items()}
-    else:
-        seeds, hops = trim.beta, {ch: [{} for _ in range(trim.n)] for ch in trim.mu}
-        for ch, mat in trim.mu.items():
-            into = hops[ch]
-            for i, row in enumerate(mat.rows):
-                for j, w in row.items():
-                    into[j][i] = w
+    seeds = trim.alpha if into is None else trim.beta
     prev = {}
     queue = deque()
     for state, w in enumerate(seeds):
@@ -349,12 +338,14 @@ def _bfs_path(trim: WeightedAutomaton, target: int, forward: bool):
         state = queue.popleft()
         if state == target:
             break
-        for ch in trim.alphabet:
-            for nxt, w in sorted(hops[ch][state].items()):
-                if nxt not in prev:
-                    prev[nxt] = (state, ch, w)
-                    queue.append(nxt)
-    assert target in prev, "trim automaton lost access to the cycle"
+        if into is None:
+            hops = [(j, w, ch) for ch in trim.alphabet for j, w in sorted(trim.mu[ch].rows[state].items())]
+        else:
+            hops = sorted(into[state], key=lambda arc: trim.alphabet.index(arc[2]))
+        for nxt, w, ch in hops:
+            if nxt not in prev:
+                prev[nxt] = (state, ch, w)
+                queue.append(nxt)
     letters = []
     weight = 0
     node = target
@@ -363,7 +354,7 @@ def _bfs_path(trim: WeightedAutomaton, target: int, forward: bool):
         letters.append(ch)
         weight += w
     weight += seeds[node]
-    if forward:
+    if into is None:
         letters.reverse()
     return "".join(letters), weight
 
@@ -386,11 +377,9 @@ def fatou_normalize(aut: WeightedAutomaton) -> WeightedAutomaton:
     _require_max_plus(aut, "fatou_normalize")
     # the decision and the renormalization share one relaxation
     trim = aut.trim()
-    rounds, u = _potential(trim.alpha, trim.beta, _predecessors(trim))[:2]
+    rounds, u, _ = _relax(trim.alpha, trim.beta, _predecessors(trim))
     if rounds is not None:
         raise NotNonpositiveError(_witness(trim, rounds).witness)
-    if trim.n == 0:
-        return trim
     alpha = [None if w is None else w + u[i] for i, w in enumerate(trim.alpha)]
     beta = [None if w is None else w - u[i] for i, w in enumerate(trim.beta)]
     rows = {
@@ -443,7 +432,7 @@ def _shifted_zero_filter(aut: WeightedAutomaton, const, op: str):
     trim = aut.trim()
     beta = [None if w is None else w - const for w in trim.beta]
     into = _predecessors(trim)
-    rounds, u = _potential(trim.alpha, beta, into)[:2]
+    rounds, u, _ = _relax(trim.alpha, beta, into)
     if rounds is None:
         return _decision(None), trim, _zero_filter(trim.alphabet, trim.alpha, beta, into, u)
     del into
@@ -557,7 +546,7 @@ def _difference(
         return _Difference(_decision(witness), ta, tb, None, None)
     smaller = sa if ta.n <= tb.n else sb
     pairs, alpha, beta, into = _product_predecessors(ta, tb, walked)
-    verdict, u, keep = _nonpositive(ta.alphabet, alpha, beta, into)[:3]
+    verdict, u, keep = _nonpositive(ta.alphabet, alpha, beta, into)
     if keep is not None:
         pairs = [pairs[i] for i in keep]
     zero = None

@@ -42,9 +42,8 @@ def random_matrix(rng, n=None, nmax=6, lo=-5, hi=5, zero_p=0.4):
 def relaxed(rows, beta):
     """The potential u = M*beta of the production relaxation, M given as row
     dicts: u at the fixpoint, or None when the relaxation diverges."""
-    u = list(beta)
     # no initial arrow, so no round is positive: the fixpoint or a divergence
-    return u if _relax(_predecessors(one_letter(rows)), [None] * len(u), u)[0] else None
+    return _relax([None] * len(beta), beta, _predecessors(one_letter(rows)))[1]
 
 
 def vec_rows(x, rows):
@@ -341,7 +340,7 @@ def ref_difference(amax, bmin, inclusion):
         return Decision(False, ""), pairs, None
     keep = product._useful_states()
     trim = product._restrict(keep)
-    verdict, u, _, _ = _nonpositive(trim.alphabet, trim.alpha, trim.beta, _predecessors(trim))
+    verdict, u, _ = _nonpositive(trim.alphabet, trim.alpha, trim.beta, _predecessors(trim))
     pairs = [pairs[i] for i in keep]
     if not verdict.holds or inclusion:
         return verdict, pairs, None

@@ -100,6 +100,7 @@ def test_import_loads_only_the_code_it_runs():
         "vec_mat",
         "PositiveCycleError",
         "_nonpositive_potential",
+        "_potential",
         "_fatou_trimmed",
         "oplus",
         "otimes",

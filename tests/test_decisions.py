@@ -208,7 +208,8 @@ def test_bfs_path_matches_the_row_scanning_reference():
         for target in range(trim.n):
             for forward in (True, False):
                 expected = _reference_bfs_path(trim, target, forward)
-                assert twa.decisions._bfs_path(trim, target, forward) == expected
+                into = None if forward else _predecessors(trim)
+                assert twa.decisions._bfs_path(trim, target, into) == expected
                 checked += 1
     assert checked > 500
 
@@ -355,6 +356,20 @@ TIED_PREDECESSORS = _tied_automaton([(0, 0), (1, 0)], [(2, 0)], [(0, "b", 2, 1),
 TIED_ENDS = _tied_automaton([(0, 0)], [(1, 0), (2, 0)], [(0, "a", 1, 1), (0, "b", 2, 1)])
 
 
+def one_state_loop(weights, alphabet="ab", initial=-100):
+    """One state, with an initial weight and final weight 0, and a loop on
+    each letter of ``weights``, which maps it to the loop's weight."""
+    return WeightedAutomaton.from_arcs(
+        MAX_PLUS, alphabet, 1, initial=[(0, initial)], final=[(0, 0)],
+        arcs=[(0, ch, 0, w) for ch, w in weights.items()],
+    )
+
+
+# lowered by 0, round 1 finds the positive word a, which is no shorter than
+# n = 1: pumped; lowered by 1, round 2 still improves: diverged
+LOOP = one_state_loop({"a": 1, "b": 1})
+
+
 def test_the_forward_pass_gives_the_word_of_the_scan_and_backward_walk():
     kinds = set()
 
@@ -366,6 +381,8 @@ def test_the_forward_pass_gives_the_word_of_the_scan_and_backward_walk():
     )
     @example(TIED_PREDECESSORS, 0)
     @example(TIED_ENDS, 0)
+    @example(LOOP, 0)
+    @example(LOOP, 1)
     def check(aut, lower):
         # the empty word is lowered to at most 0, so that longer words decide
         empty = aut.eval("")
@@ -376,8 +393,7 @@ def test_the_forward_pass_gives_the_word_of_the_scan_and_backward_walk():
         if verdict.holds:
             assert expected is None
             return
-        u = list(trim.beta)
-        _, rounds, _ = twa.decisions._relax(_predecessors(trim), trim.alpha, u)
+        rounds = twa.decisions._relax(trim.alpha, trim.beta, _predecessors(trim))[0]
         # no positive word has fewer letters than the round that found one
         assert expected is None or len(expected) >= rounds
         if rounds > trim.n:
@@ -592,11 +608,15 @@ def test_a_diverging_relaxation_pumps_after_one_howard_call_and_no_scan(monkeypa
     assert (len(circuits), len(scans)) == (1, 0)
 
 
-def test_a_positive_empty_word_is_a_no_before_the_relaxation(monkeypatch):
-    monkeypatch.setattr(twa.decisions, "_relax", _raise)
+def test_a_positive_empty_word_is_a_no_before_the_relaxation():
     positive_empty = WeightedAutomaton.from_arcs(MAX_PLUS, "a", 1, initial=[(0, 1)], final=[(0, 1)])
+    # the NO comes before the lists are read, so None stands in for them
+    assert twa.decisions._relax(positive_empty.alpha, positive_empty.beta, None) == (0, None, None)
     assert decide_nonpositive(positive_empty) == (False, "")
     assert decide_equal_const(constant_automaton(3), 0) == (False, "")
+    # and so is the constant test's: it relaxes with the final weight 3
+    # lowered by the constant 0
+    assert twa.decisions._relax([0], [3], None) == (0, None, None)
 
 
 def test_a_no_keeps_the_states_that_the_relaxation_had_not_reached():
@@ -607,7 +627,7 @@ def test_a_no_keeps_the_states_that_the_relaxation_had_not_reached():
         MAX_PLUS, "ab", 6, initial=[(0, 0)], final=[(4, 0)],
         arcs=[(0, "a", 4, 1), (0, "a", 5, 0)] + [(i, "b", i + 1, 0) for i in range(4)],
     )
-    verdict, u, keep, _ = twa.decisions._nonpositive(aut.alphabet, aut.alpha, aut.beta, _predecessors(aut))
+    verdict, u, keep = twa.decisions._nonpositive(aut.alphabet, aut.alpha, aut.beta, _predecessors(aut))
     assert (verdict, u, keep) == ((False, "a"), None, [0, 1, 2, 3, 4])
 
 
@@ -616,9 +636,7 @@ def test_a_no_keeps_the_states_that_the_relaxation_had_not_reached():
 
 def pumped_loop(k):
     """One state, initial -k, final 0, an `a` loop of weight 1: a^(k+1) is the first positive word."""
-    return WeightedAutomaton.from_arcs(
-        MAX_PLUS, "a", 1, initial=[(0, -k)], final=[(0, 0)], arcs=[(0, "a", 0, 1)]
-    )
+    return one_state_loop({"a": 1}, "a", -k)
 
 
 def test_a_pumped_witness_past_the_cap_is_refused_before_it_is_built():
@@ -627,6 +645,21 @@ def test_a_pumped_witness_past_the_cap_is_refused_before_it_is_built():
         with pytest.raises(CapExceededError) as err:
             decide_nonpositive(pumped_loop(k))
         assert (err.value.what, err.value.cap) == ("witness", 10**6)
+
+
+def test_a_pumped_circuit_reads_the_first_letter_of_the_heaviest_loop():
+    # no word shorter than n = 1 is positive, so the witness is pumped; its
+    # loop is the letter sum's entry, spelt by the first letter in alphabet
+    # order that attains it
+    for alphabet, weights, letter in [
+        ("ab", {"a": 1, "b": 1}, "a"),
+        ("ba", {"a": 1, "b": 1}, "b"),
+        ("ab", {"a": 0, "b": 1}, "b"),
+        ("ba", {"a": 0, "b": 1}, "b"),
+    ]:
+        aut = one_state_loop(weights, alphabet)
+        assert aut.alphabet == tuple(alphabet)
+        assert decide_nonpositive(aut) == (False, letter * 101), (alphabet, weights)
 
 
 def test_the_forward_pass_holds_at_most_the_cap(monkeypatch):

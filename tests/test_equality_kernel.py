@@ -673,20 +673,27 @@ def relaxes_like_the_letter_sum(amax, bmin):
     state it flags as useful."""
     product, _ = kernel_product(amax.trim(), bmin.trim())
     keep = product._useful_states()
-    flags = [False] * product.n
-    for i in keep:
-        flags[i] = True
-    verdict, _, kept, _ = _nonpositive(product.alphabet, product.alpha, product.beta, _predecessors(product))
+    every = list(range(product.n))
+    verdict, _, kept = _nonpositive(product.alphabet, product.alpha, product.beta, _predecessors(product))
     searched = False
     if verdict.witness != "":  # a positive empty word is decided untrimmed
-        assert (list(range(product.n)) if kept is None else kept) == keep
-        u = list(product.beta)
-        holds, _, useful = twa.decisions._relax(_predecessors(product), product.alpha, u)
-        assert useful == flags
-        searched = not holds and any(f and ui is None for f, ui in zip(useful, u))
-    u = list(product.beta)
-    holds, _, useful = twa.decisions._relax(_predecessors(product), [None] * len(u), u)
-    assert useful == flags
+        assert (every if kept is None else kept) == keep
+        # u is handed back only on a YES, so the list that _relax builds
+        # from beta is caught as it is made
+        made = []
+
+        def caught(items):
+            made.append(list(items))
+            return made[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(twa.decisions, "list", caught, raising=False)
+            rounds, _, kept = twa.decisions._relax(product.alpha, product.beta, _predecessors(product))
+        assert (every if kept is None else kept) == keep
+        searched = rounds is not None and any(made[0][i] is None for i in keep)
+    rounds, u, kept = twa.decisions._relax([None] * product.n, product.beta, _predecessors(product))
+    holds = rounds is None
+    assert (every if kept is None else kept) == keep
     trim = product._restrict(keep)
     ref_u = list(trim.beta)
     rounds, end = ref_star_rounds(trim.letter_sum(), ref_u)
@@ -760,16 +767,18 @@ def test_the_kernel_on_predecessor_lists_matches_the_assembled_product():
 
 
 @pytest.mark.parametrize("pqrs", [(2, 3, 5, 7), (3, 4, 5, 7)])
-def test_relaxation_of_the_prime_products_takes_few_rounds(pqrs):
+def test_relaxation_of_the_prime_products_takes_few_rounds(monkeypatch, pqrs):
     # a round scans only the arcs into the states the round before improved,
     # so the improvements measure the work: 1,004 on 840 states and 1,974 on
     # 1,680 here, in 42 and 63 rounds
     amax, bmin = zoo.prime_period_pair(*pqrs)
     assert relaxes_like_the_letter_sum(amax, bmin) == ("fixpoint", True, False, False)
     product = hadamard(amax.trim(), bmin.trim().negate()).trim()
-    u = _Counted(product.beta)
-    holds, _, _ = twa.decisions._relax(_predecessors(one_letter(product.letter_sum())), product.alpha, u)
-    assert holds and u.assignments <= 2 * product.n
+    # _relax builds u with list(beta), so u is counted as it is relaxed
+    monkeypatch.setattr(twa.decisions, "list", _Counted, raising=False)
+    rounds, u, _ = twa.decisions._relax(product.alpha, product.beta, _predecessors(one_letter(product.letter_sum())))
+    monkeypatch.undo()
+    assert rounds is None and u.assignments <= 2 * product.n
     assert all(w is not None for w in u)
     assert decide_nonpositive(product).holds
 
@@ -791,11 +800,21 @@ coverable = st.one_of(
 )
 
 
+# on the subset {0, 1} that `aa` reaches, the arcs 0 -a-> 0 and 1 -a-> 0 compete
+ARC_COMPETITION = WeightedAutomaton.from_arcs(
+    MAX_PLUS, "ab", 2, initial=[(1, 0)], final=[(1, 0)], arcs=[(0, "a", 0, 0), (0, "a", 1, 0), (1, "a", 0, 0)]
+)
+# the subset {0, 1} of the empty word holds two final states, whose arrows compete
+FINAL_COMPETITION = WeightedAutomaton.from_arcs(MAX_PLUS, "ab", 2, initial=[(0, 0), (1, 0)], final=[(0, 0), (1, 0)])
+
+
 def test_one_pass_competition_removal_matches_the_grouping_rule():
     competitions = set()
 
     @settings(max_examples=300)
     @given(coverable)
+    @example(ARC_COMPETITION)
+    @example(FINAL_COMPETITION)
     def check(aut):
         cover = covering(aut)
         keep_arcs, keep_finals, expected = ref_remove_competitions(cover)
@@ -1042,7 +1061,8 @@ def test_either_support_gives_the_zero_filter_witness():
         if sa.walk(sb, False, "support comparison")[0] is not None:
             return
         trim = kernel_product(ta, tb)[0].trim()
-        verdict, u, _, into = _nonpositive(trim.alphabet, trim.alpha, trim.beta, _predecessors(trim))
+        into = _predecessors(trim)
+        verdict, u, _ = _nonpositive(trim.alphabet, trim.alpha, trim.beta, into)
         if not verdict.holds:
             return
         zero = _SubsetNfa.of(*_zero_filter(trim.alphabet, trim.alpha, trim.beta, into, u))

@@ -69,7 +69,9 @@ def test_the_kernel_slice_reaches_every_branch_of_the_kernel(monkeypatch):
         "_nonpositive": lambda r, *_: {"YES with states that reach no final arrow"} if r[0].holds and r[2] is not None else (),
         "_positive_word": lambda word, *_: {"NO of the forward pass"} if word is not None else (),
         # no positive word is shorter than the round, so the witness is pumped
-        "_relax": lambda r, *_: {"NO whose round is at least n"} if not r[0] and r[1] >= sum(r[2]) else (),
+        "_relax": lambda r, alpha, beta, into: (
+            {"NO whose round is at least n"} if r[0] and r[0] >= (len(into) if r[2] is None else len(r[2])) else ()
+        ),
         "_weighted_subsets": lambda aut, *_: {"deterministic branch"},
         "disambiguate": lambda aut, *_: {"covering branch"},
     }
